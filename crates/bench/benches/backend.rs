@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the kernel backends (DESIGN.md §4h):
-//! Scalar vs Lanes vs Fused on a 512-patch level (64³ cells chopped to 8³
+//! Scalar vs Lanes on a 512-patch level (64³ cells chopped to 8³
 //! patches — the AMR-realistic shape where per-patch overheads matter),
 //! swept across tile shapes. The acceptance bar for the lane backend —
 //! ≥ 1.5× single-thread over Scalar on the WENO flux — is measured by the
@@ -9,7 +9,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use crocco_fab::{tiled_work_list, BoxArray, DistributionMapping, FArrayBox, MultiFab};
 use crocco_geometry::decompose::ChopParams;
 use crocco_geometry::{IndexBox, IntVect, RealVect, StretchedMapping};
-use crocco_solver::backend::{fused, BackendKind};
+use crocco_solver::backend::BackendKind;
 use crocco_solver::kernels::NGHOST;
 use crocco_solver::metrics::{compute_metrics, generate_coords, NCOORDS, NMETRICS};
 use crocco_solver::state::{Conserved, Primitive, NCONS};
@@ -104,10 +104,9 @@ fn bench_weno_x(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full stage RHS + dU update per backend × tile shape. All backends do the
-/// same logical work (zero, three WENO sweeps, dU ← dt·rhs with a = 0 so
-/// state is never mutated across iterations); the fused backend runs it as
-/// its per-tile program, the others as tiled sweeps plus a whole-fab axpy.
+/// Full stage RHS + dU update per backend × tile shape: zero, three tiled
+/// WENO sweeps, then the whole-fab axpy dU ← dt·rhs (a = 0, so state is
+/// never mutated across iterations).
 fn bench_stage_tiles(c: &mut Criterion) {
     let lvl = make_level();
     let mut rhs = rhs_fabs(&lvl);
@@ -124,52 +123,28 @@ fn bench_stage_tiles(c: &mut Criterion) {
     for k in BackendKind::ALL {
         for (tname, tile) in tiles {
             group.bench_with_input(BenchmarkId::new(k.label(), tname), &tile, |b, &tile| {
-                if k == BackendKind::Fused {
-                    let prog = fused::KernelIr::rk_stage(false).fuse();
-                    b.iter(|| {
-                        for i in 0..lvl.state.nfabs() {
-                            fused::run_stage_patch(
-                                &prog,
-                                lvl.state.fab(i),
-                                lvl.metrics.fab(i),
-                                &mut rhs[i],
-                                &mut du[i],
-                                lvl.state.valid_box(i),
-                                tile,
-                                &lvl.gas,
-                                WenoVariant::Symbo,
-                                Reconstruction::ComponentWise,
-                                None,
-                                a,
-                                dt,
-                            );
-                        }
-                        black_box(&du);
-                    });
-                } else {
-                    let work = tiled_work_list(&lvl.state, tile);
-                    b.iter(|| {
-                        for r in rhs.iter_mut() {
-                            r.fill(0.0);
-                        }
-                        for &(i, t) in &work {
-                            k.accumulate_rhs(
-                                lvl.state.fab(i),
-                                lvl.metrics.fab(i),
-                                &mut rhs[i],
-                                t,
-                                &lvl.gas,
-                                WenoVariant::Symbo,
-                                Reconstruction::ComponentWise,
-                                None,
-                            );
-                        }
-                        for (d, r) in du.iter_mut().zip(&rhs) {
-                            d.lincomb(a, dt, r);
-                        }
-                        black_box(&du);
-                    });
-                }
+                let work = tiled_work_list(&lvl.state, tile);
+                b.iter(|| {
+                    for r in rhs.iter_mut() {
+                        r.fill(0.0);
+                    }
+                    for &(i, t) in &work {
+                        k.accumulate_rhs(
+                            lvl.state.fab(i),
+                            lvl.metrics.fab(i),
+                            &mut rhs[i],
+                            t,
+                            &lvl.gas,
+                            WenoVariant::Symbo,
+                            Reconstruction::ComponentWise,
+                            None,
+                        );
+                    }
+                    for (d, r) in du.iter_mut().zip(&rhs) {
+                        d.lincomb(a, dt, r);
+                    }
+                    black_box(&du);
+                });
             });
         }
     }

@@ -1,18 +1,23 @@
-//! Ablation: kernel backends (Scalar / Lanes / Fused, DESIGN.md §4h) on the
-//! 512-patch level, scored against the roofline model.
+//! Ablation: kernel backends (Scalar / Lanes, DESIGN.md §4h) on the
+//! 512-patch level, scored against the roofline model, plus the WENO sweep
+//! per patch shape and direction.
 //!
 //! For every backend this measures each stage kernel's single-thread
 //! throughput in cells/s and grades it with
 //! [`crocco_perfmodel::score_measured`] against nominal host ceilings — the
 //! falsifiable half of the perf model: the analytic `KernelSpec` counts
-//! predict a ceiling, the backends either approach it or don't. The fused
-//! backend's kernels are timed *inside* its per-tile programs (a one-op
-//! program per kernel, the full fused group for the stage row), so the
-//! reduced-DRAM specs from [`fused::fused_specs`] price what actually runs.
+//! predict a ceiling, the backends either approach it or don't.
+//!
+//! The per-shape table times the component-wise SYMBO sweep alone, x / y / z
+//! separately, on the patch shapes AMR actually produces (most are 8 or 12
+//! wide) next to a 64-long x-pencil — the shape on which the sweep is bound
+//! by the packed divider and nothing else. A kernel that loses throughput to
+//! short pencils or strided planes shows it here.
 //!
 //! Emits the machine-readable `BENCH_backend.json` (cells/s, achieved
-//! flop/s, and fraction-of-roofline per kernel per backend) alongside the
-//! human table; `docs/results/backend.md` records a reference run.
+//! flop/s, and fraction-of-roofline per kernel per backend; cells/s per
+//! shape, direction and backend) alongside the human tables;
+//! `docs/results/backend.md` records a reference run.
 
 use crocco_bench::report::print_table;
 use crocco_fab::{tiled_work_list, BoxArray, DistributionMapping, FArrayBox, MultiFab, DEFAULT_TILE};
@@ -20,7 +25,6 @@ use crocco_geometry::decompose::ChopParams;
 use crocco_geometry::{IndexBox, IntVect, RealVect, StretchedMapping};
 use crocco_perfmodel::kernelspec::{compute_dt_spec, stage_kernels, update_spec, weno_spec};
 use crocco_perfmodel::{score_measured, KernelSpec, MeasuredPoint};
-use crocco_solver::backend::fused::{self, FusedProgram, KernelIr, TileOp};
 use crocco_solver::backend::BackendKind;
 use crocco_solver::kernels::NGHOST;
 use crocco_solver::metrics::{compute_metrics, generate_coords, NCOORDS, NMETRICS};
@@ -47,18 +51,34 @@ struct Level {
 }
 
 /// The 512-patch level: 64³ cells chopped into 8³ patches — the
-/// AMR-realistic shape where per-patch and per-tile overheads show — on a
-/// stretched grid, carrying a sheared supersonic-ish air state so the
-/// viscous kernel has real work.
+/// AMR-realistic shape where per-patch and per-tile overheads show.
 fn make_level() -> Level {
-    let gas = PerfectGas::air();
-    let edge = 64i64;
-    let extents = IntVect::new(edge, edge, edge);
-    let ba = Arc::new(BoxArray::decompose(
-        IndexBox::from_extents(edge, edge, edge),
-        ChopParams::new(8, 8),
-    ));
+    let ba = BoxArray::decompose(IndexBox::from_extents(64, 64, 64), ChopParams::new(8, 8));
     assert_eq!(ba.len(), 512);
+    level_on(ba, IntVect::splat(64))
+}
+
+/// `grid` patches of `shape` cells each, tiling a box-shaped domain.
+fn make_shape_level(shape: IntVect, grid: IntVect) -> Level {
+    let mut boxes = Vec::new();
+    for k in 0..grid[2] {
+        for j in 0..grid[1] {
+            for i in 0..grid[0] {
+                let lo = IntVect::new(i * shape[0], j * shape[1], k * shape[2]);
+                boxes.push(IndexBox::new(lo, lo + shape - IntVect::splat(1)));
+            }
+        }
+    }
+    let extents = IntVect::new(shape[0] * grid[0], shape[1] * grid[1], shape[2] * grid[2]);
+    level_on(BoxArray::new(boxes), extents)
+}
+
+/// A level over `ba` on a stretched grid, carrying a sheared supersonic-ish
+/// air state so the viscous kernel has real work.
+fn level_on(ba: BoxArray, extents: IntVect) -> Level {
+    let gas = PerfectGas::air();
+    let edge = extents[0].max(extents[1]);
+    let ba = Arc::new(ba);
     let dm = Arc::new(DistributionMapping::all_on_root(&ba));
     let map = StretchedMapping::new(RealVect::ZERO, RealVect::splat(1.0), 1.2, 1);
     let mut coords = MultiFab::new(ba.clone(), dm.clone(), NCOORDS, NGHOST + 2);
@@ -131,23 +151,18 @@ fn sum_spec(name: &'static str, specs: &[KernelSpec]) -> KernelSpec {
     out
 }
 
-/// Runs a one-op (or full-stage) fused tile program over every patch.
-fn run_fused(lvl: &Level, prog: &FusedProgram, rhs: &mut [FArrayBox], du: &mut [FArrayBox]) {
-    for i in 0..lvl.state.nfabs() {
-        fused::run_stage_patch(
-            prog,
+/// One single-thread SYMBO component-wise WENO sweep of `lvl` along `dir`.
+fn weno_sweep(lvl: &Level, backend: BackendKind, dir: usize, rhs: &mut [FArrayBox]) {
+    for (i, r) in rhs.iter_mut().enumerate() {
+        backend.weno_flux_recon(
             lvl.state.fab(i),
             lvl.metrics.fab(i),
-            &mut rhs[i],
-            &mut du[i],
+            r,
             lvl.state.valid_box(i),
-            DEFAULT_TILE,
+            dir,
             &lvl.gas,
             WenoVariant::Symbo,
             Reconstruction::ComponentWise,
-            None,
-            0.9,
-            1e-3,
         );
     }
 }
@@ -157,64 +172,31 @@ fn measure_backend(lvl: &Level, backend: BackendKind) -> Vec<(KernelSpec, f64)> 
     let mut rhs = rhs_fabs(lvl);
     let mut du = rhs_fabs(lvl);
     let mut out = Vec::new();
-    let one_op = |op: TileOp| FusedProgram {
-        tile_ops: vec![op],
-        epilogue: vec![],
-    };
 
-    if backend == BackendKind::Fused {
-        // Kernels timed as fused one-op tile programs; specs carry the
-        // fusion accounting (RHS round-trip stays tile-resident).
-        let specs = fused::fused_specs(true);
-        for (dir, spec) in specs.iter().enumerate().take(3) {
-            let t = time_best(|| run_fused(lvl, &one_op(TileOp::WenoFlux { dir }), &mut rhs, &mut du));
-            out.push((*spec, t));
-        }
-        let t = time_best(|| run_fused(lvl, &one_op(TileOp::ViscousFlux), &mut rhs, &mut du));
-        out.push((specs[3], t));
-        let t = time_best(|| run_fused(lvl, &one_op(TileOp::DuAxpy), &mut rhs, &mut du));
-        out.push((specs[4], t));
-    } else {
-        for dir in 0..3 {
-            let t = time_best(|| {
-                for (i, r) in rhs.iter_mut().enumerate() {
-                    backend.weno_flux_recon(
-                        lvl.state.fab(i),
-                        lvl.metrics.fab(i),
-                        r,
-                        lvl.state.valid_box(i),
-                        dir,
-                        &lvl.gas,
-                        WenoVariant::Symbo,
-                        Reconstruction::ComponentWise,
-                    );
-                }
-            });
-            out.push((weno_spec(dir), t));
-        }
-        let t = time_best(|| {
-            for (i, r) in rhs.iter_mut().enumerate() {
-                backend.viscous_flux_les(
-                    lvl.state.fab(i),
-                    lvl.metrics.fab(i),
-                    r,
-                    lvl.state.valid_box(i),
-                    &lvl.gas,
-                    None,
-                );
-            }
-        });
-        out.push((crocco_perfmodel::kernelspec::viscous_spec(), t));
-        let t = time_best(|| {
-            for (d, r) in du.iter_mut().zip(&rhs) {
-                d.lincomb(0.9, 1e-3, r);
-            }
-        });
-        out.push((update_spec(), t));
+    for dir in 0..3 {
+        let t = time_best(|| weno_sweep(lvl, backend, dir, &mut rhs));
+        out.push((weno_spec(dir), t));
     }
+    let t = time_best(|| {
+        for (i, r) in rhs.iter_mut().enumerate() {
+            backend.viscous_flux_les(
+                lvl.state.fab(i),
+                lvl.metrics.fab(i),
+                r,
+                lvl.state.valid_box(i),
+                &lvl.gas,
+                None,
+            );
+        }
+    });
+    out.push((crocco_perfmodel::kernelspec::viscous_spec(), t));
+    let t = time_best(|| {
+        for (d, r) in du.iter_mut().zip(&rhs) {
+            d.lincomb(0.9, 1e-3, r);
+        }
+    });
+    out.push((update_spec(), t));
 
-    // ComputeDt dispatches identically everywhere (a pure reduction — no
-    // fusion opportunity), so every backend row prices the same spec.
     let t = time_best(|| {
         let mut dt = f64::INFINITY;
         for i in 0..lvl.state.nfabs() {
@@ -230,42 +212,69 @@ fn measure_backend(lvl: &Level, backend: BackendKind) -> Vec<(KernelSpec, f64)> 
     });
     out.push((compute_dt_spec(), t));
 
-    // The full RK-stage pipeline: RHS accumulation plus the dU axpy. The
-    // fused backend runs its fused tile group; the others sweep tiles into
-    // the materialized RHS fab then stream the axpy.
-    if backend == BackendKind::Fused {
-        let prog = KernelIr::rk_stage(true).fuse();
-        let stage = FusedProgram {
-            tile_ops: prog.tile_ops,
-            epilogue: vec![], // state axpy excluded so iterations are identical
-        };
-        let t = time_best(|| run_fused(lvl, &stage, &mut rhs, &mut du));
-        out.push((sum_spec("Stage(fused)", &fused::fused_specs(true)), t));
-    } else {
-        let work = tiled_work_list(&lvl.state, DEFAULT_TILE);
+    // The full RK-stage pipeline: RHS accumulation (tiles swept into the
+    // materialized RHS fab) plus the dU axpy.
+    let work = tiled_work_list(&lvl.state, DEFAULT_TILE);
+    let t = time_best(|| {
+        for r in rhs.iter_mut() {
+            r.fill(0.0);
+        }
+        for &(i, tile) in &work {
+            backend.accumulate_rhs(
+                lvl.state.fab(i),
+                lvl.metrics.fab(i),
+                &mut rhs[i],
+                tile,
+                &lvl.gas,
+                WenoVariant::Symbo,
+                Reconstruction::ComponentWise,
+                None,
+            );
+        }
+        for (d, r) in du.iter_mut().zip(&rhs) {
+            d.lincomb(0.9, 1e-3, r);
+        }
+    });
+    out.push((sum_spec("Stage", &stage_kernels()), t));
+    out
+}
+
+/// Patch shapes of the per-shape table with the patch grid of the
+/// "streamed" measurement (≈ 32–74 k cells, far beyond L2, so every sweep
+/// streams its inputs from DRAM as a level of an AMR run does): the
+/// AMR-sized shapes, then the 64-long x-pencil on which the sweep is
+/// divider-bound. The "resident" measurement sweeps one patch over and over.
+const SHAPES: [([i64; 3], [i64; 3]); 6] = [
+    ([8, 8, 8], [4, 4, 4]),
+    ([12, 12, 8], [4, 4, 4]),
+    ([16, 16, 16], [2, 2, 4]),
+    ([8, 16, 32], [4, 2, 2]),
+    ([32, 32, 32], [2, 1, 1]),
+    ([64, 8, 8], [2, 4, 4]),
+];
+
+/// One row of the per-shape table: cells/s per sweep direction.
+struct ShapeRate {
+    patch: String,
+    residency: &'static str,
+    backend: &'static str,
+    rate: [f64; 3],
+}
+
+/// Cells/s of the WENO sweep per direction for `backend` on `lvl`.
+fn measure_shape(lvl: &Level, backend: BackendKind) -> [f64; 3] {
+    let mut rhs = rhs_fabs(lvl);
+    // Enough sweeps per timing that the clock resolution and the first-touch
+    // of the rhs fabs are noise.
+    let sweeps = (400_000 / lvl.cells).max(1);
+    std::array::from_fn(|dir| {
         let t = time_best(|| {
-            for r in rhs.iter_mut() {
-                r.fill(0.0);
-            }
-            for &(i, tile) in &work {
-                backend.accumulate_rhs(
-                    lvl.state.fab(i),
-                    lvl.metrics.fab(i),
-                    &mut rhs[i],
-                    tile,
-                    &lvl.gas,
-                    WenoVariant::Symbo,
-                    Reconstruction::ComponentWise,
-                    None,
-                );
-            }
-            for (d, r) in du.iter_mut().zip(&rhs) {
-                d.lincomb(0.9, 1e-3, r);
+            for _ in 0..sweeps {
+                weno_sweep(lvl, backend, dir, &mut rhs);
             }
         });
-        out.push((sum_spec("Stage", &stage_kernels()), t));
-    }
-    out
+        (lvl.cells * sweeps) as f64 / t
+    })
 }
 
 fn main() {
@@ -278,7 +287,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut measured: Vec<(&'static str, Vec<MeasuredPoint>)> = Vec::new();
-    let mut weno_x = [0.0f64; 3]; // scalar, lanes, fused cells/s on WENOx
+    let mut weno_x = [0.0f64; BackendKind::ALL.len()]; // scalar, lanes cells/s on WENOx
     for (bi, backend) in BackendKind::ALL.into_iter().enumerate() {
         let mut points = Vec::new();
         for (spec, secs) in measure_backend(&lvl, backend) {
@@ -307,8 +316,36 @@ fn main() {
     );
 
     let speedup = weno_x[1] / weno_x[0];
-    println!("\nWENOx lanes/scalar speedup: {speedup:.2}x (acceptance bar: >= 1.5x)");
-    println!("WENOx fused/scalar speedup: {:.2}x", weno_x[2] / weno_x[0]);
+    println!("\nWENOx lanes/scalar speedup: {speedup:.2}x (acceptance bar: >= 1.5x)\n");
+
+    // Per-shape WENO sweep, x / y / z separately.
+    let mut shapes = Vec::new();
+    for (shape, grid) in SHAPES {
+        for (residency, grid) in [("resident", [1, 1, 1]), ("streamed", grid)] {
+            let lvl = make_shape_level(IntVect(shape), IntVect(grid));
+            for backend in BackendKind::ALL {
+                shapes.push(ShapeRate {
+                    patch: format!("{}x{}x{}", shape[0], shape[1], shape[2]),
+                    residency,
+                    backend: backend.label(),
+                    rate: measure_shape(&lvl, backend),
+                });
+            }
+        }
+    }
+    let shape_rows: Vec<Vec<String>> = shapes
+        .iter()
+        .map(|s| {
+            let mut row = vec![s.patch.clone(), s.residency.to_string(), s.backend.to_string()];
+            row.extend(s.rate.iter().map(|r| format!("{:.2}", r / 1e6)));
+            row
+        })
+        .collect();
+    print_table(
+        "WENO sweep (SYMBO, component-wise) per patch shape, M cells/s, single thread",
+        &["patch", "inputs", "backend", "x", "y", "z"],
+        &shape_rows,
+    );
 
     // The vendored serde_json is an offline placeholder (empty crate), so
     // the machine-readable record is emitted by hand: plain nested objects,
@@ -342,7 +379,21 @@ fn main() {
             if bi + 1 < measured.len() { "," } else { "" }
         ));
     }
-    json.push_str("  }\n}\n");
+    json.push_str("  },\n");
+    json.push_str("  \"weno_sweep_cells_per_s_by_shape\": [\n");
+    for (si, s) in shapes.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"patch\": \"{}\", \"inputs\": \"{}\", \"backend\": \"{}\", \"x\": {:e}, \"y\": {:e}, \"z\": {:e} }}{}\n",
+            s.patch,
+            s.residency,
+            s.backend,
+            s.rate[0],
+            s.rate[1],
+            s.rate[2],
+            if si + 1 < shapes.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]\n}\n");
     std::fs::write("BENCH_backend.json", json).expect("write BENCH_backend.json");
     println!("\nwrote BENCH_backend.json");
 }

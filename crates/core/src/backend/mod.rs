@@ -4,36 +4,31 @@
 //! `ComputeDt`, update — onto an explicit tile/thread abstraction so the same
 //! numerics could run on very different execution substrates (§IV-B). This
 //! module is that seam in the reproduction: the [`KernelBackend`] trait
-//! names the per-patch kernels the RK driver consumes, and three
-//! implementations provide them, all dispatched over
+//! names the per-patch kernels the RK driver consumes, and two
+//! implementations provide them, both dispatched over
 //! [`crocco_fab::tiles::tile_boxes`] tiles through the [`FabView`] raw-view
 //! machinery:
 //!
+//! * [`LanesBackend`] — the default. Stable-Rust SIMD via fixed-width
+//!   `[f64; LANES]` lane arrays: the WENO sweep runs its [`lanes::LANES`]
+//!   lanes across the plane *orthogonal* to the sweep, out of
+//!   direction-major SoA scratch filled by row copies, so every direction
+//!   sees unit-stride window loads and no scalar face tail on the 8- and
+//!   12-wide patches AMR produces; the viscous and SGS loops lane across
+//!   contiguous x-cells. Bitwise-identical to Scalar by
+//!   construction (every per-cell and per-face operation sequence is
+//!   preserved; lanes only evaluate independent cells side by side).
 //! * [`ScalarBackend`] — the original per-point kernels from
-//!   [`crate::kernels`], unchanged. The bitwise reference.
-//! * [`LanesBackend`] — stable-Rust SIMD via fixed-width `[f64; LANES]`
-//!   lane arrays: the branch-free WENO candidate/smoothness/weight algebra
-//!   is evaluated for [`lanes::LANES`] contiguous faces at once from
-//!   lane-transposed window scratch, and the viscous, `ComputeDt`, and SGS
-//!   loops vectorize across contiguous cells. Bitwise-identical to Scalar
-//!   by construction (every per-cell operation sequence is preserved; lanes
-//!   only reorder *across* independent cells).
-//! * [`FusedBackend`] — a GPU-shaped backend: each RK stage is a small
-//!   per-tile op DAG ([`fused::KernelIr`]) whose flux-difference + RK-axpy
-//!   chain is fused ([`fused::KernelIr::fuse`]) so the stage RHS never
-//!   round-trips a full-patch fab between kernels, executed by an
-//!   interpreter over the tile list. Emits per-kernel
-//!   [`crocco_perfmodel::KernelSpec`] entries so the roofline model can
-//!   score *measured* throughput against its ceiling.
+//!   [`crate::kernels`], unchanged: the bitwise oracle of the invariance
+//!   suites, and the path characteristic reconstruction falls back to.
 //!
 //! Selection goes through [`SolverConfig::kernel_backend`] and composes
 //! with `overlap`, `dist_overlap`, and `fabcheck`; the invariance suite
-//! (`tests/backend_invariance.rs`) proves Lanes and Fused match Scalar
+//! (`tests/backend_invariance.rs`) proves the default matches Scalar
 //! bitwise on the compression ramp across those combinations.
 //!
 //! [`SolverConfig::kernel_backend`]: crate::config::SolverConfig::kernel_backend
 
-pub mod fused;
 pub mod lanes;
 pub mod scalar;
 
@@ -44,7 +39,6 @@ use crocco_fab::{FArrayBox, FabView};
 use crocco_geometry::IndexBox;
 use serde::{Deserialize, Serialize};
 
-pub use fused::FusedBackend;
 pub use lanes::LanesBackend;
 pub use scalar::ScalarBackend;
 
@@ -58,7 +52,7 @@ pub use scalar::ScalarBackend;
 ///
 /// Every implementation must be bitwise-identical to [`ScalarBackend`]
 /// (or ULP-bounded with the tolerance documented on the implementation);
-/// the current three are all exactly bitwise.
+/// [`LanesBackend`] is exactly bitwise.
 pub trait KernelBackend {
     /// Short label for reports and benchmark tables.
     const NAME: &'static str;
@@ -116,37 +110,22 @@ pub trait KernelBackend {
 /// [`SolverConfig::kernel_backend`]: crate::config::SolverConfig::kernel_backend
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// Per-point reference kernels (the default; bitwise baseline).
-    #[default]
+    /// Per-point reference kernels: the bitwise oracle.
     Scalar,
-    /// Fixed-width `[f64; LANES]` SIMD lane kernels.
+    /// Fixed-width `[f64; LANES]` SIMD lane kernels (the default).
+    #[default]
     Lanes,
-    /// Per-tile fused kernel-IR interpreter.
-    Fused,
 }
 
 impl BackendKind {
     /// All backends, in ablation order.
-    pub const ALL: [BackendKind; 3] = [BackendKind::Scalar, BackendKind::Lanes, BackendKind::Fused];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Lanes];
 
     /// Display label.
     pub fn label(&self) -> &'static str {
         match self {
             BackendKind::Scalar => ScalarBackend::NAME,
             BackendKind::Lanes => LanesBackend::NAME,
-            BackendKind::Fused => FusedBackend::NAME,
-        }
-    }
-
-    /// Parses a backend name (`"scalar"`, `"lanes"`, `"fused"`), as used by
-    /// the CI matrix' `CROCCO_BACKEND` environment filter and the ablation
-    /// binaries. Case-insensitive; `None` for unknown names.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(BackendKind::Scalar),
-            "lanes" => Some(BackendKind::Lanes),
-            "fused" => Some(BackendKind::Fused),
-            _ => None,
         }
     }
 
@@ -170,9 +149,6 @@ impl BackendKind {
             BackendKind::Lanes => {
                 LanesBackend::weno_flux_recon(u, met, rhs, region, dir, gas, variant, recon)
             }
-            BackendKind::Fused => {
-                FusedBackend::weno_flux_recon(u, met, rhs, region, dir, gas, variant, recon)
-            }
         }
     }
 
@@ -189,7 +165,6 @@ impl BackendKind {
         match self {
             BackendKind::Scalar => ScalarBackend::viscous_flux_les(u, met, rhs, region, gas, sgs),
             BackendKind::Lanes => LanesBackend::viscous_flux_les(u, met, rhs, region, gas, sgs),
-            BackendKind::Fused => FusedBackend::viscous_flux_les(u, met, rhs, region, gas, sgs),
         }
     }
 
@@ -205,7 +180,6 @@ impl BackendKind {
         match self {
             BackendKind::Scalar => ScalarBackend::compute_dt_patch(u, met, valid, gas, cfl),
             BackendKind::Lanes => LanesBackend::compute_dt_patch(u, met, valid, gas, cfl),
-            BackendKind::Fused => FusedBackend::compute_dt_patch(u, met, valid, gas, cfl),
         }
     }
 
@@ -224,18 +198,13 @@ impl BackendKind {
                 ScalarBackend::eddy_viscosity_field(model, u, met, out, valid, gas)
             }
             BackendKind::Lanes => LanesBackend::eddy_viscosity_field(model, u, met, out, valid, gas),
-            BackendKind::Fused => FusedBackend::eddy_viscosity_field(model, u, met, out, valid, gas),
         }
     }
 
     /// Accumulates the full stage RHS `L(U)` over `region`: the three
     /// directional WENO fluxes then the viscous/LES flux, in the fixed
     /// per-cell operation order every execution path shares (see
-    /// [`crate::driver`]'s partition-invariance argument). The Fused backend
-    /// routes this through its IR interpreter in RHS-materializing mode
-    /// ([`fused::accumulate_rhs_ir`]) — the task-graph paths own the update,
-    /// so the RK-axpy fusion is inert there and only the flux pipeline of
-    /// the program runs.
+    /// [`crate::driver`]'s partition-invariance argument).
     #[allow(clippy::too_many_arguments)]
     pub fn accumulate_rhs(
         self,
@@ -248,17 +217,10 @@ impl BackendKind {
         recon: Reconstruction,
         sgs: Option<&Smagorinsky>,
     ) {
-        match self {
-            BackendKind::Scalar | BackendKind::Lanes => {
-                for dir in 0..3 {
-                    self.weno_flux_recon(u, met, rhs, region, dir, gas, variant, recon);
-                }
-                self.viscous_flux_les(u, met, rhs, region, gas, sgs);
-            }
-            BackendKind::Fused => {
-                fused::accumulate_rhs_ir(u, met, rhs, region, gas, variant, recon, sgs);
-            }
+        for dir in 0..3 {
+            self.weno_flux_recon(u, met, rhs, region, dir, gas, variant, recon);
         }
+        self.viscous_flux_les(u, met, rhs, region, gas, sgs);
     }
 }
 
@@ -267,21 +229,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_roundtrips_labels() {
-        for k in BackendKind::ALL {
-            let name = match k {
-                BackendKind::Scalar => "scalar",
-                BackendKind::Lanes => "lanes",
-                BackendKind::Fused => "fused",
-            };
-            assert_eq!(BackendKind::parse(name), Some(k));
-            assert_eq!(BackendKind::parse(&name.to_uppercase()), Some(k));
-        }
-        assert_eq!(BackendKind::parse("cuda"), None);
-    }
-
-    #[test]
-    fn default_is_the_bitwise_reference() {
-        assert_eq!(BackendKind::default(), BackendKind::Scalar);
+    fn default_is_the_lane_kernels_and_scalar_stays_selectable() {
+        assert_eq!(BackendKind::default(), BackendKind::Lanes);
+        assert_eq!(
+            crate::config::SolverConfig::builder().build().kernel_backend,
+            BackendKind::Lanes
+        );
+        let cfg = crate::config::SolverConfig::builder()
+            .kernel_backend(BackendKind::Scalar)
+            .build();
+        assert_eq!(cfg.kernel_backend, BackendKind::Scalar);
+        assert_eq!(cfg.kernel_backend.label(), "scalar");
+        assert_eq!(BackendKind::ALL, [BackendKind::Scalar, BackendKind::Lanes]);
     }
 }

@@ -453,6 +453,9 @@ impl Simulation {
             self.advance_subcycled_cluster(gep)?;
         } else {
             self.rk3_cluster(gep)?;
+            // Global count, as in the serial step: every rank reports the
+            // same total whatever it owns.
+            self.cell_updates += self.hierarchy.active_points();
         }
         self.step += 1;
         self.time += self.dt;

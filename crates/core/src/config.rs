@@ -206,21 +206,20 @@ pub struct SolverConfig {
     /// cargo feature to have any effect; off by default — poisoning changes
     /// what a bug *does* (trap vs silent zero), never correct results.
     pub nan_poison: bool,
-    /// Kernel backend for the hot loops (DESIGN.md §4h): the scalar
-    /// reference, the SIMD lane kernels, or the fused kernel-IR interpreter.
-    /// All three are bitwise-identical on the solution
-    /// (`tests/backend_invariance.rs`); they differ only in throughput.
-    /// Composes with [`overlap`](Self::overlap),
-    /// [`dist_overlap`](Self::dist_overlap), and
-    /// [`fabcheck`](Self::fabcheck). Defaults to [`BackendKind::Scalar`].
+    /// Kernel backend for the hot loops (DESIGN.md §4h): the plane-laned
+    /// SIMD kernels or the scalar per-point reference. Both are
+    /// bitwise-identical on the solution (`tests/backend_invariance.rs`);
+    /// they differ only in throughput. Composes with
+    /// [`overlap`](Self::overlap), [`dist_overlap`](Self::dist_overlap), and
+    /// [`fabcheck`](Self::fabcheck). Defaults to [`BackendKind::Lanes`];
+    /// [`BackendKind::Scalar`] is the test oracle.
     pub kernel_backend: BackendKind,
     /// Tile shape for kernel dispatch, `(tx, ty, tz)` in cells. `None` (the
     /// default) sweeps each patch as a single region — the pre-backend
     /// behaviour. `Some` partitions every sweep region with
     /// [`crocco_fab::tile_boxes`]; the partition is bitwise-irrelevant
     /// (every valid cell lies in exactly one tile) but sets the cache
-    /// working set, and is the unit the fused backend's per-tile programs
-    /// execute over.
+    /// working set.
     pub tile_size: Option<IntVect>,
     /// Chaos-runtime configuration for cluster stepping (DESIGN.md §4g):
     /// seeded fault injection on the transport plus scheduled rank crashes,
@@ -337,7 +336,7 @@ impl Default for SolverConfigBuilder {
                 owned_dist: false,
                 fabcheck: cfg!(feature = "fabcheck"),
                 nan_poison: false,
-                kernel_backend: BackendKind::Scalar,
+                kernel_backend: BackendKind::default(),
                 tile_size: None,
                 chaos: None,
                 spill_dir: None,
@@ -494,8 +493,7 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Selects the kernel backend (scalar reference, SIMD lanes, or the
-    /// fused kernel-IR interpreter).
+    /// Selects the kernel backend (SIMD lanes, or the scalar reference).
     pub fn kernel_backend(mut self, k: BackendKind) -> Self {
         self.cfg.kernel_backend = k;
         self

@@ -9,7 +9,7 @@
 //!                     // WENOx/y/z, Viscous, Update; AverageDown at stage 3
 //! ```
 
-use crate::backend::{fused, BackendKind};
+use crate::backend::BackendKind;
 use crate::bc::PhysicalBc;
 use crate::config::SolverConfig;
 use crate::kernels::{gradient_magnitude, NGHOST};
@@ -33,7 +33,6 @@ use crocco_fab::plan_cache::{PlanKey, PlanOp};
 use crocco_fab::{
     band_slabs, fabcheck, run_rk_stage_with_skeleton, tile_boxes, BoxArray, DistributionMapping,
     FArrayBox, FabRd, FabRw, FabView, MultiFab, StageFabs, StageSkeleton, SweepPhase,
-    DEFAULT_TILE,
 };
 use crocco_geometry::{GridMapping, IndexBox, IntVect, ProblemDomain, RealVect};
 use crocco_perfmodel::Profiler;
@@ -591,13 +590,7 @@ impl Simulation {
             self.advance_subcycled();
         } else {
             self.rk3();
-            let mut n = 0u64;
-            for lev in &self.levels {
-                for i in 0..lev.state.nfabs() {
-                    n += lev.state.valid_box(i).num_points();
-                }
-            }
-            self.cell_updates += n;
+            self.cell_updates += self.hierarchy.active_points();
         }
         self.step += 1;
         self.time += self.dt;
@@ -1156,49 +1149,6 @@ impl Simulation {
         } = &mut self.levels[l];
         let ba = state.boxarray().clone();
         state.assert_ghosts_fresh("advance_level RK stage kernels");
-        if backend == BackendKind::Fused && !reference {
-            // Fused kernel-IR path (DESIGN.md §4h): phase one runs the fused
-            // per-tile program (zero → fluxes → dU axpy, the stage RHS tile
-            // staying cache-resident) over every tile of every patch with the
-            // state read-only; phase two streams the state axpy. The split
-            // preserves the barrier schedule — all stencil reads of U
-            // complete before any write of U — so the result is
-            // bitwise-identical (`tests/backend_invariance.rs`).
-            let viscous = gas.mu_ref != 0.0 || les.is_some();
-            let prog = fused::KernelIr::rk_stage(viscous).fuse();
-            let t = tile.unwrap_or(DEFAULT_TILE);
-            {
-                let state = &*state;
-                parallel_zip_mut(du.fabs_mut(), rhs, threads, |i, dufab, rhsfab| {
-                    if poison && a == 0.0 {
-                        // 0·SNAN is still NaN: a poisoned dU must be dropped
-                        // explicitly at the first stage, not multiplied away.
-                        dufab.fill(0.0);
-                    }
-                    fused::run_stage_patch(
-                        &prog,
-                        state.fab(i),
-                        metrics.fab(i),
-                        rhsfab,
-                        dufab,
-                        ba.get(i),
-                        t,
-                        &gas,
-                        weno,
-                        recon,
-                        les.as_ref(),
-                        a,
-                        dt,
-                    );
-                });
-            }
-            let du = &*du;
-            parallel_for_each_mut(state.fabs_mut(), threads, |i, stfab| {
-                fused::run_epilogue_patch(&prog.epilogue, stfab, du.fab(i), b);
-            });
-            self.profiler.add("Advance", t0.elapsed().as_secs_f64());
-            return;
-        }
         // RHS per patch, in parallel, into the level's persistent scratch:
         // each worker owns one rhs fab (zeroed in place, never reallocated).
         {
@@ -1550,7 +1500,8 @@ impl Simulation {
         partials.iter().sum()
     }
 
-    /// `true` if any level contains NaN/∞ in its valid region.
+    /// `true` if any level contains NaN/∞ in its valid region (on an
+    /// owned-data simulation: in the valid region of this rank's patches).
     pub fn has_nonfinite(&self) -> bool {
         self.levels.iter().any(|l| l.state.has_nonfinite())
     }

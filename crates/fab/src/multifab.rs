@@ -438,10 +438,11 @@ impl MultiFab {
         (acc / n.max(1) as f64).sqrt()
     }
 
-    /// `true` if any valid-region value is NaN/∞.
+    /// `true` if any valid-region value is NaN/∞. Unallocated placeholders
+    /// of an owned-data MultiFab hold no values and are skipped.
     pub fn has_nonfinite(&self) -> bool {
         self.iter_valid()
-            .any(|(i, b)| self.fabs[i].has_nonfinite(b))
+            .any(|(i, b)| self.fabs[i].is_allocated() && self.fabs[i].has_nonfinite(b))
     }
 }
 

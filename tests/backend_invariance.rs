@@ -1,21 +1,19 @@
-//! The kernel backends (`SolverConfig::kernel_backend`) must be
-//! *observationally invisible*: the SIMD lane kernels and the fused
-//! kernel-IR interpreter restructure the hot loops — lane-transposed WENO
-//! windows, per-tile fused flux + RK-axpy programs — but never reassociate,
-//! reorder, or contract a single per-cell operation, so the solution must
-//! match the scalar reference **bitwise** — not merely close. (No ULP
-//! tolerance is needed: the only scalar fallbacks, characteristic
-//! reconstruction and lane/tile remainders, run the identical scalar code.)
+//! The kernel backend (`SolverConfig::kernel_backend`) must be
+//! *observationally invisible*: the default plane-laned SIMD kernels
+//! restructure the hot loops — direction-major scratch, lanes across the
+//! plane orthogonal to the sweep — but never reassociate, reorder, or
+//! contract a single per-cell operation, so the solution must match the
+//! scalar reference **bitwise** — not merely close. (No ULP tolerance is
+//! needed: the only scalar fallback, characteristic reconstruction, runs
+//! the identical scalar code.)
 //!
 //! These tests run the compression-ramp configuration (sheared curvilinear
-//! grid, two AMR levels, a regrid mid-run at `regrid_freq = 3`) under
-//! Scalar / Lanes / Fused across the `overlap` × `fabcheck` × `nan_poison`
-//! matrix, plus an LES leg exercising the laned viscous/SGS kernels and a
-//! tiled leg exercising the partition. DESIGN.md §4h spells out why
-//! bitwise identity holds; this suite is the end-to-end proof.
-//!
-//! The CI `backend` matrix leg sets `CROCCO_BACKEND` to focus one backend
-//! per job; unset, every backend is exercised.
+//! grid, two AMR levels, a regrid mid-run at `regrid_freq = 3`) under the
+//! default backend against an explicitly named `BackendKind::Scalar` oracle
+//! across the `overlap` × `fabcheck` × `nan_poison` matrix, plus an LES leg
+//! exercising the laned viscous/SGS kernels and a tiled leg exercising the
+//! partition. DESIGN.md §4h spells out why bitwise identity holds; this
+//! suite is the end-to-end proof.
 
 use crocco::solver::backend::BackendKind;
 use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
@@ -56,31 +54,27 @@ fn run_bits(cfg: SolverConfig, steps: u32) -> Vec<u64> {
     bits
 }
 
-/// The non-scalar backends, filtered by the CI matrix' `CROCCO_BACKEND`
-/// variable ("scalar" legs still compare Scalar against itself as a smoke
-/// run of the harness).
-fn backends_under_test() -> Vec<BackendKind> {
-    match std::env::var("CROCCO_BACKEND") {
-        Ok(name) => {
-            let k = BackendKind::parse(&name)
-                .unwrap_or_else(|| panic!("unknown CROCCO_BACKEND {name:?}"));
-            vec![k]
-        }
-        Err(_) => vec![BackendKind::Lanes, BackendKind::Fused],
-    }
+/// The oracle: `b` with the scalar per-point kernels named explicitly, so
+/// the comparison cannot degenerate into the default against itself.
+fn scalar(b: SolverConfigBuilder) -> SolverConfig {
+    b.kernel_backend(BackendKind::Scalar).build()
+}
+
+/// The configuration under test: `b` as built, on the default backend.
+fn default_backend(b: SolverConfigBuilder) -> SolverConfig {
+    let cfg = b.build();
+    assert_eq!(cfg.kernel_backend, BackendKind::Lanes, "the default is the lane kernels");
+    cfg
 }
 
 #[test]
 fn backends_match_scalar_bitwise_on_the_ramp() {
-    // 4 steps crosses the regrid at step 3, so the backends also run over
-    // freshly regridded patches (and the fused path's tile programs see the
-    // new box layout).
-    let reference = run_bits(ramp_builder(48, 0.5).threads(4).build(), 4);
-    for k in backends_under_test() {
-        let got = run_bits(ramp_builder(48, 0.5).threads(4).kernel_backend(k).build(), 4);
-        assert_eq!(reference.len(), got.len());
-        assert!(reference == got, "{} diverged from scalar bitwise", k.label());
-    }
+    // 4 steps crosses the regrid at step 3, so the kernels also run over
+    // freshly regridded patches.
+    let reference = run_bits(scalar(ramp_builder(48, 0.5).threads(4)), 4);
+    let got = run_bits(default_backend(ramp_builder(48, 0.5).threads(4)), 4);
+    assert_eq!(reference.len(), got.len());
+    assert!(reference == got, "default backend diverged from scalar bitwise");
 }
 
 /// LES leg on the periodic vortex: the ramp's physical-BC fill leaves the
@@ -97,23 +91,17 @@ fn vortex_builder() -> SolverConfigBuilder {
 
 #[test]
 fn backends_match_scalar_bitwise_with_les() {
-    // LES exercises the laned viscous + Smagorinsky kernels (and the fused
-    // program's ViscousFlux op) end to end.
-    let reference = run_bits(vortex_builder().threads(2).les(0.16).build(), 4);
-    for k in backends_under_test() {
-        let got = run_bits(
-            vortex_builder().threads(2).les(0.16).kernel_backend(k).build(),
-            4,
-        );
-        assert!(reference == got, "{} diverged under LES", k.label());
-    }
+    // LES exercises the laned viscous + Smagorinsky kernels end to end.
+    let reference = run_bits(scalar(vortex_builder().threads(2).les(0.16)), 4);
+    let got = run_bits(default_backend(vortex_builder().threads(2).les(0.16)), 4);
+    assert!(reference == got, "default backend diverged under LES");
 }
 
 #[test]
 fn tile_partition_is_bitwise_invisible() {
     // Odd tile shapes against the scalar whole-patch sweep: every valid
     // cell lies in exactly one tile, so the partition may not change a bit.
-    let reference = run_bits(ramp_builder(48, 0.5).threads(4).build(), 4);
+    let reference = run_bits(scalar(ramp_builder(48, 0.5).threads(4)), 4);
     for k in BackendKind::ALL {
         for (tx, ty, tz) in [(1_000_000, 8, 8), (5, 3, 7)] {
             let got = run_bits(
@@ -144,35 +132,23 @@ proptest! {
         steps in 3u32..5,
     ) {
         // The full composition matrix: the task-graph executor consumes the
-        // backends through the same `accumulate_rhs` seam, the sanitizer's
+        // backend through the same `accumulate_rhs` seam, the sanitizer's
         // aliasing proofs and ghost-epoch discipline must hold for the
         // restructured kernels, and poisoning must stay semantics-free.
-        let reference = run_bits(
+        let composed = || {
             ramp_builder(48, 0.5)
                 .threads(4)
                 .overlap(overlap)
                 .fabcheck(fabcheck)
                 .nan_poison(nan_poison)
-                .build(),
-            steps,
+        };
+        let reference = run_bits(scalar(composed()), steps);
+        let got = run_bits(default_backend(composed()), steps);
+        prop_assert_eq!(reference.len(), got.len());
+        prop_assert!(
+            reference == got,
+            "default backend diverged (overlap={}, fabcheck={}, poison={})",
+            overlap, fabcheck, nan_poison
         );
-        for k in backends_under_test() {
-            let got = run_bits(
-                ramp_builder(48, 0.5)
-                    .threads(4)
-                    .overlap(overlap)
-                    .fabcheck(fabcheck)
-                    .nan_poison(nan_poison)
-                    .kernel_backend(k)
-                    .build(),
-                steps,
-            );
-            prop_assert_eq!(reference.len(), got.len());
-            prop_assert!(
-                reference == got,
-                "{} diverged (overlap={}, fabcheck={}, poison={})",
-                k.label(), overlap, fabcheck, nan_poison
-            );
-        }
     }
 }

@@ -343,3 +343,41 @@ fn owned_chaos_crash_recovery_matches_oracle() {
     }
     assert_partitions_oracle(&survivors, &reference, "chaos recovery");
 }
+
+#[test]
+fn owned_simulation_answers_has_nonfinite() {
+    // Regression: the non-finite scan indexed the unallocated placeholder
+    // fabs of the patches other ranks own and panicked.
+    let cfg = ramp_builder().nranks(2).threads(1).build();
+    let clean = LocalCluster::run(2, move |ep| {
+        let gep = GroupEndpoint::full(&ep);
+        let mut sim =
+            Simulation::new_owned(cfg.clone(), &gep).expect("fault-free construction");
+        drop(gep);
+        sim.advance_steps_cluster(1, &ep);
+        let placeholders = (0..sim.nlevels())
+            .map(|l| &sim.level(l).state)
+            .any(|s| (0..s.nfabs()).any(|i| !s.is_allocated(i)));
+        assert!(placeholders, "two ranks must leave each other placeholders");
+        !sim.has_nonfinite()
+    });
+    assert_eq!(clean, [true, true]);
+}
+
+#[test]
+fn lockstep_cluster_report_counts_cell_updates() {
+    // Regression: only the subcycled cluster path counted, so lockstep
+    // `advance_steps_cluster` reported 0. The count is global — every rank
+    // reports the serial run's total whatever share it owns.
+    let serial = Simulation::new(ramp_builder().build()).advance_steps(4).cell_updates;
+    assert!(serial > 0);
+    let cfg = ramp_builder().nranks(2).threads(1).build();
+    let per_rank = LocalCluster::run(2, move |ep| {
+        let gep = GroupEndpoint::full(&ep);
+        let mut sim =
+            Simulation::new_owned(cfg.clone(), &gep).expect("fault-free construction");
+        drop(gep);
+        sim.advance_steps_cluster(4, &ep).cell_updates
+    });
+    assert_eq!(per_rank, [serial, serial]);
+}
