@@ -9,7 +9,7 @@
 //! metrics with 4th-order central differences of the stored coordinates.
 
 use crocco_fab::MultiFab;
-use crocco_geometry::{GridMapping, IntVect, RealVect};
+use crocco_geometry::{GridMapping, IndexBox, IntVect, RealVect};
 
 /// Number of metric components (paper: "a 27-component `amrex::MultiFab` to
 /// store the metrics").
@@ -76,24 +76,25 @@ pub fn generate_coords(mapping: &dyn GridMapping, extents: IntVect, coords: &mut
     }
 }
 
-/// 4th-order central first derivative along `dir` of coordinate component
-/// `c` at `p` (unit computational spacing).
+/// 4th-order central first derivative (unit computational spacing) of the
+/// component slice `c` at flat offset `o`, along the direction whose
+/// neighbouring cells lie `s` elements apart.
 #[inline]
-fn d1(fab: &crocco_fab::FArrayBox, p: IntVect, dir: usize, c: usize) -> f64 {
-    let e = IntVect::unit(dir);
-    (fab.get(p - e * 2, c) - 8.0 * fab.get(p - e, c) + 8.0 * fab.get(p + e, c)
-        - fab.get(p + e * 2, c))
-        / 12.0
+fn d1(c: &[f64], o: usize, s: usize) -> f64 {
+    (c[o - 2 * s] - 8.0 * c[o - s] + 8.0 * c[o + s] - c[o + 2 * s]) / 12.0
 }
 
-/// 4th-order central second derivative along `dir`.
+/// 4th-order central second derivative (see [`d1`]).
 #[inline]
-fn d2(fab: &crocco_fab::FArrayBox, p: IntVect, dir: usize, c: usize) -> f64 {
-    let e = IntVect::unit(dir);
-    (-fab.get(p - e * 2, c) + 16.0 * fab.get(p - e, c) - 30.0 * fab.get(p, c)
-        + 16.0 * fab.get(p + e, c)
-        - fab.get(p + e * 2, c))
-        / 12.0
+fn d2(c: &[f64], o: usize, s: usize) -> f64 {
+    (-c[o - 2 * s] + 16.0 * c[o - s] - 30.0 * c[o] + 16.0 * c[o + s] - c[o + 2 * s]) / 12.0
+}
+
+/// Element strides of the three directions within one component of a fab
+/// over `bx` (x fastest).
+fn strides(bx: IndexBox) -> [usize; 3] {
+    let s = bx.size();
+    [1, s[0] as usize, (s[0] * s[1]) as usize]
 }
 
 /// Writes the full coordinate grid of one level to a binary file: the
@@ -185,6 +186,8 @@ pub fn compute_metrics(coords: &MultiFab, metrics: &mut MultiFab) {
         coords.nghost() >= metrics.nghost() + 2,
         "coords need 2 more ghosts than metrics for 4th-order stencils"
     );
+    // The nine M/J quotients of the patch in hand (pass 2), `[d*3+j][cell]`.
+    let mut quot: Vec<f64> = Vec::new();
     for i in 0..metrics.nfabs() {
         // Owned-data distribution: coords and metrics share a distribution
         // mapping, so an unallocated metrics patch has unallocated coords.
@@ -194,76 +197,108 @@ pub fn compute_metrics(coords: &MultiFab, metrics: &mut MultiFab) {
         let cfab = coords.fab(i);
         let mfab = metrics.fab_mut(i);
         let bx = mfab.bx();
-        for p in bx.cells() {
-            // Forward Jacobian F[i][j] = ∂x_i/∂ξ_j.
-            let mut f = [[0.0; 3]; 3];
-            for (xc, frow) in f.iter_mut().enumerate() {
-                for (xi_dir, fv) in frow.iter_mut().enumerate() {
-                    *fv = d1(cfab, p, xi_dir, xc);
-                }
-            }
-            let jac = det3(&f);
-            debug_assert!(jac > 0.0, "negative Jacobian {jac} at {p:?}");
-            // Adjugate: M[d][j] = J ∂ξ_d/∂x_j = cofactor matrix transpose.
-            let adj = adjugate(&f);
-            for (d, arow) in adj.iter().enumerate() {
-                for (j, &a) in arow.iter().enumerate() {
-                    mfab.set(p, comp::M + d * 3 + j, a);
-                }
-            }
-            mfab.set(p, comp::JAC, jac);
-            for (xc, frow) in f.iter().enumerate() {
-                for (xi_dir, &fv) in frow.iter().enumerate() {
-                    mfab.set(p, comp::FWD + xc * 3 + xi_dir, fv);
-                }
-            }
-            // Diagonal curvature and skewness.
-            let mut offdiag = 0.0;
-            let mut diag = 0.0;
-            for (d, frow) in f.iter().enumerate() {
-                mfab.set(p, comp::CURV + d, d2(cfab, p, d, d));
-                for (j, &fv) in frow.iter().enumerate() {
-                    if j == d {
-                        diag += fv.abs();
-                    } else {
-                        offdiag += fv.abs();
+        assert!(cfab.bx().contains_box(&bx.grow(2)), "coords must cover the stencils");
+        let (lo, hi) = (bx.lo(), bx.hi());
+        let nx = bx.length(0) as usize;
+        let n = bx.num_points() as usize;
+        let cstride = strides(cfab.bx());
+        let x: [&[f64]; 3] = std::array::from_fn(|c| cfab.comp(c));
+        // Pass 1, row by row: everything that is a function of the stored
+        // coordinates alone. `co`/`mo` are the offsets of the row's first
+        // cell within one component of the coordinate / metric fab.
+        for k in lo[2]..=hi[2] {
+            for j in lo[1]..=hi[1] {
+                let row = IntVect::new(lo[0], j, k);
+                let (co, mo) = (cfab.offset(row, 0), mfab.offset(row, 0));
+                let m = mfab.data_mut();
+                for ix in 0..nx {
+                    let (c, o) = (co + ix, mo + ix);
+                    // Forward Jacobian F[i][j] = ∂x_i/∂ξ_j.
+                    let mut f = [[0.0; 3]; 3];
+                    for (xc, frow) in f.iter_mut().enumerate() {
+                        for (xi_dir, fv) in frow.iter_mut().enumerate() {
+                            *fv = d1(x[xc], c, cstride[xi_dir]);
+                        }
                     }
+                    let jac = det3(&f);
+                    debug_assert!(jac > 0.0, "negative Jacobian {jac} in row {row:?} + {ix}");
+                    // Adjugate: M[d][j] = J ∂ξ_d/∂x_j = cofactor matrix transpose.
+                    let adj = adjugate(&f);
+                    for (d, arow) in adj.iter().enumerate() {
+                        for (jj, &a) in arow.iter().enumerate() {
+                            m[(comp::M + d * 3 + jj) * n + o] = a;
+                        }
+                    }
+                    m[comp::JAC * n + o] = jac;
+                    for (xc, frow) in f.iter().enumerate() {
+                        for (xi_dir, &fv) in frow.iter().enumerate() {
+                            m[(comp::FWD + xc * 3 + xi_dir) * n + o] = fv;
+                        }
+                    }
+                    // Diagonal curvature and skewness.
+                    let mut offdiag = 0.0;
+                    let mut diag = 0.0;
+                    for (d, frow) in f.iter().enumerate() {
+                        m[(comp::CURV + d) * n + o] = d2(x[d], c, cstride[d]);
+                        for (jj, &fv) in frow.iter().enumerate() {
+                            if jj == d {
+                                diag += fv.abs();
+                            } else {
+                                offdiag += fv.abs();
+                            }
+                        }
+                    }
+                    m[comp::SKEW * n + o] = offdiag / diag.max(1e-300);
+                    // Minimum physical spacing: column norms of F.
+                    let mut minsp = f64::INFINITY;
+                    for ((&fx, &fy), &fz) in f[0].iter().zip(&f[1]).zip(&f[2]) {
+                        let len = (fx.powi(2) + fy.powi(2) + fz.powi(2)).sqrt();
+                        minsp = minsp.min(len);
+                    }
+                    m[comp::MINSP * n + o] = minsp;
                 }
             }
-            mfab.set(p, comp::SKEW, offdiag / diag.max(1e-300));
-            // Minimum physical spacing: column norms of F.
-            let mut minsp = f64::INFINITY;
-            for ((&fx, &fy), &fz) in f[0].iter().zip(&f[1]).zip(&f[2]) {
-                let len = (fx.powi(2) + fy.powi(2) + fz.powi(2)).sqrt();
-                minsp = minsp.min(len);
-            }
-            mfab.set(p, comp::MINSP, minsp);
         }
         // ∇²ξ_d needs second differences of M/J, i.e. a second pass over the
         // interior of the metric box (stencil radius 1 using already-written
-        // M and J). The outermost ring carries zero — written explicitly, so
-        // the result does not depend on how the allocation was initialised
-        // (it may be NaN-poisoned under the fabcheck feature).
-        for p in bx.cells() {
-            for d in 0..3 {
-                mfab.set(p, comp::LAPXI + d, 0.0);
-            }
+        // M and J, which this pass only reads). The outermost ring carries
+        // zero — written explicitly, so the result does not depend on how
+        // the allocation was initialised (it may be NaN-poisoned under the
+        // fabcheck feature).
+        quot.clear();
+        let jac = mfab.comp(comp::JAC);
+        for c in 0..9 {
+            quot.extend(mfab.comp(comp::M + c).iter().zip(jac).map(|(&m, &j)| m / j));
+        }
+        for d in 0..3 {
+            mfab.comp_mut(comp::LAPXI + d).fill(0.0);
         }
         let inner = bx.grow(-1);
-        let snapshot = mfab.clone();
-        for p in inner.cells() {
-            for d in 0..3 {
-                let mut lap = 0.0;
-                for j in 0..3 {
-                    let e = IntVect::unit(j);
-                    let val = |q: IntVect| {
-                        snapshot.get(q, comp::M + d * 3 + j) / snapshot.get(q, comp::JAC)
-                    };
-                    // Second difference of ∂ξ_d/∂x_j along ξ_j approximates
-                    // the physical Laplacian contribution on smooth grids.
-                    lap += val(p + e) - 2.0 * val(p) + val(p - e);
+        if inner.is_empty() {
+            continue;
+        }
+        let mstride = strides(bx);
+        let (ilo, ihi) = (inner.lo(), inner.hi());
+        let inx = inner.length(0) as usize;
+        for k in ilo[2]..=ihi[2] {
+            for j in ilo[1]..=ihi[1] {
+                let row = IntVect::new(ilo[0], j, k);
+                let mo = mfab.offset(row, 0);
+                for d in 0..3 {
+                    let q: [&[f64]; 3] =
+                        std::array::from_fn(|jj| &quot[(d * 3 + jj) * n..(d * 3 + jj + 1) * n]);
+                    let out = mfab.row_mut(row, comp::LAPXI + d, inx);
+                    for (ix, lapxi) in out.iter_mut().enumerate() {
+                        let o = mo + ix;
+                        let mut lap = 0.0;
+                        for (qj, &s) in q.iter().zip(&mstride) {
+                            // Second difference of ∂ξ_d/∂x_j along ξ_j approximates
+                            // the physical Laplacian contribution on smooth grids.
+                            lap += qj[o + s] - 2.0 * qj[o] + qj[o - s];
+                        }
+                        *lapxi = lap;
+                    }
                 }
-                mfab.set(p, comp::LAPXI + d, lap);
             }
         }
     }
@@ -289,7 +324,8 @@ fn adjugate(f: &[[f64; 3]; 3]) -> [[f64; 3]; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crocco_fab::{BoxArray, DistributionMapping};
+    use crocco_fab::{BoxArray, DistributionMapping, DistributionStrategy, FArrayBox};
+    use crocco_geometry::decompose::{decompose_domain, ChopParams};
     use crocco_geometry::{IndexBox, RampMapping, StretchedMapping, UniformMapping};
     use std::sync::Arc;
 
@@ -306,6 +342,120 @@ mod tests {
         let mut metrics = MultiFab::new(ba, dm, NMETRICS, nghost);
         compute_metrics(&coords, &mut metrics);
         (coords, metrics)
+    }
+
+    /// The per-cell `get`/`set` formulation [`compute_metrics`] replaced
+    /// (whole-fab snapshot, every `M/J` quotient evaluated at each use),
+    /// kept as the bitwise oracle of one patch.
+    fn compute_metrics_percell(cfab: &FArrayBox, mfab: &mut FArrayBox) {
+        let d1 = |p: IntVect, dir: usize, c: usize| {
+            let e = IntVect::unit(dir);
+            (cfab.get(p - e * 2, c) - 8.0 * cfab.get(p - e, c) + 8.0 * cfab.get(p + e, c)
+                - cfab.get(p + e * 2, c))
+                / 12.0
+        };
+        let d2 = |p: IntVect, dir: usize, c: usize| {
+            let e = IntVect::unit(dir);
+            (-cfab.get(p - e * 2, c) + 16.0 * cfab.get(p - e, c) - 30.0 * cfab.get(p, c)
+                + 16.0 * cfab.get(p + e, c)
+                - cfab.get(p + e * 2, c))
+                / 12.0
+        };
+        let bx = mfab.bx();
+        for p in bx.cells() {
+            let mut f = [[0.0; 3]; 3];
+            for (xc, frow) in f.iter_mut().enumerate() {
+                for (xi_dir, fv) in frow.iter_mut().enumerate() {
+                    *fv = d1(p, xi_dir, xc);
+                }
+            }
+            for (d, arow) in adjugate(&f).iter().enumerate() {
+                for (j, &a) in arow.iter().enumerate() {
+                    mfab.set(p, comp::M + d * 3 + j, a);
+                }
+            }
+            mfab.set(p, comp::JAC, det3(&f));
+            let mut offdiag = 0.0;
+            let mut diag = 0.0;
+            for (d, frow) in f.iter().enumerate() {
+                mfab.set(p, comp::CURV + d, d2(p, d, d));
+                for (j, &fv) in frow.iter().enumerate() {
+                    mfab.set(p, comp::FWD + d * 3 + j, fv);
+                    if j == d {
+                        diag += fv.abs();
+                    } else {
+                        offdiag += fv.abs();
+                    }
+                }
+            }
+            mfab.set(p, comp::SKEW, offdiag / diag.max(1e-300));
+            let mut minsp = f64::INFINITY;
+            for ((&fx, &fy), &fz) in f[0].iter().zip(&f[1]).zip(&f[2]) {
+                minsp = minsp.min((fx.powi(2) + fy.powi(2) + fz.powi(2)).sqrt());
+            }
+            mfab.set(p, comp::MINSP, minsp);
+            for d in 0..3 {
+                mfab.set(p, comp::LAPXI + d, 0.0);
+            }
+        }
+        let snapshot = mfab.clone();
+        for p in bx.grow(-1).cells() {
+            for d in 0..3 {
+                let mut lap = 0.0;
+                for j in 0..3 {
+                    let e = IntVect::unit(j);
+                    let val = |q: IntVect| {
+                        snapshot.get(q, comp::M + d * 3 + j) / snapshot.get(q, comp::JAC)
+                    };
+                    lap += val(p + e) - 2.0 * val(p) + val(p - e);
+                }
+                mfab.set(p, comp::LAPXI + d, lap);
+            }
+        }
+    }
+
+    #[test]
+    fn row_wise_metrics_equal_the_per_cell_formulation_bitwise() {
+        let ramp = RampMapping::paper_dmr();
+        let stretched = StretchedMapping::new(RealVect::ZERO, RealVect::splat(1.0), 2.0, 1);
+        let cases: [(&dyn GridMapping, IntVect); 2] =
+            [(&ramp, IntVect::new(32, 16, 8)), (&stretched, IntVect::new(8, 24, 8))];
+        for (mapping, extents) in cases {
+            // Several patches, rank 0 of 2 owning only some of them; metric
+            // storage starts out NaN so every component must be written.
+            let domain = IndexBox::from_extents(extents[0], extents[1], extents[2]);
+            let chop = ChopParams { max_grid_size: 8, blocking_factor: 4 };
+            let ba = Arc::new(BoxArray::new(decompose_domain(domain, chop)));
+            let dm = Arc::new(DistributionMapping::new(&ba, 2, DistributionStrategy::RoundRobin));
+            let mut coords = MultiFab::new_owned(ba.clone(), dm.clone(), NCOORDS, 4, 0);
+            generate_coords(mapping, extents, &mut coords);
+            let mut metrics = MultiFab::new_owned(ba, dm, NMETRICS, 2, 0);
+            for i in 0..metrics.nfabs() {
+                if metrics.is_allocated(i) {
+                    metrics.fab_mut(i).fill(f64::NAN);
+                }
+            }
+            compute_metrics(&coords, &mut metrics);
+            let mut owned = 0;
+            for i in 0..metrics.nfabs() {
+                if !metrics.is_allocated(i) {
+                    continue;
+                }
+                owned += 1;
+                let got = metrics.fab(i);
+                let mut want = FArrayBox::filled(got.bx(), NMETRICS, f64::NAN);
+                compute_metrics_percell(coords.fab(i), &mut want);
+                for (c, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "patch {i}, flat index {c}");
+                }
+                // The outer ring of ∇²ξ is a written zero, not allocation residue.
+                let ring = got.bx().lo();
+                for d in 0..3 {
+                    assert_eq!(got.get(ring, comp::LAPXI + d).to_bits(), 0f64.to_bits());
+                }
+            }
+            assert!(owned > 0 && owned < metrics.nfabs(), "partly unallocated by construction");
+        }
     }
 
     #[test]
