@@ -43,6 +43,12 @@ const HOST_DRAM_BW: f64 = 25e9;
 /// Timing repetitions; the minimum is reported.
 const REPS: usize = 5;
 
+/// Divisions one SYMBO face reconstruction executes (`weno::reconstruct_face`
+/// and its lane mirror): four `d_r/(ε+β_r)²`, one `Σα·q̃ / (6·Σα)`. The face
+/// loop was bound by the packed divider at 12; recorded with the numbers it
+/// explains.
+const DIVISIONS_PER_RECONSTRUCTION: u32 = 5;
+
 struct Level {
     state: MultiFab,
     metrics: MultiFab,
@@ -283,7 +289,8 @@ fn main() {
         "kernel backends on the 512-patch level ({} cells), single thread",
         lvl.cells
     );
-    println!("roofline ceilings: peak {:.0} Gflop/s, DRAM {:.0} GB/s\n", HOST_PEAK_FLOPS / 1e9, HOST_DRAM_BW / 1e9);
+    println!("roofline ceilings: peak {:.0} Gflop/s, DRAM {:.0} GB/s", HOST_PEAK_FLOPS / 1e9, HOST_DRAM_BW / 1e9);
+    println!("divisions per reconstruction (SYMBO): {DIVISIONS_PER_RECONSTRUCTION}\n");
 
     let mut rows = Vec::new();
     let mut measured: Vec<(&'static str, Vec<MeasuredPoint>)> = Vec::new();
@@ -356,6 +363,9 @@ fn main() {
     json.push_str("  \"threads\": 1,\n");
     json.push_str(&format!("  \"host_peak_flops\": {HOST_PEAK_FLOPS:e},\n"));
     json.push_str(&format!("  \"host_dram_bw\": {HOST_DRAM_BW:e},\n"));
+    json.push_str(&format!(
+        "  \"divisions_per_reconstruction\": {DIVISIONS_PER_RECONSTRUCTION},\n"
+    ));
     json.push_str(&format!(
         "  \"weno_x_lanes_over_scalar\": {speedup:.4},\n"
     ));

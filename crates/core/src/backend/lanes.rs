@@ -34,6 +34,14 @@
 //!
 //! # Bitwise identity with Scalar
 //!
+//! "Identity" is between the two implementations of one algebra: the lane
+//! kernels and the scalar kernels agree `to_bits` *with each other*. Neither
+//! evaluates the WENO face value in the textbook order `Σ_r (α_r/Σα)·(q̃_r/6)`
+//! — both compute `(Σ_r α_r·q̃_r) / (6·Σ_r α_r)`, five divisions instead of
+//! twelve, which departs from the textbook order by at most a few
+//! ε_mach·max_r|q_r| (see [`crate::weno`], where the form is defined and the
+//! bound is tested).
+//!
 //! Lanes never fuses, reassociates, or reorders the operations *within* one
 //! cell or face — it only evaluates independent cells/faces side by side,
 //! and the scratch layout is pure storage. Three details make this exact,
@@ -42,7 +50,7 @@
 //! * The α-weight guard `if d[r] == 0.0` and the downwind cap
 //!   `if d[3] > 0.0` branch on the *variant's linear weights*, which are
 //!   lane-uniform — the branches hoist out of the lane loop unchanged.
-//! * Accumulations (`sum`, `out`, the wave-speed sum) start from `0.0` and
+//! * Accumulations (`num`, `sum`, the wave-speed sum) start from `0.0` and
 //!   add terms in the same order as the scalar code, so every intermediate
 //!   rounding matches.
 //! * `f64::min`/`max` and the remaining per-lane calls into shared scalar
@@ -145,17 +153,17 @@ impl KernelBackend for LanesBackend {
     }
 }
 
-/// WENO candidate reconstructions for [`LANES`] faces at once:
+/// Unnormalised WENO candidates `q̃_r = 6·q_r` for [`LANES`] faces at once:
 /// `w[k][lane]` is window position `k` of face `lane`. Per-lane operation
 /// order matches [`crate::weno`]'s `candidates` exactly.
 #[inline(always)]
 fn candidates_lanes(w: &[[f64; LANES]; 6]) -> [[f64; LANES]; 4] {
     let mut q = [[0.0; LANES]; 4];
     for l in 0..LANES {
-        q[0][l] = (2.0 * w[0][l] - 7.0 * w[1][l] + 11.0 * w[2][l]) / 6.0;
-        q[1][l] = (-w[1][l] + 5.0 * w[2][l] + 2.0 * w[3][l]) / 6.0;
-        q[2][l] = (2.0 * w[2][l] + 5.0 * w[3][l] - w[4][l]) / 6.0;
-        q[3][l] = (11.0 * w[3][l] - 7.0 * w[4][l] + 2.0 * w[5][l]) / 6.0;
+        q[0][l] = 2.0 * w[0][l] - 7.0 * w[1][l] + 11.0 * w[2][l];
+        q[1][l] = -w[1][l] + 5.0 * w[2][l] + 2.0 * w[3][l];
+        q[2][l] = 2.0 * w[2][l] + 5.0 * w[3][l] - w[4][l];
+        q[3][l] = 11.0 * w[3][l] - 7.0 * w[4][l] + 2.0 * w[5][l];
     }
     q
 }
@@ -179,9 +187,8 @@ fn smoothness_lanes(w: &[[f64; LANES]; 6]) -> [[f64; LANES]; 4] {
 
 /// Face reconstruction for [`LANES`] faces at once, from lane-transposed
 /// windows. Bitwise-equal per lane to [`crate::weno::reconstruct_face`]:
-/// the `d[r]` branches are lane-uniform, and `sum`/`out` accumulate in the
-/// scalar order starting from `0.0` (the α's are never `-0.0`, so skipping
-/// the scalar code's leading `0.0 +` term is exact).
+/// the `d[r]` branches are lane-uniform, and `num`/`sum` accumulate in the
+/// scalar order starting from `0.0`.
 ///
 /// Deliberately `inline(never)`: inlining two of these into the face loop
 /// puts ~24 live 6×LANES arrays in one region and the register allocator
@@ -206,17 +213,17 @@ fn reconstruct_face_lanes(w: &[[f64; LANES]; 6], variant: WenoVariant) -> [f64; 
             alpha[3][l] = alpha[3][l].min(alpha[0][l]).min(alpha[1][l]).min(alpha[2][l]);
         }
     }
+    let mut num = [0.0; LANES];
     let mut sum = [0.0; LANES];
-    for row in &alpha {
+    for r in 0..4 {
         for l in 0..LANES {
-            sum[l] += row[l];
+            num[l] += alpha[r][l] * q[r][l];
+            sum[l] += alpha[r][l];
         }
     }
     let mut out = [0.0; LANES];
-    for r in 0..4 {
-        for l in 0..LANES {
-            out[l] += alpha[r][l] / sum[l] * q[r][l];
-        }
+    for l in 0..LANES {
+        out[l] = num[l] / (6.0 * sum[l]);
     }
     out
 }

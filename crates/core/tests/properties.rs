@@ -14,6 +14,68 @@ const VARIANTS: [WenoVariant; 3] = [
     WenoVariant::Symbo,
 ];
 
+/// The WENO face value in the order the textbooks write it — every
+/// candidate normalised by its own `/6`, every weight by its own `/Σα`,
+/// `Σ_r (α_r/Σα)·q_r`: 12 divisions for the 4-candidate schemes. This is the
+/// formula `reconstruct_face` evaluated literally before it was rewritten as
+/// `(Σ_r α_r·q̃_r)/(6·Σα)`; it stays here as the oracle of the tolerance
+/// argument. Returns the value and `max_r |q_r|`.
+fn reconstruct_face_textbook(w: &[f64; 6], variant: WenoVariant) -> (f64, f64) {
+    let q = [
+        (2.0 * w[0] - 7.0 * w[1] + 11.0 * w[2]) / 6.0,
+        (-w[1] + 5.0 * w[2] + 2.0 * w[3]) / 6.0,
+        (2.0 * w[2] + 5.0 * w[3] - w[4]) / 6.0,
+        (11.0 * w[3] - 7.0 * w[4] + 2.0 * w[5]) / 6.0,
+    ];
+    let omega = nonlinear_weights(w, variant);
+    let mut out = 0.0;
+    for r in 0..4 {
+        out += omega[r] * q[r];
+    }
+    (out, q.iter().fold(0.0, |m, v| v.abs().max(m)))
+}
+
+/// Window families of the tolerance property, all of unit magnitude:
+/// a smooth sine, a jump in front of stencil position `1..=5` carrying
+/// 1e-3 noise, and uniform noise.
+fn unit_window(family: u8, a: f64, b: f64, noise: &[f64; 6]) -> [f64; 6] {
+    match family {
+        0 => std::array::from_fn(|k| (0.1 + 1.4 * (a + 1.0) * k as f64 + 3.0 * b).sin()),
+        1..=5 => std::array::from_fn(|k| {
+            (if k < family as usize { a } else { b }) + 1e-3 * noise[k]
+        }),
+        _ => *noise,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The tolerance argument for the 5-division form: against the textbook
+    /// order it moves a face value by a few ulp of the largest candidate —
+    /// never by an amount that depends on how small the weights or how
+    /// ill-scaled the data are.
+    #[test]
+    fn weno_five_division_form_stays_within_ulps_of_the_textbook_order(
+        family in 0u8..7,
+        exponent in -8.0f64..8.0,
+        a in -1.0f64..1.0,
+        b in -1.0f64..1.0,
+        noise in prop::array::uniform6(-1.0f64..1.0),
+        variant in prop::sample::select(VARIANTS.to_vec()),
+    ) {
+        let scale = 10f64.powf(exponent);
+        let w = unit_window(family, a, b, &noise).map(|v| scale * v);
+        let (textbook, qmax) = reconstruct_face_textbook(&w, variant);
+        let got = reconstruct_face(&w, variant);
+        prop_assert!(
+            (got - textbook).abs() <= 8.0 * f64::EPSILON * qmax,
+            "{:?} {:?}: {:e} vs textbook {:e}, {:.2} eps of max|q| = {:e}",
+            variant, w, got, textbook, (got - textbook).abs() / (f64::EPSILON * qmax), qmax
+        );
+    }
+}
+
 proptest! {
     #[test]
     fn weno_weights_are_a_partition_of_unity(
