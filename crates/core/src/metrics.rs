@@ -198,66 +198,58 @@ pub fn compute_metrics(coords: &MultiFab, metrics: &mut MultiFab) {
         let mfab = metrics.fab_mut(i);
         let bx = mfab.bx();
         assert!(cfab.bx().contains_box(&bx.grow(2)), "coords must cover the stencils");
-        let (lo, hi) = (bx.lo(), bx.hi());
-        let nx = bx.length(0) as usize;
         let n = bx.num_points() as usize;
         let cstride = strides(cfab.bx());
         let x: [&[f64]; 3] = std::array::from_fn(|c| cfab.comp(c));
-        // Pass 1, row by row: everything that is a function of the stored
-        // coordinates alone. `co`/`mo` are the offsets of the row's first
-        // cell within one component of the coordinate / metric fab.
-        for k in lo[2]..=hi[2] {
-            for j in lo[1]..=hi[1] {
-                let row = IntVect::new(lo[0], j, k);
-                let (co, mo) = (cfab.offset(row, 0), mfab.offset(row, 0));
-                let m = mfab.data_mut();
-                for ix in 0..nx {
-                    let (c, o) = (co + ix, mo + ix);
-                    // Forward Jacobian F[i][j] = ∂x_i/∂ξ_j.
-                    let mut f = [[0.0; 3]; 3];
-                    for (xc, frow) in f.iter_mut().enumerate() {
-                        for (xi_dir, fv) in frow.iter_mut().enumerate() {
-                            *fv = d1(x[xc], c, cstride[xi_dir]);
-                        }
-                    }
-                    let jac = det3(&f);
-                    debug_assert!(jac > 0.0, "negative Jacobian {jac} in row {row:?} + {ix}");
-                    // Adjugate: M[d][j] = J ∂ξ_d/∂x_j = cofactor matrix transpose.
-                    let adj = adjugate(&f);
-                    for (d, arow) in adj.iter().enumerate() {
-                        for (jj, &a) in arow.iter().enumerate() {
-                            m[(comp::M + d * 3 + jj) * n + o] = a;
-                        }
-                    }
-                    m[comp::JAC * n + o] = jac;
-                    for (xc, frow) in f.iter().enumerate() {
-                        for (xi_dir, &fv) in frow.iter().enumerate() {
-                            m[(comp::FWD + xc * 3 + xi_dir) * n + o] = fv;
-                        }
-                    }
-                    // Diagonal curvature and skewness.
-                    let mut offdiag = 0.0;
-                    let mut diag = 0.0;
-                    for (d, frow) in f.iter().enumerate() {
-                        m[(comp::CURV + d) * n + o] = d2(x[d], c, cstride[d]);
-                        for (jj, &fv) in frow.iter().enumerate() {
-                            if jj == d {
-                                diag += fv.abs();
-                            } else {
-                                offdiag += fv.abs();
-                            }
-                        }
-                    }
-                    m[comp::SKEW * n + o] = offdiag / diag.max(1e-300);
-                    // Minimum physical spacing: column norms of F.
-                    let mut minsp = f64::INFINITY;
-                    for ((&fx, &fy), &fz) in f[0].iter().zip(&f[1]).zip(&f[2]) {
-                        let len = (fx.powi(2) + fy.powi(2) + fz.powi(2)).sqrt();
-                        minsp = minsp.min(len);
-                    }
-                    m[comp::MINSP * n + o] = minsp;
+        // Pass 1: everything that is a function of the stored coordinates
+        // alone. `c`/`o` are the cell's offsets within one component of the
+        // coordinate / metric fab.
+        for p in bx.cells() {
+            let (c, o) = (cfab.offset(p, 0), mfab.offset(p, 0));
+            let m = mfab.data_mut();
+            // Forward Jacobian F[i][j] = ∂x_i/∂ξ_j.
+            let mut f = [[0.0; 3]; 3];
+            for (xc, frow) in f.iter_mut().enumerate() {
+                for (xi_dir, fv) in frow.iter_mut().enumerate() {
+                    *fv = d1(x[xc], c, cstride[xi_dir]);
                 }
             }
+            let jac = det3(&f);
+            debug_assert!(jac > 0.0, "negative Jacobian {jac} at {p:?}");
+            // Adjugate: M[d][j] = J ∂ξ_d/∂x_j = cofactor matrix transpose.
+            let adj = adjugate(&f);
+            for (d, arow) in adj.iter().enumerate() {
+                for (j, &a) in arow.iter().enumerate() {
+                    m[(comp::M + d * 3 + j) * n + o] = a;
+                }
+            }
+            m[comp::JAC * n + o] = jac;
+            for (xc, frow) in f.iter().enumerate() {
+                for (xi_dir, &fv) in frow.iter().enumerate() {
+                    m[(comp::FWD + xc * 3 + xi_dir) * n + o] = fv;
+                }
+            }
+            // Diagonal curvature and skewness.
+            let mut offdiag = 0.0;
+            let mut diag = 0.0;
+            for (d, frow) in f.iter().enumerate() {
+                m[(comp::CURV + d) * n + o] = d2(x[d], c, cstride[d]);
+                for (j, &fv) in frow.iter().enumerate() {
+                    if j == d {
+                        diag += fv.abs();
+                    } else {
+                        offdiag += fv.abs();
+                    }
+                }
+            }
+            m[comp::SKEW * n + o] = offdiag / diag.max(1e-300);
+            // Minimum physical spacing: column norms of F.
+            let mut minsp = f64::INFINITY;
+            for ((&fx, &fy), &fz) in f[0].iter().zip(&f[1]).zip(&f[2]) {
+                let len = (fx.powi(2) + fy.powi(2) + fz.powi(2)).sqrt();
+                minsp = minsp.min(len);
+            }
+            m[comp::MINSP * n + o] = minsp;
         }
         // ∇²ξ_d needs second differences of M/J, i.e. a second pass over the
         // interior of the metric box (stencil radius 1 using already-written
@@ -273,32 +265,18 @@ pub fn compute_metrics(coords: &MultiFab, metrics: &mut MultiFab) {
         for d in 0..3 {
             mfab.comp_mut(comp::LAPXI + d).fill(0.0);
         }
-        let inner = bx.grow(-1);
-        if inner.is_empty() {
-            continue;
-        }
         let mstride = strides(bx);
-        let (ilo, ihi) = (inner.lo(), inner.hi());
-        let inx = inner.length(0) as usize;
-        for k in ilo[2]..=ihi[2] {
-            for j in ilo[1]..=ihi[1] {
-                let row = IntVect::new(ilo[0], j, k);
-                let mo = mfab.offset(row, 0);
-                for d in 0..3 {
-                    let q: [&[f64]; 3] =
-                        std::array::from_fn(|jj| &quot[(d * 3 + jj) * n..(d * 3 + jj + 1) * n]);
-                    let out = mfab.row_mut(row, comp::LAPXI + d, inx);
-                    for (ix, lapxi) in out.iter_mut().enumerate() {
-                        let o = mo + ix;
-                        let mut lap = 0.0;
-                        for (qj, &s) in q.iter().zip(&mstride) {
-                            // Second difference of ∂ξ_d/∂x_j along ξ_j approximates
-                            // the physical Laplacian contribution on smooth grids.
-                            lap += qj[o + s] - 2.0 * qj[o] + qj[o - s];
-                        }
-                        *lapxi = lap;
-                    }
+        for p in bx.grow(-1).cells() {
+            let o = mfab.offset(p, 0);
+            for d in 0..3 {
+                let mut lap = 0.0;
+                for (j, &s) in mstride.iter().enumerate() {
+                    let q = &quot[(d * 3 + j) * n..][..n];
+                    // Second difference of ∂ξ_d/∂x_j along ξ_j approximates
+                    // the physical Laplacian contribution on smooth grids.
+                    lap += q[o + s] - 2.0 * q[o] + q[o - s];
                 }
+                mfab.data_mut()[(comp::LAPXI + d) * n + o] = lap;
             }
         }
     }
