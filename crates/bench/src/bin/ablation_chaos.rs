@@ -18,11 +18,12 @@
 use crocco_bench::report::{fmt_time, print_table};
 use crocco_perfmodel::resilience::ResilienceModel;
 use crocco_runtime::chaos::{ChaosConfig, CrashPhase, CrashSpec};
-use crocco_runtime::LocalCluster;
+use crocco_runtime::{GroupEndpoint, LocalCluster, RankEndpoint};
 use crocco_solver::cluster_step::ChaosRunReport;
 use crocco_solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
 use crocco_solver::driver::Simulation;
 use crocco_solver::problems::ProblemKind;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 const STEPS: u32 = 8;
@@ -39,24 +40,35 @@ fn ramp_builder() -> SolverConfigBuilder {
         .cfl(0.5)
 }
 
-fn state_bits(sim: &Simulation) -> Vec<u64> {
-    let mut bits = Vec::new();
+/// Valid-state bit patterns of the patches this rank owns, per
+/// `(level, patch)`.
+type PatchBits = BTreeMap<(usize, usize), Vec<u64>>;
+
+fn patch_bits(sim: &Simulation) -> PatchBits {
+    let mut out = PatchBits::new();
     for l in 0..sim.nlevels() {
         let state = &sim.level(l).state;
-        for i in 0..state.nfabs() {
+        for i in (0..state.nfabs()).filter(|&i| state.is_allocated(i)) {
+            let mut bits = Vec::new();
             for c in 0..state.ncomp() {
                 for p in state.valid_box(i).cells() {
                     bits.push(state.fab(i).get(p, c).to_bits());
                 }
             }
+            out.insert((l, i), bits);
         }
     }
-    bits
+    out
+}
+
+fn new_owned(cfg: &SolverConfig, ep: &RankEndpoint) -> Simulation {
+    Simulation::new_owned(cfg.clone(), &GroupEndpoint::full(ep)).expect("fault-free construction")
 }
 
 struct ChaosRun {
     wall_s: f64,
-    bits: Vec<u64>,
+    /// The whole solution: the survivors' owned patches merged.
+    bits: PatchBits,
     stats: [u64; 8],
     reports: Vec<ChaosRunReport>,
 }
@@ -65,40 +77,36 @@ fn run_chaos(nranks: usize, chaos: ChaosConfig) -> ChaosRun {
     let cfg = ramp_builder().nranks(nranks).chaos(chaos.clone()).build();
     let t0 = Instant::now();
     let (outs, runtime) = LocalCluster::run_with_chaos(nranks, chaos, move |ep| {
-        let mut sim = Simulation::new(cfg.clone());
+        let mut sim = new_owned(&cfg, &ep);
         let report = sim.advance_steps_chaos(STEPS, &ep);
-        let bits = if report.crashed { None } else { Some(state_bits(&sim)) };
+        let bits = if report.crashed { None } else { Some(patch_bits(&sim)) };
         (report, bits)
     });
     let wall_s = t0.elapsed().as_secs_f64();
-    let bits = outs
-        .iter()
-        .find_map(|(_, b)| b.clone())
-        .expect("at least one survivor");
-    for (r, (report, b)) in outs.iter().enumerate() {
-        if let Some(b) = b {
-            assert_eq!(&bits, b, "survivor {r} disagrees bitwise");
-        } else {
-            assert!(report.crashed);
-        }
+    let mut bits = PatchBits::new();
+    let mut reports = Vec::new();
+    for (report, b) in outs {
+        assert_eq!(report.crashed, b.is_none());
+        bits.extend(b.into_iter().flatten());
+        reports.push(report);
     }
     ChaosRun {
         wall_s,
         bits,
         stats: runtime.stats.snapshot(),
-        reports: outs.into_iter().map(|(r, _)| r).collect(),
+        reports,
     }
 }
 
-fn plain_cluster(nranks: usize) -> (f64, Vec<u64>) {
+fn plain_cluster(nranks: usize) -> (f64, PatchBits) {
     let cfg = ramp_builder().nranks(nranks).build();
     let t0 = Instant::now();
     let per_rank = LocalCluster::run(nranks, move |ep| {
-        let mut sim = Simulation::new(cfg.clone());
+        let mut sim = new_owned(&cfg, &ep);
         sim.advance_steps_cluster(STEPS, &ep);
-        state_bits(&sim)
+        patch_bits(&sim)
     });
-    (t0.elapsed().as_secs_f64(), per_rank.into_iter().next().unwrap())
+    (t0.elapsed().as_secs_f64(), per_rank.into_iter().flatten().collect())
 }
 
 fn main() {

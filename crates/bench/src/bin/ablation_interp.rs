@@ -7,6 +7,7 @@ use crocco_bench::report::{fmt_time, print_table};
 use crocco_bench::simbench::{ranks_for, simulate_iteration};
 use crocco_bench::table1::weak_config;
 use crocco_perfmodel::SummitPlatform;
+use crocco_runtime::{GroupEndpoint, LocalCluster};
 use crocco_solver::config::{CodeVersion, SolverConfig};
 use crocco_solver::driver::Simulation;
 use crocco_solver::problems::ProblemKind;
@@ -44,7 +45,9 @@ fn main() {
     );
 
     // Real execution: coordinate-copy bytes actually moved by each version on
-    // a laptop-scale DMR.
+    // a laptop-scale DMR over 8 rank threads. Plan metadata is replicated,
+    // so any rank's message accounting is the global plans'; interpolated
+    // cells are counted where they are produced and add up over the ranks.
     let mut rows = Vec::new();
     for v in [CodeVersion::V2_0, CodeVersion::V2_1] {
         let cfg = SolverConfig::builder()
@@ -54,13 +57,18 @@ fn main() {
             .max_levels(2)
             .nranks(8)
             .build();
-        let mut sim = Simulation::new(cfg);
-        sim.advance_steps(3);
+        let comm = LocalCluster::run(8, |ep| {
+            let mut sim = Simulation::new_owned(cfg.clone(), &GroupEndpoint::full(&ep))
+                .expect("fault-free construction");
+            sim.advance_steps_cluster(3, &ep);
+            sim.comm
+        });
+        let interpolated: u64 = comm.iter().map(|c| c.interpolated_cells).sum();
         rows.push(vec![
             format!("{v:?}"),
-            sim.comm.pc_bytes.to_string(),
-            sim.comm.coord_pc_bytes.to_string(),
-            sim.comm.interpolated_cells.to_string(),
+            comm[0].pc_bytes.to_string(),
+            comm[0].coord_pc_bytes.to_string(),
+            interpolated.to_string(),
         ]);
     }
     print_table(

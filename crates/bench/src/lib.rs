@@ -15,7 +15,7 @@
 //! * [`report`] — small table-printing helpers shared by the binaries.
 
 // Enforced by `cargo xtask lint`: unsafe code is confined to the allowlisted
-// fab modules (multifab, view, overlap) — none of it lives here.
+// fab modules (multifab, view, dist_overlap) — none of it lives here.
 #![forbid(unsafe_code)]
 
 pub mod dmrscale;

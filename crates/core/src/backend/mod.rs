@@ -23,7 +23,7 @@
 //!   suites, and the path characteristic reconstruction falls back to.
 //!
 //! Selection goes through [`SolverConfig::kernel_backend`] and composes
-//! with `overlap`, `dist_overlap`, and `fabcheck`; the invariance suite
+//! with `overlap` and `fabcheck`; the invariance suite
 //! (`tests/backend_invariance.rs`) proves the default matches Scalar
 //! bitwise on the compression ramp across those combinations.
 //!

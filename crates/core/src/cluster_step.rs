@@ -1,39 +1,33 @@
-//! Distributed time stepping over a [`LocalCluster`] endpoint: the driver
-//! loop of `driver.rs`, re-partitioned so each rank advances only the
-//! patches its `DistributionMapping` owns and halo data crosses ranks as
-//! real tag-matched messages (DESIGN.md §4f, docs/DISTRIBUTED.md).
+//! The time-step loop (Algorithms 1 and 2 of the paper), once, over a
+//! communicator group: each rank advances only the patches its
+//! `DistributionMapping` owns and halo data crosses ranks as real
+//! tag-matched messages (DESIGN.md §4f, docs/DISTRIBUTED.md). On-node
+//! stepping ([`Simulation::step`]) is this loop over the group of one
+//! ([`RankEndpoint::solo`]): every collective is the identity and nothing is
+//! sent.
 //!
 //! The execution model is *replicated metadata, owned data*: every rank
 //! holds identical grid metadata (BoxArrays, DistributionMappings, plans) —
 //! the paper's "replicated metadata" AMReX regime, §III-B — while fab
-//! *data* lives only on its owner. Production stepping is the owned path
-//! ([`Simulation::new_owned`]): each rank allocates O(owned cells), every
-//! RK stage moves halo and coarse→fine gather data through cached plans
-//! ([`run_dist_rk_stage`], fenced or overlapped per
-//! [`SolverConfig::dist_overlap`], plus `exchange_chunks` for the two-level
-//! gathers), `AverageDown` restricts across ranks
+//! *data* lives only on its owner ([`Simulation::new_owned`]): each rank
+//! allocates O(owned cells), every RK stage moves halo and coarse→fine
+//! gather data through cached plans ([`run_dist_rk_stage`], task graph or
+//! fenced reference per [`SolverConfig::overlap`], plus `exchange_chunks`
+//! for the two-level gathers), `AverageDown` restricts across ranks
 //! ([`average_down_dist`]), and regrid runs distributed: rank-local tagging
 //! on owned patches, a sorted-bytes tag union, the deterministic
 //! Berger–Rigoutsos clustering every rank replays identically, then a
 //! redistribution of surviving data along the old→new `ParallelCopy` plan.
-//! The step loop never re-replicates state.
 //!
-//! The older *replicated data* mode survives as the test oracle: every rank
-//! keeps all `MultiFab`s bitwise-identical at step boundaries by calling
-//! [`allgather_fabs`] after each stage, making grid control rank-local.
-//! `tests/owned_dist_invariance.rs` asserts the owned path is
-//! bitwise-identical to it at 1/2/4 ranks across regrids, sanitizers, and
-//! chaos recovery.
-//!
-//! `ComputeDt` is the one true collective in both modes: each rank reduces
-//! its owned patches, then [`RankEndpoint::allreduce_f64`] combines the
-//! exact `min` (order-free, so bitwise-reproducible at any rank count).
+//! `ComputeDt` is the one true collective: each rank reduces its owned
+//! patches, then [`GroupEndpoint::allreduce_f64`] combines the exact `min`
+//! (order-free, so bitwise-reproducible at any rank count).
 //!
 //! # Tag-epoch partition
 //!
-//! Every owned-data collective phase derives its message tags from
-//! [`tags::owned`] with a 12-bit epoch base all ranks compute identically:
-//! RK stages use `step·nstages + stage`; the regrid tag union, regrid
+//! Every collective phase derives its message tags from [`tags::owned`] with
+//! a 12-bit epoch base all ranks compute identically: RK stages use
+//! `step·nstages + stage`; the regrid tag union, regrid
 //! remap/redistribution, checkpoint gather, and construction rounds use the
 //! reserved bases below. Phases fully drain their traffic (every send is
 //! matched by a blocking receive in the same phase), so the occasional
@@ -41,8 +35,7 @@
 //! harmless — the namespaces only need to keep *concurrently in-flight*
 //! messages apart.
 //!
-//! [`LocalCluster`]: crocco_runtime::LocalCluster
-//! [`SolverConfig::dist_overlap`]: crate::config::SolverConfig::dist_overlap
+//! [`SolverConfig::overlap`]: crate::config::SolverConfig::overlap
 //! [`average_down_dist`]: crocco_amr::average_down::average_down_dist
 
 use crate::bc::PhysicalBc;
@@ -65,8 +58,8 @@ use crocco_fab::owned::{exchange_chunks, redistribute};
 use crocco_fab::plan::CopyChunk;
 use crocco_fab::plan_cache::{PlanKey, PlanOp};
 use crocco_fab::{
-    allgather_fabs, band_slabs, fabcheck, run_dist_rk_stage, DistSkeleton, DistStage, FArrayBox,
-    FabRd, FabRw, MultiFab, StageFabs, SweepPhase,
+    band_slabs, run_dist_rk_stage, DistSkeleton, DistStage, FArrayBox, FabRd, FabRw, MultiFab,
+    StageFabs, SweepPhase,
 };
 use crocco_geometry::{IntVect, ProblemDomain};
 use crocco_runtime::chaos::CrashPhase;
@@ -74,8 +67,8 @@ use crocco_runtime::{tags, CommGroup, GroupEndpoint, RankEndpoint, StageError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// 12-bit tag-epoch bases reserved for the owned-data collective phases
-/// that run *between* RK stages (see the module doc's tag-epoch partition).
+/// 12-bit tag-epoch bases reserved for the collective phases that run
+/// *between* RK stages (see the module doc's tag-epoch partition).
 /// The low bits carry the step (or construction round) so back-to-back
 /// occurrences of the same phase cannot cross-match.
 const EPOCH_REGRID_TAGS: u64 = 0xD00;
@@ -122,24 +115,22 @@ pub struct ChaosRunReport {
 }
 
 impl Simulation {
-    /// Constructs an owned-data simulation on one cluster rank: fab data is
-    /// allocated only for the patches `gep.rank()` owns, and the initial
-    /// regrid loop runs distributed — each round tags owned patches, unions
-    /// the tag sets across ranks (sorted-byte exchange, so every rank holds
-    /// the identical set), and replays the deterministic Berger–Rigoutsos
-    /// clustering in lockstep. Every rank therefore derives the same
-    /// hierarchy the serial [`Simulation::new`] would, while touching only
-    /// O(owned cells) of data.
-    ///
-    /// Forces `cfg.owned_dist = true`; `cfg.nranks` must equal
-    /// `gep.nranks()`.
+    /// Constructs this rank's share of a simulation over `gep`'s group: fab
+    /// data is allocated only for the patches `gep.rank()` owns, and the
+    /// initial regrid loop runs distributed — each round tags owned patches,
+    /// unions the tag sets across ranks (sorted-byte exchange, so every rank
+    /// holds the identical set), and replays the deterministic
+    /// Berger–Rigoutsos clustering in lockstep. Every rank therefore derives
+    /// the same hierarchy at any group size, while touching only O(owned
+    /// cells) of data. `cfg.nranks` must equal `gep.nranks()`.
     pub fn new_owned(
-        mut cfg: crate::config::SolverConfig,
+        cfg: crate::config::SolverConfig,
         gep: &GroupEndpoint<'_>,
     ) -> Result<Self, StageError> {
         assert_eq!(cfg.nranks, gep.nranks(), "cfg.nranks must match the group size");
-        cfg.owned_dist = true;
-        let mut sim = Self::new_impl(cfg, Some(gep.rank()));
+        let mut sim = Self::build(cfg, gep.rank(), None);
+        // Iteratively grow the initial hierarchy: tag on the initial flow,
+        // regrid, re-initialize — until the ladder stops changing.
         if sim.cfg.version.amr_enabled() {
             for round in 0..sim.cfg.max_levels {
                 let mut tag_sets = sim.compute_tags();
@@ -151,19 +142,6 @@ impl Simulation {
             }
         }
         Ok(sim)
-    }
-
-    /// The owned-data [`Simulation::from_checkpoint`]: restores the
-    /// hierarchy from a (replicated) checkpoint but allocates and fills only
-    /// the patches `rank` owns. No communication — every rank restores from
-    /// the same bytes.
-    pub fn from_checkpoint_owned(
-        mut cfg: crate::config::SolverConfig,
-        chk: &crate::io::Checkpoint,
-        rank: usize,
-    ) -> Self {
-        cfg.owned_dist = true;
-        Self::from_checkpoint_impl(cfg, chk, Some(rank))
     }
 
     /// Unions per-level tag sets across all ranks in place. Each rank sends
@@ -201,18 +179,16 @@ impl Simulation {
         Ok(())
     }
 
-    /// Distributed regrid (the owned-data counterpart of the rank-local
-    /// [`Simulation::regrid`]): tag owned patches, union tags across ranks,
-    /// replay the deterministic clustering, then remap — coarse→fine
-    /// interpolation reads remote coarse chunks gathered over the wire, and
-    /// surviving same-level data moves along the old→new `ParallelCopy`
-    /// plan via [`redistribute`] instead of being re-replicated.
+    /// Regrids and remaps field data onto the new grids (Algorithm 1 line
+    /// 7): tag owned patches, union tags across ranks, replay the
+    /// deterministic clustering, then remap — coarse→fine interpolation reads
+    /// remote coarse chunks gathered over the wire, and surviving same-level
+    /// data moves along the old→new `ParallelCopy` plan via [`redistribute`].
     ///
-    /// The serial path's post-remap ghost refresh (`fill_level`) is skipped:
-    /// it writes only ghost cells, which the next RK stage's FillPatch
-    /// rebuilds anyway, so valid-region state stays bitwise-identical to the
-    /// replicated oracle.
-    fn regrid_owned(&mut self, gep: &GroupEndpoint<'_>) -> Result<(), StageError> {
+    /// Only valid cells are remapped (the interpolation gathers valid coarse
+    /// data and applies the coarse BC itself); ghosts are rebuilt by the next
+    /// RK stage's FillPatch.
+    fn regrid(&mut self, gep: &GroupEndpoint<'_>) -> Result<(), StageError> {
         let mut tag_sets = self.compute_tags();
         self.exchange_tag_union(
             gep,
@@ -227,11 +203,10 @@ impl Simulation {
             EPOCH_REGRID_REMAP | (u64::from(self.step) & 0x7F),
         );
         let cache = self.hierarchy.plan_cache().clone();
-        let old_levels = std::mem::take(&mut self.levels);
-        let mut old_iter = old_levels.into_iter();
+        let mut old_levels: Vec<Option<LevelData>> =
+            std::mem::take(&mut self.levels).into_iter().map(Some).collect();
         // Level 0 grids never change: reuse its data wholesale.
-        self.levels.push(old_iter.next().expect("level 0 always exists"));
-        let old_fine: Vec<LevelData> = old_iter.collect();
+        self.levels.push(old_levels[0].take().expect("level 0 always exists"));
         for l in 1..self.hierarchy.nlevels() {
             let lev = self.hierarchy.level(l);
             let (ba, dm) = (lev.ba.clone(), lev.dm.clone());
@@ -250,17 +225,20 @@ impl Simulation {
                 epoch,
                 l,
             )?;
-            self.interp_full_level_with_remote(
+            self.interp_full_level(
                 &coarse.state,
                 &coarse.coords,
                 &coords,
                 &mut state,
                 &coarse_domain,
                 &coarse_bc,
-                Some(&remote_state),
+                &remote_state,
                 remote_coords.as_ref(),
             );
-            if let Some(old) = old_fine.get(l - 1) {
+            // Overwrite with surviving same-level data, then drop the old
+            // level here rather than when the function returns: a regrid
+            // never holds more than one superseded level.
+            if let Some(old) = old_levels.get_mut(l).and_then(Option::take) {
                 let plan = cache.parallel_copy(
                     old.state.boxarray(),
                     old.state.distribution(),
@@ -282,7 +260,7 @@ impl Simulation {
     }
 
     /// Builds and executes the cross-rank exchange feeding
-    /// [`Simulation::interp_full_level_with_remote`] for one new fine
+    /// [`Simulation::interp_full_level`] for one new fine
     /// level: the coarse state (and, for coordinate-aware interpolators,
     /// coarse coords) chunks that remap gathers, enumerated in exactly the
     /// order the interpolation loop consumes them so remote payloads are
@@ -347,16 +325,12 @@ impl Simulation {
         Ok((remote_state, remote_coords))
     }
 
-    /// Serializes the full replicated checkpoint from owned data: every
-    /// rank streams its owned patch bodies to all peers and assembles the
-    /// patches in hierarchy order, so all ranks seal byte-identical
-    /// snapshots (the invariant chaos recovery relies on). Falls back to
-    /// the rank-local [`crate::io::write_checkpoint_bytes`] in replicated
-    /// mode, where all data is already present.
+    /// Serializes the whole-domain checkpoint from owned data: every rank
+    /// streams its owned patch bodies to all peers and assembles the patches
+    /// in hierarchy order, so all ranks seal byte-identical snapshots (the
+    /// invariant chaos recovery relies on).
     fn checkpoint_bytes_cluster(&self, gep: &GroupEndpoint<'_>) -> Result<Vec<u8>, StageError> {
-        let Some(rank) = self.owned_rank else {
-            return Ok(crate::io::write_checkpoint_bytes(self));
-        };
+        let rank = self.owned_rank;
         let epoch = tags::epoch_with_generation(
             gep.generation(),
             EPOCH_CHECKPOINT | (u64::from(self.step) & 0xFF),
@@ -394,67 +368,55 @@ impl Simulation {
         Ok(seal_checkpoint(w))
     }
 
-    /// One full time step on a cluster rank (Algorithm 1 loop body,
-    /// distributed). Every rank of the cluster must call this in lockstep
-    /// with an identically configured, identically advanced `Simulation`.
-    /// Faults are unrecoverable here (the endpoint's full-group view);
-    /// chaos runs go through [`Simulation::advance_steps_chaos`].
+    /// One full time step on a cluster rank (Algorithm 1 loop body). Every
+    /// rank of the cluster must call this in lockstep with an identically
+    /// configured, identically advanced `Simulation`. Faults are
+    /// unrecoverable here (the endpoint's full-group view); chaos runs go
+    /// through [`Simulation::advance_steps_chaos`].
     pub fn step_cluster(&mut self, ep: &RankEndpoint) {
-        let gep = GroupEndpoint::full(ep);
-        self.try_step_cluster(&gep)
-            .expect("communication fault outside the chaos recovery loop");
+        match self.try_step_cluster(&GroupEndpoint::full(ep)) {
+            Ok(()) => {}
+            Err(e @ StageError::NonFiniteDt { .. }) => panic!("{e}"),
+            Err(e) => panic!("communication fault outside the chaos recovery loop: {e}"),
+        }
     }
 
     /// One full time step over `gep`'s communicator group, surfacing
-    /// injected crashes and detected communication faults as typed errors
-    /// the chaos recovery loop can act on.
+    /// injected crashes, detected communication faults and a non-finite
+    /// time step as typed errors the caller can act on.
     pub fn try_step_cluster(&mut self, gep: &GroupEndpoint<'_>) -> Result<(), StageError> {
         assert_eq!(
             gep.nranks(),
             self.cfg.nranks,
             "group size must match cfg.nranks (the DistributionMapping rank count)"
         );
-        if let Some(r) = self.owned_rank {
-            assert_eq!(
-                gep.rank(),
-                r,
-                "endpoint logical rank must match the simulation's owned rank"
-            );
-        }
+        assert_eq!(
+            gep.rank(),
+            self.owned_rank,
+            "endpoint logical rank must match the simulation's owned rank"
+        );
         self.crash_check(gep, CrashPhase::StepStart)?;
         if self.cfg.version.amr_enabled()
             && self.step > 0
             && self.step.is_multiple_of(self.cfg.regrid_freq)
         {
             let t0 = std::time::Instant::now();
-            if self.owned_rank.is_some() {
-                // Owned data: tag locally, union tags, replay the
-                // deterministic clustering, redistribute surviving data.
-                self.regrid_owned(gep)?;
-            } else {
-                // Replicated data makes regrid + remap rank-local: every
-                // rank tags, grids, and remaps identically (deterministic
-                // kernels, no RNG), so the hierarchies stay in lockstep
-                // without a metadata exchange.
-                self.regrid();
-            }
+            self.regrid(gep)?;
             self.profiler.add("Regrid", t0.elapsed().as_secs_f64());
         }
         self.crash_check(gep, CrashPhase::AfterRegrid)?;
         let t0 = std::time::Instant::now();
-        if self.cfg.subcycling {
-            self.compute_dt_cluster_subcycled(gep)?;
-        } else {
-            self.compute_dt_cluster(gep)?;
-        }
+        self.compute_dt(gep)?;
         self.profiler.add("ComputeDt", t0.elapsed().as_secs_f64());
         self.crash_check(gep, CrashPhase::AfterDt)?;
         if self.cfg.subcycling {
-            self.advance_subcycled_cluster(gep)?;
+            self.ensure_subcycle();
+            let (t, dt) = (self.time, self.dt);
+            self.advance_level_recursive(0, t, dt, None, gep)?;
         } else {
-            self.rk3_cluster(gep)?;
-            // Global count, as in the serial step: every rank reports the
-            // same total whatever it owns.
+            self.rk_stages(gep)?;
+            // Global count: every rank reports the same total whatever it
+            // owns.
             self.cell_updates += self.hierarchy.active_points();
         }
         self.step += 1;
@@ -493,8 +455,7 @@ impl Simulation {
         Ok(())
     }
 
-    /// Advances `n` steps on a cluster rank and reports (the distributed
-    /// [`Simulation::advance_steps`]).
+    /// Advances `n` steps on a cluster rank and reports.
     pub fn advance_steps_cluster(&mut self, n: u32, ep: &RankEndpoint) -> RunReport {
         for _ in 0..n {
             self.step_cluster(ep);
@@ -524,17 +485,20 @@ impl Simulation {
     ///    whose `nranks` is the shrunken group size (the load balancer
     ///    re-partitions over the survivors), and resume stepping.
     ///
-    /// Checkpoints are taken only at step boundaries. Under the replicated
-    /// oracle every rank's serialized state is already identical; under
-    /// owned data `Simulation::checkpoint_bytes_cluster` first gathers
-    /// owned patch bodies across the group so every rank still seals the
-    /// same whole-domain snapshot — which is what lets any surviving subset
+    /// Checkpoints are taken only at step boundaries:
+    /// `Simulation::checkpoint_bytes_cluster` gathers owned patch bodies
+    /// across the group so every rank seals the same whole-domain snapshot
+    /// — which is what lets any surviving subset
     /// restore after a crash without the dead rank's memory. The gather
     /// runs inside the fault boundary: a peer death during checkpointing
     /// routes to the same rollback as a death mid-step. (A dying rank
     /// always completes the gather before its crash point — crashes inject
     /// at step phase boundaries and panics happen inside RK stages, both
     /// strictly after the gather — so landed snapshots are never torn.)
+    ///
+    /// A non-finite time step ([`StageError::NonFiniteDt`]) is fail-stop
+    /// like a crash: every rank sees the same allreduced value, so a
+    /// rollback would only reach it again.
     pub fn advance_steps_chaos(&mut self, n: u32, ep: &RankEndpoint) -> ChaosRunReport {
         let target = self.step + n;
         let interval = self
@@ -543,7 +507,6 @@ impl Simulation {
             .as_ref()
             .map_or(u32::MAX, |c| c.checkpoint_interval.max(1));
         let mut report = ChaosRunReport::default();
-        let owned = self.owned_rank.is_some();
         // Durable spill (DESIGN.md §4j): every rank opens the spiller —
         // after a group shrink a *different* physical rank may become
         // logical rank 0 and take over spilling (the resume-aware slot
@@ -606,10 +569,11 @@ impl Simulation {
             drop(gep);
             match outcome {
                 Ok(Ok(())) => {}
-                Ok(Err(StageError::CrashInjected)) | Err(_) => {
-                    // This rank fail-stops: scheduled crash, or a local
-                    // kernel panic (poisoned NaN under fabcheck) treated as
-                    // one. Mark it dead so blocked peers' waits fault.
+                Ok(Err(StageError::CrashInjected | StageError::NonFiniteDt { .. })) | Err(_) => {
+                    // This rank fail-stops: scheduled crash, a time step no
+                    // rollback can repair, or a local kernel panic (poisoned
+                    // NaN under fabcheck) treated as one. Mark it dead so
+                    // blocked peers' waits fault.
                     if let Some(ch) = ep.chaos() {
                         ch.mark_dead(ep.rank());
                     }
@@ -648,18 +612,13 @@ impl Simulation {
                         .expect("in-memory checkpoint cannot be corrupt");
                     let mut cfg = self.cfg.clone();
                     cfg.nranks = group.len();
-                    // The shrunken group renumbers logical ranks; under
-                    // owned data this rank re-owns the patches its *new*
-                    // logical rank maps to in the re-partitioned
-                    // DistributionMapping.
-                    let new_rank = owned.then(|| {
-                        group
-                            .members()
-                            .iter()
-                            .position(|&r| r == ep.rank())
-                            .expect("a survivor is always in its own group")
-                    });
-                    *self = Simulation::from_checkpoint_impl(cfg, &chk, new_rank);
+                    // The shrunken group renumbers logical ranks: this rank
+                    // re-owns the patches its *new* logical rank maps to in
+                    // the re-partitioned DistributionMapping.
+                    let new_rank = group
+                        .logical(ep.rank())
+                        .expect("a survivor is always in its own group");
+                    *self = Simulation::from_checkpoint_owned(cfg, &chk, new_rank);
                     report.rollback_steps.push(self.step);
                     snapshot_step = Some(self.step);
                 }
@@ -668,54 +627,19 @@ impl Simulation {
         report
     }
 
-    /// `ComputeDt`, distributed: the CFL minimum over *owned* patches,
-    /// combined across ranks with an exact `min` reduction. Bitwise equal
-    /// to the serial global minimum at any rank count.
-    fn compute_dt_cluster(&mut self, ep: &GroupEndpoint<'_>) -> Result<(), StageError> {
-        let rank = ep.rank();
-        let mut dt = f64::INFINITY;
-        let backend = self.cfg.kernel_backend;
-        for lev in &self.levels {
-            let owners = lev.state.distribution().clone();
-            for i in 0..lev.state.nfabs() {
-                if owners.owner(i) != rank {
-                    continue;
-                }
-                let d = backend.compute_dt_patch(
-                    lev.state.fab(i),
-                    lev.metrics.fab(i),
-                    lev.state.valid_box(i),
-                    &self.gas,
-                    self.cfg.cfl,
-                );
-                dt = dt.min(d);
-            }
-        }
-        let dt = ep.allreduce_f64(dt, f64::min)?;
-        self.comm.reductions += 1;
-        assert!(dt.is_finite() && dt > 0.0, "ComputeDt produced dt={dt}");
-        self.dt = dt;
-        Ok(())
-    }
-
-    /// The subcycled analog of
-    /// [`compute_dt_cluster`](Self::compute_dt_cluster): each rank folds its
-    /// owned patches per level, scales the level minimum by `2^ℓ` (exact — a
-    /// power of two), and a single `allreduce` combines the coarse-step bound
-    /// `dt₀ = min_ℓ (2^ℓ · min dt)`. Bitwise the serial
-    /// [`compute_dt_subcycled`](Simulation::compute_dt_subcycled) at any rank
-    /// count: `min` is order-free and the exact scaling commutes with it.
-    fn compute_dt_cluster_subcycled(&mut self, ep: &GroupEndpoint<'_>) -> Result<(), StageError> {
-        let rank = ep.rank();
+    /// `ComputeDt`: the CFL-constrained minimum over *owned* patches,
+    /// combined across ranks with an exact `min` reduction — bitwise the
+    /// global minimum at any rank count. Subcycled, level `ℓ` advances with
+    /// `dt₀/2^ℓ`, so the coarse step is bounded by the *scaled* per-level
+    /// minima, `dt₀ = min_ℓ (2^ℓ · min_patches dt)`; the scale is a power of
+    /// two (exact) and commutes with the order-free `min`, and lockstep is
+    /// the same fold with scale 1.
+    fn compute_dt(&mut self, gep: &GroupEndpoint<'_>) -> Result<(), StageError> {
         let backend = self.cfg.kernel_backend;
         let mut dt = f64::INFINITY;
         for (l, lev) in self.levels.iter().enumerate() {
-            let owners = lev.state.distribution().clone();
-            let mut m = f64::INFINITY;
-            for i in 0..lev.state.nfabs() {
-                if owners.owner(i) != rank {
-                    continue;
-                }
+            let scale = if self.cfg.subcycling { (1u64 << l) as f64 } else { 1.0 };
+            for i in (0..lev.state.nfabs()).filter(|&i| lev.state.is_allocated(i)) {
                 let d = backend.compute_dt_patch(
                     lev.state.fab(i),
                     lev.metrics.fab(i),
@@ -723,13 +647,14 @@ impl Simulation {
                     &self.gas,
                     self.cfg.cfl,
                 );
-                m = m.min(d);
+                dt = dt.min(d * scale);
             }
-            dt = dt.min(m * (1u64 << l) as f64);
         }
-        let dt = ep.allreduce_f64(dt, f64::min)?;
+        let dt = gep.allreduce_f64(dt, f64::min)?;
         self.comm.reductions += 1;
-        assert!(dt.is_finite() && dt > 0.0, "ComputeDt produced dt={dt}");
+        if !(dt.is_finite() && dt > 0.0) {
+            return Err(StageError::NonFiniteDt { dt });
+        }
         self.dt = dt;
         Ok(())
     }
@@ -745,25 +670,33 @@ impl Simulation {
         tags::epoch_with_generation(gep.generation(), base)
     }
 
-    /// One subcycled coarse step over the cluster: the distributed analog of
-    /// the serial recursive `timeStep` (`advance_level_recursive`; worked
-    /// timeline in docs/DISTRIBUTED.md §Subcycled steps), sharing the serial
-    /// path's save-old / record / fold / reflux / average-down structure
-    /// while every fill, fine-part shipment, and restriction crosses ranks
-    /// through tag-epoch-partitioned messages.
-    fn advance_subcycled_cluster(&mut self, gep: &GroupEndpoint<'_>) -> Result<(), StageError> {
-        self.ensure_subcycle();
-        let (t, dt) = (self.time, self.dt);
-        self.advance_level_recursive_cluster(0, t, dt, None, gep)
+    /// Traps a non-finite value in level `l`'s owned state or dU after an RK
+    /// stage (the `nan_poison` post-stage sweep; non-owned patches hold no
+    /// data).
+    fn assert_level_finite(&self, l: usize, what: &str) {
+        let lev = &self.levels[l];
+        for (name, mf) in [("state", &lev.state), ("dU", &lev.du)] {
+            for i in (0..mf.nfabs()).filter(|&i| mf.is_allocated(i)) {
+                assert!(
+                    !mf.fab(i).has_nonfinite(mf.valid_box(i)),
+                    "fabcheck: non-finite in {what} {name} L{l} patch {i}"
+                );
+            }
+        }
     }
 
-    /// Advances level `l` from `t` by `dt` on this rank's owned patches, then
-    /// recursively takes the two half-`dt` substeps of the next finer level,
-    /// ships fine register parts to coarse owners, refluxes, and averages
-    /// down across ranks. `parent` carries the coarser level's `(t_old, dt)`
-    /// for ghost time interpolation — exactly the serial recursion, so the
-    /// phase order (and hence `sub_slot`) is identical on every rank.
-    fn advance_level_recursive_cluster(
+    /// The subcycled coarse step: the AMReX-style recursive `timeStep`
+    /// (docs/ARCHITECTURE.md §Subcycling; worked 2-rank timeline in
+    /// docs/DISTRIBUTED.md §Subcycled steps). Advances level `l` from `t` by
+    /// `dt` on this rank's owned patches, then recursively takes the two
+    /// half-`dt` substeps of the next finer level — time-interpolating its
+    /// coarse/fine ghosts between this level's old and new states — ships
+    /// fine register parts to coarse owners, refluxes the accumulated
+    /// coarse/fine flux mismatch, and averages down across ranks. `parent`
+    /// carries the coarser level's `(t_old, dt)` for the ghost
+    /// interpolation. The phase order (and hence `sub_slot`) is identical on
+    /// every rank.
+    fn advance_level_recursive(
         &mut self,
         l: usize,
         t: f64,
@@ -773,8 +706,6 @@ impl Simulation {
     ) -> Result<(), StageError> {
         let nstages = self.cfg.time_scheme.stages();
         let has_finer = l + 1 < self.hierarchy.nlevels();
-        let owned = self.owned_rank.is_some();
-        let rank = gep.rank();
         if has_finer {
             self.save_old(l);
             self.subcycle[l].register.reset();
@@ -788,33 +719,9 @@ impl Simulation {
             let alpha = parent.map(|(pt, pdt)| (t_fill - pt) / pdt);
             let sub = crate::subcycle::SubCtx { t, alpha };
             let epoch = self.next_sub_epoch(gep);
-            self.fill_and_advance_cluster(l, stage, dt, gep, epoch, Some(&sub))?;
-            if !owned {
-                // Replicated oracle (single-rank only under subcycling —
-                // config validation): restore replication before anything
-                // reads non-owned patches.
-                let t0 = std::time::Instant::now();
-                allgather_fabs(&mut self.levels[l].state, gep, l, epoch)?;
-                self.profiler.add("Allgather", t0.elapsed().as_secs_f64());
-            }
+            self.fill_and_advance(l, stage, dt, gep, epoch, Some(&sub))?;
             if self.cfg.nan_poison {
-                let lev = &self.levels[l];
-                for i in 0..lev.state.nfabs() {
-                    if lev.state.is_allocated(i) {
-                        assert!(
-                            !lev.state.fab(i).has_nonfinite(lev.state.valid_box(i)),
-                            "fabcheck: non-finite in sub RK stage {stage} state L{l} patch {i}"
-                        );
-                    }
-                }
-                for i in 0..lev.du.nfabs() {
-                    if lev.du.distribution().owner(i) == rank {
-                        assert!(
-                            !lev.du.fab(i).has_nonfinite(lev.du.valid_box(i)),
-                            "fabcheck: non-finite in sub RK stage {stage} dU L{l} patch {i}"
-                        );
-                    }
-                }
+                self.assert_level_finite(l, &format!("sub RK stage {stage}"));
             }
         }
         let mut n = 0u64;
@@ -825,26 +732,17 @@ impl Simulation {
         if has_finer {
             self.subcycle[l].fold_coarse();
         }
-        if l > 0 {
-            let (_, pdt) = parent.unwrap();
+        if let Some((_, pdt)) = parent {
             self.subcycle[l - 1].fold_fine(dt / pdt);
         }
         if has_finer {
             let fdt = 0.5 * dt;
             for i in 0..2 {
-                self.advance_level_recursive_cluster(
-                    l + 1,
-                    t + i as f64 * fdt,
-                    fdt,
-                    Some((t, dt)),
-                    gep,
-                )?;
+                self.advance_level_recursive(l + 1, t + i as f64 * fdt, fdt, Some((t, dt)), gep)?;
             }
             let t0 = std::time::Instant::now();
-            if owned {
-                let epoch = self.next_sub_epoch(gep);
-                self.ship_fine_parts(l, gep, epoch)?;
-            }
+            let epoch = self.next_sub_epoch(gep);
+            self.ship_fine_parts(l, gep, epoch)?;
             {
                 let reg = &self.subcycle[l].register;
                 let LevelData { state, metrics, .. } = &mut self.levels[l];
@@ -853,24 +751,10 @@ impl Simulation {
             self.profiler.add("Reflux", t0.elapsed().as_secs_f64());
             let t0 = std::time::Instant::now();
             let epoch = self.next_sub_epoch(gep);
-            {
-                let (lo, hi) = self.levels.split_at_mut(l + 1);
-                if owned {
-                    average_down_dist(
-                        &hi[0].state,
-                        &mut lo[l].state,
-                        IntVect::splat(2),
-                        gep,
-                        &|k| tags::owned(tags::OWNED_REDIST, epoch, l + 1, k),
-                    )?;
-                } else {
-                    crocco_amr::average_down::average_down(
-                        &hi[0].state,
-                        &mut lo[l].state,
-                        IntVect::splat(2),
-                    );
-                }
-            }
+            let (lo, hi) = self.levels.split_at_mut(l + 1);
+            average_down_dist(&hi[0].state, &mut lo[l].state, IntVect::splat(2), gep, &|k| {
+                tags::owned(tags::OWNED_REDIST, epoch, l + 1, k)
+            })?;
             self.profiler
                 .add("AverageDown", t0.elapsed().as_secs_f64());
         }
@@ -949,18 +833,14 @@ impl Simulation {
         Ok(())
     }
 
-    /// Algorithm 2, distributed: per stage, per level, one rank-crossing RK
-    /// stage. Under owned data the state stays distributed throughout —
+    /// Algorithm 2: per stage, per level, one RK stage; AverageDown at the
+    /// end of the final stage. The state stays distributed throughout —
     /// halos and coarse→fine gathers cross ranks through plans, and
     /// `AverageDown` restricts owned fine patches into owned coarse patches
-    /// over the wire ([`average_down_dist`]). Under the replicated oracle
-    /// each stage instead ends with a state [`allgather_fabs`], after which
-    /// grid control is rank-local.
-    fn rk3_cluster(&mut self, ep: &GroupEndpoint<'_>) -> Result<(), StageError> {
+    /// over the wire ([`average_down_dist`]).
+    fn rk_stages(&mut self, gep: &GroupEndpoint<'_>) -> Result<(), StageError> {
         let dt = self.dt;
         let nstages = self.cfg.time_scheme.stages();
-        let rank = ep.rank();
-        let owned = self.owned_rank.is_some();
         for stage in 0..nstages {
             // The per-stage tag epoch every rank derives identically; halo
             // and gather tags of different stages can never cross-match,
@@ -968,84 +848,47 @@ impl Simulation {
             // replayed pre-recovery traffic from matching post-rollback
             // re-executions of the same step.
             let base = u64::from(self.step) * nstages as u64 + stage as u64;
-            let epoch = tags::epoch_with_generation(ep.generation(), base);
+            let epoch = tags::epoch_with_generation(gep.generation(), base);
             for l in 0..self.hierarchy.nlevels() {
-                self.fill_and_advance_cluster(l, stage, dt, ep, epoch, None)?;
-                if !owned {
-                    // Replicated oracle: restore replication of this level
-                    // before anything reads non-owned patches (the finer
-                    // level's coarse gather, the next stage's halo sources,
-                    // AverageDown, regrid).
-                    let t0 = std::time::Instant::now();
-                    allgather_fabs(&mut self.levels[l].state, ep, l, epoch)?;
-                    self.profiler.add("Allgather", t0.elapsed().as_secs_f64());
-                }
+                self.fill_and_advance(l, stage, dt, gep, epoch, None)?;
             }
             if stage == nstages - 1 {
                 let t0 = std::time::Instant::now();
                 for l in (1..self.hierarchy.nlevels()).rev() {
                     let (lo, hi) = self.levels.split_at_mut(l);
-                    if owned {
-                        average_down_dist(
-                            &hi[0].state,
-                            &mut lo[l - 1].state,
-                            IntVect::splat(2),
-                            ep,
-                            &|k| tags::owned(tags::OWNED_REDIST, epoch, l, k),
-                        )?;
-                    } else {
-                        crocco_amr::average_down::average_down(
-                            &hi[0].state,
-                            &mut lo[l - 1].state,
-                            IntVect::splat(2),
-                        );
-                    }
+                    average_down_dist(
+                        &hi[0].state,
+                        &mut lo[l - 1].state,
+                        IntVect::splat(2),
+                        gep,
+                        &|k| tags::owned(tags::OWNED_REDIST, epoch, l, k),
+                    )?;
                 }
                 self.profiler
                     .add("AverageDown", t0.elapsed().as_secs_f64());
             }
             if self.cfg.nan_poison {
-                for (l, lev) in self.levels.iter().enumerate() {
-                    // Replicated state (post-allgather): check all patches.
-                    // Owned state: only the allocated patches hold data.
-                    // dU is owner-local in both modes: a non-owned dU fab is
-                    // legitimately still poisoned, so check owned only.
-                    if owned {
-                        for i in 0..lev.state.nfabs() {
-                            if lev.state.is_allocated(i) {
-                                assert!(
-                                    !lev.state.fab(i).has_nonfinite(lev.state.valid_box(i)),
-                                    "fabcheck: non-finite in RK stage {stage} state L{l} patch {i}"
-                                );
-                            }
-                        }
-                    } else {
-                        fabcheck::check_for_nan(
-                            &lev.state,
-                            &format!("RK stage {stage} state L{l}"),
-                        );
-                    }
-                    for i in 0..lev.du.nfabs() {
-                        if lev.du.distribution().owner(i) == rank {
-                            assert!(
-                                !lev.du.fab(i).has_nonfinite(lev.du.valid_box(i)),
-                                "fabcheck: non-finite in RK stage {stage} dU L{l} patch {i}"
-                            );
-                        }
-                    }
+                for l in 0..self.levels.len() {
+                    self.assert_level_finite(l, &format!("RK stage {stage}"));
                 }
             }
         }
         Ok(())
     }
 
-    /// One level's distributed RK stage: the rank-crossing counterpart of
-    /// the on-node `fill_and_advance_overlap`, sharing its plan resolution,
-    /// physics closures, and communication accounting. The rank's
+    /// One level's RK stage — FillPatch, the numerics kernels and the
+    /// low-storage update `dU ← A·dU + dt·L(U)`, `U ← U + B·dU` — handed to
+    /// [`run_dist_rk_stage`]: halo plans are *resolved* through the shared
+    /// plan cache (their chunks become the stage's halo copies, sends and
+    /// receives) and the physics arrives as per-patch closures. The rank's
     /// [`DistSkeleton`] is memoized in the plan cache (`Aux` namespace,
     /// rank in the key's `aux` bits) and survives until regrid invalidates
     /// it, so steady-state stages skip the topology derivation entirely.
-    fn fill_and_advance_cluster(
+    ///
+    /// Plan resolution, gather exchanges and communication accounting stay
+    /// in the "FillPatch" profiler region; the halo data motion itself runs
+    /// inside "Advance".
+    fn fill_and_advance(
         &mut self,
         l: usize,
         stage: usize,
@@ -1119,47 +962,40 @@ impl Simulation {
                     .absorb_plan(&cg.coord_plan().stats, PlanKind::CoordCopy);
             }
         }
-        // Owned data: the coarse→fine gather sources live on their owners,
-        // so execute the plan's cross-rank chunks up front — the payloads
-        // feed `fill_two_level_patch_with_remote` inside the stage tasks,
-        // keyed by absolute chunk index within the cached plan.
-        let remote_two: Option<RemoteGathers> =
-            if self.owned_rank.is_some() {
-                match &two {
-                    Some((plans, coarse, ..)) => {
-                        let rs = exchange_chunks(
-                            &coarse.state,
-                            &plans.state.state_plan().plan.chunks,
-                            NCONS,
-                            ep,
-                            &|k| tags::owned(tags::OWNED_GATHER, epoch, l, k),
-                        )?;
-                        let rc = match &plans.coords {
-                            Some(cg) => Some(exchange_chunks(
-                                &coarse.coords,
-                                &cg.coord_plan().plan.chunks,
-                                NCOORDS,
-                                ep,
-                                &|k| tags::owned(tags::OWNED_COORDS, epoch, l, k),
-                            )?),
-                            None => None,
-                        };
-                        Some((rs, rc))
-                    }
+        // The coarse→fine gather sources live on their owners, so execute
+        // the plan's cross-rank chunks up front — the payloads feed
+        // `fill_two_level_patch_with_remote` inside the stage tasks, keyed
+        // by absolute chunk index within the cached plan.
+        let remote_two: Option<RemoteGathers> = match &two {
+            Some((plans, coarse, ..)) => {
+                let rs = exchange_chunks(
+                    &coarse.state,
+                    &plans.state.state_plan().plan.chunks,
+                    NCONS,
+                    ep,
+                    &|k| tags::owned(tags::OWNED_GATHER, epoch, l, k),
+                )?;
+                let rc = match &plans.coords {
+                    Some(cg) => Some(exchange_chunks(
+                        &coarse.coords,
+                        &cg.coord_plan().plan.chunks,
+                        NCOORDS,
+                        ep,
+                        &|k| tags::owned(tags::OWNED_COORDS, epoch, l, k),
+                    )?),
                     None => None,
-                }
-            } else {
-                None
-            };
+                };
+                Some((rs, rc))
+            }
+            None => None,
+        };
         // Subcycled two-level fills also read the coarse *old* state: its
         // cross-rank chunks travel over the same cached plan in the
         // `OWNED_GATHER_OLD` tag space so the time blend sees remote donors.
         // `alpha == 1` skips the blend entirely, so nothing moves.
         let remote_old: Option<HashMap<usize, Bytes>> =
             match (&two, sub.and_then(|s| s.alpha)) {
-                (Some((plans, coarse, ..)), Some(alpha))
-                    if self.owned_rank.is_some() && alpha != 1.0 =>
-                {
+                (Some((plans, coarse, ..)), Some(alpha)) if alpha != 1.0 => {
                     let old = coarse
                         .state_old
                         .as_ref()
@@ -1185,12 +1021,15 @@ impl Simulation {
             }),
             _ => None,
         };
-        // Declare the time-interpolated fill's coarse old-state reads on the
-        // halo-task footprints, as on the on-node path — but only chunks this
-        // rank reads *locally* (`src_rank == rank`): remote chunks arrive as
-        // the pre-exchanged payloads gathered above and touch no fab. The
-        // old fab of a local source is always allocated here, since this
-        // rank owns the source patch.
+        // The blend above reads the coarse *old* state below the instrumented
+        // views, so declare those reads on each halo task's footprint (and
+        // record them for the dynamic detector): per fine patch, the gather
+        // chunks it consumes, at their source regions in the old fab (fab id
+        // = data base pointer, the executor's id convention) — but only
+        // chunks this rank reads *locally* (`src_rank == rank`): remote
+        // chunks arrive as the pre-exchanged payloads gathered above and
+        // touch no fab. `alpha == 1.0` skips the old-state gather entirely,
+        // so there is nothing to declare.
         let extra_halo: Vec<Vec<(u64, crocco_geometry::IndexBox)>> = match (&two, &ti) {
             (Some((plans, ..)), Some(t)) if t.alpha != 1.0 => {
                 let rank = ep.rank();
@@ -1205,39 +1044,34 @@ impl Simulation {
             }
             _ => Vec::new(),
         };
-        // The rank-crossing graph skeleton, memoized beside the plan it was
-        // derived from; regrid invalidates both together.
+        // The rank's graph skeleton, memoized beside the plan it was derived
+        // from; regrid invalidates both together.
+        let fb_key = PlanKey::fill_boundary(
+            fine.state.boxarray(),
+            fine.state.distribution(),
+            &domain,
+            fine.state.nghost(),
+            fine.state.ncomp(),
+        );
         let skel = cache.get_or_build_aux(
             PlanKey {
                 op: PlanOp::Aux(AUX_DIST_SKELETON),
                 aux: ep.rank() as u64,
-                ..PlanKey::fill_boundary(
-                    fine.state.boxarray(),
-                    fine.state.distribution(),
-                    &domain,
-                    fine.state.nghost(),
-                    fine.state.ncomp(),
-                )
+                ..fb_key
             },
             || DistSkeleton::build(&fb, fine.state.distribution().owners(), ep.rank()),
         );
-        // Static verification of the *whole* distributed stage (every
-        // rank's graph rebuilt from the replicated owner map, plus
-        // tag-completeness and cross-rank acyclicity, DESIGN.md §4i). Every
-        // rank runs the identical deterministic check once per (grids,
-        // plan, nranks) generation — memoized, regrid-invalidated.
-        if self.cfg.taskcheck {
-            let report = cache.get_or_build_aux(
+        // Static verification of the *whole* stage (every rank's graph
+        // rebuilt from the replicated owner map, plus tag-completeness and
+        // cross-rank acyclicity, DESIGN.md §4i). Every rank runs the
+        // identical deterministic check once per (grids, plan, nranks)
+        // generation — memoized, regrid-invalidated, microseconds.
+        cache
+            .get_or_build_aux(
                 PlanKey {
                     op: PlanOp::Aux(AUX_DIST_VERIFY),
                     aux: ep.nranks() as u64,
-                    ..PlanKey::fill_boundary(
-                        fine.state.boxarray(),
-                        fine.state.distribution(),
-                        &domain,
-                        fine.state.nghost(),
-                        fine.state.ncomp(),
-                    )
+                    ..fb_key
                 },
                 || {
                     let ba = fine.state.boxarray();
@@ -1251,9 +1085,8 @@ impl Simulation {
                         fine.state.nghost(),
                     )
                 },
-            );
-            report.assert_clean("distributed RK stage skeletons");
-        }
+            )
+            .assert_clean("RK stage skeletons");
         self.profiler.add("FillPatch", t0.elapsed().as_secs_f64());
 
         let t1 = std::time::Instant::now();
@@ -1298,57 +1131,41 @@ impl Simulation {
             let valid = ba.get(i);
             let met = metrics.fab(i);
             let interior = valid.grow(-NGHOST);
+            if phase != SweepPhase::BoundaryBand {
+                rhs.fill(0.0);
+            }
+            let mut accumulate = |region| {
+                accumulate_rhs(
+                    &u, met, rhs, region, &gas, weno, recon, les.as_ref(), reference, backend,
+                    tile,
+                );
+            };
             match phase {
-                SweepPhase::Interior => {
-                    rhs.fill(0.0);
-                    if !interior.is_empty() {
-                        accumulate_rhs(
-                            &u, met, rhs, interior, &gas, weno, recon, les.as_ref(), reference,
-                            backend, tile,
-                        );
-                    }
-                }
+                SweepPhase::Whole => accumulate(valid),
+                SweepPhase::Interior if interior.is_empty() => {}
+                SweepPhase::Interior => accumulate(interior),
                 SweepPhase::BoundaryBand => {
-                    for slab in band_slabs(valid, interior) {
-                        accumulate_rhs(
-                            &u, met, rhs, slab, &gas, weno, recon, les.as_ref(), reference,
-                            backend, tile,
+                    band_slabs(valid, interior).into_iter().for_each(accumulate)
+                }
+            }
+            // Subcycled interface-flux recording: the sweep that reads the
+            // ghosts is the one point in the stage where this patch's ghosts
+            // are filled and its state is still at the stage's input time.
+            // One such call per patch per stage, so the lock is uncontended
+            // and the per-face accumulation order is schedule-independent.
+            if phase != SweepPhase::Interior {
+                for (faces, bufs) in [
+                    rec_coarse.map(|r| (&r.coarse_faces, &r.coarse_buf)),
+                    rec_fine.map(|r| (&r.fine_faces, &r.fine_buf)),
+                ]
+                .into_iter()
+                .flatten()
+                {
+                    if !faces[i].is_empty() {
+                        let mut buf = bufs[i].lock().expect("flux buffer poisoned");
+                        crate::subcycle::record_faces(
+                            &u, met, &faces[i], w, &mut buf, &gas, weno, recon,
                         );
-                    }
-                    // Subcycling: the boundary-band task is the one point
-                    // where this patch's ghosts are filled and the state is
-                    // still at the stage's input time — record the interface
-                    // fluxes here, exactly as the on-node overlapped path
-                    // does.
-                    if let Some(reg) = rec_coarse {
-                        if !reg.coarse_faces[i].is_empty() {
-                            let mut buf = reg.coarse_buf[i].lock().unwrap();
-                            crate::subcycle::record_faces(
-                                &u,
-                                met,
-                                &reg.coarse_faces[i],
-                                w,
-                                &mut buf,
-                                &gas,
-                                weno,
-                                recon,
-                            );
-                        }
-                    }
-                    if let Some(reg) = rec_fine {
-                        if !reg.fine_faces[i].is_empty() {
-                            let mut buf = reg.fine_buf[i].lock().unwrap();
-                            crate::subcycle::record_faces(
-                                &u,
-                                met,
-                                &reg.fine_faces[i],
-                                w,
-                                &mut buf,
-                                &gas,
-                                weno,
-                                recon,
-                            );
-                        }
                     }
                 }
             }
@@ -1366,7 +1183,7 @@ impl Simulation {
             ep,
             level: l,
             epoch,
-            overlap: self.cfg.dist_overlap,
+            overlap: self.cfg.overlap,
             sched: self.cfg.schedule(),
         };
         run_dist_rk_stage(

@@ -157,44 +157,23 @@ pub struct SolverConfig {
     pub regrid_freq: u32,
     /// |∇ρ| threshold for refinement tagging.
     pub tag_threshold: f64,
-    /// Simulated MPI ranks (ownership only; execution is in-process).
+    /// Rank count of the communicator group the simulation is stepped over:
+    /// 1 for [`Simulation::new`], the `LocalCluster` size for
+    /// [`Simulation::new_owned`]. Sizes the `DistributionMapping`s.
+    ///
+    /// [`Simulation::new`]: crate::driver::Simulation::new
+    /// [`Simulation::new_owned`]: crate::driver::Simulation::new_owned
     pub nranks: usize,
     /// Host threads for patch loops.
     pub threads: usize,
-    /// Memoize communication plans in the hierarchy's [`PlanCache`]
-    /// (rebuilt only at regrid). Disable to rebuild plans every fill, as the
-    /// pre-optimization code did — kept as a knob for the ablation study.
-    ///
-    /// [`PlanCache`]: crocco_fab::plan_cache::PlanCache
-    pub plan_cache: bool,
-    /// Execute each RK stage as a dependency task graph that overlaps halo
-    /// exchange with interior kernel sweeps (DESIGN.md §4e) instead of the
-    /// fill → sweep → update barrier phases. Results are bitwise-identical;
-    /// only the inter-patch schedule changes. The task-graph path always
-    /// resolves its halo plans through the hierarchy's plan cache (the
-    /// dependency edges are derived from the cached chunk lists), regardless
-    /// of [`plan_cache`](Self::plan_cache). Off by default.
+    /// Execute each RK stage as a dependency task graph (DESIGN.md §4e–§4f):
+    /// halo copies, sends and tag-matched receives overlap with kernel
+    /// sweeps, and only patch-boundary tasks fence. On by default. `false`
+    /// selects the sequential fill → sweep → update phases — the *reference*
+    /// schedule the invariance suites compare the graph against (as
+    /// [`BackendKind::Scalar`] is for kernels). Results are
+    /// bitwise-identical; only the inter-patch schedule changes.
     pub overlap: bool,
-    /// In cluster stepping ([`Simulation::step_cluster`]), execute each
-    /// distributed RK stage as a rank-crossing task graph — tag-matched
-    /// nonblocking receives gate boundary sweeps while interior sweeps and
-    /// sends run immediately (DESIGN.md §4f) — instead of the fenced
-    /// post/send/wait phases. Results are bitwise-identical; only the
-    /// schedule changes. Ignored outside cluster stepping. Off by default.
-    ///
-    /// [`Simulation::step_cluster`]: crate::driver::Simulation::step_cluster
-    pub dist_overlap: bool,
-    /// Owned-data distribution (docs/DISTRIBUTED.md): each rank allocates
-    /// and advances only the patches its `DistributionMapping` assigns it.
-    /// Cross-rank data motion happens exclusively through cached plans —
-    /// per-stage halo/gather exchanges, a distributed tag union plus
-    /// redistribution at regrid, and a checkpoint gather for chaos recovery.
-    /// The step loop never calls `allgather_fabs`. Results are
-    /// bitwise-identical to the replicated path
-    /// (`tests/owned_dist_invariance.rs`); only memory per rank changes:
-    /// O(owned cells) instead of O(global cells). Off by default — the
-    /// replicated path survives as the test oracle.
-    pub owned_dist: bool,
     /// Run the `fabcheck` dynamic sanitizer on the solver's MultiFabs:
     /// plan-aliasing proofs before every ghost exchange and stale-ghost traps
     /// in the RK loop. Defaults to on when the crate is built with the
@@ -210,8 +189,7 @@ pub struct SolverConfig {
     /// SIMD kernels or the scalar per-point reference. Both are
     /// bitwise-identical on the solution (`tests/backend_invariance.rs`);
     /// they differ only in throughput. Composes with
-    /// [`overlap`](Self::overlap), [`dist_overlap`](Self::dist_overlap), and
-    /// [`fabcheck`](Self::fabcheck). Defaults to [`BackendKind::Lanes`];
+    /// [`overlap`](Self::overlap) and [`fabcheck`](Self::fabcheck). Defaults to [`BackendKind::Lanes`];
     /// [`BackendKind::Scalar`] is the test oracle.
     pub kernel_backend: BackendKind,
     /// Tile shape for kernel dispatch, `(tx, ty, tz)` in cells. `None` (the
@@ -242,14 +220,6 @@ pub struct SolverConfig {
     ///
     /// [`Simulation::from_checkpoint_file_owned`]: crate::driver::Simulation::from_checkpoint_file_owned
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Statically verify every RK-stage task-graph skeleton before its first
-    /// execution (DESIGN.md §4i): prove all conflicting task pairs ordered
-    /// by happens-before, and — on the distributed path — every receive
-    /// matched by exactly one send with the cross-rank union acyclic. Runs
-    /// once per (grids, plan) generation, memoized beside the skeleton in
-    /// the plan cache; a violation panics with both task labels and the
-    /// offending box. On by default — the cost is microseconds per regrid.
-    pub taskcheck: bool,
     /// Per-level time stepping (docs/ARCHITECTURE.md §Subcycling): level ℓ
     /// advances with its own CFL-limited `dt` — `2^ℓ` substeps per coarse
     /// step at refinement ratio 2 — filling fine ghosts by interpolating the
@@ -260,11 +230,9 @@ pub struct SolverConfig {
     /// single level the subcycled step is bitwise-identical to lockstep
     /// (`tests/subcycle_invariance.rs`). Off by default — lockstep (all
     /// levels share the globally minimal `dt`) remains the reference mode.
-    /// Incompatible with replicated multi-rank stepping and with chaos
-    /// injection; compose with [`owned_dist`](Self::owned_dist) for the
-    /// distributed path.
+    /// Incompatible with chaos injection.
     pub subcycling: bool,
-    /// Adversarial-schedule seed for the task-graph paths: `Some(seed)`
+    /// Adversarial-schedule seed for the stage task graphs: `Some(seed)`
     /// replaces the worker pool with a single-threaded executor running a
     /// seeded arbitrary legal topological linearization (seed 0 =
     /// reverse-priority, the worst case for every "it happens to run in
@@ -330,17 +298,13 @@ impl Default for SolverConfigBuilder {
                 tag_threshold: f64::NAN, // resolved from the problem default
                 nranks: 1,
                 threads: 1,
-                plan_cache: true,
-                overlap: false,
-                dist_overlap: false,
-                owned_dist: false,
+                overlap: true,
                 fabcheck: cfg!(feature = "fabcheck"),
                 nan_poison: false,
                 kernel_backend: BackendKind::default(),
                 tile_size: None,
                 chaos: None,
                 spill_dir: None,
-                taskcheck: true,
                 subcycling: false,
                 sched_seed: None,
             },
@@ -439,7 +403,7 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Sets the simulated rank count.
+    /// Sets the rank count of the group the simulation is stepped over.
     pub fn nranks(mut self, n: usize) -> Self {
         self.cfg.nranks = n;
         self
@@ -451,30 +415,10 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Enables/disables communication-plan memoization.
-    pub fn plan_cache(mut self, on: bool) -> Self {
-        self.cfg.plan_cache = on;
-        self
-    }
-
-    /// Enables/disables task-graph RK stages (halo/interior overlap).
+    /// Selects the stage schedule: the task graph (default) or, with
+    /// `false`, the sequential reference phases.
     pub fn overlap(mut self, on: bool) -> Self {
         self.cfg.overlap = on;
-        self
-    }
-
-    /// Enables/disables rank-crossing task-graph RK stages in cluster
-    /// stepping (distributed halo/interior overlap).
-    pub fn dist_overlap(mut self, on: bool) -> Self {
-        self.cfg.dist_overlap = on;
-        self
-    }
-
-    /// Enables/disables owned-data distribution in cluster stepping: each
-    /// rank allocates and advances only its own patches, with all cross-rank
-    /// motion through cached plans (no `allgather_fabs`).
-    pub fn owned_dist(mut self, on: bool) -> Self {
-        self.cfg.owned_dist = on;
         self
     }
 
@@ -524,13 +468,6 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Enables/disables static schedule verification of the RK-stage task
-    /// graphs (on by default).
-    pub fn taskcheck(mut self, on: bool) -> Self {
-        self.cfg.taskcheck = on;
-        self
-    }
-
     /// Enables per-level time stepping with time-interpolated coarse/fine
     /// boundaries and refluxing (off by default — lockstep).
     pub fn subcycling(mut self, on: bool) -> Self {
@@ -538,7 +475,7 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Runs the task-graph paths under a seeded adversarial schedule (an
+    /// Runs the stage task graphs under a seeded adversarial schedule (an
     /// arbitrary legal topological linearization) instead of the thread
     /// pool. Seed 0 is reverse-priority order.
     pub fn sched_seed(mut self, seed: u64) -> Self {
@@ -569,17 +506,10 @@ impl SolverConfigBuilder {
                 assert!(t[d] >= 1, "tile_size component {d} must be positive, got {}", t[d]);
             }
         }
-        if c.subcycling {
-            assert!(
-                c.nranks == 1 || c.owned_dist,
-                "subcycling requires owned_dist for multi-rank stepping \
-                 (the replicated path stays lockstep as the oracle)"
-            );
-            assert!(
-                c.chaos.is_none(),
-                "subcycling does not compose with chaos injection yet"
-            );
-        }
+        assert!(
+            !c.subcycling || c.chaos.is_none(),
+            "subcycling does not compose with chaos injection yet"
+        );
         self.cfg
     }
 }
@@ -617,15 +547,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn subcycling_requires_owned_dist_for_multirank() {
-        SolverConfig::builder().subcycling(true).nranks(2).build();
-    }
-
-    #[test]
-    fn subcycling_composes_with_owned_dist() {
-        let cfg = SolverConfig::builder().subcycling(true).nranks(2).owned_dist(true).build();
-        assert!(cfg.subcycling && cfg.owned_dist);
+    fn the_task_graph_is_the_default_schedule() {
+        assert!(SolverConfig::builder().build().overlap);
+        assert!(!SolverConfig::builder().overlap(false).build().overlap);
     }
 
     #[test]

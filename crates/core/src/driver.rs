@@ -1,4 +1,6 @@
-//! The CRoCCo time-marching driver (Algorithms 1 and 2 of the paper).
+//! The CRoCCo simulation instance: grids, metrics, initial flow, restart,
+//! and the observers. The time-marching loop (Algorithms 1 and 2 of the
+//! paper) lives in [`crate::cluster_step`], once, over a communicator group:
 //!
 //! ```text
 //! InitGrid(); InitGridMetrics(); InitFlow();
@@ -8,54 +10,44 @@
 //!     RK3()           // per stage, per level: FillPatch, BC_Fill,
 //!                     // WENOx/y/z, Viscous, Update; AverageDown at stage 3
 //! ```
+//!
+//! [`Simulation::new`] + [`Simulation::step`] run it on the calling thread
+//! over the group of one ([`RankEndpoint::solo`]); `LocalCluster` +
+//! [`Simulation::new_owned`] + [`Simulation::step_cluster`] run the same
+//! loop on N rank threads.
 
 use crate::backend::BackendKind;
-use crate::bc::PhysicalBc;
-use crate::config::SolverConfig;
+use crate::config::{CoordSource, SolverConfig};
 use crate::kernels::{gradient_magnitude, NGHOST};
-use crate::config::CoordSource;
 use crate::metrics::{
     compute_metrics, generate_coords, read_coords_from_file, write_coords_file, NCOORDS,
     NMETRICS,
 };
 use crate::reference::weno_flux_reference;
 use crate::state::NCONS;
-use crocco_amr::fillpatch::{
-    fill_patch_single_level_with, fill_patch_two_levels_with, fill_two_level_patch,
-    resolve_two_level_plans, CoarseTimeInterp, FillOpts, FillPatchReport, TwoLevelPlans,
-};
+use bytes::Bytes;
 use crocco_amr::hierarchy::{AmrHierarchy, AmrParams};
 use crocco_amr::interp::Interpolator;
-use crocco_amr::BoundaryFiller;
 use crocco_amr::tagging::TagSet;
+use crocco_amr::BoundaryFiller;
 use crocco_fab::plan::PlanStats;
-use crocco_fab::plan_cache::{PlanKey, PlanOp};
 use crocco_fab::{
-    band_slabs, fabcheck, run_rk_stage_with_skeleton, tile_boxes, BoxArray, DistributionMapping,
-    FArrayBox, FabRd, FabRw, FabView, MultiFab, StageFabs, StageSkeleton, SweepPhase,
+    tile_boxes, BoxArray, DistributionMapping, DistributionStrategy, FArrayBox, FabView, MultiFab,
 };
 use crocco_geometry::{GridMapping, IndexBox, IntVect, ProblemDomain, RealVect};
 use crocco_perfmodel::Profiler;
-use crocco_runtime::{parallel_for_each_mut, parallel_zip_mut};
-use crocco_fab::DistributionStrategy;
-use bytes::Bytes;
+use crocco_runtime::{parallel_for_each_mut, GroupEndpoint, RankEndpoint};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// `PlanOp::Aux` namespace tag for memoized on-node stage skeletons
-/// ([`StageSkeleton`]); the AMR two-level plans use tags 1–2.
-pub(crate) const AUX_STAGE_SKELETON: u32 = 3;
-/// `PlanOp::Aux` namespace tag for memoized distributed stage skeletons
-/// (`DistSkeleton`, keyed per rank through the key's `aux` bits).
+/// `PlanOp::Aux` namespace tag for memoized stage skeletons (`DistSkeleton`,
+/// keyed per rank through the key's `aux` bits); the AMR two-level plans use
+/// tags 1–2.
 pub(crate) const AUX_DIST_SKELETON: u32 = 4;
-/// `PlanOp::Aux` namespace tag for memoized static schedule verifications of
-/// on-node stage skeletons (`VerifyReport`, DESIGN.md §4i).
-pub(crate) const AUX_STAGE_VERIFY: u32 = 5;
-/// `PlanOp::Aux` namespace tag for memoized static schedule verifications of
-/// distributed stages (all ranks + cross-rank checks; keyed by rank count
-/// through the key's `aux` bits).
+/// `PlanOp::Aux` namespace tag for memoized static schedule verifications
+/// (`VerifyReport`: all ranks + cross-rank checks, DESIGN.md §4i; keyed by
+/// rank count through the key's `aux` bits).
 pub(crate) const AUX_DIST_VERIFY: u32 = 6;
 
 /// Williamson low-storage RK3 coefficients.
@@ -91,10 +83,9 @@ impl LevelData {
     /// valid boxes.
     pub(crate) fn new(state: MultiFab, du: MultiFab, coords: MultiFab, metrics: MultiFab) -> Self {
         let ba = state.boxarray();
-        // Under owned-data distribution the RHS scratch follows the state's
-        // allocation: unallocated placeholders keep the vector index-aligned
-        // with the (replicated) BoxArray while storing nothing for patches
-        // other ranks own.
+        // The RHS scratch follows the state's allocation: unallocated
+        // placeholders keep the vector index-aligned with the (replicated)
+        // BoxArray while storing nothing for patches other ranks own.
         let rhs = (0..ba.len())
             .map(|i| {
                 if state.is_allocated(i) {
@@ -133,7 +124,8 @@ pub struct CommTotals {
     pub coord_pc_bytes: u64,
     /// Global reductions issued (`ReduceRealMin` in ComputeDt).
     pub reductions: u64,
-    /// Fine ghost cells produced by interpolation.
+    /// Fine ghost cells produced by interpolation on this rank's patches
+    /// (the other fields come from replicated plan metadata and are global).
     pub interpolated_cells: u64,
 }
 
@@ -202,12 +194,11 @@ pub struct Simulation {
     pub comm: CommTotals,
     /// Per-level coordinate files (populated for `CoordSource::BinaryFile`).
     coord_files: Vec<std::path::PathBuf>,
-    /// `Some(rank)` when this instance participates in owned-data
-    /// distribution (docs/DISTRIBUTED.md): every `MultiFab` allocates data
-    /// only for the patches the `DistributionMapping` assigns to `rank`;
-    /// the rest are metadata-only placeholders. `None` (the default, and
-    /// always the case outside cluster stepping) replicates every patch.
-    pub(crate) owned_rank: Option<usize>,
+    /// This instance's logical rank in the `cfg.nranks`-rank group
+    /// (docs/DISTRIBUTED.md): every `MultiFab` allocates data only for the
+    /// patches the `DistributionMapping` assigns to it; the rest are
+    /// metadata-only placeholders. On a group of one that is every patch.
+    pub(crate) owned_rank: usize,
     pub(crate) time: f64,
     pub(crate) dt: f64,
     pub(crate) step: u32,
@@ -217,107 +208,34 @@ pub struct Simulation {
     pub(crate) subcycle: Vec<crate::subcycle::InterfaceReg>,
     /// Running cell-update total (see [`RunReport::cell_updates`]).
     pub(crate) cell_updates: u64,
-    /// Monotone subcycled-exchange slot counter for the owned-data path:
-    /// every fill/exchange round inside a subcycled step draws a fresh tag
-    /// epoch from this counter so substeps never alias each other's
-    /// messages. Identical across ranks by construction.
+    /// Monotone subcycled-exchange slot counter: every fill/exchange round
+    /// inside a subcycled step draws a fresh tag epoch from this counter so
+    /// substeps never alias each other's messages. Identical across ranks
+    /// by construction.
     pub(crate) sub_slot: u64,
 }
 
 impl Simulation {
-    /// Builds the simulation: grid, metrics, initial flow, and (for AMR
-    /// versions) the initial refined levels.
+    /// Builds the simulation on the calling thread: grid, metrics, initial
+    /// flow, and (for AMR versions) the initial refined levels — rank 0 of a
+    /// group of one, holding every patch. Multi-rank runs construct with
+    /// [`Simulation::new_owned`] on a `LocalCluster`.
     pub fn new(cfg: SolverConfig) -> Self {
-        let mut sim = Simulation::new_impl(cfg, None);
-        // Iteratively grow the initial hierarchy: tag on the initial flow,
-        // regrid, re-initialize — until the ladder stops changing.
-        if sim.cfg.version.amr_enabled() {
-            for _ in 0..sim.cfg.max_levels {
-                let tags = sim.compute_tags();
-                if !sim.hierarchy.regrid(&tags) {
-                    break;
-                }
-                sim.rebuild_all_levels_from_ic();
-            }
-        }
-        sim
+        assert_eq!(cfg.nranks, 1, "multi-rank runs construct with new_owned on a LocalCluster");
+        let solo = RankEndpoint::solo();
+        Simulation::new_owned(cfg, &GroupEndpoint::full(&solo))
+            .expect("a group of one has no peer to fail")
     }
 
-    /// Shared construction body: everything except the initial-regrid loop,
-    /// which differs between the serial path (local tags suffice) and
-    /// owned-data cluster construction (each rank tags only owned patches,
-    /// so the per-round tag sets must be unioned across ranks first —
-    /// `Simulation::new_owned` in `cluster_step`).
-    pub(crate) fn new_impl(cfg: SolverConfig, owned_rank: Option<usize>) -> Self {
-        let gas = cfg.problem.gas();
-        let mapping = cfg.problem.mapping();
-        let domain0 = ProblemDomain::new(
-            IndexBox::from_extents(cfg.extents[0], cfg.extents[1], cfg.extents[2]),
-            cfg.problem.periodicity(),
-        );
-        let params = AmrParams {
-            max_levels: cfg.effective_levels(),
-            ref_ratio: IntVect::splat(2),
-            blocking_factor: cfg.blocking_factor,
-            max_grid_size: cfg.max_grid_size,
-            grid_eff: cfg.grid_eff,
-            n_error_buf: cfg.n_error_buf,
-            regrid_freq: cfg.regrid_freq,
-            nesting_buffer: cfg.blocking_factor,
-        };
-        let hierarchy = AmrHierarchy::new(
-            domain0,
-            params,
-            cfg.nranks,
-            DistributionStrategy::MortonSfc,
-        );
-        let interp = cfg
-            .interpolator
-            .map(|k| k.build())
-            .unwrap_or_else(|| cfg.version.interpolator());
-        let mut sim = Simulation {
-            gas,
-            mapping,
-            hierarchy,
-            levels: Vec::new(),
-            interp,
-            profiler: Profiler::new(),
-            comm: CommTotals::default(),
-            coord_files: Vec::new(),
-            owned_rank,
-            time: 0.0,
-            dt: 0.0,
-            step: 0,
-            subcycle: Vec::new(),
-            cell_updates: 0,
-            sub_slot: 0,
-            cfg,
-        };
-        sim.prepare_coord_files();
-        sim.rebuild_all_levels_from_ic();
-        sim
-    }
-
-    /// Rebuilds a simulation from a checkpoint: grids come from the saved
-    /// box lists, valid data from the saved body, grid metrics are
-    /// regenerated from the mapping (coordinates are a pure function of the
-    /// grids, per §III-C), and the step/time counters resume.
-    pub fn from_checkpoint(cfg: SolverConfig, chk: &crate::io::Checkpoint) -> Self {
-        Simulation::from_checkpoint_impl(cfg, chk, None)
-    }
-
-    /// Checkpoint restore body, parameterized on the ownership mode. With
-    /// `owned_rank = Some(r)` only owned patches allocate and only their
-    /// valid data is overwritten from the (globally identical) checkpoint
-    /// body — checkpoints stay whole-domain so any surviving rank subset can
-    /// restore from them after a crash.
-    pub(crate) fn from_checkpoint_impl(
+    /// Shared construction body: the hierarchy — fresh, or on the grids of
+    /// `chk` — with every level initialized from the initial condition and
+    /// the counters at zero or at the checkpoint's. The initial-regrid loop
+    /// (which needs the group) is `Simulation::new_owned` in `cluster_step`.
+    pub(crate) fn build(
         cfg: SolverConfig,
-        chk: &crate::io::Checkpoint,
-        owned_rank: Option<usize>,
+        owned_rank: usize,
+        chk: Option<&crate::io::Checkpoint>,
     ) -> Self {
-        let gas = cfg.problem.gas();
-        let mapping = cfg.problem.mapping();
         let domain0 = ProblemDomain::new(
             IndexBox::from_extents(cfg.extents[0], cfg.extents[1], cfg.extents[2]),
             cfg.problem.periodicity(),
@@ -332,21 +250,23 @@ impl Simulation {
             regrid_freq: cfg.regrid_freq,
             nesting_buffer: cfg.blocking_factor,
         };
-        let hierarchy = AmrHierarchy::from_boxes(
-            domain0,
-            params,
-            cfg.nranks,
-            DistributionStrategy::MortonSfc,
-            &chk.levels[1..],
-        );
-        assert_eq!(
-            hierarchy.level(0).ba.boxes(),
-            &chk.levels[0][..],
-            "checkpoint level-0 grids must match the configured decomposition"
-        );
+        let strategy = DistributionStrategy::MortonSfc;
+        let hierarchy = match chk {
+            None => AmrHierarchy::new(domain0, params, cfg.nranks, strategy),
+            Some(chk) => {
+                let h =
+                    AmrHierarchy::from_boxes(domain0, params, cfg.nranks, strategy, &chk.levels[1..]);
+                assert_eq!(
+                    h.level(0).ba.boxes(),
+                    &chk.levels[0][..],
+                    "checkpoint level-0 grids must match the configured decomposition"
+                );
+                h
+            }
+        };
         let mut sim = Simulation {
-            gas,
-            mapping,
+            gas: cfg.problem.gas(),
+            mapping: cfg.problem.mapping(),
             hierarchy,
             levels: Vec::new(),
             interp: cfg
@@ -357,9 +277,9 @@ impl Simulation {
             comm: CommTotals::default(),
             coord_files: Vec::new(),
             owned_rank,
-            time: chk.time,
+            time: chk.map_or(0.0, |c| c.time),
             dt: 0.0,
-            step: chk.step,
+            step: chk.map_or(0, |c| c.step),
             subcycle: Vec::new(),
             cell_updates: 0,
             sub_slot: 0,
@@ -367,8 +287,33 @@ impl Simulation {
         };
         sim.prepare_coord_files();
         sim.rebuild_all_levels_from_ic();
-        // Overwrite valid data with the checkpoint body (owned patches only
-        // under owned-data distribution — the rest have no storage).
+        sim
+    }
+
+    /// Rebuilds a simulation from a checkpoint on the calling thread (rank 0
+    /// of a group of one): grids come from the saved box lists, valid data
+    /// from the saved body, grid metrics are regenerated from the mapping
+    /// (coordinates are a pure function of the grids, per §III-C), and the
+    /// step/time counters resume.
+    pub fn from_checkpoint(cfg: SolverConfig, chk: &crate::io::Checkpoint) -> Self {
+        assert_eq!(cfg.nranks, 1, "multi-rank runs restore with from_checkpoint_owned");
+        Simulation::from_checkpoint_owned(cfg, chk, 0)
+    }
+
+    /// Restores rank `rank`'s share of an `cfg.nranks`-rank simulation from
+    /// a (whole-domain) checkpoint: only owned patches allocate and only
+    /// their valid data is overwritten from the body. No communication —
+    /// every rank restores from the same bytes, which is what lets any
+    /// surviving rank subset restore after a crash.
+    pub fn from_checkpoint_owned(
+        cfg: SolverConfig,
+        chk: &crate::io::Checkpoint,
+        rank: usize,
+    ) -> Self {
+        assert!(rank < cfg.nranks, "restore rank out of range");
+        let mut sim = Simulation::build(cfg, rank, Some(chk));
+        // Overwrite valid data with the checkpoint body (owned patches only —
+        // the rest have no storage).
         for (l, level_data) in chk.data.iter().enumerate() {
             let state = &mut sim.levels[l].state;
             for (i, vals) in level_data.iter().enumerate() {
@@ -390,9 +335,8 @@ impl Simulation {
     /// Allocates a solver `MultiFab` honouring the sanitizer knobs: signaling
     /// NaNs in every cell when `nan_poison` is on (so an unwritten cell traps
     /// in the next `check_for_nan` sweep instead of smuggling a zero), and the
-    /// per-fab `fabcheck` toggle mirroring the config. Under owned-data
-    /// distribution only the patches [`owned_rank`](Self::owned_rank) owns
-    /// get storage.
+    /// per-fab `fabcheck` toggle mirroring the config. Only the patches
+    /// [`owned_rank`](Self::owned_rank) owns get storage.
     pub(crate) fn alloc_mf(
         &self,
         ba: Arc<BoxArray>,
@@ -400,11 +344,11 @@ impl Simulation {
         ncomp: usize,
         nghost: i64,
     ) -> MultiFab {
-        let mut mf = match (self.owned_rank, self.cfg.nan_poison) {
-            (Some(r), true) => MultiFab::new_owned_poisoned(ba, dm, ncomp, nghost, r),
-            (Some(r), false) => MultiFab::new_owned(ba, dm, ncomp, nghost, r),
-            (None, true) => MultiFab::new_poisoned(ba, dm, ncomp, nghost),
-            (None, false) => MultiFab::new(ba, dm, ncomp, nghost),
+        let r = self.owned_rank;
+        let mut mf = if self.cfg.nan_poison {
+            MultiFab::new_owned_poisoned(ba, dm, ncomp, nghost, r)
+        } else {
+            MultiFab::new_owned(ba, dm, ncomp, nghost, r)
         };
         mf.set_fabcheck(self.cfg.fabcheck);
         mf
@@ -449,12 +393,13 @@ impl Simulation {
     /// honouring the configured coordinate source.
     pub(crate) fn make_level_grid(&self, l: usize) -> (MultiFab, MultiFab) {
         let lev = self.hierarchy.level(l);
-        let mut coords = match self.owned_rank {
-            Some(r) => {
-                MultiFab::new_owned(lev.ba.clone(), lev.dm.clone(), NCOORDS, NGHOST + 2, r)
-            }
-            None => MultiFab::new(lev.ba.clone(), lev.dm.clone(), NCOORDS, NGHOST + 2),
-        };
+        let mut coords = MultiFab::new_owned(
+            lev.ba.clone(),
+            lev.dm.clone(),
+            NCOORDS,
+            NGHOST + 2,
+            self.owned_rank,
+        );
         match self.cfg.coord_source {
             CoordSource::Memory => {
                 generate_coords(self.mapping.as_ref(), self.level_extents(l), &mut coords);
@@ -543,9 +488,9 @@ impl Simulation {
 
     /// Refinement tags per level from the |∇ρ| criterion (§II-B): the scratch
     /// gradient field is thresholded against the configured value. Only
-    /// levels that may host a finer one are tagged. Under owned-data
-    /// distribution this tags *owned* patches only — the distributed regrid
-    /// unions the per-rank sets before clustering.
+    /// levels that may host a finer one are tagged, and only this rank's
+    /// *owned* patches — the regrid unions the per-rank sets before
+    /// clustering.
     pub fn compute_tags(&self) -> Vec<TagSet> {
         let mut out = Vec::new();
         for l in 0..self.hierarchy.nlevels().min(self.cfg.effective_levels() - 1) {
@@ -569,39 +514,19 @@ impl Simulation {
         out
     }
 
-    /// One full time step (Algorithm 1 loop body).
+    /// One full time step (Algorithm 1 loop body) on the calling thread: the
+    /// cluster step loop over the group of one.
+    ///
+    /// # Panics
+    /// If `ComputeDt` produces a non-finite or non-positive step
+    /// ([`StageError::NonFiniteDt`](crocco_runtime::StageError::NonFiniteDt)).
     pub fn step(&mut self) {
-        if self.cfg.version.amr_enabled()
-            && self.step > 0
-            && self.step.is_multiple_of(self.cfg.regrid_freq)
-        {
-            let t0 = std::time::Instant::now();
-            self.regrid();
-            self.profiler.add("Regrid", t0.elapsed().as_secs_f64());
-        }
-        let t0 = std::time::Instant::now();
-        if self.cfg.subcycling {
-            self.compute_dt_subcycled();
-        } else {
-            self.compute_dt();
-        }
-        self.profiler.add("ComputeDt", t0.elapsed().as_secs_f64());
-        if self.cfg.subcycling {
-            self.advance_subcycled();
-        } else {
-            self.rk3();
-            self.cell_updates += self.hierarchy.active_points();
-        }
-        self.step += 1;
-        self.time += self.dt;
+        self.step_cluster(&RankEndpoint::solo());
     }
 
     /// Advances `n` steps and reports.
     pub fn advance_steps(&mut self, n: u32) -> RunReport {
-        for _ in 0..n {
-            self.step();
-        }
-        self.report()
+        self.advance_steps_cluster(n, &RankEndpoint::solo())
     }
 
     /// Builds a report of the current run state.
@@ -618,107 +543,29 @@ impl Simulation {
         }
     }
 
-    /// Regrids and remaps field data onto the new grids (Algorithm 1 line 7).
-    pub(crate) fn regrid(&mut self) {
-        let tags = self.compute_tags();
-        // Refresh coarse ghosts so remap interpolation has sound sources.
-        for l in 0..self.hierarchy.nlevels() {
-            self.fill_level(l);
-        }
-        let changed = self.hierarchy.regrid(&tags);
-        if !changed {
-            return;
-        }
-        // Remap levels 1.. onto the new grids: interpolate everything from
-        // the (already remapped) coarser level, then overwrite with any
-        // surviving same-level data.
-        let nlev = self.hierarchy.nlevels();
-        let mut new_levels: Vec<LevelData> = Vec::with_capacity(nlev);
-        // Level 0 grids never change.
-        let old0 = std::mem::take(&mut self.levels);
-        let mut old_iter: Vec<Option<LevelData>> = old0.into_iter().map(Some).collect();
-        new_levels.push(old_iter[0].take().unwrap());
-        for l in 1..nlev {
-            let lev = self.hierarchy.level(l);
-            let (coords, metrics) = self.make_level_grid(l);
-            let mut state = self.alloc_mf(lev.ba.clone(), lev.dm.clone(), NCONS, NGHOST);
-            // Interpolate the whole valid region from the coarser new level.
-            let coarse = &new_levels[l - 1];
-            let coarse_domain = self.hierarchy.domain(l - 1);
-            let coarse_bc = PhysicalBc::new(
-                self.cfg.problem,
-                self.gas,
-                self.level_extents(l - 1),
-            );
-            self.interp_full_level(
-                &coarse.state,
-                &coarse.coords,
-                &coords,
-                &mut state,
-                &coarse_domain,
-                &coarse_bc,
-            );
-            // Overwrite with surviving same-level data.
-            if let Some(old) = old_iter.get_mut(l).and_then(|o| o.take()) {
-                let domain = self.hierarchy.domain(l);
-                let plan = state.parallel_copy_from(&old.state, &domain);
-                self.comm.absorb_plan(&plan.stats(), PlanKind::ParallelCopy);
-            }
-            let du = self.alloc_mf(lev.ba.clone(), lev.dm.clone(), NCONS, 0);
-            new_levels.push(LevelData::new(state, du, coords, metrics));
-        }
-        self.levels = new_levels;
-    }
-
-    /// Fills every valid cell of `state` by interpolating `coarse_state`
-    /// (used when a brand-new patch appears during regridding).
-    fn interp_full_level(
-        &self,
-        coarse_state: &MultiFab,
-        coarse_coords: &MultiFab,
-        fine_coords: &MultiFab,
-        state: &mut MultiFab,
-        coarse_domain: &ProblemDomain,
-        coarse_bc: &PhysicalBc,
-    ) {
-        self.interp_full_level_with_remote(
-            coarse_state,
-            coarse_coords,
-            fine_coords,
-            state,
-            coarse_domain,
-            coarse_bc,
-            None,
-            None,
-        );
-    }
-
-    /// The remap-interpolation body, parameterized on remote gather payloads
-    /// for owned-data regridding. Chunk indices are global over the
-    /// deterministic `(fab, chunk)` enumeration of [`interp_gather_chunks`]
-    /// — the same enumeration the distributed regrid uses to decide which
-    /// chunks to send — so `remote_state`/`remote_coords` maps (keyed by that
-    /// index, produced by `crocco_fab::owned::exchange_chunks`) substitute
-    /// bitwise-exactly for the local copies. With `None` maps every chunk
-    /// copies locally: the replicated path.
-    ///
-    /// Under owned-data distribution, fine patches this rank does not own
-    /// are skipped (their chunk indices still advance, keeping the global
-    /// numbering rank-independent).
+    /// Fills every valid cell of this rank's patches of `state` by
+    /// interpolating `coarse_state` (the regrid remap of a new fine level).
+    /// Chunk indices are global over the deterministic `(fab, chunk)`
+    /// enumeration of [`gather_valid_chunks`] / [`gather_all_chunks`] — the
+    /// same enumeration the regrid uses to decide which chunks to send — so
+    /// `remote_state`/`remote_coords` (keyed by that index, produced by
+    /// `crocco_fab::owned::exchange_chunks`) substitute bitwise-exactly for
+    /// the local copies every other chunk gets. Fine patches this rank does
+    /// not own are skipped (their chunk indices still advance, keeping the
+    /// global numbering rank-independent).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn interp_full_level_with_remote(
+    pub(crate) fn interp_full_level(
         &self,
         coarse_state: &MultiFab,
         coarse_coords: &MultiFab,
         fine_coords: &MultiFab,
         state: &mut MultiFab,
         coarse_domain: &ProblemDomain,
-        coarse_bc: &PhysicalBc,
-        remote_state: Option<&HashMap<usize, Bytes>>,
+        coarse_bc: &crate::bc::PhysicalBc,
+        remote_state: &HashMap<usize, Bytes>,
         remote_coords: Option<&HashMap<usize, Bytes>>,
     ) {
         let ratio = IntVect::splat(2);
-        let owned = self.owned_rank.is_some();
         let needs_coords = self.interp.needs_coords();
         let mut state_base = 0usize;
         let mut coord_base = 0usize;
@@ -731,14 +578,14 @@ impl Simulation {
             } else {
                 Vec::new()
             };
-            if owned && !state.is_allocated(i) {
+            if !state.is_allocated(i) {
                 state_base += schunks.len();
                 coord_base += cchunks.len();
                 continue;
             }
             let mut ctmp = FArrayBox::new(cbox, NCONS);
             for (k, (src_id, region, shift)) in schunks.iter().enumerate() {
-                if let Some(payload) = remote_state.and_then(|m| m.get(&(state_base + k))) {
+                if let Some(payload) = remote_state.get(&(state_base + k)) {
                     crocco_fab::owned::unpack_chunk_into(&mut ctmp, *region, NCONS, payload);
                 } else {
                     ctmp.copy_shifted_from(coarse_state.fab(*src_id), *region, *shift, NCONS);
@@ -777,160 +624,6 @@ impl Simulation {
             state_base += schunks.len();
             coord_base += cchunks.len();
         }
-    }
-
-    /// `ComputeDt`: the CFL-constrained global minimum time step across all
-    /// levels and patches, with the `ReduceRealMin` collective recorded.
-    pub(crate) fn compute_dt(&mut self) {
-        let mut dt = f64::INFINITY;
-        let backend = self.cfg.kernel_backend;
-        for lev in &self.levels {
-            for i in 0..lev.state.nfabs() {
-                let d = backend.compute_dt_patch(
-                    lev.state.fab(i),
-                    lev.metrics.fab(i),
-                    lev.state.valid_box(i),
-                    &self.gas,
-                    self.cfg.cfl,
-                );
-                dt = dt.min(d);
-            }
-        }
-        self.comm.reductions += 1;
-        assert!(dt.is_finite() && dt > 0.0, "ComputeDt produced dt={dt}");
-        self.dt = dt;
-    }
-
-    /// FillPatch for one level (single-level at 0, two-level above).
-    pub(crate) fn fill_level(&mut self, l: usize) {
-        self.fill_level_sub(l, None);
-    }
-
-    /// The FillPatch body, parameterized on the subcycling context: `sub`
-    /// overrides the boundary-condition time with the substep's start time
-    /// and (on refined levels) blends the coarse parent's old/new states for
-    /// the ghost interpolation. `None` is the lockstep path, bitwise
-    /// unchanged.
-    pub(crate) fn fill_level_sub(&mut self, l: usize, sub: Option<&crate::subcycle::SubCtx>) {
-        let t0 = std::time::Instant::now();
-        let domain = self.hierarchy.domain(l);
-        let bc = PhysicalBc::new(self.cfg.problem, self.gas, self.level_extents(l));
-        let bc_time = sub.map_or(self.time, |s| s.t);
-        let opts = FillOpts {
-            cache: if self.cfg.plan_cache {
-                Some(self.hierarchy.plan_cache().as_ref())
-            } else {
-                None
-            },
-            threads: self.cfg.threads,
-        };
-        let report: FillPatchReport = if l == 0 {
-            fill_patch_single_level_with(&mut self.levels[0].state, &domain, &bc, bc_time, opts)
-        } else {
-            let coarse_domain = self.hierarchy.domain(l - 1);
-            let coarse_bc =
-                PhysicalBc::new(self.cfg.problem, self.gas, self.level_extents(l - 1));
-            let (lo, hi) = self.levels.split_at_mut(l);
-            let coarse = &lo[l - 1];
-            let fine = &mut hi[0];
-            let time_interp = sub.and_then(|s| s.alpha).map(|alpha| CoarseTimeInterp {
-                old: coarse
-                    .state_old
-                    .as_ref()
-                    .expect("subcycling saved the coarse old state before its substeps"),
-                alpha,
-                remote_old: None,
-            });
-            fill_patch_two_levels_with(
-                &mut fine.state,
-                &coarse.state,
-                &domain,
-                &coarse_domain,
-                IntVect::splat(2),
-                self.interp.as_ref(),
-                &bc,
-                &coarse_bc,
-                Some(&coarse.coords),
-                Some(&fine.coords),
-                bc_time,
-                time_interp,
-                opts,
-            )
-        };
-        self.comm
-            .absorb_plan(&report.fb_plan.stats, PlanKind::FillBoundary);
-        if let Some(p) = &report.pc_plan {
-            self.comm.absorb_plan(&p.stats, PlanKind::ParallelCopy);
-        }
-        if let Some(p) = &report.coord_pc_plan {
-            self.comm.absorb_plan(&p.stats, PlanKind::CoordCopy);
-        }
-        self.comm.interpolated_cells += report.interpolated_cells;
-        self.profiler
-            .add("FillPatch", t0.elapsed().as_secs_f64());
-    }
-
-    /// Algorithm 2: the configured low-storage stages over all levels,
-    /// AverageDown at the end of the final stage.
-    fn rk3(&mut self) {
-        let dt = self.dt;
-        let nstages = self.cfg.time_scheme.stages();
-        for stage in 0..nstages {
-            for l in 0..self.hierarchy.nlevels() {
-                if self.cfg.overlap {
-                    self.fill_and_advance_overlap(l, stage, dt, None);
-                } else {
-                    self.fill_level(l);
-                    self.advance_level(l, stage, dt);
-                }
-            }
-            if stage == nstages - 1 {
-                let t0 = std::time::Instant::now();
-                for l in (1..self.hierarchy.nlevels()).rev() {
-                    let (lo, hi) = self.levels.split_at_mut(l);
-                    crocco_amr::average_down::average_down(
-                        &hi[0].state,
-                        &mut lo[l - 1].state,
-                        IntVect::splat(2),
-                    );
-                }
-                self.profiler
-                    .add("AverageDown", t0.elapsed().as_secs_f64());
-            }
-            if self.cfg.nan_poison {
-                for (l, lev) in self.levels.iter().enumerate() {
-                    fabcheck::check_for_nan(&lev.state, &format!("RK stage {stage} state L{l}"));
-                    fabcheck::check_for_nan(&lev.du, &format!("RK stage {stage} dU L{l}"));
-                }
-            }
-        }
-    }
-
-    /// The subcycled analog of [`compute_dt`](Self::compute_dt): level `ℓ`
-    /// advances with `dt₀/2^ℓ`, so the coarse step is bounded by the
-    /// *scaled* per-level CFL minima, `dt₀ = min_ℓ (2^ℓ · min_patches dt)`.
-    /// On a single level this reduces bitwise to the lockstep fold
-    /// (`min · 2⁰ = min`).
-    pub(crate) fn compute_dt_subcycled(&mut self) {
-        let backend = self.cfg.kernel_backend;
-        let mut dt = f64::INFINITY;
-        for (l, lev) in self.levels.iter().enumerate() {
-            let mut m = f64::INFINITY;
-            for i in 0..lev.state.nfabs() {
-                let d = backend.compute_dt_patch(
-                    lev.state.fab(i),
-                    lev.metrics.fab(i),
-                    lev.state.valid_box(i),
-                    &self.gas,
-                    self.cfg.cfl,
-                );
-                m = m.min(d);
-            }
-            dt = dt.min(m * (1u64 << l) as f64);
-        }
-        self.comm.reductions += 1;
-        assert!(dt.is_finite() && dt > 0.0, "ComputeDt produced dt={dt}");
-        self.dt = dt;
     }
 
     /// Rebuilds the per-pair flux registers and recording geometry iff the
@@ -989,490 +682,9 @@ impl Simulation {
         }
     }
 
-    /// Records this level's interface fluxes into the stage accumulation
-    /// buffers (barrier path: a dedicated pass between FillPatch and the
-    /// stage kernels, when ghosts are fresh and the state is still at the
-    /// stage's input time — the overlap path records the same values inside
-    /// the per-patch boundary-band sweep tasks).
-    fn record_level_fluxes(&self, l: usize, w: f64) {
-        if self.subcycle.is_empty() {
-            return;
-        }
-        let gas = self.gas;
-        let weno = self.cfg.weno;
-        let recon = self.cfg.reconstruction;
-        let lev = &self.levels[l];
-        if l < self.subcycle.len() {
-            let reg = &self.subcycle[l];
-            for p in 0..lev.state.nfabs() {
-                if !lev.state.is_allocated(p) || reg.coarse_faces[p].is_empty() {
-                    continue;
-                }
-                let mut buf = reg.coarse_buf[p].lock().unwrap();
-                crate::subcycle::record_faces(
-                    lev.state.fab(p),
-                    lev.metrics.fab(p),
-                    &reg.coarse_faces[p],
-                    w,
-                    &mut buf,
-                    &gas,
-                    weno,
-                    recon,
-                );
-            }
-        }
-        if l > 0 {
-            let reg = &self.subcycle[l - 1];
-            for j in 0..lev.state.nfabs() {
-                if !lev.state.is_allocated(j) || reg.fine_faces[j].is_empty() {
-                    continue;
-                }
-                let mut buf = reg.fine_buf[j].lock().unwrap();
-                crate::subcycle::record_faces(
-                    lev.state.fab(j),
-                    lev.metrics.fab(j),
-                    &reg.fine_faces[j],
-                    w,
-                    &mut buf,
-                    &gas,
-                    weno,
-                    recon,
-                );
-            }
-        }
-    }
-
-    /// One subcycled coarse step: the AMReX-style recursive `timeStep`
-    /// (docs/ARCHITECTURE.md §Subcycling). Level 0 takes one step of
-    /// `self.dt`; each refined level takes `ref_ratio` substeps of its
-    /// parent's `dt/2`, time-interpolating coarse/fine ghosts between the
-    /// parent's old and new states, and the accumulated coarse/fine flux
-    /// mismatch is refluxed into the parent before AverageDown.
-    fn advance_subcycled(&mut self) {
-        self.ensure_subcycle();
-        let (t, dt) = (self.time, self.dt);
-        self.advance_level_recursive(0, t, dt, None);
-    }
-
-    /// Advances level `l` from `t` by `dt` (one step of this level), then
-    /// recursively takes the two half-`dt` substeps of the next finer level,
-    /// refluxes, and averages down. `parent` carries the coarser level's
-    /// `(t_old, dt)` for ghost time interpolation.
-    fn advance_level_recursive(&mut self, l: usize, t: f64, dt: f64, parent: Option<(f64, f64)>) {
-        let nstages = self.cfg.time_scheme.stages();
-        let has_finer = l + 1 < self.hierarchy.nlevels();
-        if has_finer {
-            self.save_old(l);
-            self.subcycle[l].register.reset();
-            self.subcycle[l].zero_coarse_bufs();
-        }
-        if l > 0 {
-            self.subcycle[l - 1].zero_fine_bufs();
-        }
-        for stage in 0..nstages {
-            let w = self.cfg.time_scheme.net_flux_weight(stage);
-            let t_fill = t + self.cfg.time_scheme.stage_time_fraction(stage) * dt;
-            let alpha = parent.map(|(pt, pdt)| (t_fill - pt) / pdt);
-            let sub = crate::subcycle::SubCtx { t, alpha };
-            if self.cfg.overlap {
-                self.fill_and_advance_overlap(l, stage, dt, Some(&sub));
-            } else {
-                self.fill_level_sub(l, Some(&sub));
-                self.record_level_fluxes(l, w);
-                self.advance_level(l, stage, dt);
-            }
-            if self.cfg.nan_poison {
-                let lev = &self.levels[l];
-                fabcheck::check_for_nan(&lev.state, &format!("sub RK stage {stage} state L{l}"));
-                fabcheck::check_for_nan(&lev.du, &format!("sub RK stage {stage} dU L{l}"));
-            }
-        }
-        let mut n = 0u64;
-        for i in 0..self.levels[l].state.nfabs() {
-            n += self.levels[l].state.valid_box(i).num_points();
-        }
-        self.cell_updates += n;
-        if has_finer {
-            self.subcycle[l].fold_coarse();
-        }
-        if l > 0 {
-            let (_, pdt) = parent.unwrap();
-            self.subcycle[l - 1].fold_fine(dt / pdt);
-        }
-        if has_finer {
-            let fdt = 0.5 * dt;
-            for i in 0..2 {
-                self.advance_level_recursive(l + 1, t + i as f64 * fdt, fdt, Some((t, dt)));
-            }
-            let t0 = std::time::Instant::now();
-            {
-                let reg = &self.subcycle[l].register;
-                let LevelData { state, metrics, .. } = &mut self.levels[l];
-                reg.reflux(state, metrics, crate::metrics::comp::JAC, dt);
-            }
-            self.profiler.add("Reflux", t0.elapsed().as_secs_f64());
-            let t0 = std::time::Instant::now();
-            {
-                let (lo, hi) = self.levels.split_at_mut(l + 1);
-                crocco_amr::average_down::average_down(
-                    &hi[0].state,
-                    &mut lo[l].state,
-                    IntVect::splat(2),
-                );
-            }
-            self.profiler
-                .add("AverageDown", t0.elapsed().as_secs_f64());
-        }
-    }
-
-    /// Runs the numerics kernels for one level and applies the low-storage
-    /// update: `dU ← A·dU + dt·L(U)`, `U ← U + B·dU`.
-    fn advance_level(&mut self, l: usize, stage: usize, dt: f64) {
-        let t0 = std::time::Instant::now();
-        let gas = self.gas;
-        let weno = self.cfg.weno;
-        let recon = self.cfg.reconstruction;
-        let les = self.cfg.les;
-        let reference = self.cfg.version.reference_kernels();
-        let backend = self.cfg.kernel_backend;
-        let tile = self.cfg.tile_size;
-        let threads = self.cfg.threads;
-        let a = self.cfg.time_scheme.a(stage);
-        let b = self.cfg.time_scheme.b(stage);
-        let poison = self.cfg.nan_poison;
-        let LevelData {
-            state,
-            du,
-            metrics,
-            rhs,
-            ..
-        } = &mut self.levels[l];
-        let ba = state.boxarray().clone();
-        state.assert_ghosts_fresh("advance_level RK stage kernels");
-        // RHS per patch, in parallel, into the level's persistent scratch:
-        // each worker owns one rhs fab (zeroed in place, never reallocated).
-        {
-            let state = &*state;
-            parallel_for_each_mut(rhs, threads, |i, rhs| {
-                rhs.fill(0.0);
-                accumulate_rhs(
-                    state.fab(i),
-                    metrics.fab(i),
-                    rhs,
-                    ba.get(i),
-                    &gas,
-                    weno,
-                    recon,
-                    les.as_ref(),
-                    reference,
-                    backend,
-                    tile,
-                );
-            });
-        }
-        // Low-storage update, walking dU and U in lockstep per patch.
-        let rhs = &*rhs;
-        parallel_zip_mut(du.fabs_mut(), state.fabs_mut(), threads, |i, dufab, stfab| {
-            if poison && a == 0.0 {
-                // 0·SNAN is still NaN: a poisoned dU must be dropped
-                // explicitly at the first stage, not multiplied away.
-                dufab.fill(0.0);
-            }
-            dufab.lincomb(a, dt, &rhs[i]);
-            stfab.lincomb(1.0, b, dufab);
-        });
-        self.profiler.add("Advance", t0.elapsed().as_secs_f64());
-    }
-
-    /// The task-graph execution of one level's RK stage (DESIGN.md §4e):
-    /// halo plans are *resolved* (through the shared plan cache) instead of
-    /// executed, and [`run_rk_stage`] schedules the per-patch halo copies,
-    /// interior sweeps, boundary-band sweeps, and low-storage updates as a
-    /// dependency DAG — interior work overlaps with ghost exchange, and only
-    /// patch-boundary tasks fence on their neighbours.
-    ///
-    /// Results are bitwise-identical to `fill_level` + `advance_level`
-    /// (`tests/overlap_invariance.rs`); only the inter-patch schedule
-    /// changes. Plan resolution and communication accounting stay in the
-    /// "FillPatch" profiler region; on cache hits that region is nearly
-    /// empty because the halo data motion itself now runs inside "Advance",
-    /// hidden behind the interior sweeps.
-    fn fill_and_advance_overlap(
-        &mut self,
-        l: usize,
-        stage: usize,
-        dt: f64,
-        sub: Option<&crate::subcycle::SubCtx>,
-    ) {
-        let t0 = std::time::Instant::now();
-        let gas = self.gas;
-        let weno = self.cfg.weno;
-        let recon = self.cfg.reconstruction;
-        let les = self.cfg.les;
-        let reference = self.cfg.version.reference_kernels();
-        let backend = self.cfg.kernel_backend;
-        let tile = self.cfg.tile_size;
-        let a = self.cfg.time_scheme.a(stage);
-        let b = self.cfg.time_scheme.b(stage);
-        let poison = self.cfg.nan_poison;
-        let time = sub.map_or(self.time, |s| s.t);
-        let w = self.cfg.time_scheme.net_flux_weight(stage);
-        // Interface-flux recording (subcycled steps only): `rec_coarse` is
-        // this level's role as the coarse side of the pair above it,
-        // `rec_fine` its role as the fine side of the pair below.
-        let rec_coarse = (sub.is_some() && l < self.subcycle.len()).then(|| &self.subcycle[l]);
-        let rec_fine = (sub.is_some() && l > 0 && !self.subcycle.is_empty())
-            .then(|| &self.subcycle[l - 1]);
-        let ratio = IntVect::splat(2);
-        let domain = self.hierarchy.domain(l);
-        let bc = PhysicalBc::new(self.cfg.problem, self.gas, self.level_extents(l));
-        let coarse_ctx = (l > 0).then(|| {
-            (
-                self.hierarchy.domain(l - 1),
-                PhysicalBc::new(self.cfg.problem, self.gas, self.level_extents(l - 1)),
-            )
-        });
-        // The overlap path always resolves through the hierarchy cache: the
-        // graph needs the plan as a *data structure* (its chunks become halo
-        // tasks), and the keys match the barrier path's, so both share
-        // entries.
-        let cache = self.hierarchy.plan_cache().clone();
-        let interp = &*self.interp;
-
-        let (lo_levels, hi_levels) = self.levels.split_at_mut(l);
-        let fine = &mut hi_levels[0];
-        let fb = cache.fill_boundary(
-            fine.state.boxarray(),
-            fine.state.distribution(),
-            &domain,
-            fine.state.nghost(),
-            fine.state.ncomp(),
-        );
-        let two: Option<(TwoLevelPlans, &LevelData, ProblemDomain, PhysicalBc)> =
-            coarse_ctx.map(|(coarse_domain, coarse_bc)| {
-                let coarse = &lo_levels[l - 1];
-                let plans = resolve_two_level_plans(
-                    &fine.state,
-                    &coarse.state,
-                    &domain,
-                    &coarse_domain,
-                    ratio,
-                    interp,
-                    Some(&coarse.coords),
-                    Some(&fine.coords),
-                    Some(cache.as_ref()),
-                );
-                (plans, coarse, coarse_domain, coarse_bc)
-            });
-        self.comm.absorb_plan(&fb.stats, PlanKind::FillBoundary);
-        if let Some((plans, ..)) = &two {
-            self.comm
-                .absorb_plan(&plans.state.state_plan().stats, PlanKind::ParallelCopy);
-            if let Some(cg) = &plans.coords {
-                self.comm
-                    .absorb_plan(&cg.coord_plan().stats, PlanKind::CoordCopy);
-            }
-        }
-        self.profiler.add("FillPatch", t0.elapsed().as_secs_f64());
-
-        let t1 = std::time::Instant::now();
-        let LevelData {
-            state,
-            du,
-            coords,
-            metrics,
-            rhs,
-            ..
-        } = fine;
-        let ba = state.boxarray().clone();
-        let coords = &*coords;
-        let metrics = &*metrics;
-        let interpolated = AtomicU64::new(0);
-
-        // Coarse-fine ghosts for patch `i` (no-op on the base level). Same
-        // gather + coarse-BC + interpolate sequence as the barrier path,
-        // through the same resolved plans. Subcycled substeps blend the
-        // coarse parent's old/new states at the substep's fill time.
-        let ti: Option<CoarseTimeInterp<'_>> = match (&two, sub.and_then(|s| s.alpha)) {
-            (Some((_, coarse, _, _)), Some(alpha)) => Some(CoarseTimeInterp {
-                old: coarse
-                    .state_old
-                    .as_ref()
-                    .expect("subcycling saved the coarse old state before its substeps"),
-                alpha,
-                remote_old: None,
-            }),
-            _ => None,
-        };
-        // The blend above reads the coarse *old* state below the instrumented
-        // views, so declare those reads on each halo task's footprint (and
-        // record them for the dynamic detector): per fine patch, the gather
-        // chunks it consumes, at their source regions in the old fab (fab id
-        // = data base pointer, the executor's id convention). `alpha == 1.0`
-        // skips the old-state gather entirely, so there is nothing to
-        // declare.
-        let extra_halo: Vec<Vec<(u64, IndexBox)>> = match (&two, &ti) {
-            (Some((plans, ..)), Some(t)) if t.alpha != 1.0 => {
-                let mut per_patch = vec![Vec::new(); state.nfabs()];
-                for c in &plans.state.state_plan().plan.chunks {
-                    let id = t.old.fab(c.src_id).data().as_ptr() as usize as u64;
-                    per_patch[c.dst_id].push((id, c.region.shift(-c.shift)));
-                }
-                per_patch
-            }
-            _ => Vec::new(),
-        };
-        let pre_halo = |i: usize, rw: &mut FabRw<'_>| {
-            if let Some((plans, coarse, coarse_domain, coarse_bc)) = &two {
-                let cells = fill_two_level_patch(
-                    i,
-                    rw,
-                    plans,
-                    &coarse.state,
-                    Some(&coarse.coords),
-                    Some(coords.fab(i)),
-                    coarse_domain,
-                    ratio,
-                    interp,
-                    coarse_bc,
-                    time,
-                    ti,
-                );
-                interpolated.fetch_add(cells, Ordering::Relaxed);
-            }
-        };
-        let bc_fill = |i: usize, rw: &mut FabRw<'_>| {
-            bc.fill_view(rw, ba.get(i), &domain, time);
-        };
-        let sweep = |i: usize, u: FabRd<'_>, phase: SweepPhase, rhs: &mut FArrayBox| {
-            let valid = ba.get(i);
-            let met = metrics.fab(i);
-            let interior = valid.grow(-NGHOST);
-            match phase {
-                SweepPhase::Interior => {
-                    rhs.fill(0.0);
-                    if !interior.is_empty() {
-                        accumulate_rhs(
-                            &u, met, rhs, interior, &gas, weno, recon, les.as_ref(), reference,
-                            backend, tile,
-                        );
-                    }
-                }
-                SweepPhase::BoundaryBand => {
-                    for slab in band_slabs(valid, interior) {
-                        accumulate_rhs(
-                            &u, met, rhs, slab, &gas, weno, recon, les.as_ref(), reference,
-                            backend, tile,
-                        );
-                    }
-                    // Subcycled interface-flux recording: the boundary-band
-                    // task is the one point in the graph where this patch's
-                    // ghosts are filled and its state is still at the stage's
-                    // input time. One task per patch per stage, so the lock
-                    // is uncontended and the per-face accumulation order is
-                    // the same as the barrier path's.
-                    if let Some(reg) = rec_coarse {
-                        if !reg.coarse_faces[i].is_empty() {
-                            let mut buf = reg.coarse_buf[i].lock().unwrap();
-                            crate::subcycle::record_faces(
-                                &u,
-                                met,
-                                &reg.coarse_faces[i],
-                                w,
-                                &mut buf,
-                                &gas,
-                                weno,
-                                recon,
-                            );
-                        }
-                    }
-                    if let Some(reg) = rec_fine {
-                        if !reg.fine_faces[i].is_empty() {
-                            let mut buf = reg.fine_buf[i].lock().unwrap();
-                            crate::subcycle::record_faces(
-                                &u,
-                                met,
-                                &reg.fine_faces[i],
-                                w,
-                                &mut buf,
-                                &gas,
-                                weno,
-                                recon,
-                            );
-                        }
-                    }
-                }
-            }
-        };
-        let update = |_i: usize, dufab: &mut FArrayBox, stfab: &mut FArrayBox, rhs: &FArrayBox| {
-            if poison && a == 0.0 {
-                // 0·SNAN is still NaN: a poisoned dU must be dropped
-                // explicitly at the first stage, not multiplied away.
-                dufab.fill(0.0);
-            }
-            dufab.lincomb(a, dt, rhs);
-            stfab.lincomb(1.0, b, dufab);
-        };
-        // The stage graph's *skeleton* (chunk ranges + reader edges) is a
-        // pure function of the cached plan, so memoize it next to the plan
-        // (same identity-token key, `Aux` namespace) and re-bind only the RK
-        // coefficients per stage. Invalidated with the rest of the cache at
-        // regrid (DESIGN.md §4f).
-        let skel = cache.get_or_build_aux(
-            PlanKey {
-                op: PlanOp::Aux(AUX_STAGE_SKELETON),
-                ..PlanKey::fill_boundary(
-                    state.boxarray(),
-                    state.distribution(),
-                    &domain,
-                    state.nghost(),
-                    state.ncomp(),
-                )
-            },
-            || StageSkeleton::build(&fb, state.nfabs()),
-        );
-        // Static schedule verification (DESIGN.md §4i): prove every
-        // conflicting task pair of the skeleton ordered, once per (grids,
-        // plan) generation — memoized beside the skeleton, so steady-state
-        // stages pay one cache hit.
-        if self.cfg.taskcheck {
-            let report = cache.get_or_build_aux(
-                PlanKey {
-                    op: PlanOp::Aux(AUX_STAGE_VERIFY),
-                    ..PlanKey::fill_boundary(
-                        state.boxarray(),
-                        state.distribution(),
-                        &domain,
-                        state.nghost(),
-                        state.ncomp(),
-                    )
-                },
-                || {
-                    let valid: Vec<IndexBox> =
-                        (0..state.nfabs()).map(|i| ba.get(i)).collect();
-                    crocco_fab::verify_stage(&fb, &skel, &valid, state.nghost())
-                },
-            );
-            report.assert_clean("on-node RK stage skeleton");
-        }
-        let sched = self.cfg.schedule();
-        run_rk_stage_with_skeleton(
-            StageFabs { state, du, rhs },
-            &fb,
-            &skel,
-            sched,
-            &extra_halo,
-            &pre_halo,
-            &bc_fill,
-            &sweep,
-            &update,
-        );
-        self.comm.interpolated_cells += interpolated.load(Ordering::Relaxed);
-        self.profiler.add("Advance", t1.elapsed().as_secs_f64());
-    }
-
     /// Total integral of conserved component `comp` over the physical domain
-    /// at the coarsest level (∫ U dV = Σ U·J): the conservation monitor.
+    /// at the coarsest level (∫ U dV = Σ U·J): the conservation monitor (on
+    /// a multi-rank simulation: this rank's patches' share of it).
     /// Accumulates flat rows per patch (not per-point `get`), patches in
     /// parallel; the per-patch partials are reduced serially so the result
     /// does not depend on thread count.
@@ -1481,6 +693,9 @@ impl Simulation {
         let jac = crate::metrics::comp::JAC;
         let mut partials = vec![0.0f64; lev.state.nfabs()];
         parallel_for_each_mut(&mut partials, self.cfg.threads, |i, acc| {
+            if !lev.state.is_allocated(i) {
+                return;
+            }
             let valid = lev.state.valid_box(i);
             let (lo, hi) = (valid.lo(), valid.hi());
             let len = (hi[0] - lo[0] + 1) as usize;
@@ -1510,9 +725,9 @@ impl Simulation {
 /// Accumulates the stage RHS `L(U)` over `region` of one patch: the three
 /// directional WENO fluxes (optimized or reference kernels per the code
 /// version) then the viscous/LES flux, in the fixed per-cell operation order
-/// every execution path shares — the barrier path passes the whole valid box,
-/// the task-graph path the interior box and the boundary-band slabs, and a
-/// configured `tile` shape further partitions whichever region arrives.
+/// every schedule shares — a patch swept whole passes its valid box, a split
+/// patch the interior box and the boundary-band slabs, and a configured
+/// `tile` shape further partitions whichever region arrives.
 /// Because every valid cell lies in exactly one such (sub)region the
 /// partition is bitwise-irrelevant.
 ///
@@ -1552,9 +767,9 @@ pub(crate) fn accumulate_rhs(
 /// Enumerates the valid-region gather chunks filling `dst_bx` from `src_ba`
 /// (periodic-aware): `(src_id, region-in-dst-space, shift)` triples in a
 /// deterministic order — a pure function of replicated metadata, so every
-/// rank enumerates the identical list. The remap path executes these as
-/// local copies; the distributed regrid turns the rank-crossing ones into
-/// `CopyChunk` sends keyed by position in this list.
+/// rank enumerates the identical list. The regrid remap copies the local
+/// ones and turns the rank-crossing ones into `CopyChunk` sends keyed by
+/// position in this list.
 pub(crate) fn gather_valid_chunks(
     src_ba: &BoxArray,
     dst_bx: IndexBox,
@@ -1688,18 +903,33 @@ mod tests {
         assert!(((mp - ma) / mp).abs() < 1e-6, "mass {mp} vs {ma}");
     }
 
-    #[test]
-    fn comm_totals_accumulate() {
+    /// Communication totals after two steps on a 4-rank cluster. Plan
+    /// metadata is replicated, so every rank accounts the global plans'
+    /// messages (rank 0's are returned); interpolated cells are counted
+    /// where they are produced and are summed over the ranks.
+    fn comm_after_two_steps(version: CodeVersion) -> CommTotals {
         let cfg = SolverConfig::builder()
             .problem(ProblemKind::SodX)
             .extents(64, 4, 4)
-            .version(CodeVersion::V2_0)
+            .version(version)
             .max_levels(2)
             .nranks(4)
             .build();
-        let mut sim = Simulation::new(cfg);
-        sim.advance_steps(2);
-        let c = sim.comm;
+        let per_rank = crocco_runtime::LocalCluster::run(4, |ep| {
+            let mut sim = Simulation::new_owned(cfg.clone(), &GroupEndpoint::full(&ep))
+                .expect("fault-free construction");
+            sim.advance_steps_cluster(2, &ep);
+            sim.comm
+        });
+        CommTotals {
+            interpolated_cells: per_rank.iter().map(|c| c.interpolated_cells).sum(),
+            ..per_rank[0]
+        }
+    }
+
+    #[test]
+    fn comm_totals_accumulate() {
+        let c = comm_after_two_steps(CodeVersion::V2_0);
         assert!(c.reductions >= 2);
         assert!(c.interpolated_cells > 0, "two-level fills must interpolate");
         // The curvilinear interpolator must move coordinates.
@@ -1708,17 +938,33 @@ mod tests {
 
     #[test]
     fn trilinear_version_skips_coordinate_copy() {
-        let cfg = SolverConfig::builder()
-            .problem(ProblemKind::SodX)
-            .extents(64, 4, 4)
-            .version(CodeVersion::V2_1)
-            .max_levels(2)
-            .nranks(4)
-            .build();
-        let mut sim = Simulation::new(cfg);
-        sim.advance_steps(2);
-        assert_eq!(sim.comm.coord_pc_bytes, 0);
-        assert_eq!(sim.comm.coord_pc_messages, 0);
+        let c = comm_after_two_steps(CodeVersion::V2_1);
+        assert_eq!(c.coord_pc_bytes, 0);
+        assert_eq!(c.coord_pc_messages, 0);
+    }
+
+    #[test]
+    fn nonfinite_dt_is_a_typed_error_not_a_panic() {
+        let mut sim = Simulation::new(sod_cfg());
+        // NaN momentum everywhere: no cell yields a positive wave-speed sum,
+        // so no cell bounds the step.
+        let state = &mut sim.levels[0].state;
+        for i in 0..state.nfabs() {
+            let fab = state.fab_mut(i);
+            for p in fab.bx().cells() {
+                fab.set(p, cons::MX, f64::NAN);
+            }
+        }
+        let solo = RankEndpoint::solo();
+        let err = sim
+            .try_step_cluster(&GroupEndpoint::full(&solo))
+            .expect_err("a state without a CFL bound");
+        assert!(
+            matches!(err, crocco_runtime::StageError::NonFiniteDt { dt } if dt == f64::INFINITY),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "ComputeDt produced dt=inf");
+        assert_eq!(sim.step_count(), 0, "the failed step must not be counted");
     }
 
     #[test]

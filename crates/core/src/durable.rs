@@ -559,7 +559,7 @@ pub struct RestartInfo {
 }
 
 impl Simulation {
-    /// Coordinated cold restart, owned-data: rebuilds rank `rank` of an
+    /// Coordinated cold restart: rebuilds rank `rank` of a
     /// `cfg.nranks`-rank simulation from the durable spill directory
     /// `dir`. Every rank of the fresh cluster calls this independently
     /// with the same directory — recovery is deterministic (same bytes,
@@ -579,12 +579,10 @@ impl Simulation {
     /// [`Simulation::from_checkpoint_file_owned`] against an injectable
     /// store (the chaos tests recover through a [`FaultyStore`]'s debris).
     pub fn from_checkpoint_store_owned(
-        mut cfg: SolverConfig,
+        cfg: SolverConfig,
         store: &dyn CheckpointStore,
         rank: usize,
     ) -> Result<(Self, RestartInfo), CkptError> {
-        assert!(rank < cfg.nranks, "restart rank out of range");
-        cfg.owned_dist = true;
         let rec = recover(store)?;
         let info = RestartInfo {
             slot: rec.slot,
@@ -592,26 +590,7 @@ impl Simulation {
             fallback: rec.fallback,
         };
         Ok((
-            Simulation::from_checkpoint_impl(cfg, &rec.checkpoint, Some(rank)),
-            info,
-        ))
-    }
-
-    /// Replicated-mode cold restart from the spill directory (the serial /
-    /// oracle counterpart of [`Simulation::from_checkpoint_file_owned`]).
-    pub fn from_checkpoint_file(
-        cfg: SolverConfig,
-        dir: impl AsRef<Path>,
-    ) -> Result<(Self, RestartInfo), CkptError> {
-        let store = DiskStore::new(dir.as_ref())?;
-        let rec = recover(&store)?;
-        let info = RestartInfo {
-            slot: rec.slot,
-            step: rec.checkpoint.step,
-            fallback: rec.fallback,
-        };
-        Ok((
-            Simulation::from_checkpoint_impl(cfg, &rec.checkpoint, None),
+            Simulation::from_checkpoint_owned(cfg, &rec.checkpoint, rank),
             info,
         ))
     }

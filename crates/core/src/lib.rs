@@ -21,7 +21,7 @@
 //! stored curvilinear coordinates + 27-component grid metrics (§III-C).
 
 // Enforced by `cargo xtask lint`: unsafe code is confined to the allowlisted
-// fab modules (multifab, view, overlap) — none of it lives here.
+// fab modules (multifab, view, dist_overlap) — none of it lives here.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

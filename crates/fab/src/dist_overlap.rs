@@ -1,82 +1,101 @@
-//! Rank-crossing RK-stage execution over a [`crocco_runtime::LocalCluster`]
-//! endpoint:
-//! pack/send/receive/unpack halo traffic woven into the per-stage task graph.
+//! The RK-stage executor: one level's fill → sweep → update for the patches
+//! this rank owns, over a [`GroupEndpoint`] of any size.
 //!
-//! The on-node overlap module ([`crate::overlap`]) removes the per-stage
-//! barrier between patches of one address space. This module removes the
-//! *level fence* between ranks: each rank executes only the patches its
+//! Each rank executes only the patches its
 //! [`DistributionMapping`](crate::distribution::DistributionMapping)
-//! assigns to it, halo chunks whose source and
-//! destination live on different ranks travel as tag-matched messages
-//! ([`crocco_runtime::tags::halo`]), and — in overlapped mode — each
-//! boundary sweep becomes ready as soon as *its* remote ghost payloads land,
-//! while interior sweeps of every owned patch run immediately
-//! (DESIGN.md §4f; the paper's §IV-B GPU-aware-MPI overlap at rank scope).
+//! assigns to it; halo chunks whose source and destination live on different
+//! ranks travel as tag-matched messages ([`crocco_runtime::tags::halo`]).
+//! On-node stepping is the same executor over a group of one
+//! ([`crocco_runtime::RankEndpoint::solo`]): every chunk is local, nothing
+//! is sent (DESIGN.md §4e–§4f; the paper's §IV-B GPU-aware-MPI overlap).
 //!
-//! Two executors share one [`DistSkeleton`]:
+//! Two schedules share one [`DistSkeleton`]:
 //!
-//! * **fenced** — post every receive, pack and send every outgoing chunk,
-//!   then run fill → sweep → update as sequential phases, blocking on each
-//!   remote payload in plan order. The distributed analog of the barrier
-//!   path, and the baseline of `ablation_distoverlap`.
-//! * **overlapped** — one [`TaskGraph`] per stage: send tasks and interior
-//!   sweeps start immediately; each receive is an *event* task gated on its
-//!   [`RecvHandle`], pumped by [`GroupEndpoint::pump`]; `halo[i]` depends
-//!   only on patch `i`'s receive events.
+//! * **graph** (`DistStage::overlap`, the default) — one [`TaskGraph`] per
+//!   stage built from the *cached* `FillBoundary` plan:
 //!
-//! Both produce bitwise-identical state to the single-rank executors: every
-//! cell is written by the same arithmetic in the same per-cell order, and
-//! `f64 → le-bytes → f64` round-trips exactly
-//! (`tests/dist_overlap_invariance.rs` proves this end-to-end, across a
-//! regrid, at 1/2/4 ranks).
+//!   ```text
+//!     send[c]     = pack chunk c → send                (no dependencies)
+//!     recv[c]     = event: chunk c's payload landed    (pumped by GroupEndpoint::pump)
+//!     halo[i]     = pre_halo(i) → chunks into i → bc_fill(i)   after recv[c] into i
+//!     sweep[i]    = sweep(i, Whole)                    after halo[i]
+//!     update[i]   = update(i)    after sweep[i], halo[j] for every local j whose
+//!                                chunks read i, and send[c] for every c packing out of i
+//!   ```
+//!
+//!   A patch that waits on a receive ([`DistSkeleton::is_split`]) replaces
+//!   `sweep[i]` by `interior[i]` (no dependencies) and `boundary[i]` (after
+//!   `halo[i]` and `interior[i]`), so its ghost-independent core overlaps
+//!   with the wire. Only patch-boundary tasks fence; there is no per-stage
+//!   barrier.
+//! * **fenced** — the *reference* schedule every invariance suite compares
+//!   the graph against (as the scalar backend is for kernels): post every
+//!   receive, pack and send every outgoing chunk, then run fill → whole
+//!   sweep → update as sequential loops, blocking on each remote payload in
+//!   plan order.
+//!
+//! Both produce bitwise-identical state at any rank count: every cell is
+//! written by the same arithmetic in the same per-cell order, and
+//! `f64 → le-bytes → f64` round-trips exactly (`tests/overlap_invariance.rs`
+//! on one rank, `tests/owned_dist_invariance.rs` and
+//! `tests/dist_overlap_invariance.rs` across a regrid at 1/2/4 ranks).
 //!
 //! # Ownership contract
 //!
 //! Callers keep *metadata* replicated — every rank holds identical
 //! `BoxArray`s, `DistributionMapping`s, and cached plans — but data is
-//! **owned**: an owned MultiFab ([`MultiFab::new_owned`]) allocates storage
+//! **owned**: an owned MultiFab ([`crate::MultiFab::new_owned`]) allocates storage
 //! only for the patches this rank's mapping entry assigns to it, and both
-//! executors dereference exactly the owned patches (local chunks have an
+//! schedules dereference exactly the owned patches (local chunks have an
 //! owned source and destination; remote payloads unpack into owned ghosts),
 //! so the non-owned [`crate::fab::FArrayBox::unallocated`] placeholders are
 //! never touched. Cross-rank motion outside the stage graphs (FillPatch
 //! coarse gathers, regrid redistribution, checkpoint assembly) goes through
-//! [`crate::owned`]. The legacy replicated mode — every rank holding full
-//! data and [`allgather_fabs`] restoring replication after each stage —
-//! survives as the *test-only oracle* the owned path is proven
-//! bitwise-identical against (`tests/owned_dist_invariance.rs`).
+//! [`crate::owned`].
 //!
 //! # Safety argument
 //!
-//! The overlapped graph extends the [`crate::overlap`] argument with three
-//! new access kinds, all ordered by dependency edges:
+//! All concurrent access goes through raw views ([`FabRd`]/[`FabRw`],
+//! `copy_chunk_raw`) so no `&`/`&mut FArrayBox` is materialized while
+//! another task touches the same fab. Disjointness of *unordered* tasks:
 //!
-//! * `send[k]` *reads* valid cells of its source patch; `update[i]`
+//! * two halo tasks write different patches' ghost shells and read only
+//!   valid cells of source patches (a `FillBoundary` plan invariant, proven
+//!   per-execution under `fabcheck`); coarse-fine interpolation in
+//!   `pre_halo` writes only regions of patch `i` uncovered by fine data;
+//! * `interior[i]` reads only patch `i`'s valid cells (the sweep region is
+//!   shrunk by the ghost width so the widest stencil stays inside valid
+//!   data) and writes only `rhs[i]`, which no other task touches until
+//!   `boundary[i]`; `sweep[i]` is ordered after `halo[i]` outright;
+//! * `send[c]` *reads* valid cells of its source patch; `update[i]`
 //!   (the only writer of valid cells of `i`) depends on every send reading
 //!   `i` (`send_readers`), so the read completes first;
 //! * receive events touch no fab at all — the payload parks in the
 //!   [`RecvHandle`] until `halo[i]` (their dependent) unpacks it into ghost
 //!   cells of `i`;
-//! * non-owned patches are never dereferenced at all in owned mode (every
-//!   chunk with a non-owned source is received off the wire instead); in
-//!   the replicated oracle mode they are read-only for the whole stage
-//!   (halo copies and packs read their valid cells; nothing writes them
-//!   until the post-stage [`allgather_fabs`], which runs after the graph
-//!   joins).
+//! * `update[i]` is, by its dependency set, the *last* task to touch patch
+//!   `i`'s state, `du` and `rhs` fabs, so it may safely materialize
+//!   `&mut FArrayBox` for the per-patch arithmetic;
+//! * non-owned patches are never dereferenced at all (every chunk with a
+//!   non-owned source is received off the wire instead).
+//!
+//! Every dependency edge is a happens-before edge (the executor's ready
+//! queue hands tasks over under a mutex), so ordered accesses never race.
+//! [`crate::taskcheck`] derives the same graph as a checkable spec and
+//! proves the argument per (grids, plan).
 
 // Allowlisted unsafe surface of the workspace (`cargo xtask lint`): raw
 // views let graph tasks touch disjoint fab regions concurrently.
 #![allow(unsafe_code)]
 
 use crate::fab::FArrayBox;
-use crate::multifab::{copy_chunk_raw, MultiFab, RawFab};
+use crate::multifab::{copy_chunk_raw, RawFab};
 use crate::overlap::{StageFabs, SweepPhase};
 use crate::plan::{CopyChunk, CopyPlan};
 use crate::plan_cache::CachedPlan;
 use crate::taskcheck::{dist_rank_schedule, FabIds};
 use crate::view::{FabRd, FabRw};
 use bytes::Bytes;
-use crocco_runtime::cluster::CommError;
 use crocco_runtime::taskcheck::record_access;
 use crocco_runtime::{tags, GroupEndpoint, RecvHandle, Schedule, StageError, TaskGraph};
 
@@ -104,8 +123,7 @@ pub struct DistSkeleton {
     /// patches.
     pub recvs: Vec<Vec<usize>>,
     /// Per source patch `i`: owned destination patches whose halo task
-    /// copies out of `i` locally — update fences, as in
-    /// [`crate::overlap::StageSkeleton`].
+    /// copies out of `i` locally (deduplicated) — the local update fences.
     pub readers: Vec<Vec<usize>>,
     /// Per source patch `i`: positions in [`Self::sends`] that pack out of
     /// `i` — the rank-crossing update fences.
@@ -160,6 +178,15 @@ impl DistSkeleton {
     /// Number of remote chunks this rank receives per stage.
     pub fn nrecv_chunks(&self) -> usize {
         self.recvs.iter().map(Vec::len).sum()
+    }
+
+    /// `true` when the graph schedule sweeps owned patch `i` as an interior +
+    /// boundary-band pair: its halo task waits on at least one receive, so
+    /// there is remote latency for the interior sweep to hide. Every other
+    /// patch — all of them on a group of one — is swept whole
+    /// ([`SweepPhase`]).
+    pub fn is_split(&self, i: usize) -> bool {
+        !self.recvs[i].is_empty()
     }
 }
 
@@ -242,97 +269,43 @@ unsafe fn unpack_chunk_raw(dst: &RawFab, chunk: &CopyChunk, ncomp: usize, payloa
     }
 }
 
-/// Serializes a fab's full (valid + ghost) box: the raw `f64` slice as
-/// little-endian bytes. Inverse of [`unpack_fab`].
-fn pack_fab(fab: &FArrayBox) -> Bytes {
-    let data = fab.data();
-    let mut out = Vec::with_capacity(data.len() * 8);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    Bytes::from(out)
-}
-
-/// Overwrites a fab's full box from a [`pack_fab`] payload.
-fn unpack_fab(fab: &mut FArrayBox, payload: &[u8]) {
-    let data = fab.data_mut();
-    assert_eq!(
-        payload.len(),
-        data.len() * 8,
-        "gathered fab payload size mismatch"
-    );
-    for (v, w) in data.iter_mut().zip(payload.chunks_exact(8)) {
-        *v = f64::from_le_bytes(w.try_into().unwrap());
-    }
-}
-
-/// Restores full replication of `mf` after a stage: each fab's owner sends
-/// its complete (valid + ghost) box to every other rank of the group;
-/// non-owners overwrite their stale copy. Bitwise-exact (`f64` ↔ le-bytes),
-/// so after this call all group members hold identical `MultiFab`s again. A
-/// no-op on a single-rank group. Ranks are *logical* group ranks; a
-/// detected fault (dead member, starved receive) aborts the gather.
+/// Executes one RK stage over a level for this rank, under the graph or the
+/// fenced reference schedule per `st.overlap`.
 ///
-/// **Test-only oracle.** Since the owned-data conversion, the production
-/// step loop never calls this — steady-state stepping allocates O(owned
-/// cells) per rank and moves only plan chunks ([`crate::owned`]). The
-/// replicated mode (and this gather) is retained solely as the reference
-/// the owned path is proven bitwise-identical against
-/// (`tests/owned_dist_invariance.rs`); it requires fully-allocated
-/// MultiFabs and panics on owned ones.
-pub fn allgather_fabs(
-    mf: &mut MultiFab,
-    ep: &GroupEndpoint<'_>,
-    level: usize,
-    epoch: u64,
-) -> Result<(), CommError> {
-    let nranks = ep.nranks();
-    if nranks == 1 {
-        return Ok(());
-    }
-    let rank = ep.rank();
-    let owners: Vec<usize> = mf.distribution().owners().to_vec();
-    // All sends first: with every rank following the same discipline, the
-    // blocking receive loop below always has matching traffic in flight.
-    for (i, &owner) in owners.iter().enumerate() {
-        if owner == rank {
-            let payload = pack_fab(mf.fab(i));
-            for dst in (0..nranks).filter(|&d| d != rank) {
-                ep.send(dst, tags::gather(epoch, level, i), payload.clone());
-            }
-        }
-    }
-    for (i, &owner) in owners.iter().enumerate() {
-        if owner != rank {
-            let payload = ep.recv_matched(owner, tags::gather(epoch, level, i))?;
-            unpack_fab(mf.fab_mut(i), &payload);
-        }
-    }
-    Ok(())
-}
-
-/// Executes one distributed RK stage for this rank: the rank-crossing
-/// counterpart of [`crate::overlap::run_rk_stage_with_skeleton`], fenced or
-/// overlapped per `st.overlap`.
+/// `fb` is the level's cached `FillBoundary` plan (resolved, not executed);
+/// its chunks become the halo copies, sends and receives, and its `src_id`s
+/// the update fences. The caller supplies the physics through four
+/// closures, invoked only for patches `skel` assigns to this rank:
 ///
-/// The four physics closures have the same contracts as on the on-node
-/// path, and are invoked only for patches `skel` assigns to this rank.
-/// `fabs` must be fully replicated on entry (see the module docs); on exit
-/// only owned patches' valid cells and `du` are current — run
-/// [`allgather_fabs`] before the next stage.
+/// * `pre_halo(i, rw)` — coarse-fine FillPatch work for patch `i` (gather +
+///   coarse BC + interpolation), writing only uncovered ghost regions of
+///   `i`; a no-op on the base level.
+/// * `bc_fill(i, rw)` — physical boundary conditions for patch `i`, writing
+///   only outside-domain ghost cells of `i`.
+/// * `sweep(i, u, phase, rhs)` — RHS accumulation over the phase's region
+///   of patch `i` ([`SweepPhase`]), reading `u` (this patch only) and
+///   writing `rhs`.
+/// * `update(i, du, state, rhs)` — the per-patch low-storage update,
+///   writing only valid cells of `state`.
+///
+/// On exit the owned patches' valid cells and `du` are current; ghosts are
+/// stale.
 ///
 /// A detected fault — dead group member, starved receive, or a panicking
 /// kernel task — returns a typed [`StageError`] instead of hanging peers;
 /// partially-written fabs are then meaningless and the caller must roll
 /// back to a checkpoint (DESIGN.md §4g).
 ///
-/// `extra_halo` carries per-patch read-only `(fab id, region)` declarations
-/// for the halo tasks, exactly as on
-/// [`crate::overlap::run_rk_stage_with_skeleton`]: the subcycled two-level
-/// fill passes the *locally read* coarse old-state gather regions (remote
-/// chunks arrive as pre-exchanged payloads and touch no fab). Footprints
-/// only exist on the overlapped executor; the fenced path runs no graph and
-/// ignores the declarations.
+/// `extra_halo` declares per-patch read-only `(fab id, region)` pairs the
+/// `pre_halo` closure touches beyond the same-level exchange — on subcycled
+/// substeps, the *locally read* coarse old-state regions the
+/// time-interpolated FillPatch blends (docs/ARCHITECTURE.md §Subcycling;
+/// remote chunks arrive as pre-exchanged payloads and touch no fab). Each
+/// pair is added to that patch's halo-task footprint and recorded for the
+/// dynamic detector, so the declared schedule stays honest about every fab
+/// the stage reads. Pass `&[]` when there is nothing extra; otherwise one
+/// entry per patch. Footprints only exist on the graph schedule; the fenced
+/// one ignores the declarations.
 #[allow(clippy::too_many_arguments)]
 pub fn run_dist_rk_stage(
     fabs: StageFabs<'_>,
@@ -354,6 +327,7 @@ pub fn run_dist_rk_stage(
         extra_halo.is_empty() || extra_halo.len() == n,
         "extra halo reads must cover every patch or none"
     );
+    // Under `fabcheck`, prove the halo plan alias-free before running it.
     fabs.state.check_plan_gated(&fb.plan, true);
     if st.overlap {
         run_overlapped(
@@ -364,9 +338,9 @@ pub fn run_dist_rk_stage(
     }
 }
 
-/// The fenced executor: post receives, send everything, then run the four
-/// phases as strict sequential loops over owned patches, blocking on each
-/// remote payload as the fill loop reaches its chunk.
+/// The fenced reference schedule: post receives, send everything, then run
+/// fill, sweep and update as strict sequential loops over owned patches,
+/// blocking on each remote payload as the fill loop reaches its chunk.
 #[allow(clippy::too_many_arguments)]
 fn run_fenced(
     fabs: StageFabs<'_>,
@@ -383,7 +357,7 @@ fn run_fenced(
     let n = fabs.state.nfabs();
 
     // One raw view per patch, every later access derived from the slice
-    // base pointer (same provenance discipline as the overlapped executor).
+    // base pointer (same provenance discipline as the graph schedule).
     // The whole function is sequential, so the views never race; they exist
     // so local chunk copies may read one patch while writing another.
     let state_base = fabs.state.fabs_mut().as_mut_ptr();
@@ -440,14 +414,11 @@ fn run_fenced(
     }
 
     // Sweep and update phases — plain sequential loops over owned patches.
+    // Every ghost is filled, so no patch has anything to hide: sweep whole.
     for &i in &skel.owned {
         // SAFETY: read-only view; nothing mutates the patch in this phase.
         let u = unsafe { FabRd::from_raw(state_raw[i]) };
-        let rhs_i = &mut fabs.rhs[i];
-        sweep(i, u, SweepPhase::Interior, rhs_i);
-        // SAFETY: as above.
-        let u = unsafe { FabRd::from_raw(state_raw[i]) };
-        sweep(i, u, SweepPhase::BoundaryBand, rhs_i);
+        sweep(i, u, SweepPhase::Whole, &mut fabs.rhs[i]);
     }
     let du_base = fabs.du.fabs_mut().as_mut_ptr();
     for &i in &skel.owned {
@@ -489,14 +460,17 @@ unsafe impl Send for BasePtr {}
 unsafe impl Sync for BasePtr {}
 
 impl BasePtr {
+    // Accessor (rather than direct `.0` field access in the task closures):
+    // edition-2021 closures capture disjoint fields, and capturing the bare
+    // `*mut` would bypass the `Send`/`Sync` wrapper.
     #[inline]
     fn get(self) -> *mut FArrayBox {
         self.0
     }
 }
 
-/// The overlapped executor: one task graph per stage, receives as event
-/// tasks pumped by [`GroupEndpoint::pump`].
+/// The graph schedule: one task graph per stage, receives as event tasks
+/// pumped by [`GroupEndpoint::pump`].
 #[allow(clippy::too_many_arguments)]
 fn run_overlapped(
     fabs: StageFabs<'_>,
@@ -513,10 +487,11 @@ fn run_overlapped(
     let ncomp = plan.ncomp;
     let rank = skel.rank;
 
-    // Raw captures, as in `run_rk_stage_with_skeleton`: derive every later
-    // reference from the slice base pointers so no per-capture borrow is
-    // revived. `fabs_mut()` bumps the fabcheck data epoch exactly as the
-    // fenced path does.
+    // Raw captures. Going through the slice base pointer keeps every later
+    // `&mut FArrayBox` an independent derivation from the same provenance
+    // root, so expired per-capture borrows are never revived. `fabs_mut()`
+    // also bumps the fabcheck data epoch: after the stage the ghosts are
+    // (correctly) considered stale, exactly as on the fenced path.
     let state_base = BasePtr(fabs.state.fabs_mut().as_mut_ptr());
     let state_raw: Vec<RawFab> = (0..n)
         // SAFETY: `i < n` indexes the live slice; the `&mut` is temporary
@@ -587,8 +562,10 @@ fn run_overlapped(
         }
     }
 
-    // Per owned patch: halo (gated on its receive events), interior,
-    // boundary, update — the same shape as the on-node graph.
+    // Halo tasks: ghost-shell production for each owned patch, gated on its
+    // receive events — coarse-fine interpolation, then same-level chunks,
+    // then physical BCs (BC corner mirrors may read ghosts the chunks just
+    // wrote).
     let mut halo = vec![None; n];
     for &i in &skel.owned {
         let (s, e) = skel.chunk_range[i];
@@ -646,26 +623,35 @@ fn run_overlapped(
 
     for &i in &skel.owned {
         let halo_i = halo[i].expect("owned patch has a halo task");
-        let fp = rs.spec.footprint(graph.len()).clone();
-        let interior = graph.add_task_with(&[], fp, move || {
-            // SAFETY: read-only view; unordered tasks write only ghost
-            // cells of `i` while the interior sweep reads only valid cells.
-            let u = unsafe { FabRd::from_raw(*state_list.get(i)) };
-            // SAFETY: `rhs[i]` is touched only by the chain
-            // interior → boundary → update, ordered by dependency edges.
-            let rhs_i = unsafe { &mut *rhs_base.get().add(i) };
-            sweep(i, u, SweepPhase::Interior, rhs_i);
-        });
-        let fp = rs.spec.footprint(graph.len()).clone();
-        let boundary = graph.add_task_with(&[halo_i, interior], fp, move || {
-            // SAFETY: as for the interior task; ghost reads are ordered
-            // after `halo[i]` by the dependency edge.
-            let u = unsafe { FabRd::from_raw(*state_list.get(i)) };
-            // SAFETY: see the interior task.
-            let rhs_i = unsafe { &mut *rhs_base.get().add(i) };
-            sweep(i, u, SweepPhase::BoundaryBand, rhs_i);
-        });
-        let mut deps = vec![boundary];
+        // One whole sweep behind the halo task, or — where the halo task
+        // waits on the wire — an interior sweep that starts at once and a
+        // boundary-band sweep behind both.
+        let phases: &[SweepPhase] = if skel.is_split(i) {
+            &[SweepPhase::Interior, SweepPhase::BoundaryBand]
+        } else {
+            &[SweepPhase::Whole]
+        };
+        let mut swept = None;
+        for &phase in phases {
+            let mut deps = Vec::with_capacity(2);
+            if phase != SweepPhase::Interior {
+                deps.push(halo_i);
+            }
+            deps.extend(swept);
+            let fp = rs.spec.footprint(graph.len()).clone();
+            swept = Some(graph.add_task_with(&deps, fp, move || {
+                // SAFETY: read-only view. `Interior` reads only valid cells,
+                // which unordered tasks never write; `Whole` and
+                // `BoundaryBand` also read ghosts, ordered after `halo[i]` by
+                // the dependency edge.
+                let u = unsafe { FabRd::from_raw(*state_list.get(i)) };
+                // SAFETY: `rhs[i]` is touched only by the chain
+                // sweeps → update, ordered by dependency edges.
+                let rhs_i = unsafe { &mut *rhs_base.get().add(i) };
+                sweep(i, u, phase, rhs_i);
+            }));
+        }
+        let mut deps = vec![swept.expect("every patch is swept")];
         deps.extend(
             skel.readers[i]
                 .iter()
@@ -709,6 +695,7 @@ mod tests {
     use super::*;
     use crate::boxarray::BoxArray;
     use crate::distribution::{DistributionMapping, DistributionStrategy};
+    use crate::multifab::MultiFab;
     use crate::overlap::band_slabs;
     use crate::plan_cache::PlanCache;
     use crate::view::FabView;
@@ -805,9 +792,9 @@ mod tests {
         assert_eq!(send_total, remote, "each remote chunk sent once");
     }
 
-    /// Fenced and overlapped distributed stages both reproduce a
+    /// The fenced and the graph schedule both reproduce a
     /// single-address-space reference stage bitwise on a real 2-rank
-    /// cluster. The sweep is a cross-patch stencil, so wrong or missing
+    /// cluster (patches with remote ghosts split, the rest swept whole). The sweep is a cross-patch stencil, so wrong or missing
     /// halo traffic corrupts the comparison.
     #[test]
     fn distributed_stage_matches_local_execution_bitwise() {
@@ -861,6 +848,10 @@ mod tests {
                     let valid = u.bx().grow(-nghost);
                     let interior = valid.grow(-nghost);
                     let regions = match phase {
+                        SweepPhase::Whole => {
+                            rhs.fill(0.0);
+                            vec![valid]
+                        }
                         SweepPhase::Interior => {
                             rhs.fill(0.0);
                             vec![interior]
@@ -904,16 +895,20 @@ mod tests {
                     &update,
                 )
                 .expect("fault-free stage");
-                allgather_fabs(&mut state, &gep, 0, 7).expect("fault-free gather");
                 state
             });
-            for (rank, state) in results.iter().enumerate() {
-                for i in 0..state.nfabs() {
-                    assert_eq!(
-                        state.fab(i).data(),
-                        reference.fab(i).data(),
-                        "overlap={overlap} rank={rank} patch={i} diverged"
-                    );
+            // Each rank updated exactly the patches it owns.
+            for i in 0..reference.nfabs() {
+                let vb = reference.valid_box(i);
+                let (got, want) = (results[dm.owner(i)].fab(i), reference.fab(i));
+                for c in 0..ncomp {
+                    for p in vb.cells() {
+                        assert_eq!(
+                            got.get(p, c).to_bits(),
+                            want.get(p, c).to_bits(),
+                            "overlap={overlap} patch={i} cell {p:?} diverged"
+                        );
+                    }
                 }
             }
         }

@@ -18,9 +18,11 @@
 //!   motion locally and feed the simulated Summit network model,
 //! * [`plan_cache`] — memoized plans (the AMReX `FabArrayBase` cache analog,
 //!   DESIGN.md §4b-bis),
-//! * [`view`] + [`overlap`] — raw per-fab views and the task-graph RK-stage
-//!   executor that overlaps halo exchange with interior kernel sweeps
-//!   (DESIGN.md §4e).
+//! * [`view`] + [`dist_overlap`] — raw per-fab views and the RK-stage
+//!   executor: one task graph per stage that overlaps halo exchange — local
+//!   copies and rank-crossing messages alike — with kernel sweeps
+//!   (DESIGN.md §4e–§4f); [`overlap`] holds the vocabulary it shares with the
+//!   solver's physics closures, [`taskcheck`] proves its schedules.
 //!
 //! Where this crate sits in the paper-subsystem map (the S1–S5 table; the
 //! same table appears in the `runtime` and `amr` roots):
@@ -29,7 +31,7 @@
 //! |---|---|---|
 //! | S1 | MPI job across Summit nodes (§IV-B) | `runtime::sim`, `runtime::cluster`, `runtime::topology` |
 //! | S2 | on-node OpenMP / GPU streams (§IV-B) | `runtime::pool`, `runtime::taskgraph` |
-//! | S3 | AMReX `FabArray` data + comm metadata (§III-A) | **`fab` (`MultiFab`, plans, plan cache, overlap)** |
+//! | S3 | AMReX `FabArray` data + comm metadata (§III-A) | **`fab` (`MultiFab`, plans, plan cache, stage executor)** |
 //! | S4 | AMR hierarchy, regrid, FillPatch (§III-B/C) | `amr` |
 //! | S5 | CRoCCo solver kernels + RK3 driver (§II, §III) | `core` (`crocco-solver`) |
 
@@ -50,18 +52,14 @@ pub mod tiles;
 pub mod view;
 
 pub use boxarray::BoxArray;
-pub use dist_overlap::{allgather_fabs, run_dist_rk_stage, DistSkeleton, DistStage};
+pub use dist_overlap::{run_dist_rk_stage, DistSkeleton, DistStage};
 pub use owned::{exchange_chunks, pack_chunk, redistribute, unpack_chunk_into};
 pub use distribution::{DistributionMapping, DistributionStrategy};
 pub use fab::FArrayBox;
 pub use multifab::MultiFab;
-pub use overlap::{
-    band_slabs, run_rk_stage, run_rk_stage_with_skeleton, StageFabs, StageSkeleton, SweepPhase,
-};
+pub use overlap::{band_slabs, StageFabs, SweepPhase};
 pub use plan::{CopyChunk, CopyPlan};
 pub use plan_cache::{CachedPlan, PlanCache, PlanKey, PlanOp};
-pub use taskcheck::{
-    dist_rank_schedule, stage_spec, verify_dist, verify_stage, FabIds, VerifyReport,
-};
+pub use taskcheck::{dist_rank_schedule, verify_dist, FabIds, VerifyReport};
 pub use tiles::{tile_boxes, tiled_work_list, TileItem, DEFAULT_TILE};
 pub use view::{with_rw, FabRd, FabRw, FabView};

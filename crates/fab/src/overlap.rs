@@ -1,69 +1,33 @@
-//! Barrier-free RK-stage execution: one dependency task graph per stage.
-//!
-//! The barrier path runs four phased loops per stage — halo-plan execution,
-//! boundary-condition fill, kernel sweep, low-storage update — each a hard
-//! fork-join over all patches. This module replaces them with a single
-//! [`TaskGraph`] built from the *cached* communication plan
-//! ([`CachedPlan`], DESIGN.md §4b-bis), so that per-patch halo work overlaps
-//! with interior kernel sweeps (DESIGN.md §4e):
-//!
-//! ```text
-//!   halo[i]     = pre_halo(i) → FillBoundary chunks into i → bc_fill(i)
-//!   interior[i] = sweep(i, Interior)                  (no dependencies)
-//!   boundary[i] = sweep(i, BoundaryBand)              after halo[i], interior[i]
-//!   update[i]   = update(i)    after boundary[i] and halo[j] for every j
-//!                              whose halo chunks *read* patch i
-//! ```
-//!
-//! Only patch-boundary tasks fence; the global per-stage barrier disappears.
-//! The final dependency set — `update[i]` waiting for every halo *reader* of
-//! patch `i` — is derived from the plan's chunk list (`src_id == i`), which
-//! is exactly the information the plan cache memoizes.
-//!
-//! # Safety argument
-//!
-//! All concurrent access goes through raw views ([`FabRd`]/[`FabRw`],
-//! `copy_chunk_raw`) so no `&`/`&mut FArrayBox` is materialized while
-//! another task touches the same fab. Disjointness of *unordered* tasks:
-//!
-//! * two halo tasks write different patches' ghost shells and read only
-//!   valid cells of source patches (a `FillBoundary` plan invariant, proven
-//!   per-execution under `fabcheck`); coarse-fine interpolation in
-//!   `pre_halo` writes only regions of patch `i` uncovered by fine data;
-//! * `interior[i]` reads only patch `i`'s valid cells (the sweep region is
-//!   shrunk by the ghost width so the widest stencil stays inside valid
-//!   data) and writes only `rhs[i]`, which no other task touches until
-//!   `boundary[i]`;
-//! * `update[i]` is, by its dependency set, the *last* task to touch patch
-//!   `i`'s state, `du` and `rhs` fabs, so it may safely materialize
-//!   `&mut FArrayBox` for the exact per-patch arithmetic of the barrier
-//!   path.
-//!
-//! Every dependency edge is a happens-before edge (the executor's ready
-//! queue hands tasks over under a mutex), so ordered accesses never race.
-
-// The raw-view modules are the allowlisted unsafe surface of the workspace
-// (`cargo xtask lint`, DESIGN.md §4d).
-#![allow(unsafe_code)]
+//! The vocabulary the RK-stage executor ([`crate::dist_overlap`]) shares with
+//! the physics closures the solver hands it: which fabs a stage touches
+//! ([`StageFabs`]), which part of a patch one sweep call covers
+//! ([`SweepPhase`]), and the slab decomposition of a patch's boundary band
+//! ([`band_slabs`]).
 
 use crate::fab::FArrayBox;
-use crate::multifab::{copy_chunk_raw, MultiFab, RawFab};
-use crate::plan_cache::CachedPlan;
-use crate::taskcheck::{stage_spec, FabIds};
-use crate::view::{FabRd, FabRw};
+use crate::multifab::MultiFab;
 use crocco_geometry::IndexBox;
-use crocco_runtime::taskcheck::record_access;
-use crocco_runtime::{Schedule, TaskGraph};
 
 /// Which part of a patch a kernel sweep covers.
+///
+/// A patch is swept either in one [`Whole`](SweepPhase::Whole) call or as an
+/// [`Interior`](SweepPhase::Interior) + [`BoundaryBand`](SweepPhase::BoundaryBand)
+/// pair. The split exists to hide *remote* halo latency behind the interior
+/// sweep, and costs recomputed stencil-halo primitives at every slab seam,
+/// so the executor splits exactly the patches whose halo task waits on a
+/// receive and sweeps every other patch whole. Every valid cell lies in
+/// exactly one swept region either way, so the choice is bitwise-invisible.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepPhase {
+    /// The whole valid box in one call, after the patch's halo task. The
+    /// sweep must zero the patch's RHS fab first.
+    Whole,
     /// The ghost-independent core: the valid box shrunk by the ghost width.
     /// Runs with no dependencies. The sweep must also zero the patch's RHS
     /// fab first — the phase always runs, even when the core is empty.
     Interior,
     /// The boundary band (valid minus interior), whose stencils reach into
-    /// ghost cells. Runs after the patch's halo task.
+    /// ghost cells. Runs after the patch's halo task and its interior sweep.
     BoundaryBand,
 }
 
@@ -76,297 +40,6 @@ pub struct StageFabs<'a> {
     pub du: &'a mut MultiFab,
     /// Per-patch RHS scratch, one fab per patch.
     pub rhs: &'a mut [FArrayBox],
-}
-
-/// List of raw fab views shareable across worker threads.
-struct RawList<'a>(&'a [RawFab]);
-// SAFETY: the raw pointers inside are dereferenced only inside graph tasks
-// whose conflicting accesses are ordered by dependency edges (see the
-// module-level safety argument); sending the list to workers cannot itself
-// race.
-unsafe impl Send for RawList<'_> {}
-// SAFETY: shared references expose only `Copy` geometry and raw pointers;
-// all dereferences are governed by the task-graph ordering above.
-unsafe impl Sync for RawList<'_> {}
-
-impl RawList<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> &RawFab {
-        &self.0[i]
-    }
-}
-
-/// Base pointer of a fab slice, shareable across worker threads.
-#[derive(Clone, Copy)]
-struct BasePtr(*mut FArrayBox);
-// SAFETY: the pointer is dereferenced only by `update` tasks, each of which
-// is the unique last task touching its element (module-level argument).
-unsafe impl Send for BasePtr {}
-// SAFETY: as for `Send` — shared copies never race because each element is
-// touched by exactly one ordered task chain.
-unsafe impl Sync for BasePtr {}
-
-impl BasePtr {
-    // Accessor (rather than direct `.0` field access in the task closures):
-    // edition-2021 closures capture disjoint fields, and capturing the bare
-    // `*mut` would bypass the `Send`/`Sync` wrapper.
-    #[inline]
-    fn get(self) -> *mut FArrayBox {
-        self.0
-    }
-}
-
-/// The stage-invariant structure of a level's RK-stage graph: which chunk
-/// range fills each patch's ghosts and which patches read each patch — the
-/// dependency edges. Derived from a [`CachedPlan`] once per (grids, plan)
-/// and memoized in the plan cache (`PlanOp::Aux`), so per-stage graph
-/// construction re-binds only the RK coefficients instead of re-deriving
-/// the topology (ROADMAP "skeleton cache" item, DESIGN.md §4f).
-#[derive(Clone, Debug, Default)]
-pub struct StageSkeleton {
-    /// Per destination patch: the contiguous `[s, e)` chunk range of the
-    /// plan that writes its ghost shell (`(0, 0)` when none).
-    pub chunk_range: Vec<(usize, usize)>,
-    /// Per source patch: deduplicated destination patches whose halo chunks
-    /// read it (the update fences).
-    pub readers: Vec<Vec<usize>>,
-}
-
-impl StageSkeleton {
-    /// Derives the skeleton of `fb` for a level of `npatches` patches.
-    pub fn build(fb: &CachedPlan, npatches: usize) -> Self {
-        let mut chunk_range = vec![(0usize, 0usize); npatches];
-        for &(s, e) in &fb.groups {
-            if s < e {
-                chunk_range[fb.plan.chunks[s].dst_id] = (s, e);
-            }
-        }
-        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); npatches];
-        for c in &fb.plan.chunks {
-            readers[c.src_id].push(c.dst_id);
-        }
-        for r in &mut readers {
-            r.sort_unstable();
-            r.dedup();
-        }
-        StageSkeleton {
-            chunk_range,
-            readers,
-        }
-    }
-}
-
-/// Executes one RK stage over a level as a dependency task graph.
-///
-/// `fb` is the level's cached `FillBoundary` plan (resolved, not executed);
-/// its chunks become the halo-copy tasks and its `src_id`s the update
-/// fences. The caller supplies the physics through four closures, all
-/// indexed by patch:
-///
-/// * `pre_halo(i, rw)` — coarse-fine FillPatch work for patch `i` (gather +
-///   coarse BC + interpolation), writing only uncovered ghost regions of
-///   `i`; a no-op on the base level.
-/// * `bc_fill(i, rw)` — physical boundary conditions for patch `i`, writing
-///   only outside-domain ghost cells of `i`.
-/// * `sweep(i, u, phase, rhs)` — RHS accumulation over the phase's region
-///   of patch `i`, reading `u` (this patch only) and writing `rhs`.
-/// * `update(i, du, state, rhs)` — the per-patch low-storage update,
-///   writing only valid cells of `state`.
-///
-/// Results are bitwise-identical to running fill → sweep → update under
-/// barriers: every cell is written by the same operations in the same
-/// per-cell order, only the inter-patch schedule changes
-/// (`tests/overlap_invariance.rs` proves this end-to-end).
-pub fn run_rk_stage(
-    fabs: StageFabs<'_>,
-    fb: &CachedPlan,
-    threads: usize,
-    pre_halo: &(dyn Fn(usize, &mut FabRw<'_>) + Sync),
-    bc_fill: &(dyn Fn(usize, &mut FabRw<'_>) + Sync),
-    sweep: &(dyn Fn(usize, FabRd<'_>, SweepPhase, &mut FArrayBox) + Sync),
-    update: &(dyn Fn(usize, &mut FArrayBox, &mut FArrayBox, &FArrayBox) + Sync),
-) {
-    let skel = StageSkeleton::build(fb, fabs.state.nfabs());
-    run_rk_stage_with_skeleton(
-        fabs,
-        fb,
-        &skel,
-        Schedule::pool(threads),
-        &[],
-        pre_halo,
-        bc_fill,
-        sweep,
-        update,
-    )
-}
-
-/// [`run_rk_stage`] with a pre-built (typically plan-cache-memoized)
-/// [`StageSkeleton`], skipping the per-stage topology derivation, and an
-/// explicit [`Schedule`] (thread pool or seeded adversarial linearization).
-///
-/// `extra_halo` declares per-patch read-only `(fab id, region)` pairs the
-/// `pre_halo` closure touches beyond the same-level exchange — on subcycled
-/// substeps, the coarse *old*-state regions the time-interpolated FillPatch
-/// blends (docs/ARCHITECTURE.md §Subcycling). Each pair is added to that
-/// patch's halo-task footprint and recorded for the dynamic detector, so
-/// the declared schedule stays honest about every fab the stage reads.
-/// Pass `&[]` when there is nothing extra; otherwise one entry per patch.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rk_stage_with_skeleton(
-    fabs: StageFabs<'_>,
-    fb: &CachedPlan,
-    skel: &StageSkeleton,
-    sched: Schedule,
-    extra_halo: &[Vec<(u64, IndexBox)>],
-    pre_halo: &(dyn Fn(usize, &mut FabRw<'_>) + Sync),
-    bc_fill: &(dyn Fn(usize, &mut FabRw<'_>) + Sync),
-    sweep: &(dyn Fn(usize, FabRd<'_>, SweepPhase, &mut FArrayBox) + Sync),
-    update: &(dyn Fn(usize, &mut FArrayBox, &mut FArrayBox, &FArrayBox) + Sync),
-) {
-    let n = fabs.state.nfabs();
-    assert_eq!(fabs.du.nfabs(), n, "state/du patch-count mismatch");
-    assert_eq!(fabs.rhs.len(), n, "state/rhs patch-count mismatch");
-    assert_eq!(skel.chunk_range.len(), n, "skeleton/patch-count mismatch");
-    assert!(
-        extra_halo.is_empty() || extra_halo.len() == n,
-        "extra halo reads must cover every patch or none"
-    );
-    // Under `fabcheck`, prove the halo plan alias-free exactly as the
-    // barrier executor would before running it.
-    fabs.state.check_plan_gated(&fb.plan, true);
-
-    let chunk_range = &skel.chunk_range;
-    let readers = &skel.readers;
-
-    // Raw captures. Going through the slice base pointer keeps every later
-    // `&mut FArrayBox` an independent derivation from the same provenance
-    // root, so expired per-capture borrows are never revived. `fabs_mut()`
-    // also bumps the fabcheck data epoch: after the stage the ghosts are
-    // (correctly) considered stale, exactly as on the barrier path.
-    let state_base = BasePtr(fabs.state.fabs_mut().as_mut_ptr());
-    let state_raw: Vec<RawFab> = (0..n)
-        // SAFETY: `i < n` indexes the live slice; the `&mut` is temporary
-        // and expires before any task runs.
-        .map(|i| unsafe { RawFab::capture(&mut *state_base.get().add(i)) })
-        .collect();
-    let state_list = &RawList(&state_raw);
-    let du_base = BasePtr(fabs.du.fabs_mut().as_mut_ptr());
-    let rhs_base = BasePtr(fabs.rhs.as_mut_ptr());
-
-    let ncomp = fb.plan.ncomp;
-    let chunks = &fb.plan.chunks;
-    let mut graph = TaskGraph::new();
-
-    // Declared footprints: the same spec derivation the static verifier
-    // checks (`taskcheck::verify_stage`), instantiated with live data
-    // addresses so the dynamic detector (feature `taskcheck`) can match
-    // executed accesses against the declarations. Pulling each footprint at
-    // `graph.len()` keeps the graph and the spec aligned by construction.
-    let valid: Vec<IndexBox> = (0..n).map(|i| fabs.state.valid_box(i)).collect();
-    let ids = FabIds {
-        state: state_raw.iter().map(|r| r.ptr as usize as u64).collect(),
-        rhs: (0..n)
-            .map(|i| rhs_base.get().wrapping_add(i) as usize as u64)
-            .collect(),
-        du: (0..n)
-            .map(|i| du_base.get().wrapping_add(i) as usize as u64)
-            .collect(),
-    };
-    let spec = stage_spec(&fb.plan, skel, &valid, fabs.state.nghost(), &ids);
-
-    // Halo tasks: ghost-shell production for each patch, in the same order
-    // as the barrier path (coarse-fine interpolation, then same-level
-    // chunks, then physical BCs — BC corner mirrors may read ghosts the
-    // chunks just wrote).
-    let mut halo = Vec::with_capacity(n);
-    for (i, &(s, e)) in chunk_range.iter().enumerate() {
-        let mut fp = spec.footprint(graph.len()).clone();
-        let extras: Vec<(u64, IndexBox)> = extra_halo.get(i).cloned().unwrap_or_default();
-        for &(id, bx) in &extras {
-            fp = fp.reads(id, (0, ncomp), bx);
-        }
-        halo.push(graph.add_task_with(&[], fp, move || {
-            // The time-interpolated fill inside `pre_halo` reads its extra
-            // fabs below the instrumented views — record the declared reads
-            // explicitly so the dynamic detector sees them.
-            for &(id, bx) in &extras {
-                record_access(id, false, bx);
-            }
-            // SAFETY: this task writes only ghost cells of patch `i` (plan
-            // invariant + pre_halo/bc_fill contracts); unordered tasks read
-            // only valid cells, and all later access to these cells depends
-            // on this task.
-            let mut rw = unsafe { FabRw::from_raw(*state_list.get(i)) };
-            pre_halo(i, &mut rw);
-            for c in &chunks[s..e] {
-                // SAFETY: chunk regions lie in patch boxes (debug-asserted
-                // inside), reads target valid cells of the source patch,
-                // writes target ghost cells of patch `i` — disjoint from
-                // every unordered access (module-level argument).
-                unsafe {
-                    copy_chunk_raw(
-                        state_list.get(c.dst_id),
-                        state_list.get(c.src_id),
-                        c.region,
-                        c.shift,
-                        ncomp,
-                    )
-                };
-            }
-            bc_fill(i, &mut rw);
-        }));
-    }
-
-    for (i, &halo_i) in halo.iter().enumerate() {
-        let fp = spec.footprint(graph.len()).clone();
-        let interior = graph.add_task_with(&[], fp, move || {
-            // SAFETY: read-only view; unordered tasks write only ghost
-            // cells of `i` while the interior sweep reads only valid cells.
-            let u = unsafe { FabRd::from_raw(*state_list.get(i)) };
-            // SAFETY: `rhs[i]` is touched only by the chain
-            // interior → boundary → update, ordered by dependency edges.
-            let rhs_i = unsafe { &mut *rhs_base.get().add(i) };
-            sweep(i, u, SweepPhase::Interior, rhs_i);
-        });
-        let fp = spec.footprint(graph.len()).clone();
-        let boundary = graph.add_task_with(&[halo_i, interior], fp, move || {
-            // SAFETY: as for the interior task; ghost reads are ordered
-            // after `halo[i]` by the dependency edge.
-            let u = unsafe { FabRd::from_raw(*state_list.get(i)) };
-            // SAFETY: see the interior task.
-            let rhs_i = unsafe { &mut *rhs_base.get().add(i) };
-            sweep(i, u, SweepPhase::BoundaryBand, rhs_i);
-        });
-        let mut deps = vec![boundary];
-        deps.extend(readers[i].iter().map(|&d| halo[d]));
-        let fp = spec.footprint(graph.len()).clone();
-        let sid = ids.state[i];
-        let vb = valid[i];
-        graph.add_task_with(&deps, fp, move || {
-            // SAFETY: every reader of patch `i`'s state (its own sweeps via
-            // `boundary[i]`→`interior[i]`/`halo[i]`, and each halo task
-            // copying out of `i`) is a dependency of this task, so it is
-            // the unique last task touching these three fabs and may hold
-            // real references.
-            let st = unsafe { &mut *state_base.get().add(i) };
-            // SAFETY: `du[i]` is touched by this task alone.
-            let du = unsafe { &mut *du_base.get().add(i) };
-            // SAFETY: the writers of `rhs[i]` are dependencies (see above).
-            let rhs_i = unsafe { &*rhs_base.get().add(i) };
-            // The update writes through `&mut FArrayBox`, below the
-            // instrumented views — record the state write explicitly so the
-            // dynamic detector sees it.
-            record_access(sid, true, vb);
-            update(i, du, st, rhs_i);
-        });
-    }
-
-    // If graph construction and spec derivation ever disagree, the static
-    // proof would be about the wrong graph — fail here, not silently.
-    #[cfg(feature = "taskcheck")]
-    crate::taskcheck::assert_spec_matches(&graph.schedule_spec(), &spec, "on-node RK stage");
-
-    graph.run_schedule(sched);
 }
 
 /// Decomposes `valid` minus `interior` into disjoint axis-aligned slabs

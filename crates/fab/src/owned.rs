@@ -1,12 +1,9 @@
 //! Owned-data exchange primitives: chunked point-to-point data motion for
 //! MultiFabs that allocate only their rank's patches.
 //!
-//! The replicated-data distributed path (PR 4) kept every rank holding the
-//! full hierarchy and re-replicated after each stage with
-//! [`crate::dist_overlap::allgather_fabs`]. The owned-data path allocates
-//! O(owned cells) per rank ([`MultiFab::new_owned`]) and moves *only the
-//! plan-enumerated overlap chunks* across ranks. This module supplies the
-//! safe building blocks:
+//! Every rank allocates O(owned cells) ([`MultiFab::new_owned`]) and moves
+//! *only the plan-enumerated overlap chunks* across ranks. This module
+//! supplies the safe building blocks:
 //!
 //! * [`pack_chunk`] / [`unpack_chunk_into`] — one [`CopyChunk`] as
 //!   little-endian `f64` bytes, component-major in `region.cells()` order:

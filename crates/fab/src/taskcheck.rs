@@ -1,46 +1,46 @@
 //! Schedule specs and static verification for the RK-stage task graphs
 //! (DESIGN.md §4i).
 //!
-//! [`crate::overlap`] and [`crate::dist_overlap`] hand-wire one task graph
-//! per RK stage; their safety arguments are prose. This module turns the
-//! prose into a checkable artifact: for each skeleton it derives a
-//! [`ScheduleSpec`] — the same tasks, in the same insertion order, with the
-//! same dependency edges, plus a declared [`Footprint`] per task built from
-//! the exact plan regions the executors copy — and
-//! [`ScheduleSpec::verify`] then proves every conflicting pair ordered.
-//! [`verify_dist`] replays the derivation for *all* ranks (skeletons are
-//! pure metadata, identically replicated) and additionally proves
-//! tag-completeness and cross-rank acyclicity via
-//! [`verify_cross_rank`].
+//! [`crate::dist_overlap`] hand-wires one task graph per RK stage; its
+//! safety argument is prose. This module turns the prose into a checkable
+//! artifact: for each skeleton it derives a [`ScheduleSpec`] — the same
+//! tasks, in the same insertion order, with the same dependency edges, plus
+//! a declared [`Footprint`] per task built from the exact plan regions the
+//! executor copies — and [`ScheduleSpec::verify`] then proves every
+//! conflicting pair ordered. [`verify_dist`] replays the derivation for
+//! *all* ranks (skeletons are pure metadata, identically replicated) and
+//! additionally proves tag-completeness and cross-rank acyclicity via
+//! [`verify_cross_rank`]; on a group of one that is the on-node graph and
+//! the cross-rank part is vacuous.
 //!
-//! The spec builders are parameterized over fab identities
-//! ([`FabIds`]): the memoized static pass uses symbolic ids (patch index +
-//! space tag), while the executors instantiate the same spec with live
-//! allocation base pointers and attach its footprints to their
+//! The spec builder is parameterized over fab identities ([`FabIds`]): the
+//! memoized static pass uses symbolic ids (patch index + space tag), while
+//! the executor instantiates the same spec with live allocation base
+//! pointers and attaches its footprints to its
 //! [`TaskGraph`](crocco_runtime::TaskGraph) tasks — one derivation serves
 //! both, so the declared footprints cannot drift from the verified ones.
-//! The executors also assert (under the `taskcheck` feature) that the
-//! graph they built has exactly the spec's dependency lists.
+//! The executor also asserts (under the `taskcheck` feature) that the graph
+//! it built has exactly the spec's dependency lists.
 //!
 //! Footprint shapes, per patch `i` with valid box `V`, full box
 //! `B = V.grow(nghost)`:
 //!
 //! * `halo[i]` reads `B` of `i` (BC corner mirrors read ghosts and valid
 //!   cells), writes the ghost shell `B \ V` (pre-halo interpolation, chunk
-//!   copies, BC fills), and reads `region - shift` of every source patch in
-//!   its chunk range — valid cells, by the FillBoundary plan invariant.
+//!   copies, BC fills), and reads `region - shift` of every *locally copied*
+//!   source patch in its chunk range — valid cells, by the FillBoundary
+//!   plan invariant (remote chunks arrive as payloads).
+//! * `sweep[i]` (a patch swept whole) and `boundary[i]` read `B` (their
+//!   stencils reach into ghosts) and write `rhs[i]`.
 //! * `interior[i]` reads `V` (the sweep region is shrunk by the ghost width,
 //!   so the widest stencil stays inside valid cells) and writes `rhs[i]`.
-//! * `boundary[i]` reads `B` (band stencils reach into ghosts) and writes
-//!   `rhs[i]`.
 //! * `update[i]` reads `rhs[i]` and writes `V` of `i` and `du[i]` — the
 //!   writes whose ordering against every reader of `i` is exactly what the
 //!   `readers`/`send_readers` fences exist to guarantee.
-//! * `send[c]` (distributed) reads `region - shift` of its source patch;
-//!   receive events touch nothing.
+//! * `send[c]` reads `region - shift` of its source patch; receive events
+//!   touch nothing.
 
 use crate::dist_overlap::DistSkeleton;
-use crate::overlap::StageSkeleton;
 use crate::plan::CopyPlan;
 use crate::plan_cache::CachedPlan;
 use crocco_geometry::IndexBox;
@@ -74,14 +74,13 @@ impl FabIds {
     }
 }
 
-/// The footprint of one halo task: reads the patch's full box and its
-/// chunk-range sources, writes the ghost shell.
-#[allow(clippy::too_many_arguments)]
+/// The footprint of rank `rank`'s halo task for patch `i`: reads the patch's
+/// full box and its locally copied chunk-range sources, writes the ghost
+/// shell.
 fn halo_footprint(
-    label: String,
     plan: &CopyPlan,
     chunk_range: (usize, usize),
-    local_only_rank: Option<usize>,
+    rank: usize,
     i: usize,
     valid: &[IndexBox],
     nghost: i64,
@@ -89,30 +88,32 @@ fn halo_footprint(
 ) -> Footprint {
     let comp = (0, plan.ncomp);
     let bx = valid[i].grow(nghost);
-    let mut fp = Footprint::new(label).reads(ids.state[i], comp, bx);
+    let mut fp = Footprint::new(format!("halo[{i}]")).reads(ids.state[i], comp, bx);
     for shell in subtract(bx, valid[i]) {
         fp = fp.writes(ids.state[i], comp, shell);
     }
     let (s, e) = chunk_range;
     for c in &plan.chunks[s..e] {
-        // On the distributed path only locally-copied chunks read a source
-        // fab; remote chunks arrive as payloads (their ghost writes are
-        // already covered by the shell above).
-        if local_only_rank.is_some_and(|rank| c.src_rank != rank) {
-            continue;
+        // Only locally copied chunks read a source fab; remote chunks
+        // arrive as payloads (their ghost writes are already covered by the
+        // shell above).
+        if c.src_rank == rank {
+            fp = fp.reads(ids.state[c.src_id], comp, c.region.shift(-c.shift));
         }
-        fp = fp.reads(ids.state[c.src_id], comp, c.region.shift(-c.shift));
     }
     fp
 }
 
-/// The interior/boundary/update triple for patch `i`, appended in executor
-/// insertion order. `halo` and `send_deps` are the spec indices of the
-/// patch's fences.
+/// The sweep task(s) and the update task of patch `i`, appended in executor
+/// insertion order: one whole sweep behind the halo task, or — for a
+/// `split` patch — an interior sweep with no dependencies and a
+/// boundary-band sweep behind both. `halo_i`, `reader_halos` and
+/// `send_deps` are the spec indices of the patch's fences.
 #[allow(clippy::too_many_arguments)]
-fn sweep_update_triple(
+fn sweeps_and_update(
     spec: &mut ScheduleSpec,
     i: usize,
+    split: bool,
     valid: &[IndexBox],
     nghost: i64,
     ncomp: usize,
@@ -123,19 +124,23 @@ fn sweep_update_triple(
 ) {
     let comp = (0, ncomp);
     let bx = valid[i].grow(nghost);
-    let interior = spec.add(
-        &[],
-        Footprint::new(format!("interior[{i}]"))
-            .reads(ids.state[i], comp, valid[i])
-            .writes(ids.rhs[i], comp, valid[i]),
-    );
-    let boundary = spec.add(
-        &[halo_i, interior],
-        Footprint::new(format!("boundary[{i}]"))
+    let ghost_reader = |label: String| {
+        Footprint::new(label)
             .reads(ids.state[i], comp, bx)
-            .writes(ids.rhs[i], comp, valid[i]),
-    );
-    let mut deps = vec![boundary];
+            .writes(ids.rhs[i], comp, valid[i])
+    };
+    let swept = if split {
+        let interior = spec.add(
+            &[],
+            Footprint::new(format!("interior[{i}]"))
+                .reads(ids.state[i], comp, valid[i])
+                .writes(ids.rhs[i], comp, valid[i]),
+        );
+        spec.add(&[halo_i, interior], ghost_reader(format!("boundary[{i}]")))
+    } else {
+        spec.add(&[halo_i], ghost_reader(format!("sweep[{i}]")))
+    };
+    let mut deps = vec![swept];
     deps.extend_from_slice(reader_halos);
     deps.extend_from_slice(send_deps);
     spec.add(
@@ -147,55 +152,12 @@ fn sweep_update_triple(
     );
 }
 
-/// The schedule spec of one on-node RK-stage graph
-/// ([`crate::overlap::run_rk_stage_with_skeleton`]): same tasks, same
-/// insertion order, same dependency edges, with footprints from the plan
-/// regions. `valid[i]` is patch `i`'s valid box; `nghost` the ghost width.
-pub fn stage_spec(
-    plan: &CopyPlan,
-    skel: &StageSkeleton,
-    valid: &[IndexBox],
-    nghost: i64,
-    ids: &FabIds,
-) -> ScheduleSpec {
-    let mut spec = ScheduleSpec::new();
-    let mut halo = Vec::with_capacity(valid.len());
-    for (i, &range) in skel.chunk_range.iter().enumerate() {
-        let fp = halo_footprint(
-            format!("halo[{i}]"),
-            plan,
-            range,
-            None,
-            i,
-            valid,
-            nghost,
-            ids,
-        );
-        halo.push(spec.add(&[], fp));
-    }
-    for i in 0..valid.len() {
-        let reader_halos: Vec<usize> = skel.readers[i].iter().map(|&d| halo[d]).collect();
-        sweep_update_triple(
-            &mut spec,
-            i,
-            valid,
-            nghost,
-            plan.ncomp,
-            halo[i],
-            &reader_halos,
-            &[],
-            ids,
-        );
-    }
-    spec
-}
-
-/// One rank's slice of the distributed overlapped stage
+/// One rank's slice of the stage graph
 /// ([`crate::dist_overlap::run_dist_rk_stage`] with `overlap = true`):
 /// send tasks, receive events (with their channel keys — the plan chunk
 /// index, exactly the varying coordinate of
-/// [`crocco_runtime::tags::halo`]), then halo/interior/boundary/update for
-/// every owned patch, in executor insertion order.
+/// [`crocco_runtime::tags::halo`]), then the halo task of every owned
+/// patch, then its sweep(s) and update, in executor insertion order.
 pub fn dist_rank_schedule(
     plan: &CopyPlan,
     skel: &DistSkeleton,
@@ -231,24 +193,16 @@ pub fn dist_rank_schedule(
     }
     let mut halo = vec![usize::MAX; n];
     for &i in &skel.owned {
-        let fp = halo_footprint(
-            format!("halo[{i}]"),
-            plan,
-            skel.chunk_range[i],
-            Some(skel.rank),
-            i,
-            valid,
-            nghost,
-            ids,
-        );
+        let fp = halo_footprint(plan, skel.chunk_range[i], skel.rank, i, valid, nghost, ids);
         halo[i] = rs.spec.add(&recv_events[i], fp);
     }
     for &i in &skel.owned {
         let reader_halos: Vec<usize> = skel.readers[i].iter().map(|&d| halo[d]).collect();
         let send_deps: Vec<usize> = skel.send_readers[i].iter().map(|&k| send_tasks[k]).collect();
-        sweep_update_triple(
+        sweeps_and_update(
             &mut rs.spec,
             i,
+            skel.is_split(i),
             valid,
             nghost,
             plan.ncomp,
@@ -262,8 +216,8 @@ pub fn dist_rank_schedule(
 }
 
 /// The outcome of one static verification pass over a real skeleton: what
-/// the plan cache memoizes beside the skeleton and the drivers consult once
-/// per (grids, plan) generation.
+/// the plan cache memoizes beside the skeleton and the step loop consults
+/// once per (grids, plan) generation.
 #[derive(Clone, Debug)]
 pub struct VerifyReport {
     /// Total tasks across all verified schedules.
@@ -283,7 +237,7 @@ impl VerifyReport {
     }
 
     /// Panics with every violation listed if the report is not clean — the
-    /// drivers' response to a broken skeleton (fail loudly at first
+    /// step loop's response to a broken skeleton (fail loudly at first
     /// verification, not as a bitwise divergence later).
     pub fn assert_clean(&self, what: &str) {
         assert!(
@@ -311,27 +265,7 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-/// Statically verifies the on-node RK-stage graph a
-/// [`StageSkeleton`] will produce: every conflicting task pair ordered by a
-/// happens-before path.
-pub fn verify_stage(
-    fb: &CachedPlan,
-    skel: &StageSkeleton,
-    valid: &[IndexBox],
-    nghost: i64,
-) -> VerifyReport {
-    let t0 = std::time::Instant::now();
-    let spec = stage_spec(&fb.plan, skel, valid, nghost, &FabIds::symbolic(valid.len()));
-    let v = spec.verify();
-    VerifyReport {
-        tasks: spec.len(),
-        pairs_checked: v.pairs_checked,
-        violations: v.violations,
-        micros: t0.elapsed().as_micros() as u64,
-    }
-}
-
-/// Statically verifies the *whole* distributed stage: rebuilds every rank's
+/// Statically verifies the *whole* stage: rebuilds every rank's
 /// skeleton from the replicated metadata (`owner` map), verifies each
 /// rank's graph, and proves tag-completeness plus cross-rank acyclicity of
 /// the union — the lost-wakeup/deadlock check no single rank can run alone.
@@ -369,7 +303,7 @@ pub fn verify_dist(
 
 /// Asserts the executor-built graph has exactly the spec's dependency
 /// structure (labels and footprints aside) — the anti-drift check run by
-/// the executors under the `taskcheck` feature: if graph construction and
+/// the executor under the `taskcheck` feature: if graph construction and
 /// spec derivation ever disagree, the static proof would be about the wrong
 /// graph.
 pub fn assert_spec_matches(graph: &ScheduleSpec, spec: &ScheduleSpec, what: &str) {
@@ -416,21 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn real_stage_skeleton_verifies_clean() {
-        let (ba, dm, domain) = setup(1);
-        let cache = PlanCache::new();
-        let nghost = 2;
-        let fb = cache.fill_boundary(&ba, &dm, &domain, nghost, 2);
-        let skel = StageSkeleton::build(&fb, ba.len());
-        let valid = valid_boxes(&ba);
-        let report = verify_stage(&fb, &skel, &valid, nghost);
-        assert_eq!(report.tasks, 4 * ba.len());
-        assert!(report.pairs_checked > 0, "stage must have conflict pairs");
-        report.assert_clean("test stage skeleton");
-    }
-
-    #[test]
-    fn real_dist_skeletons_verify_clean_at_multiple_rank_counts() {
+    fn real_skeletons_verify_clean_at_multiple_rank_counts() {
         for nranks in [1usize, 2, 4] {
             let (ba, dm, domain) = setup(nranks);
             let cache = PlanCache::new();
@@ -438,8 +358,14 @@ mod tests {
             let fb = cache.fill_boundary(&ba, &dm, &domain, nghost, 2);
             let valid = valid_boxes(&ba);
             let report = verify_dist(&fb, dm.owners(), nranks, &valid, nghost);
-            report.assert_clean("test dist skeleton");
-            assert!(report.tasks >= 4 * ba.len());
+            report.assert_clean("test skeleton");
+            assert!(report.pairs_checked > 0, "stage must have conflict pairs");
+            if nranks == 1 {
+                // No receive to wait on: halo, one whole sweep, update.
+                assert_eq!(report.tasks, 3 * ba.len());
+            } else {
+                assert!(report.tasks > 3 * ba.len(), "remote halos add tasks");
+            }
         }
     }
 
@@ -449,7 +375,7 @@ mod tests {
         let cache = PlanCache::new();
         let nghost = 2;
         let fb = cache.fill_boundary(&ba, &dm, &domain, nghost, 2);
-        let mut skel = StageSkeleton::build(&fb, ba.len());
+        let mut skel = DistSkeleton::build(&fb, dm.owners(), 0);
         // Drop one update fence: halo[d] reads patch i while update[i]
         // rewrites it, now unordered.
         let (i, d) = skel
@@ -460,9 +386,13 @@ mod tests {
             .expect("setup must produce a cross-patch reader");
         skel.readers[i].retain(|&x| x != d);
         let valid = valid_boxes(&ba);
-        let report = verify_stage(&fb, &skel, &valid, nghost);
-        assert!(!report.is_clean(), "deleted edge must be flagged");
-        let hit = report.violations.iter().any(|v| match v {
+        let ids = FabIds::symbolic(valid.len());
+        let violations = dist_rank_schedule(&fb.plan, &skel, &valid, nghost, &ids)
+            .spec
+            .verify()
+            .violations;
+        assert!(!violations.is_empty(), "deleted edge must be flagged");
+        let hit = violations.iter().any(|v| match v {
             Violation::UnorderedConflict {
                 first_label,
                 second_label,
@@ -476,8 +406,7 @@ mod tests {
         });
         assert!(
             hit,
-            "expected halo[{d}]/update[{i}] in {:?}",
-            report.violations
+            "expected halo[{d}]/update[{i}] in {violations:?}"
         );
     }
 

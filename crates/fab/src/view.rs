@@ -1,6 +1,6 @@
 //! Read and read-write per-fab views for task-graph execution.
 //!
-//! During a barrier-free RK stage (see [`crate::overlap`]) several tasks
+//! During a barrier-free RK stage (see [`crate::dist_overlap`]) several tasks
 //! touch *disjoint cells* of the same [`FArrayBox`] concurrently: one task
 //! writes a patch's ghost shell while another reads its valid cells. A
 //! `&`/`&mut FArrayBox` would assert immutability/exclusivity over the whole
@@ -9,7 +9,8 @@
 //! through raw-pointer views:
 //!
 //! * [`FabView`] — the read interface kernels are generic over, implemented
-//!   by `&FArrayBox` (the barrier path) and [`FabRd`] (the task-graph path);
+//!   by `&FArrayBox` (probes, tests, whole-level loops) and [`FabRd`] (the
+//!   stage executor's tasks);
 //! * [`FabRd`] — a read-only raw view of one fab;
 //! * [`FabRw`] — a read-write raw view, handed to boundary-condition fills
 //!   and interpolation copies inside halo tasks.
@@ -41,8 +42,8 @@ pub fn with_rw<R>(fab: &mut FArrayBox, f: impl FnOnce(&mut FabRw<'_>) -> R) -> R
 }
 
 /// Read access to one fab's cells — the interface the solver kernels are
-/// generic over, so the same kernel source serves `&FArrayBox` (barrier
-/// path) and [`FabRd`] (task-graph path).
+/// generic over, so the same kernel source serves `&FArrayBox` and the
+/// stage executor's [`FabRd`] views.
 pub trait FabView {
     /// The fab's full (valid + ghost) box.
     fn bx(&self) -> IndexBox;

@@ -20,7 +20,7 @@
 //! Everything here is pure index arithmetic: no field data, no parallelism.
 
 // Enforced by `cargo xtask lint`: unsafe code is confined to the allowlisted
-// fab modules (multifab, view, overlap) — none of it lives here.
+// fab modules (multifab, view, dist_overlap) — none of it lives here.
 #![forbid(unsafe_code)]
 
 pub mod decompose;

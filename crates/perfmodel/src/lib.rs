@@ -25,7 +25,7 @@
 //! the paper number it reproduces.
 
 // Enforced by `cargo xtask lint`: unsafe code is confined to the allowlisted
-// fab modules (multifab, view, overlap) — none of it lives here.
+// fab modules (multifab, view, dist_overlap) — none of it lives here.
 #![forbid(unsafe_code)]
 
 pub mod cpu;

@@ -37,7 +37,7 @@ pub struct Packet {
 /// The tag namespace the distributed solver uses over [`RankEndpoint`]s.
 ///
 /// A `u64` tag packs `kind | epoch | level | index`, so concurrent traffic
-/// classes (halo chunks, full-fab gathers, collective phases) can never
+/// classes (halo chunks, owned-data exchanges, collective phases) can never
 /// match each other, and the per-stage epoch disambiguates packets of
 /// successive RK stages even when a fast rank runs one stage ahead
 /// (per-sender channel FIFO already makes earliest-arrival matching correct;
@@ -56,8 +56,6 @@ pub mod tags {
     pub const KIND_OWNED: u64 = 0;
     /// Traffic-class discriminant: a same-level halo chunk.
     pub const KIND_HALO: u64 = 1;
-    /// Traffic-class discriminant: a full-fab replication gather.
-    pub const KIND_GATHER: u64 = 2;
     /// Traffic-class discriminant: a collective phase message.
     pub const KIND_COLL: u64 = 3;
 
@@ -105,19 +103,13 @@ pub mod tags {
         compose(KIND_HALO, epoch, level, chunk)
     }
 
-    /// Tag for the replication gather of patch `patch` of `level` during
-    /// stage-epoch `epoch`.
-    pub fn gather(epoch: u64, level: usize, patch: usize) -> u64 {
-        compose(KIND_GATHER, epoch, level, patch)
-    }
-
     /// Tag for phase `phase` (0 = reduce, 1 = broadcast) of the `seq`-th
     /// collective on an endpoint.
     pub fn collective(seq: u64, phase: u64) -> u64 {
         (KIND_COLL << 62) | ((seq & 0x1FFF_FFFF_FFFF_FFFF) << 1) | (phase & 1)
     }
 
-    /// The traffic-class discriminant of `tag` (`KIND_HALO`, `KIND_GATHER`,
+    /// The traffic-class discriminant of `tag` (`KIND_OWNED`, `KIND_HALO`,
     /// or `KIND_COLL`).
     pub fn kind_of(tag: u64) -> u64 {
         tag >> 62
@@ -335,6 +327,36 @@ pub struct RankEndpoint {
 }
 
 impl RankEndpoint {
+    fn new(
+        rank: usize,
+        senders: Vec<Sender<Packet>>,
+        receiver: Receiver<Packet>,
+        chaos: Option<Arc<ChaosRuntime>>,
+    ) -> Self {
+        let nranks = senders.len();
+        RankEndpoint {
+            rank,
+            nranks,
+            senders,
+            receiver,
+            matcher: Mutex::new(MatchState::new(nranks)),
+            coll_seq: AtomicU64::new(0),
+            chaos,
+            send_seq: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
+            generation: AtomicU64::new(0),
+        }
+    }
+
+    /// The communicator group of one: rank 0 of 1 on the calling thread, its
+    /// single channel looping back to itself. On-node stepping
+    /// (`Simulation::step`) runs the cluster step loop over this endpoint —
+    /// every collective degenerates to the identity and no plan chunk
+    /// crosses a rank, so nothing is ever sent.
+    pub fn solo() -> Self {
+        let (tx, rx) = unbounded::<Packet>();
+        Self::new(0, vec![tx], rx, None)
+    }
+
     /// This endpoint's rank.
     pub fn rank(&self) -> usize {
         self.rank
@@ -688,19 +710,7 @@ impl LocalCluster {
                     let senders = txs.clone();
                     let f = &f;
                     let chaos = chaos.clone();
-                    s.spawn(move |_| {
-                        f(RankEndpoint {
-                            rank,
-                            nranks,
-                            senders,
-                            receiver,
-                            matcher: Mutex::new(MatchState::new(nranks)),
-                            coll_seq: AtomicU64::new(0),
-                            chaos,
-                            send_seq: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
-                            generation: AtomicU64::new(0),
-                        })
-                    })
+                    s.spawn(move |_| f(RankEndpoint::new(rank, senders, receiver, chaos)))
                 })
                 .collect();
             // Close the original senders so channels die with the ranks.
@@ -1123,6 +1133,14 @@ mod collective_tests {
         assert!(out.iter().all(|&v| (v - 21.0).abs() < 1e-12), "{out:?}");
     }
 
+    #[test]
+    fn solo_endpoint_is_a_group_of_one() {
+        let ep = RankEndpoint::solo();
+        assert_eq!((ep.rank(), ep.nranks()), (0, 1));
+        assert_eq!(ep.allreduce_f64(3.5, f64::min), 3.5);
+        assert_eq!(GroupEndpoint::full(&ep).rank(), 0);
+    }
+
     /// Regression for the untagged-`recv()` bug: a halo packet already
     /// sitting in the root's channel when the collective starts must land in
     /// the unexpected queue, not be combined into the reduction.
@@ -1227,14 +1245,10 @@ mod matched_tests {
     #[test]
     fn tag_namespace_kinds_never_collide() {
         let h = tags::halo(1, 2, 3);
-        let g = tags::gather(1, 2, 3);
         let c = tags::collective(1, 0);
         let o = tags::owned(tags::OWNED_GATHER, 1, 2, 3);
-        assert_ne!(h, g);
         assert_ne!(h, c);
-        assert_ne!(g, c);
         assert_ne!(o, h);
-        assert_ne!(o, g);
         assert_ne!(o, c);
         assert_ne!(tags::halo(1, 2, 3), tags::halo(2, 2, 3));
         assert_ne!(tags::collective(1, 0), tags::collective(1, 1));
@@ -1275,9 +1289,8 @@ mod matched_tests {
         let e1 = tags::epoch_with_generation(1, 7);
         assert_ne!(tags::halo(e0, 1, 3), tags::halo(e1, 1, 3));
         assert_eq!(tags::generation_of(tags::halo(e1, 1, 3)), 1);
-        assert_eq!(tags::generation_of(tags::gather(e0, 1, 3)), 0);
+        assert_eq!(tags::generation_of(tags::halo(e0, 1, 3)), 0);
         assert_eq!(tags::kind_of(tags::halo(e1, 1, 3)), tags::KIND_HALO);
-        assert_eq!(tags::kind_of(tags::gather(e1, 1, 3)), tags::KIND_GATHER);
         assert_eq!(tags::kind_of(tags::collective(9, 1)), tags::KIND_COLL);
     }
 
@@ -1285,6 +1298,11 @@ mod matched_tests {
     /// fast with a typed overflow error, not grow the queue without bound.
     #[test]
     fn unmatched_flood_overflows_with_typed_error() {
+        // The victim overflows after 17 packets, long before the flooder's
+        // 64th send: both ranks meet at this barrier before either returns,
+        // so the victim's receiver outlives the flood (a plain-transport
+        // send to a dropped endpoint panics, by design).
+        let done = std::sync::Barrier::new(2);
         let out = LocalCluster::run(2, |ep| {
             if ep.rank() == 0 {
                 for i in 0..64u64 {
@@ -1292,6 +1310,7 @@ mod matched_tests {
                 }
                 // Wait for the victim's verdict before exiting.
                 ep.recv_matched(1, 7);
+                done.wait();
                 Ok(true)
             } else {
                 ep.set_unexpected_cap(16);
@@ -1302,6 +1321,7 @@ mod matched_tests {
                     }
                 };
                 ep.send(0, 7, Bytes::new());
+                done.wait();
                 assert_eq!(err, CommError::QueueOverflow { cap: 16 });
                 Err(err)
             }

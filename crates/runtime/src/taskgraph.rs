@@ -73,7 +73,7 @@ impl Schedule {
 /// [`TaskGraph::try_run_with_progress`] returns instead of hanging peers or
 /// unwinding through the stepping loop. The chaos stepping loop answers any
 /// of these with checkpoint rollback (DESIGN.md §4g).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum StageError {
     /// The progress pump detected a communication fault (dead rank,
     /// starved receive, queue overflow).
@@ -86,6 +86,13 @@ pub enum StageError {
     },
     /// The chaos plan scheduled this rank to crash here (fail-stop).
     CrashInjected,
+    /// `ComputeDt` reduced to a time step that is not finite and positive.
+    /// Every rank sees the same allreduced value, so this is fail-stop too:
+    /// a rollback would reach it again.
+    NonFiniteDt {
+        /// The offending global time step.
+        dt: f64,
+    },
 }
 
 impl std::fmt::Display for StageError {
@@ -94,6 +101,7 @@ impl std::fmt::Display for StageError {
             StageError::Comm(e) => write!(f, "communication fault: {e}"),
             StageError::TaskPanic { message } => write!(f, "kernel task panicked: {message}"),
             StageError::CrashInjected => write!(f, "injected rank crash"),
+            StageError::NonFiniteDt { dt } => write!(f, "ComputeDt produced dt={dt}"),
         }
     }
 }

@@ -54,7 +54,6 @@ use std::path::{Path, PathBuf};
 const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/fab/src/multifab.rs",
     "crates/fab/src/view.rs",
-    "crates/fab/src/overlap.rs",
     "crates/fab/src/dist_overlap.rs",
 ];
 
@@ -82,7 +81,6 @@ const BANNED_PATHS: &[&str] = &["std::arch", "core::arch", "std::simd", "core::s
 const RAW_VIEW_ALLOWLIST: &[&str] = &[
     "crates/fab/src/multifab.rs",
     "crates/fab/src/view.rs",
-    "crates/fab/src/overlap.rs",
     "crates/fab/src/dist_overlap.rs",
 ];
 

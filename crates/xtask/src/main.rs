@@ -2,7 +2,7 @@
 //! `.cargo/config.toml` for the alias). Offline and dependency-free.
 
 // Enforced by `cargo xtask lint`: unsafe code is confined to the allowlisted
-// fab modules (multifab, view, overlap) — none of it lives here.
+// fab modules (multifab, view, dist_overlap) — none of it lives here.
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;

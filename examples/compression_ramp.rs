@@ -5,8 +5,9 @@
 //! Demonstrates: stored coordinates + 27-component metrics on a non-Cartesian
 //! mapping, the curvilinear interpolator with its coordinate ParallelCopy,
 //! shock-based refinement following the ramp shock, and the task-graph RK
-//! executor (`OVERLAP=0 cargo run ...` falls back to the barrier executor;
-//! both produce bitwise-identical solutions, see DESIGN.md §4e).
+//! stage schedule (`OVERLAP=0 cargo run ...` selects the sequential
+//! reference phases; both produce bitwise-identical solutions, see
+//! DESIGN.md §4e).
 //!
 //! ```sh
 //! cargo run --release --example compression_ramp
@@ -20,7 +21,7 @@ use crocco::solver::state::cons;
 use std::io::Write;
 
 fn main() {
-    // Task-graph halo/kernel overlap is on unless OVERLAP=0 is set.
+    // The task-graph schedule runs unless OVERLAP=0 asks for the reference.
     let overlap = std::env::var("OVERLAP").map_or(true, |v| v != "0");
     let cfg = SolverConfig::builder()
         .problem(ProblemKind::Ramp)
@@ -36,8 +37,8 @@ fn main() {
         .build();
     let mut sim = Simulation::new(cfg);
     println!(
-        "RK stage executor: {}",
-        if overlap { "task graph (overlapped)" } else { "barrier" }
+        "RK stage schedule: {}",
+        if overlap { "task graph" } else { "reference phases" }
     );
 
     let ramp = RampMapping::paper_dmr();

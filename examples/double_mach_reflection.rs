@@ -10,11 +10,15 @@
 //! cargo run --release --example double_mach_reflection
 //! ```
 
+use crocco::runtime::{GroupEndpoint, LocalCluster};
 use crocco::solver::config::{CodeVersion, SolverConfig};
 use crocco::solver::driver::Simulation;
 use crocco::solver::problems::ProblemKind;
 use crocco::solver::state::cons;
 use std::io::Write;
+
+/// Rank threads of the in-process cluster.
+const NRANKS: usize = 12;
 
 fn main() {
     let cfg = SolverConfig::builder()
@@ -25,61 +29,54 @@ fn main() {
         .blocking_factor(4)
         .max_grid_size(32)
         .regrid_freq(5)
-        .nranks(12)
-        .threads(4)
+        .nranks(NRANKS)
         .build();
-    let mut sim = Simulation::new(cfg);
 
-    println!("Double Mach reflection: Mach 10 shock, 30-degree ramp frame");
-    println!("3-level AMR, curvilinear interpolator (CRoCCo 2.0 configuration)\n");
-    print_grid(&sim);
-
+    // Every rank marches its own patches; grid metadata and the
+    // communication accounting are replicated, so rank 0 narrates.
     let steps = 60;
-    for _ in 0..steps {
-        sim.step();
-        if sim.step_count().is_multiple_of(20) {
-            println!(
-                "step {:3}  t = {:.5}  dt = {:.2e}  levels = {}  reduction = {:.1}%",
-                sim.step_count(),
-                sim.time(),
-                sim.dt(),
-                sim.nlevels(),
-                100.0 * sim.hierarchy().reduction_fraction()
-            );
+    let mut per_rank = LocalCluster::run(NRANKS, |ep| {
+        let root = ep.rank() == 0;
+        let mut sim = Simulation::new_owned(cfg.clone(), &GroupEndpoint::full(&ep))
+            .expect("fault-free construction");
+        if root {
+            println!("Double Mach reflection: Mach 10 shock, 30-degree ramp frame");
+            println!("3-level AMR, curvilinear interpolator (CRoCCo 2.0 configuration)\n");
+            print_grid(&sim);
         }
-    }
-    assert!(!sim.has_nonfinite(), "solution went non-finite");
-    print_grid(&sim);
+        for _ in 0..steps {
+            sim.step_cluster(&ep);
+            if root && sim.step_count().is_multiple_of(20) {
+                println!(
+                    "step {:3}  t = {:.5}  dt = {:.2e}  levels = {}  reduction = {:.1}%",
+                    sim.step_count(),
+                    sim.time(),
+                    sim.dt(),
+                    sim.nlevels(),
+                    100.0 * sim.hierarchy().reduction_fraction()
+                );
+            }
+        }
+        assert!(!sim.has_nonfinite(), "solution went non-finite");
+        if root {
+            print_grid(&sim);
+        }
+        (density_slice(&sim), sim.report())
+    });
 
-    // Density slice at the finest level's z mid-plane.
+    // Density slice at each level's z mid-plane, in (level, patch) order.
+    let report = per_rank[0].1;
+    let mut slice: Vec<_> = per_rank.iter_mut().flat_map(|(s, _)| s.drain(..)).collect();
+    slice.sort_by_key(|&(level, patch, _)| (level, patch));
     let path = "target/dmr_density.csv";
     let mut f = std::io::BufWriter::new(std::fs::File::create(path).unwrap());
     writeln!(f, "x,y,level,rho").unwrap();
-    for l in 0..sim.nlevels() {
-        let state = &sim.level(l).state;
-        let coords = &sim.level(l).coords;
-        let zmid = sim.hierarchy().domain(l).bx.size()[2] / 2;
-        for i in 0..state.nfabs() {
-            let valid = state.valid_box(i);
-            for p in valid.cells() {
-                if p[2] != zmid {
-                    continue;
-                }
-                writeln!(
-                    f,
-                    "{},{},{},{}",
-                    coords.fab(i).get(p, 0),
-                    coords.fab(i).get(p, 1),
-                    l,
-                    state.fab(i).get(p, cons::RHO)
-                )
-                .unwrap();
-            }
-        }
+    for (_, _, rows) in &slice {
+        f.write_all(rows.as_bytes()).unwrap();
     }
+    f.flush().unwrap();
     println!("\nwrote {path}");
 
-    let report = sim.report();
     println!(
         "\nfinal: t = {:.5}, active points = {}, equivalent = {}, reduction = {:.1}%",
         report.final_time,
@@ -95,6 +92,31 @@ fn main() {
         report.comm.pc_messages,
         report.comm.coord_pc_messages
     );
+}
+
+/// CSV rows of the z mid-plane of every patch this rank owns, keyed by
+/// `(level, patch)`.
+fn density_slice(sim: &Simulation) -> Vec<(usize, usize, String)> {
+    let mut out = Vec::new();
+    for l in 0..sim.nlevels() {
+        let state = &sim.level(l).state;
+        let coords = &sim.level(l).coords;
+        let zmid = sim.hierarchy().domain(l).bx.size()[2] / 2;
+        for i in (0..state.nfabs()).filter(|&i| state.is_allocated(i)) {
+            let mut rows = String::new();
+            for p in state.valid_box(i).cells().filter(|p| p[2] == zmid) {
+                rows += &format!(
+                    "{},{},{},{}\n",
+                    coords.fab(i).get(p, 0),
+                    coords.fab(i).get(p, 1),
+                    l,
+                    state.fab(i).get(p, cons::RHO)
+                );
+            }
+            out.push((l, i, rows));
+        }
+    }
+    out
 }
 
 fn print_grid(sim: &Simulation) {

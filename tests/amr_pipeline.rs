@@ -2,6 +2,7 @@
 //! clustering, nesting, two-level fill, regridding with data remap,
 //! AverageDown — stays physical and accounts its grid savings.
 
+use crocco::runtime::{GroupEndpoint, LocalCluster};
 use crocco::solver::config::{CodeVersion, SolverConfig};
 use crocco::solver::driver::Simulation;
 use crocco::solver::problems::ProblemKind;
@@ -14,7 +15,6 @@ fn dmr(levels: usize, version: CodeVersion) -> SolverConfig {
         .version(version)
         .max_levels(levels)
         .regrid_freq(4)
-        .nranks(6)
         .build()
 }
 
@@ -101,10 +101,16 @@ fn regrid_follows_the_moving_shock() {
 
 #[test]
 fn comm_accounting_distinguishes_versions() {
+    // Off-rank bytes need more than one rank. Metadata is replicated, so
+    // every rank accounts the global plans: report from rank 0.
     let run = |v| {
-        let mut sim = Simulation::new(dmr(2, v));
-        sim.advance_steps(3);
-        sim.comm
+        let cfg = SolverConfig { nranks: 2, ..dmr(2, v) };
+        LocalCluster::run(2, |ep| {
+            let mut sim = Simulation::new_owned(cfg.clone(), &GroupEndpoint::full(&ep))
+                .expect("fault-free construction");
+            sim.advance_steps_cluster(3, &ep);
+            sim.comm
+        })[0]
     };
     let c20 = run(CodeVersion::V2_0);
     let c21 = run(CodeVersion::V2_1);

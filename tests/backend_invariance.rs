@@ -15,44 +15,13 @@
 //! partition. DESIGN.md §4h spells out why bitwise identity holds; this
 //! suite is the end-to-end proof.
 
+mod common;
+
+use common::{ramp_builder, run_single as run_bits};
 use crocco::solver::backend::BackendKind;
 use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
-use crocco::solver::driver::Simulation;
 use crocco::solver::problems::ProblemKind;
 use proptest::prelude::*;
-
-/// The shrunk compression-ramp configuration from `tests/fabcheck_invariance.rs`.
-fn ramp_builder(extent_x: i64, cfl: f64) -> SolverConfigBuilder {
-    SolverConfig::builder()
-        .problem(ProblemKind::Ramp)
-        .extents(extent_x, extent_x / 2, 8)
-        .version(CodeVersion::V2_0)
-        .max_levels(2)
-        .blocking_factor(4)
-        .max_grid_size(16)
-        .regrid_freq(3)
-        .cfl(cfl)
-}
-
-/// Advances `steps` and flattens every level's valid state to bit patterns,
-/// so the comparison is exact (NaN-safe, -0.0-safe).
-fn run_bits(cfg: SolverConfig, steps: u32) -> Vec<u64> {
-    let mut sim = Simulation::new(cfg);
-    sim.advance_steps(steps);
-    let mut bits = Vec::new();
-    for l in 0..sim.nlevels() {
-        let state = &sim.level(l).state;
-        for i in 0..state.nfabs() {
-            let fab = state.fab(i);
-            for c in 0..state.ncomp() {
-                for p in state.valid_box(i).cells() {
-                    bits.push(fab.get(p, c).to_bits());
-                }
-            }
-        }
-    }
-    bits
-}
 
 /// The oracle: `b` with the scalar per-point kernels named explicitly, so
 /// the comparison cannot degenerate into the default against itself.
@@ -71,8 +40,8 @@ fn default_backend(b: SolverConfigBuilder) -> SolverConfig {
 fn backends_match_scalar_bitwise_on_the_ramp() {
     // 4 steps crosses the regrid at step 3, so the kernels also run over
     // freshly regridded patches.
-    let reference = run_bits(scalar(ramp_builder(48, 0.5).threads(4)), 4);
-    let got = run_bits(default_backend(ramp_builder(48, 0.5).threads(4)), 4);
+    let reference = run_bits(scalar(ramp_builder().threads(4)), 4);
+    let got = run_bits(default_backend(ramp_builder().threads(4)), 4);
     assert_eq!(reference.len(), got.len());
     assert!(reference == got, "default backend diverged from scalar bitwise");
 }
@@ -101,11 +70,11 @@ fn backends_match_scalar_bitwise_with_les() {
 fn tile_partition_is_bitwise_invisible() {
     // Odd tile shapes against the scalar whole-patch sweep: every valid
     // cell lies in exactly one tile, so the partition may not change a bit.
-    let reference = run_bits(scalar(ramp_builder(48, 0.5).threads(4)), 4);
+    let reference = run_bits(scalar(ramp_builder().threads(4)), 4);
     for k in BackendKind::ALL {
         for (tx, ty, tz) in [(1_000_000, 8, 8), (5, 3, 7)] {
             let got = run_bits(
-                ramp_builder(48, 0.5)
+                ramp_builder()
                     .threads(4)
                     .kernel_backend(k)
                     .tile_size(tx, ty, tz)
@@ -136,7 +105,7 @@ proptest! {
         // aliasing proofs and ghost-epoch discipline must hold for the
         // restructured kernels, and poisoning must stay semantics-free.
         let composed = || {
-            ramp_builder(48, 0.5)
+            ramp_builder()
                 .threads(4)
                 .overlap(overlap)
                 .fabcheck(fabcheck)

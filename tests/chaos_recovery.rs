@@ -3,84 +3,44 @@
 //! corruption, and delay leave the solution bitwise-identical to the
 //! fault-free baseline — and whole-rank crashes must be *recovered* —
 //! survivors roll back to the last in-memory checkpoint, re-form the
-//! communicator without the dead rank, and still reach the target step with
-//! the single-rank answer.
+//! communicator without the dead rank, re-own the re-partitioned patches,
+//! and still reach the target step with the single-rank answer.
 //!
-//! The configuration is the compression-ramp of
-//! `tests/dist_overlap_invariance.rs`: sheared curvilinear grid, two AMR
-//! levels, `regrid_freq(3)` so multi-step runs cross regrids (including
-//! inside rollback windows).
+//! The configuration is the compression ramp of `tests/common`: sheared
+//! curvilinear grid, two AMR levels, `regrid_freq(3)` so multi-step runs
+//! cross regrids (including inside rollback windows).
 //!
 //! `CROCCO_DIST_RANKS` (comma-separated) restricts the rank counts of the
-//! injection matrix — the CI chaos job uses it to split 2- and 4-rank legs.
+//! injection matrix — the CI chaos job uses it to split 2- and 4-rank legs
+//! (counts below 2 are dropped: injection needs real messages).
 
+mod common;
+
+use common::{assert_partitions_oracle, new_owned, patch_bits, ramp_builder, PatchBits};
 use crocco::runtime::chaos::{ChaosConfig, CrashPhase, CrashSpec};
 use crocco::runtime::LocalCluster;
 use crocco::solver::cluster_step::ChaosRunReport;
-use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
 use crocco::solver::driver::Simulation;
-use crocco::solver::problems::ProblemKind;
 use std::sync::OnceLock;
 
-fn ramp_builder() -> SolverConfigBuilder {
-    SolverConfig::builder()
-        .problem(ProblemKind::Ramp)
-        .extents(48, 24, 8)
-        .version(CodeVersion::V2_0)
-        .max_levels(2)
-        .blocking_factor(4)
-        .max_grid_size(16)
-        .regrid_freq(3)
-        .cfl(0.5)
-}
-
-/// Rank counts for the injection matrix (overridable via
-/// `CROCCO_DIST_RANKS`; counts below 2 are dropped — injection needs real
-/// messages).
 fn ranks_under_test() -> Vec<usize> {
-    std::env::var("CROCCO_DIST_RANKS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse::<usize>().ok())
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![2, 4])
+    common::ranks_under_test()
         .into_iter()
         .filter(|&n| n >= 2)
         .collect()
 }
 
-/// Flattens every level's valid state to bit patterns (NaN/-0.0-exact).
-fn state_bits(sim: &Simulation) -> Vec<u64> {
-    let mut bits = Vec::new();
-    for l in 0..sim.nlevels() {
-        let state = &sim.level(l).state;
-        for i in 0..state.nfabs() {
-            let fab = state.fab(i);
-            for c in 0..state.ncomp() {
-                for p in state.valid_box(i).cells() {
-                    bits.push(fab.get(p, c).to_bits());
-                }
-            }
-        }
-    }
-    bits
-}
-
-fn single_reference(steps: u32) -> (Vec<u64>, f64) {
-    let mut sim = Simulation::new(ramp_builder().build());
-    sim.advance_steps(steps);
-    (state_bits(&sim), sim.conserved_integral(0))
-}
-
-/// Fault-free 4-step single-rank baseline, shared across tests (every
-/// scenario runs 4 steps — `regrid_freq(3)` puts a regrid inside both the
-/// run and the crash tests' rollback windows).
-fn baseline4() -> &'static (Vec<u64>, f64) {
-    static B: OnceLock<(Vec<u64>, f64)> = OnceLock::new();
-    B.get_or_init(|| single_reference(4))
+/// Fault-free 4-step single-rank baseline under the reference schedule,
+/// shared across tests (every scenario runs 4 steps — `regrid_freq(3)` puts
+/// a regrid inside both the run and the crash tests' rollback windows):
+/// patch bits and the conserved mass integral.
+fn baseline4() -> &'static (PatchBits, f64) {
+    static B: OnceLock<(PatchBits, f64)> = OnceLock::new();
+    B.get_or_init(|| {
+        let mut sim = Simulation::new(ramp_builder().overlap(false).build());
+        sim.advance_steps(4);
+        (patch_bits(&sim), sim.conserved_integral(0))
+    })
 }
 
 /// Generous receive deadline: these tests run on oversubscribed CI hosts
@@ -92,8 +52,10 @@ const WAIT_TIMEOUT_MS: u64 = 120_000;
 /// What each rank of a chaos run reports back to the test.
 struct RankOutcome {
     report: ChaosRunReport,
-    /// `None` for the crashed rank (its simulation is abandoned mid-step).
-    bits: Option<Vec<u64>>,
+    /// `None` for the crashed rank (its simulation is abandoned mid-step);
+    /// otherwise the rank's owned patches.
+    bits: Option<PatchBits>,
+    /// This rank's share of the conserved mass integral.
     integral: Option<f64>,
     step: Option<u32>,
 }
@@ -108,11 +70,11 @@ fn run_chaos(
 ) -> (Vec<RankOutcome>, [u64; 8]) {
     let cfg = ramp_builder()
         .nranks(nranks)
-        .dist_overlap(overlap)
+        .overlap(overlap)
         .chaos(chaos.clone())
         .build();
     let (outcomes, runtime) = LocalCluster::run_with_chaos(nranks, chaos, move |ep| {
-        let mut sim = Simulation::new(cfg.clone());
+        let mut sim = new_owned(&cfg, &ep);
         let report = sim.advance_steps_chaos(steps, &ep);
         if report.crashed {
             RankOutcome {
@@ -124,7 +86,7 @@ fn run_chaos(
         } else {
             RankOutcome {
                 report,
-                bits: Some(state_bits(&sim)),
+                bits: Some(patch_bits(&sim)),
                 integral: Some(sim.conserved_integral(0)),
                 step: Some(sim.step_count()),
             }
@@ -132,6 +94,11 @@ fn run_chaos(
     });
     let stats = runtime.stats.snapshot();
     (outcomes, stats)
+}
+
+/// The owned patches of every rank that finished, in rank order.
+fn survivor_bits(outcomes: &[RankOutcome]) -> Vec<PatchBits> {
+    outcomes.iter().filter_map(|o| o.bits.clone()).collect()
 }
 
 /// A chaos transport with every fault probability at zero (framing, CRC
@@ -146,21 +113,21 @@ fn zero_fault_chaos_transport_is_bitwise_invisible() {
     };
     let (outcomes, stats) = run_chaos(2, chaos, false, 4);
     assert_eq!(stats[0] + stats[1] + stats[2] + stats[3], 0, "nothing injected");
-    for (r, o) in outcomes.iter().enumerate() {
+    for o in &outcomes {
         assert!(!o.report.crashed);
         assert_eq!(o.report.recoveries, 0);
-        assert_eq!(
-            o.bits.as_ref().unwrap(),
-            reference,
-            "rank {r}: detection-only chaos transport changed the solution"
-        );
     }
+    assert_partitions_oracle(
+        &survivor_bits(&outcomes),
+        reference,
+        "detection-only chaos transport",
+    );
 }
 
 /// Seeded drop + corruption + duplication + delay, repaired by CRC
 /// rejection, retransmits, and sequence suppression: the solution must stay
-/// bitwise-identical to the fault-free baseline at every rank count, fenced
-/// and overlapped.
+/// bitwise-identical to the fault-free baseline at every rank count, under
+/// the reference phases and the task graph.
 #[test]
 fn injected_faults_are_repaired_bitwise() {
     let (reference, _) = baseline4();
@@ -180,23 +147,23 @@ fn injected_faults_are_repaired_bitwise() {
                 stats[0] + stats[1] + stats[2] + stats[3] > 0,
                 "the plan must actually injure this run ({nranks} ranks)"
             );
-            for (r, o) in outcomes.iter().enumerate() {
+            for o in &outcomes {
                 assert!(!o.report.crashed);
                 assert_eq!(o.report.recoveries, 0, "no rank died, no recovery");
-                assert_eq!(
-                    o.bits.as_ref().unwrap(),
-                    reference,
-                    "rank {r}/{nranks} overlap={overlap}: injected faults leaked into the solution"
-                );
             }
+            assert_partitions_oracle(
+                &survivor_bits(&outcomes),
+                reference,
+                &format!("injected faults, {nranks} ranks, overlap={overlap}"),
+            );
         }
     }
 }
 
 /// Asserts the survivors of a crash run recovered correctly: reached the
-/// target step, rolled back as expected, and reproduce the single-rank
-/// solution bitwise (replication makes the result rank-count invariant even
-/// after the group shrinks mid-run).
+/// target step, rolled back as expected, and between them hold the
+/// single-rank solution bitwise (the shrunken group re-partitions every
+/// patch over the survivors).
 fn assert_recovered(
     outcomes: &[RankOutcome],
     crashed_ranks: &[usize],
@@ -222,17 +189,13 @@ fn assert_recovered(
         );
         assert!(o.report.checkpoints >= 1);
         assert!(o.report.checkpoint_bytes > 0);
-        let integral = o.integral.unwrap();
-        assert!(
-            (integral - ref_integral).abs() <= 1e-12 * ref_integral.abs(),
-            "rank {r}: conserved integral drifted ({integral} vs {ref_integral})"
-        );
-        assert_eq!(
-            o.bits.as_ref().unwrap(),
-            reference,
-            "rank {r}: recovered run diverged from the single-rank solution"
-        );
     }
+    let integral: f64 = outcomes.iter().filter_map(|o| o.integral).sum();
+    assert!(
+        (integral - ref_integral).abs() <= 1e-12 * ref_integral.abs(),
+        "conserved integral drifted ({integral} vs {ref_integral})"
+    );
+    assert_partitions_oracle(&survivor_bits(outcomes), reference, "recovered run");
 }
 
 fn crash_base() -> ChaosConfig {
@@ -260,8 +223,8 @@ fn rank_crash_after_dt_recovers_from_checkpoint() {
     assert_recovered(&outcomes, &[2], 4, &[2]);
 }
 
-/// Crash between the rank-local regrid and the dt collective, at the regrid
-/// step itself (mid-regrid fault): survivors fault inside the dt allreduce.
+/// Crash between the regrid and the dt collective, at the regrid step
+/// itself (mid-regrid fault): survivors fault inside the dt allreduce.
 #[test]
 fn rank_crash_after_regrid_recovers() {
     let chaos = ChaosConfig {
@@ -341,33 +304,42 @@ fn crash_recovery_survives_concurrent_injection() {
 /// Under the fabcheck sanitizer, a poisoned-NaN kernel (here: one rank's
 /// metrics silently corrupted, the way a flipped bit in device memory
 /// would) must *fail-stop* through the panic-to-`StageError` conversion —
-/// every rank reports `crashed` through the typed path instead of
-/// unwinding across the cluster threads or hanging.
+/// the rank reports `crashed` through the typed path instead of unwinding
+/// across the cluster threads or hanging — before the NaN ever reaches a
+/// halo message; its peer sees the death, rolls back and finishes alone.
 #[cfg(feature = "fabcheck")]
 #[test]
 fn poisoned_nan_kernel_fail_stops_through_typed_path() {
-    let chaos = ChaosConfig::default();
+    let chaos = ChaosConfig {
+        wait_timeout_ms: WAIT_TIMEOUT_MS,
+        ..ChaosConfig::default()
+    };
     let cfg = ramp_builder()
         .nranks(2)
         .nan_poison(true)
         .chaos(chaos.clone())
         .build();
     let (outcomes, _) = LocalCluster::run_with_chaos(2, chaos, move |ep| {
-        let mut sim = Simulation::new(cfg.clone());
+        let mut sim = new_owned(&cfg, &ep);
         let clean = sim.advance_steps_chaos(2, &ep);
         assert!(!clean.crashed, "poison-free prefix must be healthy");
         // Corrupt one owned patch's metrics on rank 1 only. The NaN enters
-        // the RK right-hand side, replicates through the stage allgather,
-        // and every rank's post-stage `check_for_nan` sweep traps.
+        // that patch's right-hand side in the next RK stage, and rank 1's
+        // post-stage sweep traps it.
         if ep.rank() == 1 {
             sim.poison_metrics_for_test(ep.rank());
         }
-        sim.advance_steps_chaos(2, &ep)
+        let report = sim.advance_steps_chaos(2, &ep);
+        let clean_finish = !report.crashed && sim.step_count() == 4 && !sim.has_nonfinite();
+        (report, clean_finish)
     });
-    for (r, report) in outcomes.iter().enumerate() {
-        assert!(
-            report.crashed,
-            "rank {r}: NaN poison must fail-stop via the typed StageError path"
-        );
-    }
+    let (poisoned, _) = &outcomes[1];
+    assert!(
+        poisoned.crashed,
+        "rank 1: NaN poison must fail-stop via the typed StageError path"
+    );
+    let (peer, clean_finish) = &outcomes[0];
+    assert!(!peer.crashed, "rank 0 never saw the NaN and must survive");
+    assert_eq!(peer.rollback_steps, vec![2], "rank 0 rolls back past the death");
+    assert!(clean_finish, "rank 0 must finish the run alone, finite");
 }

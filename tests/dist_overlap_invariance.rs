@@ -1,120 +1,81 @@
-//! The distributed stage-overlap data path (`SolverConfig::dist_overlap` on
-//! a `LocalCluster`) must be *observationally invisible*: partitioning the
-//! RK stages across ranks, shipping halos as tag-matched messages, and
-//! overlapping them with interior sweeps may only change the schedule, never
-//! a single bit of the solution. These tests run the compression-ramp
-//! configuration (sheared curvilinear grid, two AMR levels, regridding
-//! mid-run) single-rank, fenced-distributed, and overlapped-distributed at
-//! 1/2/4 ranks and demand bitwise-identical state on every rank. DESIGN.md
-//! §4f spells out why this holds; this test is the end-to-end proof.
+//! Split patches with the viscous kernel. The stage executor sweeps a patch
+//! whole unless its halo task waits on a receive; only then does it split
+//! the sweep into an interior core and 4-thick boundary-band slabs to hide
+//! the remote latency (`fab::dist_overlap`). On one rank nothing is ever
+//! split, and the reference schedule (`overlap(false)`) never splits, so
+//! this suite is the only place band slabs are compared against a whole
+//! sweep under the *viscous/LES* kernels — whose `grow(4)` primitive pass
+//! reads past every slab seam. It marches a periodic LES vortex on
+//! 16³ patches (interior 8³, so every slab exists) at 2 and 4 ranks and
+//! demands the bits of the single-rank reference run. The inviscid ramp,
+//! AMR and regrid legs of the same comparison live in
+//! `tests/owned_dist_invariance.rs`.
 //!
 //! `CROCCO_DIST_RANKS` (comma-separated, e.g. `CROCCO_DIST_RANKS=2`)
-//! restricts the rank counts under test — the CI matrix uses it to split the
-//! 2-rank and 4-rank legs into separate jobs.
+//! restricts the rank counts under test (2 and 4 by default; on one rank no
+//! patch is split and there is nothing for this suite to compare).
 
-use crocco::runtime::LocalCluster;
+mod common;
+
+use common::{assert_partitions_oracle, run_owned, run_single, PatchBits};
 use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
-use crocco::solver::driver::Simulation;
 use crocco::solver::problems::ProblemKind;
+use std::sync::OnceLock;
 
-/// The shrunk compression-ramp configuration from `tests/overlap_invariance.rs`:
-/// 4 steps with `regrid_freq(3)` crosses a regrid, so the skeleton caches are
-/// invalidated and rebuilt mid-run.
-fn ramp_builder() -> SolverConfigBuilder {
-    SolverConfig::builder()
-        .problem(ProblemKind::Ramp)
-        .extents(48, 24, 8)
-        .version(CodeVersion::V2_0)
-        .max_levels(2)
-        .blocking_factor(4)
-        .max_grid_size(16)
-        .regrid_freq(3)
-        .cfl(0.5)
-}
-
-/// Rank counts under test (overridable via `CROCCO_DIST_RANKS`).
 fn ranks_under_test() -> Vec<usize> {
-    std::env::var("CROCCO_DIST_RANKS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse::<usize>().ok())
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
+    common::ranks_under_test()
+        .into_iter()
+        .filter(|&n| n >= 2)
+        .collect()
 }
 
-/// Flattens every level's valid state to bit patterns, so the comparison is
-/// exact (NaN-safe, -0.0-safe).
-fn state_bits(sim: &Simulation) -> Vec<u64> {
-    let mut bits = Vec::new();
-    for l in 0..sim.nlevels() {
-        let state = &sim.level(l).state;
-        for i in 0..state.nfabs() {
-            let fab = state.fab(i);
-            for c in 0..state.ncomp() {
-                for p in state.valid_box(i).cells() {
-                    bits.push(fab.get(p, c).to_bits());
-                }
-            }
-        }
-    }
-    bits
+/// Fully periodic single-level LES vortex on four 16³ patches: every patch
+/// neighbours every other (corners included), so at 2 or 4 ranks each one
+/// has remote ghost chunks and is split under the graph schedule.
+fn les_vortex() -> SolverConfigBuilder {
+    SolverConfig::builder()
+        .problem(ProblemKind::IsentropicVortex)
+        .extents(32, 32, 16)
+        .version(CodeVersion::V1_1)
+        .max_grid_size(16)
+        .cfl(0.4)
+        .les(0.16)
 }
 
-/// Single-process reference via the ordinary `advance_steps` driver.
-fn run_single(steps: u32) -> Vec<u64> {
-    let mut sim = Simulation::new(ramp_builder().build());
-    sim.advance_steps(steps);
-    state_bits(&sim)
-}
+const STEPS: u32 = 2;
 
-/// Runs `steps` on a `LocalCluster` of `nranks` and returns every rank's
-/// flattened state bits.
-fn run_cluster(cfg: SolverConfig, steps: u32) -> Vec<Vec<u64>> {
-    let nranks = cfg.nranks;
-    LocalCluster::run(nranks, move |ep| {
-        let mut sim = Simulation::new(cfg.clone());
-        sim.advance_steps_cluster(steps, &ep);
-        state_bits(&sim)
-    })
+/// One rank, reference schedule: every patch swept whole.
+fn reference() -> &'static PatchBits {
+    static R: OnceLock<PatchBits> = OnceLock::new();
+    R.get_or_init(|| run_single(les_vortex().overlap(false).build(), STEPS))
 }
 
 #[test]
 fn fenced_cluster_matches_single_rank_bitwise() {
-    let reference = run_single(4);
+    let reference = reference();
     for nranks in ranks_under_test() {
-        let cfg = ramp_builder().nranks(nranks).threads(1).build();
-        for (rank, bits) in run_cluster(cfg, 4).into_iter().enumerate() {
-            assert_eq!(reference.len(), bits.len());
-            assert!(
-                reference == bits,
-                "fenced cluster run diverged bitwise at nranks={nranks}, rank {rank}"
-            );
-        }
+        let cfg = les_vortex().nranks(nranks).overlap(false).build();
+        assert_partitions_oracle(
+            &run_owned(cfg, STEPS),
+            reference,
+            &format!("fenced nranks={nranks}"),
+        );
     }
 }
 
 #[test]
 fn overlapped_cluster_matches_single_rank_bitwise() {
-    // 2 worker threads per rank: the rank-crossing task graph actually runs
-    // concurrently, so a missing recv-event or send-fence edge has a real
-    // chance to corrupt a ghost read.
-    let reference = run_single(4);
+    // Graph (split patches) ≡ reference (whole patches). 2 worker threads
+    // per rank, so interior and band sweeps of different patches really
+    // interleave with the receives.
+    let reference = reference();
     for nranks in ranks_under_test() {
-        let cfg = ramp_builder()
-            .nranks(nranks)
-            .threads(2)
-            .dist_overlap(true)
-            .build();
-        for (rank, bits) in run_cluster(cfg, 4).into_iter().enumerate() {
-            assert_eq!(reference.len(), bits.len());
-            assert!(
-                reference == bits,
-                "overlapped cluster run diverged bitwise at nranks={nranks}, rank {rank}"
-            );
-        }
+        let cfg = les_vortex().nranks(nranks).threads(2).build();
+        assert_partitions_oracle(
+            &run_owned(cfg, STEPS),
+            reference,
+            &format!("graph nranks={nranks}"),
+        );
     }
 }
 
@@ -123,68 +84,48 @@ fn overlapped_cluster_matches_fenced_serial() {
     // threads == 1 exercises the graph executor's deterministic serial path,
     // where sends must have been inserted before the recv events they feed.
     for nranks in ranks_under_test() {
-        let fenced = run_cluster(ramp_builder().nranks(nranks).threads(1).build(), 4);
-        let graph = run_cluster(
-            ramp_builder()
-                .nranks(nranks)
-                .threads(1)
-                .dist_overlap(true)
-                .build(),
-            4,
-        );
+        let fenced = run_owned(les_vortex().nranks(nranks).overlap(false).build(), STEPS);
+        let graph = run_owned(les_vortex().nranks(nranks).build(), STEPS);
         assert!(
             fenced == graph,
-            "serial overlapped run diverged from fenced at nranks={nranks}"
+            "serial graph run diverged from fenced at nranks={nranks}"
         );
     }
 }
 
 #[test]
 fn dist_overlap_is_invariant_under_adversarial_schedules() {
-    // Seeded adversarial linearizations (seed 0 = reverse-priority, plus an
-    // arbitrary seed) replace each rank's thread pool with a hostile but
-    // legal topological order of its stage graph. Bitwise identity against
-    // the single-rank reference proves every dependency edge — including
-    // the recv events and send fences — is actually sufficient.
-    let reference = run_single(4);
+    // Hostile but legal linearizations of each rank's stage graph (seed 0 =
+    // reverse-priority: band sweeps before interiors wherever legal).
+    let reference = reference();
     for nranks in ranks_under_test() {
         for seed in [0u64, 0x9e3779b97f4a7c15] {
-            let cfg = ramp_builder()
-                .nranks(nranks)
-                .threads(2)
-                .dist_overlap(true)
-                .sched_seed(seed)
-                .build();
-            for (rank, bits) in run_cluster(cfg, 4).into_iter().enumerate() {
-                assert!(
-                    reference == bits,
-                    "adversarial schedule (seed {seed:#x}) diverged bitwise at \
-                     nranks={nranks}, rank {rank}"
-                );
-            }
+            let cfg = les_vortex().nranks(nranks).sched_seed(seed).build();
+            assert_partitions_oracle(
+                &run_owned(cfg, STEPS),
+                reference,
+                &format!("adversarial seed {seed:#x} nranks={nranks}"),
+            );
         }
     }
 }
 
 #[test]
 fn dist_overlap_composes_with_the_sanitizer() {
-    // dist_overlap + fabcheck + nan_poison together: the distributed graph
-    // path must satisfy the sanitizer's aliasing proofs and the du poisoning
-    // discipline (du is owner-only under the cluster driver).
-    let reference = run_single(4);
+    // fabcheck + nan_poison: a slab seam reading a ghost nobody filled would
+    // trap on the poison instead of passing on a lucky zero.
+    let reference = reference();
     for nranks in ranks_under_test() {
-        let cfg = ramp_builder()
+        let cfg = les_vortex()
             .nranks(nranks)
             .threads(2)
-            .dist_overlap(true)
             .fabcheck(true)
             .nan_poison(true)
             .build();
-        for (rank, bits) in run_cluster(cfg, 4).into_iter().enumerate() {
-            assert!(
-                reference == bits,
-                "sanitized overlapped run diverged bitwise at nranks={nranks}, rank {rank}"
-            );
-        }
+        assert_partitions_oracle(
+            &run_owned(cfg, STEPS),
+            reference,
+            &format!("sanitized nranks={nranks}"),
+        );
     }
 }

@@ -15,45 +15,20 @@
 //! `CROCCO_DIST_RANKS` (comma-separated) restricts the writer rank counts —
 //! the CI durable job uses it to split the 1/2/4-rank legs.
 
+mod common;
+
+use common::{
+    assert_partitions_oracle, new_owned, patch_bits, ramp_builder, ranks_under_test, run_single,
+    PatchBits,
+};
 use crocco::runtime::chaos::{ChaosConfig, CrashPhase, CrashSpec, StorageFault, StorageFaultPlan};
-use crocco::runtime::{GroupEndpoint, LocalCluster};
+use crocco::runtime::LocalCluster;
 use crocco::solver::cluster_step::ChaosRunReport;
-use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
 use crocco::solver::driver::Simulation;
 use crocco::solver::durable::CkptError;
-use crocco::solver::problems::ProblemKind;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// The compression-ramp configuration shared with
-/// `tests/owned_dist_invariance.rs`: sheared curvilinear grid, two AMR
-/// levels, `regrid_freq(3)` so restarted runs cross a regrid.
-fn ramp_builder() -> SolverConfigBuilder {
-    SolverConfig::builder()
-        .problem(ProblemKind::Ramp)
-        .extents(48, 24, 8)
-        .version(CodeVersion::V2_0)
-        .max_levels(2)
-        .blocking_factor(4)
-        .max_grid_size(16)
-        .regrid_freq(3)
-        .cfl(0.5)
-}
-
-/// Writer rank counts under test (overridable via `CROCCO_DIST_RANKS`).
-fn ranks_under_test() -> Vec<usize> {
-    std::env::var("CROCCO_DIST_RANKS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse::<usize>().ok())
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
 
 const WAIT_TIMEOUT_MS: u64 = 120_000;
 
@@ -80,69 +55,14 @@ impl Drop for SpillDir {
     }
 }
 
-/// Per-patch valid-state bit patterns of every allocated patch, keyed by
-/// `(level, patch)` — same oracle comparison as the owned-data invariance
-/// suite.
-fn patch_bits(sim: &Simulation) -> BTreeMap<(usize, usize), Vec<u64>> {
-    let mut out = BTreeMap::new();
-    for l in 0..sim.nlevels() {
-        let state = &sim.level(l).state;
-        for i in 0..state.nfabs() {
-            if !state.is_allocated(i) {
-                continue;
-            }
-            let fab = state.fab(i);
-            let mut bits = Vec::new();
-            for c in 0..state.ncomp() {
-                for p in state.valid_box(i).cells() {
-                    bits.push(fab.get(p, c).to_bits());
-                }
-            }
-            out.insert((l, i), bits);
-        }
-    }
-    out
+/// The uninterrupted single-rank oracle at 4 steps (reference schedule),
+/// shared across tests.
+fn oracle4() -> &'static PatchBits {
+    static O: OnceLock<PatchBits> = OnceLock::new();
+    O.get_or_init(|| run_single(ramp_builder().overlap(false).build(), 4))
 }
 
-/// The uninterrupted single-process oracle at 4 steps, shared across tests.
-fn oracle4() -> &'static BTreeMap<(usize, usize), Vec<u64>> {
-    static O: OnceLock<BTreeMap<(usize, usize), Vec<u64>>> = OnceLock::new();
-    O.get_or_init(|| {
-        let mut sim = Simulation::new(ramp_builder().build());
-        sim.advance_steps(4);
-        patch_bits(&sim)
-    })
-}
-
-/// Asserts the per-rank owned maps partition the oracle bitwise.
-fn assert_partitions_oracle(
-    owned: &[BTreeMap<(usize, usize), Vec<u64>>],
-    reference: &BTreeMap<(usize, usize), Vec<u64>>,
-    what: &str,
-) {
-    let mut seen: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    for (rank, map) in owned.iter().enumerate() {
-        for (key, bits) in map {
-            let expect = reference
-                .get(key)
-                .unwrap_or_else(|| panic!("{what}: rank {rank} owns unknown patch {key:?}"));
-            assert!(
-                bits == expect,
-                "{what}: rank {rank} patch {key:?} diverged bitwise from the oracle"
-            );
-            if let Some(prev) = seen.insert(*key, rank) {
-                panic!("{what}: patch {key:?} owned by both rank {prev} and rank {rank}");
-            }
-        }
-    }
-    assert_eq!(
-        seen.len(),
-        reference.len(),
-        "{what}: owned union must cover every oracle patch"
-    );
-}
-
-/// The doomed run: an owned-data cluster spilling every 2 steps, advanced
+/// The doomed run: a cluster spilling every 2 steps, advanced
 /// `steps` steps, then killed whole — the closure returns, every thread
 /// joins, every `Simulation` and endpoint is dropped. Only the spill
 /// directory survives. Returns each rank's chaos report.
@@ -165,10 +85,7 @@ fn run_and_die(
         .spill_dir(dir)
         .build();
     let (reports, _) = LocalCluster::run_with_chaos(nranks, chaos, move |ep| {
-        let gep = GroupEndpoint::full(&ep);
-        let mut sim = Simulation::new_owned(cfg.clone(), &gep).expect("fault-free construction");
-        drop(gep);
-        sim.advance_steps_chaos(steps, &ep)
+        new_owned(&cfg, &ep).advance_steps_chaos(steps, &ep)
     });
     reports
 }
@@ -182,7 +99,7 @@ fn cold_restart(
     dir: &Path,
     expect_step: u32,
     expect_fallback: bool,
-) -> Vec<BTreeMap<(usize, usize), Vec<u64>>> {
+) -> Vec<PatchBits> {
     let dir = dir.to_path_buf();
     LocalCluster::run(nranks, move |ep| {
         let cfg = ramp_builder().nranks(nranks).threads(1).build();
@@ -302,7 +219,7 @@ fn disk_full_degrades_to_in_memory_checkpoints() {
         .spill_dir(&dir.path)
         .build();
     let (outcomes, _) = LocalCluster::run_with_chaos(2, chaos, move |ep| {
-        let mut sim = Simulation::new(cfg.clone());
+        let mut sim = new_owned(&cfg, &ep);
         let report = sim.advance_steps_chaos(4, &ep);
         let bits = (!report.crashed).then(|| (patch_bits(&sim), sim.step_count()));
         (report, bits)
@@ -318,11 +235,15 @@ fn disk_full_degrades_to_in_memory_checkpoints() {
     assert_eq!(report.rollback_steps, vec![2], "in-memory rollback still works");
     let (bits, step) = survivor.as_ref().unwrap();
     assert_eq!(*step, 4, "the run must complete despite the dead store");
-    assert_eq!(bits, oracle4(), "degraded run diverged from the oracle");
+    assert_eq!(
+        bits,
+        oracle4(),
+        "degraded run (rank 0 alone holds every patch) diverged from the oracle"
+    );
     let (crashed, _) = &outcomes[1];
     assert!(crashed.crashed, "rank 1 was scheduled to crash");
     // And the directory is unusable for restart — typed, not a panic.
-    let err = Simulation::from_checkpoint_file(ramp_builder().build(), &dir.path)
+    let err = Simulation::from_checkpoint_file_owned(ramp_builder().build(), &dir.path, 0)
         .map(|_| ())
         .unwrap_err();
     assert!(
@@ -363,7 +284,8 @@ fn v1_checkpoint_upgrades_to_stable_v2_slot() {
 
     // Round trip: recover, rebuild, re-spill into the other slot.
     let (resumed, info) =
-        Simulation::from_checkpoint_file(ramp_builder().build(), &dir.path).expect("recover");
+        Simulation::from_checkpoint_file_owned(ramp_builder().build(), &dir.path, 0)
+            .expect("recover");
     assert_eq!(info.step, 2);
     assert!(info.fallback.is_none());
     let second = write_checkpoint_bytes(&resumed);

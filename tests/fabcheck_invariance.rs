@@ -7,59 +7,22 @@
 //! allocations and epoch checks are live; without it the knobs must be inert
 //! by construction.
 
-use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
-use crocco::solver::driver::Simulation;
-use crocco::solver::problems::ProblemKind;
+mod common;
+
+use common::{ramp_builder, run_single};
 use proptest::prelude::*;
-
-/// The shrunk compression-ramp configuration (sheared curvilinear grid,
-/// two AMR levels, regridding mid-run so the remap path executes).
-fn ramp_builder(extent_x: i64, cfl: f64) -> SolverConfigBuilder {
-    // The sheared mapping needs the example's aspect ratio: too-coarse grids
-    // invert (negative Jacobian) in the ghost corners.
-    SolverConfig::builder()
-        .problem(ProblemKind::Ramp)
-        .extents(extent_x, extent_x / 2, 8)
-        .version(CodeVersion::V2_0)
-        .max_levels(2)
-        .blocking_factor(4)
-        .max_grid_size(16)
-        .regrid_freq(3)
-        .cfl(cfl)
-}
-
-/// Advances `steps` and flattens every level's valid state to bit patterns,
-/// so the comparison is exact (NaN-safe, -0.0-safe).
-fn run_bits(cfg: SolverConfig, steps: u32) -> Vec<u64> {
-    let mut sim = Simulation::new(cfg);
-    sim.advance_steps(steps);
-    let mut bits = Vec::new();
-    for l in 0..sim.nlevels() {
-        let state = &sim.level(l).state;
-        for i in 0..state.nfabs() {
-            let fab = state.fab(i);
-            for c in 0..state.ncomp() {
-                for p in state.valid_box(i).cells() {
-                    bits.push(fab.get(p, c).to_bits());
-                }
-            }
-        }
-    }
-    bits
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     #[test]
     fn nan_poisoning_is_bitwise_invisible_on_the_ramp(
-        extent_x in Just(48i64),
         cfl in prop::sample::select(vec![0.4f64, 0.5]),
         steps in 3u32..5,
     ) {
-        let plain = run_bits(ramp_builder(extent_x, cfl).build(), steps);
-        let poisoned = run_bits(
-            ramp_builder(extent_x, cfl).fabcheck(true).nan_poison(true).build(),
+        let plain = run_single(ramp_builder().cfl(cfl).build(), steps);
+        let poisoned = run_single(
+            ramp_builder().cfl(cfl).fabcheck(true).nan_poison(true).build(),
             steps,
         );
         prop_assert_eq!(plain.len(), poisoned.len());
@@ -70,8 +33,8 @@ proptest! {
     fn sanitizer_toggle_is_bitwise_invisible(
         steps in 3u32..5,
     ) {
-        let off = run_bits(ramp_builder(48, 0.5).fabcheck(false).build(), steps);
-        let on = run_bits(ramp_builder(48, 0.5).fabcheck(true).build(), steps);
+        let off = run_single(ramp_builder().fabcheck(false).build(), steps);
+        let on = run_single(ramp_builder().fabcheck(true).build(), steps);
         prop_assert!(off == on, "fabcheck toggle changed results");
     }
 }

@@ -24,7 +24,6 @@ fn everything_enabled_dmr_marches_stably() {
         .coord_source(CoordSource::BinaryFile)
         .les(0.17)
         .regrid_freq(3)
-        .nranks(4)
         .threads(2)
         .cfl(0.5)
         .build();

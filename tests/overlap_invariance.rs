@@ -1,87 +1,50 @@
-//! The task-graph execution path (`SolverConfig::overlap`) must be
-//! *observationally invisible*: overlapping halo exchange with interior
-//! sweeps may only change the inter-patch schedule, never a single bit of
-//! the solution. These tests run the compression-ramp configuration (sheared
-//! curvilinear grid, two AMR levels, regridding mid-run) with the barrier
-//! and task-graph executors and demand bitwise-identical state — not merely
-//! close. DESIGN.md §4e spells out why this holds; this test is the
-//! end-to-end proof.
+//! The task-graph schedule (`SolverConfig::overlap`, the default) must be
+//! *observationally invisible*: overlapping halo exchange with kernel sweeps
+//! may only change the inter-patch schedule, never a single bit of the
+//! solution. These tests run the compression-ramp configuration (sheared
+//! curvilinear grid, two AMR levels, regridding mid-run) on one rank under
+//! the graph and under the reference schedule — `overlap(false)`, the
+//! sequential fill → sweep → update phases — and demand bitwise-identical
+//! state, not merely close. DESIGN.md §4e spells out why this holds; this
+//! test is the end-to-end proof. (`tests/owned_dist_invariance.rs` and
+//! `tests/dist_overlap_invariance.rs` carry the same comparison to 2 and 4
+//! ranks.)
 
-use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
-use crocco::solver::driver::Simulation;
-use crocco::solver::problems::ProblemKind;
+mod common;
+
+use common::{ramp_builder, run_single};
 use proptest::prelude::*;
-
-/// The shrunk compression-ramp configuration from `tests/fabcheck_invariance.rs`.
-fn ramp_builder(extent_x: i64, cfl: f64) -> SolverConfigBuilder {
-    SolverConfig::builder()
-        .problem(ProblemKind::Ramp)
-        .extents(extent_x, extent_x / 2, 8)
-        .version(CodeVersion::V2_0)
-        .max_levels(2)
-        .blocking_factor(4)
-        .max_grid_size(16)
-        .regrid_freq(3)
-        .cfl(cfl)
-}
-
-/// Advances `steps` and flattens every level's valid state to bit patterns,
-/// so the comparison is exact (NaN-safe, -0.0-safe).
-fn run_bits(cfg: SolverConfig, steps: u32) -> Vec<u64> {
-    let mut sim = Simulation::new(cfg);
-    sim.advance_steps(steps);
-    let mut bits = Vec::new();
-    for l in 0..sim.nlevels() {
-        let state = &sim.level(l).state;
-        for i in 0..state.nfabs() {
-            let fab = state.fab(i);
-            for c in 0..state.ncomp() {
-                for p in state.valid_box(i).cells() {
-                    bits.push(fab.get(p, c).to_bits());
-                }
-            }
-        }
-    }
-    bits
-}
 
 #[test]
 fn overlap_matches_barrier_bitwise_multithreaded() {
     // 4 worker threads: the task graph actually runs concurrently, so any
     // missing dependency edge has a real chance to corrupt a ghost read.
-    let barrier = run_bits(ramp_builder(48, 0.5).threads(4).build(), 4);
-    let graph = run_bits(ramp_builder(48, 0.5).threads(4).overlap(true).build(), 4);
-    assert_eq!(barrier.len(), graph.len());
-    assert!(barrier == graph, "task-graph run diverged bitwise");
+    let reference = run_single(ramp_builder().threads(4).overlap(false).build(), 4);
+    let graph = run_single(ramp_builder().threads(4).build(), 4);
+    assert_eq!(reference.len(), graph.len());
+    assert!(reference == graph, "task-graph run diverged bitwise");
 }
 
 #[test]
 fn overlap_matches_barrier_bitwise_serial() {
     // threads == 1 exercises the executor's deterministic serial path.
-    let barrier = run_bits(ramp_builder(48, 0.5).threads(1).build(), 4);
-    let graph = run_bits(ramp_builder(48, 0.5).threads(1).overlap(true).build(), 4);
-    assert!(barrier == graph, "serial task-graph run diverged bitwise");
+    let reference = run_single(ramp_builder().threads(1).overlap(false).build(), 4);
+    let graph = run_single(ramp_builder().threads(1).build(), 4);
+    assert!(reference == graph, "serial task-graph run diverged bitwise");
 }
 
 #[test]
 fn overlap_is_invariant_under_adversarial_schedules() {
     // Seeded adversarial linearizations (seed 0 = reverse-priority, plus an
     // arbitrary seed) replace the thread pool with a hostile but legal
-    // topological order. Bitwise identity against the barrier run is the
+    // topological order. Bitwise identity against the reference run is the
     // taskcheck layer's end-to-end soundness proof: if any dependency edge
     // were missing, some legal order would expose it as a diverging bit.
-    let barrier = run_bits(ramp_builder(48, 0.5).threads(4).build(), 4);
+    let reference = run_single(ramp_builder().threads(4).overlap(false).build(), 4);
     for seed in [0u64, 0x9e3779b97f4a7c15] {
-        let adversarial = run_bits(
-            ramp_builder(48, 0.5)
-                .threads(4)
-                .overlap(true)
-                .sched_seed(seed)
-                .build(),
-            4,
-        );
+        let adversarial = run_single(ramp_builder().threads(4).sched_seed(seed).build(), 4);
         assert!(
-            barrier == adversarial,
+            reference == adversarial,
             "adversarial schedule (seed {seed:#x}) diverged bitwise"
         );
     }
@@ -96,26 +59,25 @@ proptest! {
         steps in 3u32..5,
         threads in prop::sample::select(vec![2usize, 4]),
     ) {
-        let barrier = run_bits(ramp_builder(48, cfl).threads(threads).build(), steps);
-        let graph = run_bits(
-            ramp_builder(48, cfl).threads(threads).overlap(true).build(),
+        let reference = run_single(
+            ramp_builder().cfl(cfl).threads(threads).overlap(false).build(),
             steps,
         );
-        prop_assert_eq!(barrier.len(), graph.len());
-        prop_assert!(barrier == graph, "task-graph run diverged bitwise");
+        let graph = run_single(ramp_builder().cfl(cfl).threads(threads).build(), steps);
+        prop_assert_eq!(reference.len(), graph.len());
+        prop_assert!(reference == graph, "task-graph run diverged bitwise");
     }
 
     #[test]
     fn overlap_composes_with_the_sanitizer(
         steps in 3u32..4,
     ) {
-        // overlap + fabcheck + nan_poison together: the graph path must
+        // graph + fabcheck + nan_poison together: the graph schedule must
         // satisfy the sanitizer's aliasing proofs and ghost-epoch discipline.
-        let plain = run_bits(ramp_builder(48, 0.5).threads(4).build(), steps);
-        let checked = run_bits(
-            ramp_builder(48, 0.5)
+        let plain = run_single(ramp_builder().threads(4).overlap(false).build(), steps);
+        let checked = run_single(
+            ramp_builder()
                 .threads(4)
-                .overlap(true)
                 .fabcheck(true)
                 .nan_poison(true)
                 .build(),

@@ -1,137 +1,40 @@
-//! Owned-data distribution (`Simulation::new_owned`, docs/DISTRIBUTED.md)
-//! must be *observationally invisible*: allocating and advancing only the
-//! patches each rank owns — no stage allgather, cross-rank FillPatch through
-//! plan-driven exchanges, distributed regrid with tag-union + data
-//! redistribution — may change the memory footprint and the message
-//! schedule, never a single bit of the solution. These tests run the
+//! Distribution over ranks must be *observationally invisible*: allocating
+//! and advancing only the patches each rank owns — cross-rank halos and
+//! FillPatch gathers through plan-driven exchanges, distributed regrid with
+//! tag-union + data redistribution — may change the memory footprint and the
+//! message schedule, never a single bit of the solution. These tests run the
 //! compression-ramp configuration (sheared curvilinear grid, two AMR levels,
-//! a regrid mid-run) owned-data at 1/2/4 ranks — fenced, overlapped, and
-//! under the fabcheck sanitizer — and demand that the union of the ranks'
-//! owned patches is bitwise-identical to the replicated oracle. They also
-//! pin the tentpole memory claim: per-rank allocation is exactly
-//! O(owned cells + ghosts), not O(global).
+//! a regrid mid-run) at 1/2/4 ranks — reference phases, task graph, hostile
+//! schedules, under the fabcheck sanitizer, restarted, and crash-recovered —
+//! and demand that the union of the ranks' owned patches is
+//! bitwise-identical to the single-rank reference run. They also pin the
+//! memory claim: per-rank allocation is exactly O(owned cells + ghosts), not
+//! O(global).
 //!
 //! `CROCCO_DIST_RANKS` (comma-separated, e.g. `CROCCO_DIST_RANKS=2`)
 //! restricts the rank counts under test — the CI matrix uses it to split the
 //! 2-rank and 4-rank legs into separate jobs.
 
+mod common;
+
+use common::{
+    assert_partitions_oracle, new_owned, patch_bits, ramp_builder, ranks_under_test, run_owned,
+    run_single, PatchBits,
+};
 use crocco::runtime::chaos::{ChaosConfig, CrashPhase, CrashSpec};
-use crocco::runtime::{GroupEndpoint, LocalCluster};
-use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
+use crocco::runtime::LocalCluster;
 use crocco::solver::driver::Simulation;
-use crocco::solver::problems::ProblemKind;
-use std::collections::BTreeMap;
 
-/// The shrunk compression-ramp configuration shared with
-/// `tests/dist_overlap_invariance.rs`: 4 steps with `regrid_freq(3)` crosses
-/// a regrid, so the owned path's distributed tagging, clustering, and
-/// redistribution all execute mid-run.
-fn ramp_builder() -> SolverConfigBuilder {
-    SolverConfig::builder()
-        .problem(ProblemKind::Ramp)
-        .extents(48, 24, 8)
-        .version(CodeVersion::V2_0)
-        .max_levels(2)
-        .blocking_factor(4)
-        .max_grid_size(16)
-        .regrid_freq(3)
-        .cfl(0.5)
-}
-
-/// Rank counts under test (overridable via `CROCCO_DIST_RANKS`).
-fn ranks_under_test() -> Vec<usize> {
-    std::env::var("CROCCO_DIST_RANKS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse::<usize>().ok())
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
-
-/// Per-patch valid-state bit patterns of every *allocated* patch, keyed by
-/// `(level, patch)`. On a replicated simulation this is every patch; on an
-/// owned one, exactly the rank's owned subset — so the oracle comparison is
-/// per patch and the union check is a map-key union.
-fn patch_bits(sim: &Simulation) -> BTreeMap<(usize, usize), Vec<u64>> {
-    let mut out = BTreeMap::new();
-    for l in 0..sim.nlevels() {
-        let state = &sim.level(l).state;
-        for i in 0..state.nfabs() {
-            if !state.is_allocated(i) {
-                continue;
-            }
-            let fab = state.fab(i);
-            let mut bits = Vec::new();
-            for c in 0..state.ncomp() {
-                for p in state.valid_box(i).cells() {
-                    bits.push(fab.get(p, c).to_bits());
-                }
-            }
-            out.insert((l, i), bits);
-        }
-    }
-    out
-}
-
-/// The replicated oracle: ordinary single-process stepping.
-fn oracle(steps: u32) -> BTreeMap<(usize, usize), Vec<u64>> {
-    let mut sim = Simulation::new(ramp_builder().build());
-    sim.advance_steps(steps);
-    patch_bits(&sim)
-}
-
-/// Runs `steps` owned-data on a `LocalCluster` of `cfg.nranks` and returns
-/// every rank's owned patch bits.
-fn run_owned(cfg: SolverConfig, steps: u32) -> Vec<BTreeMap<(usize, usize), Vec<u64>>> {
-    let nranks = cfg.nranks;
-    LocalCluster::run(nranks, move |ep| {
-        let gep = GroupEndpoint::full(&ep);
-        let mut sim =
-            Simulation::new_owned(cfg.clone(), &gep).expect("fault-free construction");
-        drop(gep);
-        sim.advance_steps_cluster(steps, &ep);
-        patch_bits(&sim)
-    })
-}
-
-/// Asserts the per-rank owned maps partition the oracle: each rank's patches
-/// match the oracle bitwise, every oracle patch is owned by exactly one
-/// rank, and no rank holds a patch the oracle lacks.
-fn assert_partitions_oracle(
-    owned: &[BTreeMap<(usize, usize), Vec<u64>>],
-    reference: &BTreeMap<(usize, usize), Vec<u64>>,
-    what: &str,
-) {
-    let mut seen: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    for (rank, map) in owned.iter().enumerate() {
-        for (key, bits) in map {
-            let expect = reference
-                .get(key)
-                .unwrap_or_else(|| panic!("{what}: rank {rank} owns unknown patch {key:?}"));
-            assert!(
-                bits == expect,
-                "{what}: rank {rank} patch {key:?} diverged bitwise from the oracle"
-            );
-            if let Some(prev) = seen.insert(*key, rank) {
-                panic!("{what}: patch {key:?} owned by both rank {prev} and rank {rank}");
-            }
-        }
-    }
-    assert_eq!(
-        seen.len(),
-        reference.len(),
-        "{what}: owned union must cover every oracle patch"
-    );
+/// The oracle: one rank, the reference schedule (`overlap(false)`).
+fn oracle(steps: u32) -> PatchBits {
+    run_single(ramp_builder().overlap(false).build(), steps)
 }
 
 #[test]
 fn owned_fenced_matches_oracle_bitwise() {
     let reference = oracle(4);
     for nranks in ranks_under_test() {
-        let cfg = ramp_builder().nranks(nranks).threads(1).build();
+        let cfg = ramp_builder().nranks(nranks).threads(1).overlap(false).build();
         let owned = run_owned(cfg, 4);
         assert_partitions_oracle(&owned, &reference, &format!("fenced nranks={nranks}"));
     }
@@ -141,14 +44,10 @@ fn owned_fenced_matches_oracle_bitwise() {
 fn owned_overlapped_matches_oracle_bitwise() {
     // 2 worker threads per rank: the rank-crossing task graph actually runs
     // concurrently over owned-only storage, so a task touching a non-owned
-    // fab would fault rather than silently read replicated data.
+    // fab would fault rather than silently read stale data.
     let reference = oracle(4);
     for nranks in ranks_under_test() {
-        let cfg = ramp_builder()
-            .nranks(nranks)
-            .threads(2)
-            .dist_overlap(true)
-            .build();
+        let cfg = ramp_builder().nranks(nranks).threads(2).build();
         let owned = run_owned(cfg, 4);
         assert_partitions_oracle(&owned, &reference, &format!("overlapped nranks={nranks}"));
     }
@@ -157,15 +56,14 @@ fn owned_overlapped_matches_oracle_bitwise() {
 #[test]
 fn owned_is_invariant_under_adversarial_schedules() {
     // Seeded adversarial linearizations of each rank's stage graph: bitwise
-    // identity proves the owned path's dependency edges suffice even when
-    // the executor is hostile.
+    // identity proves the dependency edges — including the recv events and
+    // send fences — suffice even when the executor is hostile.
     let reference = oracle(4);
     for nranks in ranks_under_test() {
         for seed in [0u64, 0x9e3779b97f4a7c15] {
             let cfg = ramp_builder()
                 .nranks(nranks)
                 .threads(2)
-                .dist_overlap(true)
                 .sched_seed(seed)
                 .build();
             let owned = run_owned(cfg, 4);
@@ -188,7 +86,6 @@ fn owned_composes_with_the_sanitizer() {
         let cfg = ramp_builder()
             .nranks(nranks)
             .threads(2)
-            .dist_overlap(true)
             .fabcheck(true)
             .nan_poison(true)
             .build();
@@ -198,9 +95,8 @@ fn owned_composes_with_the_sanitizer() {
 }
 
 /// Expected allocation of `mf` on `rank`: the grown boxes of exactly the
-/// owned patches (valid + ghosts, times components, times 8 bytes). This is
-/// the tentpole memory claim — owned-data stepping is O(owned cells), not
-/// O(global).
+/// owned patches (valid + ghosts, times components, times 8 bytes) — stepping
+/// is O(owned cells) per rank, not O(global). `None` = every patch.
 fn expected_bytes(mf: &crocco::fab::MultiFab, rank: Option<usize>) -> usize {
     let mut total = 0usize;
     for i in 0..mf.nfabs() {
@@ -219,14 +115,11 @@ fn expected_bytes(mf: &crocco::fab::MultiFab, rank: Option<usize>) -> usize {
 fn owned_memory_per_rank_is_o_owned_cells() {
     for nranks in ranks_under_test() {
         let cfg = ramp_builder().nranks(nranks).threads(1).build();
-        // Per rank, per level: (actual, expected-owned, full-replicated)
-        // for each of the four solver MultiFabs.
+        // Per rank, per level: (actual, expected-owned, whole-level) for
+        // each of the four solver MultiFabs.
         let per_rank: Vec<Vec<[(usize, usize, usize); 4]>> =
             LocalCluster::run(nranks, move |ep| {
-                let gep = GroupEndpoint::full(&ep);
-                let mut sim =
-                    Simulation::new_owned(cfg.clone(), &gep).expect("fault-free construction");
-                drop(gep);
+                let mut sim = new_owned(&cfg, &ep);
                 sim.advance_steps_cluster(4, &ep);
                 let rank = Some(ep.rank());
                 (0..sim.nlevels())
@@ -254,7 +147,7 @@ fn owned_memory_per_rank_is_o_owned_cells() {
                         assert!(
                             actual < full,
                             "nranks={nranks} rank {rank} L{l}: owned allocation must be a \
-                             strict subset of the replicated footprint"
+                             strict subset of the whole level"
                         );
                     }
                 }
@@ -277,11 +170,12 @@ fn owned_memory_per_rank_is_o_owned_cells() {
 
 #[test]
 fn owned_restart_from_replicated_checkpoint_matches_oracle() {
-    // A replicated checkpoint restored owned (`from_checkpoint_owned`) and
-    // advanced across the step-3 regrid must land on the oracle bitwise —
-    // the restore path the chaos recovery loop takes after a crash.
+    // A checkpoint written by a one-rank run, restored at N ranks
+    // (`from_checkpoint_owned`) and advanced across the step-3 regrid must
+    // land on the oracle bitwise — the restore path the chaos recovery loop
+    // takes after a crash.
     let reference = oracle(4);
-    let mut serial = Simulation::new(ramp_builder().build());
+    let mut serial = Simulation::new(ramp_builder().overlap(false).build());
     serial.advance_steps(2);
     let bytes = crocco::solver::io::write_checkpoint_bytes(&serial);
     for nranks in ranks_under_test() {
@@ -300,11 +194,11 @@ fn owned_restart_from_replicated_checkpoint_matches_oracle() {
 
 #[test]
 fn owned_chaos_crash_recovery_matches_oracle() {
-    // Mid-RK crash on an owned-data run: the step-2 checkpoint was gathered
-    // across ranks (each rank holds only its owned patches, yet all seal the
-    // identical whole-domain snapshot), the survivors shrink the group,
-    // re-own the re-partitioned patches, and still reach the oracle bitwise
-    // across the regrid inside the rollback window.
+    // Mid-RK crash under the graph schedule: the step-2 checkpoint was
+    // gathered across ranks (each rank holds only its owned patches, yet all
+    // seal the identical whole-domain snapshot), the survivors shrink the
+    // group, re-own the re-partitioned patches, and still reach the oracle
+    // bitwise across the regrid inside the rollback window.
     let reference = oracle(4);
     let chaos = ChaosConfig {
         checkpoint_interval: 2,
@@ -318,10 +212,7 @@ fn owned_chaos_crash_recovery_matches_oracle() {
     };
     let cfg = ramp_builder().nranks(4).chaos(chaos.clone()).build();
     let (outcomes, _) = LocalCluster::run_with_chaos(4, chaos, move |ep| {
-        let gep = GroupEndpoint::full(&ep);
-        let mut sim =
-            Simulation::new_owned(cfg.clone(), &gep).expect("fault-free construction");
-        drop(gep);
+        let mut sim = new_owned(&cfg, &ep);
         let report = sim.advance_steps_chaos(4, &ep);
         if report.crashed {
             (report, None, None)
@@ -350,10 +241,7 @@ fn owned_simulation_answers_has_nonfinite() {
     // fabs of the patches other ranks own and panicked.
     let cfg = ramp_builder().nranks(2).threads(1).build();
     let clean = LocalCluster::run(2, move |ep| {
-        let gep = GroupEndpoint::full(&ep);
-        let mut sim =
-            Simulation::new_owned(cfg.clone(), &gep).expect("fault-free construction");
-        drop(gep);
+        let mut sim = new_owned(&cfg, &ep);
         sim.advance_steps_cluster(1, &ep);
         let placeholders = (0..sim.nlevels())
             .map(|l| &sim.level(l).state)
@@ -369,14 +257,13 @@ fn lockstep_cluster_report_counts_cell_updates() {
     // Regression: only the subcycled cluster path counted, so lockstep
     // `advance_steps_cluster` reported 0. The count is global — every rank
     // reports the serial run's total whatever share it owns.
-    let serial = Simulation::new(ramp_builder().build()).advance_steps(4).cell_updates;
+    let serial = Simulation::new(ramp_builder().build())
+        .advance_steps(4)
+        .cell_updates;
     assert!(serial > 0);
     let cfg = ramp_builder().nranks(2).threads(1).build();
     let per_rank = LocalCluster::run(2, move |ep| {
-        let gep = GroupEndpoint::full(&ep);
-        let mut sim =
-            Simulation::new_owned(cfg.clone(), &gep).expect("fault-free construction");
-        drop(gep);
+        let mut sim = new_owned(&cfg, &ep);
         sim.advance_steps_cluster(4, &ep).cell_updates
     });
     assert_eq!(per_rank, [serial, serial]);

@@ -2,36 +2,15 @@
 //! stepping must degenerate *bitwise* to lockstep when there is nothing to
 //! subcycle, must conserve exactly where lockstep AMR only approximately
 //! does (time-interpolated ghosts + refluxing close the coarse/fine flux
-//! budget), and must not care how the work is executed — barrier loop,
-//! overlapped task graph, or owned-data distribution.
+//! budget), and must not care how the work is executed — reference phases
+//! or task graph, one rank or several.
 
-use crocco::runtime::{GroupEndpoint, LocalCluster};
+mod common;
+
+use common::{assert_partitions_oracle, patch_bits, ranks_under_test, run_owned};
 use crocco::solver::config::{CodeVersion, InterpKind, SolverConfig, SolverConfigBuilder};
 use crocco::solver::driver::Simulation;
 use crocco::solver::problems::ProblemKind;
-use std::collections::BTreeMap;
-
-/// Per-patch valid-state bit patterns of every allocated patch.
-fn patch_bits(sim: &Simulation) -> BTreeMap<(usize, usize), Vec<u64>> {
-    let mut out = BTreeMap::new();
-    for l in 0..sim.nlevels() {
-        let state = &sim.level(l).state;
-        for i in 0..state.nfabs() {
-            if !state.is_allocated(i) {
-                continue;
-            }
-            let fab = state.fab(i);
-            let mut bits = Vec::new();
-            for c in 0..state.ncomp() {
-                for p in state.valid_box(i).cells() {
-                    bits.push(fab.get(p, c).to_bits());
-                }
-            }
-            out.insert((l, i), bits);
-        }
-    }
-    out
-}
 
 /// Single-level compression ramp: subcycling with nothing finer must be the
 /// identity transformation on the step loop.
@@ -65,54 +44,35 @@ fn vortex(levels: usize) -> SolverConfigBuilder {
 
 #[test]
 fn single_level_subcycling_is_bitwise_lockstep() {
-    // Barrier mode.
-    let mut lock = Simulation::new(single_level().build());
-    let mut sub = Simulation::new(single_level().subcycling(true).build());
-    lock.advance_steps(3);
-    sub.advance_steps(3);
-    assert_eq!(
-        patch_bits(&lock),
-        patch_bits(&sub),
-        "barrier: single-level subcycling diverged from lockstep"
-    );
-    // Overlapped task-graph mode.
-    let mut lock = Simulation::new(single_level().overlap(true).threads(2).build());
-    let mut sub = Simulation::new(
-        single_level()
-            .overlap(true)
-            .threads(2)
-            .subcycling(true)
-            .build(),
-    );
-    lock.advance_steps(3);
-    sub.advance_steps(3);
-    assert_eq!(
-        patch_bits(&lock),
-        patch_bits(&sub),
-        "overlap: single-level subcycling diverged from lockstep"
-    );
+    // Under the reference phases and under the task graph.
+    for (overlap, threads) in [(false, 1usize), (true, 2)] {
+        let base = || single_level().overlap(overlap).threads(threads);
+        let mut lock = Simulation::new(base().build());
+        let mut sub = Simulation::new(base().subcycling(true).build());
+        lock.advance_steps(3);
+        sub.advance_steps(3);
+        assert_eq!(
+            patch_bits(&lock),
+            patch_bits(&sub),
+            "overlap={overlap}: single-level subcycling diverged from lockstep"
+        );
+    }
 }
 
 #[test]
 fn overlapped_subcycling_matches_the_barrier_path_bitwise() {
-    // Multi-level: the overlapped path records interface fluxes inside the
-    // boundary-band sweep tasks; the barrier path in a dedicated pass. Same
-    // values, same fold order — the solutions must agree bitwise.
-    let mut barrier = Simulation::new(vortex(2).subcycling(true).build());
-    let mut overlap = Simulation::new(
-        vortex(2)
-            .subcycling(true)
-            .overlap(true)
-            .threads(2)
-            .build(),
-    );
-    assert!(barrier.nlevels() > 1, "vortex must refine for this test");
-    barrier.advance_steps(4);
-    overlap.advance_steps(4);
+    // Multi-level: both schedules record the interface fluxes in the sweep
+    // that reads the filled ghosts — same values, same fold order — so the
+    // solutions must agree bitwise.
+    let mut reference = Simulation::new(vortex(2).subcycling(true).overlap(false).build());
+    let mut graph = Simulation::new(vortex(2).subcycling(true).threads(2).build());
+    assert!(reference.nlevels() > 1, "vortex must refine for this test");
+    reference.advance_steps(4);
+    graph.advance_steps(4);
     assert_eq!(
-        patch_bits(&barrier),
-        patch_bits(&overlap),
-        "overlapped subcycling diverged from the barrier path"
+        patch_bits(&reference),
+        patch_bits(&graph),
+        "task-graph subcycling diverged from the reference phases"
     );
 }
 
@@ -157,75 +117,17 @@ fn subcycling_conserves_across_regrids_where_lockstep_amr_drifts() {
     );
 }
 
-/// Rank counts under test (overridable via `CROCCO_DIST_RANKS`) — the same
-/// convention as `tests/owned_dist_invariance.rs`, so the CI matrix can
-/// split rank counts into separate jobs.
-fn ranks_under_test() -> Vec<usize> {
-    std::env::var("CROCCO_DIST_RANKS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse::<usize>().ok())
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
-
-/// Runs `steps` owned-data on a `LocalCluster` of `cfg.nranks` and returns
-/// every rank's owned patch bits.
-fn run_owned(cfg: SolverConfig, steps: u32) -> Vec<BTreeMap<(usize, usize), Vec<u64>>> {
-    let nranks = cfg.nranks;
-    LocalCluster::run(nranks, move |ep| {
-        let gep = GroupEndpoint::full(&ep);
-        let mut sim = Simulation::new_owned(cfg.clone(), &gep).expect("fault-free construction");
-        drop(gep);
-        sim.advance_steps_cluster(steps, &ep);
-        patch_bits(&sim)
-    })
-}
-
-/// Asserts the per-rank owned maps partition the serial reference: each
-/// rank's patches match bitwise, every reference patch is owned by exactly
-/// one rank, and no rank holds a patch the reference lacks.
-fn assert_partitions_reference(
-    owned: &[BTreeMap<(usize, usize), Vec<u64>>],
-    reference: &BTreeMap<(usize, usize), Vec<u64>>,
-    what: &str,
-) {
-    let mut seen: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    for (rank, map) in owned.iter().enumerate() {
-        for (key, bits) in map {
-            let expect = reference
-                .get(key)
-                .unwrap_or_else(|| panic!("{what}: rank {rank} owns unknown patch {key:?}"));
-            assert!(
-                bits == expect,
-                "{what}: rank {rank} patch {key:?} diverged bitwise from the serial run"
-            );
-            if let Some(prev) = seen.insert(*key, rank) {
-                panic!("{what}: patch {key:?} owned by both rank {prev} and rank {rank}");
-            }
-        }
-    }
-    assert_eq!(
-        seen.len(),
-        reference.len(),
-        "{what}: owned union must cover every serial patch"
-    );
-}
-
 #[test]
 fn owned_distributed_subcycling_matches_the_serial_path_bitwise() {
-    // The serial subcycled run is the oracle; the owned-data cluster must
-    // partition it bitwise at every rank count — per-level dt with one
-    // allreduce, old-state gathers for the time-interpolated fill, fine-part
-    // reflux shipping onto zeroed accumulators, and the distributed
-    // AverageDown all preserve the serial fold orders (docs/DISTRIBUTED.md
-    // §Subcycled steps). 4 steps cross the step-3 regrid, so the subcycled
-    // registers also survive a distributed re-partition. Both the fenced and
-    // the overlapped rank-crossing executors are on the hook.
-    let mut serial = Simulation::new(vortex(2).subcycling(true).build());
+    // The one-rank subcycled run under the reference phases is the oracle;
+    // the cluster must partition it bitwise at every rank count — per-level
+    // dt with one allreduce, old-state gathers for the time-interpolated
+    // fill, fine-part reflux shipping onto zeroed accumulators, and the
+    // distributed AverageDown all preserve the serial fold orders
+    // (docs/DISTRIBUTED.md §Subcycled steps). 4 steps cross the step-3
+    // regrid, so the subcycled registers also survive a distributed
+    // re-partition. Both schedules are on the hook.
+    let mut serial = Simulation::new(vortex(2).subcycling(true).overlap(false).build());
     assert!(serial.nlevels() > 1, "vortex must refine for this test");
     serial.advance_steps(4);
     let reference = patch_bits(&serial);
@@ -233,16 +135,15 @@ fn owned_distributed_subcycling_matches_the_serial_path_bitwise() {
         for (overlap, threads) in [(false, 1usize), (true, 2)] {
             let cfg = vortex(2)
                 .subcycling(true)
-                .owned_dist(true)
                 .nranks(nranks)
-                .dist_overlap(overlap)
+                .overlap(overlap)
                 .threads(threads)
                 .build();
             let owned = run_owned(cfg, 4);
-            assert_partitions_reference(
+            assert_partitions_oracle(
                 &owned,
                 &reference,
-                &format!("owned subcycling nranks={nranks} overlap={overlap}"),
+                &format!("subcycling nranks={nranks} overlap={overlap}"),
             );
         }
     }

@@ -7,8 +7,8 @@
 //! nothing about the graphs it declares clean.
 
 use crocco::fab::{
-    dist_rank_schedule, verify_stage, BoxArray, DistSkeleton, DistributionMapping,
-    DistributionStrategy, FabIds, PlanCache, StageSkeleton,
+    dist_rank_schedule, BoxArray, DistSkeleton, DistributionMapping, DistributionStrategy, FabIds,
+    PlanCache,
 };
 #[cfg(feature = "taskcheck")]
 use crocco::fab::{FArrayBox, MultiFab};
@@ -31,7 +31,7 @@ fn setup(nranks: usize) -> (Arc<BoxArray>, Arc<DistributionMapping>, ProblemDoma
 /// A (source patch, reader patch) pair whose update-fence edge can be
 /// deleted: `halo[d]` reads `state[s]`, so dropping `d` from `readers[s]`
 /// leaves that read unordered against `update[s]`'s write.
-fn deletable_edge(skel: &StageSkeleton) -> (usize, usize) {
+fn deletable_edge(skel: &DistSkeleton) -> (usize, usize) {
     for (s, rs) in skel.readers.iter().enumerate() {
         if let Some(&d) = rs.iter().find(|&&d| d != s) {
             return (s, d);
@@ -48,21 +48,29 @@ fn static_verifier_flags_a_deleted_update_fence() {
     let fb = cache.fill_boundary(&ba, &dm, &domain, nghost, 2);
     let valid: Vec<IndexBox> = (0..ba.len()).map(|i| ba.get(i)).collect();
 
-    let skel = StageSkeleton::build(&fb, ba.len());
-    verify_stage(&fb, &skel, &valid, nghost).assert_clean("unmutated stage skeleton");
+    // The on-node graph: the one-rank skeleton's schedule.
+    let ids = FabIds::symbolic(valid.len());
+    let violations = |skel: &DistSkeleton| {
+        dist_rank_schedule(&fb.plan, skel, &valid, nghost, &ids)
+            .spec
+            .verify()
+            .violations
+    };
+    let skel = DistSkeleton::build(&fb, dm.owners(), 0);
+    assert!(violations(&skel).is_empty(), "unmutated stage skeleton");
 
     let (s, d) = deletable_edge(&skel);
     let mut mutated = skel.clone();
     mutated.readers[s].retain(|&r| r != d);
-    let report = verify_stage(&fb, &mutated, &valid, nghost);
+    let found = violations(&mutated);
     assert!(
-        !report.is_clean(),
+        !found.is_empty(),
         "deleting the {d}-reads-{s} fence must not verify clean"
     );
     let halo = format!("halo[{d}]");
     let update = format!("update[{s}]");
     assert!(
-        report.violations.iter().any(|v| matches!(
+        found.iter().any(|v| matches!(
             v,
             Violation::UnorderedConflict {
                 first_label,
@@ -71,8 +79,7 @@ fn static_verifier_flags_a_deleted_update_fence() {
                 ..
             } if first_label == &halo && second_label == &update && *fab == s as u64
         )),
-        "verifier must name the exact pair ({halo}, {update}) on state fab {s}: {:?}",
-        report.violations
+        "verifier must name the exact pair ({halo}, {update}) on state fab {s}: {found:?}"
     );
 }
 
@@ -125,8 +132,8 @@ fn cross_rank_verifier_flags_a_deleted_send() {
 #[cfg(feature = "taskcheck")]
 #[test]
 fn dynamic_detector_traps_the_same_mutation_at_runtime() {
-    use crocco::fab::{run_rk_stage_with_skeleton, StageFabs};
-    use crocco::runtime::Schedule;
+    use crocco::fab::{run_dist_rk_stage, DistStage, StageFabs};
+    use crocco::runtime::{GroupEndpoint, RankEndpoint, Schedule};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let (ba, dm, domain) = setup(1);
@@ -134,18 +141,27 @@ fn dynamic_detector_traps_the_same_mutation_at_runtime() {
     let nghost = 2;
     let ncomp = 2;
     let fb = cache.fill_boundary(&ba, &dm, &domain, nghost, ncomp);
-    let skel = StageSkeleton::build(&fb, ba.len());
+    let skel = DistSkeleton::build(&fb, dm.owners(), 0);
     let (s, d) = deletable_edge(&skel);
     let mut mutated = skel.clone();
     mutated.readers[s].retain(|&r| r != d);
 
-    let run = |skel: &StageSkeleton| {
+    let run = |skel: &DistSkeleton| {
         let mut state = MultiFab::new(ba.clone(), dm.clone(), ncomp, nghost);
         let mut du = MultiFab::new(ba.clone(), dm.clone(), ncomp, 0);
         let mut rhs: Vec<FArrayBox> = (0..ba.len())
             .map(|i| FArrayBox::new(ba.get(i), ncomp))
             .collect();
-        run_rk_stage_with_skeleton(
+        let solo = RankEndpoint::solo();
+        let gep = GroupEndpoint::full(&solo);
+        let st = DistStage {
+            ep: &gep,
+            level: 0,
+            epoch: 0,
+            overlap: true,
+            sched: Schedule::adversarial(0),
+        };
+        run_dist_rk_stage(
             StageFabs {
                 state: &mut state,
                 du: &mut du,
@@ -153,13 +169,14 @@ fn dynamic_detector_traps_the_same_mutation_at_runtime() {
             },
             &fb,
             skel,
-            Schedule::adversarial(0),
+            &st,
             &[],
             &|_, _| {},
             &|_, _| {},
             &|_, _, _, _| {},
             &|_, _, _, _| {},
-        );
+        )
+        .expect("stage failed");
     };
 
     // Control: the honest skeleton executes clean.
