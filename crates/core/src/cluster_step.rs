@@ -63,6 +63,7 @@ use crocco_fab::{
 };
 use crocco_geometry::{IntVect, ProblemDomain};
 use crocco_runtime::chaos::CrashPhase;
+use crocco_runtime::cluster::take_field;
 use crocco_runtime::{tags, CommGroup, GroupEndpoint, RankEndpoint, StageError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -335,35 +336,32 @@ impl Simulation {
             gep.generation(),
             EPOCH_CHECKPOINT | (u64::from(self.step) & 0xFF),
         );
-        // All sends first: owned bodies broadcast to every peer.
+        // All sends first: each owned body is serialised once, broadcast to
+        // every peer and appended in place; a peer's body gets its slot in
+        // (level, patch) order now and its bytes when they land.
+        let mut w = checkpoint_header(self);
+        let mut awaited = Vec::new();
         for (l, lev) in self.levels.iter().enumerate() {
             let owners = lev.state.distribution();
             for i in 0..lev.state.nfabs() {
-                if owners.owner(i) != rank {
-                    continue;
-                }
-                let body = Bytes::from(patch_body_bytes(&lev.state, i));
-                let tag = tags::owned(tags::OWNED_CKPT, epoch, l, i);
-                for dst in 0..gep.nranks() {
-                    if dst != rank {
+                let (owner, tag) = (owners.owner(i), tags::owned(tags::OWNED_CKPT, epoch, l, i));
+                if owner == rank {
+                    let body = Bytes::from(patch_body_bytes(&lev.state, i));
+                    for dst in (0..gep.nranks()).filter(|&dst| dst != rank) {
                         gep.send(dst, tag, body.clone());
                     }
+                    w.extend_from_slice(&body);
+                } else {
+                    let len = lev.state.valid_box(i).num_points() as usize * NCONS * 8;
+                    awaited.push((w.len()..w.len() + len, owner, tag));
+                    w.resize(w.len() + len, 0);
                 }
             }
         }
-        let mut w = checkpoint_header(self);
-        for (l, lev) in self.levels.iter().enumerate() {
-            let owners = lev.state.distribution();
-            for i in 0..lev.state.nfabs() {
-                let owner = owners.owner(i);
-                if owner == rank {
-                    w.extend_from_slice(&patch_body_bytes(&lev.state, i));
-                } else {
-                    let body =
-                        gep.recv_matched(owner, tags::owned(tags::OWNED_CKPT, epoch, l, i))?;
-                    w.extend_from_slice(&body);
-                }
-            }
+        for (slot, owner, tag) in awaited {
+            let body = gep.recv_matched(owner, tag)?;
+            assert_eq!(body.len(), slot.len(), "checkpoint body size mismatch");
+            w[slot].copy_from_slice(&body);
         }
         Ok(seal_checkpoint(w))
     }
@@ -820,12 +818,11 @@ impl Simulation {
                 faces.len() * NCONS * 8,
                 "reflux part payload size mismatch"
             );
-            let mut words = payload.chunks_exact(8);
+            let mut words: &[u8] = &payload;
             for f in faces {
                 let mut part = [0.0; NCONS];
                 for x in &mut part {
-                    let w = words.next().expect("sized above");
-                    *x = f64::from_le_bytes(w.try_into().expect("8-byte word"));
+                    *x = f64::from_le_bytes(take_field(&mut words).expect("sized above"));
                 }
                 reg.register.add_fine_part(*f, &part);
             }

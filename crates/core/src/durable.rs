@@ -662,6 +662,59 @@ mod tests {
     }
 
     #[test]
+    fn manifest_encoding_is_pinned_to_golden_bytes() {
+        let m = Manifest {
+            slot: "chk_B".into(),
+            step: 17,
+            len: 1234,
+            crc: 0xDEAD_BEEF,
+        };
+        let golden: &[u8] =
+            b"CROCCO-MAN 1\nslot chk_B\nstep 17\nlen 1234\ncrc deadbeef\n\ncrc 1f4b05f0\n";
+        assert_eq!(m.to_bytes(), golden);
+        assert_eq!(Manifest::parse(golden).unwrap(), m);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The manifest is read off disk before anything vouches for it:
+        /// every single-bit flip, truncation and extension of a valid one
+        /// must be a typed `Err` — or parse to the very manifest that was
+        /// written — never a panic, never a different slot/step/len/crc.
+        #[test]
+        fn mutated_manifests_never_parse_to_something_else(
+            slot in 0..2usize,
+            step in proptest::prelude::any::<u32>(),
+            len in proptest::prelude::any::<u32>(),
+            crc in proptest::prelude::any::<u32>(),
+            extension in proptest::prelude::prop::collection::vec(
+                proptest::prelude::any::<u8>(), 1..24usize),
+        ) {
+            let m = Manifest {
+                slot: SLOT_NAMES[slot].into(),
+                step,
+                len: len as usize,
+                crc,
+            };
+            let bytes = m.to_bytes();
+            proptest::prop_assert_eq!(Manifest::parse(&bytes).as_ref(), Ok(&m));
+            let same_or_err = |mutant: &[u8]| Manifest::parse(mutant).map_or(true, |got| got == m);
+            for bit in 0..bytes.len() * 8 {
+                let mut bad = bytes.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                proptest::prop_assert!(same_or_err(&bad), "flip of bit {}", bit);
+            }
+            for keep in 0..bytes.len() {
+                proptest::prop_assert!(same_or_err(&bytes[..keep]), "truncation to {}", keep);
+            }
+            let mut longer = bytes.clone();
+            longer.extend_from_slice(&extension);
+            proptest::prop_assert!(same_or_err(&longer), "extension by {:?}", extension);
+        }
+    }
+
+    #[test]
     fn spill_alternates_slots_and_recovery_prefers_manifest() {
         let store = std::sync::Arc::new(MemStore::default());
         let c1 = sealed_checkpoint(1);

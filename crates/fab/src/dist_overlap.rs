@@ -96,6 +96,7 @@ use crate::plan_cache::CachedPlan;
 use crate::taskcheck::{dist_rank_schedule, FabIds};
 use crate::view::{FabRd, FabRw};
 use bytes::Bytes;
+use crocco_runtime::cluster::take_field;
 use crocco_runtime::taskcheck::record_access;
 use crocco_runtime::{tags, GroupEndpoint, RecvHandle, Schedule, StageError, TaskGraph};
 
@@ -258,13 +259,13 @@ unsafe fn unpack_chunk_raw(dst: &RawFab, chunk: &CopyChunk, ncomp: usize, payloa
         chunk.dst_id
     );
     record_access(dst.ptr as usize as u64, true, chunk.region);
-    let mut words = payload.chunks_exact(8);
+    let mut words = payload;
     for c in 0..ncomp {
         for p in chunk.region.cells() {
-            let w = words.next().expect("payload shorter than chunk");
+            let w = take_field(&mut words).expect("payload shorter than chunk");
             let off = dst.offset(p, c);
             debug_assert!(off < dst.len, "unpack write overruns allocation");
-            *dst.ptr.add(off) = f64::from_le_bytes(w.try_into().unwrap());
+            *dst.ptr.add(off) = f64::from_le_bytes(w);
         }
     }
 }

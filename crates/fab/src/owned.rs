@@ -37,7 +37,7 @@ use crate::fab::FArrayBox;
 use crate::multifab::MultiFab;
 use crate::plan::{CopyChunk, CopyPlan};
 use bytes::Bytes;
-use crocco_runtime::cluster::CommError;
+use crocco_runtime::cluster::{take_field, CommError};
 use crocco_runtime::GroupEndpoint;
 use std::collections::HashMap;
 
@@ -74,11 +74,11 @@ pub fn unpack_chunk_into(
         region.num_points() as usize * ncomp * 8,
         "owned-exchange payload size mismatch for region {region:?}"
     );
-    let mut words = payload.chunks_exact(8);
+    let mut words = payload;
     for c in 0..ncomp {
         for p in region.cells() {
-            let w = words.next().expect("payload shorter than region");
-            dst.set(p, c, f64::from_le_bytes(w.try_into().expect("8-byte word")));
+            let w = take_field(&mut words).expect("payload shorter than region");
+            dst.set(p, c, f64::from_le_bytes(w));
         }
     }
 }

@@ -397,7 +397,7 @@ impl RankEndpoint {
             }
             Some(ch) => {
                 let seq = self.send_seq[dst].fetch_add(1, Ordering::Relaxed);
-                let frame = encode_frame(seq, payload.as_ref());
+                let frame = encode_frame(seq, &payload);
                 ch.route(self.rank, dst, tag, seq, frame);
             }
         }
@@ -476,10 +476,12 @@ impl RankEndpoint {
         let Some(ch) = &self.chaos else {
             return Self::deliver(m, pkt);
         };
-        match decode_frame(pkt.payload.as_ref()) {
+        match decode_frame(&pkt.payload) {
             Err(_) => {
                 ch.stats.frame_rejects.fetch_add(1, Ordering::Relaxed);
-                ch.retransmit_link(pkt.src, self.rank);
+                // A NACK: the damaged frame has arrived, so no retry interval
+                // has to pass before its pristine copy is asked for again.
+                ch.retransmit(Some(pkt.src), self.rank, Instant::now(), Duration::ZERO);
                 Ok(false)
             }
             Ok((seq, payload)) => {
@@ -563,6 +565,7 @@ impl RankEndpoint {
         let mut next_retry_ms = backoff_ms;
         let mut idle_spins = 0u32;
         loop {
+            let polled = Instant::now();
             if self.try_progress()? {
                 idle_spins = 0;
             }
@@ -572,7 +575,7 @@ impl RankEndpoint {
             if let Some(e) = fault() {
                 return Err(e);
             }
-            let waited_ms = start.elapsed().as_millis() as u64;
+            let waited_ms = polled.duration_since(start).as_millis() as u64;
             if waited_ms >= cfg.wait_timeout_ms {
                 return Err(CommError::Timeout {
                     src: h.src,
@@ -582,7 +585,7 @@ impl RankEndpoint {
                 });
             }
             if waited_ms >= next_retry_ms {
-                ch.retransmit_link(h.src, self.rank);
+                ch.retransmit(Some(h.src), self.rank, polled, Duration::from_millis(backoff_ms));
                 retries += 1;
                 backoff_ms = backoff_ms.saturating_mul(2);
                 next_retry_ms = waited_ms + backoff_ms;
@@ -918,6 +921,7 @@ impl<'a> GroupEndpoint<'a> {
     /// nothing arrives — retries all inbound links with exponential backoff,
     /// timing out after the configured deadline.
     pub fn pump(&self) -> Result<bool, CommError> {
+        let polled = Instant::now();
         let drained = self.ep.try_progress()?;
         if let Some(e) = self.fault() {
             return Err(e);
@@ -928,13 +932,13 @@ impl<'a> GroupEndpoint<'a> {
         let cfg = ch.config();
         let mut ps = self.pump.lock().expect("pump state poisoned");
         if drained || self.ep.first_posted().is_none() {
-            ps.stall_start = Instant::now();
+            ps.stall_start = polled;
             ps.backoff_ms = cfg.retry_backoff_ms.max(1);
             ps.next_retry_ms = ps.backoff_ms;
             ps.retries = 0;
             return Ok(drained);
         }
-        let stalled_ms = ps.stall_start.elapsed().as_millis() as u64;
+        let stalled_ms = polled.saturating_duration_since(ps.stall_start).as_millis() as u64;
         if stalled_ms >= cfg.wait_timeout_ms {
             let (src, tag) = self.ep.first_posted().unwrap_or((usize::MAX, 0));
             return Err(CommError::Timeout {
@@ -945,7 +949,7 @@ impl<'a> GroupEndpoint<'a> {
             });
         }
         if stalled_ms >= ps.next_retry_ms {
-            ch.retransmit_into(self.ep.rank());
+            ch.retransmit(None, self.ep.rank(), polled, Duration::from_millis(ps.backoff_ms));
             ps.retries += 1;
             ps.backoff_ms = ps.backoff_ms.saturating_mul(2);
             ps.next_retry_ms = stalled_ms + ps.backoff_ms;
@@ -1006,6 +1010,17 @@ impl<'a> GroupEndpoint<'a> {
         }
         Ok(acc)
     }
+}
+
+/// Splits one `N`-byte fixed-width field off the front of a received
+/// payload, advancing `bytes` past it; `None` when fewer than `N` bytes
+/// remain. Every wire decoder reads its little-endian words through this,
+/// so a short or foreign packet is a value to handle, never a slice-length
+/// panic.
+pub fn take_field<const N: usize>(bytes: &mut &[u8]) -> Option<[u8; N]> {
+    let (field, rest) = bytes.split_first_chunk::<N>()?;
+    *bytes = rest;
+    Some(*field)
 }
 
 /// Decodes a little-endian `f64` collective payload, mapping a wrong-sized

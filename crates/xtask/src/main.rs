@@ -32,7 +32,7 @@ fn main() -> ExitCode {
             }
             for (path, n) in &report.unwrap_audit {
                 eprintln!(
-                    "xtask lint: advisory — {}: {} unwrap()/expect() call(s) in non-test code",
+                    "xtask lint: ratchet — {}: {} unwrap()/expect() call(s) in non-test code",
                     path.display(),
                     n
                 );
@@ -64,8 +64,8 @@ fn main() -> ExitCode {
             eprintln!("          every docs/results/*.md cited by the narrative");
             eprintln!("          documents exists, no bare fs::write/File::create on");
             eprintln!("          checkpoint/manifest paths outside the durable writer");
-            eprintln!("          (advisory, DESIGN.md §4j), plus an advisory");
-            eprintln!("          unwrap()/expect() census of the network-facing");
+            eprintln!("          (advisory, DESIGN.md §4j), plus a per-file ratchet");
+            eprintln!("          on unwrap()/expect() calls in the network-facing");
             eprintln!("          runtime modules");
             ExitCode::FAILURE
         }

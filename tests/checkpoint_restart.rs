@@ -4,7 +4,9 @@
 
 use crocco::solver::config::{CodeVersion, SolverConfig};
 use crocco::solver::driver::Simulation;
-use crocco::solver::io::{read_checkpoint, write_checkpoint};
+use crocco::solver::io::{
+    parse_checkpoint, read_checkpoint, write_checkpoint, write_checkpoint_bytes,
+};
 use crocco::solver::problems::ProblemKind;
 use crocco::solver::validation::l2_difference;
 
@@ -93,4 +95,27 @@ fn amr_run_restarts_and_keeps_marching() {
         assert_eq!(*d, 0.0, "component {c_idx} diverged after regrid+restart");
     }
     std::fs::remove_file(path).ok();
+}
+
+/// Format stability across the CRC-kernel and serialiser rewrite: a 2-level
+/// AMR checkpoint written by the commit before it (PR 17, `4bb967f`; 3 steps
+/// of the Sod tube below) still passes its seal, restores, and re-serialises
+/// to the very same bytes — header, row order of every body, trailer.
+#[test]
+fn checkpoint_written_by_the_previous_commit_restores_bitwise() {
+    let golden: &[u8] = include_bytes!("data/pr17_sod_amr.chk");
+    let c = SolverConfig::builder()
+        .problem(ProblemKind::SodX)
+        .extents(32, 4, 4)
+        .version(CodeVersion::V2_1)
+        .max_levels(2)
+        .regrid_freq(4)
+        .build();
+    let chk = parse_checkpoint(golden).expect("the old checkpoint passes its whole-file CRC");
+    assert_eq!((chk.step, chk.levels.len()), (3, 2));
+    assert_eq!(chk.time.to_bits(), 0.0094395521512261f64.to_bits());
+    let mut resumed = Simulation::from_checkpoint(c, &chk);
+    assert_eq!(write_checkpoint_bytes(&resumed), golden);
+    resumed.advance_steps(2); // crosses the regrid at step 4
+    assert!(!resumed.has_nonfinite());
 }
