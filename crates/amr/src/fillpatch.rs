@@ -15,8 +15,10 @@ use crocco_fab::{
     boxarray::subtract_box, BoxArray, DistributionMapping, FArrayBox, FabRw, MultiFab,
 };
 use bytes::Bytes;
+use crocco_fab::owned::exchange_chunks;
 use crocco_geometry::{IndexBox, IntVect, ProblemDomain};
-use crocco_runtime::parallel_for_each_mut;
+use crocco_runtime::cluster::CommError;
+use crocco_runtime::{parallel_for_each_mut, tags, GroupEndpoint};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -99,18 +101,13 @@ const AUX_TWO_LEVEL_STATE: u32 = 1;
 /// Aux-cache tag for the two-level coordinate-gather plan.
 const AUX_TWO_LEVEL_COORDS: u32 = 2;
 
-/// Packs the remaining inputs the two-level planner reads into the key's
-/// client bits: interpolator coarse ghost, coordinate source ghost width and
-/// the refinement ratio (each well below 256 in practice).
 /// Coarse old-time data for a time-interpolated two-level fill (subcycling,
 /// docs/ARCHITECTURE.md §Subcycling): the coarse *old* state and the blend
 /// factor `alpha` — the fill time's position in the coarse `[old, new]`
 /// interval (0 = old state, 1 = new state). The gather scratch becomes
 /// `alpha·new + (1−alpha)·old`, gathered over the **same cached chunk list**
 /// as the new state, so time interpolation adds no plan-cache entries and
-/// the plan keys stay valid. `remote_old` carries the landed old-state
-/// payloads on the owned-data path (the same global-chunk-index keying as
-/// `remote_state`); `None` means every old chunk is locally readable.
+/// the plan keys stay valid.
 #[derive(Clone, Copy)]
 pub struct CoarseTimeInterp<'a> {
     /// Coarse state at the old time level (valid cells are read; ghosts are
@@ -118,10 +115,25 @@ pub struct CoarseTimeInterp<'a> {
     pub old: &'a MultiFab,
     /// Blend factor in `[0, 1]`: `alpha = (t_fill − t_old) / (t_new − t_old)`.
     pub alpha: f64,
-    /// Landed old-state gather chunks for the owned-data distributed path.
-    pub remote_old: Option<&'a HashMap<usize, Bytes>>,
 }
 
+/// Landed cross-rank donor payloads of one coarse→fine gather
+/// ([`TwoLevelPlans::exchange`]): [`crocco_fab::owned::pack_chunk`] bytes
+/// keyed by *global chunk index* into the state-gather plan (`state`, and
+/// `old` for the time-interpolated old state) or the coordinate-gather plan
+/// (`coords`). A chunk absent from its map is read from the local fab —
+/// bitwise the same bytes either way — so the default (all maps empty) is
+/// the single-rank gather.
+#[derive(Debug, Default)]
+pub struct RemoteGathers {
+    state: HashMap<usize, Bytes>,
+    coords: HashMap<usize, Bytes>,
+    old: HashMap<usize, Bytes>,
+}
+
+/// Packs the remaining inputs the two-level planner reads into the key's
+/// client bits: interpolator coarse ghost, coordinate source ghost width and
+/// the refinement ratio (each well below 256 in practice).
 fn two_level_aux(coarse_ghost: i64, ratio: IntVect, coord_nghost: i64) -> u64 {
     (coarse_ghost as u64 & 0xff)
         | ((coord_nghost as u64 & 0xff) << 8)
@@ -239,9 +251,10 @@ pub fn fill_patch_two_levels_with(
     let interpolated = AtomicU64::new(0);
     {
         let plans = &plans;
+        let local = RemoteGathers::default();
         parallel_for_each_mut(fine.fabs_mut(), opts.threads, |i, fab| {
             let cells = crocco_fab::with_rw(fab, |rw| {
-                fill_two_level_patch(
+                fill_two_level_patch_with_remote(
                     i,
                     rw,
                     plans,
@@ -254,6 +267,7 @@ pub fn fill_patch_two_levels_with(
                     coarse_bc,
                     time,
                     time_interp,
+                    &local,
                 )
             });
             interpolated.fetch_add(cells, Ordering::Relaxed);
@@ -281,15 +295,75 @@ pub fn fill_patch_two_levels_with(
     }
 }
 
-/// The resolved (possibly cache-shared) plans behind one two-level
-/// FillPatch: the uncovered-region geometry with its state-gather plan, and
-/// the coordinate-gather companion when the interpolator reads coordinates.
-/// Resolution is pure plan lookup/construction — no field data moves.
+/// The resolved (possibly cache-shared) plans behind one coarse→fine gather
+/// — a two-level FillPatch ([`resolve_two_level_plans`]) or a regrid remap
+/// ([`resolve_remap_plans`]): the per-patch regions to interpolate with the
+/// state-gather plan, and the coordinate-gather companion when the
+/// interpolator reads coordinates. Resolution is pure plan
+/// lookup/construction — no field data moves.
 pub struct TwoLevelPlans {
     /// Gather geometry + coarse→fine state-gather plan.
     pub state: Arc<TwoLevelPlan>,
     /// Coordinate-gather companion (coordinate-reading interpolators only).
     pub coords: Option<Arc<CoordGatherPlan>>,
+}
+
+impl TwoLevelPlans {
+    /// Moves the gather chunks whose coarse donor patch lives on another
+    /// rank: the state chunks out of `coarse`, the coordinate chunks out of
+    /// `coarse_coords` (coordinate-reading interpolators), and — when a
+    /// time-interpolated fill will blend it in — the state chunks again out
+    /// of `old`, each round in its own `tags::owned` space under `epoch` and
+    /// `level`. Collective: every group member calls it with the same plans.
+    /// On a group of one nothing is sent and the result is empty.
+    pub fn exchange(
+        &self,
+        coarse: &MultiFab,
+        coarse_coords: Option<&MultiFab>,
+        old: Option<&MultiFab>,
+        gep: &GroupEndpoint<'_>,
+        epoch: u64,
+        level: usize,
+    ) -> Result<RemoteGathers, CommError> {
+        let round = |src: &MultiFab, plan: &CopyPlan, kind: u64| {
+            exchange_chunks(src, &plan.chunks, plan.ncomp, gep, &|k| {
+                tags::owned(kind, epoch, level, k)
+            })
+        };
+        let state_plan = &self.state.state.plan;
+        Ok(RemoteGathers {
+            state: round(coarse, state_plan, tags::OWNED_GATHER)?,
+            coords: match &self.coords {
+                Some(cg) => round(
+                    coarse_coords.expect("coord plan implies coarse coords"),
+                    &cg.coords.plan,
+                    tags::OWNED_COORDS,
+                )?,
+                None => HashMap::new(),
+            },
+            old: match old {
+                Some(old) => round(old, state_plan, tags::OWNED_GATHER_OLD)?,
+                None => HashMap::new(),
+            },
+        })
+    }
+
+    /// Per fine patch, the `(fab id, source region)` of every state-gather
+    /// chunk `rank` reads *locally* out of `old` (fab id = data base
+    /// pointer, the stage executor's convention): the reads a
+    /// time-interpolated fill makes below the instrumented views, for its
+    /// caller to declare on the halo tasks' footprints. Remote chunks arrive
+    /// as [`RemoteGathers`] payloads and touch no fab.
+    pub fn local_old_reads(&self, rank: usize, old: &MultiFab) -> Vec<Vec<(u64, IndexBox)>> {
+        let mut per_patch = vec![Vec::new(); self.state.needed.len()];
+        for c in &self.state.state.plan.chunks {
+            if c.src_rank == rank {
+                let id = old.fab(c.src_id).data().as_ptr() as usize as u64;
+                per_patch[c.dst_id].push((id, c.region.shift(-c.shift)));
+            }
+        }
+        per_patch
+    }
 }
 
 /// Resolves the two-level plans for a `fine`/`coarse` level pair, through
@@ -310,6 +384,27 @@ pub fn resolve_two_level_plans(
     let ncomp = fine.ncomp();
     let nghost = fine.nghost();
     let coarse_ghost = interp.coarse_ghost();
+    let build_state = || {
+        // The region of index space where ghost data is *defined*: the
+        // domain, extended outward in periodic directions (wrapped data
+        // exists there).
+        let mut defined = fine_domain.bx;
+        for d in 0..3 {
+            if fine_domain.periodic[d] {
+                defined = defined.grow_lo(d, nghost).grow_hi(d, nghost);
+            }
+        }
+        // Per patch: the ghost regions no fine patch (or periodic image of
+        // one) covers, read through the coarsened ghosted box plus the
+        // interpolator's stencil.
+        build_two_level_plan(fine, coarse, coarse_domain, |i| {
+            let grown = fine.valid_box(i).grow(nghost).intersection(&defined);
+            (
+                uncovered_regions(grown, fine.boxarray(), fine_domain),
+                grown.coarsen(ratio).grow(coarse_ghost),
+            )
+        })
+    };
 
     // The cache key carries the fine domain (which fixes `defined` and the
     // periodic images) and the ratio; the planner derives everything else
@@ -336,18 +431,9 @@ pub fn resolve_two_level_plans(
                     ncomp,
                 )
             };
-            cache.get_or_build_aux(key, || {
-                build_two_level_plan(fine, coarse, fine_domain, coarse_domain, ratio, coarse_ghost)
-            })
+            cache.get_or_build_aux(key, build_state)
         }
-        None => Arc::new(build_two_level_plan(
-            fine,
-            coarse,
-            fine_domain,
-            coarse_domain,
-            ratio,
-            coarse_ghost,
-        )),
+        None => Arc::new(build_state()),
     };
 
     let coord_plan: Option<Arc<CoordGatherPlan>> = if interp.needs_coords() {
@@ -393,60 +479,45 @@ pub fn resolve_two_level_plans(
     }
 }
 
-/// The coarse→fine part of one fine patch's ghost fill: gather the coarse
-/// temporary, apply coarse boundary conditions, interpolate every uncovered
-/// region. Returns the number of interpolated cells.
+/// Resolves the plans of a regrid remap: every *valid* cell of the new level
+/// `fine` is interpolated from `coarse` (surviving same-level data is copied
+/// over it afterwards), through the coarse footprint
+/// `valid.coarsen(ratio).grow(coarse_ghost + 1)`. Built fresh — the grids
+/// are new and this plan is used once.
+pub fn resolve_remap_plans(
+    fine: &MultiFab,
+    coarse: &MultiFab,
+    coarse_domain: &ProblemDomain,
+    ratio: IntVect,
+    interp: &dyn Interpolator,
+    coarse_coords: Option<&MultiFab>,
+) -> TwoLevelPlans {
+    let state = Arc::new(build_two_level_plan(fine, coarse, coarse_domain, |i| {
+        let valid = fine.valid_box(i);
+        (vec![valid], valid.coarsen(ratio).grow(interp.coarse_ghost() + 1))
+    }));
+    let coords = interp.needs_coords().then(|| {
+        let ccmf = coarse_coords.expect("curvilinear interp requires coarse coords");
+        Arc::new(build_coord_gather(ccmf, &state, fine.distribution(), coarse_domain))
+    });
+    TwoLevelPlans { state, coords }
+}
+
+/// The coarse→fine part of one fine patch's fill: gather the coarse
+/// temporary, apply coarse boundary conditions, interpolate every region the
+/// plan names for patch `i` (uncovered ghost regions for a FillPatch, the
+/// valid box for a regrid remap). Returns the number of interpolated cells.
 ///
 /// Writes through a [`FabRw`] view so the task-graph path can run it inside
 /// a halo task while other tasks read the same fab's valid cells; each
 /// region is interpolated into an owned scratch fab and copied in, which is
 /// bitwise-identical to interpolating in place (every interpolator writes
 /// exactly the requested region and never reads destination data).
-#[allow(clippy::too_many_arguments)]
-pub fn fill_two_level_patch(
-    i: usize,
-    dst: &mut FabRw<'_>,
-    plans: &TwoLevelPlans,
-    coarse: &MultiFab,
-    coarse_coords: Option<&MultiFab>,
-    fine_coords_fab: Option<&FArrayBox>,
-    coarse_domain: &ProblemDomain,
-    ratio: IntVect,
-    interp: &dyn Interpolator,
-    coarse_bc: &dyn BoundaryFiller,
-    time: f64,
-    time_interp: Option<CoarseTimeInterp<'_>>,
-) -> u64 {
-    fill_two_level_patch_with_remote(
-        i,
-        dst,
-        plans,
-        coarse,
-        coarse_coords,
-        fine_coords_fab,
-        coarse_domain,
-        ratio,
-        interp,
-        coarse_bc,
-        time,
-        time_interp,
-        None,
-        None,
-    )
-}
-
-/// [`fill_two_level_patch`] for the owned-data distributed path: gather
-/// chunks whose coarse source patch lives on another rank are assembled
-/// from pre-exchanged wire payloads instead of local fab reads.
 ///
-/// `remote_state` / `remote_coords` map *global chunk indices* of the
-/// state-gather and coordinate-gather plans to landed
-/// [`crocco_fab::owned::pack_chunk`] payloads (the result of
-/// [`crocco_fab::owned::exchange_chunks`] over the same chunk lists). A
-/// chunk found in the map is unpacked; any other chunk copies locally —
-/// bitwise the same bytes either way, so this function is an exact drop-in
-/// for the replicated gather. With both maps `None` every chunk must be
-/// locally readable (the replicated mode).
+/// Gather chunks whose coarse source patch lives on another rank are
+/// assembled from `remote` (the result of [`TwoLevelPlans::exchange`] over
+/// the same plans) instead of local fab reads; every other chunk must be
+/// locally readable.
 #[allow(clippy::too_many_arguments)]
 pub fn fill_two_level_patch_with_remote(
     i: usize,
@@ -461,8 +532,7 @@ pub fn fill_two_level_patch_with_remote(
     coarse_bc: &dyn BoundaryFiller,
     time: f64,
     time_interp: Option<CoarseTimeInterp<'_>>,
-    remote_state: Option<&HashMap<usize, Bytes>>,
-    remote_coords: Option<&HashMap<usize, Bytes>>,
+    remote: &RemoteGathers,
 ) -> u64 {
     let tl = &*plans.state;
     let needed = &tl.needed[i];
@@ -479,7 +549,7 @@ pub fn fill_two_level_patch_with_remote(
         &tl.state.plan.chunks[s..e],
         s,
         ncomp,
-        remote_state,
+        &remote.state,
     );
     // Time interpolation (subcycling): gather the coarse *old* state over
     // the same chunk list and blend `alpha·new + (1−alpha)·old` in place.
@@ -494,7 +564,7 @@ pub fn fill_two_level_patch_with_remote(
                 &tl.state.plan.chunks[s..e],
                 s,
                 ncomp,
-                ti.remote_old,
+                &remote.old,
             );
             let a = ti.alpha;
             for (n, o) in ctmp.data_mut().iter_mut().zip(cold.data()) {
@@ -523,7 +593,7 @@ pub fn fill_two_level_patch_with_remote(
             &cg.coords.plan.chunks[cs..ce],
             cs,
             3,
-            remote_coords,
+            &remote.coords,
         );
         c
     });
@@ -543,13 +613,13 @@ pub fn fill_two_level_patch_with_remote(
     cells
 }
 
-/// The memoized geometry of one two-level FillPatch: which ghost regions of
-/// each fine patch need interpolation, the coarse temporary's footprint, and
-/// the chunk list of the coarse→fine state gather (the `ParallelCopy`).
-/// Rebuilt only when the grids change.
+/// The geometry of one coarse→fine gather: which regions of each fine patch
+/// need interpolation, the coarse temporary's footprint, and the chunk list
+/// of the coarse→fine state gather (the `ParallelCopy`). A FillPatch memoizes
+/// it until the grids change.
 #[derive(Debug)]
 pub struct TwoLevelPlan {
-    /// Per-patch ghost regions not covered by fine data.
+    /// Per-patch regions to interpolate.
     needed: Vec<Vec<IndexBox>>,
     /// Per-patch coarse temporary box (meaningful where `needed` is not
     /// empty).
@@ -584,39 +654,23 @@ impl CoordGatherPlan {
     }
 }
 
-/// Plans the coarse→fine gathers for every fine patch. Pure geometry — no
-/// data moves here.
+/// Plans the coarse→fine state gather for every fine patch: `per_patch(i)`
+/// names the regions of patch `i` to interpolate and the coarse footprint
+/// they read through; a patch with no region gathers nothing. Pure geometry
+/// — no data moves here.
 fn build_two_level_plan(
     fine: &MultiFab,
     coarse: &MultiFab,
-    fine_domain: &ProblemDomain,
     coarse_domain: &ProblemDomain,
-    ratio: IntVect,
-    coarse_ghost: i64,
+    mut per_patch: impl FnMut(usize) -> (Vec<IndexBox>, IndexBox),
 ) -> TwoLevelPlan {
-    let ncomp = fine.ncomp();
-    let nghost = fine.nghost();
-    // The region of index space where ghost data is *defined*: the domain,
-    // extended outward in periodic directions (wrapped data exists there).
-    let mut defined = fine_domain.bx;
-    for d in 0..3 {
-        if fine_domain.periodic[d] {
-            defined = defined.grow_lo(d, nghost).grow_hi(d, nghost);
-        }
-    }
     let n = fine.nfabs();
     let mut needed = Vec::with_capacity(n);
     let mut cbox = Vec::with_capacity(n);
     let mut ranges = Vec::with_capacity(n);
     let mut chunks = Vec::new();
     for i in 0..n {
-        let valid = fine.valid_box(i);
-        let grown = valid.grow(nghost).intersection(&defined);
-        // Ghost regions not covered by the fine level (including periodic
-        // images of fine patches).
-        let need = uncovered_regions(grown, fine.boxarray(), fine_domain);
-        // Temporary coarse fab footprint: coarsened grown box + interp ghost.
-        let cb = grown.coarsen(ratio).grow(coarse_ghost);
+        let (need, cb) = per_patch(i);
         let start = chunks.len();
         if !need.is_empty() {
             plan_gather(
@@ -638,7 +692,10 @@ fn build_two_level_plan(
     TwoLevelPlan {
         needed,
         cbox,
-        state: Arc::new(CachedPlan::new(CopyPlan { chunks, ncomp })),
+        state: Arc::new(CachedPlan::new(CopyPlan {
+            chunks,
+            ncomp: fine.ncomp(),
+        })),
         ranges,
     }
 }
@@ -712,8 +769,11 @@ fn uncovered_regions(probe: IndexBox, ba: &BoxArray, domain: &ProblemDomain) -> 
 
 /// Plans the copy of every overlapping piece of `src_ba`'s patches into a
 /// destination box `dst_box` (fine patch `dst_id`'s coarse temporary), with
-/// periodic wrapping. This is the ParallelCopy gather primitive; execution
-/// is [`execute_gather`].
+/// periodic wrapping. This is the ParallelCopy gather primitive — the one
+/// place coarse→fine donor chunks are enumerated (`periodic_shifts` outer,
+/// `intersections` inner, a pure function of replicated metadata, so every
+/// rank derives the identical list); execution is
+/// [`execute_gather_with_remote`].
 ///
 /// With `include_ghosts` the source fabs' ghost regions are also read —
 /// only sound when ghost contents are globally consistent (e.g. analytic
@@ -767,10 +827,10 @@ fn execute_gather_with_remote(
     chunks: &[CopyChunk],
     base: usize,
     ncomp: usize,
-    remote: Option<&HashMap<usize, Bytes>>,
+    remote: &HashMap<usize, Bytes>,
 ) {
     for (k, c) in chunks.iter().enumerate() {
-        if let Some(payload) = remote.and_then(|m| m.get(&(base + k))) {
+        if let Some(payload) = remote.get(&(base + k)) {
             crocco_fab::owned::unpack_chunk_into(dst_fab, c.region, ncomp, payload);
         } else {
             dst_fab.copy_shifted_from(src.fab(c.src_id), c.region, c.shift, ncomp);
@@ -808,6 +868,64 @@ mod tests {
             }
         }
         mf
+    }
+
+    /// The regrid remap as `Simulation::regrid` runs it: every valid cell of
+    /// a fresh copy of `fine`'s grids interpolated from `coarse` through
+    /// [`resolve_remap_plans`].
+    fn remap(
+        fine: &MultiFab,
+        coarse: &MultiFab,
+        cdomain: &ProblemDomain,
+        interp: &dyn Interpolator,
+        coords: Option<(&MultiFab, &MultiFab)>,
+    ) -> (MultiFab, TwoLevelPlans) {
+        let ccoords = coords.map(|(c, _)| c);
+        let plans = resolve_remap_plans(fine, coarse, cdomain, IntVect::splat(2), interp, ccoords);
+        let local = RemoteGathers::default();
+        let out = fill_all(fine, &plans, coarse, cdomain, interp, coords, None, &local);
+        (out, plans)
+    }
+
+    /// Runs the coarse→fine part of `plans` on every patch of a zeroed copy
+    /// of `fine`'s grids.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_all(
+        fine: &MultiFab,
+        plans: &TwoLevelPlans,
+        coarse: &MultiFab,
+        cdomain: &ProblemDomain,
+        interp: &dyn Interpolator,
+        coords: Option<(&MultiFab, &MultiFab)>,
+        ti: Option<CoarseTimeInterp<'_>>,
+        remote: &RemoteGathers,
+    ) -> MultiFab {
+        let mut out = MultiFab::new(
+            fine.boxarray().clone(),
+            fine.distribution().clone(),
+            fine.ncomp(),
+            fine.nghost(),
+        );
+        for i in 0..out.nfabs() {
+            crocco_fab::with_rw(out.fab_mut(i), |rw| {
+                fill_two_level_patch_with_remote(
+                    i,
+                    rw,
+                    plans,
+                    coarse,
+                    coords.map(|(c, _)| c),
+                    coords.map(|(_, f)| f.fab(i)),
+                    cdomain,
+                    IntVect::splat(2),
+                    interp,
+                    &NoOpBoundary,
+                    0.0,
+                    ti,
+                    remote,
+                )
+            });
+        }
+        out
     }
 
     #[test]
@@ -929,11 +1047,7 @@ mod tests {
         };
         let pure_new = fill(&new, None);
         let pure_old = fill(&old, None);
-        let ti = |alpha: f64| CoarseTimeInterp {
-            old: &old,
-            alpha,
-            remote_old: None,
-        };
+        let ti = |alpha: f64| CoarseTimeInterp { old: &old, alpha };
         // alpha = 1: bitwise the plain new fill (the old gather is skipped).
         let at_one = fill(&new, Some(ti(1.0)));
         assert_eq!(at_one.fab(0).data(), pure_new.fab(0).data());
@@ -1071,6 +1185,20 @@ mod tests {
                 continue;
             }
             assert!((fine.fab(0).get(p, 0) - linear_value(1, p)).abs() < 1e-12);
+        }
+        // The regrid remap is the same gather over the valid box: it moves
+        // coordinates too, and is exact on the linear field in every cell.
+        let (remapped, plans) = remap(
+            &fine,
+            &coarse,
+            &cdomain,
+            &CurvilinearInterp,
+            Some((&ccoords, &fcoords)),
+        );
+        let cg = plans.coords.as_ref().expect("coordinate gather missing from the remap");
+        assert!(!cg.coord_plan().plan.chunks.is_empty());
+        for p in valid.cells() {
+            assert!((remapped.fab(0).get(p, 0) - linear_value(1, p)).abs() < 1e-12);
         }
     }
 
@@ -1258,5 +1386,104 @@ mod tests {
             (fine.fab(0).get(p, 0) - linear_value(1, wrapped)).abs() < 1e-12,
             "periodic ghost {p:?}"
         );
+
+        // The regrid remap of the same patch reads its z-low and z-high
+        // donors through the periodic faces: bitwise what it reads from a
+        // non-periodic coarse level tiled with the periodic images.
+        let (wrapped_remap, plans) = remap(&fine, &coarse, &cdomain, &TrilinearInterp, None);
+        assert!(
+            plans.state.state_plan().plan.chunks.iter().any(|c| c.shift != IntVect::ZERO),
+            "the remap footprint must wrap"
+        );
+        let tiled_box = cdom_box.grow_lo(2, 4).grow_hi(2, 4);
+        let mut tiled = make_level(vec![tiled_box], 1, 2, 0);
+        for p in tiled_box.cells() {
+            let image = IntVect::new(p[0], p[1], p[2].rem_euclid(4));
+            tiled.fab_mut(0).set(p, 0, coarse.fab(0).get(image, 0));
+        }
+        let (tiled_remap, _) = remap(
+            &fine,
+            &tiled,
+            &ProblemDomain::non_periodic(tiled_box),
+            &TrilinearInterp,
+            None,
+        );
+        let bits = |mf: &MultiFab| -> Vec<u64> {
+            let valid = mf.valid_box(0);
+            valid.cells().map(|p| mf.fab(0).get(p, 0).to_bits()).collect()
+        };
+        assert_eq!(bits(&wrapped_remap), bits(&tiled_remap));
+    }
+
+    /// The owned-data path: with *every* gather chunk delivered as a
+    /// `pack_chunk` payload — and the local coarse fabs poisoned, so a chunk
+    /// read locally would show — ghost fill and regrid remap, coordinate
+    /// gather and time blend included, reproduce the all-local result
+    /// bitwise.
+    #[test]
+    fn every_chunk_remote_bitwise_matches_every_chunk_local() {
+        use crocco_fab::owned::pack_chunk;
+        let (coarse, fine, ccoords, fcoords, cdomain, fdomain) = curvilinear_setup();
+        let mut old = coarse.clone();
+        for p in old.valid_box(0).cells() {
+            let v = old.fab(0).get(p, 0);
+            old.fab_mut(0).set(p, 0, v - 10.0);
+        }
+        let poisoned = |mf: &MultiFab| {
+            let mut p = mf.clone();
+            p.set_val(f64::NAN);
+            p
+        };
+        let (pcoarse, pccoords, pold) = (poisoned(&coarse), poisoned(&ccoords), poisoned(&old));
+        let ghosts = resolve_two_level_plans(
+            &fine,
+            &coarse,
+            &fdomain,
+            &cdomain,
+            IntVect::splat(2),
+            &CurvilinearInterp,
+            Some(&ccoords),
+            Some(&fcoords),
+            None,
+        );
+        let remap_plans = resolve_remap_plans(
+            &fine,
+            &coarse,
+            &cdomain,
+            IntVect::splat(2),
+            &CurvilinearInterp,
+            Some(&ccoords),
+        );
+        for (what, plans) in [("ghost fill", &ghosts), ("regrid remap", &remap_plans)] {
+            let landed = |src: &MultiFab, plan: &CopyPlan| -> HashMap<usize, Bytes> {
+                let payload = |c: &CopyChunk| pack_chunk(src.fab(c.src_id), c, plan.ncomp);
+                plan.chunks.iter().map(payload).enumerate().collect()
+            };
+            let state_plan = &plans.state.state_plan().plan;
+            let coord_plan = &plans.coords.as_ref().expect("curvilinear").coord_plan().plan;
+            assert!(!state_plan.chunks.is_empty() && !coord_plan.chunks.is_empty());
+            let remote = RemoteGathers {
+                state: landed(&coarse, state_plan),
+                coords: landed(&ccoords, coord_plan),
+                old: landed(&old, state_plan),
+            };
+            let run = |c: &MultiFab, cc: &MultiFab, o: &MultiFab, remote: &RemoteGathers| {
+                let ti = Some(CoarseTimeInterp { old: o, alpha: 0.25 });
+                let coords = Some((cc, &fcoords));
+                fill_all(&fine, plans, c, &cdomain, &CurvilinearInterp, coords, ti, remote)
+            };
+            let local = run(&coarse, &ccoords, &old, &RemoteGathers::default());
+            let landed_only = run(&pcoarse, &pccoords, &pold, &remote);
+            for i in 0..fine.nfabs() {
+                assert!(
+                    local.fab(i).data().iter().any(|v| *v != 0.0),
+                    "{what}: patch {i} was not filled"
+                );
+                let bits = |mf: &MultiFab| -> Vec<u64> {
+                    mf.fab(i).data().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&local), bits(&landed_only), "{what}: patch {i}");
+            }
+        }
     }
 }

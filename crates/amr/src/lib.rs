@@ -49,8 +49,9 @@ pub mod tagging;
 pub use average_down::{average_down, average_down_dist};
 pub use cluster::{cluster_tags, ClusterParams};
 pub use fillpatch::{
-    fill_two_level_patch, fill_two_level_patch_with_remote, resolve_two_level_plans,
-    BoundaryFiller, CoordGatherPlan, FillOpts, FillPatchReport, NoOpBoundary, TwoLevelPlan,
+    fill_two_level_patch_with_remote, resolve_remap_plans, resolve_two_level_plans,
+    BoundaryFiller, CoordGatherPlan, FillOpts, FillPatchReport, NoOpBoundary, RemoteGathers,
+    TwoLevelPlan,
     TwoLevelPlans,
 };
 pub use flux_register::{FluxRegister, InterfaceFace};

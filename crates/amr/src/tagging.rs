@@ -2,7 +2,25 @@
 
 use crocco_fab::MultiFab;
 use crocco_geometry::{IndexBox, IntVect};
+use crocco_runtime::cluster::take_field;
 use std::collections::HashSet;
+
+/// A tag-union payload that is not a whole number of `i64` coordinate
+/// triples — the bytes crossed the wire, so their length is an input to
+/// validate ([`TagSet::absorb_bytes`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MalformedTags {
+    /// Length of the offending payload in bytes.
+    pub len: usize,
+}
+
+impl std::fmt::Display for MalformedTags {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "tag-union payload of {} bytes is not a sequence of i64 triples", self.len)
+    }
+}
+
+impl std::error::Error for MalformedTags {}
 
 /// The set of cells tagged for refinement at one level.
 ///
@@ -125,21 +143,21 @@ impl TagSet {
     }
 
     /// Unions the cells of a [`TagSet::to_sorted_bytes`] payload into this
-    /// set (the receive side of the distributed tag union).
-    ///
-    /// # Panics
-    /// Panics if the payload length is not a multiple of 24 bytes.
-    pub fn absorb_bytes(&mut self, bytes: &[u8]) {
-        assert!(
-            bytes.len().is_multiple_of(24),
-            "tag-union payload is not a sequence of i64 triples"
-        );
-        for triple in bytes.chunks_exact(24) {
-            let coord = |d: usize| {
-                i64::from_le_bytes(triple[d * 8..(d + 1) * 8].try_into().expect("8-byte word"))
+    /// set (the receive side of the distributed tag union). A payload that
+    /// ends inside a triple is rejected whole: the set is left untouched.
+    pub fn absorb_bytes(&mut self, mut bytes: &[u8]) -> Result<(), MalformedTags> {
+        let len = bytes.len();
+        let mut cells = Vec::with_capacity(len / 24);
+        while !bytes.is_empty() {
+            let mut coord = || {
+                take_field(&mut bytes)
+                    .map(i64::from_le_bytes)
+                    .ok_or(MalformedTags { len })
             };
-            self.cells.insert(IntVect::new(coord(0), coord(1), coord(2)));
+            cells.push(IntVect::new(coord()?, coord()?, coord()?));
         }
+        self.cells.extend(cells);
+        Ok(())
     }
 }
 
@@ -147,6 +165,7 @@ impl TagSet {
 mod tests {
     use super::*;
     use crocco_fab::{BoxArray, DistributionMapping};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     #[test]
@@ -212,13 +231,63 @@ mod tests {
 
         let mut c = TagSet::new();
         c.tag(IntVect::new(9, 9, 9));
-        c.absorb_bytes(&a.to_sorted_bytes());
+        c.absorb_bytes(&a.to_sorted_bytes()).expect("whole triples");
         assert_eq!(c.len(), 4);
         assert!(c.contains(IntVect::new(3, 5, -7)));
         assert!(c.contains(IntVect::new(9, 9, 9)));
         // Absorbing again is idempotent (set union).
-        c.absorb_bytes(&b.to_sorted_bytes());
+        c.absorb_bytes(&b.to_sorted_bytes()).expect("whole triples");
         assert_eq!(c.len(), 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `absorb_bytes` reads bytes another rank sent: whatever truncation,
+        /// extension or stomping does to a valid payload, the result is a
+        /// typed error that leaves the set alone or a set holding every
+        /// decoded triple — never a panic.
+        #[test]
+        fn mutated_tag_payloads_decode_or_fail_typed(
+            cells in prop::collection::vec((any::<i64>(), any::<i64>(), any::<i64>()), 0..12usize),
+            extension in prop::collection::vec(any::<u8>(), 1..48usize),
+            stomps in prop::collection::vec((any::<u64>(), any::<u8>()), 0..8usize),
+        ) {
+            let mut sent = TagSet::new();
+            for (x, y, z) in cells {
+                sent.tag(IntVect::new(x, y, z));
+            }
+            let pristine = sent.to_sorted_bytes();
+            let mut stomped = pristine.clone();
+            for (at, byte) in stomps {
+                if !stomped.is_empty() {
+                    let at = (at % stomped.len() as u64) as usize;
+                    stomped[at] = byte;
+                }
+            }
+            let mut extended = stomped.clone();
+            extended.extend_from_slice(&extension);
+            let truncations = (0..=pristine.len()).map(|keep| pristine[..keep].to_vec());
+            for payload in truncations.chain([stomped, extended]) {
+                let mut held = TagSet::new();
+                held.tag(IntVect::new(7, 7, 7));
+                match held.absorb_bytes(&payload) {
+                    Ok(()) => {
+                        prop_assert!(payload.len().is_multiple_of(24));
+                        prop_assert!(held.contains(IntVect::new(7, 7, 7)));
+                        prop_assert!(held.len() <= 1 + payload.len() / 24);
+                        if payload == pristine {
+                            prop_assert!(sent.iter().all(|p| held.contains(p)));
+                        }
+                    }
+                    Err(e) => {
+                        prop_assert!(!payload.len().is_multiple_of(24));
+                        prop_assert_eq!(e, MalformedTags { len: payload.len() });
+                        prop_assert_eq!(held.len(), 1, "a rejected payload left cells behind");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

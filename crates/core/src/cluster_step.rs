@@ -12,12 +12,14 @@
 //! *data* lives only on its owner ([`Simulation::new_owned`]): each rank
 //! allocates O(owned cells), every RK stage moves halo and coarse→fine
 //! gather data through cached plans ([`run_dist_rk_stage`], task graph or
-//! fenced reference per [`SolverConfig::overlap`], plus `exchange_chunks`
-//! for the two-level gathers), `AverageDown` restricts across ranks
-//! ([`average_down_dist`]), and regrid runs distributed: rank-local tagging
-//! on owned patches, a sorted-bytes tag union, the deterministic
-//! Berger–Rigoutsos clustering every rank replays identically, then a
-//! redistribution of surviving data along the old→new `ParallelCopy` plan.
+//! fenced reference per [`SolverConfig::overlap`], plus
+//! [`TwoLevelPlans::exchange`] for the two-level gathers), `AverageDown`
+//! restricts across ranks ([`average_down_dist`]), and regrid runs
+//! distributed: rank-local tagging on owned patches, a sorted-bytes tag
+//! union, the deterministic Berger–Rigoutsos clustering every rank replays
+//! identically, then the remap — the same two-level gather over the new
+//! level's valid boxes — and a redistribution of surviving data along the
+//! old→new `ParallelCopy` plan.
 //!
 //! `ComputeDt` is the one true collective: each rank reduces its owned
 //! patches, then [`GroupEndpoint::allreduce_f64`] combines the exact `min`
@@ -40,32 +42,30 @@
 
 use crate::bc::PhysicalBc;
 use crate::driver::{
-    accumulate_rhs, gather_all_chunks, gather_valid_chunks, LevelData, PlanKind, RunReport,
-    Simulation, AUX_DIST_SKELETON, AUX_DIST_VERIFY,
+    accumulate_rhs, LevelData, PlanKind, RunReport, Simulation, AUX_DIST_SKELETON,
+    AUX_DIST_VERIFY,
 };
 use crate::io::{checkpoint_header, patch_body_bytes, seal_checkpoint};
 use crate::kernels::NGHOST;
-use crate::metrics::NCOORDS;
 use crate::state::NCONS;
 use bytes::Bytes;
 use crocco_amr::average_down::average_down_dist;
 use crocco_amr::fillpatch::{
-    fill_two_level_patch_with_remote, resolve_two_level_plans, CoarseTimeInterp, TwoLevelPlans,
+    fill_two_level_patch_with_remote, resolve_remap_plans, resolve_two_level_plans,
+    CoarseTimeInterp, RemoteGathers, TwoLevelPlans,
 };
 use crocco_amr::tagging::TagSet;
 use crocco_amr::BoundaryFiller;
-use crocco_fab::owned::{exchange_chunks, redistribute};
-use crocco_fab::plan::CopyChunk;
+use crocco_fab::owned::redistribute;
 use crocco_fab::plan_cache::{PlanKey, PlanOp};
 use crocco_fab::{
-    band_slabs, run_dist_rk_stage, DistSkeleton, DistStage, FArrayBox, FabRd, FabRw, MultiFab,
+    band_slabs, run_dist_rk_stage, DistSkeleton, DistStage, FArrayBox, FabRd, FabRw,
     StageFabs, SweepPhase,
 };
 use crocco_geometry::{IntVect, ProblemDomain};
 use crocco_runtime::chaos::CrashPhase;
-use crocco_runtime::cluster::take_field;
+use crocco_runtime::cluster::{take_field, CommError};
 use crocco_runtime::{tags, CommGroup, GroupEndpoint, RankEndpoint, StageError};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// 12-bit tag-epoch bases reserved for the collective phases that run
@@ -81,11 +81,6 @@ const EPOCH_REGRID_REMAP: u64 = 0xD80;
 const EPOCH_CHECKPOINT: u64 = 0xE00;
 /// Initial-regrid construction rounds in [`Simulation::new_owned`].
 const EPOCH_CONSTRUCT: u64 = 0xF00;
-
-/// Cross-rank donor payloads for one coarse→fine gather: state chunks, and
-/// — for coordinate-aware interpolators — coordinate chunks, each keyed by
-/// absolute index into the cached plan's chunk list.
-type RemoteGathers = (HashMap<usize, Bytes>, Option<HashMap<usize, Bytes>>);
 
 /// What [`Simulation::advance_steps_chaos`] did to survive the run: how
 /// often it checkpointed, whether this rank was the one that crashed, and
@@ -173,8 +168,14 @@ impl Simulation {
                 if src == me {
                     continue;
                 }
-                let payload = gep.recv_matched(src, tags::owned(tags::OWNED_REDIST, epoch, l, src))?;
-                t.absorb_bytes(&payload);
+                let tag = tags::owned(tags::OWNED_REDIST, epoch, l, src);
+                let payload = gep.recv_matched(src, tag)?;
+                t.absorb_bytes(&payload).map_err(|e| CommError::MalformedPayload {
+                    src,
+                    tag,
+                    expected: e.len.next_multiple_of(24),
+                    got: e.len,
+                })?;
             }
         }
         Ok(())
@@ -182,13 +183,14 @@ impl Simulation {
 
     /// Regrids and remaps field data onto the new grids (Algorithm 1 line
     /// 7): tag owned patches, union tags across ranks, replay the
-    /// deterministic clustering, then remap — coarse→fine interpolation reads
-    /// remote coarse chunks gathered over the wire, and surviving same-level
-    /// data moves along the old→new `ParallelCopy` plan via [`redistribute`].
+    /// deterministic clustering, then remap each new level — a two-level
+    /// FillPatch over its *valid* boxes (`resolve_remap_plans`: the same
+    /// coarse→fine gather, exchange and interpolation the RK stages use for
+    /// ghosts), overwritten with surviving same-level data along the old→new
+    /// `ParallelCopy` plan via [`redistribute`].
     ///
-    /// Only valid cells are remapped (the interpolation gathers valid coarse
-    /// data and applies the coarse BC itself); ghosts are rebuilt by the next
-    /// RK stage's FillPatch.
+    /// Only valid cells are remapped; ghosts are rebuilt by the next RK
+    /// stage's FillPatch.
     fn regrid(&mut self, gep: &GroupEndpoint<'_>) -> Result<(), StageError> {
         let mut tag_sets = self.compute_tags();
         self.exchange_tag_union(
@@ -203,6 +205,7 @@ impl Simulation {
             gep.generation(),
             EPOCH_REGRID_REMAP | (u64::from(self.step) & 0x7F),
         );
+        let ratio = IntVect::splat(2);
         let cache = self.hierarchy.plan_cache().clone();
         let mut old_levels: Vec<Option<LevelData>> =
             std::mem::take(&mut self.levels).into_iter().map(Some).collect();
@@ -217,25 +220,38 @@ impl Simulation {
             let (coords, metrics) = self.make_level_grid(l);
             let mut state = self.alloc_mf(ba.clone(), dm.clone(), NCONS, NGHOST);
             let coarse = &self.levels[l - 1];
-            let (remote_state, remote_coords) = self.exchange_interp_gathers(
-                &coarse.state,
-                &coarse.coords,
+            let plans = resolve_remap_plans(
                 &state,
-                &coarse_domain,
-                gep,
-                epoch,
-                l,
-            )?;
-            self.interp_full_level(
                 &coarse.state,
-                &coarse.coords,
-                &coords,
-                &mut state,
                 &coarse_domain,
-                &coarse_bc,
-                &remote_state,
-                remote_coords.as_ref(),
+                ratio,
+                &*self.interp,
+                Some(&coarse.coords),
             );
+            let remote =
+                plans.exchange(&coarse.state, Some(&coarse.coords), None, gep, epoch, l)?;
+            for i in 0..state.nfabs() {
+                if !state.is_allocated(i) {
+                    continue;
+                }
+                crocco_fab::with_rw(state.fab_mut(i), |rw| {
+                    fill_two_level_patch_with_remote(
+                        i,
+                        rw,
+                        &plans,
+                        &coarse.state,
+                        Some(&coarse.coords),
+                        Some(coords.fab(i)),
+                        &coarse_domain,
+                        ratio,
+                        &*self.interp,
+                        &coarse_bc,
+                        self.time,
+                        None,
+                        &remote,
+                    )
+                });
+            }
             // Overwrite with surviving same-level data, then drop the old
             // level here rather than when the function returns: a regrid
             // never holds more than one superseded level.
@@ -258,72 +274,6 @@ impl Simulation {
             self.levels.push(LevelData::new(state, du, coords, metrics));
         }
         Ok(())
-    }
-
-    /// Builds and executes the cross-rank exchange feeding
-    /// [`Simulation::interp_full_level`] for one new fine
-    /// level: the coarse state (and, for coordinate-aware interpolators,
-    /// coarse coords) chunks that remap gathers, enumerated in exactly the
-    /// order the interpolation loop consumes them so remote payloads are
-    /// keyed by the same absolute chunk index it looks up.
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_interp_gathers(
-        &self,
-        coarse_state: &MultiFab,
-        coarse_coords: &MultiFab,
-        fine_state: &MultiFab,
-        coarse_domain: &ProblemDomain,
-        gep: &GroupEndpoint<'_>,
-        epoch: u64,
-        level: usize,
-    ) -> Result<RemoteGathers, StageError> {
-        let ratio = IntVect::splat(2);
-        let needs_coords = self.interp.needs_coords();
-        let cdm = coarse_state.distribution();
-        let fdm = fine_state.distribution();
-        let mut schunks: Vec<CopyChunk> = Vec::new();
-        let mut cchunks: Vec<CopyChunk> = Vec::new();
-        for i in 0..fine_state.nfabs() {
-            let valid = fine_state.valid_box(i);
-            let cbox = valid.coarsen(ratio).grow(self.interp.coarse_ghost() + 1);
-            for (src_id, region, shift) in
-                gather_valid_chunks(coarse_state.boxarray(), cbox, coarse_domain)
-            {
-                schunks.push(CopyChunk {
-                    src_id,
-                    dst_id: i,
-                    src_rank: cdm.owner(src_id),
-                    dst_rank: fdm.owner(i),
-                    region,
-                    shift,
-                });
-            }
-            if needs_coords {
-                for (src_id, region, shift) in
-                    gather_all_chunks(coarse_coords, cbox, coarse_domain)
-                {
-                    cchunks.push(CopyChunk {
-                        src_id,
-                        dst_id: i,
-                        src_rank: cdm.owner(src_id),
-                        dst_rank: fdm.owner(i),
-                        region,
-                        shift,
-                    });
-                }
-            }
-        }
-        let remote_state = exchange_chunks(coarse_state, &schunks, NCONS, gep, &|k| {
-            tags::owned(tags::OWNED_GATHER, epoch, level, k)
-        })?;
-        let remote_coords = if needs_coords {
-            Some(exchange_chunks(coarse_coords, &cchunks, NCOORDS, gep, &|k| {
-                tags::owned(tags::OWNED_COORDS, epoch, level, k)
-            })?)
-        } else {
-            None
-        };
-        Ok((remote_state, remote_coords))
     }
 
     /// Serializes the whole-domain checkpoint from owned data: every rank
@@ -901,7 +851,6 @@ impl Simulation {
         let les = self.cfg.les;
         let reference = self.cfg.version.reference_kernels();
         let backend = self.cfg.kernel_backend;
-        let tile = self.cfg.tile_size;
         let a = self.cfg.time_scheme.a(stage);
         let b = self.cfg.time_scheme.b(stage);
         let w = self.cfg.time_scheme.net_flux_weight(stage);
@@ -959,54 +908,8 @@ impl Simulation {
                     .absorb_plan(&cg.coord_plan().stats, PlanKind::CoordCopy);
             }
         }
-        // The coarse→fine gather sources live on their owners, so execute
-        // the plan's cross-rank chunks up front — the payloads feed
-        // `fill_two_level_patch_with_remote` inside the stage tasks, keyed
-        // by absolute chunk index within the cached plan.
-        let remote_two: Option<RemoteGathers> = match &two {
-            Some((plans, coarse, ..)) => {
-                let rs = exchange_chunks(
-                    &coarse.state,
-                    &plans.state.state_plan().plan.chunks,
-                    NCONS,
-                    ep,
-                    &|k| tags::owned(tags::OWNED_GATHER, epoch, l, k),
-                )?;
-                let rc = match &plans.coords {
-                    Some(cg) => Some(exchange_chunks(
-                        &coarse.coords,
-                        &cg.coord_plan().plan.chunks,
-                        NCOORDS,
-                        ep,
-                        &|k| tags::owned(tags::OWNED_COORDS, epoch, l, k),
-                    )?),
-                    None => None,
-                };
-                Some((rs, rc))
-            }
-            None => None,
-        };
-        // Subcycled two-level fills also read the coarse *old* state: its
-        // cross-rank chunks travel over the same cached plan in the
-        // `OWNED_GATHER_OLD` tag space so the time blend sees remote donors.
-        // `alpha == 1` skips the blend entirely, so nothing moves.
-        let remote_old: Option<HashMap<usize, Bytes>> =
-            match (&two, sub.and_then(|s| s.alpha)) {
-                (Some((plans, coarse, ..)), Some(alpha)) if alpha != 1.0 => {
-                    let old = coarse
-                        .state_old
-                        .as_ref()
-                        .expect("subcycling saved the coarse old state before its substeps");
-                    Some(exchange_chunks(
-                        old,
-                        &plans.state.state_plan().plan.chunks,
-                        NCONS,
-                        ep,
-                        &|k| tags::owned(tags::OWNED_GATHER_OLD, epoch, l, k),
-                    )?)
-                }
-                _ => None,
-            };
+        // Subcycled two-level fills blend the coarse *old* state in
+        // (`alpha == 1` is bitwise the plain fill and reads none of it).
         let ti: Option<CoarseTimeInterp<'_>> = match (&two, sub.and_then(|s| s.alpha)) {
             (Some((_, coarse, ..)), Some(alpha)) => Some(CoarseTimeInterp {
                 old: coarse
@@ -1014,31 +917,24 @@ impl Simulation {
                     .as_ref()
                     .expect("subcycling saved the coarse old state before its substeps"),
                 alpha,
-                remote_old: remote_old.as_ref(),
             }),
             _ => None,
         };
-        // The blend above reads the coarse *old* state below the instrumented
-        // views, so declare those reads on each halo task's footprint (and
-        // record them for the dynamic detector): per fine patch, the gather
-        // chunks it consumes, at their source regions in the old fab (fab id
-        // = data base pointer, the executor's id convention) — but only
-        // chunks this rank reads *locally* (`src_rank == rank`): remote
-        // chunks arrive as the pre-exchanged payloads gathered above and
-        // touch no fab. `alpha == 1.0` skips the old-state gather entirely,
-        // so there is nothing to declare.
-        let extra_halo: Vec<Vec<(u64, crocco_geometry::IndexBox)>> = match (&two, &ti) {
-            (Some((plans, ..)), Some(t)) if t.alpha != 1.0 => {
-                let rank = ep.rank();
-                let mut per_patch = vec![Vec::new(); fine.state.nfabs()];
-                for c in &plans.state.state_plan().plan.chunks {
-                    if c.src_rank == rank {
-                        let id = t.old.fab(c.src_id).data().as_ptr() as usize as u64;
-                        per_patch[c.dst_id].push((id, c.region.shift(-c.shift)));
-                    }
-                }
-                per_patch
+        let blended_old = ti.filter(|t| t.alpha != 1.0).map(|t| t.old);
+        // The coarse→fine gather sources live on their owners, so move the
+        // plans' cross-rank chunks up front — the payloads feed
+        // `fill_two_level_patch_with_remote` inside the stage tasks.
+        let remote = match &two {
+            Some((plans, coarse, ..)) => {
+                plans.exchange(&coarse.state, Some(&coarse.coords), blended_old, ep, epoch, l)?
             }
+            None => RemoteGathers::default(),
+        };
+        // The blend reads the coarse old state below the instrumented views,
+        // so its local reads are declared on each halo task's footprint (and
+        // recorded for the dynamic detector).
+        let extra_halo = match (&two, blended_old) {
+            (Some((plans, ..)), Some(old)) => plans.local_old_reads(ep.rank(), old),
             _ => Vec::new(),
         };
         // The rank's graph skeleton, memoized beside the plan it was derived
@@ -1115,8 +1011,7 @@ impl Simulation {
                     coarse_bc,
                     time,
                     ti,
-                    remote_two.as_ref().map(|(rs, _)| rs),
-                    remote_two.as_ref().and_then(|(_, rc)| rc.as_ref()),
+                    &remote,
                 );
                 interpolated.fetch_add(cells, Ordering::Relaxed);
             }
@@ -1134,7 +1029,6 @@ impl Simulation {
             let mut accumulate = |region| {
                 accumulate_rhs(
                     &u, met, rhs, region, &gas, weno, recon, les.as_ref(), reference, backend,
-                    tile,
                 );
             };
             match phase {

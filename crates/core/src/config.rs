@@ -174,31 +174,24 @@ pub struct SolverConfig {
     /// [`BackendKind::Scalar`] is for kernels). Results are
     /// bitwise-identical; only the inter-patch schedule changes.
     pub overlap: bool,
-    /// Run the `fabcheck` dynamic sanitizer on the solver's MultiFabs:
-    /// plan-aliasing proofs before every ghost exchange and stale-ghost traps
-    /// in the RK loop. Defaults to on when the crate is built with the
-    /// `fabcheck` cargo feature (the knob is inert without it).
-    pub fabcheck: bool,
     /// Poison freshly allocated state/scratch fabs with signaling NaNs and
-    /// sweep valid regions with `check_for_nan` after every RK stage (AMReX's
-    /// `fab.initval` + `check_for_nan` discipline). Requires the `fabcheck`
-    /// cargo feature to have any effect; off by default — poisoning changes
-    /// what a bug *does* (trap vs silent zero), never correct results.
+    /// sweep valid regions for non-finite values after every RK stage
+    /// (AMReX's `fab.initval` + `check_for_nan` discipline). The poisoning
+    /// needs the `fabcheck` cargo feature; off by default — it changes what
+    /// a bug *does* (trap vs silent zero), never correct results. The
+    /// feature's other check, the plan-alias proof before every stage's halo
+    /// exchange, has no switch: a `--features fabcheck` build always runs it.
+    /// (The level-wide ghost epoch, `MultiFab::assert_ghosts_fresh`, guards
+    /// only the `amr::fillpatch::fill_patch_*_with` entry points — the RK
+    /// loop fills and sweeps per patch inside one stage executor.)
     pub nan_poison: bool,
     /// Kernel backend for the hot loops (DESIGN.md §4h): the plane-laned
     /// SIMD kernels or the scalar per-point reference. Both are
     /// bitwise-identical on the solution (`tests/backend_invariance.rs`);
     /// they differ only in throughput. Composes with
-    /// [`overlap`](Self::overlap) and [`fabcheck`](Self::fabcheck). Defaults to [`BackendKind::Lanes`];
-    /// [`BackendKind::Scalar`] is the test oracle.
+    /// [`overlap`](Self::overlap) and the `fabcheck` feature. Defaults to
+    /// [`BackendKind::Lanes`]; [`BackendKind::Scalar`] is the test oracle.
     pub kernel_backend: BackendKind,
-    /// Tile shape for kernel dispatch, `(tx, ty, tz)` in cells. `None` (the
-    /// default) sweeps each patch as a single region — the pre-backend
-    /// behaviour. `Some` partitions every sweep region with
-    /// [`crocco_fab::tile_boxes`]; the partition is bitwise-irrelevant
-    /// (every valid cell lies in exactly one tile) but sets the cache
-    /// working set.
-    pub tile_size: Option<IntVect>,
     /// Chaos-runtime configuration for cluster stepping (DESIGN.md §4g):
     /// seeded fault injection on the transport plus scheduled rank crashes,
     /// and the checkpoint interval the recovery loop
@@ -299,10 +292,8 @@ impl Default for SolverConfigBuilder {
                 nranks: 1,
                 threads: 1,
                 overlap: true,
-                fabcheck: cfg!(feature = "fabcheck"),
                 nan_poison: false,
                 kernel_backend: BackendKind::default(),
-                tile_size: None,
                 chaos: None,
                 spill_dir: None,
                 subcycling: false,
@@ -422,13 +413,6 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Enables/disables the `fabcheck` dynamic sanitizer (inert unless the
-    /// crate was built with the `fabcheck` cargo feature).
-    pub fn fabcheck(mut self, on: bool) -> Self {
-        self.cfg.fabcheck = on;
-        self
-    }
-
     /// Enables/disables signaling-NaN poisoning of fresh allocations plus
     /// per-stage `check_for_nan` sweeps (inert without the `fabcheck` cargo
     /// feature).
@@ -440,12 +424,6 @@ impl SolverConfigBuilder {
     /// Selects the kernel backend (SIMD lanes, or the scalar reference).
     pub fn kernel_backend(mut self, k: BackendKind) -> Self {
         self.cfg.kernel_backend = k;
-        self
-    }
-
-    /// Sets the kernel dispatch tile shape (cells per tile in x, y, z).
-    pub fn tile_size(mut self, tx: i64, ty: i64, tz: i64) -> Self {
-        self.cfg.tile_size = Some(IntVect::new(tx, ty, tz));
         self
     }
 
@@ -501,11 +479,6 @@ impl SolverConfigBuilder {
         }
         assert!(c.max_grid_size % c.blocking_factor == 0);
         assert!(c.nranks >= 1 && c.threads >= 1);
-        if let Some(t) = c.tile_size {
-            for d in 0..3 {
-                assert!(t[d] >= 1, "tile_size component {d} must be positive, got {}", t[d]);
-            }
-        }
         assert!(
             !c.subcycling || c.chaos.is_none(),
             "subcycling does not compose with chaos injection yet"

@@ -25,20 +25,17 @@ use crate::metrics::{
 };
 use crate::reference::weno_flux_reference;
 use crate::state::NCONS;
-use bytes::Bytes;
 use crocco_amr::hierarchy::{AmrHierarchy, AmrParams};
 use crocco_amr::interp::Interpolator;
 use crocco_amr::tagging::TagSet;
-use crocco_amr::BoundaryFiller;
 use crocco_fab::plan::PlanStats;
 use crocco_fab::{
-    tile_boxes, BoxArray, DistributionMapping, DistributionStrategy, FArrayBox, FabView, MultiFab,
+    BoxArray, DistributionMapping, DistributionStrategy, FArrayBox, FabView, MultiFab,
 };
 use crocco_geometry::{GridMapping, IndexBox, IntVect, ProblemDomain, RealVect};
 use crocco_perfmodel::Profiler;
 use crocco_runtime::{parallel_for_each_mut, GroupEndpoint, RankEndpoint};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// `PlanOp::Aux` namespace tag for memoized stage skeletons (`DistSkeleton`,
@@ -332,10 +329,9 @@ impl Simulation {
         sim
     }
 
-    /// Allocates a solver `MultiFab` honouring the sanitizer knobs: signaling
-    /// NaNs in every cell when `nan_poison` is on (so an unwritten cell traps
-    /// in the next `check_for_nan` sweep instead of smuggling a zero), and the
-    /// per-fab `fabcheck` toggle mirroring the config. Only the patches
+    /// Allocates a solver `MultiFab`: signaling NaNs in every cell when
+    /// `nan_poison` is on (so an unwritten cell traps in the next post-stage
+    /// sweep instead of smuggling a zero). Only the patches
     /// [`owned_rank`](Self::owned_rank) owns get storage.
     pub(crate) fn alloc_mf(
         &self,
@@ -345,13 +341,11 @@ impl Simulation {
         nghost: i64,
     ) -> MultiFab {
         let r = self.owned_rank;
-        let mut mf = if self.cfg.nan_poison {
+        if self.cfg.nan_poison {
             MultiFab::new_owned_poisoned(ba, dm, ncomp, nghost, r)
         } else {
             MultiFab::new_owned(ba, dm, ncomp, nghost, r)
-        };
-        mf.set_fabcheck(self.cfg.fabcheck);
-        mf
+        }
     }
 
     /// Level extents at level `l`.
@@ -543,89 +537,6 @@ impl Simulation {
         }
     }
 
-    /// Fills every valid cell of this rank's patches of `state` by
-    /// interpolating `coarse_state` (the regrid remap of a new fine level).
-    /// Chunk indices are global over the deterministic `(fab, chunk)`
-    /// enumeration of [`gather_valid_chunks`] / [`gather_all_chunks`] — the
-    /// same enumeration the regrid uses to decide which chunks to send — so
-    /// `remote_state`/`remote_coords` (keyed by that index, produced by
-    /// `crocco_fab::owned::exchange_chunks`) substitute bitwise-exactly for
-    /// the local copies every other chunk gets. Fine patches this rank does
-    /// not own are skipped (their chunk indices still advance, keeping the
-    /// global numbering rank-independent).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn interp_full_level(
-        &self,
-        coarse_state: &MultiFab,
-        coarse_coords: &MultiFab,
-        fine_coords: &MultiFab,
-        state: &mut MultiFab,
-        coarse_domain: &ProblemDomain,
-        coarse_bc: &crate::bc::PhysicalBc,
-        remote_state: &HashMap<usize, Bytes>,
-        remote_coords: Option<&HashMap<usize, Bytes>>,
-    ) {
-        let ratio = IntVect::splat(2);
-        let needs_coords = self.interp.needs_coords();
-        let mut state_base = 0usize;
-        let mut coord_base = 0usize;
-        for i in 0..state.nfabs() {
-            let valid = state.valid_box(i);
-            let cbox = valid.coarsen(ratio).grow(self.interp.coarse_ghost() + 1);
-            let schunks = gather_valid_chunks(coarse_state.boxarray(), cbox, coarse_domain);
-            let cchunks = if needs_coords {
-                gather_all_chunks(coarse_coords, cbox, coarse_domain)
-            } else {
-                Vec::new()
-            };
-            if !state.is_allocated(i) {
-                state_base += schunks.len();
-                coord_base += cchunks.len();
-                continue;
-            }
-            let mut ctmp = FArrayBox::new(cbox, NCONS);
-            for (k, (src_id, region, shift)) in schunks.iter().enumerate() {
-                if let Some(payload) = remote_state.get(&(state_base + k)) {
-                    crocco_fab::owned::unpack_chunk_into(&mut ctmp, *region, NCONS, payload);
-                } else {
-                    ctmp.copy_shifted_from(coarse_state.fab(*src_id), *region, *shift, NCONS);
-                }
-            }
-            coarse_bc.fill(
-                &mut ctmp,
-                cbox.intersection(&coarse_domain.bx),
-                coarse_domain,
-                self.time,
-            );
-            let (cc, fc);
-            if needs_coords {
-                let mut c = FArrayBox::new(cbox, NCOORDS);
-                for (k, (src_id, region, shift)) in cchunks.iter().enumerate() {
-                    if let Some(payload) = remote_coords.and_then(|m| m.get(&(coord_base + k))) {
-                        crocco_fab::owned::unpack_chunk_into(&mut c, *region, NCOORDS, payload);
-                    } else {
-                        c.copy_shifted_from(coarse_coords.fab(*src_id), *region, *shift, NCOORDS);
-                    }
-                }
-                cc = Some(c);
-                fc = Some(fine_coords.fab(i).clone());
-            } else {
-                cc = None;
-                fc = None;
-            }
-            self.interp.interp(
-                &ctmp,
-                state.fab_mut(i),
-                valid,
-                ratio,
-                cc.as_ref(),
-                fc.as_ref(),
-            );
-            state_base += schunks.len();
-            coord_base += cchunks.len();
-        }
-    }
-
     /// Rebuilds the per-pair flux registers and recording geometry iff the
     /// grids changed since the last build (identity-compared through the
     /// BoxArray `Arc`s, the same invalidation token the plan cache keys on).
@@ -726,10 +637,8 @@ impl Simulation {
 /// directional WENO fluxes (optimized or reference kernels per the code
 /// version) then the viscous/LES flux, in the fixed per-cell operation order
 /// every schedule shares — a patch swept whole passes its valid box, a split
-/// patch the interior box and the boundary-band slabs, and a configured
-/// `tile` shape further partitions whichever region arrives.
-/// Because every valid cell lies in exactly one such (sub)region the
-/// partition is bitwise-irrelevant.
+/// patch the interior box and the boundary-band slabs. Because every valid
+/// cell lies in exactly one such region the partition is bitwise-irrelevant.
 ///
 /// `backend` selects the kernel implementation (all bitwise-identical);
 /// `reference` (the V1.0 "Fortran" kernels) overrides it, since the
@@ -746,65 +655,15 @@ pub(crate) fn accumulate_rhs(
     les: Option<&crate::sgs::Smagorinsky>,
     reference: bool,
     backend: BackendKind,
-    tile: Option<IntVect>,
 ) {
-    let tiles = match tile {
-        Some(t) => tile_boxes(region, t),
-        None => vec![region],
-    };
-    for reg in tiles {
-        if reference {
-            for dir in 0..3 {
-                weno_flux_reference(u, met, rhs, reg, dir, gas, weno);
-            }
-            crate::kernels::viscous_flux_les(u, met, rhs, reg, gas, les);
-        } else {
-            backend.accumulate_rhs(u, met, rhs, reg, gas, weno, recon, les);
+    if reference {
+        for dir in 0..3 {
+            weno_flux_reference(u, met, rhs, region, dir, gas, weno);
         }
+        crate::kernels::viscous_flux_les(u, met, rhs, region, gas, les);
+    } else {
+        backend.accumulate_rhs(u, met, rhs, region, gas, weno, recon, les);
     }
-}
-
-/// Enumerates the valid-region gather chunks filling `dst_bx` from `src_ba`
-/// (periodic-aware): `(src_id, region-in-dst-space, shift)` triples in a
-/// deterministic order — a pure function of replicated metadata, so every
-/// rank enumerates the identical list. The regrid remap copies the local
-/// ones and turns the rank-crossing ones into `CopyChunk` sends keyed by
-/// position in this list.
-pub(crate) fn gather_valid_chunks(
-    src_ba: &BoxArray,
-    dst_bx: IndexBox,
-    domain: &ProblemDomain,
-) -> Vec<(usize, IndexBox, IntVect)> {
-    let mut out = Vec::new();
-    for shift in domain.periodic_shifts() {
-        let probe = dst_bx.shift(-shift);
-        for (src_id, overlap) in src_ba.intersections(probe) {
-            out.push((src_id, overlap.shift(shift), shift));
-        }
-    }
-    out
-}
-
-/// Enumerates valid+ghost gather chunks (for analytic coordinates), in the
-/// same deterministic metadata-only order as [`gather_valid_chunks`].
-pub(crate) fn gather_all_chunks(
-    src: &MultiFab,
-    dst_bx: IndexBox,
-    domain: &ProblemDomain,
-) -> Vec<(usize, IndexBox, IntVect)> {
-    let g = src.nghost();
-    let mut out = Vec::new();
-    for shift in domain.periodic_shifts() {
-        let probe = dst_bx.shift(-shift);
-        for (src_id, _) in src.boxarray().intersections(probe.grow(g)) {
-            let overlap = src.boxarray().get(src_id).grow(g).intersection(&probe);
-            if overlap.is_empty() {
-                continue;
-            }
-            out.push((src_id, overlap.shift(shift), shift));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -686,7 +686,7 @@ fn run_overlapped(
     crate::taskcheck::assert_spec_matches(&graph.schedule_spec(), &rs.spec, "distributed RK stage");
 
     let ep = st.ep;
-    graph.try_run_schedule_with_progress(st.sched, &mut || {
+    graph.try_run(st.sched, &mut || {
         ep.pump().map(|_| ()).map_err(StageError::Comm)
     })
 }

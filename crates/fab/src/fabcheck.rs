@@ -111,8 +111,7 @@ pub fn check_for_nan(mf: &MultiFab, label: &str) {
 }
 
 /// Per-`MultiFab` sanitizer state (embedded in every `MultiFab` under the
-/// `fabcheck` feature — deliberately not a global toggle, so parallel test
-/// binaries can exercise checked and unchecked fabs side by side).
+/// `fabcheck` feature; the feature alone decides whether the checks run).
 ///
 /// The freshness model: `data_epoch` counts potential mutations of fab data
 /// (any `fab_mut`/`fabs_mut` handout, `set_val`, plan execution into this
@@ -120,24 +119,12 @@ pub fn check_for_nan(mf: &MultiFab, label: &str) {
 /// regions were brought coherent (a `fill_boundary`, or an explicit
 /// `mark_ghosts_filled` after a fill-patch sequence). Ghosts are *fresh* iff
 /// `ghost_epoch == Some(data_epoch)`; `None` means never filled.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CheckState {
-    /// Master switch (config knob `fabcheck`); checks are skipped when false.
-    pub enabled: bool,
     /// Bumped on every potentially-mutating access to fab data.
     pub data_epoch: u64,
     /// `data_epoch` at the last ghost fill; `None` if ghosts never filled.
     pub ghost_epoch: Option<u64>,
-}
-
-impl Default for CheckState {
-    fn default() -> Self {
-        CheckState {
-            enabled: true,
-            data_epoch: 0,
-            ghost_epoch: None,
-        }
-    }
 }
 
 impl CheckState {

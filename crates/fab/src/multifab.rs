@@ -221,15 +221,6 @@ impl MultiFab {
         &mut self.fabs
     }
 
-    /// Switches the `fabcheck` sanitizer on/off for this MultiFab (the config
-    /// knob). No-op without the `fabcheck` feature.
-    pub fn set_fabcheck(&mut self, _on: bool) {
-        #[cfg(feature = "fabcheck")]
-        {
-            self.check.enabled = _on;
-        }
-    }
-
     /// Declares the ghost regions coherent with the current valid data.
     /// `fill_boundary` calls this itself; fill-patch sequences that apply
     /// physical BCs through `fabs_mut` afterwards must call it once the whole
@@ -241,13 +232,13 @@ impl MultiFab {
         }
     }
 
-    /// Traps a stale-ghost read: panics (under the `fabcheck` feature, when
-    /// enabled) if valid data changed since the last ghost fill, or if ghosts
+    /// Traps a stale-ghost read: panics (under the `fabcheck` feature) if
+    /// valid data changed since the last ghost fill, or if ghosts
     /// were never filled at all. Kernels that consume ghost cells call this
     /// on entry; `_label` names the call site in the panic message.
     pub fn assert_ghosts_fresh(&self, _label: &str) {
         #[cfg(feature = "fabcheck")]
-        if self.check.enabled {
+        {
             assert!(
                 self.check.ghosts_fresh(),
                 "fabcheck: stale ghost read in {_label}: data epoch {}, ghosts filled at {:?} \
@@ -282,9 +273,7 @@ impl MultiFab {
     #[inline]
     pub(crate) fn check_plan_gated(&self, _plan: &CopyPlan, _in_place: bool) {
         #[cfg(feature = "fabcheck")]
-        if self.check.enabled {
-            fabcheck::check_plan(_plan, _in_place);
-        }
+        fabcheck::check_plan(_plan, _in_place);
     }
 
     /// Iterator over `(patch_id, valid_box)` pairs — the MFIter analog.
@@ -874,14 +863,6 @@ mod tests {
         assert!(p.fab(0).get(lo, 0).is_nan());
         p.set_val(0.0);
         crate::fabcheck::check_for_nan(&p, "after set_val"); // clean now
-    }
-
-    #[cfg(feature = "fabcheck")]
-    #[test]
-    fn disabling_fabcheck_silences_the_traps() {
-        let (mut mf, _domain) = setup(2);
-        mf.set_fabcheck(false);
-        mf.assert_ghosts_fresh("unchecked kernel"); // would trap if enabled
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   [`FArrayBox::copy_shifted_from`] it replaces.
 //! * [`exchange_chunks`] — the fenced all-sends-first / then-receive
 //!   discipline over an arbitrary chunk list, returning landed payloads
-//!   keyed by chunk index. Used by the owned FillPatch coarse gather and
-//!   the owned regrid interpolation gather.
+//!   keyed by chunk index. Used by the coarse→fine gather of FillPatch and
+//!   of the regrid remap (`amr::fillpatch::TwoLevelPlans::exchange`).
 //! * [`redistribute`] — executes a ParallelCopy plan between two owned
 //!   MultiFabs over different BoxArrays/DistributionMappings: the data
 //!   redistribution step of a distributed regrid (old mapping → new

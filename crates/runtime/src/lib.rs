@@ -49,7 +49,7 @@ pub use chaos::{
 pub use cluster::{
     tags, CommError, CommGroup, GroupEndpoint, LocalCluster, Packet, RankEndpoint, RecvHandle,
 };
-pub use pool::{default_threads, parallel_for, parallel_for_each_mut, parallel_zip_mut};
+pub use pool::{default_threads, parallel_for, parallel_for_each_mut};
 pub use sim::{CommOp, SimComm};
 pub use taskcheck::{
     verify_cross_rank, Access, Footprint, RankSchedule, Region, ScheduleSpec, Verification,

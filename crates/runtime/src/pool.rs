@@ -67,39 +67,6 @@ where
     .expect("parallel_for_each_mut scope failed");
 }
 
-/// Runs `f(i, &mut a[i], &mut b[i])` over two equal-length slices, split into
-/// matching contiguous per-worker chunks. Used for loops that walk two fab
-/// lists in lockstep (the low-storage RK update reads/writes `dU[i]` and
-/// `U[i]` together).
-pub fn parallel_zip_mut<A, B, F>(a: &mut [A], b: &mut [B], threads: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut A, &mut B) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "parallel_zip_mut length mismatch");
-    let n = a.len();
-    if threads <= 1 || n <= 1 {
-        for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            f(i, x, y);
-        }
-        return;
-    }
-    let nworkers = threads.min(n);
-    let chunk = n.div_ceil(nworkers);
-    crossbeam::thread::scope(|s| {
-        for (w, (ca, cb)) in a.chunks_mut(chunk).zip(b.chunks_mut(chunk)).enumerate() {
-            let f = &f;
-            s.spawn(move |_| {
-                for (j, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
-                    f(w * chunk + j, x, y);
-                }
-            });
-        }
-    })
-    .expect("parallel_zip_mut scope failed");
-}
-
 /// The default worker count: physical parallelism available to this process.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
@@ -148,19 +115,5 @@ mod tests {
     #[test]
     fn default_threads_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn zip_mut_pairs_matching_indices() {
-        for threads in [1, 3, 8] {
-            let mut a: Vec<u64> = (0..100).collect();
-            let mut b: Vec<u64> = (0..100).map(|i| 2 * i).collect();
-            parallel_zip_mut(&mut a, &mut b, threads, |i, x, y| {
-                *x += *y;
-                *y = i as u64;
-            });
-            assert!(a.iter().enumerate().all(|(i, &x)| x == 3 * i as u64));
-            assert!(b.iter().enumerate().all(|(i, &y)| y == i as u64));
-        }
     }
 }

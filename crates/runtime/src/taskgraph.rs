@@ -70,7 +70,7 @@ impl Schedule {
 }
 
 /// A recoverable failure of one distributed RK-stage execution — what
-/// [`TaskGraph::try_run_with_progress`] returns instead of hanging peers or
+/// [`TaskGraph::try_run`] returns instead of hanging peers or
 /// unwinding through the stepping loop. The chaos stepping loop answers any
 /// of these with checkpoint rollback (DESIGN.md §4g).
 #[derive(Clone, Debug, PartialEq)]
@@ -258,7 +258,7 @@ impl<'env> TaskGraph<'env> {
     ///
     /// The event finishes when `ready` first returns true; the runner polls
     /// it between invocations of the progress pump passed to
-    /// [`TaskGraph::run_with_progress`] (which is what makes the condition
+    /// [`TaskGraph::try_run`] (which is what makes the condition
     /// advance — e.g. `RankEndpoint::progress` matching arrived packets).
     /// Events consume no worker: workers keep draining compute tasks while
     /// the runner waits for the condition.
@@ -298,76 +298,37 @@ impl<'env> TaskGraph<'env> {
     /// # Panics
     ///
     /// Panics if the graph contains event tasks — those only make sense
-    /// with a progress pump, so use [`TaskGraph::run_with_progress`].
+    /// with a progress pump, so use [`TaskGraph::try_run`].
     pub fn run(self, threads: usize) {
-        self.run_schedule(Schedule::pool(threads));
-    }
-
-    /// Executes every task under the given [`Schedule`]. Semantics match
-    /// [`TaskGraph::run`] (panic rethrow, no event tasks permitted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph contains event tasks — those only make sense
-    /// with a progress pump, so use [`TaskGraph::run_schedule_with_progress`].
-    pub fn run_schedule(self, sched: Schedule) {
         assert!(
             self.events.is_empty(),
-            "graphs with event tasks need run_with_progress (a progress pump)"
+            "graphs with event tasks need try_run (a progress pump)"
         );
-        self.run_schedule_with_progress(sched, &mut || {});
-    }
-
-    /// Executes every task, honouring dependencies, on up to `threads`
-    /// workers, with `progress` pumped between event polls — the runner for
-    /// graphs whose [`TaskGraph::add_event`] gates depend on external state
-    /// (e.g. `RankEndpoint::progress` matching arrived halo packets).
-    ///
-    /// With `threads <= 1` tasks run inline in insertion order, spinning
-    /// `progress` before a blocked event; the caller must therefore insert
-    /// every task an event's completion transitively requires on *this* rank
-    /// (its own pack/send jobs) before the event. On the threaded path the
-    /// calling thread becomes the coordinator: it pumps `progress`, polls
-    /// event predicates, and releases dependents the moment an event fires,
-    /// while workers keep draining ready compute tasks — no worker ever
-    /// blocks on communication.
-    pub fn run_with_progress(self, threads: usize, progress: &mut (dyn FnMut() + '_)) {
-        self.run_schedule_with_progress(Schedule::pool(threads), progress);
-    }
-
-    /// Executes every task under the given [`Schedule`] with `progress`
-    /// pumped between event polls — the schedule-generic form of
-    /// [`TaskGraph::run_with_progress`].
-    pub fn run_schedule_with_progress(self, sched: Schedule, progress: &mut (dyn FnMut() + '_)) {
-        match self.run_inner(sched, &mut || {
-            progress();
-            Ok(())
-        }) {
+        match self.run_inner(Schedule::pool(threads), &mut || Ok(())) {
             Ok(()) => {}
             Err(Failure::Panic(p)) => resume_unwind(p),
             Err(Failure::Pump(_)) => unreachable!("infallible pump cannot fail"),
         }
     }
 
-    /// Fault-tolerant runner: like [`TaskGraph::run_with_progress`], but the
-    /// pump may fail (a detected communication fault) and task panics are
-    /// contained — both are returned as a typed [`StageError`] instead of
-    /// hanging peer ranks or unwinding through the stepping loop. On error,
-    /// workers stop after their current task and unstarted tasks are
-    /// dropped.
-    pub fn try_run_with_progress(
-        self,
-        threads: usize,
-        progress: &mut (dyn FnMut() -> Result<(), StageError> + '_),
-    ) -> Result<(), StageError> {
-        self.try_run_schedule_with_progress(Schedule::pool(threads), progress)
-    }
-
-    /// Fault-tolerant schedule-generic runner — the form of
-    /// [`TaskGraph::try_run_with_progress`] the distributed invariance
-    /// suites use to drive adversarial linearizations through the
-    /// overlapped cross-rank stage.
-    pub fn try_run_schedule_with_progress(
+    /// Executes every task under the given [`Schedule`] with `progress`
+    /// pumped between event polls — the runner for graphs whose
+    /// [`TaskGraph::add_event`] gates depend on external state (e.g.
+    /// `RankEndpoint::progress` matching arrived halo packets). The pump may
+    /// fail (a detected communication fault) and task panics are contained:
+    /// both come back as a typed [`StageError`] instead of hanging peer
+    /// ranks or unwinding through the stepping loop. On error, workers stop
+    /// after their current task and unstarted tasks are dropped.
+    ///
+    /// On a pool of `threads <= 1` tasks run inline in insertion order,
+    /// spinning `progress` before a blocked event; the caller must therefore
+    /// insert every task an event's completion transitively requires on
+    /// *this* rank (its own pack/send jobs) before the event. On the
+    /// threaded path the calling thread becomes the coordinator: it pumps
+    /// `progress`, polls event predicates, and releases dependents the
+    /// moment an event fires, while workers keep draining ready compute
+    /// tasks — no worker ever blocks on communication.
+    pub fn try_run(
         self,
         sched: Schedule,
         progress: &mut (dyn FnMut() -> Result<(), StageError> + '_),
@@ -393,8 +354,8 @@ impl<'env> TaskGraph<'env> {
         Tracker
     }
 
-    /// Shared executor behind every runner. Panics are always caught and
-    /// returned with their original payload, so the infallible wrappers can
+    /// Shared executor behind both runners. Panics are always caught and
+    /// returned with their original payload, so [`TaskGraph::run`] can
     /// rethrow them unchanged.
     fn run_inner(
         self,
@@ -886,11 +847,13 @@ mod tests {
             let order_ref = &order;
             g.add_task(&[ev], move || order_ref.lock().unwrap().push("boundary"));
             g.add_task(&[], move || order_ref.lock().unwrap().push("interior"));
-            g.run_with_progress(threads, &mut || {
+            g.try_run(Schedule::pool(threads), &mut || {
                 if pumps.fetch_add(1, Ordering::Relaxed) + 1 >= 3 {
                     arrived.store(true, Ordering::Release);
                 }
-            });
+                Ok(())
+            })
+            .unwrap();
             let order = order.into_inner().unwrap();
             assert_eq!(order.len(), 2, "threads={threads}: {order:?}");
             assert!(pumps.load(Ordering::Relaxed) >= 3);
@@ -908,7 +871,7 @@ mod tests {
             g.add_task(&[ev], move || {
                 ran_ref.fetch_add(1, Ordering::Relaxed);
             });
-            g.run_with_progress(threads, &mut || {});
+            g.try_run(Schedule::pool(threads), &mut || Ok(())).unwrap();
             assert_eq!(ran.load(Ordering::Relaxed), 1);
         }
     }
@@ -932,12 +895,12 @@ mod tests {
         g.add_task(&[ev], move || {
             done_ref.fetch_add(100, Ordering::Relaxed);
         });
-        g.run_with_progress(4, &mut || {});
+        g.try_run(Schedule::pool(4), &mut || Ok(())).unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 132);
     }
 
     #[test]
-    #[should_panic(expected = "run_with_progress")]
+    #[should_panic(expected = "need try_run")]
     fn plain_run_rejects_event_graphs() {
         let mut g = TaskGraph::new();
         g.add_event(|| true);
@@ -955,7 +918,7 @@ mod tests {
                 ran.fetch_add(1, Ordering::Relaxed);
             });
             let err = g
-                .try_run_with_progress(threads, &mut || Ok(()))
+                .try_run(Schedule::pool(threads), &mut || Ok(()))
                 .expect_err("panic must become a stage error");
             assert_eq!(
                 err,
@@ -982,7 +945,7 @@ mod tests {
             });
             let fault_clone = fault.clone();
             let err = g
-                .try_run_with_progress(threads, &mut || Err(fault_clone.clone()))
+                .try_run(Schedule::pool(threads), &mut || Err(fault_clone.clone()))
                 .expect_err("pump fault must end the run");
             assert_eq!(err, fault, "threads={threads}");
             assert_eq!(
@@ -1003,7 +966,7 @@ mod tests {
                 done.fetch_add(1, Ordering::Relaxed);
             });
         }
-        g.try_run_with_progress(4, &mut || Ok(())).unwrap();
+        g.try_run(Schedule::pool(4), &mut || Ok(())).unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 16);
     }
 
@@ -1019,7 +982,7 @@ mod tests {
                 order.lock().unwrap().push(i);
             }));
         }
-        g.run_schedule(sched);
+        g.try_run(sched, &mut || Ok(())).unwrap();
         order.into_inner().unwrap()
     }
 
@@ -1055,7 +1018,7 @@ mod tests {
         g.add_task(&[ev], move || {
             ran_ref.fetch_add(1, Ordering::Relaxed);
         });
-        g.try_run_schedule_with_progress(Schedule::adversarial(3), &mut || {
+        g.try_run(Schedule::adversarial(3), &mut || {
             if pumps.fetch_add(1, Ordering::Relaxed) + 1 >= 3 {
                 arrived.store(true, Ordering::Release);
             }
@@ -1068,7 +1031,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_task(&[], || panic!("kernel blew up"));
         let err = g
-            .try_run_schedule_with_progress(Schedule::adversarial(0), &mut || Ok(()))
+            .try_run(Schedule::adversarial(0), &mut || Ok(()))
             .expect_err("panic must surface");
         assert_eq!(
             err,
@@ -1090,7 +1053,7 @@ mod tests {
         assert_eq!(spec.label(0), "a");
         assert_eq!(spec.deps(2), &[0, 1]);
         assert!(spec.verify().violations.is_empty());
-        g.run_with_progress(1, &mut || {});
+        g.try_run(Schedule::pool(1), &mut || Ok(())).unwrap();
     }
 
     /// Dynamic detector integration: unordered overlapping writes recorded
@@ -1115,7 +1078,7 @@ mod tests {
                 let mut g = TaskGraph::new();
                 g.add_task_with(&[], fp("w1"), move || record_access(1, true, bx));
                 g.add_task_with(&[], fp("w2"), move || record_access(1, true, bx));
-                g.run_schedule(sched);
+                g.try_run(sched, &mut || Ok(())).unwrap();
             }));
             let msg = panic_message(result.expect_err("race must trap").as_ref());
             assert!(msg.contains("taskcheck"), "unexpected panic: {msg}");
@@ -1124,14 +1087,14 @@ mod tests {
             let mut g = TaskGraph::new();
             let a = g.add_task_with(&[], fp("w1"), move || record_access(1, true, bx));
             g.add_task_with(&[a], fp("w2"), move || record_access(1, true, bx));
-            g.run_schedule(sched);
+            g.try_run(sched, &mut || Ok(())).unwrap();
 
             // Unordered overlapping writes to a fab *no* footprint declares
             // are out-of-graph data the schedule does not arbitrate: clean.
             let mut g = TaskGraph::new();
             g.add_task_with(&[], fp("w1"), move || record_access(99, true, bx));
             g.add_task_with(&[], fp("w2"), move || record_access(99, true, bx));
-            g.run_schedule(sched);
+            g.try_run(sched, &mut || Ok(())).unwrap();
         }
     }
 
@@ -1270,7 +1233,7 @@ mod tests {
                                 }
                             }));
                         }
-                        g.run_schedule(sched);
+                        g.try_run(sched, &mut || Ok(())).unwrap();
                     }
                 }
             }

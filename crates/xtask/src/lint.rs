@@ -103,6 +103,11 @@ const UNWRAP_AUDIT: &[(&str, usize)] = &[
     ("crates/runtime/src/cluster.rs", 21),
     ("crates/runtime/src/chaos.rs", 1),
     ("crates/fab/src/plan.rs", 0),
+    ("crates/core/src/cluster_step.rs", 8),
+    ("crates/fab/src/dist_overlap.rs", 7),
+    ("crates/core/src/durable.rs", 6),
+    ("crates/fab/src/owned.rs", 2),
+    ("crates/amr/src/tagging.rs", 0),
 ];
 
 /// Modules sanctioned to open checkpoint/manifest files for writing (rule
@@ -929,6 +934,17 @@ mod tests {
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("over this file's ratchet of 1"), "{msgs:?}");
         assert!(report.diagnostics[0].path.ends_with("chaos.rs"));
+
+        // A file ratcheted at zero fails on its first call.
+        fx.write("crates/runtime/src/chaos.rs", at_ceiling);
+        fx.write("crates/amr/Cargo.toml", "[package]\nname = \"amr\"\n");
+        fx.write("crates/amr/src/lib.rs", "#![forbid(unsafe_code)]\n");
+        fx.write("crates/amr/src/tagging.rs", over);
+        let report = lint_root(&fx.root);
+        let msgs = messages(&report);
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("over this file's ratchet of 0"), "{msgs:?}");
+        assert!(report.diagnostics[0].path.ends_with("tagging.rs"));
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! These tests run the compression-ramp configuration (sheared curvilinear
 //! grid, two AMR levels, a regrid mid-run at `regrid_freq = 3`) under the
 //! default backend against an explicitly named `BackendKind::Scalar` oracle
-//! across the `overlap` × `fabcheck` × `nan_poison` matrix, plus an LES leg
-//! exercising the laned viscous/SGS kernels and a tiled leg exercising the
-//! partition. DESIGN.md §4h spells out why bitwise identity holds; this
-//! suite is the end-to-end proof.
+//! across the `overlap` × `nan_poison` matrix (under `--features fabcheck`
+//! the sanitizer's checks run in every leg), plus an LES leg exercising the
+//! laned viscous/SGS kernels. DESIGN.md §4h spells out why bitwise identity
+//! holds; this suite is the end-to-end proof.
 
 mod common;
 
@@ -66,37 +66,12 @@ fn backends_match_scalar_bitwise_with_les() {
     assert!(reference == got, "default backend diverged under LES");
 }
 
-#[test]
-fn tile_partition_is_bitwise_invisible() {
-    // Odd tile shapes against the scalar whole-patch sweep: every valid
-    // cell lies in exactly one tile, so the partition may not change a bit.
-    let reference = run_bits(scalar(ramp_builder().threads(4)), 4);
-    for k in BackendKind::ALL {
-        for (tx, ty, tz) in [(1_000_000, 8, 8), (5, 3, 7)] {
-            let got = run_bits(
-                ramp_builder()
-                    .threads(4)
-                    .kernel_backend(k)
-                    .tile_size(tx, ty, tz)
-                    .build(),
-                4,
-            );
-            assert!(
-                reference == got,
-                "{} with tile ({tx},{ty},{tz}) diverged",
-                k.label()
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     #[test]
     fn backends_compose_with_overlap_fabcheck_poison(
         overlap in any::<bool>(),
-        fabcheck in any::<bool>(),
         nan_poison in any::<bool>(),
         steps in 3u32..5,
     ) {
@@ -108,7 +83,6 @@ proptest! {
             ramp_builder()
                 .threads(4)
                 .overlap(overlap)
-                .fabcheck(fabcheck)
                 .nan_poison(nan_poison)
         };
         let reference = run_bits(scalar(composed()), steps);
@@ -116,8 +90,8 @@ proptest! {
         prop_assert_eq!(reference.len(), got.len());
         prop_assert!(
             reference == got,
-            "default backend diverged (overlap={}, fabcheck={}, poison={})",
-            overlap, fabcheck, nan_poison
+            "default backend diverged (overlap={}, poison={})",
+            overlap, nan_poison
         );
     }
 }

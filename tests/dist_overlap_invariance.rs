@@ -119,7 +119,6 @@ fn dist_overlap_composes_with_the_sanitizer() {
         let cfg = les_vortex()
             .nranks(nranks)
             .threads(2)
-            .fabcheck(true)
             .nan_poison(true)
             .build();
         assert_partitions_oracle(

@@ -78,7 +78,6 @@ proptest! {
         let checked = run_single(
             ramp_builder()
                 .threads(4)
-                .fabcheck(true)
                 .nan_poison(true)
                 .build(),
             steps,

@@ -86,7 +86,6 @@ fn owned_composes_with_the_sanitizer() {
         let cfg = ramp_builder()
             .nranks(nranks)
             .threads(2)
-            .fabcheck(true)
             .nan_poison(true)
             .build();
         let owned = run_owned(cfg, 4);
