@@ -7,8 +7,14 @@
 //! ghost cells not covered by the fine level. When the interpolator is the
 //! custom curvilinear one, the coordinate MultiFab is `ParallelCopy`-ed into
 //! a ghosted temporary first — the paper's global communication bottleneck.
+//!
+//! Everything a two-level fill derives from the grids alone lives in its
+//! cached plan until the next regrid: the uncovered regions, the gather
+//! chunk lists, and — for the 8-corner-blend interpolators — the per-cell
+//! [`BlendStencil`]s, so the coordinates are gathered (and cross ranks)
+//! once per plan and an RK stage's fill is gather + blend.
 
-use crate::interp::Interpolator;
+use crate::interp::{BlendKind, BlendStencil, BlendWeights, Interpolator};
 use crocco_fab::plan::{CopyChunk, CopyPlan};
 use crocco_fab::plan_cache::{CachedPlan, PlanCache, PlanKey, PlanOp};
 use crocco_fab::{
@@ -20,8 +26,8 @@ use crocco_geometry::{IndexBox, IntVect, ProblemDomain};
 use crocco_runtime::cluster::CommError;
 use crocco_runtime::{parallel_for_each_mut, tags, GroupEndpoint};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Applies physical boundary conditions to one patch (the paper's custom
 /// `BC_Fill` kernel).
@@ -123,23 +129,41 @@ pub struct CoarseTimeInterp<'a> {
 /// `old` for the time-interpolated old state) or the coordinate-gather plan
 /// (`coords`). A chunk absent from its map is read from the local fab —
 /// bitwise the same bytes either way — so the default (all maps empty) is
-/// the single-rank gather.
+/// the single-rank gather. `coords` is `Some` only out of the one exchange
+/// per plan that moved coordinates.
 #[derive(Debug, Default)]
 pub struct RemoteGathers {
     state: HashMap<usize, Bytes>,
-    coords: HashMap<usize, Bytes>,
+    coords: Option<HashMap<usize, Bytes>>,
     old: HashMap<usize, Bytes>,
 }
 
+impl RemoteGathers {
+    /// `true` if the exchange that produced this ran the coordinate round —
+    /// the first one after the plan was built, and no other. Communication
+    /// accounting counts the coordinate plan's traffic when this says so.
+    pub fn gathered_coords(&self) -> bool {
+        self.coords.is_some()
+    }
+}
+
 /// Packs the remaining inputs the two-level planner reads into the key's
-/// client bits: interpolator coarse ghost, coordinate source ghost width and
-/// the refinement ratio (each well below 256 in practice).
-fn two_level_aux(coarse_ghost: i64, ratio: IntVect, coord_nghost: i64) -> u64 {
-    (coarse_ghost as u64 & 0xff)
+/// client bits: interpolator coarse ghost, coordinate source ghost width,
+/// the refinement ratio (each well below 256 in practice) and the kind of
+/// blend stencils the entry caches (so two schemes never share an entry
+/// whose stencils were built from the other's weights).
+fn two_level_aux(interp: &dyn Interpolator, ratio: IntVect, coord_nghost: i64) -> u64 {
+    let blend = match interp.blend() {
+        None => 0,
+        Some(BlendKind::Index) => 1,
+        Some(BlendKind::Physical) => 2,
+    };
+    (interp.coarse_ghost() as u64 & 0xff)
         | ((coord_nghost as u64 & 0xff) << 8)
         | ((ratio[0] as u64 & 0xff) << 16)
         | ((ratio[1] as u64 & 0xff) << 24)
         | ((ratio[2] as u64 & 0xff) << 32)
+        | (blend << 40)
 }
 
 /// Fills ghosts at the coarsest level: neighbor exchange + physical BCs.
@@ -259,11 +283,7 @@ pub fn fill_patch_two_levels_with(
                     rw,
                     plans,
                     coarse,
-                    coarse_coords,
-                    fine_coords.map(|m| m.fab(i)),
                     coarse_domain,
-                    ratio,
-                    interp,
                     coarse_bc,
                     time,
                     time_interp,
@@ -297,29 +317,51 @@ pub fn fill_patch_two_levels_with(
 
 /// The resolved (possibly cache-shared) plans behind one coarse→fine gather
 /// — a two-level FillPatch ([`resolve_two_level_plans`]) or a regrid remap
-/// ([`resolve_remap_plans`]): the per-patch regions to interpolate with the
-/// state-gather plan, and the coordinate-gather companion when the
-/// interpolator reads coordinates. Resolution is pure plan
+/// ([`resolve_remap_plans`]) — with what a fill through them needs besides
+/// the coarse state: the per-patch regions to interpolate with the
+/// state-gather plan, the interpolator and ratio, and the coordinate gather
+/// when the interpolator reads coordinates. Resolution is pure plan
 /// lookup/construction — no field data moves.
-pub struct TwoLevelPlans {
-    /// Gather geometry + coarse→fine state-gather plan.
+pub struct TwoLevelPlans<'a> {
+    /// Gather geometry + coarse→fine state-gather plan (+ cached stencils).
     pub state: Arc<TwoLevelPlan>,
-    /// Coordinate-gather companion (coordinate-reading interpolators only).
-    pub coords: Option<Arc<CoordGatherPlan>>,
+    /// Coordinate gather (coordinate-reading interpolators only).
+    pub coords: Option<CoordGather<'a>>,
+    interp: &'a dyn Interpolator,
+    ratio: IntVect,
 }
 
-impl TwoLevelPlans {
+/// The coordinate side of a [`TwoLevelPlans`]: the gather plan and both
+/// levels' coordinate MultiFabs. Coordinates are a pure function of the
+/// grids, so they are read once per plan — when a patch's stencils are built
+/// — and never after.
+pub struct CoordGather<'a> {
+    plan: Arc<CoordGatherPlan>,
+    coarse: &'a MultiFab,
+    fine: &'a MultiFab,
+}
+
+impl CoordGather<'_> {
+    /// The coordinate-gather plan (for communication accounting).
+    pub fn coord_plan(&self) -> &Arc<CachedPlan> {
+        &self.plan.coords
+    }
+}
+
+impl TwoLevelPlans<'_> {
     /// Moves the gather chunks whose coarse donor patch lives on another
-    /// rank: the state chunks out of `coarse`, the coordinate chunks out of
-    /// `coarse_coords` (coordinate-reading interpolators), and — when a
-    /// time-interpolated fill will blend it in — the state chunks again out
-    /// of `old`, each round in its own `tags::owned` space under `epoch` and
-    /// `level`. Collective: every group member calls it with the same plans.
-    /// On a group of one nothing is sent and the result is empty.
+    /// rank: the state chunks out of `coarse`, and — when a time-interpolated
+    /// fill will blend it in — the state chunks again out of `old`, each
+    /// round in its own `tags::owned` space under `epoch` and `level`. The
+    /// first exchange through a plan also moves its coordinate chunks (the
+    /// `OWNED_COORDS` round); the stencils built from them in the fills that
+    /// follow make every later round unnecessary. Whether a round runs is
+    /// read off the plan, which every rank built at the same point of the
+    /// step loop, so the group always agrees. Collective: every group member
+    /// calls it with the same plans. On a group of one nothing is sent.
     pub fn exchange(
         &self,
         coarse: &MultiFab,
-        coarse_coords: Option<&MultiFab>,
         old: Option<&MultiFab>,
         gep: &GroupEndpoint<'_>,
         epoch: u64,
@@ -334,12 +376,14 @@ impl TwoLevelPlans {
         Ok(RemoteGathers {
             state: round(coarse, state_plan, tags::OWNED_GATHER)?,
             coords: match &self.coords {
-                Some(cg) => round(
-                    coarse_coords.expect("coord plan implies coarse coords"),
-                    &cg.coords.plan,
-                    tags::OWNED_COORDS,
-                )?,
-                None => HashMap::new(),
+                // Relaxed: the flag orders nothing — the plan replica is this
+                // rank's own and only its step loop calls `exchange`.
+                Some(cg) if !cg.plan.gathered.load(Ordering::Relaxed) => {
+                    let landed = round(cg.coarse, &cg.plan.coords.plan, tags::OWNED_COORDS)?;
+                    cg.plan.gathered.store(true, Ordering::Relaxed);
+                    Some(landed)
+                }
+                _ => None,
             },
             old: match old {
                 Some(old) => round(old, state_plan, tags::OWNED_GATHER_OLD)?,
@@ -364,23 +408,63 @@ impl TwoLevelPlans {
         }
         per_patch
     }
+
+    /// Patch `i`'s stencils, one per region of `needed[i]`: the coordinate
+    /// temporary is gathered here (its remote chunks out of the payloads the
+    /// plan's first exchange landed) and dropped with the weights taken.
+    fn build_blends(&self, i: usize, remote: &RemoteGathers) -> Vec<BlendStencil> {
+        let tl = &*self.state;
+        let cbox = tl.cbox[i];
+        let coarse_xyz = self.coords.as_ref().map(|cg| {
+            let mut c = FArrayBox::new(cbox, 3);
+            let (s, e) = cg.plan.ranges[i];
+            let landed = remote.coords.as_ref();
+            execute_gather_with_remote(cg.coarse, &mut c, &cg.plan.coords.plan.chunks[s..e], s, 3, landed);
+            c
+        });
+        let weights = match (&self.coords, &coarse_xyz) {
+            (Some(cg), Some(cc)) => BlendWeights::Physical {
+                coarse: cc,
+                fine: cg.fine.fab(i),
+            },
+            _ => BlendWeights::Index,
+        };
+        tl.needed[i]
+            .iter()
+            .map(|region| BlendStencil::build(weights, *region, self.ratio, cbox))
+            .collect()
+    }
+}
+
+/// Both levels' coordinates, which a coordinate-reading interpolator must be
+/// given.
+fn coords_for<'a>(
+    interp: &dyn Interpolator,
+    coarse_coords: Option<&'a MultiFab>,
+    fine_coords: Option<&'a MultiFab>,
+) -> Option<(&'a MultiFab, &'a MultiFab)> {
+    interp.needs_coords().then(|| {
+        coarse_coords
+            .zip(fine_coords)
+            .expect("a coordinate-reading interpolator needs both levels' coordinates")
+    })
 }
 
 /// Resolves the two-level plans for a `fine`/`coarse` level pair, through
 /// `cache` when supplied (the same keys [`fill_patch_two_levels_with`] uses,
 /// so barrier and task-graph paths share entries).
 #[allow(clippy::too_many_arguments)]
-pub fn resolve_two_level_plans(
+pub fn resolve_two_level_plans<'a>(
     fine: &MultiFab,
     coarse: &MultiFab,
     fine_domain: &ProblemDomain,
     coarse_domain: &ProblemDomain,
     ratio: IntVect,
-    interp: &dyn Interpolator,
-    coarse_coords: Option<&MultiFab>,
-    fine_coords: Option<&MultiFab>,
+    interp: &'a dyn Interpolator,
+    coarse_coords: Option<&'a MultiFab>,
+    fine_coords: Option<&'a MultiFab>,
     cache: Option<&PlanCache>,
-) -> TwoLevelPlans {
+) -> TwoLevelPlans<'a> {
     let ncomp = fine.ncomp();
     let nghost = fine.nghost();
     let coarse_ghost = interp.coarse_ghost();
@@ -420,7 +504,7 @@ pub fn resolve_two_level_plans(
         Some(cache) => {
             let key = PlanKey {
                 op: PlanOp::Aux(AUX_TWO_LEVEL_STATE),
-                aux: two_level_aux(coarse_ghost, ratio, 0),
+                aux: two_level_aux(interp, ratio, 0),
                 ..PlanKey::parallel_copy(
                     coarse.boxarray(),
                     coarse.distribution(),
@@ -436,18 +520,17 @@ pub fn resolve_two_level_plans(
         None => Arc::new(build_state()),
     };
 
-    let coord_plan: Option<Arc<CoordGatherPlan>> = if interp.needs_coords() {
-        let ccmf = coarse_coords.expect("curvilinear interp requires coarse coords");
-        let fcmf = fine_coords.expect("curvilinear interp requires fine coords");
+    let coords = coords_for(interp, coarse_coords, fine_coords).map(|(ccmf, fcmf)| {
         assert!(
             fcmf.nghost() >= nghost,
             "fine coords need >= state ghost width"
         );
-        Some(match cache {
+        let build = || build_coord_gather(ccmf, &tl, fine.distribution(), coarse_domain);
+        let plan = match cache {
             Some(cache) => {
                 let key = PlanKey {
                     op: PlanOp::Aux(AUX_TWO_LEVEL_COORDS),
-                    aux: two_level_aux(coarse_ghost, ratio, ccmf.nghost()),
+                    aux: two_level_aux(interp, ratio, ccmf.nghost()),
                     ..PlanKey::parallel_copy(
                         ccmf.boxarray(),
                         ccmf.distribution(),
@@ -458,24 +541,22 @@ pub fn resolve_two_level_plans(
                         3,
                     )
                 };
-                cache.get_or_build_aux(key, || {
-                    build_coord_gather(ccmf, &tl, fine.distribution(), coarse_domain)
-                })
+                cache.get_or_build_aux(key, build)
             }
-            None => Arc::new(build_coord_gather(
-                ccmf,
-                &tl,
-                fine.distribution(),
-                coarse_domain,
-            )),
-        })
-    } else {
-        None
-    };
+            None => Arc::new(build()),
+        };
+        CoordGather {
+            plan,
+            coarse: ccmf,
+            fine: fcmf,
+        }
+    });
 
     TwoLevelPlans {
         state: tl,
-        coords: coord_plan,
+        coords,
+        interp,
+        ratio,
     }
 }
 
@@ -484,23 +565,30 @@ pub fn resolve_two_level_plans(
 /// over it afterwards), through the coarse footprint
 /// `valid.coarsen(ratio).grow(coarse_ghost + 1)`. Built fresh — the grids
 /// are new and this plan is used once.
-pub fn resolve_remap_plans(
+pub fn resolve_remap_plans<'a>(
     fine: &MultiFab,
     coarse: &MultiFab,
     coarse_domain: &ProblemDomain,
     ratio: IntVect,
-    interp: &dyn Interpolator,
-    coarse_coords: Option<&MultiFab>,
-) -> TwoLevelPlans {
+    interp: &'a dyn Interpolator,
+    coarse_coords: Option<&'a MultiFab>,
+    fine_coords: Option<&'a MultiFab>,
+) -> TwoLevelPlans<'a> {
     let state = Arc::new(build_two_level_plan(fine, coarse, coarse_domain, |i| {
         let valid = fine.valid_box(i);
         (vec![valid], valid.coarsen(ratio).grow(interp.coarse_ghost() + 1))
     }));
-    let coords = interp.needs_coords().then(|| {
-        let ccmf = coarse_coords.expect("curvilinear interp requires coarse coords");
-        Arc::new(build_coord_gather(ccmf, &state, fine.distribution(), coarse_domain))
+    let coords = coords_for(interp, coarse_coords, fine_coords).map(|(ccmf, fcmf)| CoordGather {
+        plan: Arc::new(build_coord_gather(ccmf, &state, fine.distribution(), coarse_domain)),
+        coarse: ccmf,
+        fine: fcmf,
     });
-    TwoLevelPlans { state, coords }
+    TwoLevelPlans {
+        state,
+        coords,
+        interp,
+        ratio,
+    }
 }
 
 /// The coarse→fine part of one fine patch's fill: gather the coarse
@@ -509,26 +597,24 @@ pub fn resolve_remap_plans(
 /// valid box for a regrid remap). Returns the number of interpolated cells.
 ///
 /// Writes through a [`FabRw`] view so the task-graph path can run it inside
-/// a halo task while other tasks read the same fab's valid cells; each
-/// region is interpolated into an owned scratch fab and copied in, which is
-/// bitwise-identical to interpolating in place (every interpolator writes
-/// exactly the requested region and never reads destination data).
+/// a halo task while other tasks read the same fab's valid cells. An
+/// 8-corner-blend interpolator goes through the plan's cached
+/// [`BlendStencil`]s — built from the coordinates on the patch's first fill
+/// through this plan, applied on every one; any other scheme interpolates in
+/// place through [`Interpolator::interp_view`].
 ///
 /// Gather chunks whose coarse source patch lives on another rank are
 /// assembled from `remote` (the result of [`TwoLevelPlans::exchange`] over
 /// the same plans) instead of local fab reads; every other chunk must be
-/// locally readable.
+/// locally readable. A patch's first fill must therefore follow the plan's
+/// first exchange, whose payloads carry the remote coordinate chunks.
 #[allow(clippy::too_many_arguments)]
 pub fn fill_two_level_patch_with_remote(
     i: usize,
     dst: &mut FabRw<'_>,
-    plans: &TwoLevelPlans,
+    plans: &TwoLevelPlans<'_>,
     coarse: &MultiFab,
-    coarse_coords: Option<&MultiFab>,
-    fine_coords_fab: Option<&FArrayBox>,
     coarse_domain: &ProblemDomain,
-    ratio: IntVect,
-    interp: &dyn Interpolator,
     coarse_bc: &dyn BoundaryFiller,
     time: f64,
     time_interp: Option<CoarseTimeInterp<'_>>,
@@ -549,7 +635,7 @@ pub fn fill_two_level_patch_with_remote(
         &tl.state.plan.chunks[s..e],
         s,
         ncomp,
-        &remote.state,
+        Some(&remote.state),
     );
     // Time interpolation (subcycling): gather the coarse *old* state over
     // the same chunk list and blend `alpha·new + (1−alpha)·old` in place.
@@ -564,7 +650,7 @@ pub fn fill_two_level_patch_with_remote(
                 &tl.state.plan.chunks[s..e],
                 s,
                 ncomp,
-                &remote.old,
+                Some(&remote.old),
             );
             let a = ti.alpha;
             for (n, o) in ctmp.data_mut().iter_mut().zip(cold.data()) {
@@ -583,34 +669,16 @@ pub fn fill_two_level_patch_with_remote(
         time,
     );
 
-    let cc_tmp = plans.coords.as_deref().map(|cg| {
-        let ccmf = coarse_coords.expect("coord plan implies coarse coords");
-        let mut c = FArrayBox::new(cbox, 3);
-        let (cs, ce) = cg.ranges[i];
-        execute_gather_with_remote(
-            ccmf,
-            &mut c,
-            &cg.coords.plan.chunks[cs..ce],
-            cs,
-            3,
-            &remote.coords,
-        );
-        c
-    });
-    let fc = if plans.coords.is_some() {
-        fine_coords_fab
+    if plans.interp.blend().is_some() {
+        for blend in tl.blends[i].get_or_init(|| plans.build_blends(i, remote)) {
+            blend.apply(&ctmp, dst);
+        }
     } else {
-        None
-    };
-
-    let mut cells = 0u64;
-    for region in needed {
-        cells += region.num_points();
-        let mut scratch = FArrayBox::new(*region, ncomp);
-        interp.interp(&ctmp, &mut scratch, *region, ratio, cc_tmp.as_ref(), fc);
-        dst.copy_region_from(&scratch, *region);
+        for region in needed {
+            plans.interp.interp_view(&ctmp, dst, *region, plans.ratio, None, None);
+        }
     }
-    cells
+    needed.iter().map(|region| region.num_points()).sum()
 }
 
 /// The geometry of one coarse→fine gather: which regions of each fine patch
@@ -628,6 +696,11 @@ pub struct TwoLevelPlan {
     state: Arc<CachedPlan>,
     /// Per-patch `[start, end)` ranges into `state.plan.chunks`.
     ranges: Vec<(usize, usize)>,
+    /// Per patch, the blend stencil of each `needed` region (8-corner-blend
+    /// interpolators; ≈ 32 B per interpolated cell): set by the patch's
+    /// first fill through this plan, so only patches filled here — the ones
+    /// this rank owns — hold any.
+    blends: Vec<OnceLock<Vec<BlendStencil>>>,
 }
 
 impl TwoLevelPlan {
@@ -640,18 +713,14 @@ impl TwoLevelPlan {
 /// The memoized coordinate-gather companion of a [`TwoLevelPlan`] (only
 /// built for coordinate-reading interpolators).
 #[derive(Debug)]
-pub struct CoordGatherPlan {
+struct CoordGatherPlan {
     /// The coordinate-gather plan (3 components).
     coords: Arc<CachedPlan>,
     /// Per-patch `[start, end)` ranges into `coords.plan.chunks`.
     ranges: Vec<(usize, usize)>,
-}
-
-impl CoordGatherPlan {
-    /// The coordinate-gather plan (for communication accounting).
-    pub fn coord_plan(&self) -> &Arc<CachedPlan> {
-        &self.coords
-    }
+    /// Set by the exchange that moved this plan's cross-rank chunks
+    /// ([`TwoLevelPlans::exchange`]): coordinates cross ranks once per plan.
+    gathered: AtomicBool,
 }
 
 /// Plans the coarse→fine state gather for every fine patch: `per_patch(i)`
@@ -697,6 +766,7 @@ fn build_two_level_plan(
             ncomp: fine.ncomp(),
         })),
         ranges,
+        blends: (0..n).map(|_| OnceLock::new()).collect(),
     }
 }
 
@@ -733,6 +803,7 @@ fn build_coord_gather(
     CoordGatherPlan {
         coords: Arc::new(CachedPlan::new(CopyPlan { chunks, ncomp: 3 })),
         ranges,
+        gathered: AtomicBool::new(false),
     }
 }
 
@@ -827,10 +898,10 @@ fn execute_gather_with_remote(
     chunks: &[CopyChunk],
     base: usize,
     ncomp: usize,
-    remote: &HashMap<usize, Bytes>,
+    remote: Option<&HashMap<usize, Bytes>>,
 ) {
     for (k, c) in chunks.iter().enumerate() {
-        if let Some(payload) = remote.get(&(base + k)) {
+        if let Some(payload) = remote.and_then(|r| r.get(&(base + k))) {
             crocco_fab::owned::unpack_chunk_into(dst_fab, c.region, ncomp, payload);
         } else {
             dst_fab.copy_shifted_from(src.fab(c.src_id), c.region, c.shift, ncomp);
@@ -841,7 +912,9 @@ fn execute_gather_with_remote(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{CurvilinearInterp, TrilinearInterp};
+    use crate::interp::{
+        reference_blend, CurvilinearInterp, PiecewiseConstantInterp, TrilinearInterp,
+    };
     use crocco_fab::{BoxArray, DistributionMapping};
     use std::sync::Arc;
 
@@ -870,33 +943,31 @@ mod tests {
         mf
     }
 
+    const R2: IntVect = IntVect([2, 2, 2]);
+
     /// The regrid remap as `Simulation::regrid` runs it: every valid cell of
     /// a fresh copy of `fine`'s grids interpolated from `coarse` through
     /// [`resolve_remap_plans`].
-    fn remap(
+    fn remap<'a>(
         fine: &MultiFab,
         coarse: &MultiFab,
         cdomain: &ProblemDomain,
-        interp: &dyn Interpolator,
-        coords: Option<(&MultiFab, &MultiFab)>,
-    ) -> (MultiFab, TwoLevelPlans) {
-        let ccoords = coords.map(|(c, _)| c);
-        let plans = resolve_remap_plans(fine, coarse, cdomain, IntVect::splat(2), interp, ccoords);
-        let local = RemoteGathers::default();
-        let out = fill_all(fine, &plans, coarse, cdomain, interp, coords, None, &local);
+        interp: &'a dyn Interpolator,
+        coords: Option<(&'a MultiFab, &'a MultiFab)>,
+    ) -> (MultiFab, TwoLevelPlans<'a>) {
+        let (cc, fc) = (coords.map(|(c, _)| c), coords.map(|(_, f)| f));
+        let plans = resolve_remap_plans(fine, coarse, cdomain, R2, interp, cc, fc);
+        let out = fill_all(fine, &plans, coarse, cdomain, None, &RemoteGathers::default());
         (out, plans)
     }
 
     /// Runs the coarse→fine part of `plans` on every patch of a zeroed copy
     /// of `fine`'s grids.
-    #[allow(clippy::too_many_arguments)]
     fn fill_all(
         fine: &MultiFab,
-        plans: &TwoLevelPlans,
+        plans: &TwoLevelPlans<'_>,
         coarse: &MultiFab,
         cdomain: &ProblemDomain,
-        interp: &dyn Interpolator,
-        coords: Option<(&MultiFab, &MultiFab)>,
         ti: Option<CoarseTimeInterp<'_>>,
         remote: &RemoteGathers,
     ) -> MultiFab {
@@ -913,11 +984,7 @@ mod tests {
                     rw,
                     plans,
                     coarse,
-                    coords.map(|(c, _)| c),
-                    coords.map(|(_, f)| f.fab(i)),
                     cdomain,
-                    IntVect::splat(2),
-                    interp,
                     &NoOpBoundary,
                     0.0,
                     ti,
@@ -926,6 +993,95 @@ mod tests {
             });
         }
         out
+    }
+
+    /// The coarse→fine fill as it ran before the plan cached stencils, kept
+    /// as the oracle: per patch, the coordinate temporary gathered on every
+    /// call, each region interpolated cell by cell — weights re-derived from
+    /// the coordinates at every cell — into a scratch fab and copied in.
+    fn reference_fill(
+        fine: &MultiFab,
+        plans: &TwoLevelPlans<'_>,
+        coarse: &MultiFab,
+        ti: Option<CoarseTimeInterp<'_>>,
+    ) -> MultiFab {
+        let tl = &*plans.state;
+        let ncomp = fine.ncomp();
+        let mut out = MultiFab::new(
+            fine.boxarray().clone(),
+            fine.distribution().clone(),
+            ncomp,
+            fine.nghost(),
+        );
+        for i in 0..out.nfabs() {
+            if tl.needed[i].is_empty() {
+                continue;
+            }
+            let cbox = tl.cbox[i];
+            let (s, e) = tl.ranges[i];
+            let gather = |src: &MultiFab| {
+                let mut tmp = FArrayBox::new(cbox, ncomp);
+                execute_gather_with_remote(src, &mut tmp, &tl.state.plan.chunks[s..e], s, ncomp, None);
+                tmp
+            };
+            let mut ctmp = gather(coarse);
+            if let Some(ti) = ti.filter(|ti| ti.alpha != 1.0) {
+                let cold = gather(ti.old);
+                for (n, o) in ctmp.data_mut().iter_mut().zip(cold.data()) {
+                    *n = ti.alpha * *n + (1.0 - ti.alpha) * *o;
+                }
+            }
+            let cc_tmp = plans.coords.as_ref().map(|cg| {
+                let mut c = FArrayBox::new(cbox, 3);
+                let (s, e) = cg.plan.ranges[i];
+                execute_gather_with_remote(cg.coarse, &mut c, &cg.plan.coords.plan.chunks[s..e], s, 3, None);
+                c
+            });
+            for region in &tl.needed[i] {
+                let mut scratch = FArrayBox::new(*region, ncomp);
+                match (plans.interp.blend(), &plans.coords, &cc_tmp) {
+                    (None, ..) => {
+                        for c in 0..ncomp {
+                            for p in region.cells() {
+                                scratch.set(p, c, ctmp.get(p.coarsen(R2), c));
+                            }
+                        }
+                    }
+                    (Some(BlendKind::Index), ..) => {
+                        reference_blend(BlendWeights::Index, &ctmp, &mut scratch, *region, R2)
+                    }
+                    (Some(BlendKind::Physical), Some(cg), Some(cc)) => {
+                        let weights = BlendWeights::Physical {
+                            coarse: cc,
+                            fine: cg.fine.fab(i),
+                        };
+                        reference_blend(weights, &ctmp, &mut scratch, *region, R2);
+                    }
+                    _ => unreachable!("physical weights come with a coordinate gather"),
+                }
+                out.fab_mut(i).copy_from(&scratch, *region, 0, 0, ncomp);
+            }
+        }
+        out
+    }
+
+    fn bits(mf: &MultiFab) -> Vec<Vec<u64>> {
+        (0..mf.nfabs())
+            .map(|i| mf.fab(i).data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// Every chunk of `plan` packed out of `src`, as an exchange in which
+    /// every donor is remote would land them.
+    fn all_landed(src: &MultiFab, plan: &CopyPlan) -> HashMap<usize, Bytes> {
+        let payload = |c: &CopyChunk| crocco_fab::owned::pack_chunk(src.fab(c.src_id), c, plan.ncomp);
+        plan.chunks.iter().map(payload).enumerate().collect()
+    }
+
+    fn poisoned(mf: &MultiFab) -> MultiFab {
+        let mut p = mf.clone();
+        p.set_val(f64::NAN);
+        p
     }
 
     #[test]
@@ -1197,6 +1353,7 @@ mod tests {
         );
         let cg = plans.coords.as_ref().expect("coordinate gather missing from the remap");
         assert!(!cg.coord_plan().plan.chunks.is_empty());
+        drop(plans);
         for p in valid.cells() {
             assert!((remapped.fab(0).get(p, 0) - linear_value(1, p)).abs() < 1e-12);
         }
@@ -1408,82 +1565,204 @@ mod tests {
             &TrilinearInterp,
             None,
         );
-        let bits = |mf: &MultiFab| -> Vec<u64> {
+        let valid_bits = |mf: &MultiFab| -> Vec<u64> {
             let valid = mf.valid_box(0);
             valid.cells().map(|p| mf.fab(0).get(p, 0).to_bits()).collect()
         };
-        assert_eq!(bits(&wrapped_remap), bits(&tiled_remap));
+        assert_eq!(valid_bits(&wrapped_remap), valid_bits(&tiled_remap));
+    }
+
+    /// Non-uniform coordinates for [`curvilinear_setup`]'s grids (a different
+    /// stretch per direction, smooth through the ghosts), so physical
+    /// weights differ from index weights in every cell.
+    fn stretched_coords(coarse: &MultiFab, fine: &MultiFab) -> (MultiFab, MultiFab) {
+        let xmap = |x: f64, d: usize| (x + 8.0).powf(1.0 + 0.2 * d as f64) + 0.05 * x;
+        let build = |mf: &MultiFab, scale: f64| {
+            let mut c = MultiFab::new(mf.boxarray().clone(), mf.distribution().clone(), 3, 2);
+            for i in 0..c.nfabs() {
+                for p in c.fab(i).bx().cells() {
+                    for d in 0..3 {
+                        c.fab_mut(i).set(p, d, xmap((p[d] as f64 + 0.5) / scale, d));
+                    }
+                }
+            }
+            c
+        };
+        (build(coarse, 1.0), build(fine, 2.0))
+    }
+
+    /// Overwrites every valid cell with unrelated values, so a cell read
+    /// from the wrong place shows.
+    fn scramble(mf: &mut MultiFab, salt: i64) {
+        for i in 0..mf.nfabs() {
+            for p in mf.valid_box(i).cells() {
+                for c in 0..mf.ncomp() {
+                    let n = p[0] * 131 + p[1] * 31 + p[2] * 7 + c as i64 * 3 + salt * 1009;
+                    mf.fab_mut(i).set(p, c, (n as f64 * 0.618).sin());
+                }
+            }
+        }
+    }
+
+    /// [`curvilinear_setup`]'s grids (z-periodic, so the ghost gather wraps)
+    /// with scrambled coarse new/old states and stretched coordinates.
+    struct Scrambled {
+        coarse: MultiFab,
+        old: MultiFab,
+        fine: MultiFab,
+        ccoords: MultiFab,
+        fcoords: MultiFab,
+        cdomain: ProblemDomain,
+        fdomain: ProblemDomain,
+    }
+
+    impl Scrambled {
+        fn new() -> Self {
+            let (mut coarse, fine, _, _, cdomain, fdomain) = curvilinear_setup();
+            scramble(&mut coarse, 1);
+            let mut old = coarse.clone();
+            scramble(&mut old, 2);
+            let (ccoords, fcoords) = stretched_coords(&coarse, &fine);
+            Scrambled {
+                coarse,
+                old,
+                fine,
+                ccoords,
+                fcoords,
+                cdomain,
+                fdomain,
+            }
+        }
+
+        /// The ghost-fill plans (through `cache`) and the regrid-remap plans
+        /// of `interp`, reading coarse coordinates from `ccoords`.
+        fn plans<'a>(
+            &'a self,
+            interp: &'a dyn Interpolator,
+            ccoords: &'a MultiFab,
+            cache: Option<&PlanCache>,
+        ) -> [(&'static str, TwoLevelPlans<'a>); 2] {
+            let (cc, fc) = (Some(ccoords), Some(&self.fcoords));
+            let ghosts = resolve_two_level_plans(
+                &self.fine,
+                &self.coarse,
+                &self.fdomain,
+                &self.cdomain,
+                R2,
+                interp,
+                cc,
+                fc,
+                cache,
+            );
+            let wraps = |c: &CopyChunk| c.shift != IntVect::ZERO;
+            assert!(ghosts.state.state.plan.chunks.iter().any(wraps), "the ghost gather must wrap");
+            let remap =
+                resolve_remap_plans(&self.fine, &self.coarse, &self.cdomain, R2, interp, cc, fc);
+            [("ghost fill", ghosts), ("regrid remap", remap)]
+        }
+    }
+
+    const ALL_INTERPS: [&dyn Interpolator; 3] =
+        [&TrilinearInterp, &CurvilinearInterp, &PiecewiseConstantInterp];
+
+    /// The cached-stencil fill is bitwise the per-cell reference — ghost
+    /// fill and regrid remap, the two blend interpolators and injection,
+    /// time-interpolated at both ends and the middle. A last fill through
+    /// the cached plan with the coarse coordinates poisoned proves they are
+    /// read once.
+    #[test]
+    fn cached_stencil_fill_bitwise_matches_the_per_cell_reference() {
+        let s = Scrambled::new();
+        let pccoords = poisoned(&s.ccoords);
+        let local = RemoteGathers::default();
+        for interp in ALL_INTERPS {
+            let name = interp.name();
+            let cache = PlanCache::new();
+            let legs = s.plans(interp, &s.ccoords, Some(&cache));
+            for (what, plans) in &legs {
+                for alpha in [0.0, 0.5, 1.0] {
+                    let ti = Some(CoarseTimeInterp { old: &s.old, alpha });
+                    let want = reference_fill(&s.fine, plans, &s.coarse, ti);
+                    assert!(
+                        want.fab(0).data().iter().any(|v| *v != 0.0),
+                        "{name} {what}: nothing was filled"
+                    );
+                    let got = fill_all(&s.fine, plans, &s.coarse, &s.cdomain, ti, &local);
+                    assert_eq!(bits(&got), bits(&want), "{name} {what} alpha={alpha}");
+                }
+            }
+            // The same cache entry, resolved again with the coarse
+            // coordinates gone: its stencils already hold all they gave.
+            let want = reference_fill(&s.fine, &legs[0].1, &s.coarse, None);
+            let [(_, again), _] = s.plans(interp, &pccoords, Some(&cache));
+            assert!(Arc::ptr_eq(&again.state, &legs[0].1.state), "{name}: not served from cache");
+            let got = fill_all(&s.fine, &again, &s.coarse, &s.cdomain, None, &local);
+            assert_eq!(bits(&got), bits(&want), "{name}: coordinates were read again");
+        }
     }
 
     /// The owned-data path: with *every* gather chunk delivered as a
     /// `pack_chunk` payload — and the local coarse fabs poisoned, so a chunk
     /// read locally would show — ghost fill and regrid remap, coordinate
-    /// gather and time blend included, reproduce the all-local result
-    /// bitwise.
+    /// gather (behind the stencil build) and time blend included, reproduce
+    /// the all-local result bitwise.
     #[test]
     fn every_chunk_remote_bitwise_matches_every_chunk_local() {
-        use crocco_fab::owned::pack_chunk;
-        let (coarse, fine, ccoords, fcoords, cdomain, fdomain) = curvilinear_setup();
-        let mut old = coarse.clone();
-        for p in old.valid_box(0).cells() {
-            let v = old.fab(0).get(p, 0);
-            old.fab_mut(0).set(p, 0, v - 10.0);
-        }
-        let poisoned = |mf: &MultiFab| {
-            let mut p = mf.clone();
-            p.set_val(f64::NAN);
-            p
-        };
-        let (pcoarse, pccoords, pold) = (poisoned(&coarse), poisoned(&ccoords), poisoned(&old));
-        let ghosts = resolve_two_level_plans(
-            &fine,
-            &coarse,
-            &fdomain,
-            &cdomain,
-            IntVect::splat(2),
-            &CurvilinearInterp,
-            Some(&ccoords),
-            Some(&fcoords),
-            None,
-        );
-        let remap_plans = resolve_remap_plans(
-            &fine,
-            &coarse,
-            &cdomain,
-            IntVect::splat(2),
-            &CurvilinearInterp,
-            Some(&ccoords),
-        );
-        for (what, plans) in [("ghost fill", &ghosts), ("regrid remap", &remap_plans)] {
-            let landed = |src: &MultiFab, plan: &CopyPlan| -> HashMap<usize, Bytes> {
-                let payload = |c: &CopyChunk| pack_chunk(src.fab(c.src_id), c, plan.ncomp);
-                plan.chunks.iter().map(payload).enumerate().collect()
-            };
-            let state_plan = &plans.state.state_plan().plan;
-            let coord_plan = &plans.coords.as_ref().expect("curvilinear").coord_plan().plan;
-            assert!(!state_plan.chunks.is_empty() && !coord_plan.chunks.is_empty());
-            let remote = RemoteGathers {
-                state: landed(&coarse, state_plan),
-                coords: landed(&ccoords, coord_plan),
-                old: landed(&old, state_plan),
-            };
-            let run = |c: &MultiFab, cc: &MultiFab, o: &MultiFab, remote: &RemoteGathers| {
-                let ti = Some(CoarseTimeInterp { old: o, alpha: 0.25 });
-                let coords = Some((cc, &fcoords));
-                fill_all(&fine, plans, c, &cdomain, &CurvilinearInterp, coords, ti, remote)
-            };
-            let local = run(&coarse, &ccoords, &old, &RemoteGathers::default());
-            let landed_only = run(&pcoarse, &pccoords, &pold, &remote);
-            for i in 0..fine.nfabs() {
-                assert!(
-                    local.fab(i).data().iter().any(|v| *v != 0.0),
-                    "{what}: patch {i} was not filled"
-                );
-                let bits = |mf: &MultiFab| -> Vec<u64> {
-                    mf.fab(i).data().iter().map(|v| v.to_bits()).collect()
+        let s = Scrambled::new();
+        let (pcoarse, pccoords, pold) = (poisoned(&s.coarse), poisoned(&s.ccoords), poisoned(&s.old));
+        for interp in ALL_INTERPS {
+            let name = interp.name();
+            // Each side fills through plans of its own, so the remote side's
+            // stencils are built from landed coordinate payloads.
+            let local_legs = s.plans(interp, &s.ccoords, None);
+            let remote_legs = s.plans(interp, &pccoords, None);
+            for ((what, local_plans), (_, remote_plans)) in local_legs.iter().zip(&remote_legs) {
+                let state_plan = &local_plans.state.state.plan;
+                assert!(!state_plan.chunks.is_empty());
+                let coord_plan = local_plans.coords.as_ref().map(|cg| &cg.coord_plan().plan);
+                assert_eq!(coord_plan.is_some(), interp.needs_coords());
+                let remote = RemoteGathers {
+                    state: all_landed(&s.coarse, state_plan),
+                    coords: coord_plan.map(|plan| all_landed(&s.ccoords, plan)),
+                    old: all_landed(&s.old, state_plan),
                 };
-                assert_eq!(bits(&local), bits(&landed_only), "{what}: patch {i}");
+                let ti = |old| Some(CoarseTimeInterp { old, alpha: 0.25 });
+                let none = RemoteGathers::default();
+                let local = fill_all(&s.fine, local_plans, &s.coarse, &s.cdomain, ti(&s.old), &none);
+                let landed_only =
+                    fill_all(&s.fine, remote_plans, &pcoarse, &s.cdomain, ti(&pold), &remote);
+                assert!(
+                    local.fab(0).data().iter().any(|v| *v != 0.0),
+                    "{name} {what}: nothing was filled"
+                );
+                assert_eq!(bits(&local), bits(&landed_only), "{name} {what}");
             }
         }
+    }
+
+    /// One coordinate round per plan: the first exchange through a plan
+    /// reports it, later ones — and every exchange of a scheme that reads no
+    /// coordinates — do not.
+    #[test]
+    fn coordinates_are_exchanged_once_per_plan() {
+        let (coarse, fine, ccoords, fcoords, cdomain, fdomain) = curvilinear_setup();
+        let solo = crocco_runtime::RankEndpoint::solo();
+        let gep = GroupEndpoint::full(&solo);
+        let cache = PlanCache::new();
+        let rounds = |interp: &dyn Interpolator, cache: Option<&PlanCache>| -> Vec<bool> {
+            (0..3)
+                .map(|epoch| {
+                    let plans = resolve_two_level_plans(
+                        &fine, &coarse, &fdomain, &cdomain, R2, interp, Some(&ccoords),
+                        Some(&fcoords), cache,
+                    );
+                    let remote = plans.exchange(&coarse, None, &gep, epoch, 1).expect("solo group");
+                    remote.gathered_coords()
+                })
+                .collect()
+        };
+        assert_eq!(rounds(&CurvilinearInterp, Some(&cache)), [true, false, false]);
+        assert_eq!(rounds(&CurvilinearInterp, None), [true; 3], "a fresh plan every call");
+        assert_eq!(rounds(&TrilinearInterp, Some(&cache)), [false; 3]);
     }
 }

@@ -15,8 +15,14 @@
 //!   property the trilinear schemes lack).
 //!
 //! Piecewise-constant injection is included as the trivial baseline.
+//!
+//! The two trilinear schemes are the same 8-corner blend and differ only in
+//! their weights, which the grids alone determine ([`BlendWeights`]). A
+//! [`BlendStencil`] holds those weights for one fine region, so a FillPatch
+//! plan computes them once per regrid and every fill until the next one is
+//! the blend itself ([`BlendStencil::apply`], the one blend kernel).
 
-use crocco_fab::FArrayBox;
+use crocco_fab::{FArrayBox, FabRw};
 use crocco_geometry::{IndexBox, IntVect};
 
 /// A coarse→fine interpolation scheme.
@@ -28,16 +34,40 @@ pub trait Interpolator: Send + Sync {
     /// footprint of the fine region being filled.
     fn coarse_ghost(&self) -> i64;
 
+    /// `Some` when the scheme is an 8-corner blend whose weights depend on
+    /// the grids only — a FillPatch plan then caches them
+    /// ([`BlendStencil`]) and never calls
+    /// [`interp_view`](Self::interp_view). `None` for schemes whose weights
+    /// depend on the coarse data (limiters) or that have none (injection).
+    fn blend(&self) -> Option<BlendKind> {
+        None
+    }
+
     /// `true` if the scheme reads physical coordinates — which forces the
     /// coordinate-MultiFab `ParallelCopy` the paper identifies as the global
     /// communication bottleneck (§III-B, §VI-B).
     fn needs_coords(&self) -> bool {
-        false
+        self.blend() == Some(BlendKind::Physical)
     }
 
     /// Fills components `0..fine.ncomp()` of `fine` over `region` (fine index
-    /// space) by interpolating `coarse`. `ratio` is the refinement ratio.
-    /// Coordinate fabs are provided iff [`Interpolator::needs_coords`].
+    /// space) by interpolating `coarse`, writing through a raw view — the
+    /// form a halo task calls while other tasks read the same fab's valid
+    /// cells. `ratio` is the refinement ratio. Coordinate fabs are provided
+    /// iff [`Interpolator::needs_coords`]. The implementation writes exactly
+    /// `region` and never reads `fine`.
+    fn interp_view(
+        &self,
+        coarse: &FArrayBox,
+        fine: &mut FabRw<'_>,
+        region: IndexBox,
+        ratio: IntVect,
+        coarse_coords: Option<&FArrayBox>,
+        fine_coords: Option<&FArrayBox>,
+    );
+
+    /// [`interp_view`](Self::interp_view) over an exclusively borrowed fab.
+    /// Implementors only provide `interp_view`.
     fn interp(
         &self,
         coarse: &FArrayBox,
@@ -46,7 +76,11 @@ pub trait Interpolator: Send + Sync {
         ratio: IntVect,
         coarse_coords: Option<&FArrayBox>,
         fine_coords: Option<&FArrayBox>,
-    );
+    ) {
+        crocco_fab::with_rw(fine, |rw| {
+            self.interp_view(coarse, rw, region, ratio, coarse_coords, fine_coords)
+        });
+    }
 }
 
 /// Piecewise-constant injection: each fine cell takes its coarse parent's
@@ -63,19 +97,28 @@ impl Interpolator for PiecewiseConstantInterp {
         0
     }
 
-    fn interp(
+    fn interp_view(
         &self,
         coarse: &FArrayBox,
-        fine: &mut FArrayBox,
+        fine: &mut FabRw<'_>,
         region: IndexBox,
         ratio: IntVect,
         _cc: Option<&FArrayBox>,
         _fc: Option<&FArrayBox>,
     ) {
+        let nx = region.size()[0] as usize;
         for c in 0..fine.ncomp() {
-            for p in region.cells() {
-                let v = coarse.get(p.coarsen(ratio), c);
-                fine.set(p, c, v);
+            for p in region.rows() {
+                // The parents of one fine row are one coarse row.
+                let cp = p.coarsen(ratio);
+                let mut last = p;
+                last[0] += nx as i64 - 1;
+                let parents = coarse.row(cp, c, (last.coarsen(ratio)[0] - cp[0] + 1) as usize);
+                let mut q = p;
+                for v in fine.row_mut(p, c, nx) {
+                    *v = parents[(q.coarsen(ratio)[0] - cp[0]) as usize];
+                    q[0] += 1;
+                }
             }
         }
     }
@@ -98,46 +141,172 @@ fn cartesian_weights(p: IntVect, ratio: IntVect) -> (IntVect, [f64; 3]) {
     (base, w)
 }
 
-/// AMReX's nodal/cell trilinear interpolator on uniform index spacing: the
-/// eight surrounding coarse values are blended with weights that are
-/// multiples of `1/(2·ratio)` (¼ and ¾ for ratio 2). CRoCCo 2.1.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TrilinearInterp;
+/// Which weights an 8-corner blend uses ([`Interpolator::blend`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BlendKind {
+    /// Index-space weights ([`BlendWeights::Index`]).
+    Index,
+    /// Physical-space weights ([`BlendWeights::Physical`]); needs the
+    /// coordinate fabs.
+    Physical,
+}
 
-impl Interpolator for TrilinearInterp {
-    fn name(&self) -> &'static str {
-        "trilinear"
-    }
+/// The weights of an 8-corner blend — the single definition both trilinear
+/// schemes take theirs from. A fine cell's value is the blend of the coarse
+/// cells `base + {0,1}³` with weight `w[d]` toward `base[d] + 1` in each
+/// direction.
+#[derive(Clone, Copy)]
+pub enum BlendWeights<'a> {
+    /// Uniform index spacing: multiples of `1/(2·ratio)` (¼ and ¾ for ratio
+    /// 2) — AMReX's trilinear interpolator, CRoCCo 2.1.
+    Index,
+    /// The fraction of the *physical* gap between the two bracketing coarse
+    /// points that the fine point covers, per direction, so non-uniformly
+    /// spaced grids interpolate at the true fine-point location — the
+    /// paper's custom interpolator, CRoCCo 2.0.
+    Physical {
+        /// Coarse cell-center coordinates (3 components) over the coarse
+        /// source fab's box.
+        coarse: &'a FArrayBox,
+        /// Fine cell-center coordinates over (at least) the region filled.
+        fine: &'a FArrayBox,
+    },
+}
 
-    fn coarse_ghost(&self) -> i64 {
-        1
-    }
-
-    fn interp(
-        &self,
-        coarse: &FArrayBox,
-        fine: &mut FArrayBox,
-        region: IndexBox,
-        ratio: IntVect,
-        _cc: Option<&FArrayBox>,
-        _fc: Option<&FArrayBox>,
-    ) {
-        trilinear_with_weights(coarse, fine, region, ratio, |p, _c| cartesian_weights(p, ratio));
+impl BlendWeights<'_> {
+    /// `(base, w)` of fine cell `p`.
+    fn at(&self, p: IntVect, ratio: IntVect) -> (IntVect, [f64; 3]) {
+        let (base, mut w) = cartesian_weights(p, ratio);
+        if let BlendWeights::Physical { coarse, fine } = self {
+            for d in 0..3 {
+                let x_f = fine.get(p, d);
+                let mut q1 = base;
+                q1[d] += 1;
+                let x0 = coarse.get(base, d);
+                let gap = coarse.get(q1, d) - x0;
+                if gap.abs() > 1e-300 {
+                    w[d] = ((x_f - x0) / gap).clamp(0.0, 1.0);
+                }
+            }
+        }
+        (base, w)
     }
 }
 
-/// Shared 8-corner blend driven by a per-cell weight callback.
-fn trilinear_with_weights<F>(
+/// One fine cell of a [`BlendStencil`]: the flat offset of its base corner
+/// within one component of the coarse source fab, and its three weights.
+#[derive(Clone, Copy, Debug)]
+struct BlendCell {
+    base: u32,
+    w: [f64; 3],
+}
+
+/// The 8-corner blend of one fine region, reduced to what the grids fix:
+/// per fine cell, where its corners sit in the coarse source fab and how
+/// they are weighted. Built once (per FillPatch plan, or per call by the
+/// uncached [`Interpolator::interp`] entry) and applied to any coarse data
+/// over the same box.
+#[derive(Debug)]
+pub struct BlendStencil {
+    region: IndexBox,
+    /// Box of the coarse source fab the offsets index.
+    cbox: IndexBox,
+    /// `region.cells()` order.
+    cells: Vec<BlendCell>,
+}
+
+impl BlendStencil {
+    /// The stencil that fills `region` from a coarse fab over `cbox`.
+    ///
+    /// # Panics
+    /// If a fine cell's corners leave `cbox` (the caller sized the coarse
+    /// footprint without the scheme's [`Interpolator::coarse_ghost`]).
+    pub fn build(weights: BlendWeights<'_>, region: IndexBox, ratio: IntVect, cbox: IndexBox) -> Self {
+        assert!(
+            cbox.num_points() <= u64::from(u32::MAX),
+            "coarse source box too large for 32-bit stencil offsets"
+        );
+        let s = cbox.size();
+        let cells = region
+            .cells()
+            .map(|p| {
+                let (base, w) = weights.at(p, ratio);
+                assert!(
+                    cbox.contains(base) && cbox.contains(base + IntVect::ONE),
+                    "blend corners of {p:?} leave the coarse box {cbox:?}"
+                );
+                let o = base - cbox.lo();
+                BlendCell {
+                    base: ((o[2] * s[1] + o[1]) * s[0] + o[0]) as u32,
+                    w,
+                }
+            })
+            .collect();
+        BlendStencil {
+            region,
+            cbox,
+            cells,
+        }
+    }
+
+    /// Fills every component of `fine` over the stencil's region from
+    /// `coarse` — the blend kernel. Row-wise: the eight corner products of a
+    /// cell are formed once and reused for every component.
+    ///
+    /// # Panics
+    /// If `coarse` is not over the box the stencil was built for.
+    pub fn apply(&self, coarse: &FArrayBox, fine: &mut FabRw<'_>) {
+        assert_eq!(coarse.bx(), self.cbox, "stencil built for another coarse box");
+        if self.cells.is_empty() {
+            return;
+        }
+        let s = self.cbox.size();
+        let (sy, sz) = (s[0] as usize, (s[0] * s[1]) as usize);
+        let nx = self.region.size()[0] as usize;
+        let mut corner = vec![[0.0; 8]; nx];
+        for (p, cells) in self.region.rows().zip(self.cells.chunks_exact(nx)) {
+            for (ww, cell) in corner.iter_mut().zip(cells) {
+                let w = cell.w;
+                for (n, out) in ww.iter_mut().enumerate() {
+                    let side = |d: usize| if (n >> d) & 1 == 1 { w[d] } else { 1.0 - w[d] };
+                    *out = side(0) * side(1) * side(2);
+                }
+            }
+            for c in 0..fine.ncomp() {
+                let src = coarse.comp(c);
+                let row = fine.row_mut(p, c, nx);
+                for ((out, cell), ww) in row.iter_mut().zip(cells).zip(&corner) {
+                    let o = cell.base as usize;
+                    let (z0, z1) = (&src[o..o + sy + 2], &src[o + sz..o + sz + sy + 2]);
+                    let mut acc = 0.0;
+                    acc += ww[0] * z0[0];
+                    acc += ww[1] * z0[1];
+                    acc += ww[2] * z0[sy];
+                    acc += ww[3] * z0[sy + 1];
+                    acc += ww[4] * z1[0];
+                    acc += ww[5] * z1[1];
+                    acc += ww[6] * z1[sy];
+                    acc += ww[7] * z1[sy + 1];
+                    *out = acc;
+                }
+            }
+        }
+    }
+}
+
+/// The per-cell formulation [`BlendStencil`] replaced — weights re-derived at
+/// every cell, corner products once per component, one `get`/`set` per value
+/// — kept as the bitwise oracle of the blend.
+#[cfg(test)]
+pub(crate) fn reference_blend(
+    weights: BlendWeights<'_>,
     coarse: &FArrayBox,
     fine: &mut FArrayBox,
     region: IndexBox,
-    _ratio: IntVect,
-    weights: F,
-) where
-    F: Fn(IntVect, &FArrayBox) -> (IntVect, [f64; 3]),
-{
+    ratio: IntVect,
+) {
     for p in region.cells() {
-        let (base, w) = weights(p, coarse);
+        let (base, w) = weights.at(p, ratio);
         for c in 0..fine.ncomp() {
             let mut acc = 0.0;
             for dz in 0..2 {
@@ -156,11 +325,41 @@ fn trilinear_with_weights<F>(
     }
 }
 
+/// AMReX's nodal/cell trilinear interpolator on uniform index spacing: the
+/// eight surrounding coarse values are blended with
+/// [`BlendWeights::Index`]. CRoCCo 2.1.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TrilinearInterp;
+
+impl Interpolator for TrilinearInterp {
+    fn name(&self) -> &'static str {
+        "trilinear"
+    }
+
+    fn coarse_ghost(&self) -> i64 {
+        1
+    }
+
+    fn blend(&self) -> Option<BlendKind> {
+        Some(BlendKind::Index)
+    }
+
+    fn interp_view(
+        &self,
+        coarse: &FArrayBox,
+        fine: &mut FabRw<'_>,
+        region: IndexBox,
+        ratio: IntVect,
+        _cc: Option<&FArrayBox>,
+        _fc: Option<&FArrayBox>,
+    ) {
+        BlendStencil::build(BlendWeights::Index, region, ratio, coarse.bx()).apply(coarse, fine);
+    }
+}
+
 /// The paper's custom curvilinear interpolator (CRoCCo 2.0): the same
-/// 8-corner blend, but weighted by *physical* distances taken from the
-/// coordinate fabs, so non-uniformly spaced grids interpolate at the true
-/// fine-point location. Requires coordinates — triggering the coordinate
-/// `ParallelCopy` in `FillPatchTwoLevels`.
+/// 8-corner blend with [`BlendWeights::Physical`]. Requires coordinates —
+/// triggering the coordinate `ParallelCopy` in `FillPatchTwoLevels`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CurvilinearInterp;
 
@@ -173,40 +372,28 @@ impl Interpolator for CurvilinearInterp {
         1
     }
 
-    fn needs_coords(&self) -> bool {
-        true
+    fn blend(&self) -> Option<BlendKind> {
+        Some(BlendKind::Physical)
     }
 
-    fn interp(
+    fn interp_view(
         &self,
         coarse: &FArrayBox,
-        fine: &mut FArrayBox,
+        fine: &mut FabRw<'_>,
         region: IndexBox,
         ratio: IntVect,
         coarse_coords: Option<&FArrayBox>,
         fine_coords: Option<&FArrayBox>,
     ) {
-        let cc = coarse_coords.expect("curvilinear interpolation needs coarse coordinates");
-        let fc = fine_coords.expect("curvilinear interpolation needs fine coordinates");
-        trilinear_with_weights(coarse, fine, region, ratio, |p, _| {
-            let (base, mut w) = cartesian_weights(p, ratio);
-            // Replace index-space weights with physical-space weights: for
-            // each direction, the fraction of the physical gap between the
-            // two bracketing coarse points covered by the fine point.
-            for d in 0..3 {
-                let x_f = fc.get(p, d);
-                let q0 = base;
-                let mut q1 = base;
-                q1[d] += 1;
-                let x0 = cc.get(q0, d);
-                let x1 = cc.get(q1, d);
-                let gap = x1 - x0;
-                if gap.abs() > 1e-300 {
-                    w[d] = ((x_f - x0) / gap).clamp(0.0, 1.0);
-                }
-            }
-            (base, w)
-        });
+        let (Some(cc), Some(fc)) = (coarse_coords, fine_coords) else {
+            panic!("curvilinear interpolation needs the coarse and fine coordinate fabs");
+        };
+        assert_eq!(cc.bx(), coarse.bx(), "coarse coordinates must share the coarse fab's box");
+        let weights = BlendWeights::Physical {
+            coarse: cc,
+            fine: fc,
+        };
+        BlendStencil::build(weights, region, ratio, coarse.bx()).apply(coarse, fine);
     }
 }
 
@@ -238,10 +425,10 @@ impl Interpolator for ConservativeLinearInterp {
         1
     }
 
-    fn interp(
+    fn interp_view(
         &self,
         coarse: &FArrayBox,
-        fine: &mut FArrayBox,
+        fine: &mut FabRw<'_>,
         region: IndexBox,
         ratio: IntVect,
         _cc: Option<&FArrayBox>,
@@ -322,10 +509,10 @@ impl Interpolator for WenoConservativeInterp {
         1
     }
 
-    fn interp(
+    fn interp_view(
         &self,
         coarse: &FArrayBox,
-        fine: &mut FArrayBox,
+        fine: &mut FabRw<'_>,
         region: IndexBox,
         ratio: IntVect,
         _cc: Option<&FArrayBox>,
@@ -381,9 +568,10 @@ impl Interpolator for WenoConservativeInterp {
         }
         // Copy the requested region out of the fully refined scratch.
         debug_assert!(cur.bx().contains_box(&region));
+        let nx = region.size()[0] as usize;
         for c in 0..fine.ncomp() {
-            for p in region.cells() {
-                fine.set(p, c, cur.get(p, c));
+            for p in region.rows() {
+                fine.row_mut(p, c, nx).copy_from_slice(cur.row(p, c, nx));
             }
         }
     }
@@ -518,6 +706,69 @@ mod tests {
         }
         assert!(max_cur < 1e-12, "curvilinear error {max_cur}");
         assert!(max_tri > 1e-3, "trilinear should err on stretched grids");
+    }
+
+    #[test]
+    fn blend_stencil_matches_the_per_cell_reference_bitwise() {
+        // Stretched in every direction, three components of unrelated data,
+        // a region that is neither aligned to the ratio nor one row.
+        let cbx = IndexBox::new(IntVect::new(-3, -2, -2), IntVect::new(6, 5, 4));
+        let xmap = |i: f64, d: usize| (i + 3.5).powf(1.0 + 0.25 * d as f64) + 0.1 * i;
+        let mut coarse = FArrayBox::new(cbx, 3);
+        let mut cc = FArrayBox::new(cbx, 3);
+        for p in cbx.cells() {
+            for d in 0..3 {
+                cc.set(p, d, xmap(p[d] as f64, d));
+                let v = ((p[0] * 31 + p[1] * 17 + p[2] * 7 + d as i64 * 3) as f64 * 0.37).sin();
+                coarse.set(p, d, v);
+            }
+        }
+        let region = IndexBox::new(IntVect::new(-3, -1, 0), IntVect::new(9, 6, 5));
+        let mut fc = FArrayBox::new(region.grow(1), 3);
+        for p in region.grow(1).cells() {
+            for d in 0..3 {
+                fc.set(p, d, xmap((p[d] as f64 + 0.5) / 2.0 - 0.5, d));
+            }
+        }
+        let physical = BlendWeights::Physical {
+            coarse: &cc,
+            fine: &fc,
+        };
+        for weights in [BlendWeights::Index, physical] {
+            let mut want = FArrayBox::filled(region.grow(1), 3, -7.0);
+            reference_blend(weights, &coarse, &mut want, region, R2);
+            let mut got = FArrayBox::filled(region.grow(1), 3, -7.0);
+            let stencil = BlendStencil::build(weights, region, R2, cbx);
+            crocco_fab::with_rw(&mut got, |rw| stencil.apply(&coarse, rw));
+            let bits = |f: &FArrayBox| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+            // Applied again to other data over the same box: still the blend.
+            let mut other = coarse.clone();
+            other.data_mut().iter_mut().for_each(|v| *v = 1.0 - *v * *v);
+            reference_blend(weights, &other, &mut want, region, R2);
+            crocco_fab::with_rw(&mut got, |rw| stencil.apply(&other, rw));
+            assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    #[test]
+    fn piecewise_constant_rows_match_the_per_cell_parent_lookup() {
+        let cbx = IndexBox::new(IntVect::new(-2, -2, -1), IntVect::new(3, 3, 2));
+        let mut coarse = FArrayBox::new(cbx, 2);
+        for (n, v) in coarse.data_mut().iter_mut().enumerate() {
+            *v = n as f64;
+        }
+        // Odd start, odd length, negative indices: rows that begin and end
+        // mid-parent.
+        let region = IndexBox::new(IntVect::new(-3, -1, 0), IntVect::new(5, 3, 3));
+        let mut fine = FArrayBox::filled(region.grow(1), 2, -1.0);
+        PiecewiseConstantInterp.interp(&coarse, &mut fine, region, R2, None, None);
+        for c in 0..2 {
+            for p in region.grow(1).cells() {
+                let want = if region.contains(p) { coarse.get(p.coarsen(R2), c) } else { -1.0 };
+                assert_eq!(fine.get(p, c), want, "{p:?} comp {c}");
+            }
+        }
     }
 
     #[test]

@@ -50,14 +50,13 @@ pub use average_down::{average_down, average_down_dist};
 pub use cluster::{cluster_tags, ClusterParams};
 pub use fillpatch::{
     fill_two_level_patch_with_remote, resolve_remap_plans, resolve_two_level_plans,
-    BoundaryFiller, CoordGatherPlan, FillOpts, FillPatchReport, NoOpBoundary, RemoteGathers,
-    TwoLevelPlan,
-    TwoLevelPlans,
+    BoundaryFiller, CoordGather, FillOpts, FillPatchReport, NoOpBoundary, RemoteGathers,
+    TwoLevelPlan, TwoLevelPlans,
 };
 pub use flux_register::{FluxRegister, InterfaceFace};
 pub use hierarchy::{AmrHierarchy, AmrParams, Level};
 pub use interp::{
-    ConservativeLinearInterp, CurvilinearInterp, Interpolator, PiecewiseConstantInterp,
-    TrilinearInterp, WenoConservativeInterp,
+    BlendKind, BlendStencil, BlendWeights, ConservativeLinearInterp, CurvilinearInterp,
+    Interpolator, PiecewiseConstantInterp, TrilinearInterp, WenoConservativeInterp,
 };
 pub use tagging::TagSet;

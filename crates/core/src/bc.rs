@@ -5,6 +5,7 @@ use crate::eos::PerfectGas;
 use crate::problems::{dmr, dmr_post_shock, dmr_pre_shock, ramp_inflow, ProblemKind};
 use crate::state::{cons, Conserved, NCONS};
 use crocco_amr::BoundaryFiller;
+use crocco_fab::boxarray::subtract_box;
 use crocco_fab::FabRw;
 use crocco_geometry::{GridMapping, IndexBox, IntVect, ProblemDomain, RealVect};
 use std::sync::Arc;
@@ -16,20 +17,34 @@ use std::sync::Arc;
 /// wall/post-shock bottom boundary and time-dependent top boundary).
 pub struct PhysicalBc {
     problem: ProblemKind,
-    gas: PerfectGas,
     /// Cells per direction at this level.
     extents: IntVect,
     mapping: Arc<dyn GridMapping>,
+    /// The constant boundary states and wall geometry of the problems,
+    /// evaluated once here instead of once per ghost cell.
+    dmr_post: Conserved,
+    dmr_pre: Conserved,
+    ramp_in: Conserved,
+    /// x-station of the ramp corner and the unit normal of the inclined wall
+    /// beyond it.
+    ramp_corner_x: f64,
+    ramp_normal: [f64; 3],
 }
 
 impl PhysicalBc {
     /// Creates the filler for one level.
     pub fn new(problem: ProblemKind, gas: PerfectGas, extents: IntVect) -> Self {
+        let ramp = crocco_geometry::RampMapping::paper_dmr();
+        let th = ramp.ramp_angle;
         PhysicalBc {
             problem,
-            gas,
             extents,
             mapping: problem.mapping(),
+            dmr_post: Conserved::from_primitive(&dmr_post_shock(), &gas),
+            dmr_pre: Conserved::from_primitive(&dmr_pre_shock(), &gas),
+            ramp_in: Conserved::from_primitive(&ramp_inflow(), &gas),
+            ramp_corner_x: ramp.corner_x,
+            ramp_normal: [-th.sin(), th.cos(), 0.0],
         }
     }
 
@@ -110,100 +125,109 @@ fn mirror_across(p: IntVect, domain: IndexBox, dir: usize) -> IntVect {
     q
 }
 
+impl PhysicalBc {
+    /// Fills one ghost cell `p` of `fab` lying outside `domain` in a
+    /// non-periodic direction.
+    fn fill_cell(&self, fab: &mut FabRw<'_>, p: IntVect, domain: &ProblemDomain, time: f64) {
+        let (gbox, dbx) = (fab.bx(), domain.bx);
+        let outside_dirs = Self::outside_dirs(p, domain);
+        match self.problem {
+            ProblemKind::SodX => {
+                // Outflow on both x faces.
+                outflow(fab, p, clamp_into(p, dbx));
+            }
+            ProblemKind::IsentropicVortex => {
+                // Fully periodic: nothing to do (defensive outflow).
+                outflow(fab, p, clamp_into(p, dbx));
+            }
+            ProblemKind::DoubleMach => {
+                let x = self.xphys(p);
+                if outside_dirs[0] {
+                    if p[0] < dbx.lo()[0] {
+                        // Left: post-shock inflow.
+                        set_state(fab, p, &self.dmr_post);
+                    } else {
+                        // Right: outflow.
+                        outflow(fab, p, clamp_into(p, dbx));
+                    }
+                } else if outside_dirs[1] {
+                    if p[1] < dbx.lo()[1] {
+                        // Bottom: post-shock upstream of x₀, reflecting
+                        // wall downstream (the ramp surface).
+                        if x[0] < dmr::X0 {
+                            set_state(fab, p, &self.dmr_post);
+                        } else {
+                            let m = mirror_across(p, dbx, 1);
+                            slip_wall(fab, p, clamp_into(m, gbox), 1);
+                        }
+                    } else {
+                        // Top: exact shock position at this time.
+                        let u = if x[0] < dmr::shock_x(x[1].min(1.0), time) {
+                            &self.dmr_post
+                        } else {
+                            &self.dmr_pre
+                        };
+                        set_state(fab, p, u);
+                    }
+                }
+            }
+            ProblemKind::Ramp => {
+                if outside_dirs[0] && p[0] < dbx.lo()[0] {
+                    set_state(fab, p, &self.ramp_in);
+                } else if outside_dirs[1] && p[1] < dbx.lo()[1] {
+                    // Ramp surface: slip wall with the *local* physical
+                    // wall normal — flat upstream of the corner, tilted
+                    // by the ramp angle beyond it.
+                    let n = if self.xphys(p)[0] <= self.ramp_corner_x {
+                        [0.0, 1.0, 0.0]
+                    } else {
+                        self.ramp_normal
+                    };
+                    let m = mirror_across(p, dbx, 1);
+                    slip_wall_inclined(fab, p, clamp_into(m, gbox), n);
+                } else {
+                    outflow(fab, p, clamp_into(p, dbx));
+                }
+            }
+        }
+    }
+
+    /// Which non-periodic directions `p` lies outside the domain in.
+    fn outside_dirs(p: IntVect, domain: &ProblemDomain) -> [bool; 3] {
+        std::array::from_fn(|d| {
+            !domain.periodic[d] && (p[d] < domain.bx.lo()[d] || p[d] > domain.bx.hi()[d])
+        })
+    }
+}
+
 impl BoundaryFiller for PhysicalBc {
     fn fill_view(&self, fab: &mut FabRw<'_>, _valid: IndexBox, domain: &ProblemDomain, time: f64) {
         let gbox = fab.bx();
-        let dbx = domain.bx;
-        for p in gbox.cells() {
-            // Skip anything inside the domain (or wrapped into it) — those
-            // cells belong to FillBoundary / interpolation.
-            let mut outside_dirs = [false; 3];
-            let mut is_outside = false;
-            for d in 0..3 {
-                if domain.periodic[d] {
-                    continue;
-                }
-                if p[d] < dbx.lo()[d] || p[d] > dbx.hi()[d] {
-                    outside_dirs[d] = true;
-                    is_outside = true;
-                }
+        // The cells FillBoundary / interpolation own: the domain, through its
+        // periodic faces as far as this fab reaches. Everything else of the
+        // fab is the physical boundary's — nothing at all for a patch that
+        // touches no physical face.
+        let (mut lo, mut hi) = (domain.bx.lo(), domain.bx.hi());
+        for d in 0..3 {
+            if domain.periodic[d] {
+                lo[d] = lo[d].min(gbox.lo()[d]);
+                hi[d] = hi[d].max(gbox.hi()[d]);
             }
-            if !is_outside {
-                continue;
-            }
-            match self.problem {
-                ProblemKind::SodX => {
-                    // Outflow on both x faces.
-                    outflow(fab, p, clamp_into(p, dbx));
-                }
-                ProblemKind::IsentropicVortex => {
-                    // Fully periodic: nothing to do (defensive outflow).
-                    outflow(fab, p, clamp_into(p, dbx));
-                }
-                ProblemKind::DoubleMach => {
-                    let x = self.xphys(p);
-                    if outside_dirs[0] {
-                        if p[0] < dbx.lo()[0] {
-                            // Left: post-shock inflow.
-                            set_state(
-                                fab,
-                                p,
-                                &Conserved::from_primitive(&dmr_post_shock(), &self.gas),
-                            );
-                        } else {
-                            // Right: outflow.
-                            outflow(fab, p, clamp_into(p, dbx));
-                        }
-                    } else if outside_dirs[1] {
-                        if p[1] < dbx.lo()[1] {
-                            // Bottom: post-shock upstream of x₀, reflecting
-                            // wall downstream (the ramp surface).
-                            if x[0] < dmr::X0 {
-                                set_state(
-                                    fab,
-                                    p,
-                                    &Conserved::from_primitive(&dmr_post_shock(), &self.gas),
-                                );
-                            } else {
-                                let m = mirror_across(p, dbx, 1);
-                                slip_wall(fab, p, clamp_into(m, gbox), 1);
-                            }
-                        } else {
-                            // Top: exact shock position at this time.
-                            let w = if x[0] < dmr::shock_x(x[1].min(1.0), time) {
-                                dmr_post_shock()
-                            } else {
-                                dmr_pre_shock()
-                            };
-                            set_state(fab, p, &Conserved::from_primitive(&w, &self.gas));
-                        }
-                    }
-                }
-                ProblemKind::Ramp => {
-                    if outside_dirs[0] && p[0] < dbx.lo()[0] {
-                        set_state(
-                            fab,
-                            p,
-                            &Conserved::from_primitive(&ramp_inflow(), &self.gas),
-                        );
-                    } else if outside_dirs[1] && p[1] < dbx.lo()[1] {
-                        // Ramp surface: slip wall with the *local* physical
-                        // wall normal — flat upstream of the corner, tilted
-                        // by the ramp angle beyond it.
-                        let x = self.xphys(p);
-                        let ramp = crocco_geometry::RampMapping::paper_dmr();
-                        let n = if x[0] <= ramp.corner_x {
-                            [0.0, 1.0, 0.0]
-                        } else {
-                            let th = ramp.ramp_angle;
-                            [-th.sin(), th.cos(), 0.0]
-                        };
-                        let m = mirror_across(p, dbx, 1);
-                        slip_wall_inclined(fab, p, clamp_into(m, gbox), n);
-                    } else {
-                        outflow(fab, p, clamp_into(p, dbx));
-                    }
-                }
+        }
+        let mut slabs = Vec::new();
+        subtract_box(gbox, IndexBox::new(lo, hi), &mut slabs);
+        // Almost every ghost written here reads inside-domain cells only, so
+        // the visit order is free — except at the ramp's wall: the wall
+        // ghosts at an outflow corner mirror cells that are outflow ghosts of
+        // this same pass, and take their values from *before* it (the mirror
+        // cell `m` of a wall ghost `p` has the same x and z and a larger y).
+        // `subtract_box` keeps `p` ahead of `m`: x-slabs come first and span
+        // the fab in y and z, so both cells share a slab and its x-fastest
+        // order; a wall ghost inside the domain in x sits in a y-slab, ahead
+        // of the z-slab of its mirror.
+        for slab in slabs {
+            for p in slab.cells() {
+                self.fill_cell(fab, p, domain, time);
             }
         }
     }
@@ -228,6 +252,73 @@ mod tests {
                 set_state(rw, p, &u);
             }
         });
+    }
+
+    /// The loop `fill_view` replaced — every cell of the fab scanned for the
+    /// outside ones — kept as its oracle.
+    fn fill_full_scan(bc: &PhysicalBc, fab: &mut FArrayBox, domain: &ProblemDomain, time: f64) {
+        crocco_fab::with_rw(fab, |rw| {
+            for p in rw.bx().cells() {
+                if PhysicalBc::outside_dirs(p, domain) != [false; 3] {
+                    bc.fill_cell(rw, p, domain, time);
+                }
+            }
+        });
+    }
+
+    /// Slab fill ≡ full scan, bitwise, on every cell of the fab: all four
+    /// problems, with their own periodicity and with none, a patch on every
+    /// face, edge and corner of the domain (and the one touching nothing),
+    /// plus a fab that overhangs the whole domain the way a coarse temporary
+    /// does. Ghosts start as unrelated values, so a ghost that reads another
+    /// ghost sees the visit order; cells the boundary does not own must come
+    /// through untouched.
+    #[test]
+    fn slab_fill_bitwise_matches_the_full_scan() {
+        let gas = PerfectGas::nondimensional();
+        let extents = IntVect::new(12, 12, 12);
+        let dbx = IndexBox::from_extents(12, 12, 12);
+        let ng = crate::kernels::NGHOST;
+        let mut boxes = vec![dbx.grow(2)];
+        for corner in IndexBox::from_extents(3, 3, 3).cells() {
+            let lo = IntVect::new(4 * corner[0], 4 * corner[1], 4 * corner[2]);
+            boxes.push(IndexBox::new(lo, lo + IntVect::splat(3)).grow(ng));
+        }
+        for problem in [
+            ProblemKind::SodX,
+            ProblemKind::IsentropicVortex,
+            ProblemKind::DoubleMach,
+            ProblemKind::Ramp,
+        ] {
+            let bc = PhysicalBc::new(problem, gas, extents);
+            for periodic in [problem.periodicity(), [false; 3]] {
+                let domain = ProblemDomain::new(dbx, periodic);
+                let mut total = 0;
+                for &bx in &boxes {
+                    let mut before = FArrayBox::new(bx, NCONS);
+                    for (n, v) in before.data_mut().iter_mut().enumerate() {
+                        *v = 1.0 + (n as f64 * 0.7548776662).fract();
+                    }
+                    let (mut slabs, mut scan) = (before.clone(), before.clone());
+                    bc.fill(&mut slabs, bx.intersection(&dbx), &domain, 0.03);
+                    fill_full_scan(&bc, &mut scan, &domain, 0.03);
+                    let bits = |f: &FArrayBox| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert!(bits(&slabs) == bits(&scan), "{problem:?} {periodic:?} {bx:?}");
+                    let mut written = 0;
+                    for p in bx.cells() {
+                        let owned = PhysicalBc::outside_dirs(p, &domain) != [false; 3];
+                        for c in 0..NCONS {
+                            if slabs.get(p, c).to_bits() != before.get(p, c).to_bits() {
+                                assert!(owned, "{problem:?} {periodic:?}: wrote inside cell {p:?}");
+                                written += 1;
+                            }
+                        }
+                    }
+                    total += written;
+                }
+                assert_eq!(total > 0, periodic != [true; 3], "{problem:?} {periodic:?}");
+            }
+        }
     }
 
     #[test]

@@ -217,7 +217,11 @@ impl Simulation {
             let domain = self.hierarchy.domain(l);
             let coarse_domain = self.hierarchy.domain(l - 1);
             let coarse_bc = PhysicalBc::new(self.cfg.problem, self.gas, self.level_extents(l - 1));
-            let (coords, metrics) = self.make_level_grid(l);
+            let old_grid = old_levels
+                .get_mut(l)
+                .and_then(Option::as_mut)
+                .map(|old| (&mut old.coords, &mut old.metrics));
+            let (coords, metrics) = self.make_level_grid(l, old_grid);
             let mut state = self.alloc_mf(ba.clone(), dm.clone(), NCONS, NGHOST);
             let coarse = &self.levels[l - 1];
             let plans = resolve_remap_plans(
@@ -227,9 +231,9 @@ impl Simulation {
                 ratio,
                 &*self.interp,
                 Some(&coarse.coords),
+                Some(&coords),
             );
-            let remote =
-                plans.exchange(&coarse.state, Some(&coarse.coords), None, gep, epoch, l)?;
+            let remote = plans.exchange(&coarse.state, None, gep, epoch, l)?;
             for i in 0..state.nfabs() {
                 if !state.is_allocated(i) {
                     continue;
@@ -240,11 +244,7 @@ impl Simulation {
                         rw,
                         &plans,
                         &coarse.state,
-                        Some(&coarse.coords),
-                        Some(coords.fab(i)),
                         &coarse_domain,
-                        ratio,
-                        &*self.interp,
                         &coarse_bc,
                         self.time,
                         None,
@@ -252,6 +252,7 @@ impl Simulation {
                     )
                 });
             }
+            drop(plans);
             // Overwrite with surviving same-level data, then drop the old
             // level here rather than when the function returns: a regrid
             // never holds more than one superseded level.
@@ -875,26 +876,34 @@ impl Simulation {
         let interp = &*self.interp;
 
         let (lo_levels, hi_levels) = self.levels.split_at_mut(l);
-        let fine = &mut hi_levels[0];
+        let LevelData {
+            state,
+            du,
+            coords,
+            metrics,
+            rhs,
+            ..
+        } = &mut hi_levels[0];
+        let (coords, metrics) = (&*coords, &*metrics);
         let fb = cache.fill_boundary(
-            fine.state.boxarray(),
-            fine.state.distribution(),
+            state.boxarray(),
+            state.distribution(),
             &domain,
-            fine.state.nghost(),
-            fine.state.ncomp(),
+            state.nghost(),
+            state.ncomp(),
         );
-        let two: Option<(TwoLevelPlans, &LevelData, ProblemDomain, PhysicalBc)> =
+        let two: Option<(TwoLevelPlans<'_>, &LevelData, ProblemDomain, PhysicalBc)> =
             coarse_ctx.map(|(coarse_domain, coarse_bc)| {
                 let coarse = &lo_levels[l - 1];
                 let plans = resolve_two_level_plans(
-                    &fine.state,
+                    state,
                     &coarse.state,
                     &domain,
                     &coarse_domain,
                     ratio,
                     interp,
                     Some(&coarse.coords),
-                    Some(&fine.coords),
+                    Some(coords),
                     Some(cache.as_ref()),
                 );
                 (plans, coarse, coarse_domain, coarse_bc)
@@ -903,10 +912,6 @@ impl Simulation {
         if let Some((plans, ..)) = &two {
             self.comm
                 .absorb_plan(&plans.state.state_plan().stats, PlanKind::ParallelCopy);
-            if let Some(cg) = &plans.coords {
-                self.comm
-                    .absorb_plan(&cg.coord_plan().stats, PlanKind::CoordCopy);
-            }
         }
         // Subcycled two-level fills blend the coarse *old* state in
         // (`alpha == 1` is bitwise the plain fill and reads none of it).
@@ -925,11 +930,17 @@ impl Simulation {
         // plans' cross-rank chunks up front — the payloads feed
         // `fill_two_level_patch_with_remote` inside the stage tasks.
         let remote = match &two {
-            Some((plans, coarse, ..)) => {
-                plans.exchange(&coarse.state, Some(&coarse.coords), blended_old, ep, epoch, l)?
-            }
+            Some((plans, coarse, ..)) => plans.exchange(&coarse.state, blended_old, ep, epoch, l)?,
             None => RemoteGathers::default(),
         };
+        // Coordinates cross ranks in the first exchange after a regrid and
+        // in no other; the totals count them when they move.
+        if let Some(cg) = two.as_ref().and_then(|(plans, ..)| plans.coords.as_ref()) {
+            if remote.gathered_coords() {
+                self.comm
+                    .absorb_plan(&cg.coord_plan().stats, PlanKind::CoordCopy);
+            }
+        }
         // The blend reads the coarse old state below the instrumented views,
         // so its local reads are declared on each halo task's footprint (and
         // recorded for the dynamic detector).
@@ -940,11 +951,11 @@ impl Simulation {
         // The rank's graph skeleton, memoized beside the plan it was derived
         // from; regrid invalidates both together.
         let fb_key = PlanKey::fill_boundary(
-            fine.state.boxarray(),
-            fine.state.distribution(),
+            state.boxarray(),
+            state.distribution(),
             &domain,
-            fine.state.nghost(),
-            fine.state.ncomp(),
+            state.nghost(),
+            state.ncomp(),
         );
         let skel = cache.get_or_build_aux(
             PlanKey {
@@ -952,7 +963,7 @@ impl Simulation {
                 aux: ep.rank() as u64,
                 ..fb_key
             },
-            || DistSkeleton::build(&fb, fine.state.distribution().owners(), ep.rank()),
+            || DistSkeleton::build(&fb, state.distribution().owners(), ep.rank()),
         );
         // Static verification of the *whole* stage (every rank's graph
         // rebuilt from the replicated owner map, plus tag-completeness and
@@ -967,15 +978,15 @@ impl Simulation {
                     ..fb_key
                 },
                 || {
-                    let ba = fine.state.boxarray();
+                    let ba = state.boxarray();
                     let valid: Vec<crocco_geometry::IndexBox> =
                         (0..ba.len()).map(|i| ba.get(i)).collect();
                     crocco_fab::verify_dist(
                         &fb,
-                        fine.state.distribution().owners(),
+                        state.distribution().owners(),
                         ep.nranks(),
                         &valid,
-                        fine.state.nghost(),
+                        state.nghost(),
                     )
                 },
             )
@@ -983,17 +994,7 @@ impl Simulation {
         self.profiler.add("FillPatch", t0.elapsed().as_secs_f64());
 
         let t1 = std::time::Instant::now();
-        let LevelData {
-            state,
-            du,
-            coords,
-            metrics,
-            rhs,
-            ..
-        } = fine;
         let ba = state.boxarray().clone();
-        let coords = &*coords;
-        let metrics = &*metrics;
         let interpolated = AtomicU64::new(0);
 
         let pre_halo = |i: usize, rw: &mut FabRw<'_>| {
@@ -1003,11 +1004,7 @@ impl Simulation {
                     rw,
                     plans,
                     &coarse.state,
-                    Some(&coarse.coords),
-                    Some(coords.fab(i)),
                     coarse_domain,
-                    ratio,
-                    interp,
                     coarse_bc,
                     time,
                     ti,

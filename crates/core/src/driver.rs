@@ -383,17 +383,32 @@ impl Simulation {
         e
     }
 
-    /// Allocates and initializes one level's grid data (coords + metrics),
-    /// honouring the configured coordinate source.
-    pub(crate) fn make_level_grid(&self, l: usize) -> (MultiFab, MultiFab) {
+    /// Level `l`'s grid data (coords + metrics) on the hierarchy's current
+    /// grids. Both are a pure function of (level, box), so the fabs of every
+    /// box that `prev` — the same level's (coords, metrics) one grid
+    /// generation back — holds unchanged on this rank are moved over, and
+    /// only the rest is allocated, generated (honouring the configured
+    /// coordinate source) and has its metrics computed. The fabs taken from
+    /// `prev` are left as placeholders.
+    pub(crate) fn make_level_grid(
+        &self,
+        l: usize,
+        mut prev: Option<(&mut MultiFab, &mut MultiFab)>,
+    ) -> (MultiFab, MultiFab) {
         let lev = self.hierarchy.level(l);
-        let mut coords = MultiFab::new_owned(
-            lev.ba.clone(),
-            lev.dm.clone(),
-            NCOORDS,
-            NGHOST + 2,
-            self.owned_rank,
-        );
+        let owned = |i: usize| lev.dm.owner(i) == self.owned_rank;
+        let mut survivors = std::collections::HashMap::new();
+        if let Some((prev_coords, _)) = &prev {
+            for (j, b) in prev_coords.boxarray().boxes().iter().enumerate() {
+                if prev_coords.is_allocated(j) {
+                    survivors.insert(*b, j);
+                }
+            }
+        }
+        let kept = |i: usize| survivors.get(&lev.ba.get(i)).copied().filter(|_| owned(i));
+        let fresh = |i: usize| owned(i) && kept(i).is_none();
+        let mut coords =
+            MultiFab::new_where(lev.ba.clone(), lev.dm.clone(), NCOORDS, NGHOST + 2, fresh);
         match self.cfg.coord_source {
             CoordSource::Memory => {
                 generate_coords(self.mapping.as_ref(), self.level_extents(l), &mut coords);
@@ -408,8 +423,19 @@ impl Simulation {
                 .expect("coordinate file read failed");
             }
         }
-        let mut metrics = self.alloc_mf(lev.ba.clone(), lev.dm.clone(), NMETRICS, NGHOST);
+        // No allocation poison: `compute_metrics` writes every cell of every
+        // component it is given.
+        let mut metrics =
+            MultiFab::new_where(lev.ba.clone(), lev.dm.clone(), NMETRICS, NGHOST, fresh);
         compute_metrics(&coords, &mut metrics);
+        if let Some((prev_coords, prev_metrics)) = &mut prev {
+            for i in 0..lev.ba.len() {
+                if let Some(j) = kept(i) {
+                    std::mem::swap(coords.fab_mut(i), prev_coords.fab_mut(j));
+                    std::mem::swap(metrics.fab_mut(i), prev_metrics.fab_mut(j));
+                }
+            }
+        }
         (coords, metrics)
     }
 
@@ -438,10 +464,16 @@ impl Simulation {
     /// Rebuilds every level's data directly from the initial condition
     /// (used during hierarchy construction at t = 0).
     pub(crate) fn rebuild_all_levels_from_ic(&mut self) {
-        self.levels.clear();
+        // Only the grid data of the previous round outlives this line: the
+        // states are re-initialized anyway, and freeing them first lets the
+        // new ones land in the same heap.
+        let mut prev: Vec<(MultiFab, MultiFab)> = std::mem::take(&mut self.levels)
+            .into_iter()
+            .map(|lev| (lev.coords, lev.metrics))
+            .collect();
         for l in 0..self.hierarchy.nlevels() {
             let lev = self.hierarchy.level(l);
-            let (coords, metrics) = self.make_level_grid(l);
+            let (coords, metrics) = self.make_level_grid(l, prev.get_mut(l).map(|(c, m)| (c, m)));
             let mut state = self.alloc_mf(lev.ba.clone(), lev.dm.clone(), NCONS, NGHOST);
             self.init_state_from_ic(&coords, &mut state);
             state.mark_ghosts_filled(); // the IC writes every cell, ghosts included

@@ -231,11 +231,14 @@ unsafe fn pack_chunk_raw(src: &RawFab, chunk: &CopyChunk, ncomp: usize) -> Bytes
         chunk.region.shift(-chunk.shift),
     );
     let mut out = Vec::with_capacity((chunk.region.num_points() as usize) * ncomp * 8);
+    let nx = chunk.region.size()[0] as usize;
     for c in 0..ncomp {
-        for p in chunk.region.cells() {
+        for p in chunk.region.rows() {
             let off = src.offset(p - chunk.shift, c);
-            debug_assert!(off < src.len, "pack read overruns allocation");
-            out.extend_from_slice(&(*src.ptr.add(off)).to_le_bytes());
+            debug_assert!(off + nx <= src.len, "pack read overruns allocation");
+            for v in std::slice::from_raw_parts(src.ptr.add(off), nx) {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
         }
     }
     Bytes::from(out)
@@ -260,12 +263,15 @@ unsafe fn unpack_chunk_raw(dst: &RawFab, chunk: &CopyChunk, ncomp: usize, payloa
     );
     record_access(dst.ptr as usize as u64, true, chunk.region);
     let mut words = payload;
+    let nx = chunk.region.size()[0] as usize;
     for c in 0..ncomp {
-        for p in chunk.region.cells() {
-            let w = take_field(&mut words).expect("payload shorter than chunk");
+        for p in chunk.region.rows() {
             let off = dst.offset(p, c);
-            debug_assert!(off < dst.len, "unpack write overruns allocation");
-            *dst.ptr.add(off) = f64::from_le_bytes(w);
+            debug_assert!(off + nx <= dst.len, "unpack write overruns allocation");
+            for v in std::slice::from_raw_parts_mut(dst.ptr.add(off), nx) {
+                let w = take_field(&mut words).expect("payload shorter than chunk");
+                *v = f64::from_le_bytes(w);
+            }
         }
     }
 }

@@ -164,8 +164,9 @@ impl FArrayBox {
     /// Fills `comp` with `value` over `region ∩ self.bx()`.
     pub fn fill_region(&mut self, region: IndexBox, comp: usize, value: f64) {
         let r = self.bx.intersection(&region);
-        for p in r.cells() {
-            self.set(p, comp, value);
+        let nx = r.size()[0] as usize;
+        for p in r.rows() {
+            self.row_mut(p, comp, nx).fill(value);
         }
     }
 
@@ -181,10 +182,11 @@ impl FArrayBox {
     ) {
         debug_assert!(src.bx.contains_box(&region));
         debug_assert!(self.bx.contains_box(&region));
+        let nx = region.size()[0] as usize;
         for c in 0..ncomp {
-            for p in region.cells() {
-                let v = src.get(p, src_comp + c);
-                self.set(p, dst_comp + c, v);
+            for p in region.rows() {
+                self.row_mut(p, dst_comp + c, nx)
+                    .copy_from_slice(src.row(p, src_comp + c, nx));
             }
         }
     }

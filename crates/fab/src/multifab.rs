@@ -80,13 +80,29 @@ impl MultiFab {
         nghost: i64,
         rank: usize,
     ) -> Self {
+        let owners = dm.clone();
+        Self::new_where(ba, dm, ncomp, nghost, |i| owners.owner(i) == rank)
+    }
+
+    /// [`MultiFab::new_owned`] with the storage decision left to the caller:
+    /// patch `i` is allocated iff `alloc(i)`, a placeholder otherwise. The
+    /// regrid uses it to leave out the patches whose grid data it moves over
+    /// from the previous generation instead of recomputing
+    /// (docs/ARCHITECTURE.md, Regrid).
+    pub fn new_where(
+        ba: Arc<BoxArray>,
+        dm: Arc<DistributionMapping>,
+        ncomp: usize,
+        nghost: i64,
+        alloc: impl Fn(usize) -> bool,
+    ) -> Self {
         assert_eq!(ba.len(), dm.owners().len(), "BoxArray/DistributionMapping size mismatch");
         let fabs = ba
             .boxes()
             .iter()
             .enumerate()
             .map(|(i, b)| {
-                if dm.owner(i) == rank {
+                if alloc(i) {
                     FArrayBox::new(b.grow(nghost), ncomp)
                 } else {
                     FArrayBox::unallocated(b.grow(nghost), ncomp)

@@ -6,7 +6,8 @@
 //! supplies the safe building blocks:
 //!
 //! * [`pack_chunk`] / [`unpack_chunk_into`] — one [`CopyChunk`] as
-//!   little-endian `f64` bytes, component-major in `region.cells()` order:
+//!   little-endian `f64` bytes, component-major in `region.cells()` order
+//!   (walked as contiguous x-rows):
 //!   exactly the wire format of the RK-stage halo payloads
 //!   (`dist_overlap::pack_chunk_raw`), so `f64 → bytes → f64` round-trips
 //!   bitwise and a remote unpack equals the local
@@ -28,7 +29,7 @@
 //! (state vs coordinates, gather vs redistribution) never collide.
 //!
 //! Everything here is safe code: payloads are built through
-//! [`FArrayBox::get`]/[`FArrayBox::set`], and the sequential fenced
+//! [`FArrayBox::row`]/[`FArrayBox::row_mut`], and the sequential fenced
 //! structure needs no raw views. Deadlock freedom follows from the
 //! transport's buffered sends: every rank first enqueues all its outgoing
 //! chunks, so the blocking waits always have matching traffic in flight.
@@ -47,9 +48,12 @@ use std::collections::HashMap;
 /// payloads; inverse of [`unpack_chunk_into`].
 pub fn pack_chunk(src: &FArrayBox, chunk: &CopyChunk, ncomp: usize) -> Bytes {
     let mut out = Vec::with_capacity((chunk.region.num_points() as usize) * ncomp * 8);
+    let nx = chunk.region.size()[0] as usize;
     for c in 0..ncomp {
-        for p in chunk.region.cells() {
-            out.extend_from_slice(&src.get(p - chunk.shift, c).to_le_bytes());
+        for p in chunk.region.rows() {
+            for v in src.row(p - chunk.shift, c, nx) {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
         }
     }
     Bytes::from(out)
@@ -75,10 +79,13 @@ pub fn unpack_chunk_into(
         "owned-exchange payload size mismatch for region {region:?}"
     );
     let mut words = payload;
+    let nx = region.size()[0] as usize;
     for c in 0..ncomp {
-        for p in region.cells() {
-            let w = take_field(&mut words).expect("payload shorter than region");
-            dst.set(p, c, f64::from_le_bytes(w));
+        for p in region.rows() {
+            for v in dst.row_mut(p, c, nx) {
+                let w = take_field(&mut words).expect("payload sized above");
+                *v = f64::from_le_bytes(w);
+            }
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   stage executor's tasks);
 //! * [`FabRd`] — a read-only raw view of one fab;
 //! * [`FabRw`] — a read-write raw view, handed to boundary-condition fills
-//!   and interpolation copies inside halo tasks.
+//!   and coarse→fine interpolation inside halo tasks.
 //!
 //! Safety rests on the same invariant as the plan executor: the task graph's
 //! dependency edges order every pair of conflicting accesses, and within one
@@ -174,7 +174,7 @@ impl FabView for FabRd<'_> {
 }
 
 /// A read-write raw view of one [`FArrayBox`], used by halo tasks to fill
-/// ghost cells (physical BCs, coarse-fine interpolation copies) while other
+/// ghost cells (physical BCs, coarse-fine interpolation) while other
 /// tasks concurrently read the same fab's valid cells.
 pub struct FabRw<'a> {
     raw: RawFab,
@@ -239,17 +239,25 @@ impl<'a> FabRw<'a> {
         unsafe { *self.raw.ptr.add(self.raw.offset(p, c)) = v };
     }
 
-    /// Copies every component of `src` over `region` into this view
-    /// (`region` must lie inside both boxes). Used to land per-region
-    /// interpolation results computed in an owned scratch fab.
-    pub fn copy_region_from(&mut self, src: &FArrayBox, region: IndexBox) {
-        debug_assert!(src.bx().contains_box(&region));
-        debug_assert!(self.raw.bx.contains_box(&region));
-        for c in 0..src.ncomp() {
-            for p in region.cells() {
-                self.set(p, c, src.get(p, c));
-            }
-        }
+    /// The contiguous x-row of `len` cells starting at `p`, component `c`,
+    /// for writing — what the coarse→fine interpolators fill a ghost region
+    /// through, one slice per row instead of one `set` per cell.
+    #[inline]
+    pub fn row_mut(&mut self, p: IntVect, c: usize, len: usize) -> &mut [f64] {
+        let mut row_end = p;
+        row_end[0] += len as i64 - 1;
+        let row = IndexBox::new(p, row_end);
+        assert!(
+            len > 0 && c < self.raw.ncomp() && self.raw.bx.contains_box(&row),
+            "row leaves box"
+        );
+        record_access(self.raw.ptr as usize as u64, true, row);
+        // SAFETY: x-rows are contiguous in fab storage and the assert above
+        // keeps the whole row inside the fab box and `c` inside its
+        // components. The constructor's contract gives this view exclusive
+        // access to the cells it writes, and the returned slice borrows
+        // `self` mutably, so no second row can be alive beside it.
+        unsafe { std::slice::from_raw_parts_mut(self.raw.ptr.add(self.raw.offset(p, c)), len) }
     }
 }
 
@@ -309,21 +317,29 @@ mod tests {
     }
 
     #[test]
-    fn copy_region_lands_exactly_the_region() {
+    fn row_mut_lands_exactly_the_row() {
         let mut dst = fab();
         let before = dst.clone();
-        let region = IndexBox::new(IntVect::new(1, 1, 0), IntVect::new(2, 2, 1));
-        let mut src = FArrayBox::new(region, 2);
-        src.fill(42.0);
-        FabRw::from_mut(&mut dst).copy_region_from(&src, region);
+        let p0 = IntVect::new(1, 2, 1);
+        FabRw::from_mut(&mut dst)
+            .row_mut(p0, 1, 3)
+            .copy_from_slice(&[42.0, 43.0, 44.0]);
         for c in 0..2 {
             for p in dst.bx().cells() {
-                if region.contains(p) {
-                    assert_eq!(dst.get(p, c), 42.0);
+                let in_row = c == 1 && p[1] == 2 && p[2] == 1 && (1..=3).contains(&p[0]);
+                if in_row {
+                    assert_eq!(dst.get(p, c), 41.0 + p[0] as f64);
                 } else {
                     assert_eq!(dst.get(p, c).to_bits(), before.get(p, c).to_bits());
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "row leaves box")]
+    fn row_mut_rejects_a_row_past_the_box() {
+        let mut dst = fab();
+        FabRw::from_mut(&mut dst).row_mut(IntVect::new(2, 0, 0), 0, 3);
     }
 }

@@ -222,6 +222,16 @@ impl IndexBox {
         }
     }
 
+    /// The first cell of every x-row of the box, in [`cells`](Self::cells)
+    /// order (y, then z). A row is `size()[0]` cells that are contiguous in
+    /// the field containers of `crocco-fab`, so copies and fills walk rows,
+    /// not cells.
+    pub fn rows(&self) -> impl Iterator<Item = IntVect> {
+        let (lo, hi) = (self.lo, self.hi);
+        let k_hi = if self.is_empty() { lo[2] - 1 } else { hi[2] };
+        (lo[2]..=k_hi).flat_map(move |k| (lo[1]..=hi[1]).map(move |j| IntVect::new(lo[0], j, k)))
+    }
+
     /// The faces of this box as boxes of thickness `width` just *outside* the
     /// box, one per (direction, side) pair. Used to build ghost regions.
     pub fn boundary_shells(&self, width: i64) -> Vec<(usize, Side, IndexBox)> {
@@ -317,6 +327,17 @@ mod tests {
         assert!(!x.is_empty());
         assert!(IndexBox::EMPTY.is_empty());
         assert_eq!(IndexBox::EMPTY.num_points(), 0);
+    }
+
+    #[test]
+    fn rows_are_the_x_runs_of_cells_in_order() {
+        let x = b([-1, 2, 5], [2, 3, 6]);
+        let from_cells: Vec<IntVect> = x.cells().filter(|p| p[0] == -1).collect();
+        assert_eq!(x.rows().collect::<Vec<_>>(), from_cells);
+        assert_eq!(x.rows().count() as i64 * x.size()[0], x.num_points() as i64);
+        assert_eq!(IndexBox::EMPTY.rows().count(), 0);
+        // Empty in x only: still no rows.
+        assert_eq!(b([3, 0, 0], [2, 4, 4]).rows().count(), 0);
     }
 
     #[test]
