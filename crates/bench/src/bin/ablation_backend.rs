@@ -354,9 +354,9 @@ fn main() {
         &shape_rows,
     );
 
-    // The vendored serde_json is an offline placeholder (empty crate), so
-    // the machine-readable record is emitted by hand: plain nested objects,
-    // ASCII keys, `{:e}` floats — trivially parseable.
+    // The workspace has no JSON serializer, so the machine-readable record
+    // is emitted by hand: plain nested objects, ASCII keys, `{:e}` floats —
+    // trivially parseable.
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"backend\",\n");
     json.push_str(&format!("  \"cells\": {},\n", lvl.cells));

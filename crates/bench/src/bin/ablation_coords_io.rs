@@ -9,7 +9,7 @@
 
 use crocco_bench::report::{fmt_time, print_table};
 use crocco_solver::config::{CodeVersion, CoordSource, SolverConfig};
-use crocco_solver::driver::Simulation;
+use crocco_solver::driver::{Region, Simulation};
 use crocco_solver::problems::ProblemKind;
 use crocco_solver::validation::l2_difference;
 use std::time::Instant;
@@ -27,7 +27,7 @@ fn run(source: CoordSource) -> (f64, f64, Simulation) {
     let mut sim = Simulation::new(cfg);
     let init = t0.elapsed().as_secs_f64();
     sim.advance_steps(12); // crosses regrids at 3, 6, 9
-    let regrid = sim.profiler.total("Regrid");
+    let regrid = sim.profiler.total(Region::Regrid);
     (init, regrid, sim)
 }
 

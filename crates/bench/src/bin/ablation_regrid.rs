@@ -5,7 +5,7 @@
 
 use crocco_bench::report::print_table;
 use crocco_solver::config::{CodeVersion, SolverConfig};
-use crocco_solver::driver::Simulation;
+use crocco_solver::driver::{Region, Simulation};
 use crocco_solver::problems::ProblemKind;
 use crocco_solver::state::cons;
 
@@ -21,11 +21,8 @@ fn main() {
             .build();
         let mut sim = Simulation::new(cfg);
         let report = sim.advance_steps(20);
-        let regrid_s = sim.profiler.total("Regrid");
-        let total_s: f64 = ["Regrid", "ComputeDt", "FillPatch", "Advance", "AverageDown"]
-            .iter()
-            .map(|r| sim.profiler.total(r))
-            .sum();
+        let regrid_s = sim.profiler.total(Region::Regrid);
+        let total_s: f64 = sim.profiler.report().iter().map(|(_, t)| t).sum();
         rows.push(vec![
             freq.to_string(),
             format!("{:.4}", report.final_time),

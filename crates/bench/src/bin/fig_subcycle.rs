@@ -122,8 +122,8 @@ fn main() {
             / (sub.cells_per_level[0] as f64 * (1u64 << (3 * (LEVELS - 1))) as f64)
     );
 
-    // The vendored serde_json is an offline placeholder (empty crate), so
-    // the JSON is assembled by hand, like the other BENCH emitters.
+    // The workspace has no JSON serializer, so the JSON is assembled by
+    // hand, like the other BENCH emitters.
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"subcycle\",\n");
     json.push_str(&format!("  \"levels\": {LEVELS},\n"));

@@ -580,71 +580,3 @@ mod tests {
         assert!(fp_children <= b.get("FillPatch") * 1.0 + 1e-12);
     }
 }
-
-/// Replays a level's FillBoundary through the event-driven per-rank-clock
-/// simulator ([`crocco_runtime::SimComm`]) instead of the closed-form α–β
-/// expression — a cross-check between the two runtime substrates.
-pub fn replay_fill_boundary(
-    level: &crate::dmrscale::LevelMeta,
-    nranks: usize,
-    nodes: u32,
-    platform: &SummitPlatform,
-) -> f64 {
-    use crocco_runtime::{CommOp, SimComm, Topology};
-    let plan = fill_boundary_plan(&level.ba, &level.dm, &level.domain, NGHOST, NCONS);
-    let ranks_per_node = (nranks as u32).div_ceil(nodes) as usize;
-    let mut comm = SimComm::new(
-        Topology::new(nodes as usize, ranks_per_node),
-        platform.network,
-    );
-    let ops: Vec<CommOp> = plan
-        .chunks
-        .iter()
-        .filter(|c| !c.is_local())
-        .map(|c| CommOp {
-            src: c.src_rank,
-            dst: c.dst_rank,
-            bytes: c.bytes(NCONS),
-        })
-        .collect();
-    comm.exchange(&ops)
-}
-
-#[cfg(test)]
-mod replay_tests {
-    use super::*;
-    use crate::dmrscale::amr_case;
-    use crocco_geometry::IntVect;
-
-    #[test]
-    fn event_driven_replay_brackets_the_closed_form() {
-        // The SimComm replay resolves per-node NVLink locality and message
-        // batching that the α–β formula lumps together; both must land
-        // within a small factor of each other and above the bandwidth
-        // lower bound.
-        let platform = SummitPlatform::new();
-        let nodes = 16u32;
-        let nranks = platform.gpu_ranks(nodes);
-        let case = amr_case(IntVect::new(1280, 320, 640), nranks);
-        for level in &case.levels {
-            let stats =
-                fill_boundary_plan(&level.ba, &level.dm, &level.domain, NGHOST, NCONS).stats();
-            if stats.remote_bytes == 0 {
-                continue;
-            }
-            let formula = platform.network.fill_boundary_time(
-                stats.max_rank_msgs as f64,
-                stats.max_rank_recv_bytes as f64,
-            );
-            let replay = replay_fill_boundary(level, nranks, nodes, &platform);
-            let lower_bound =
-                stats.max_rank_recv_bytes as f64 / platform.network.bandwidth / 4.0;
-            assert!(replay > lower_bound, "replay {replay} below bound");
-            let ratio = replay / formula;
-            assert!(
-                (0.2..5.0).contains(&ratio),
-                "substrates disagree: replay {replay}, formula {formula}"
-            );
-        }
-    }
-}

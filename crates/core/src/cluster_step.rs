@@ -42,7 +42,7 @@
 
 use crate::bc::PhysicalBc;
 use crate::driver::{
-    accumulate_rhs, LevelData, PlanKind, RunReport, Simulation, AUX_DIST_SKELETON,
+    accumulate_rhs, LevelData, PlanKind, Region, RunReport, Simulation, AUX_DIST_SKELETON,
     AUX_DIST_VERIFY,
 };
 use crate::io::{checkpoint_header, patch_body_bytes, seal_checkpoint};
@@ -351,12 +351,12 @@ impl Simulation {
         {
             let t0 = std::time::Instant::now();
             self.regrid(gep)?;
-            self.profiler.add("Regrid", t0.elapsed().as_secs_f64());
+            self.profiler.add(Region::Regrid, t0.elapsed().as_secs_f64());
         }
         self.crash_check(gep, CrashPhase::AfterRegrid)?;
         let t0 = std::time::Instant::now();
         self.compute_dt(gep)?;
-        self.profiler.add("ComputeDt", t0.elapsed().as_secs_f64());
+        self.profiler.add(Region::ComputeDt, t0.elapsed().as_secs_f64());
         self.crash_check(gep, CrashPhase::AfterDt)?;
         if self.cfg.subcycling {
             self.ensure_subcycle();
@@ -697,15 +697,14 @@ impl Simulation {
                 let LevelData { state, metrics, .. } = &mut self.levels[l];
                 reg.reflux(state, metrics, crate::metrics::comp::JAC, dt);
             }
-            self.profiler.add("Reflux", t0.elapsed().as_secs_f64());
+            self.profiler.add(Region::Reflux, t0.elapsed().as_secs_f64());
             let t0 = std::time::Instant::now();
             let epoch = self.next_sub_epoch(gep);
             let (lo, hi) = self.levels.split_at_mut(l + 1);
             average_down_dist(&hi[0].state, &mut lo[l].state, IntVect::splat(2), gep, &|k| {
                 tags::owned(tags::OWNED_REDIST, epoch, l + 1, k)
             })?;
-            self.profiler
-                .add("AverageDown", t0.elapsed().as_secs_f64());
+            self.profiler.add(Region::AverageDown, t0.elapsed().as_secs_f64());
         }
         Ok(())
     }
@@ -812,8 +811,7 @@ impl Simulation {
                         &|k| tags::owned(tags::OWNED_REDIST, epoch, l, k),
                     )?;
                 }
-                self.profiler
-                    .add("AverageDown", t0.elapsed().as_secs_f64());
+                self.profiler.add(Region::AverageDown, t0.elapsed().as_secs_f64());
             }
             if self.cfg.nan_poison {
                 for l in 0..self.levels.len() {
@@ -991,7 +989,7 @@ impl Simulation {
                 },
             )
             .assert_clean("RK stage skeletons");
-        self.profiler.add("FillPatch", t0.elapsed().as_secs_f64());
+        self.profiler.add(Region::FillPatch, t0.elapsed().as_secs_f64());
 
         let t1 = std::time::Instant::now();
         let ba = state.boxarray().clone();
@@ -1086,7 +1084,7 @@ impl Simulation {
             &update,
         )?;
         self.comm.interpolated_cells += interpolated.load(Ordering::Relaxed);
-        self.profiler.add("Advance", t1.elapsed().as_secs_f64());
+        self.profiler.add(Region::Advance, t1.elapsed().as_secs_f64());
         Ok(())
     }
 }

@@ -33,7 +33,6 @@ use crocco_fab::{
     BoxArray, DistributionMapping, DistributionStrategy, FArrayBox, FabView, MultiFab,
 };
 use crocco_geometry::{GridMapping, IndexBox, IntVect, ProblemDomain, RealVect};
-use crocco_perfmodel::Profiler;
 use crocco_runtime::{parallel_for_each_mut, GroupEndpoint, RankEndpoint};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -151,6 +150,79 @@ pub(crate) enum PlanKind {
     CoordCopy,
 }
 
+/// The step loop's timed regions — the rows of the paper's TinyProfiler
+/// tables (Figs. 6–7).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Region {
+    /// RK-stage kernel sweeps.
+    Advance,
+    /// Ghost fill: same-level exchange, two-level interpolation, physical BCs.
+    FillPatch,
+    /// Tag, cluster, remap and redistribute.
+    Regrid,
+    /// CFL reduction.
+    ComputeDt,
+    /// Fine-to-coarse restriction.
+    AverageDown,
+    /// Flux-register correction of the coarse level (subcycling only).
+    Reflux,
+}
+
+impl Region {
+    /// Number of regions.
+    pub const COUNT: usize = 6;
+    /// Every region, in declaration order.
+    pub const ALL: [Region; Region::COUNT] = [
+        Region::Advance,
+        Region::FillPatch,
+        Region::Regrid,
+        Region::ComputeDt,
+        Region::AverageDown,
+        Region::Reflux,
+    ];
+
+    /// The region's name in the paper's tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            Region::Advance => "Advance",
+            Region::FillPatch => "FillPatch",
+            Region::Regrid => "Regrid",
+            Region::ComputeDt => "ComputeDt",
+            Region::AverageDown => "AverageDown",
+            Region::Reflux => "Reflux",
+        }
+    }
+}
+
+/// Wall-clock seconds this rank spent in each [`Region`] (TinyProfiler
+/// analog).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RegionTimes([f64; Region::COUNT]);
+
+impl RegionTimes {
+    /// Adds `seconds` to `region`.
+    pub fn add(&mut self, region: Region, seconds: f64) {
+        self.0[region as usize] += seconds;
+    }
+
+    /// Seconds accumulated in `region`.
+    pub fn total(&self, region: Region) -> f64 {
+        self.0[region as usize]
+    }
+
+    /// The regions that were entered, with their seconds, in descending time
+    /// — the TinyProfiler report order.
+    pub fn report(&self) -> Vec<(&'static str, f64)> {
+        let mut rows: Vec<_> = Region::ALL
+            .into_iter()
+            .map(|r| (r.name(), self.total(r)))
+            .filter(|&(_, t)| t > 0.0)
+            .collect();
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1));
+        rows
+    }
+}
+
 /// Summary of an [`Simulation::advance_steps`] run.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct RunReport {
@@ -185,8 +257,8 @@ pub struct Simulation {
     pub(crate) hierarchy: AmrHierarchy,
     pub(crate) levels: Vec<LevelData>,
     pub(crate) interp: Box<dyn Interpolator>,
-    /// Region profiler (TinyProfiler analog); real wall-clock seconds.
-    pub profiler: Profiler,
+    /// Where this rank's wall-clock time went, by region.
+    pub profiler: RegionTimes,
     /// Communication accounting.
     pub comm: CommTotals,
     /// Per-level coordinate files (populated for `CoordSource::BinaryFile`).
@@ -270,7 +342,7 @@ impl Simulation {
                 .interpolator
                 .map(|k| k.build())
                 .unwrap_or_else(|| cfg.version.interpolator()),
-            profiler: Profiler::new(),
+            profiler: RegionTimes::default(),
             comm: CommTotals::default(),
             coord_files: Vec::new(),
             owned_rank,
@@ -862,11 +934,42 @@ mod tests {
     fn profiler_collects_the_paper_regions() {
         let mut sim = Simulation::new(sod_cfg());
         sim.advance_steps(3);
-        for region in ["ComputeDt", "FillPatch", "Advance"] {
+        for region in [Region::ComputeDt, Region::FillPatch, Region::Advance] {
             assert!(
                 sim.profiler.total(region) > 0.0,
-                "region {region} missing from profile"
+                "region {region:?} missing from profile"
             );
+        }
+        // Lockstep never refluxes, and a region never entered is not a row.
+        assert!(sim.profiler.report().iter().all(|r| r.0 != "Reflux"));
+
+        // Subcycled two-level Sod: every coarse step closes with a reflux
+        // and a restriction, and step 2 regrids.
+        let cfg = SolverConfig::builder()
+            .problem(ProblemKind::SodX)
+            .extents(64, 4, 4)
+            .version(CodeVersion::V1_2)
+            .max_levels(2)
+            .regrid_freq(2)
+            .subcycling(true)
+            .build();
+        let mut sim = Simulation::new(cfg);
+        assert!(sim.nlevels() > 1, "Sod must refine for this test");
+        sim.advance_steps(3);
+        for region in Region::ALL {
+            assert!(
+                sim.profiler.total(region) > 0.0,
+                "region {region:?} missing from the subcycled profile"
+            );
+        }
+        let report = sim.profiler.report();
+        assert!(
+            report.windows(2).all(|w| w[0].1 >= w[1].1),
+            "report not in descending time: {report:?}"
+        );
+        assert_eq!(report.len(), Region::COUNT);
+        for region in Region::ALL {
+            assert!(report.contains(&(region.name(), sim.profiler.total(region))));
         }
     }
 }

@@ -542,10 +542,8 @@ fn run_overlapped(
         }
     }
 
-    // Send tasks first — the serial (threads ≤ 1) schedule runs tasks in
-    // insertion order, so every rank's outgoing traffic is on the wire
-    // before any rank spins on a receive event. Remote reads of this rank's
-    // patches happen here, so sends are also update fences (`send_readers`).
+    // Send tasks: remote reads of this rank's patches happen here, so sends
+    // are also update fences (`send_readers`).
     let mut send_tasks = Vec::with_capacity(skel.sends.len());
     for &c in &skel.sends {
         let ep = st.ep;

@@ -29,7 +29,7 @@
 //!
 //! | # | paper subsystem | crate counterpart |
 //! |---|---|---|
-//! | S1 | MPI job across Summit nodes (§IV-B) | `runtime::sim`, `runtime::cluster`, `runtime::topology` |
+//! | S1 | MPI job across Summit nodes (§IV-B) | `runtime::cluster` |
 //! | S2 | on-node OpenMP / GPU streams (§IV-B) | `runtime::pool`, `runtime::taskgraph` |
 //! | S3 | AMReX `FabArray` data + comm metadata (§III-A) | **`fab` (`MultiFab`, plans, plan cache, stage executor)** |
 //! | S4 | AMR hierarchy, regrid, FillPatch (§III-B/C) | `amr` |

@@ -1,5 +1,4 @@
-//! Calibrated performance models of the Summit platform, plus the
-//! TinyProfiler-style region profiler.
+//! Calibrated performance models of the Summit platform.
 //!
 //! The paper evaluates CRoCCo on Summit: nodes with two 22-core IBM POWER9
 //! CPUs and six NVIDIA V100 GPUs on a fat-tree interconnect. This repository
@@ -18,8 +17,8 @@
 //! * [`network`] — an α–β fat-tree model with collective and metadata terms,
 //! * [`roofline`] — the hierarchical roofline evaluation of Yang et al. used
 //!   in §VI-A,
-//! * [`profiler`] — region timers in *simulated* seconds, mirroring the
-//!   AMReX TinyProfiler output of Figs. 6–7.
+//! * [`resilience`] — Young/Daly checkpoint-interval pricing under Summit's
+//!   MTBF (DESIGN.md §4g), and [`subcycle`] — lockstep-vs-subcycled work.
 //!
 //! Every calibration constant lives in [`summit`] with a comment tying it to
 //! the paper number it reproduces.
@@ -32,7 +31,6 @@ pub mod cpu;
 pub mod gpu;
 pub mod kernelspec;
 pub mod network;
-pub mod profiler;
 pub mod resilience;
 pub mod roofline;
 pub mod subcycle;
@@ -42,7 +40,6 @@ pub use cpu::{CpuBackend, CpuModel};
 pub use gpu::GpuModel;
 pub use kernelspec::KernelSpec;
 pub use network::NetworkModel;
-pub use profiler::Profiler;
 pub use resilience::ResilienceModel;
 pub use roofline::{score_measured, MeasuredPoint, RooflineLevel, RooflinePoint};
 pub use subcycle::SubcycleModel;

@@ -151,6 +151,17 @@ mod tests {
     }
 
     #[test]
+    fn only_the_unhidden_part_of_an_exchange_is_exposed() {
+        let n = NetworkModel::summit();
+        let comm = n.fill_boundary_time(26.0, 5e7);
+        // Nothing to hide behind: the fenced cost. Partly hidden: the
+        // remainder. Hidden entirely: free, never negative.
+        assert_eq!(n.exposed_time(comm, 0.0), comm);
+        assert_eq!(n.exposed_time(comm, 0.25 * comm), 0.75 * comm);
+        assert_eq!(n.exposed_time(comm, 2.0 * comm), 0.0);
+    }
+
+    #[test]
     fn fill_boundary_is_congestion_free() {
         let n = NetworkModel::summit();
         // FillBoundary cost is independent of rank count for fixed per-rank

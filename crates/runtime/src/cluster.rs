@@ -3,8 +3,8 @@
 //! `LocalCluster` spawns one OS thread per rank, wired all-to-all with
 //! crossbeam channels carrying [`Bytes`] payloads. It exists to prove the
 //! distributed code path — pack ghost region, send, receive, unpack — with
-//! real concurrency at laptop scale, complementing the virtual-clock
-//! simulator in [`crate::sim`] used for Summit-scale studies.
+//! real concurrency at laptop scale; what the same plans cost at Summit
+//! scale is priced in closed form by `crocco-bench` (DESIGN.md §3).
 //!
 //! In *chaos mode* ([`LocalCluster::run_with_chaos`]) the same endpoints run
 //! over an adversarial transport (see [`crate::chaos`] and DESIGN.md §4g):

@@ -1,30 +1,29 @@
 //! Parallel runtime substrate for the CRoCCo reproduction.
 //!
-//! The paper runs MPI across up to 1,024 Summit nodes. This crate substitutes
-//! two runtimes (see `DESIGN.md` §3):
+//! The paper runs MPI across up to 1,024 Summit nodes. Everything in this
+//! crate *executes*; what 1,024 nodes would cost is priced elsewhere, by the
+//! closed-form models of `crocco-perfmodel` over plan statistics (see
+//! `DESIGN.md` §3):
 //!
-//! * [`sim`] — a *simulated* communicator: per-rank virtual clocks advanced
-//!   by compute and communication costs from the
-//!   [`crocco-perfmodel`](crocco_perfmodel) Summit models. The scaling
-//!   studies (Figs. 5–7) replay the exact communication plans of the real
-//!   AMR metadata path through this simulator.
-//! * [`cluster`] — a *real* threaded message-passing cluster: N rank threads
-//!   connected by crossbeam channels moving [`bytes::Bytes`] payloads. Used
-//!   by tests and examples to demonstrate that the distributed code path
-//!   (pack → send → receive → unpack) actually executes, at laptop scale.
+//! * [`cluster`] — a threaded message-passing cluster: N rank threads
+//!   connected by crossbeam channels moving [`bytes::Bytes`] payloads. The
+//!   distributed code path (pack → send → receive → unpack) runs on it, at
+//!   laptop scale.
+//! * [`chaos`] — the framed, fault-injecting transport under [`cluster`]
+//!   (CRC, ack, retransmit; DESIGN.md §4g).
 //! * [`pool`] — a scoped thread pool for on-node parallel patch loops (the
 //!   OpenMP/GPU-thread analog below MPI, §IV-B).
 //! * [`taskgraph`] — a dependency-tracking task executor built on the same
 //!   scoped threads; the fab layer uses it to overlap halo exchange with
-//!   interior kernel sweeps (DESIGN.md §4e).
-//! * [`topology`] — rank ↔ node placement for Summit-like machines.
+//!   interior kernel sweeps (DESIGN.md §4e); [`taskcheck`] verifies its
+//!   schedules (DESIGN.md §4i).
 //!
 //! Where this crate sits in the paper-subsystem map (the S1–S5 table; the
 //! same table appears in the `fab` and `amr` roots):
 //!
 //! | # | paper subsystem | crate counterpart |
 //! |---|---|---|
-//! | S1 | MPI job across Summit nodes (§IV-B) | `runtime::sim`, `runtime::cluster`, `runtime::topology` |
+//! | S1 | MPI job across Summit nodes (§IV-B) | `runtime::cluster` |
 //! | S2 | on-node OpenMP / GPU streams (§IV-B) | **`runtime::pool`, `runtime::taskgraph`** |
 //! | S3 | AMReX `FabArray` data + comm metadata (§III-A) | `fab` (`MultiFab`, plans, plan cache) |
 //! | S4 | AMR hierarchy, regrid, FillPatch (§III-B/C) | `amr` |
@@ -38,10 +37,8 @@
 pub mod chaos;
 pub mod cluster;
 pub mod pool;
-pub mod sim;
 pub mod taskcheck;
 pub mod taskgraph;
-pub mod topology;
 
 pub use chaos::{
     ChaosConfig, ChaosRuntime, CrashPhase, CrashSpec, FaultPlan, StorageFault, StorageFaultPlan,
@@ -50,10 +47,8 @@ pub use cluster::{
     tags, CommError, CommGroup, GroupEndpoint, LocalCluster, Packet, RankEndpoint, RecvHandle,
 };
 pub use pool::{default_threads, parallel_for, parallel_for_each_mut};
-pub use sim::{CommOp, SimComm};
 pub use taskcheck::{
     verify_cross_rank, Access, Footprint, RankSchedule, Region, ScheduleSpec, Verification,
     Violation,
 };
 pub use taskgraph::{Schedule, StageError, TaskGraph, TaskHandle};
-pub use topology::Topology;

@@ -24,13 +24,15 @@
 //! * **Panic propagation.** A panicking task aborts the drain; the first
 //!   payload is re-thrown from [`TaskGraph::run`] on the caller's thread,
 //!   matching the fork-join loops' behaviour under `std::thread::scope`.
-//! * **Serial fallback.** With `threads <= 1` the graph runs inline in
-//!   insertion order — deterministic, allocation-light, and exactly what the
-//!   small test problems want.
+//! * **One single-threaded executor.** With `threads <= 1` the graph runs
+//!   on the calling thread, always taking the lowest-index ready job —
+//!   insertion order whenever no event is pending. The adversarial
+//!   schedules are the same loop with a different pick.
 
 use crate::cluster::CommError;
 use crate::taskcheck::{Footprint, ScheduleSpec};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -39,7 +41,8 @@ use std::sync::{Condvar, Mutex};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Schedule {
     /// The production executor: up to `threads` workers drain ready tasks
-    /// in queue order (inline serial execution when `threads <= 1`).
+    /// in queue order (on the calling thread, lowest ready index first, when
+    /// `threads <= 1`).
     Pool {
         /// Worker count.
         threads: usize,
@@ -320,14 +323,14 @@ impl<'env> TaskGraph<'env> {
     /// ranks or unwinding through the stepping loop. On error, workers stop
     /// after their current task and unstarted tasks are dropped.
     ///
-    /// On a pool of `threads <= 1` tasks run inline in insertion order,
-    /// spinning `progress` before a blocked event; the caller must therefore
-    /// insert every task an event's completion transitively requires on
-    /// *this* rank (its own pack/send jobs) before the event. On the
-    /// threaded path the calling thread becomes the coordinator: it pumps
-    /// `progress`, polls event predicates, and releases dependents the
-    /// moment an event fires, while workers keep draining ready compute
-    /// tasks — no worker ever blocks on communication.
+    /// On a pool of `threads <= 1` (and under the adversarial schedules)
+    /// the calling thread runs ready jobs itself and pumps `progress` only
+    /// when none is ready, so a pending event never holds back a job that
+    /// does not depend on it. On the threaded path the calling thread
+    /// becomes the coordinator: it pumps `progress`, polls event predicates,
+    /// and releases dependents the moment an event fires, while workers keep
+    /// draining ready compute tasks — no worker ever blocks on
+    /// communication.
     pub fn try_run(
         self,
         sched: Schedule,
@@ -367,37 +370,14 @@ impl<'env> TaskGraph<'env> {
             return Ok(());
         }
         let tracker = self.make_tracker();
-        if let Schedule::Adversarial { seed } = sched {
-            self.run_adversarial(seed, progress, &tracker)?;
-            check_tracker(&tracker);
-            return Ok(());
-        }
-        let Schedule::Pool { threads } = sched else {
-            unreachable!()
-        };
-        if threads <= 1 || n == 1 {
-            // Insertion order is a topological order (deps point backwards).
-            // A failure drops the remaining tasks — the fault-tolerant
-            // caller rolls the whole stage back anyway.
-            for (i, t) in self.tasks.into_iter().enumerate() {
-                match t.work {
-                    Work::Job(run) => {
-                        let scope = enter_scope(&tracker, i);
-                        let result = catch_unwind(AssertUnwindSafe(run));
-                        drop(scope);
-                        result.map_err(Failure::Panic)?;
-                    }
-                    Work::Event(mut ready) => {
-                        while !ready() {
-                            progress().map_err(Failure::Pump)?;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
+        let threads = match sched {
+            Schedule::Pool { threads } if threads > 1 && n > 1 => threads,
+            _ => {
+                self.run_serial(ReadyJobs::new(sched), progress, &tracker)?;
+                check_tracker(&tracker);
+                return Ok(());
             }
-            check_tracker(&tracker);
-            return Ok(());
-        }
+        };
 
         // Successor lists and atomic in-degrees drive readiness; a mutexed
         // deque + condvar is the ready queue (the vendored crossbeam stub has
@@ -550,16 +530,17 @@ impl<'env> TaskGraph<'env> {
         Ok(())
     }
 
-    /// The adversarial executor behind [`Schedule::Adversarial`]:
-    /// single-threaded Kahn's algorithm where the next ready job is chosen
-    /// by the seed instead of queue order. Events are polled between picks
-    /// with the progress pump, exactly like the serial pool path; because a
-    /// ready job always runs in preference to spinning on events, every
-    /// pack/send job a pending receive transitively needs still drains
-    /// first, so the liveness argument of the serial path carries over.
-    fn run_adversarial(
+    /// The single-threaded executor behind [`Schedule::Adversarial`] and
+    /// one-thread pools: Kahn's algorithm where `ready_jobs` decides which
+    /// ready job runs next. Events are polled between picks; because a ready
+    /// job always runs in preference to pumping, every pack/send job a
+    /// pending receive transitively needs drains before this rank waits on
+    /// it, wherever in the graph it was inserted. A failure drops the
+    /// remaining tasks — the fault-tolerant caller rolls the whole stage
+    /// back anyway.
+    fn run_serial(
         self,
-        seed: u64,
+        mut ready_jobs: ReadyJobs,
         progress: &mut (dyn FnMut() -> Result<(), StageError> + '_),
         tracker: &Tracker,
     ) -> Result<(), Failure> {
@@ -579,10 +560,11 @@ impl<'env> TaskGraph<'env> {
         // Events have no dependencies (add_event invariant), so all of them
         // are pollable from the start and never enter the ready-job set.
         let mut pending_events: Vec<usize> = self.events;
-        let mut ready_jobs: Vec<usize> = (0..n)
-            .filter(|&i| indeg[i] == 0 && !matches!(works[i], Some(Work::Event(_))))
-            .collect();
-        let mut rng = seed;
+        for i in 0..n {
+            if indeg[i] == 0 && matches!(works[i], Some(Work::Job(_))) {
+                ready_jobs.push(i);
+            }
+        }
         let mut done = 0usize;
         while done < n {
             // Poll events first: firing one may release new ready jobs.
@@ -609,7 +591,7 @@ impl<'env> TaskGraph<'env> {
                     k += 1;
                 }
             }
-            if ready_jobs.is_empty() {
+            let Some(i) = ready_jobs.pop() else {
                 if fired {
                     continue;
                 }
@@ -620,21 +602,7 @@ impl<'env> TaskGraph<'env> {
                 progress().map_err(Failure::Pump)?;
                 std::thread::yield_now();
                 continue;
-            }
-            // The adversarial pick: seed 0 always takes the highest-index
-            // ready task; other seeds draw from a splitmix64 stream.
-            let pos = if seed == 0 {
-                let mut best = 0;
-                for (p, &i) in ready_jobs.iter().enumerate() {
-                    if i > ready_jobs[best] {
-                        best = p;
-                    }
-                }
-                best
-            } else {
-                (splitmix64(&mut rng) % ready_jobs.len() as u64) as usize
             };
-            let i = ready_jobs.swap_remove(pos);
             let Some(Work::Job(job)) = works[i].take() else {
                 unreachable!("ready set holds a non-job")
             };
@@ -651,6 +619,47 @@ impl<'env> TaskGraph<'env> {
             }
         }
         Ok(())
+    }
+}
+
+/// The ready set of [`TaskGraph::run_serial`]; its `pop` is the schedule.
+enum ReadyJobs {
+    /// Lowest index first: insertion order wherever the edges allow it.
+    InOrder(BinaryHeap<Reverse<usize>>),
+    /// Highest index first: the mirror image of insertion order.
+    ReverseOrder(BinaryHeap<usize>),
+    /// Any ready job, drawn from a splitmix64 stream (the `u64` state).
+    Seeded(Vec<usize>, u64),
+}
+
+impl ReadyJobs {
+    /// The empty ready set whose `pop` order is `sched` on one thread.
+    fn new(sched: Schedule) -> Self {
+        match sched {
+            Schedule::Pool { .. } => ReadyJobs::InOrder(BinaryHeap::new()),
+            Schedule::Adversarial { seed: 0 } => ReadyJobs::ReverseOrder(BinaryHeap::new()),
+            Schedule::Adversarial { seed } => ReadyJobs::Seeded(Vec::new(), seed),
+        }
+    }
+
+    fn push(&mut self, i: usize) {
+        match self {
+            ReadyJobs::InOrder(h) => h.push(Reverse(i)),
+            ReadyJobs::ReverseOrder(h) => h.push(i),
+            ReadyJobs::Seeded(v, _) => v.push(i),
+        }
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        match self {
+            ReadyJobs::InOrder(h) => h.pop().map(|Reverse(i)| i),
+            ReadyJobs::ReverseOrder(h) => h.pop(),
+            ReadyJobs::Seeded(v, _) if v.is_empty() => None,
+            ReadyJobs::Seeded(v, rng) => {
+                let pos = (splitmix64(rng) % v.len() as u64) as usize;
+                Some(v.swap_remove(pos))
+            }
+        }
     }
 }
 
@@ -900,6 +909,41 @@ mod tests {
     }
 
     #[test]
+    fn an_event_may_precede_the_job_that_fires_it() {
+        // The event is inserted first and fires only once a later-inserted
+        // job (a rank's own send, say) has run. Every single-threaded
+        // schedule must run that job instead of waiting on the event; the
+        // pump gives up after a few calls so a wrong executor fails, not
+        // hangs.
+        for sched in [
+            Schedule::pool(1),
+            Schedule::adversarial(0),
+            Schedule::adversarial(0xC0FFEE),
+        ] {
+            let sent = AtomicBool::new(false);
+            let order = Mutex::new(Vec::new());
+            let (sent_ref, order_ref) = (&sent, &order);
+            let mut pumps = 0;
+            let mut g = TaskGraph::new();
+            let ev = g.add_event(move || sent_ref.load(Ordering::Acquire));
+            g.add_task(&[ev], move || order_ref.lock().unwrap().push("unpack"));
+            g.add_task(&[], move || {
+                sent_ref.store(true, Ordering::Release);
+                order_ref.lock().unwrap().push("send");
+            });
+            g.try_run(sched, &mut || {
+                pumps += 1;
+                if pumps > 8 {
+                    return Err(StageError::Comm(CommError::RankDead { rank: 0 }));
+                }
+                Ok(())
+            })
+            .unwrap_or_else(|e| panic!("{sched:?} waited on the event: {e}"));
+            assert_eq!(order.into_inner().unwrap(), ["send", "unpack"], "{sched:?}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "need try_run")]
     fn plain_run_rejects_event_graphs() {
         let mut g = TaskGraph::new();
@@ -989,7 +1033,7 @@ mod tests {
     #[test]
     fn adversarial_seed_zero_is_reverse_priority() {
         // Independent tasks: the worst-case order is exactly reversed
-        // insertion order, the mirror image of the serial pool path.
+        // insertion order, the mirror image of the one-thread pool's order.
         let deps: Vec<Vec<usize>> = (0..16).map(|_| vec![]).collect();
         let order = record_order_sched(&deps, Schedule::adversarial(0));
         assert_eq!(order, (0..16).rev().collect::<Vec<_>>());

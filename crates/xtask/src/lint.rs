@@ -39,7 +39,13 @@
 //!    whole simulated rank, so wire-reachable decoding returns typed
 //!    `CommError`/`FrameError`/`StageError` values, and the residue
 //!    (lock poisoning, local invariants) is a ratchet: lowered by the
-//!    change that removes a call, never raised.
+//!    change that removes a call, never raised;
+//! 10. the token `crocco_perfmodel` never appears in code under the `src/`
+//!     of an *executed* crate ([`EXECUTED_CRATE_SRC`]) — what runs and what
+//!     is modeled for Summit stay apart (DESIGN.md §3). The crates'
+//!     `Cargo.toml` edges to the model crate are pinned by
+//!     `benchmark/Cargo.lock` until the next benchmark issue (ROADMAP
+//!     item 4), so the boundary is held here.
 //!
 //! The scanner is a small hand-rolled Rust lexer (line/nested-block comments,
 //! string/raw-string/char literals, char-vs-lifetime disambiguation):
@@ -110,6 +116,16 @@ const UNWRAP_AUDIT: &[(&str, usize)] = &[
     ("crates/amr/src/tagging.rs", 0),
     ("crates/amr/src/fillpatch.rs", 1),
     ("crates/amr/src/interp.rs", 0),
+];
+
+/// Source trees of the crates that execute (rule 10): none of them may name
+/// the model crate.
+const EXECUTED_CRATE_SRC: &[&str] = &[
+    "crates/geometry/src/",
+    "crates/fab/src/",
+    "crates/runtime/src/",
+    "crates/amr/src/",
+    "crates/core/src/",
 ];
 
 /// Modules sanctioned to open checkpoint/manifest files for writing (rule
@@ -242,6 +258,7 @@ fn lint_file(rel: &Path, rel_str: &str, src: &str, is_crate_root: bool, report: 
     let allowlisted = UNSAFE_ALLOWLIST.contains(&rel_str);
     let view_allowed = RAW_VIEW_ALLOWLIST.contains(&rel_str);
     let durable_writer = DURABLE_WRITER_ALLOWLIST.contains(&rel_str);
+    let executed = EXECUTED_CRATE_SRC.iter().any(|p| rel_str.starts_with(p));
     // Rule 8 scopes to non-test code: the durable-restart suites corrupt
     // checkpoint files *on purpose* (they are the storage adversary).
     let test_start = stripped
@@ -310,6 +327,16 @@ fn lint_file(rel: &Path, rel_str: &str, src: &str, is_crate_root: bool, report: 
                         .to_string(),
                 });
             }
+        }
+        if executed && token_pos(line, "crocco_perfmodel").is_some() {
+            report.diagnostics.push(Diagnostic {
+                path: rel.to_path_buf(),
+                line: lineno,
+                message: "`crocco_perfmodel` in an executed crate: the Summit models \
+                          price plan statistics from `crates/bench`, they are not \
+                          called by code that runs (DESIGN.md §3)"
+                    .to_string(),
+            });
         }
         if !view_allowed {
             for tok in RAW_VIEW_TOKENS {
@@ -847,6 +874,33 @@ mod tests {
             msgs[0].contains("`FabRw::from_mut` outside the fab view layer"),
             "{msgs:?}"
         );
+    }
+
+    #[test]
+    fn fixture_executed_crates_may_not_name_the_model_crate() {
+        let fx = Fixture::new();
+        fx.write("Cargo.toml", "[package]\nname = \"fx\"\n");
+        fx.write("src/lib.rs", "#![forbid(unsafe_code)]\npub use crocco_perfmodel as perfmodel;\n");
+        fx.write("crates/core/Cargo.toml", "[package]\nname = \"core\"\n");
+        fx.write(
+            "crates/core/src/lib.rs",
+            "#![forbid(unsafe_code)]\n\
+             //! priced by [`crocco_perfmodel`] — a comment is fine\n\
+             pub const DOC: &str = \"crocco_perfmodel in a string is fine\";\n\
+             pub mod driver;\n",
+        );
+        fx.write("crates/core/src/driver.rs", "use crocco_perfmodel::NetworkModel;\n");
+        // The harness crate is where the models are meant to be called.
+        fx.write("crates/bench/Cargo.toml", "[package]\nname = \"bench\"\n");
+        fx.write(
+            "crates/bench/src/lib.rs",
+            "#![forbid(unsafe_code)]\nuse crocco_perfmodel::SummitPlatform;\n",
+        );
+        let report = lint_root(&fx.root);
+        let msgs = messages(&report);
+        assert_eq!(report.diagnostics.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("crates/core/src/driver.rs:1"), "{msgs:?}");
+        assert!(msgs[0].contains("`crocco_perfmodel` in an executed crate"), "{msgs:?}");
     }
 
     #[test]

@@ -64,9 +64,10 @@ fn main() -> ExitCode {
             eprintln!("          every docs/results/*.md cited by the narrative");
             eprintln!("          documents exists, no bare fs::write/File::create on");
             eprintln!("          checkpoint/manifest paths outside the durable writer");
-            eprintln!("          (advisory, DESIGN.md §4j), plus a per-file ratchet");
-            eprintln!("          on unwrap()/expect() calls in the network-facing");
-            eprintln!("          runtime modules");
+            eprintln!("          (advisory, DESIGN.md §4j), a per-file ratchet on");
+            eprintln!("          unwrap()/expect() calls in the network-facing");
+            eprintln!("          runtime modules, and no `crocco_perfmodel` in the");
+            eprintln!("          source of an executed crate");
             ExitCode::FAILURE
         }
     }

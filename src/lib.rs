@@ -10,9 +10,10 @@
 //!
 //! * [`geometry`] — index-space boxes, Morton ordering, curvilinear mappings,
 //! * [`fab`] — `FArrayBox`/`MultiFab` field containers and distribution maps,
-//! * [`runtime`] — the (simulated) message-passing runtime and thread pool,
+//! * [`runtime`] — the threaded message-passing cluster, task graph and
+//!   thread pool everything executes on,
 //! * [`perfmodel`] — Summit hardware models (POWER9, V100 roofline, fat-tree)
-//!   and the TinyProfiler-style region profiler,
+//!   that price the modeled tables and figures,
 //! * [`amr`] — the AMR framework: tagging, Berger–Rigoutsos clustering,
 //!   FillPatch, interpolators, regridding, load balancing,
 //! * [`solver`] — the CRoCCo numerics: WENO-SYMBO, viscous fluxes, RK3,
