@@ -23,11 +23,14 @@ use crocco_bench::report::print_table;
 use crocco_fab::{tiled_work_list, BoxArray, DistributionMapping, FArrayBox, MultiFab, DEFAULT_TILE};
 use crocco_geometry::decompose::ChopParams;
 use crocco_geometry::{IndexBox, IntVect, RealVect, StretchedMapping};
-use crocco_perfmodel::kernelspec::{compute_dt_spec, stage_kernels, update_spec, weno_spec};
+use crocco_perfmodel::kernelspec::{
+    compute_dt_spec, stage_kernels, update_spec, viscous_spec, weno_spec,
+};
 use crocco_perfmodel::{score_measured, KernelSpec, MeasuredPoint};
 use crocco_solver::backend::BackendKind;
 use crocco_solver::kernels::NGHOST;
 use crocco_solver::metrics::{compute_metrics, generate_coords, NCOORDS, NMETRICS};
+use crocco_solver::sgs::Smagorinsky;
 use crocco_solver::state::{Conserved, Primitive, NCONS};
 use crocco_solver::weno::Reconstruction;
 use crocco_solver::{PerfectGas, WenoVariant};
@@ -183,19 +186,23 @@ fn measure_backend(lvl: &Level, backend: BackendKind) -> Vec<(KernelSpec, f64)> 
         let t = time_best(|| weno_sweep(lvl, backend, dir, &mut rhs));
         out.push((weno_spec(dir), t));
     }
-    let t = time_best(|| {
-        for (i, r) in rhs.iter_mut().enumerate() {
-            backend.viscous_flux_les(
-                lvl.state.fab(i),
-                lvl.metrics.fab(i),
-                r,
-                lvl.state.valid_box(i),
-                &lvl.gas,
-                None,
-            );
-        }
-    });
-    out.push((crocco_perfmodel::kernelspec::viscous_spec(), t));
+    // Molecular viscosity alone, then with the Smagorinsky closure on top —
+    // the arithmetic mix of an LES run.
+    for (name, sgs) in [("Viscous", None), ("LES", Some(Smagorinsky { cs: 0.16 }))] {
+        let t = time_best(|| {
+            for (i, r) in rhs.iter_mut().enumerate() {
+                backend.viscous_flux_les(
+                    lvl.state.fab(i),
+                    lvl.metrics.fab(i),
+                    r,
+                    lvl.state.valid_box(i),
+                    &lvl.gas,
+                    sgs.as_ref(),
+                );
+            }
+        });
+        out.push((KernelSpec { name, ..viscous_spec() }, t));
+    }
     let t = time_best(|| {
         for (d, r) in du.iter_mut().zip(&rhs) {
             d.lincomb(0.9, 1e-3, r);

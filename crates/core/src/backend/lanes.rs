@@ -25,12 +25,17 @@
 //! no scalar face tail, and a plane that is not a multiple of LANES pads
 //! its last lane group with a duplicate pencil whose result is discarded.
 //! The split-flux pass before the face loop and the flux difference after
-//! it are plain elementwise loops over the same scratch. The scratch is a
-//! fixed-size buffer (`SCRATCH_LEN`) per concurrently sweeping thread, kept
-//! for the life of the process; regions that exceed it are swept in blocks.
+//! it are plain elementwise loops over the same scratch: a fixed
+//! `SCRATCH_LEN` values of a buffer kept, per concurrently running kernel
+//! thread, for the life of the process; regions that exceed it are swept in
+//! blocks.
 //!
-//! The viscous and SGS loops lane across contiguous x-cells of one row;
-//! `ComputeDt` is the per-point kernel (laned, it measured slower).
+//! The viscous and SGS kernels lane across contiguous x-cells of one row.
+//! They stage primitives and fluxes in row-padded SoA arrays (a scratch from
+//! the same idle list), read every stencil tap as a fixed-width slice load,
+//! and compute each metric quotient `m_dj / J` and each primitive once per
+//! cell, where the scalar kernels recompute them at every use. `ComputeDt`
+//! is the per-point kernel (laned, it measured slower).
 //!
 //! # Bitwise identity with Scalar
 //!
@@ -44,7 +49,7 @@
 //!
 //! Lanes never fuses, reassociates, or reorders the operations *within* one
 //! cell or face — it only evaluates independent cells/faces side by side,
-//! and the scratch layout is pure storage. Three details make this exact,
+//! and the scratch layout is pure storage. Four details make this exact,
 //! not approximate:
 //!
 //! * The α-weight guard `if d[r] == 0.0` and the downwind cap
@@ -54,8 +59,12 @@
 //!   add terms in the same order as the scalar code, so every intermediate
 //!   rounding matches.
 //! * `f64::min`/`max` and the remaining per-lane calls into shared scalar
-//!   helpers (`to_primitive`, `sound_speed`, `viscosity`) are the very same
-//!   functions the scalar backend runs.
+//!   helpers (`to_primitive`, `sound_speed`, `viscosity`, `cbrt`) are the
+//!   very same functions the scalar backend runs.
+//! * A value the scalar kernels compute several times from the same
+//!   operands — a quotient `m_dj / J`, a neighbour's primitive velocity,
+//!   μ(T) inside the conductivity — is computed once and reused: the same
+//!   operation on the same operands rounds the same way every time.
 //!
 //! Rust does not contract `a*b + c` into FMA, so lane loops and scalar code
 //! round identically. Each face flux is a pure function of its six-cell
@@ -69,8 +78,9 @@
 //! [`Reconstruction::Characteristic`] builds a Roe eigensystem *per face*
 //! and projects through dense 5×5 maps — per-face data-dependent work with
 //! no contiguous lane structure — so this backend delegates characteristic
-//! sweeps to the scalar kernel wholesale. Row remainders of the viscous
-//! and SGS loops run partial lane groups.
+//! sweeps to the scalar kernel wholesale. The ragged last lane group of a
+//! viscous or SGS row computes its pad lanes from staging pad cells and
+//! stores only the real ones.
 
 // `for l in 0..LANES`-style index loops over several lane arrays at once
 // are the whole point of this module: they are what LLVM autovectorizes,
@@ -136,8 +146,8 @@ impl KernelBackend for LanesBackend {
         gas: &PerfectGas,
         cfl: f64,
     ) -> f64 {
-        // A min-reduction over per-cell `get`s: laning it measured slower
-        // than the per-point kernel (BENCH_backend.json), so there is none.
+        // A min-reduction over row slices: laning it measured slower than
+        // the per-point kernel (BENCH_backend.json), so there is none.
         kernels::compute_dt_patch(u, met, valid, gas, cfl)
     }
 
@@ -250,13 +260,29 @@ const SCRATCH_FIELDS: usize = INPUT_FIELDS + 2 * NCONS + 1;
 const SCRATCH_LEN: usize =
     (2 * SCRATCH_FIELDS + INPUT_FIELDS) * LANES * (MAX_PENCIL + 2 * STENCIL_RADIUS);
 
-/// Sweep scratches not in use, each [`SCRATCH_LEN`] long. A sweep takes one
-/// and puts it back, so the process allocates one per thread that has ever
-/// swept *at the same time*, once. Not a thread-local: the pool executors
-/// spawn their workers anew for every RK stage, and a scratch that dies with
-/// its thread is mapped, faulted in and unmapped dozens of times per step,
-/// at a cost that varies with whatever else the host is doing.
+/// Kernel scratches not in use: the WENO sweep's [`SCRATCH_LEN`] blocks and
+/// the viscous kernel's staging arrays alike. A kernel takes one, grows it if
+/// it is short, and puts it back, so the process allocates one per thread
+/// that has ever run a kernel *at the same time*, sized to the largest region
+/// it ran, and never zero-fills it again. Not a thread-local: the pool
+/// executors spawn their workers anew for every RK stage, and a scratch that
+/// dies with its thread is mapped, faulted in and unmapped dozens of times
+/// per step, at a cost that varies with whatever else the host is doing.
 static IDLE_SCRATCH: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+
+/// Runs `f` on `len` values of a scratch from [`IDLE_SCRATCH`]. They hold
+/// whatever the previous kernel left there: callers write every value whose
+/// result they keep before reading it.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    let idle = IDLE_SCRATCH.lock().expect("scratch list poisoned").pop();
+    let mut buf = idle.unwrap_or_default();
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    let out = f(&mut buf[..len]);
+    IDLE_SCRATCH.lock().expect("scratch list poisoned").push(buf);
+    out
+}
 
 /// Splits `buf` into `N` consecutive slices of `len` elements.
 fn carve<const N: usize>(buf: &mut [f64], len: usize) -> ([&mut [f64]; N], &mut [f64]) {
@@ -281,21 +307,20 @@ fn weno_flux_lanes(
     // Unbounded across the plane, at most MAX_PENCIL along the sweep.
     let mut extent = IntVect::splat(i64::MAX / 2);
     extent[dir] = MAX_PENCIL as i64;
-    let idle = IDLE_SCRATCH.lock().expect("scratch list poisoned").pop();
-    let mut scratch = idle.unwrap_or_else(|| vec![0.0; SCRATCH_LEN]);
-    for block in tile_boxes(region, extent) {
-        let m = block.length(dir) as usize + 2 * STENCIL_RADIUS;
-        let plane = (block.num_points() / block.length(dir) as u64) as usize;
-        // Equal blocks of whole lane groups, as few as the scratch
-        // (less the transposition tile) allows.
-        let fit = (SCRATCH_LEN / (LANES * m) - INPUT_FIELDS) / SCRATCH_FIELDS * LANES;
-        let step = plane.div_ceil(plane.div_ceil(fit)).next_multiple_of(LANES);
-        for p0 in (0..plane).step_by(step) {
-            let pc = step.min(plane - p0);
-            sweep_block(u, met, rhs, block, dir, p0, pc, gas, variant, &mut scratch);
+    with_scratch(SCRATCH_LEN, |scratch| {
+        for block in tile_boxes(region, extent) {
+            let m = block.length(dir) as usize + 2 * STENCIL_RADIUS;
+            let plane = (block.num_points() / block.length(dir) as u64) as usize;
+            // Equal blocks of whole lane groups, as few as the scratch
+            // (less the transposition tile) allows.
+            let fit = (SCRATCH_LEN / (LANES * m) - INPUT_FIELDS) / SCRATCH_FIELDS * LANES;
+            let step = plane.div_ceil(plane.div_ceil(fit)).next_multiple_of(LANES);
+            for p0 in (0..plane).step_by(step) {
+                let pc = step.min(plane - p0);
+                sweep_block(u, met, rhs, block, dir, p0, pc, gas, variant, scratch);
+            }
         }
-    }
-    IDLE_SCRATCH.lock().expect("scratch list poisoned").push(scratch);
+    });
 }
 
 /// The x-contiguous pieces of pencils `p0 .. p0 + pc` of a y- or z-sweep
@@ -569,20 +594,227 @@ fn sweep_block(
     }
 }
 
-/// Iterates the rows (fixed `j`, `k`) of `bx` as `(row base point, length)`.
-fn rows(bx: IndexBox) -> impl Iterator<Item = (IntVect, usize)> {
-    let (lo, hi) = (bx.lo(), bx.hi());
-    let len = (hi[0] - lo[0] + 1) as usize;
-    (lo[2]..=hi[2]).flat_map(move |k| {
-        (lo[1]..=hi[1]).map(move |j| (IntVect::new(lo[0], j, k), len))
-    })
+/// A fixed-width load of the LANES values at `at`.
+#[inline(always)]
+fn ld(s: &[f64], at: usize) -> [f64; LANES] {
+    s[at..at + LANES].try_into().expect("LANES-wide load")
 }
 
-/// Lane-structured viscous/LES fluxes: same two global-memory-style scratch
-/// passes as the scalar kernel, with pass 1's gradient/stress/flux algebra
-/// and pass 2's divergence laned across contiguous x-cells of each row. The
-/// per-cell primitive fill (pass 0) and the per-point SGS closure call are
-/// shared with the scalar kernel verbatim.
+/// Row-padded layout of one component of the viscous kernel's staging
+/// arrays over a box: x-row `(j, k)` starts at [`Staged::row`] and is
+/// `stride` values long — the box's cells, then pad cells, so a LANES-wide
+/// load at any stencil tap of any lane group of the row stays in the buffer.
+/// Pad lanes compute values that are never stored.
+#[derive(Clone, Copy)]
+struct Staged {
+    lo: IntVect,
+    ny: usize,
+    nz: usize,
+    stride: usize,
+}
+
+impl Staged {
+    fn new(bx: IndexBox, stride: usize) -> Self {
+        Staged {
+            lo: bx.lo(),
+            ny: bx.length(1) as usize,
+            nz: bx.length(2) as usize,
+            stride,
+        }
+    }
+
+    /// Values per component.
+    fn len(&self) -> usize {
+        self.ny * self.nz * self.stride
+    }
+
+    /// Offset of the row's first cell, `(lo[0], j, k)`.
+    fn row(&self, j: i64, k: i64) -> usize {
+        ((k - self.lo[2]) as usize * self.ny + (j - self.lo[1]) as usize) * self.stride
+    }
+
+    /// Offsets of the neighbours `−s·e_ξ` and `+s·e_ξ`, for each direction
+    /// ξ, of the cell `x` cells into row `(j, k)`.
+    fn neighbours(&self, j: i64, k: i64, x: usize, s: i64) -> [[usize; 2]; 3] {
+        let c = self.row(j, k) + x;
+        let d = s as usize;
+        let y = |dj: i64| self.row(j + dj, k) + x;
+        let z = |dk: i64| self.row(j, k + dk) + x;
+        [[c - d, c + d], [y(-s), y(s)], [z(-s), z(s)]]
+    }
+
+    /// The 4th-order central-difference taps `[−2, −1, +1, +2]` along each
+    /// direction of the cell `x` cells into row `(j, k)`.
+    fn taps(&self, j: i64, k: i64, x: usize) -> [[usize; 4]; 3] {
+        let (n1, n2) = (self.neighbours(j, k, x, 1), self.neighbours(j, k, x, 2));
+        std::array::from_fn(|xi| [n2[xi][0], n1[xi][0], n1[xi][1], n2[xi][1]])
+    }
+}
+
+/// Pass 0: velocity and temperature rows of every cell of `bx`, staged in
+/// `prims` (laid out by `lay`) by the very [`Conserved::to_primitive`] the
+/// scalar kernels call, from `read_row` copies of the five conserved rows
+/// (`tmp` holds them: at least `NCONS` × the box's x-length).
+fn stage_primitives(
+    u: &impl FabView,
+    gas: &PerfectGas,
+    bx: IndexBox,
+    lay: Staged,
+    prims: &mut [&mut [f64]; 4],
+    tmp: &mut [f64],
+) {
+    let n = bx.length(0) as usize;
+    let (mut rows, _) = carve::<NCONS>(tmp, n);
+    for p in bx.rows() {
+        for (c, r) in rows.iter_mut().enumerate() {
+            u.read_row(p, c, r);
+        }
+        let at = lay.row(p[1], p[2]);
+        let [pu, pv, pw, pt] = prims;
+        let (pu, pv, pw, pt) = (
+            &mut pu[at..at + n],
+            &mut pv[at..at + n],
+            &mut pw[at..at + n],
+            &mut pt[at..at + n],
+        );
+        let [rho, mx, my, mz, e] = &rows;
+        let (rho, mx, my, mz, e) = (&rho[..n], &mx[..n], &my[..n], &mz[..n], &e[..n]);
+        for i in 0..n {
+            let w = Conserved([rho[i], mx[i], my[i], mz[i], e[i]]).to_primitive(gas);
+            pu[i] = w.vel[0];
+            pv[i] = w.vel[1];
+            pw[i] = w.vel[2];
+            pt[i] = w.t;
+        }
+    }
+}
+
+/// Number of padded row buffers the per-row loads use: the nine metrics,
+/// the Jacobian and the density.
+const ROW_BUFS: usize = 11;
+
+/// Copies, for the `n` cells from `p`, the nine metric rows, the Jacobian
+/// row and — for the closure — the density row into `rows`.
+fn load_rows(
+    u: &impl FabView,
+    met: &FArrayBox,
+    p: IntVect,
+    n: usize,
+    rho: bool,
+    rows: &mut [&mut [f64]; ROW_BUFS],
+) {
+    for (c, r) in rows[..9].iter_mut().enumerate() {
+        r[..n].copy_from_slice(met.row(p, mcomp::M + c, n));
+    }
+    rows[9][..n].copy_from_slice(met.row(p, mcomp::JAC, n));
+    if rho {
+        u.read_row(p, cons::RHO, &mut rows[10][..n]);
+    }
+}
+
+/// The metrics `m_dj` (`[d][j]`), the Jacobian and the quotients `m_dj / J`
+/// of the lane group at `i0` of the rows [`load_rows`] filled. Each quotient
+/// is computed once and shared by every gradient transform and the closure,
+/// which the scalar kernels evaluate as the same division of the same
+/// operands at each use — so sharing it is exact.
+struct GroupMetrics {
+    m: [[[f64; LANES]; 3]; 3],
+    q: [[[f64; LANES]; 3]; 3],
+    jac: [f64; LANES],
+}
+
+impl GroupMetrics {
+    #[inline(always)]
+    fn load(rows: &[&mut [f64]; ROW_BUFS], i0: usize) -> Self {
+        let jac = ld(rows[9], i0);
+        let m: [[[f64; LANES]; 3]; 3] =
+            std::array::from_fn(|d| std::array::from_fn(|j| ld(rows[d * 3 + j], i0)));
+        let mut q = [[[0.0; LANES]; 3]; 3];
+        for d in 0..3 {
+            for j in 0..3 {
+                for l in 0..LANES {
+                    q[d][j][l] = m[d][j][l] / jac[l];
+                }
+            }
+        }
+        GroupMetrics { m, q, jac }
+    }
+}
+
+/// The Smagorinsky eddy viscosity `μ_t = ρ (C_s Δ)² |S|` of one lane group:
+/// per lane the operation sequence of [`Smagorinsky::eddy_viscosity`], with
+/// the velocities read from the staged primitives (`vel`, the same
+/// `to_primitive` values the closure derives) at the `[−e_ξ, +e_ξ]`
+/// neighbour offsets `taps` + `i0`. The one copy of the gradient → |S| → μ_t
+/// algebra in this backend: the viscous kernel and the μ_t field both call
+/// it.
+#[inline(always)]
+fn eddy_viscosity_lanes(
+    cs: f64,
+    vel: [&[f64]; 3],
+    taps: &[[usize; 2]; 3],
+    i0: usize,
+    gm: &GroupMetrics,
+    rho: &[f64; LANES],
+) -> [f64; LANES] {
+    // Computational velocity gradients (2nd-order central).
+    let mut dcomp = [[[0.0; LANES]; 3]; 3]; // [ξ][velocity component]
+    for (xi, [minus, plus]) in taps.iter().enumerate() {
+        for (i, v) in vel.iter().enumerate() {
+            let (wm, wp) = (ld(v, minus + i0), ld(v, plus + i0));
+            for l in 0..LANES {
+                dcomp[xi][i][l] = 0.5 * (wp[l] - wm[l]);
+            }
+        }
+    }
+    // Transform: ∂u_i/∂x_j = Σ_d (m_dj / J) ∂u_i/∂ξ_d.
+    let mut g = [[[0.0; LANES]; 3]; 3];
+    for i in 0..3 {
+        for j in 0..3 {
+            for l in 0..LANES {
+                let mut s = 0.0;
+                for d in 0..3 {
+                    s += gm.q[d][j][l] * dcomp[d][i][l];
+                }
+                g[i][j][l] = s;
+            }
+        }
+    }
+    let mut ss = [0.0; LANES];
+    for i in 0..3 {
+        for j in 0..3 {
+            for l in 0..LANES {
+                let sij = 0.5 * (g[i][j][l] + g[j][i][l]);
+                ss[l] += sij * sij;
+            }
+        }
+    }
+    let mut mu_t = [0.0; LANES];
+    for l in 0..LANES {
+        let delta = gm.jac[l].cbrt();
+        let smag = (2.0 * ss[l]).sqrt();
+        mu_t[l] = rho[l] * (cs * delta).powi(2) * smag;
+    }
+    mu_t
+}
+
+/// Lane-structured viscous/LES fluxes: the scalar kernel's two
+/// global-memory-style staging passes, over row-padded staging arrays from
+/// [`IDLE_SCRATCH`], with every operation the scalar kernel performs per
+/// cell evaluated once:
+///
+/// 0. **primitives** — [`stage_primitives`] over `valid.grow(4)`;
+/// 1. **fluxes** — per lane group of a `valid.grow(2)` row: the quotients
+///    `m_dj / J` once ([`GroupMetrics`]), the 4th-order gradients of u, v,
+///    w, T from staged rows, the closure from the same staged velocities
+///    ([`eddy_viscosity_lanes`]), μ(T) once for μ and k, then stress, heat
+///    flux and the contravariant flux rows;
+/// 2. **divergence** — per lane group of a `valid` row, accumulated into
+///    `rhs`.
+///
+/// The density row of the viscous flux is identically zero and is not
+/// staged: its divergence is `+0.0`, added as `0.0 / J` exactly as the
+/// scalar kernel adds it.
 fn viscous_flux_lanes(
     u: &impl FabView,
     met: &FArrayBox,
@@ -594,167 +826,152 @@ fn viscous_flux_lanes(
     if gas.mu_ref == 0.0 && sgs.is_none() {
         return;
     }
-    let work = valid.grow(2);
-    let prim_region = work.grow(2);
-    let mut prims = FArrayBox::new(prim_region, 4);
-    for p in prim_region.cells() {
-        let w = Conserved([
-            u.get(p, cons::RHO),
-            u.get(p, cons::MX),
-            u.get(p, cons::MY),
-            u.get(p, cons::MZ),
-            u.get(p, cons::ENER),
-        ])
-        .to_primitive(gas);
-        prims.set(p, 0, w.vel[0]);
-        prims.set(p, 1, w.vel[1]);
-        prims.set(p, 2, w.vel[2]);
-        prims.set(p, 3, w.t);
-    }
-    let mut scratch = FArrayBox::new(work, 3 * NCONS);
+    let (work, prim_box) = (valid.grow(2), valid.grow(4));
+    let (nx, wx) = (valid.length(0) as usize, work.length(0) as usize);
+    // Pass 1 reads prims at lane-group offsets up to `wx` rounded up + the
+    // 4-wide stencil; pass 2 reads the fluxes likewise within `nx` + 4.
+    let stride = wx.next_multiple_of(LANES) + 4;
+    let (prim_lay, flux_lay) = (Staged::new(prim_box, stride), Staged::new(work, stride));
+    // Flux rows staged per direction: momentum and energy (`cons::MX..`).
+    const NFLUX: usize = NCONS - 1;
+    let len = 4 * prim_lay.len() + 3 * NFLUX * flux_lay.len() + ROW_BUFS * stride;
+    with_scratch(len, |buf| {
+        let (mut prims, rest) = carve::<4>(buf, prim_lay.len());
+        let (flux, rest) = carve::<{ 3 * NFLUX }>(rest, flux_lay.len());
+        stage_primitives(u, gas, prim_box, prim_lay, &mut prims, rest);
+        let (mut rows, _) = carve::<ROW_BUFS>(rest, stride);
+        let prims = prims.map(|p| &*p);
+        let cp = gas.cp();
 
-    // Pass 1, laned: gradients → stress/heat flux → contravariant flux.
-    for (row0, len) in rows(work) {
-        let mut x0 = 0usize;
-        while x0 < len {
-            let w_ = LANES.min(len - x0);
-            let at = |l: usize| IntVect::new(row0[0] + (x0 + l) as i64, row0[1], row0[2]);
-            let mut jac = [0.0; LANES];
-            for l in 0..w_ {
-                jac[l] = met.get(at(l), mcomp::JAC);
-            }
-            // Computational gradients of u, v, w, T (4th-order central).
-            let mut dcomp = [[[0.0; LANES]; 3]; 4]; // [field][xi][lane]
-            for (fi, rowf) in dcomp.iter_mut().enumerate() {
-                for (xi, dc) in rowf.iter_mut().enumerate() {
-                    let e = IntVect::unit(xi);
-                    for l in 0..w_ {
-                        let p = at(l);
-                        dc[l] = (prims.get(p - e * 2, fi) - 8.0 * prims.get(p - e, fi)
-                            + 8.0 * prims.get(p + e, fi)
-                            - prims.get(p + e * 2, fi))
-                            / 12.0;
-                    }
-                }
-            }
-            // Metric rows, loaded once per chunk.
-            let mut mm = [[[0.0; LANES]; 3]; 3]; // [d][j][lane]
-            for (d, md) in mm.iter_mut().enumerate() {
-                for (j, mdj) in md.iter_mut().enumerate() {
-                    for l in 0..w_ {
-                        mdj[l] = met.get(at(l), mcomp::M + d * 3 + j);
-                    }
-                }
-            }
-            // Transform to physical space, same d-accumulation order.
-            let mut dphys = [[[0.0; LANES]; 3]; 4];
-            for (rowc, dp_row) in dcomp.iter().zip(dphys.iter_mut()) {
-                for (j, dp) in dp_row.iter_mut().enumerate() {
-                    for l in 0..w_ {
-                        let mut s = 0.0;
-                        for (d, rc) in rowc.iter().enumerate() {
-                            s += mm[d][j][l] / jac[l] * rc[l];
+        // Pass 1: gradients → stress/heat flux → contravariant flux.
+        for p in work.rows() {
+            load_rows(u, met, p, wx, sgs.is_some(), &mut rows);
+            // Work cell `x` is prims cell `x + 2` of the same row.
+            let taps = prim_lay.taps(p[1], p[2], 2);
+            let centre = prim_lay.row(p[1], p[2]) + 2;
+            let sgs_taps = prim_lay.neighbours(p[1], p[2], 2, 1);
+            let out = flux_lay.row(p[1], p[2]);
+            for i0 in (0..wx).step_by(LANES) {
+                let gm = GroupMetrics::load(&rows, i0);
+                // Computational gradients of u, v, w, T (4th-order central).
+                let mut dcomp = [[[0.0; LANES]; 3]; 4]; // [field][ξ]
+                for (fi, f) in prims.iter().enumerate() {
+                    for (xi, t) in taps.iter().enumerate() {
+                        let [m2, m1, p1, p2] = t.map(|t| ld(f, t + i0));
+                        for l in 0..LANES {
+                            dcomp[fi][xi][l] = (m2[l] - 8.0 * m1[l] + 8.0 * p1[l] - p2[l]) / 12.0;
                         }
-                        dp[l] = s;
                     }
                 }
-            }
-            let mut w_vel = [[0.0; LANES]; 3];
-            let mut w_t = [0.0; LANES];
-            for l in 0..w_ {
-                let p = at(l);
-                w_vel[0][l] = prims.get(p, 0);
-                w_vel[1][l] = prims.get(p, 1);
-                w_vel[2][l] = prims.get(p, 2);
-                w_t[l] = prims.get(p, 3);
-            }
-            let mut mu = [0.0; LANES];
-            let mut kk = [0.0; LANES];
-            for l in 0..w_ {
-                mu[l] = gas.viscosity(w_t[l]);
-                kk[l] = gas.conductivity(w_t[l]);
-            }
-            if let Some(model) = sgs {
-                for l in 0..w_ {
-                    // Per-point closure shared with the scalar kernel.
-                    let mu_t = model.eddy_viscosity(u, met, at(l), gas);
-                    mu[l] += mu_t;
-                    kk[l] += mu_t * gas.cp() / 0.9;
-                }
-            }
-            let mut div = [0.0; LANES];
-            for l in 0..w_ {
-                div[l] = dphys[0][0][l] + dphys[1][1][l] + dphys[2][2][l];
-            }
-            let mut tau = [[[0.0; LANES]; 3]; 3];
-            for i in 0..3 {
-                for j in 0..3 {
-                    for l in 0..w_ {
-                        tau[i][j][l] = mu[l] * (dphys[i][j][l] + dphys[j][i][l]);
+                // Transform to physical space: ∂φ/∂x_j = Σ_d (m_dj/J) ∂φ/∂ξ_d.
+                let mut dphys = [[[0.0; LANES]; 3]; 4];
+                for fi in 0..4 {
+                    for j in 0..3 {
+                        for l in 0..LANES {
+                            let mut s = 0.0;
+                            for d in 0..3 {
+                                s += gm.q[d][j][l] * dcomp[fi][d][l];
+                            }
+                            dphys[fi][j][l] = s;
+                        }
                     }
                 }
-                for l in 0..w_ {
-                    tau[i][i][l] -= 2.0 / 3.0 * mu[l] * div[l];
+                let w_vel: [[f64; LANES]; 3] = std::array::from_fn(|c| ld(prims[c], centre + i0));
+                let w_t = ld(prims[3], centre + i0);
+                let mut mu = [0.0; LANES];
+                let mut kk = [0.0; LANES];
+                for l in 0..LANES {
+                    mu[l] = gas.viscosity(w_t[l]);
+                    kk[l] = gas.conductivity_from_viscosity(mu[l]);
                 }
-            }
-            for d in 0..3 {
-                let mut fv = [[0.0; LANES]; NCONS];
-                for j in 0..3 {
-                    for l in 0..w_ {
-                        fv[cons::MX][l] += mm[d][j][l] * tau[0][j][l];
-                        fv[cons::MY][l] += mm[d][j][l] * tau[1][j][l];
-                        fv[cons::MZ][l] += mm[d][j][l] * tau[2][j][l];
-                        let work_term = w_vel[0][l] * tau[0][j][l]
-                            + w_vel[1][l] * tau[1][j][l]
-                            + w_vel[2][l] * tau[2][j][l];
-                        fv[cons::ENER][l] += mm[d][j][l] * (work_term + kk[l] * dphys[3][j][l]);
+                if let Some(model) = sgs {
+                    let rho = ld(rows[10], i0);
+                    let vel = [prims[0], prims[1], prims[2]];
+                    let mu_t = eddy_viscosity_lanes(model.cs, vel, &sgs_taps, i0, &gm, &rho);
+                    for l in 0..LANES {
+                        // Turbulent Prandtl number 0.9 for the SGS heat flux.
+                        mu[l] += mu_t[l];
+                        kk[l] += mu_t[l] * cp / 0.9;
                     }
                 }
-                for (c, fvc) in fv.iter().enumerate() {
-                    for l in 0..w_ {
-                        scratch.set(at(l), d * NCONS + c, fvc[l]);
+                let mut div = [0.0; LANES];
+                for l in 0..LANES {
+                    div[l] = dphys[0][0][l] + dphys[1][1][l] + dphys[2][2][l];
+                }
+                let mut tau = [[[0.0; LANES]; 3]; 3];
+                for i in 0..3 {
+                    for j in 0..3 {
+                        for l in 0..LANES {
+                            tau[i][j][l] = mu[l] * (dphys[i][j][l] + dphys[j][i][l]);
+                        }
+                    }
+                    for l in 0..LANES {
+                        tau[i][i][l] -= 2.0 / 3.0 * mu[l] * div[l];
                     }
                 }
-            }
-            x0 += w_;
-        }
-    }
-
-    // Pass 2, laned: divergence of the contravariant viscous flux.
-    for (row0, len) in rows(valid) {
-        let mut x0 = 0usize;
-        while x0 < len {
-            let w_ = LANES.min(len - x0);
-            let at = |l: usize| IntVect::new(row0[0] + (x0 + l) as i64, row0[1], row0[2]);
-            let mut jac = [0.0; LANES];
-            for l in 0..w_ {
-                jac[l] = met.get(at(l), mcomp::JAC);
-            }
-            for c in 0..NCONS {
-                let mut s = [0.0; LANES];
+                let m = &gm.m;
                 for d in 0..3 {
-                    let e = IntVect::unit(d);
-                    for l in 0..w_ {
-                        let p = at(l);
-                        s[l] += (scratch.get(p - e * 2, d * NCONS + c)
-                            - 8.0 * scratch.get(p - e, d * NCONS + c)
-                            + 8.0 * scratch.get(p + e, d * NCONS + c)
-                            - scratch.get(p + e * 2, d * NCONS + c))
-                            / 12.0;
+                    let mut fv = [[0.0; LANES]; NFLUX];
+                    for j in 0..3 {
+                        for l in 0..LANES {
+                            fv[0][l] += m[d][j][l] * tau[0][j][l];
+                            fv[1][l] += m[d][j][l] * tau[1][j][l];
+                            fv[2][l] += m[d][j][l] * tau[2][j][l];
+                            let work_term = w_vel[0][l] * tau[0][j][l]
+                                + w_vel[1][l] * tau[1][j][l]
+                                + w_vel[2][l] * tau[2][j][l];
+                            fv[3][l] += m[d][j][l] * (work_term + kk[l] * dphys[3][j][l]);
+                        }
+                    }
+                    for (c, fvc) in fv.iter().enumerate() {
+                        flux[d * NFLUX + c][out + i0..out + i0 + LANES].copy_from_slice(fvc);
                     }
                 }
-                for l in 0..w_ {
-                    rhs.add(at(l), c, s[l] / jac[l]);
+            }
+        }
+
+        // Pass 2: divergence of the contravariant viscous flux.
+        let flux = flux.map(|f| &*f);
+        for p in valid.rows() {
+            rows[9][..nx].copy_from_slice(met.row(p, mcomp::JAC, nx));
+            // Valid cell `x` is work cell `x + 2` of the same row.
+            let taps = flux_lay.taps(p[1], p[2], 2);
+            for c in 0..NCONS {
+                let dst = rhs.row_mut(p, c, nx);
+                for i0 in (0..nx).step_by(LANES) {
+                    let jac = ld(rows[9], i0);
+                    let mut inc = [0.0; LANES];
+                    if c == cons::RHO {
+                        for l in 0..LANES {
+                            inc[l] = 0.0 / jac[l];
+                        }
+                    } else {
+                        let mut s = [0.0; LANES];
+                        for (d, t) in taps.iter().enumerate() {
+                            let f = flux[d * NFLUX + c - cons::MX];
+                            let [m2, m1, p1, p2] = t.map(|t| ld(f, t + i0));
+                            for l in 0..LANES {
+                                s[l] += (m2[l] - 8.0 * m1[l] + 8.0 * p1[l] - p2[l]) / 12.0;
+                            }
+                        }
+                        for l in 0..LANES {
+                            inc[l] = s[l] / jac[l];
+                        }
+                    }
+                    let n = LANES.min(nx - i0);
+                    for (x, v) in dst[i0..i0 + n].iter_mut().zip(&inc) {
+                        *x += v;
+                    }
                 }
             }
-            x0 += w_;
         }
-    }
+    });
 }
 
-/// Lane-structured Smagorinsky eddy-viscosity field: the gradient transform
-/// and |S| contraction are laned across contiguous x-cells; per-cell
-/// operation order matches [`Smagorinsky::eddy_viscosity`] exactly.
+/// Lane-structured Smagorinsky eddy-viscosity field: primitives staged over
+/// `valid.grow(1)` by [`stage_primitives`], then per lane group of a `valid`
+/// row the one closure [`eddy_viscosity_lanes`] — per cell the operation
+/// sequence of [`Smagorinsky::eddy_viscosity`].
 fn eddy_viscosity_field_lanes(
     model: &Smagorinsky,
     u: &impl FabView,
@@ -763,69 +980,28 @@ fn eddy_viscosity_field_lanes(
     valid: IndexBox,
     gas: &PerfectGas,
 ) {
-    let prim = |q: IntVect| {
-        Conserved([
-            u.get(q, cons::RHO),
-            u.get(q, cons::MX),
-            u.get(q, cons::MY),
-            u.get(q, cons::MZ),
-            u.get(q, cons::ENER),
-        ])
-        .to_primitive(gas)
-    };
-    for (row0, len) in rows(valid) {
-        let mut x0 = 0usize;
-        while x0 < len {
-            let w_ = LANES.min(len - x0);
-            let at = |l: usize| IntVect::new(row0[0] + (x0 + l) as i64, row0[1], row0[2]);
-            let mut jac = [0.0; LANES];
-            let mut delta = [0.0; LANES];
-            for l in 0..w_ {
-                jac[l] = met.get(at(l), mcomp::JAC);
-                delta[l] = jac[l].cbrt();
+    let prim_box = valid.grow(1);
+    let nx = valid.length(0) as usize;
+    let stride = nx.next_multiple_of(LANES) + 2;
+    let lay = Staged::new(prim_box, stride);
+    with_scratch(4 * lay.len() + ROW_BUFS * stride, |buf| {
+        let (mut prims, rest) = carve::<4>(buf, lay.len());
+        stage_primitives(u, gas, prim_box, lay, &mut prims, rest);
+        let (mut rows, _) = carve::<ROW_BUFS>(rest, stride);
+        let vel = [&*prims[0], &*prims[1], &*prims[2]];
+        for p in valid.rows() {
+            load_rows(u, met, p, nx, true, &mut rows);
+            // Valid cell `x` is staged cell `x + 1` of the same row.
+            let taps = lay.neighbours(p[1], p[2], 1, 1);
+            let dst = out.row_mut(p, 0, nx);
+            for i0 in (0..nx).step_by(LANES) {
+                let gm = GroupMetrics::load(&rows, i0);
+                let mu_t = eddy_viscosity_lanes(model.cs, vel, &taps, i0, &gm, &ld(rows[10], i0));
+                let n = LANES.min(nx - i0);
+                dst[i0..i0 + n].copy_from_slice(&mu_t[..n]);
             }
-            // Computational velocity gradients (2nd-order central).
-            let mut dcomp = [[[0.0; LANES]; 3]; 3]; // [xi][vel comp][lane]
-            for (xi, rowx) in dcomp.iter_mut().enumerate() {
-                let e = IntVect::unit(xi);
-                for l in 0..w_ {
-                    let wp = prim(at(l) + e);
-                    let wm = prim(at(l) - e);
-                    for (i, dc) in rowx.iter_mut().enumerate() {
-                        dc[l] = 0.5 * (wp.vel[i] - wm.vel[i]);
-                    }
-                }
-            }
-            // Transform: ∂u_i/∂x_j = Σ_d (m_dj / J) ∂u_i/∂ξ_d.
-            let mut g = [[[0.0; LANES]; 3]; 3];
-            for (i, grow) in g.iter_mut().enumerate() {
-                for (j, gij) in grow.iter_mut().enumerate() {
-                    for l in 0..w_ {
-                        let mut s = 0.0;
-                        for (d, drow) in dcomp.iter().enumerate() {
-                            s += met.get(at(l), mcomp::M + d * 3 + j) / jac[l] * drow[i][l];
-                        }
-                        gij[l] = s;
-                    }
-                }
-            }
-            let mut ss = [0.0; LANES];
-            for (i, grow) in g.iter().enumerate() {
-                for (j, gij) in grow.iter().enumerate() {
-                    for l in 0..w_ {
-                        let sij = 0.5 * (gij[l] + g[j][i][l]);
-                        ss[l] += sij * sij;
-                    }
-                }
-            }
-            for l in 0..w_ {
-                let smag = (2.0 * ss[l]).sqrt();
-                let rho = u.get(at(l), cons::RHO);
-                out.set(at(l), 0, rho * (model.cs * delta[l]).powi(2) * smag);
-            }
-            x0 += w_;
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -890,37 +1066,48 @@ mod tests {
         assert_eq!(bits(&r_s), bits(&r_l));
     }
 
-    #[test]
-    fn viscous_and_les_match_scalar_bitwise() {
-        let gas = PerfectGas::air();
-        let (state, metrics) = patch(IntVect::new(10, 6, 8), &gas);
-        let valid = state.valid_box(0);
-        for sgs in [None, Some(Smagorinsky { cs: 0.17 })] {
-            let mut r_s = FArrayBox::new(valid, NCONS);
-            let mut r_l = FArrayBox::new(valid, NCONS);
-            kernels::viscous_flux_les(
-                state.fab(0), metrics.fab(0), &mut r_s, valid, &gas, sgs.as_ref(),
+    /// The gas/closure mixes the viscous kernel runs: molecular viscosity
+    /// alone, molecular + Smagorinsky, and the closure alone on the inviscid
+    /// nondimensional gas (the LES benchmark workload's case). The fixture
+    /// state depends on γ only, which all three share.
+    fn viscous_cases() -> [(PerfectGas, Option<Smagorinsky>); 3] {
+        [
+            (PerfectGas::air(), None),
+            (PerfectGas::air(), Some(Smagorinsky { cs: 0.17 })),
+            (PerfectGas::nondimensional(), Some(Smagorinsky { cs: 0.16 })),
+        ]
+    }
+
+    /// Asserts the lane viscous kernel over `region` accumulates into a
+    /// seeded rhs exactly what the scalar oracle does, in every case.
+    fn assert_viscous_matches_scalar(state: &MultiFab, metrics: &MultiFab, region: IndexBox) {
+        let (u, met, valid) = (state.fab(0), metrics.fab(0), state.valid_box(0));
+        for (gas, sgs) in viscous_cases() {
+            let mut r_s = seeded_rhs(valid);
+            let mut r_l = seeded_rhs(valid);
+            kernels::viscous_flux_les(u, met, &mut r_s, region, &gas, sgs.as_ref());
+            LanesBackend::viscous_flux_les(u, met, &mut r_l, region, &gas, sgs.as_ref());
+            assert!(
+                bits(&r_s) == bits(&r_l),
+                "mu_ref {} sgs {:?} diverged on {:?}",
+                gas.mu_ref,
+                sgs,
+                region
             );
-            LanesBackend::viscous_flux_les(
-                state.fab(0), metrics.fab(0), &mut r_l, valid, &gas, sgs.as_ref(),
-            );
-            assert_eq!(bits(&r_s), bits(&r_l), "sgs={}", sgs.is_some());
         }
     }
 
+    /// Large, small, large again: the second large call runs on a staging
+    /// scratch a smaller region has just rewritten, so a value read before
+    /// this call wrote it would show.
     #[test]
-    fn eddy_viscosity_field_matches_scalar_bitwise() {
-        let gas = PerfectGas::air();
-        let (state, metrics) = patch(IntVect::new(9, 6, 8), &gas);
+    fn viscous_reuses_staging_across_region_sizes_bitwise() {
+        let (state, metrics) = patch(IntVect::new(20, 12, 10), &PerfectGas::air());
         let valid = state.valid_box(0);
-        let model = Smagorinsky { cs: 0.12 };
-        let mut o_s = FArrayBox::new(valid, 1);
-        let mut o_l = FArrayBox::new(valid, 1);
-        model.eddy_viscosity_field(state.fab(0), metrics.fab(0), &mut o_s, valid, &gas);
-        LanesBackend::eddy_viscosity_field(
-            &model, state.fab(0), metrics.fab(0), &mut o_l, valid, &gas,
-        );
-        assert_eq!(bits(&o_s), bits(&o_l));
+        let small = IndexBox::new(IntVect::new(5, 3, 2), IntVect::new(7, 4, 6));
+        for region in [valid, small, valid] {
+            assert_viscous_matches_scalar(&state, &metrics, region);
+        }
     }
 
     const VARIANTS: [WenoVariant; 3] =
@@ -1041,6 +1228,30 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// The row-sliced viscous/LES kernel on the same AMR-shaped regions
+        /// — 4-thick band slabs, rows shorter than LANES, ragged lane
+        /// remainders — in every gas/closure case, accumulating into a
+        /// seeded rhs.
+        #[test]
+        fn viscous_and_les_match_scalar_bitwise(region in region_strategy()) {
+            let (state, metrics) = patch(IntVect::splat(24), &PerfectGas::air());
+            assert_viscous_matches_scalar(&state, &metrics, region);
+        }
+
+        /// The μ_t field through the lane backend's one closure.
+        #[test]
+        fn eddy_viscosity_field_matches_scalar_bitwise(region in region_strategy()) {
+            let gas = PerfectGas::air();
+            let (state, metrics) = patch(IntVect::splat(24), &gas);
+            let (u, met) = (state.fab(0), metrics.fab(0));
+            let model = Smagorinsky { cs: 0.12 };
+            let mut o_s = FArrayBox::filled(region, 1, -1.0);
+            let mut o_l = FArrayBox::filled(region, 1, -1.0);
+            model.eddy_viscosity_field(u, met, &mut o_s, region, &gas);
+            LanesBackend::eddy_viscosity_field(&model, u, met, &mut o_l, region, &gas);
+            prop_assert!(bits(&o_s) == bits(&o_l), "diverged on {:?}", region);
         }
     }
 

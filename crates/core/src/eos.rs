@@ -86,7 +86,13 @@ impl PerfectGas {
 
     /// Thermal conductivity from μ and the Prandtl number.
     pub fn conductivity(&self, t: f64) -> f64 {
-        self.viscosity(t) * self.cp() / self.prandtl
+        self.conductivity_from_viscosity(self.viscosity(t))
+    }
+
+    /// [`conductivity`](Self::conductivity) from an already evaluated
+    /// `μ = viscosity(t)`: `k = μ c_p / Pr`.
+    pub fn conductivity_from_viscosity(&self, mu: f64) -> f64 {
+        mu * self.cp() / self.prandtl
     }
 }
 

@@ -436,31 +436,29 @@ pub fn compute_dt_patch(
     gas: &PerfectGas,
     cfl: f64,
 ) -> f64 {
+    let n = valid.length(0) as usize;
+    // The five conserved rows of one x-row, copied through `read_row`.
+    let mut state = vec![0.0; NCONS * n];
     let mut dt = f64::INFINITY;
-    for p in valid.cells() {
-        let w = Conserved([
-            u.get(p, cons::RHO),
-            u.get(p, cons::MX),
-            u.get(p, cons::MY),
-            u.get(p, cons::MZ),
-            u.get(p, cons::ENER),
-        ])
-        .to_primitive(gas);
-        let a = gas.sound_speed(w.rho, w.p.max(1e-300));
-        let jac = met.get(p, mcomp::JAC);
-        let mut sum = 0.0;
-        for d in 0..3 {
-            let mvec = [
-                met.get(p, mcomp::M + d * 3),
-                met.get(p, mcomp::M + d * 3 + 1),
-                met.get(p, mcomp::M + d * 3 + 2),
-            ];
-            let mnorm = (mvec[0] * mvec[0] + mvec[1] * mvec[1] + mvec[2] * mvec[2]).sqrt();
-            let uc = mvec[0] * w.vel[0] + mvec[1] * w.vel[1] + mvec[2] * w.vel[2];
-            sum += (uc.abs() + a * mnorm) / jac;
+    for p in valid.rows() {
+        for (c, row) in state.chunks_exact_mut(n).enumerate() {
+            u.read_row(p, c, row);
         }
-        if sum > 0.0 {
-            dt = dt.min(cfl / sum);
+        let m: [&[f64]; 9] = std::array::from_fn(|c| met.row(p, mcomp::M + c, n));
+        let jac = met.row(p, mcomp::JAC, n);
+        for i in 0..n {
+            let w = Conserved(std::array::from_fn(|c| state[c * n + i])).to_primitive(gas);
+            let a = gas.sound_speed(w.rho, w.p.max(1e-300));
+            let mut sum = 0.0;
+            for d in 0..3 {
+                let mvec = [m[d * 3][i], m[d * 3 + 1][i], m[d * 3 + 2][i]];
+                let mnorm = (mvec[0] * mvec[0] + mvec[1] * mvec[1] + mvec[2] * mvec[2]).sqrt();
+                let uc = mvec[0] * w.vel[0] + mvec[1] * w.vel[1] + mvec[2] * w.vel[2];
+                sum += (uc.abs() + a * mnorm) / jac[i];
+            }
+            if sum > 0.0 {
+                dt = dt.min(cfl / sum);
+            }
         }
     }
     dt
