@@ -4,9 +4,14 @@
 //!
 //! For every backend this measures each stage kernel's single-thread
 //! throughput in cells/s and grades it with
-//! [`crocco_perfmodel::score_measured`] against nominal host ceilings — the
-//! falsifiable half of the perf model: the analytic `KernelSpec` counts
-//! predict a ceiling, the backends either approach it or don't.
+//! [`crocco_perfmodel::score_measured`] against host ceilings measured in
+//! the same run — the falsifiable half of the perf model: the analytic
+//! `KernelSpec` counts predict a ceiling, the backends either approach it or
+//! don't. The ceilings are a multiply-add loop (peak flop/s) and a STREAM
+//! triad (bandwidth) over as many bytes as one patch's state, metrics and
+//! rhs — the working set the patch-by-patch kernels stream, so the triad
+//! runs from the cache level they do (L2 for an 8³ patch on a 2 MiB L2, the
+//! level the benchmark's `rhs_roofline_frac` picks for such patches).
 //!
 //! The per-shape table times the component-wise SYMBO sweep alone, x / y / z
 //! separately, on the patch shapes AMR actually produces (most are 8 or 12
@@ -20,7 +25,7 @@
 //! `docs/results/backend.md` records a reference run.
 
 use crocco_bench::report::print_table;
-use crocco_fab::{tiled_work_list, BoxArray, DistributionMapping, FArrayBox, MultiFab, DEFAULT_TILE};
+use crocco_fab::{tile_boxes, BoxArray, DistributionMapping, FArrayBox, MultiFab};
 use crocco_geometry::decompose::ChopParams;
 use crocco_geometry::{IndexBox, IntVect, RealVect, StretchedMapping};
 use crocco_perfmodel::kernelspec::{
@@ -34,17 +39,59 @@ use crocco_solver::sgs::Smagorinsky;
 use crocco_solver::state::{Conserved, Primitive, NCONS};
 use crocco_solver::weno::Reconstruction;
 use crocco_solver::{PerfectGas, WenoVariant};
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Nominal single-core host ceilings for the roofline grading: ~3 GHz × 16
-/// DP flops/cycle (AVX-512 FMA) and the single-thread DRAM stream rate.
-/// They set the *scale* of the fractions, not the backend ranking.
-const HOST_PEAK_FLOPS: f64 = 50e9;
-const HOST_DRAM_BW: f64 = 25e9;
-
 /// Timing repetitions; the minimum is reported.
 const REPS: usize = 5;
+
+/// AMReX's default tile shape for the `Stage` row: pencils long in x (the
+/// unit-stride direction), short in y/z.
+const TILE: IntVect = IntVect([1_000_000, 8, 8]);
+
+/// STREAM triad `a = b + s·c` over three arrays of `n` doubles: B/s of the
+/// fastest of 200 passes (STREAM's count: 3 × 8 × n bytes per pass).
+fn triad_bw(n: usize) -> f64 {
+    let mut a = vec![0.0f64; n];
+    let b = vec![1.5f64; n];
+    let c = vec![2.5f64; n];
+    let s = black_box(3.0f64);
+    let secs = time_best_of(200, || {
+        for ((x, y), z) in a.iter_mut().zip(&b).zip(&c) {
+            *x = *y + s * *z;
+        }
+        black_box(&mut a);
+    });
+    (3 * 8 * n) as f64 / secs
+}
+
+/// Single-core multiply-add peak in flop/s: 10 independent 8-lane
+/// accumulator chains (enough to cover FMA latency on two ports), 2 flops
+/// per lane-step; a fused multiply-add only where the build targets one.
+fn fma_peak() -> f64 {
+    const ACC: usize = 10;
+    const LANES: usize = 8;
+    const ITERS: usize = 4_000_000;
+    let b = black_box([1.000000001f64; LANES]);
+    let c = black_box([1e-9f64; LANES]);
+    let secs = time_best_of(3, || {
+        let mut acc = [[1.0f64; LANES]; ACC];
+        for _ in 0..ITERS {
+            for chain in acc.iter_mut() {
+                for l in 0..LANES {
+                    chain[l] = if cfg!(target_feature = "fma") {
+                        chain[l].mul_add(b[l], c[l])
+                    } else {
+                        chain[l] * b[l] + c[l]
+                    };
+                }
+            }
+        }
+        black_box(&mut acc);
+    });
+    (ITERS * ACC * LANES * 2) as f64 / secs
+}
 
 /// Divisions one SYMBO face reconstruction executes (`weno::reconstruct_face`
 /// and its lane mirror): four `d_r/(ε+β_r)²`, one `Σα·q̃ / (6·Σα)`. The face
@@ -127,16 +174,21 @@ fn rhs_fabs(lvl: &Level) -> Vec<FArrayBox> {
         .collect()
 }
 
-/// Best-of-`REPS` wall time of `f` (one untimed warmup).
-fn time_best<F: FnMut()>(mut f: F) -> f64 {
+/// Best-of-`reps` wall time of `f` (one untimed warmup).
+fn time_best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     f();
     let mut best = f64::INFINITY;
-    for _ in 0..REPS {
+    for _ in 0..reps {
         let t0 = Instant::now();
         f();
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Best-of-[`REPS`] wall time of `f` (one untimed warmup).
+fn time_best<F: FnMut()>(f: F) -> f64 {
+    time_best_of(REPS, f)
 }
 
 /// Sums the per-cell work of `specs` into one aggregate kernel.
@@ -227,22 +279,23 @@ fn measure_backend(lvl: &Level, backend: BackendKind) -> Vec<(KernelSpec, f64)> 
 
     // The full RK-stage pipeline: RHS accumulation (tiles swept into the
     // materialized RHS fab) plus the dU axpy.
-    let work = tiled_work_list(&lvl.state, DEFAULT_TILE);
     let t = time_best(|| {
         for r in rhs.iter_mut() {
             r.fill(0.0);
         }
-        for &(i, tile) in &work {
-            backend.accumulate_rhs(
-                lvl.state.fab(i),
-                lvl.metrics.fab(i),
-                &mut rhs[i],
-                tile,
-                &lvl.gas,
-                WenoVariant::Symbo,
-                Reconstruction::ComponentWise,
-                None,
-            );
+        for (i, valid) in lvl.state.iter_valid() {
+            for tile in tile_boxes(valid, TILE) {
+                backend.accumulate_rhs(
+                    lvl.state.fab(i),
+                    lvl.metrics.fab(i),
+                    &mut rhs[i],
+                    tile,
+                    &lvl.gas,
+                    WenoVariant::Symbo,
+                    Reconstruction::ComponentWise,
+                    None,
+                );
+            }
         }
         for (d, r) in du.iter_mut().zip(&rhs) {
             d.lincomb(0.9, 1e-3, r);
@@ -292,11 +345,23 @@ fn measure_shape(lvl: &Level, backend: BackendKind) -> [f64; 3] {
 
 fn main() {
     let lvl = make_level();
+    // One patch's state + metrics + rhs: what the kernels stream per call.
+    let patch_doubles = lvl.state.fab(0).data().len()
+        + lvl.metrics.fab(0).data().len()
+        + lvl.state.valid_box(0).num_points() as usize * NCONS;
+    let peak_flops = fma_peak();
+    let patch_bw = triad_bw(patch_doubles / 3);
     println!(
         "kernel backends on the 512-patch level ({} cells), single thread",
         lvl.cells
     );
-    println!("roofline ceilings: peak {:.0} Gflop/s, DRAM {:.0} GB/s", HOST_PEAK_FLOPS / 1e9, HOST_DRAM_BW / 1e9);
+    println!(
+        "roofline ceilings (measured): FMA peak {:.1} Gflop/s, triad over one patch's \
+         working set ({} KiB) {:.1} GB/s",
+        peak_flops / 1e9,
+        patch_doubles * 8 / 1024,
+        patch_bw / 1e9
+    );
     println!("divisions per reconstruction (SYMBO): {DIVISIONS_PER_RECONSTRUCTION}\n");
 
     let mut rows = Vec::new();
@@ -306,7 +371,7 @@ fn main() {
         let mut points = Vec::new();
         for (spec, secs) in measure_backend(&lvl, backend) {
             let cells_per_s = lvl.cells as f64 / secs;
-            let p: MeasuredPoint = score_measured(&spec, cells_per_s, HOST_PEAK_FLOPS, HOST_DRAM_BW);
+            let p: MeasuredPoint = score_measured(&spec, cells_per_s, peak_flops, patch_bw);
             if spec.name.starts_with("WENOx") {
                 weno_x[bi] = cells_per_s;
             }
@@ -368,8 +433,8 @@ fn main() {
     json.push_str("  \"bench\": \"backend\",\n");
     json.push_str(&format!("  \"cells\": {},\n", lvl.cells));
     json.push_str("  \"threads\": 1,\n");
-    json.push_str(&format!("  \"host_peak_flops\": {HOST_PEAK_FLOPS:e},\n"));
-    json.push_str(&format!("  \"host_dram_bw\": {HOST_DRAM_BW:e},\n"));
+    json.push_str(&format!("  \"host_fma_flops\": {peak_flops:e},\n"));
+    json.push_str(&format!("  \"host_patch_triad_bw\": {patch_bw:e},\n"));
     json.push_str(&format!(
         "  \"divisions_per_reconstruction\": {DIVISIONS_PER_RECONSTRUCTION},\n"
     ));

@@ -14,6 +14,7 @@ use crocco_fab::plan::{fill_boundary_plan, parallel_copy_plan, PlanStats};
 use crocco_perfmodel::kernelspec::{
     compute_dt_spec, interp_spec, stage_kernels, update_spec,
 };
+use crocco_perfmodel::summit::PAPER_METRIC_COMPONENTS;
 use crocco_perfmodel::{CpuBackend, SummitPlatform};
 use crocco_solver::CodeVersion;
 use std::collections::BTreeMap;
@@ -115,10 +116,13 @@ pub enum DataModel {
     Owned,
 }
 
-/// Fab bytes resident per rank under `data`: the four solver MultiFabs
-/// (state with `NGHOST` ghosts, `dU` ghost-free, 3-component coordinates
-/// with `NGHOST + 2`, 27-component metrics with `NGHOST`), summed over the
-/// critical rank's owned patches (`Owned`) or every patch (`Replicated`).
+/// Modeled fab bytes resident per rank under `data` in the paper's layout:
+/// the four MultiFabs (state with `NGHOST` ghosts, `dU` ghost-free,
+/// 3-component coordinates with `NGHOST + 2`, the paper's
+/// [`PAPER_METRIC_COMPONENTS`]-component metrics with `NGHOST`), summed over
+/// the critical rank's owned patches (`Owned`) or every patch
+/// (`Replicated`). It prices the paper's allocation, not this solver's,
+/// which stores 10 metric components.
 pub fn memory_per_rank(case: &ScaledCase, data: DataModel) -> u64 {
     let mut per_rank = vec![0u64; case.nranks];
     for level in &case.levels {
@@ -127,10 +131,10 @@ pub fn memory_per_rank(case: &ScaledCase, data: DataModel) -> u64 {
             let bytes_of = |ncomp: u64, nghost: i64| -> u64 {
                 bx.grow(nghost).num_points() * ncomp * std::mem::size_of::<f64>() as u64
             };
-            let patch = bytes_of(NCONS as u64, NGHOST)   // state
-                + bytes_of(NCONS as u64, 0)              // dU
-                + bytes_of(3, NGHOST + 2)                // coordinates
-                + bytes_of(27, NGHOST);                  // metrics
+            let patch = bytes_of(NCONS as u64, NGHOST)         // state
+                + bytes_of(NCONS as u64, 0)                    // dU
+                + bytes_of(3, NGHOST + 2)                      // coordinates
+                + bytes_of(PAPER_METRIC_COMPONENTS, NGHOST);   // metrics
             match data {
                 DataModel::Owned => per_rank[owner] += patch,
                 DataModel::Replicated => {

@@ -1274,4 +1274,35 @@ mod tests {
         );
         assert_eq!(bits(&r_s), bits(&r_l));
     }
+
+    /// Every stored metric component is grid data some kernel reads: a NaN
+    /// in one valid cell of any component reaches the RHS (LES on) or the
+    /// time step, under both backends. A component written at every regrid
+    /// and read by nothing fails here.
+    #[test]
+    fn every_stored_metric_component_is_read_by_a_kernel() {
+        use crate::backend::BackendKind;
+        let gas = PerfectGas::nondimensional();
+        let sgs = Smagorinsky { cs: 0.16 };
+        let (state, clean) = patch(IntVect::new(12, 8, 8), &gas);
+        let valid = state.valid_box(0);
+        for c in 0..NMETRICS {
+            let mut metrics = clean.clone();
+            metrics.fab_mut(0).set(IntVect::new(6, 4, 4), c, f64::NAN);
+            let met = metrics.fab(0);
+            for backend in BackendKind::ALL {
+                let mut rhs = FArrayBox::new(valid, NCONS);
+                backend.accumulate_rhs(
+                    state.fab(0), met, &mut rhs, valid, &gas, WenoVariant::Symbo,
+                    Reconstruction::ComponentWise, Some(&sgs),
+                );
+                let dt = backend.compute_dt_patch(state.fab(0), met, valid, &gas, 0.5);
+                assert!(
+                    rhs.data().iter().any(|v| !v.is_finite()) || !dt.is_finite(),
+                    "metric component {c} is read by no {} kernel",
+                    backend.label()
+                );
+            }
+        }
+    }
 }

@@ -52,7 +52,7 @@ pub const RK3_A: [f64; 3] = [0.0, -5.0 / 9.0, -153.0 / 128.0];
 pub const RK3_B: [f64; 3] = [1.0 / 3.0, 15.0 / 16.0, 8.0 / 15.0];
 
 /// Per-level field data: the four MultiFabs §III-C enumerates (state, dU,
-/// coordinates, 27-component metrics).
+/// coordinates, metrics).
 pub struct LevelData {
     /// Conserved state (with [`NGHOST`] ghosts).
     pub state: MultiFab,
@@ -60,7 +60,9 @@ pub struct LevelData {
     pub du: MultiFab,
     /// Physical coordinates (3 components).
     pub coords: MultiFab,
-    /// Grid metrics (27 components).
+    /// Grid metrics: the [`NMETRICS`] = 10 components the kernels read
+    /// (`metrics::comp`); the paper's 27-component layout is modeled, not
+    /// stored.
     pub metrics: MultiFab,
     /// Per-patch RHS scratch `L(U)` for the RK stages: allocated once per
     /// regrid and zeroed in place each stage, so the hot loop never touches

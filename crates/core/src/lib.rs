@@ -18,7 +18,9 @@
 //! and the symmetric bandwidth-optimized 4-candidate family of Martín et
 //! al.), 4th-order central viscous fluxes with Sutherland viscosity,
 //! Williamson low-storage RK3 time marching under a CFL constraint, and
-//! stored curvilinear coordinates + 27-component grid metrics (§III-C).
+//! stored curvilinear coordinates + grid metrics (§III-C): the 10 metric
+//! components the kernels read, where the paper's layout has 27 (modeled in
+//! `perfmodel::summit`).
 
 // Enforced by `cargo xtask lint`: unsafe code is confined to the allowlisted
 // fab modules (multifab, view, dist_overlap) — none of it lives here.

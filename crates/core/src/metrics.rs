@@ -2,18 +2,20 @@
 //!
 //! §III-C ("Data management"): curvilinear grids are generated from complex
 //! mappings, so CRoCCo *stores* physical coordinates in a 3-component
-//! MultiFab and the grid metrics in a **27-component MultiFab** — "the
-//! high-order reconstructions of the first and second derivatives of each
-//! i, j, k with respect to x, y, z" — giving the ≈3× memory overhead the
-//! paper reports. This module reproduces that layout and computes the
-//! metrics with 4th-order central differences of the stored coordinates.
+//! MultiFab and the grid metrics in a second MultiFab. The paper's metrics
+//! MultiFab has 27 components — "the high-order reconstructions of the first
+//! and second derivatives of each i, j, k with respect to x, y, z" — and
+//! gives the ≈3× memory overhead it reports; that layout is priced, as a
+//! modeled figure, by `perfmodel::summit`. This solver stores only what its
+//! kernels read: the nine contravariant metrics and the Jacobian, 10
+//! components computed with 4th-order central differences of the stored
+//! coordinates.
 
 use crocco_fab::MultiFab;
 use crocco_geometry::{GridMapping, IndexBox, IntVect, RealVect};
 
-/// Number of metric components (paper: "a 27-component `amrex::MultiFab` to
-/// store the metrics").
-pub const NMETRICS: usize = 27;
+/// Number of stored metric components: `M` (9) and `JAC`.
+pub const NMETRICS: usize = 10;
 
 /// Number of coordinate components.
 pub const NCOORDS: usize = 3;
@@ -26,17 +28,6 @@ pub mod comp {
     pub const M: usize = 0;
     /// Jacobian `J = det(∂x/∂ξ)` (cell volume per unit computational volume).
     pub const JAC: usize = 9;
-    /// Forward metrics `F[i][j] = ∂x_i/∂ξ_j`, component `FWD + i*3 + j`.
-    pub const FWD: usize = 10;
-    /// `∇²ξ_d` (Laplacians of the inverse mapping), components 19–21 — the
-    /// second-order metric terms of non-conservative curvilinear operators.
-    pub const LAPXI: usize = 19;
-    /// Diagonal curvature `∂²x_i/∂ξ_i²`, components 22–24.
-    pub const CURV: usize = 22;
-    /// Grid skewness monitor (off-diagonality of `F`), component 25.
-    pub const SKEW: usize = 25;
-    /// Minimum physical spacing across directions (for CFL), component 26.
-    pub const MINSP: usize = 26;
 }
 
 /// Fills a 3-component coordinates MultiFab (valid + ghost cells) with the
@@ -82,12 +73,6 @@ pub fn generate_coords(mapping: &dyn GridMapping, extents: IntVect, coords: &mut
 #[inline]
 fn d1(c: &[f64], o: usize, s: usize) -> f64 {
     (c[o - 2 * s] - 8.0 * c[o - s] + 8.0 * c[o + s] - c[o + 2 * s]) / 12.0
-}
-
-/// 4th-order central second derivative (see [`d1`]).
-#[inline]
-fn d2(c: &[f64], o: usize, s: usize) -> f64 {
-    (-c[o - 2 * s] + 16.0 * c[o - s] - 30.0 * c[o] + 16.0 * c[o + s] - c[o + 2 * s]) / 12.0
 }
 
 /// Element strides of the three directions within one component of a fab
@@ -175,7 +160,8 @@ pub fn read_coords_from_file(
     Ok(())
 }
 
-/// Computes all 27 metric components from stored coordinates.
+/// Computes the [`NMETRICS`] stored metric components from stored
+/// coordinates, in one pass per patch over every (valid and ghost) cell.
 ///
 /// `coords` must carry at least `metrics.nghost() + 2` ghost cells so the
 /// 4th-order stencils reach. The contravariant metrics are formed from the
@@ -186,8 +172,6 @@ pub fn compute_metrics(coords: &MultiFab, metrics: &mut MultiFab) {
         coords.nghost() >= metrics.nghost() + 2,
         "coords need 2 more ghosts than metrics for 4th-order stencils"
     );
-    // The nine M/J quotients of the patch in hand (pass 2), `[d*3+j][cell]`.
-    let mut quot: Vec<f64> = Vec::new();
     for i in 0..metrics.nfabs() {
         // Owned-data distribution: coords and metrics share a distribution
         // mapping, so an unallocated metrics patch has unallocated coords.
@@ -201,8 +185,7 @@ pub fn compute_metrics(coords: &MultiFab, metrics: &mut MultiFab) {
         let n = bx.num_points() as usize;
         let cstride = strides(cfab.bx());
         let x: [&[f64]; 3] = std::array::from_fn(|c| cfab.comp(c));
-        // Pass 1: everything that is a function of the stored coordinates
-        // alone. `c`/`o` are the cell's offsets within one component of the
+        // `c`/`o` are the cell's offsets within one component of the
         // coordinate / metric fab.
         for p in bx.cells() {
             let (c, o) = (cfab.offset(p, 0), mfab.offset(p, 0));
@@ -224,60 +207,6 @@ pub fn compute_metrics(coords: &MultiFab, metrics: &mut MultiFab) {
                 }
             }
             m[comp::JAC * n + o] = jac;
-            for (xc, frow) in f.iter().enumerate() {
-                for (xi_dir, &fv) in frow.iter().enumerate() {
-                    m[(comp::FWD + xc * 3 + xi_dir) * n + o] = fv;
-                }
-            }
-            // Diagonal curvature and skewness.
-            let mut offdiag = 0.0;
-            let mut diag = 0.0;
-            for (d, frow) in f.iter().enumerate() {
-                m[(comp::CURV + d) * n + o] = d2(x[d], c, cstride[d]);
-                for (j, &fv) in frow.iter().enumerate() {
-                    if j == d {
-                        diag += fv.abs();
-                    } else {
-                        offdiag += fv.abs();
-                    }
-                }
-            }
-            m[comp::SKEW * n + o] = offdiag / diag.max(1e-300);
-            // Minimum physical spacing: column norms of F.
-            let mut minsp = f64::INFINITY;
-            for ((&fx, &fy), &fz) in f[0].iter().zip(&f[1]).zip(&f[2]) {
-                let len = (fx.powi(2) + fy.powi(2) + fz.powi(2)).sqrt();
-                minsp = minsp.min(len);
-            }
-            m[comp::MINSP * n + o] = minsp;
-        }
-        // ∇²ξ_d needs second differences of M/J, i.e. a second pass over the
-        // interior of the metric box (stencil radius 1 using already-written
-        // M and J, which this pass only reads). The outermost ring carries
-        // zero — written explicitly, so the result does not depend on how
-        // the allocation was initialised (it may be NaN-poisoned under the
-        // fabcheck feature).
-        quot.clear();
-        let jac = mfab.comp(comp::JAC);
-        for c in 0..9 {
-            quot.extend(mfab.comp(comp::M + c).iter().zip(jac).map(|(&m, &j)| m / j));
-        }
-        for d in 0..3 {
-            mfab.comp_mut(comp::LAPXI + d).fill(0.0);
-        }
-        let mstride = strides(bx);
-        for p in bx.grow(-1).cells() {
-            let o = mfab.offset(p, 0);
-            for d in 0..3 {
-                let mut lap = 0.0;
-                for (j, &s) in mstride.iter().enumerate() {
-                    let q = &quot[(d * 3 + j) * n..][..n];
-                    // Second difference of ∂ξ_d/∂x_j along ξ_j approximates
-                    // the physical Laplacian contribution on smooth grids.
-                    lap += q[o + s] - 2.0 * q[o] + q[o - s];
-                }
-                mfab.data_mut()[(comp::LAPXI + d) * n + o] = lap;
-            }
         }
     }
 }
@@ -322,8 +251,7 @@ mod tests {
         (coords, metrics)
     }
 
-    /// The per-cell `get`/`set` formulation [`compute_metrics`] replaced
-    /// (whole-fab snapshot, every `M/J` quotient evaluated at each use),
+    /// The per-cell `get`/`set` formulation [`compute_metrics`] replaced,
     /// kept as the bitwise oracle of one patch.
     fn compute_metrics_percell(cfab: &FArrayBox, mfab: &mut FArrayBox) {
         let d1 = |p: IntVect, dir: usize, c: usize| {
@@ -332,15 +260,7 @@ mod tests {
                 - cfab.get(p + e * 2, c))
                 / 12.0
         };
-        let d2 = |p: IntVect, dir: usize, c: usize| {
-            let e = IntVect::unit(dir);
-            (-cfab.get(p - e * 2, c) + 16.0 * cfab.get(p - e, c) - 30.0 * cfab.get(p, c)
-                + 16.0 * cfab.get(p + e, c)
-                - cfab.get(p + e * 2, c))
-                / 12.0
-        };
-        let bx = mfab.bx();
-        for p in bx.cells() {
+        for p in mfab.bx().cells() {
             let mut f = [[0.0; 3]; 3];
             for (xc, frow) in f.iter_mut().enumerate() {
                 for (xi_dir, fv) in frow.iter_mut().enumerate() {
@@ -353,42 +273,6 @@ mod tests {
                 }
             }
             mfab.set(p, comp::JAC, det3(&f));
-            let mut offdiag = 0.0;
-            let mut diag = 0.0;
-            for (d, frow) in f.iter().enumerate() {
-                mfab.set(p, comp::CURV + d, d2(p, d, d));
-                for (j, &fv) in frow.iter().enumerate() {
-                    mfab.set(p, comp::FWD + d * 3 + j, fv);
-                    if j == d {
-                        diag += fv.abs();
-                    } else {
-                        offdiag += fv.abs();
-                    }
-                }
-            }
-            mfab.set(p, comp::SKEW, offdiag / diag.max(1e-300));
-            let mut minsp = f64::INFINITY;
-            for ((&fx, &fy), &fz) in f[0].iter().zip(&f[1]).zip(&f[2]) {
-                minsp = minsp.min((fx.powi(2) + fy.powi(2) + fz.powi(2)).sqrt());
-            }
-            mfab.set(p, comp::MINSP, minsp);
-            for d in 0..3 {
-                mfab.set(p, comp::LAPXI + d, 0.0);
-            }
-        }
-        let snapshot = mfab.clone();
-        for p in bx.grow(-1).cells() {
-            for d in 0..3 {
-                let mut lap = 0.0;
-                for j in 0..3 {
-                    let e = IntVect::unit(j);
-                    let val = |q: IntVect| {
-                        snapshot.get(q, comp::M + d * 3 + j) / snapshot.get(q, comp::JAC)
-                    };
-                    lap += val(p + e) - 2.0 * val(p) + val(p - e);
-                }
-                mfab.set(p, comp::LAPXI + d, lap);
-            }
         }
     }
 
@@ -426,11 +310,6 @@ mod tests {
                 for (c, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
                     assert_eq!(g.to_bits(), w.to_bits(), "patch {i}, flat index {c}");
                 }
-                // The outer ring of ∇²ξ is a written zero, not allocation residue.
-                let ring = got.bx().lo();
-                for d in 0..3 {
-                    assert_eq!(got.get(ring, comp::LAPXI + d).to_bits(), 0f64.to_bits());
-                }
             }
             assert!(owned > 0 && owned < metrics.nfabs(), "partly unallocated by construction");
         }
@@ -454,12 +333,8 @@ mod tests {
                     (fab.get(p, comp::M + d * 3 + j) - expect).abs() < 1e-12,
                     "M[{d}][{j}]"
                 );
-                let fexp = if d == j { dxd } else { 0.0 };
-                assert!((fab.get(p, comp::FWD + j * 3 + d) - fexp).abs() < 1e-12);
             }
         }
-        assert_eq!(fab.get(p, comp::SKEW), 0.0);
-        assert!((fab.get(p, comp::MINSP) - 0.0625).abs() < 1e-12);
     }
 
     #[test]
@@ -487,7 +362,8 @@ mod tests {
         let eta = 16.5f64 / 32.0;
         let dyd_eta = 2.0 * (2.0 * eta).cosh() / 2.0f64.sinh();
         let per_index = dyd_eta / 32.0;
-        let got = fab.get(p, comp::FWD + 4); // row 1, col 1 of the 3×3 forward metric
+        // x and z are uniform at 1/8 per index, so J = (1/8)·∂y/∂η·(1/8).
+        let got = fab.get(p, comp::JAC) * 64.0;
         assert!(
             (got - per_index).abs() / per_index < 1e-4,
             "{got} vs {per_index}"
@@ -503,7 +379,8 @@ mod tests {
         let mut any_skew = false;
         for p in metrics.valid_box(0).cells() {
             assert!(fab.get(p, comp::JAC) > 0.0, "J<=0 at {p:?}");
-            if fab.get(p, comp::SKEW) > 1e-6 {
+            // M[1][0] = −∂y/∂ξ·∂z/∂ζ: nonzero only where the grid is sheared.
+            if fab.get(p, comp::M + 3).abs() > 1e-6 * fab.get(p, comp::M + 4).abs() {
                 any_skew = true;
             }
         }
@@ -531,19 +408,6 @@ mod tests {
                         / 12.0;
                 }
                 assert!(s.abs() < 1e-6, "identity residual {s} at {p:?} j={j}");
-            }
-        }
-    }
-
-    #[test]
-    fn curvature_components_vanish_on_uniform_grids() {
-        let m = UniformMapping::unit();
-        let (_c, metrics) = build(&m, IntVect::new(8, 8, 8), 0);
-        let fab = metrics.fab(0);
-        for p in metrics.valid_box(0).cells() {
-            for d in 0..3 {
-                assert!(fab.get(p, comp::CURV + d).abs() < 1e-13);
-                assert!(fab.get(p, comp::LAPXI + d).abs() < 1e-10);
             }
         }
     }

@@ -11,8 +11,9 @@
 //!   knapsack alternatives for the ablation study),
 //! * [`MultiFab`] — the distributed multi-patch field: the paper stores the
 //!   primitive variables, the 5-component conservative update `dU`, the
-//!   3-component curvilinear coordinates, and the 27-component grid metrics
-//!   each in one of these,
+//!   3-component curvilinear coordinates, and the grid metrics each in one of
+//!   these (27 metric components in the paper, modeled in
+//!   `perfmodel::summit`; the 10 the kernels read in this solver),
 //! * [`plan`] — communication *plans*: the exact point-to-point message lists
 //!   behind `FillBoundary` and `ParallelCopy`, which both execute the data
 //!   motion locally and feed the simulated Summit network model,
@@ -61,5 +62,5 @@ pub use overlap::{band_slabs, StageFabs, SweepPhase};
 pub use plan::{CopyChunk, CopyPlan};
 pub use plan_cache::{CachedPlan, PlanCache, PlanKey, PlanOp};
 pub use taskcheck::{dist_rank_schedule, verify_dist, FabIds, VerifyReport};
-pub use tiles::{tile_boxes, tiled_work_list, TileItem, DEFAULT_TILE};
+pub use tiles::tile_boxes;
 pub use view::{with_rw, FabRd, FabRw, FabView};

@@ -23,7 +23,8 @@ use std::sync::Arc;
 ///
 /// The paper stores four of these per level for the curvilinear solver: the
 /// conserved state, the 5-component `dU` update, the 3-component physical
-/// coordinates, and the 27-component grid metrics (§III-C "Data management").
+/// coordinates, and the grid metrics (§III-C "Data management": 27
+/// components there, 10 stored by this solver).
 ///
 /// This reproduction executes single-process: every patch's data lives here,
 /// while the [`DistributionMapping`] still records which *simulated rank*

@@ -5,12 +5,7 @@
 //! cache and exposes finer-grained parallelism than whole patches. Tiles are
 //! a pure index-space decomposition — no data is copied.
 
-use crate::multifab::MultiFab;
 use crocco_geometry::{IndexBox, IntVect};
-
-/// Default AMReX tile shape: pencils long in x (the unit-stride direction),
-/// short in y/z.
-pub const DEFAULT_TILE: IntVect = IntVect([1_000_000, 8, 8]);
 
 /// Splits `bx` into tiles no larger than `tile` in each direction. Tiles
 /// partition the box exactly (no overlap, full coverage), in z-then-y-then-x
@@ -42,29 +37,9 @@ pub fn tile_boxes(bx: IndexBox, tile: IntVect) -> Vec<IndexBox> {
     out
 }
 
-/// A `(patch index, tile box)` work item.
-pub type TileItem = (usize, IndexBox);
-
-/// Builds the tiled work list over a MultiFab's valid regions — the MFIter
-/// loop order with tiling enabled. The flat list is what on-node workers
-/// (threads in this reproduction, GPU blocks in the paper's) consume.
-pub fn tiled_work_list(mf: &MultiFab, tile: IntVect) -> Vec<TileItem> {
-    let mut out = Vec::new();
-    for (i, valid) in mf.iter_valid() {
-        for t in tile_boxes(valid, tile) {
-            out.push((i, t));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boxarray::BoxArray;
-    use crate::distribution::DistributionMapping;
-    use crocco_geometry::decompose::ChopParams;
-    use std::sync::Arc;
 
     #[test]
     fn tiles_partition_the_box() {
@@ -84,9 +59,9 @@ mod tests {
     }
 
     #[test]
-    fn default_tile_is_pencil_shaped() {
+    fn pencil_tiles_never_split_x() {
         let bx = IndexBox::from_extents(64, 32, 32);
-        let tiles = tile_boxes(bx, DEFAULT_TILE);
+        let tiles = tile_boxes(bx, IntVect::new(1_000_000, 8, 8));
         // Never split in x.
         assert!(tiles.iter().all(|t| t.size()[0] == 64));
         assert_eq!(tiles.len(), (32 / 8) * (32 / 8));
@@ -164,23 +139,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn work_list_covers_every_patch() {
-        let ba = Arc::new(BoxArray::decompose(
-            IndexBox::from_extents(32, 32, 16),
-            ChopParams::new(4, 16),
-        ));
-        let dm = Arc::new(DistributionMapping::all_on_root(&ba));
-        let mf = MultiFab::new(ba.clone(), dm, 1, 0);
-        let work = tiled_work_list(&mf, IntVect::new(16, 8, 8));
-        let total: u64 = work.iter().map(|(_, t)| t.num_points()).sum();
-        assert_eq!(total, ba.num_points());
-        // Every patch contributes.
-        for i in 0..ba.len() {
-            assert!(work.iter().any(|(p, _)| *p == i));
         }
     }
 }

@@ -60,11 +60,16 @@ impl SummitPlatform {
     }
 }
 
+/// Components of the paper's metrics MultiFab (§III-C: "a 27-component
+/// `amrex::MultiFab` to store the metrics"). A modeled figure: the executed
+/// solver stores only the 10 its kernels read (`crocco_solver::metrics`).
+pub const PAPER_METRIC_COMPONENTS: u64 = 27;
+
 /// Bytes of device memory per grid point for the curvilinear GPU solver:
 /// 5-component state (×2 time levels) + 5-component dU + 3 coords +
-/// 27 metrics + ~15 components of kernel scratch, all f64 — the "roughly a
-/// three-fold increase in memory usage" of §III-C.
-pub const CURVILINEAR_BYTES_PER_POINT: u64 = (5 * 2 + 5 + 3 + 27 + 15) * 8;
+/// the paper's metrics + ~15 components of kernel scratch, all f64 — the
+/// "roughly a three-fold increase in memory usage" of §III-C.
+pub const CURVILINEAR_BYTES_PER_POINT: u64 = (5 * 2 + 5 + 3 + PAPER_METRIC_COMPONENTS + 15) * 8;
 
 /// Bytes per point for the Cartesian (non-curvilinear) solver, for contrast.
 pub const CARTESIAN_BYTES_PER_POINT: u64 = (5 * 2 + 5 + 5) * 8;

@@ -2,7 +2,8 @@
 //! (sheared) grid — the geometry class that motivated the paper's curvilinear
 //! AMR development (§III-C: compression corners, re-entry vehicles).
 //!
-//! Demonstrates: stored coordinates + 27-component metrics on a non-Cartesian
+//! Demonstrates: stored coordinates + metrics (10 stored components; the
+//! paper's 27 are modeled in `perfmodel::summit`) on a non-Cartesian
 //! mapping, the curvilinear interpolator with its coordinate ParallelCopy,
 //! shock-based refinement following the ramp shock, and the task-graph RK
 //! stage schedule (`OVERLAP=0 cargo run ...` selects the sequential
