@@ -1,8 +1,8 @@
 //! `AverageDown`: restrict covered coarse cells to the mean of their fine
 //! children (Algorithm 2, line 11 of the paper).
 
-use crocco_fab::owned::unpack_chunk_into;
-use crocco_fab::{FArrayBox, MultiFab};
+use crocco_fab::exchange::{exchange, pack_chunk, unpack_chunk, Layout};
+use crocco_fab::{with_rw, FArrayBox, MultiFab};
 use crocco_geometry::{IndexBox, IntVect};
 use crocco_runtime::cluster::CommError;
 use crocco_runtime::GroupEndpoint;
@@ -51,18 +51,17 @@ fn restrict_into(
 
 /// [`average_down`] for owned-data MultiFabs on a cluster: the fine owner of
 /// each restriction chunk computes the child means locally and ships only
-/// the restricted coarse cells to the coarse owner.
+/// the restricted coarse cells to the coarse owner, one message per peer.
 ///
 /// Every group member enumerates the identical chunk list (fine patch outer,
 /// `coarse.boxarray().intersections` inner — the exact loop order of the
-/// replicated [`average_down`]), so tags derived from the chunk index match
-/// across ranks. Payloads are component-major le-`f64` over
-/// `overlap.cells()` ([`crocco_fab::owned::pack_chunk`] wire format) and the
-/// restriction arithmetic is the same child-sum in the same iteration order,
-/// so the coarse result is bitwise-identical to the replicated restriction.
-/// Chunks whose fine and coarse owner coincide never touch the wire.
+/// replicated [`average_down`]), so every rank derives the same layout. A
+/// remote chunk is restricted into a scratch fab by the same kernel as a
+/// local one and travels as a [`pack_chunk`] payload, so the coarse result
+/// is bitwise-identical to the replicated restriction. Chunks whose fine
+/// and coarse owner coincide never touch the wire.
 ///
-/// `mktag` maps a chunk index to a message tag (callers compose
+/// `tag` maps the sending rank to a message tag (callers compose
 /// [`crocco_runtime::tags::owned`] with the `OWNED_REDIST` sub-space and the
 /// stage epoch). A detected fault surfaces as a typed [`CommError`].
 pub fn average_down_dist(
@@ -70,15 +69,15 @@ pub fn average_down_dist(
     coarse: &mut MultiFab,
     ratio: IntVect,
     ep: &GroupEndpoint<'_>,
-    mktag: &dyn Fn(usize) -> u64,
+    tag: &dyn Fn(usize) -> u64,
 ) -> Result<(), CommError> {
     assert_eq!(fine.ncomp(), coarse.ncomp());
     let ncomp = fine.ncomp();
     let inv = 1.0 / (ratio[0] * ratio[1] * ratio[2]) as f64;
     let rank = ep.rank();
 
-    // Chunk enumeration, shared by all three passes below. Deterministic and
-    // identical on every rank: it reads only replicated metadata.
+    // Chunk enumeration: deterministic and identical on every rank, since
+    // it reads only replicated metadata.
     let chunks: Vec<(usize, usize, IndexBox)> = (0..fine.nfabs())
         .flat_map(|j| {
             let cfoot = fine.valid_box(j).coarsen(ratio);
@@ -89,55 +88,35 @@ pub fn average_down_dist(
                 .map(move |(i, overlap)| (j, i, overlap))
         })
         .collect();
-
-    // All sends first (buffered transport), so the blocking waits always
-    // have matching traffic in flight on every rank.
-    for (k, &(j, i, overlap)) in chunks.iter().enumerate() {
-        let src_rank = fine.distribution().owner(j);
-        let dst_rank = coarse.distribution().owner(i);
-        if src_rank != rank || dst_rank == rank {
-            continue;
-        }
-        let fbox = fine.valid_box(j);
-        let ffab = fine.fab(j);
-        let mut out = Vec::with_capacity(overlap.num_points() as usize * ncomp * 8);
-        for c in 0..ncomp {
-            for cp in overlap.cells() {
-                let children = IndexBox::new(cp, cp).refine(ratio).intersection(&fbox);
-                let sum: f64 = children.cells().map(|p| ffab.get(p, c)).sum();
-                out.extend_from_slice(&(sum * inv).to_le_bytes());
-            }
-        }
-        ep.send(dst_rank, mktag(k), bytes::Bytes::from(out));
-    }
-    let handles: Vec<(usize, crocco_runtime::RecvHandle)> = chunks
-        .iter()
-        .enumerate()
-        .filter(|(_, &(j, i, _))| {
-            coarse.distribution().owner(i) == rank && fine.distribution().owner(j) != rank
-        })
-        .map(|(k, &(j, _, _))| (k, ep.irecv(fine.distribution().owner(j), mktag(k))))
-        .collect();
-    let mut landed = std::collections::HashMap::with_capacity(handles.len());
-    for (k, h) in &handles {
-        landed.insert(*k, ep.wait(h)?);
-    }
+    let (fine_dm, coarse_dm) = (fine.distribution(), coarse.distribution().clone());
+    let layout = Layout::new(
+        rank,
+        chunks.iter().enumerate().map(|(k, &(j, i, overlap))| {
+            let bytes = overlap.num_points() as usize * ncomp * 8;
+            (k, fine_dm.owner(j), coarse_dm.owner(i), bytes)
+        }),
+    );
+    let restrict = |j: usize, cfab: &mut FArrayBox, overlap: IndexBox| {
+        restrict_into(fine.fab(j), fine.valid_box(j), cfab, overlap, ratio, ncomp, inv);
+    };
+    let landed = exchange(ep, &layout, tag, &mut |k, out| {
+        let (j, _, overlap) = chunks[k];
+        let mut restricted = FArrayBox::new(overlap, ncomp);
+        restrict(j, &mut restricted, overlap);
+        pack_chunk(&restricted, overlap, IntVect::ZERO, ncomp, out);
+    })?;
 
     // Apply in chunk order: local restriction for chunks whose fine source
-    // is owned here, payload unpack for the rest. Chunk write regions are
+    // is owned here, landed bytes for the rest. Chunk write regions are
     // pairwise disjoint (fine valid boxes are disjoint and ratio-aligned),
     // so application order cannot change the result.
     for (k, &(j, i, overlap)) in chunks.iter().enumerate() {
-        if coarse.distribution().owner(i) != rank {
+        if coarse_dm.owner(i) != rank {
             continue;
         }
-        if fine.distribution().owner(j) == rank {
-            let fbox = fine.valid_box(j);
-            let ffab = fine.fab(j);
-            restrict_into(ffab, fbox, coarse.fab_mut(i), overlap, ratio, ncomp, inv);
-        } else {
-            let payload = landed.get(&k).expect("remote restriction was received");
-            unpack_chunk_into(coarse.fab_mut(i), overlap, ncomp, payload);
+        match landed.get(k) {
+            Some(bytes) => with_rw(coarse.fab_mut(i), |rw| unpack_chunk(rw, overlap, ncomp, bytes)),
+            None => restrict(j, coarse.fab_mut(i), overlap),
         }
     }
     Ok(())

@@ -18,14 +18,12 @@ use crate::interp::{BlendKind, BlendStencil, BlendWeights, Interpolator};
 use crocco_fab::plan::{CopyChunk, CopyPlan};
 use crocco_fab::plan_cache::{CachedPlan, PlanCache, PlanKey, PlanOp};
 use crocco_fab::{
-    boxarray::subtract_box, BoxArray, DistributionMapping, FArrayBox, FabRw, MultiFab,
+    boxarray::subtract_box, with_rw, BoxArray, DistributionMapping, FArrayBox, FabRw, MultiFab,
 };
-use bytes::Bytes;
-use crocco_fab::owned::exchange_chunks;
+use crocco_fab::exchange::{exchange_chunks, unpack_chunk, Landed};
 use crocco_geometry::{IndexBox, IntVect, ProblemDomain};
 use crocco_runtime::cluster::CommError;
 use crocco_runtime::{parallel_for_each_mut, tags, GroupEndpoint};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -124,7 +122,7 @@ pub struct CoarseTimeInterp<'a> {
 }
 
 /// Landed cross-rank donor payloads of one coarse→fine gather
-/// ([`TwoLevelPlans::exchange`]): [`crocco_fab::owned::pack_chunk`] bytes
+/// ([`TwoLevelPlans::exchange`]): [`crocco_fab::pack_chunk`] bytes
 /// keyed by *global chunk index* into the state-gather plan (`state`, and
 /// `old` for the time-interpolated old state) or the coordinate-gather plan
 /// (`coords`). A chunk absent from its map is read from the local fab —
@@ -133,9 +131,9 @@ pub struct CoarseTimeInterp<'a> {
 /// per plan that moved coordinates.
 #[derive(Debug, Default)]
 pub struct RemoteGathers {
-    state: HashMap<usize, Bytes>,
-    coords: Option<HashMap<usize, Bytes>>,
-    old: HashMap<usize, Bytes>,
+    state: Landed,
+    coords: Option<Landed>,
+    old: Landed,
 }
 
 impl RemoteGathers {
@@ -368,9 +366,7 @@ impl TwoLevelPlans<'_> {
         level: usize,
     ) -> Result<RemoteGathers, CommError> {
         let round = |src: &MultiFab, plan: &CopyPlan, kind: u64| {
-            exchange_chunks(src, &plan.chunks, plan.ncomp, gep, &|k| {
-                tags::owned(kind, epoch, level, k)
-            })
+            exchange_chunks(src, plan, gep, &|sender| tags::owned(kind, epoch, level, sender))
         };
         let state_plan = &self.state.state.plan;
         Ok(RemoteGathers {
@@ -387,7 +383,7 @@ impl TwoLevelPlans<'_> {
             },
             old: match old {
                 Some(old) => round(old, state_plan, tags::OWNED_GATHER_OLD)?,
-                None => HashMap::new(),
+                None => Landed::default(),
             },
         })
     }
@@ -898,11 +894,11 @@ fn execute_gather_with_remote(
     chunks: &[CopyChunk],
     base: usize,
     ncomp: usize,
-    remote: Option<&HashMap<usize, Bytes>>,
+    remote: Option<&Landed>,
 ) {
     for (k, c) in chunks.iter().enumerate() {
-        if let Some(payload) = remote.and_then(|r| r.get(&(base + k))) {
-            crocco_fab::owned::unpack_chunk_into(dst_fab, c.region, ncomp, payload);
+        if let Some(bytes) = remote.and_then(|r| r.get(base + k)) {
+            with_rw(dst_fab, |rw| unpack_chunk(rw, c.region, ncomp, bytes));
         } else {
             dst_fab.copy_shifted_from(src.fab(c.src_id), c.region, c.shift, ncomp);
         }
@@ -912,6 +908,7 @@ fn execute_gather_with_remote(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crocco_runtime::LocalCluster;
     use crate::interp::{
         reference_blend, CurvilinearInterp, PiecewiseConstantInterp, TrilinearInterp,
     };
@@ -1072,10 +1069,16 @@ mod tests {
     }
 
     /// Every chunk of `plan` packed out of `src`, as an exchange in which
-    /// every donor is remote would land them.
-    fn all_landed(src: &MultiFab, plan: &CopyPlan) -> HashMap<usize, Bytes> {
-        let payload = |c: &CopyChunk| crocco_fab::owned::pack_chunk(src.fab(c.src_id), c, plan.ncomp);
-        plan.chunks.iter().map(payload).enumerate().collect()
+    /// every donor is remote would land them: the plan rerouted so that
+    /// rank 0 of two donates every chunk to rank 1, whose landing is kept.
+    fn all_landed(src: &MultiFab, plan: &CopyPlan) -> Landed {
+        let mut remote = plan.clone();
+        remote.chunks.iter_mut().for_each(|c| (c.src_rank, c.dst_rank) = (0, 1));
+        let mut landed = LocalCluster::run(2, |ep| {
+            let tag = |sender| tags::owned(tags::OWNED_GATHER, 0, 0, sender);
+            exchange_chunks(src, &remote, &GroupEndpoint::full(&ep), &tag).expect("fault-free round")
+        });
+        landed.pop().expect("rank 1's landing")
     }
 
     fn poisoned(mf: &MultiFab) -> MultiFab {

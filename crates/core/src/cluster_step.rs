@@ -48,7 +48,6 @@ use crate::driver::{
 use crate::io::{checkpoint_header, patch_body_bytes, seal_checkpoint};
 use crate::kernels::NGHOST;
 use crate::state::NCONS;
-use bytes::Bytes;
 use crocco_amr::average_down::average_down_dist;
 use crocco_amr::fillpatch::{
     fill_two_level_patch_with_remote, resolve_remap_plans, resolve_two_level_plans,
@@ -56,7 +55,7 @@ use crocco_amr::fillpatch::{
 };
 use crocco_amr::tagging::TagSet;
 use crocco_amr::BoundaryFiller;
-use crocco_fab::owned::redistribute;
+use crocco_fab::exchange::{exchange, redistribute, Layout};
 use crocco_fab::plan_cache::{PlanKey, PlanOp};
 use crocco_fab::{
     band_slabs, run_dist_rk_stage, DistSkeleton, DistStage, FArrayBox, FabRd, FabRw,
@@ -64,7 +63,7 @@ use crocco_fab::{
 };
 use crocco_geometry::{IntVect, ProblemDomain};
 use crocco_runtime::chaos::CrashPhase;
-use crocco_runtime::cluster::{take_field, CommError};
+use crocco_runtime::cluster::CommError;
 use crocco_runtime::{tags, CommGroup, GroupEndpoint, RankEndpoint, StageError};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -141,38 +140,34 @@ impl Simulation {
     }
 
     /// Unions per-level tag sets across all ranks in place. Each rank sends
-    /// its sorted tag bytes for every level to every peer and absorbs
-    /// theirs; set-union is order-free, so all ranks end with the identical
-    /// `TagSet` and the downstream clustering stays in lockstep.
+    /// every peer one message holding its sorted tag bytes for every level
+    /// and absorbs theirs; set-union is order-free, so all ranks end with
+    /// the identical `TagSet` and the downstream clustering stays in
+    /// lockstep. Tag-set sizes are known only to their sender, so the round
+    /// is a counted layout.
     fn exchange_tag_union(
         &self,
         gep: &GroupEndpoint<'_>,
         epoch_base: u64,
         tag_sets: &mut [TagSet],
     ) -> Result<(), StageError> {
-        if gep.nranks() == 1 {
-            return Ok(());
-        }
-        let me = gep.rank();
+        let (me, n, nl) = (gep.rank(), gep.nranks(), tag_sets.len());
         let epoch = tags::epoch_with_generation(gep.generation(), epoch_base);
-        for (l, t) in tag_sets.iter().enumerate() {
-            let payload = Bytes::from(t.to_sorted_bytes());
-            for dst in 0..gep.nranks() {
-                if dst != me {
-                    gep.send(dst, tags::owned(tags::OWNED_REDIST, epoch, l, me), payload.clone());
-                }
-            }
-        }
+        let tag = |src| tags::owned(tags::OWNED_REDIST, epoch, 0, src);
+        // Item `src·nl + l` is rank `src`'s level-`l` set, broadcast to all.
+        let routes = (0..n * nl).flat_map(|item| (0..n).map(move |dst| (item, item / nl, dst)));
+        let layout = Layout::counted(me, routes);
+        let landed = exchange(gep, &layout, &tag, &mut |item, out| {
+            out.extend_from_slice(&tag_sets[item % nl].to_sorted_bytes());
+        })?;
         for (l, t) in tag_sets.iter_mut().enumerate() {
-            for src in 0..gep.nranks() {
-                if src == me {
+            for src in (0..n).filter(|&src| src != me) {
+                let Some(bytes) = landed.get(src * nl + l) else {
                     continue;
-                }
-                let tag = tags::owned(tags::OWNED_REDIST, epoch, l, src);
-                let payload = gep.recv_matched(src, tag)?;
-                t.absorb_bytes(&payload).map_err(|e| CommError::MalformedPayload {
+                };
+                t.absorb_bytes(bytes).map_err(|e| CommError::MalformedPayload {
                     src,
-                    tag,
+                    tag: tag(src),
                     expected: e.len.next_multiple_of(24),
                     got: e.len,
                 })?;
@@ -267,8 +262,8 @@ impl Simulation {
                     NCONS,
                 );
                 self.comm.absorb_plan(&plan.stats, PlanKind::ParallelCopy);
-                redistribute(&old.state, &mut state, &plan.plan, gep, &|k| {
-                    tags::owned(tags::OWNED_REDIST, epoch, l, k)
+                redistribute(&old.state, &mut state, &plan.plan, gep, &|src| {
+                    tags::owned(tags::OWNED_REDIST, epoch, l, src)
                 })?;
             }
             let du = self.alloc_mf(ba, dm, NCONS, 0);
@@ -278,41 +273,47 @@ impl Simulation {
     }
 
     /// Serializes the whole-domain checkpoint from owned data: every rank
-    /// streams its owned patch bodies to all peers and assembles the patches
-    /// in hierarchy order, so all ranks seal byte-identical snapshots (the
-    /// invariant chaos recovery relies on).
+    /// broadcasts its owned patch bodies — one message per peer — and
+    /// assembles all patches in hierarchy order, so all ranks seal
+    /// byte-identical snapshots (the invariant chaos recovery relies on).
     fn checkpoint_bytes_cluster(&self, gep: &GroupEndpoint<'_>) -> Result<Vec<u8>, StageError> {
         let rank = self.owned_rank;
         let epoch = tags::epoch_with_generation(
             gep.generation(),
             EPOCH_CHECKPOINT | (u64::from(self.step) & 0xFF),
         );
-        // All sends first: each owned body is serialised once, broadcast to
-        // every peer and appended in place; a peer's body gets its slot in
-        // (level, patch) order now and its bytes when they land.
+        // Every patch body gets its slot in (level, patch) order: owned
+        // bodies are serialised in place, a peer's when its message lands.
         let mut w = checkpoint_header(self);
-        let mut awaited = Vec::new();
-        for (l, lev) in self.levels.iter().enumerate() {
+        let mut slots = Vec::new();
+        for lev in &self.levels {
             let owners = lev.state.distribution();
             for i in 0..lev.state.nfabs() {
-                let (owner, tag) = (owners.owner(i), tags::owned(tags::OWNED_CKPT, epoch, l, i));
+                let owner = owners.owner(i);
+                let start = w.len();
                 if owner == rank {
-                    let body = Bytes::from(patch_body_bytes(&lev.state, i));
-                    for dst in (0..gep.nranks()).filter(|&dst| dst != rank) {
-                        gep.send(dst, tag, body.clone());
-                    }
-                    w.extend_from_slice(&body);
+                    w.extend_from_slice(&patch_body_bytes(&lev.state, i));
                 } else {
-                    let len = lev.state.valid_box(i).num_points() as usize * NCONS * 8;
-                    awaited.push((w.len()..w.len() + len, owner, tag));
-                    w.resize(w.len() + len, 0);
+                    w.resize(start + lev.state.valid_box(i).num_points() as usize * NCONS * 8, 0);
                 }
+                slots.push((start..w.len(), owner));
             }
         }
-        for (slot, owner, tag) in awaited {
-            let body = gep.recv_matched(owner, tag)?;
-            assert_eq!(body.len(), slot.len(), "checkpoint body size mismatch");
-            w[slot].copy_from_slice(&body);
+        let n = gep.nranks();
+        let routes = slots.iter().enumerate().flat_map(|(k, (slot, owner))| {
+            (0..n).map(move |dst| (k, *owner, dst, slot.len()))
+        });
+        let layout = Layout::new(rank, routes);
+        let landed = exchange(
+            gep,
+            &layout,
+            &|src| tags::owned(tags::OWNED_CKPT, epoch, 0, src),
+            &mut |k, out| out.extend_from_slice(&w[slots[k].0.clone()]),
+        )?;
+        for (k, (slot, _)) in slots.into_iter().enumerate() {
+            if let Some(body) = landed.get(k) {
+                w[slot].copy_from_slice(body);
+            }
         }
         Ok(seal_checkpoint(w))
     }
@@ -710,11 +711,12 @@ impl Simulation {
     }
 
     /// Ships the fine-side register sums of level pair `l` from fine-patch
-    /// owners to coarse-patch owners (`tags::OWNED_REFLUX`), merging each
-    /// landed part onto the receiver's all-zero fine accumulators — bitwise
-    /// the single-rank fold, since every register face has exactly one fine
-    /// contributor patch (asserted in `subcycle::tests`). Pairs owned by one
-    /// rank are already folded locally and move nothing.
+    /// owners to coarse-patch owners (`tags::OWNED_REFLUX`, one message per
+    /// peer), merging each landed part onto the receiver's all-zero fine
+    /// accumulators — bitwise the single-rank fold, since every register
+    /// face has exactly one fine contributor patch (asserted in
+    /// `subcycle::tests`). Pairs owned by one rank are already folded
+    /// locally and move nothing.
     fn ship_fine_parts(
         &mut self,
         l: usize,
@@ -723,58 +725,33 @@ impl Simulation {
     ) -> Result<(), StageError> {
         let fine_dm = self.levels[l + 1].state.distribution().clone();
         let coarse_dm = self.levels[l].state.distribution().clone();
-        let rank = gep.rank();
-        let mktag = |k: usize| tags::owned(tags::OWNED_REFLUX, epoch, l, k);
-        let landed: Vec<(usize, Bytes)> = {
-            let reg = &self.subcycle[l];
-            // All sends first (buffered transport), then blocking receives —
-            // the fenced discipline of `exchange_chunks`.
-            for (k, (j, p, faces)) in reg.fine_ship.iter().enumerate() {
-                if fine_dm.owner(*j) != rank || coarse_dm.owner(*p) == rank {
-                    continue;
-                }
-                let mut out = Vec::with_capacity(faces.len() * NCONS * 8);
-                for f in faces {
-                    let part = reg
-                        .register
-                        .fine_part(f)
-                        .expect("manifest face is registered");
+        let reg = &mut self.subcycle[l];
+        let routes = reg.fine_ship.iter().enumerate().map(|(k, (j, p, faces))| {
+            (k, fine_dm.owner(*j), coarse_dm.owner(*p), faces.len() * NCONS * 8)
+        });
+        let layout = Layout::new(gep.rank(), routes);
+        let (ship, register) = (&reg.fine_ship, &mut reg.register);
+        let landed = exchange(
+            gep,
+            &layout,
+            &|src| tags::owned(tags::OWNED_REFLUX, epoch, l, src),
+            &mut |k, out| {
+                for f in &ship[k].2 {
+                    let part = register.fine_part(f).expect("manifest face is registered");
                     for x in part.iter().take(NCONS) {
                         out.extend_from_slice(&x.to_le_bytes());
                     }
                 }
-                gep.send(coarse_dm.owner(*p), mktag(k), Bytes::from(out));
-            }
-            let handles: Vec<(usize, crocco_runtime::RecvHandle)> = reg
-                .fine_ship
-                .iter()
-                .enumerate()
-                .filter(|(_, (j, p, _))| {
-                    coarse_dm.owner(*p) == rank && fine_dm.owner(*j) != rank
-                })
-                .map(|(k, (j, _, _))| (k, gep.irecv(fine_dm.owner(*j), mktag(k))))
-                .collect();
-            let mut landed = Vec::with_capacity(handles.len());
-            for (k, h) in &handles {
-                landed.push((*k, gep.wait(h)?));
-            }
-            landed
-        };
-        let reg = &mut self.subcycle[l];
-        for (k, payload) in landed {
-            let (_, _, faces) = &reg.fine_ship[k];
-            assert_eq!(
-                payload.len(),
-                faces.len() * NCONS * 8,
-                "reflux part payload size mismatch"
-            );
-            let mut words: &[u8] = &payload;
-            for f in faces {
-                let mut part = [0.0; NCONS];
-                for x in &mut part {
-                    *x = f64::from_le_bytes(take_field(&mut words).expect("sized above"));
-                }
-                reg.register.add_fine_part(*f, &part);
+            },
+        )?;
+        for (k, (_, _, faces)) in ship.iter().enumerate() {
+            let Some(bytes) = landed.get(k) else {
+                continue;
+            };
+            let (words, _) = bytes.as_chunks::<8>();
+            for (f, part) in faces.iter().zip(words.chunks_exact(NCONS)) {
+                let part: [f64; NCONS] = std::array::from_fn(|n| f64::from_le_bytes(part[n]));
+                register.add_fine_part(*f, &part);
             }
         }
         Ok(())

@@ -4,10 +4,12 @@
 //! Each rank executes only the patches its
 //! [`DistributionMapping`](crate::distribution::DistributionMapping)
 //! assigns to it; halo chunks whose source and destination live on different
-//! ranks travel as tag-matched messages ([`crocco_runtime::tags::halo`]).
-//! On-node stepping is the same executor over a group of one
-//! ([`crocco_runtime::RankEndpoint::solo`]): every chunk is local, nothing
-//! is sent (DESIGN.md §4e–§4f; the paper's §IV-B GPU-aware-MPI overlap).
+//! ranks travel through the exchange engine ([`crate::exchange`]): one
+//! message per peer per stage, tagged [`crocco_runtime::tags::halo`] with
+//! the sender's rank. On-node stepping is the same executor over a group of
+//! one ([`crocco_runtime::RankEndpoint::solo`]): every chunk is local,
+//! nothing is sent (DESIGN.md §4e–§4f; the paper's §IV-B GPU-aware-MPI
+//! overlap).
 //!
 //! Two schedules share one [`DistSkeleton`]:
 //!
@@ -15,24 +17,25 @@
 //!   stage built from the *cached* `FillBoundary` plan:
 //!
 //!   ```text
-//!     send[c]     = pack chunk c → send                (no dependencies)
-//!     recv[c]     = event: chunk c's payload landed    (pumped by GroupEndpoint::pump)
-//!     halo[i]     = pre_halo(i) → chunks into i → bc_fill(i)   after recv[c] into i
+//!     send[m]     = pack every chunk for peer m → one send  (no dependencies)
+//!     recv[m]     = event: peer m's message landed and decoded (Inbox::is_ready)
+//!     halo[i]     = pre_halo(i) → chunks into i → bc_fill(i)   after recv[m] of every peer feeding i
 //!     sweep[i]    = sweep(i, Whole)                    after halo[i]
 //!     update[i]   = update(i)    after sweep[i], halo[j] for every local j whose
-//!                                chunks read i, and send[c] for every c packing out of i
+//!                                chunks read i, and send[m] for every m packing out of i
 //!   ```
 //!
-//!   A patch that waits on a receive ([`DistSkeleton::is_split`]) replaces
-//!   `sweep[i]` by `interior[i]` (no dependencies) and `boundary[i]` (after
-//!   `halo[i]` and `interior[i]`), so its ghost-independent core overlaps
-//!   with the wire. Only patch-boundary tasks fence; there is no per-stage
-//!   barrier.
+//!   `halo[i]` waits on whole peer messages, not on its own chunks: the
+//!   transport delivers a message atomically, so no chunk of it is
+//!   readable before all of it is. A patch that waits on a receive
+//!   ([`DistSkeleton::is_split`]) replaces `sweep[i]` by `interior[i]` (no
+//!   dependencies) and `boundary[i]` (after `halo[i]` and `interior[i]`), so
+//!   its ghost-independent core overlaps with the wire. Only patch-boundary
+//!   tasks fence; there is no per-stage barrier.
 //! * **fenced** — the *reference* schedule every invariance suite compares
-//!   the graph against (as the scalar backend is for kernels): post every
-//!   receive, pack and send every outgoing chunk, then run fill → whole
-//!   sweep → update as sequential loops, blocking on each remote payload in
-//!   plan order.
+//!   the graph against (as the scalar backend is for kernels): one fenced
+//!   [`exchange`] round over the same layout, then fill → whole sweep →
+//!   update as sequential loops.
 //!
 //! Both produce bitwise-identical state at any rank count: every cell is
 //! written by the same arithmetic in the same per-cell order, and
@@ -51,7 +54,7 @@
 //! so the non-owned [`crate::fab::FArrayBox::unallocated`] placeholders are
 //! never touched. Cross-rank motion outside the stage graphs (FillPatch
 //! coarse gathers, regrid redistribution, checkpoint assembly) goes through
-//! [`crate::owned`].
+//! the same engine's fenced rounds ([`crate::exchange`]).
 //!
 //! # Safety argument
 //!
@@ -67,12 +70,12 @@
 //!   shrunk by the ghost width so the widest stencil stays inside valid
 //!   data) and writes only `rhs[i]`, which no other task touches until
 //!   `boundary[i]`; `sweep[i]` is ordered after `halo[i]` outright;
-//! * `send[c]` *reads* valid cells of its source patch; `update[i]`
-//!   (the only writer of valid cells of `i`) depends on every send reading
-//!   `i` (`send_readers`), so the read completes first;
-//! * receive events touch no fab at all — the payload parks in the
-//!   [`RecvHandle`] until `halo[i]` (their dependent) unpacks it into ghost
-//!   cells of `i`;
+//! * `send[m]` *reads* valid cells of the source patches of its chunks;
+//!   `update[i]` (the only writer of valid cells of `i`) depends on every
+//!   send reading `i` (`send_readers`), so the read completes first;
+//! * receive events touch no fab at all — the message parks in the
+//!   [`Inbox`] until each `halo[i]` it feeds (their dependents) unpacks its
+//!   chunks into ghost cells of `i`;
 //! * `update[i]` is, by its dependency set, the *last* task to touch patch
 //!   `i`'s state, `du` and `rhs` fabs, so it may safely materialize
 //!   `&mut FArrayBox` for the per-patch arithmetic;
@@ -88,23 +91,85 @@
 // views let graph tasks touch disjoint fab regions concurrently.
 #![allow(unsafe_code)]
 
+use crate::exchange::{exchange, pack_chunk, unpack_chunk, Inbox, Layout, Msg};
 use crate::fab::FArrayBox;
-use crate::multifab::{copy_chunk_raw, RawFab};
-use crate::overlap::{StageFabs, SweepPhase};
+use crate::multifab::{copy_chunk_raw, MultiFab, RawFab};
 use crate::plan::{CopyChunk, CopyPlan};
 use crate::plan_cache::CachedPlan;
 use crate::taskcheck::{dist_rank_schedule, FabIds};
 use crate::view::{FabRd, FabRw};
-use bytes::Bytes;
-use crocco_runtime::cluster::take_field;
+use crocco_geometry::IndexBox;
 use crocco_runtime::taskcheck::record_access;
-use crocco_runtime::{tags, GroupEndpoint, RecvHandle, Schedule, StageError, TaskGraph};
+use crocco_runtime::{tags, GroupEndpoint, Schedule, StageError, TaskGraph};
+
+/// Which part of a patch a kernel sweep covers.
+///
+/// A patch is swept either in one [`Whole`](SweepPhase::Whole) call or as an
+/// [`Interior`](SweepPhase::Interior) + [`BoundaryBand`](SweepPhase::BoundaryBand)
+/// pair. The split exists to hide *remote* halo latency behind the interior
+/// sweep, and costs recomputed stencil-halo primitives at every slab seam,
+/// so the executor splits exactly the patches whose halo task waits on a
+/// receive and sweeps every other patch whole. Every valid cell lies in
+/// exactly one swept region either way, so the choice is bitwise-invisible.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SweepPhase {
+    /// The whole valid box in one call, after the patch's halo task. The
+    /// sweep must zero the patch's RHS fab first.
+    Whole,
+    /// The ghost-independent core: the valid box shrunk by the ghost width.
+    /// Runs with no dependencies. The sweep must also zero the patch's RHS
+    /// fab first — the phase always runs, even when the core is empty.
+    Interior,
+    /// The boundary band (valid minus interior), whose stencils reach into
+    /// ghost cells. Runs after the patch's halo task and its interior sweep.
+    BoundaryBand,
+}
+
+/// The per-level fabs one RK stage reads and writes.
+pub struct StageFabs<'a> {
+    /// Conserved state: ghosts filled by halo tasks, valid cells updated
+    /// last.
+    pub state: &'a mut MultiFab,
+    /// Low-storage RK accumulator (no ghosts).
+    pub du: &'a mut MultiFab,
+    /// Per-patch RHS scratch, one fab per patch.
+    pub rhs: &'a mut [FArrayBox],
+}
+
+/// Decomposes `valid` minus `interior` into disjoint axis-aligned slabs
+/// (x-low/high full-face slabs, then y slabs restricted to the interior's x
+/// range, then z slabs restricted to the interior's x–y range). Returns
+/// `[valid]` when the interior is empty. Every band cell lands in exactly
+/// one slab, so sweeping the slabs accumulates each cell's RHS exactly once
+/// — in the same per-cell operation order as one sweep over `valid`.
+pub fn band_slabs(valid: IndexBox, interior: IndexBox) -> Vec<IndexBox> {
+    if interior.is_empty() {
+        return vec![valid];
+    }
+    debug_assert!(valid.contains_box(&interior));
+    let mut slabs = Vec::with_capacity(6);
+    let mut core = valid;
+    for dir in 0..3 {
+        let lo_gap = interior.lo()[dir] - core.lo()[dir];
+        if lo_gap > 0 {
+            slabs.push(core.grow_hi(dir, lo_gap - core.size()[dir]));
+        }
+        let hi_gap = core.hi()[dir] - interior.hi()[dir];
+        if hi_gap > 0 {
+            slabs.push(core.grow_lo(dir, hi_gap - core.size()[dir]));
+        }
+        core = core.grow_lo(dir, -lo_gap).grow_hi(dir, -hi_gap);
+    }
+    debug_assert_eq!(core, interior);
+    slabs
+}
 
 /// The rank-local, stage-invariant structure of a level's distributed RK
 /// stage: which patches this rank owns, which plan chunks it copies locally,
-/// receives, or sends, and the dependency edges among them. Derived once per
-/// (plan, rank) and memoized in the plan cache (`PlanOp::Aux`), so per-stage
-/// construction re-binds only RK coefficients and message tags.
+/// the per-peer messages of its halo round, and the dependency edges among
+/// them. Derived once per (plan, rank) and memoized in the plan cache
+/// (`PlanOp::Aux`), so per-stage construction re-binds only RK coefficients
+/// and message tags.
 #[derive(Clone, Debug, Default)]
 pub struct DistSkeleton {
     /// The rank this skeleton was built for.
@@ -116,18 +181,18 @@ pub struct DistSkeleton {
     /// Per destination patch: the contiguous `[s, e)` chunk range of the
     /// plan that writes its ghost shell (`(0, 0)` when none).
     pub chunk_range: Vec<(usize, usize)>,
-    /// Plan chunk indices this rank must pack and send (`src_rank == rank`,
-    /// `dst_rank != rank`), in plan order.
-    pub sends: Vec<usize>,
-    /// Per owned destination patch: plan chunk indices arriving from remote
-    /// ranks (`dst_id == patch`, `src_rank != rank`). Empty for non-owned
+    /// The stage's halo round ([`Layout::of_plan`]): one message per peer
+    /// this rank sends to, one per peer it receives from.
+    pub layout: Layout,
+    /// Per owned destination patch: positions in `layout.recvs` of the
+    /// messages carrying chunks into it, ascending. Empty for non-owned
     /// patches.
-    pub recvs: Vec<Vec<usize>>,
+    pub feeds: Vec<Vec<usize>>,
     /// Per source patch `i`: owned destination patches whose halo task
     /// copies out of `i` locally (deduplicated) — the local update fences.
     pub readers: Vec<Vec<usize>>,
-    /// Per source patch `i`: positions in [`Self::sends`] that pack out of
-    /// `i` — the rank-crossing update fences.
+    /// Per source patch `i`: positions in `layout.sends` of the messages
+    /// packing out of `i` — the rank-crossing update fences.
     pub send_readers: Vec<Vec<usize>>,
 }
 
@@ -136,29 +201,33 @@ impl DistSkeleton {
     /// are assigned by `owner` (one rank per patch).
     pub fn build(fb: &CachedPlan, owner: &[usize], rank: usize) -> Self {
         let npatches = owner.len();
+        let chunks = &fb.plan.chunks;
         let owned: Vec<usize> = (0..npatches).filter(|&i| owner[i] == rank).collect();
         let mut chunk_range = vec![(0usize, 0usize); npatches];
         for &(s, e) in &fb.groups {
             if s < e {
-                chunk_range[fb.plan.chunks[s].dst_id] = (s, e);
+                chunk_range[chunks[s].dst_id] = (s, e);
             }
         }
-        let mut sends = Vec::new();
-        let mut recvs: Vec<Vec<usize>> = vec![Vec::new(); npatches];
-        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); npatches];
-        let mut send_readers: Vec<Vec<usize>> = vec![Vec::new(); npatches];
-        for (c, chunk) in fb.plan.chunks.iter().enumerate() {
-            if chunk.dst_rank == rank && chunk.src_rank != rank {
-                recvs[chunk.dst_id].push(c);
-            }
-            if chunk.src_rank == rank {
-                if chunk.dst_rank != rank {
-                    send_readers[chunk.src_id].push(sends.len());
-                    sends.push(c);
-                } else {
-                    readers[chunk.src_id].push(chunk.dst_id);
+        let layout = Layout::of_plan(rank, &fb.plan);
+        // Messages ascend, so a per-patch list is deduplicated by its tail.
+        let by_patch = |msgs: &[Msg], patch: fn(&CopyChunk) -> usize| {
+            let mut per: Vec<Vec<usize>> = vec![Vec::new(); npatches];
+            for (m, msg) in msgs.iter().enumerate() {
+                for &c in &msg.items {
+                    let list = &mut per[patch(&chunks[c])];
+                    if list.last() != Some(&m) {
+                        list.push(m);
+                    }
                 }
             }
+            per
+        };
+        let feeds = by_patch(&layout.recvs, |c| c.dst_id);
+        let send_readers = by_patch(&layout.sends, |c| c.src_id);
+        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); npatches];
+        for c in chunks.iter().filter(|c| c.src_rank == rank && c.dst_rank == rank) {
+            readers[c.src_id].push(c.dst_id);
         }
         for r in &mut readers {
             r.sort_unstable();
@@ -169,16 +238,11 @@ impl DistSkeleton {
             owned,
             owner: owner.to_vec(),
             chunk_range,
-            sends,
-            recvs,
+            layout,
+            feeds,
             readers,
             send_readers,
         }
-    }
-
-    /// Number of remote chunks this rank receives per stage.
-    pub fn nrecv_chunks(&self) -> usize {
-        self.recvs.iter().map(Vec::len).sum()
     }
 
     /// `true` when the graph schedule sweeps owned patch `i` as an interior +
@@ -187,7 +251,7 @@ impl DistSkeleton {
     /// patch — all of them on a group of one — is swept whole
     /// ([`SweepPhase`]).
     pub fn is_split(&self, i: usize) -> bool {
-        !self.recvs[i].is_empty()
+        !self.feeds[i].is_empty()
     }
 }
 
@@ -211,69 +275,6 @@ pub struct DistStage<'a> {
     /// Schedule for the overlapped graph — thread pool or seeded
     /// adversarial linearization (the fenced path is always serial).
     pub sched: Schedule,
-}
-
-/// Packs one plan chunk through a raw view: component-major, then
-/// `region.cells()` order, each source cell `p - shift` as little-endian
-/// `f64` bytes. The inverse of [`unpack_chunk_raw`]; both round-trip
-/// bitwise.
-///
-/// # Safety
-/// `chunk.region - chunk.shift` must lie in `src`'s box, and no concurrent
-/// task may *write* the read cells (valid cells of the source patch, whose
-/// only writer — `update` — is fenced behind this read).
-// SAFETY: an unsafe fn — every dereference below is bounds-checked in debug
-// builds; callers uphold the aliasing contract documented above.
-unsafe fn pack_chunk_raw(src: &RawFab, chunk: &CopyChunk, ncomp: usize) -> Bytes {
-    record_access(
-        src.ptr as usize as u64,
-        false,
-        chunk.region.shift(-chunk.shift),
-    );
-    let mut out = Vec::with_capacity((chunk.region.num_points() as usize) * ncomp * 8);
-    let nx = chunk.region.size()[0] as usize;
-    for c in 0..ncomp {
-        for p in chunk.region.rows() {
-            let off = src.offset(p - chunk.shift, c);
-            debug_assert!(off + nx <= src.len, "pack read overruns allocation");
-            for v in std::slice::from_raw_parts(src.ptr.add(off), nx) {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
-    Bytes::from(out)
-}
-
-/// Unpacks a [`pack_chunk`] payload into the destination ghost region,
-/// through a raw view.
-///
-/// # Safety
-/// `chunk.region` must lie in `dst`'s box, the payload must carry exactly
-/// `region.num_points() * ncomp` doubles, and no concurrent task may touch
-/// the written cells (ghost cells of the destination patch, written only by
-/// its own halo task).
-// SAFETY: an unsafe fn — every dereference below is bounds-checked in debug
-// builds; callers uphold the aliasing contract documented above.
-unsafe fn unpack_chunk_raw(dst: &RawFab, chunk: &CopyChunk, ncomp: usize, payload: &[u8]) {
-    debug_assert_eq!(
-        payload.len() as u64,
-        chunk.bytes(ncomp),
-        "halo payload size mismatch for chunk into patch {}",
-        chunk.dst_id
-    );
-    record_access(dst.ptr as usize as u64, true, chunk.region);
-    let mut words = payload;
-    let nx = chunk.region.size()[0] as usize;
-    for c in 0..ncomp {
-        for p in chunk.region.rows() {
-            let off = dst.offset(p, c);
-            debug_assert!(off + nx <= dst.len, "unpack write overruns allocation");
-            for v in std::slice::from_raw_parts_mut(dst.ptr.add(off), nx) {
-                let w = take_field(&mut words).expect("payload shorter than chunk");
-                *v = f64::from_le_bytes(w);
-            }
-        }
-    }
 }
 
 /// Executes one RK stage over a level for this rank, under the graph or the
@@ -345,9 +346,9 @@ pub fn run_dist_rk_stage(
     }
 }
 
-/// The fenced reference schedule: post receives, send everything, then run
-/// fill, sweep and update as strict sequential loops over owned patches,
-/// blocking on each remote payload as the fill loop reaches its chunk.
+/// The fenced reference schedule: one fenced exchange round over the
+/// skeleton's layout, then fill, sweep and update as strict sequential loops
+/// over owned patches.
 #[allow(clippy::too_many_arguments)]
 fn run_fenced(
     fabs: StageFabs<'_>,
@@ -373,26 +374,15 @@ fn run_fenced(
         .map(|i| unsafe { RawFab::capture(&mut *state_base.add(i)) })
         .collect();
 
-    // Post every receive up front, then pack and send every outgoing chunk
-    // — the mirror discipline of the remote ranks, so the blocking waits in
-    // the fill loop always have matching traffic in flight.
-    let mut handles: Vec<Option<RecvHandle>> = vec![None; plan.chunks.len()];
-    for &i in &skel.owned {
-        for &c in &skel.recvs[i] {
-            let chunk = &plan.chunks[c];
-            handles[c] = Some(st.ep.irecv(chunk.src_rank, tags::halo(st.epoch, st.level, c)));
-        }
-    }
-    for &c in &skel.sends {
+    let landed = exchange(st.ep, &skel.layout, &|src| tags::halo(st.epoch, st.level, src), &mut |c, out| {
         let chunk = &plan.chunks[c];
         // SAFETY: sequential read of the source patch's valid cells.
-        let payload = unsafe { pack_chunk_raw(&state_raw[chunk.src_id], chunk, ncomp) };
-        st.ep
-            .send(chunk.dst_rank, tags::halo(st.epoch, st.level, c), payload);
-    }
+        let src = unsafe { FabRd::from_raw(state_raw[chunk.src_id]) };
+        pack_chunk(&src, chunk.region, chunk.shift, ncomp, out);
+    })?;
 
     // Fill phase, in plan order within each owned patch's chunk range:
-    // local chunks copy directly, remote chunks block on their handle.
+    // local chunks copy directly, remote chunks unpack their landed bytes.
     for &i in &skel.owned {
         // SAFETY: sequential phase — the view is the only live access path.
         let mut rw = unsafe { FabRw::from_raw(state_raw[i]) };
@@ -411,10 +401,8 @@ fn run_fenced(
                         ncomp,
                     )
                 };
-            } else {
-                let payload = st.ep.wait(handles[c].as_ref().expect("receive was posted"))?;
-                // SAFETY: writes ghost cells of patch `i` only; sequential.
-                unsafe { unpack_chunk_raw(&state_raw[i], chunk, ncomp, &payload) };
+            } else if let Some(bytes) = landed.get(c) {
+                unpack_chunk(&mut rw, chunk.region, ncomp, bytes);
             }
         }
         bc_fill(i, &mut rw);
@@ -476,8 +464,10 @@ impl BasePtr {
     }
 }
 
-/// The graph schedule: one task graph per stage, receives as event tasks
-/// pumped by [`GroupEndpoint::pump`].
+/// The graph schedule: one task graph per stage, one send task and one
+/// receive event per peer; the progress pump ([`GroupEndpoint::pump`])
+/// delivers messages and [`Inbox::poll`] fails the stage on a malformed
+/// one.
 #[allow(clippy::too_many_arguments)]
 fn run_overlapped(
     fabs: StageFabs<'_>,
@@ -510,6 +500,11 @@ fn run_overlapped(
     let rhs_base = BasePtr(fabs.rhs.as_mut_ptr());
 
     let chunks = &plan.chunks;
+    let layout = &skel.layout;
+    let tag = |src| tags::halo(st.epoch, st.level, src);
+    // Post every receive before building the graph: one per peer, decoded
+    // when it lands, fired as an event, drained by the halo tasks it feeds.
+    let inbox = &Inbox::post(st.ep, layout, &tag);
     let mut graph = TaskGraph::new();
 
     // Declared footprints: the same per-rank spec the static verifier checks
@@ -530,42 +525,30 @@ fn run_overlapped(
     };
     let rs = dist_rank_schedule(plan, skel, &valid, fabs.state.nghost(), &ids);
 
-    // Post all receives before building the graph: a handle per remote
-    // chunk, polled by its event task and drained by its halo task.
-    let mut handles: Vec<Option<RecvHandle>> = vec![None; chunks.len()];
-    for &i in &skel.owned {
-        for &c in &skel.recvs[i] {
-            handles[c] = Some(
-                st.ep
-                    .irecv(chunks[c].src_rank, tags::halo(st.epoch, st.level, c)),
-            );
-        }
-    }
-
-    // Send tasks: remote reads of this rank's patches happen here, so sends
-    // are also update fences (`send_readers`).
-    let mut send_tasks = Vec::with_capacity(skel.sends.len());
-    for &c in &skel.sends {
+    // Send tasks, one per peer: remote reads of this rank's patches happen
+    // here, so sends are also update fences (`send_readers`).
+    let mut send_tasks = Vec::with_capacity(layout.sends.len());
+    for m in 0..layout.sends.len() {
         let ep = st.ep;
         let fp = rs.spec.footprint(graph.len()).clone();
         send_tasks.push(graph.add_task_with(&[], fp, move || {
-            let chunk = &chunks[c];
-            // SAFETY: reads valid cells of the (owned) source patch; its
-            // only writer, `update[src_id]`, depends on this task.
-            let payload = unsafe { pack_chunk_raw(state_list.get(chunk.src_id), chunk, ncomp) };
-            ep.send(chunk.dst_rank, tags::halo(st.epoch, st.level, c), payload);
+            let msg = &layout.sends[m];
+            let body = layout.pack(msg, &mut |c, out| {
+                let chunk = &chunks[c];
+                // SAFETY: reads valid cells of the (owned) source patch; its
+                // only writer, `update[src_id]`, depends on this task.
+                let src = unsafe { FabRd::from_raw(*state_list.get(chunk.src_id)) };
+                pack_chunk(&src, chunk.region, chunk.shift, ncomp, out);
+            });
+            ep.send(msg.peer, tag(rank), body);
         }));
     }
 
-    // Receive events: ready when the payload has landed (the coordinator
-    // pumps `ep.progress()` between polls). They touch no fab.
-    let mut recv_events: Vec<Vec<crocco_runtime::TaskHandle>> = vec![Vec::new(); n];
-    for &i in &skel.owned {
-        for &c in &skel.recvs[i] {
-            let h = handles[c].clone().expect("receive was posted");
-            recv_events[i].push(graph.add_event(move || h.is_ready()));
-        }
-    }
+    // Receive events, one per peer: ready once the message has landed and
+    // decoded. They touch no fab.
+    let recv_events: Vec<crocco_runtime::TaskHandle> = (0..layout.recvs.len())
+        .map(|m| graph.add_event(move || inbox.is_ready(m)))
+        .collect();
 
     // Halo tasks: ghost-shell production for each owned patch, gated on its
     // receive events — coarse-fine interpolation, then same-level chunks,
@@ -574,16 +557,13 @@ fn run_overlapped(
     let mut halo = vec![None; n];
     for &i in &skel.owned {
         let (s, e) = skel.chunk_range[i];
-        // Handles are `Arc`-backed: each patch's halo task gets its own
-        // clones of the handles for its chunk range, all observing the
-        // same completion slot.
-        let patch_handles: Vec<Option<RecvHandle>> = handles[s..e].to_vec();
+        let deps: Vec<_> = skel.feeds[i].iter().map(|&m| recv_events[m]).collect();
         let mut fp = rs.spec.footprint(graph.len()).clone();
         let extras = extra_halo.get(i).cloned().unwrap_or_default();
         for &(id, bx) in &extras {
             fp = fp.reads(id, (0, ncomp), bx);
         }
-        let h_i = graph.add_task_with(&recv_events[i], fp, move || {
+        let h_i = graph.add_task_with(&deps, fp, move || {
             // The time-interpolated fill inside `pre_halo` reads its extra
             // fabs below the instrumented views — record the declared reads
             // explicitly so the dynamic detector sees them.
@@ -609,17 +589,10 @@ fn run_overlapped(
                             ncomp,
                         )
                     };
-                } else if chunk.dst_rank == rank {
-                    let payload = patch_handles[c - s]
-                        .as_ref()
-                        .and_then(|h| h.payload())
-                        .expect("receive event fired before its halo task");
-                    // SAFETY: writes ghost cells of patch `i` only, ordered
-                    // after the event and before all readers.
-                    unsafe { unpack_chunk_raw(state_list.get(i), chunk, ncomp, &payload) };
+                } else if let Some((m, bytes)) = layout.recv_slot(c) {
+                    let body = inbox.body(m).expect("receive event fired before its halo task");
+                    unpack_chunk(&mut rw, chunk.region, ncomp, &body[bytes]);
                 }
-                // Chunks into `i` from other ranks to other ranks cannot
-                // exist (dst_id == i ⇒ dst_rank == owner(i) == rank).
             }
             bc_fill(i, &mut rw);
         });
@@ -691,7 +664,8 @@ fn run_overlapped(
 
     let ep = st.ep;
     graph.try_run(st.sched, &mut || {
-        ep.pump().map(|_| ()).map_err(StageError::Comm)
+        ep.pump()?;
+        Ok(inbox.poll()?)
     })
 }
 
@@ -700,8 +674,7 @@ mod tests {
     use super::*;
     use crate::boxarray::BoxArray;
     use crate::distribution::{DistributionMapping, DistributionStrategy};
-    use crate::multifab::MultiFab;
-    use crate::overlap::band_slabs;
+    use crate::exchange::tests::fill_linear;
     use crate::plan_cache::PlanCache;
     use crate::view::FabView;
     use crocco_geometry::decompose::ChopParams;
@@ -721,23 +694,6 @@ mod tests {
         (ba, dm, domain)
     }
 
-    fn fill_linear(mf: &mut MultiFab) {
-        let ncomp = mf.ncomp();
-        for i in 0..mf.nfabs() {
-            let vb = mf.valid_box(i);
-            let fab = mf.fab_mut(i);
-            for c in 0..ncomp {
-                for p in vb.cells() {
-                    fab.set(
-                        p,
-                        c,
-                        (c as f64) * 1e6 + (p[0] * 10_000 + p[1] * 100 + p[2]) as f64,
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn chunk_pack_roundtrips_bitwise() {
         let (ba, dm, domain) = setup(1);
@@ -745,10 +701,12 @@ mod tests {
         fill_linear(&mut mf);
         let plan = mf.fill_boundary(&domain);
         let chunk = plan.chunks.iter().find(|c| !c.region.is_empty()).unwrap();
-        let src_raw = RawFab::capture_const(mf.fab(chunk.src_id));
+        // Through the raw views the stage tasks use.
         // SAFETY: exclusive access in a single-threaded test; the region
         // lies in the fab boxes by plan construction.
-        let payload = unsafe { pack_chunk_raw(&src_raw, chunk, 2) };
+        let src = unsafe { FabRd::from_raw(RawFab::capture_const(mf.fab(chunk.src_id))) };
+        let mut payload = Vec::new();
+        pack_chunk(&src, chunk.region, chunk.shift, 2, &mut payload);
         assert_eq!(payload.len() as u64, chunk.bytes(2));
         // Unpacking into a scratch destination must match a direct copy.
         let mut direct = mf.fab(chunk.dst_id).clone();
@@ -758,9 +716,9 @@ mod tests {
             }
         }
         let mut via_bytes = mf.fab(chunk.dst_id).clone();
-        let raw = RawFab::capture(&mut via_bytes);
         // SAFETY: as above.
-        unsafe { unpack_chunk_raw(&raw, chunk, 2, &payload) };
+        let mut dst = unsafe { FabRw::from_raw(RawFab::capture(&mut via_bytes)) };
+        unpack_chunk(&mut dst, chunk.region, 2, &payload);
         assert_eq!(via_bytes.data(), direct.data());
     }
 
@@ -774,20 +732,27 @@ mod tests {
         for rank in 0..3 {
             let skel = DistSkeleton::build(&fb, dm.owners(), rank);
             assert_eq!(skel.rank, rank);
-            recv_total += skel.nrecv_chunks();
-            send_total += skel.sends.len();
+            recv_total += skel.layout.recvs.iter().map(|m| m.items.len()).sum::<usize>();
+            send_total += skel.layout.sends.iter().map(|m| m.items.len()).sum::<usize>();
             for &i in &skel.owned {
                 assert_eq!(dm.owner(i), rank);
             }
-            for (i, rs) in skel.recvs.iter().enumerate() {
-                if !rs.is_empty() {
+            // Receive events feed owned patches only, each a message that
+            // really carries a chunk into the patch.
+            for (i, feeds) in skel.feeds.iter().enumerate() {
+                if !feeds.is_empty() {
                     assert_eq!(dm.owner(i), rank, "receive targets a non-owned patch");
+                }
+                for &m in feeds {
+                    let items = &skel.layout.recvs[m].items;
+                    assert!(items.iter().any(|&c| fb.plan.chunks[c].dst_id == i));
                 }
             }
             // Send fences point back at their source patches.
             for (i, srs) in skel.send_readers.iter().enumerate() {
-                for &k in srs {
-                    assert_eq!(fb.plan.chunks[skel.sends[k]].src_id, i);
+                for &m in srs {
+                    let items = &skel.layout.sends[m].items;
+                    assert!(items.iter().any(|&c| fb.plan.chunks[c].src_id == i));
                 }
             }
         }
@@ -795,6 +760,42 @@ mod tests {
         assert!(remote > 0, "setup must produce rank-crossing chunks");
         assert_eq!(recv_total, remote, "each remote chunk received once");
         assert_eq!(send_total, remote, "each remote chunk sent once");
+    }
+
+    #[test]
+    fn band_slabs_partition_the_band() {
+        let valid = IndexBox::new(IntVect::new(0, 0, 0), IntVect::new(15, 11, 9));
+        let interior = valid.grow(-4);
+        let slabs = band_slabs(valid, interior);
+        assert_eq!(slabs.len(), 6);
+        let total: u64 = slabs.iter().map(|s| s.num_points()).sum();
+        assert_eq!(total, valid.num_points() - interior.num_points());
+        // Disjointness: pairwise empty intersections, none meets interior.
+        for (a, s) in slabs.iter().enumerate() {
+            assert!(s.intersection(&interior).is_empty());
+            for t in &slabs[a + 1..] {
+                assert!(s.intersection(t).is_empty(), "{s:?} overlaps {t:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn band_slabs_empty_interior_returns_valid() {
+        let valid = IndexBox::from_extents(6, 6, 6);
+        assert_eq!(band_slabs(valid, valid.grow(-4)), vec![valid]);
+    }
+
+    #[test]
+    fn band_slabs_one_sided_interior() {
+        // Interior flush against the low faces: only high-side slabs.
+        let valid = IndexBox::from_extents(8, 8, 8);
+        let interior = IndexBox::new(IntVect::new(0, 0, 0), IntVect::new(3, 3, 3));
+        let slabs = band_slabs(valid, interior);
+        let total: u64 = slabs.iter().map(|s| s.num_points()).sum();
+        assert_eq!(total, valid.num_points() - interior.num_points());
+        for s in &slabs {
+            assert!(s.intersection(&interior).is_empty());
+        }
     }
 
     /// The fenced and the graph schedule both reproduce a

@@ -22,8 +22,9 @@
 //! * [`view`] + [`dist_overlap`] — raw per-fab views and the RK-stage
 //!   executor: one task graph per stage that overlaps halo exchange — local
 //!   copies and rank-crossing messages alike — with kernel sweeps
-//!   (DESIGN.md §4e–§4f); [`overlap`] holds the vocabulary it shares with the
-//!   solver's physics closures, [`taskcheck`] proves its schedules.
+//!   (DESIGN.md §4e–§4f); [`taskcheck`] proves its schedules,
+//! * [`exchange`] — the one exchange engine: every rank-crossing round, one
+//!   message per peer, packed and decoded in one place.
 //!
 //! Where this crate sits in the paper-subsystem map (the S1–S5 table; the
 //! same table appears in the `runtime` and `amr` roots):
@@ -41,11 +42,10 @@
 pub mod boxarray;
 pub mod dist_overlap;
 pub mod distribution;
+pub mod exchange;
 pub mod fab;
 pub mod fabcheck;
 pub mod multifab;
-pub mod overlap;
-pub mod owned;
 pub mod plan;
 pub mod plan_cache;
 pub mod taskcheck;
@@ -53,12 +53,13 @@ pub mod tiles;
 pub mod view;
 
 pub use boxarray::BoxArray;
-pub use dist_overlap::{run_dist_rk_stage, DistSkeleton, DistStage};
-pub use owned::{exchange_chunks, pack_chunk, redistribute, unpack_chunk_into};
+pub use dist_overlap::{
+    band_slabs, run_dist_rk_stage, DistSkeleton, DistStage, StageFabs, SweepPhase,
+};
+pub use exchange::{exchange_chunks, pack_chunk, redistribute, unpack_chunk};
 pub use distribution::{DistributionMapping, DistributionStrategy};
 pub use fab::FArrayBox;
 pub use multifab::MultiFab;
-pub use overlap::{band_slabs, StageFabs, SweepPhase};
 pub use plan::{CopyChunk, CopyPlan};
 pub use plan_cache::{CachedPlan, PlanCache, PlanKey, PlanOp};
 pub use taskcheck::{dist_rank_schedule, verify_dist, FabIds, VerifyReport};

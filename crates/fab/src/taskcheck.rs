@@ -37,8 +37,12 @@
 //! * `update[i]` reads `rhs[i]` and writes `V` of `i` and `du[i]` — the
 //!   writes whose ordering against every reader of `i` is exactly what the
 //!   `readers`/`send_readers` fences exist to guarantee.
-//! * `send[c]` reads `region - shift` of its source patch; receive events
-//!   touch nothing.
+//! * `send[m]` reads `region - shift` of the source patch of every chunk in
+//!   its peer's message; receive events touch nothing.
+//!
+//! Channels are `(src, dst)` rank pairs ([`channel`]): a stage sends one
+//! message per pair, so a dropped send leaves exactly one receive
+//! unmatched.
 
 use crate::dist_overlap::DistSkeleton;
 use crate::plan::CopyPlan;
@@ -152,12 +156,17 @@ fn sweeps_and_update(
     );
 }
 
+/// The channel key of the `(src, dst)` rank pair: one halo message per pair
+/// per stage, so the pair identifies it.
+pub fn channel(src: usize, dst: usize) -> u64 {
+    ((src as u64) << 32) | dst as u64
+}
+
 /// One rank's slice of the stage graph
-/// ([`crate::dist_overlap::run_dist_rk_stage`] with `overlap = true`):
-/// send tasks, receive events (with their channel keys — the plan chunk
-/// index, exactly the varying coordinate of
-/// [`crocco_runtime::tags::halo`]), then the halo task of every owned
-/// patch, then its sweep(s) and update, in executor insertion order.
+/// ([`crate::dist_overlap::run_dist_rk_stage`] with `overlap = true`): one
+/// send task and one receive event per peer (with its [`channel`]), then
+/// the halo task of every owned patch, then its sweep(s) and update, in
+/// executor insertion order.
 pub fn dist_rank_schedule(
     plan: &CopyPlan,
     skel: &DistSkeleton,
@@ -168,37 +177,33 @@ pub fn dist_rank_schedule(
     let comp = (0, plan.ncomp);
     let chunks = &plan.chunks;
     let mut rs = RankSchedule::default();
-    let mut send_tasks = Vec::with_capacity(skel.sends.len());
-    for &c in &skel.sends {
-        let chunk = &chunks[c];
-        let t = rs.spec.add(
-            &[],
-            Footprint::new(format!("send[{c}]")).reads(
-                ids.state[chunk.src_id],
-                comp,
-                chunk.region.shift(-chunk.shift),
-            ),
-        );
-        rs.sends.push((t, c as u64));
+    let mut send_tasks = Vec::with_capacity(skel.layout.sends.len());
+    for msg in &skel.layout.sends {
+        let mut fp = Footprint::new(format!("send[{}]", msg.peer));
+        for &c in &msg.items {
+            let chunk = &chunks[c];
+            fp = fp.reads(ids.state[chunk.src_id], comp, chunk.region.shift(-chunk.shift));
+        }
+        let t = rs.spec.add(&[], fp);
+        rs.sends.push((t, channel(skel.rank, msg.peer)));
         send_tasks.push(t);
     }
-    let n = valid.len();
-    let mut recv_events: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &i in &skel.owned {
-        for &c in &skel.recvs[i] {
-            let t = rs.spec.add(&[], Footprint::new(format!("recv[{c}]")));
-            rs.recvs.push((t, c as u64));
-            recv_events[i].push(t);
-        }
+    let mut recv_events = Vec::with_capacity(skel.layout.recvs.len());
+    for msg in &skel.layout.recvs {
+        let t = rs.spec.add(&[], Footprint::new(format!("recv[{}]", msg.peer)));
+        rs.recvs.push((t, channel(msg.peer, skel.rank)));
+        recv_events.push(t);
     }
+    let n = valid.len();
     let mut halo = vec![usize::MAX; n];
     for &i in &skel.owned {
         let fp = halo_footprint(plan, skel.chunk_range[i], skel.rank, i, valid, nghost, ids);
-        halo[i] = rs.spec.add(&recv_events[i], fp);
+        let deps: Vec<usize> = skel.feeds[i].iter().map(|&m| recv_events[m]).collect();
+        halo[i] = rs.spec.add(&deps, fp);
     }
     for &i in &skel.owned {
         let reader_halos: Vec<usize> = skel.readers[i].iter().map(|&d| halo[d]).collect();
-        let send_deps: Vec<usize> = skel.send_readers[i].iter().map(|&k| send_tasks[k]).collect();
+        let send_deps: Vec<usize> = skel.send_readers[i].iter().map(|&m| send_tasks[m]).collect();
         sweeps_and_update(
             &mut rs.spec,
             i,

@@ -37,11 +37,13 @@ pub struct Packet {
 /// The tag namespace the distributed solver uses over [`RankEndpoint`]s.
 ///
 /// A `u64` tag packs `kind | epoch | level | index`, so concurrent traffic
-/// classes (halo chunks, owned-data exchanges, collective phases) can never
+/// classes (halo rounds, owned-data exchanges, collective phases) can never
 /// match each other, and the per-stage epoch disambiguates packets of
 /// successive RK stages even when a fast rank runs one stage ahead
 /// (per-sender channel FIFO already makes earliest-arrival matching correct;
-/// the epoch is cheap insurance and a debugging aid).
+/// the epoch is cheap insurance and a debugging aid). Every halo and
+/// owned-data round sends one message per `(src, dst)` pair (the exchange
+/// engine, `crocco_fab::exchange`), so the index names the *sending* rank.
 ///
 /// Under chaos recovery the top 4 bits of the 16-bit epoch field carry the
 /// communicator *generation* ([`tags::epoch_with_generation`]): after a
@@ -54,7 +56,7 @@ pub mod tags {
     /// gathers, redistributions, checkpoint payloads — sub-classified by the
     /// `OWNED_*` space carried in the level field's top bits).
     pub const KIND_OWNED: u64 = 0;
-    /// Traffic-class discriminant: a same-level halo chunk.
+    /// Traffic-class discriminant: a same-level halo message.
     pub const KIND_HALO: u64 = 1;
     /// Traffic-class discriminant: a collective phase message.
     pub const KIND_COLL: u64 = 3;
@@ -87,20 +89,21 @@ pub mod tags {
         (kind << 62) | ((epoch & 0xFFFF) << 40) | (((level as u64) & 0xFF) << 32) | index as u64
     }
 
-    /// Tag for owned-data exchange message `index` of `level` in sub-space
-    /// `space` (`OWNED_GATHER`/`OWNED_COORDS`/`OWNED_REDIST`/`OWNED_CKPT`/
-    /// `OWNED_GATHER_OLD`/`OWNED_REFLUX`) during stage-epoch `epoch`. The
-    /// space rides in bits 5–7 of the level field, so levels up to 31 and
-    /// eight spaces never collide.
-    pub fn owned(space: u64, epoch: u64, level: usize, index: usize) -> u64 {
+    /// Tag of the owned-data message rank `src` sends in a round of
+    /// `level` in sub-space `space` (`OWNED_GATHER`/`OWNED_COORDS`/
+    /// `OWNED_REDIST`/`OWNED_CKPT`/`OWNED_GATHER_OLD`/`OWNED_REFLUX`) during
+    /// stage-epoch `epoch`. The space rides in bits 5–7 of the level field,
+    /// so levels up to 31 and eight spaces never collide.
+    pub fn owned(space: u64, epoch: u64, level: usize, src: usize) -> u64 {
         debug_assert!(space < 8, "owned tag space overflows 3 bits");
         debug_assert!(level < 32, "owned tag level overflows 5 bits");
-        compose(KIND_OWNED, epoch, level | ((space as usize) << 5), index)
+        compose(KIND_OWNED, epoch, level | ((space as usize) << 5), src)
     }
 
-    /// Tag for halo chunk `chunk` of `level` during stage-epoch `epoch`.
-    pub fn halo(epoch: u64, level: usize, chunk: usize) -> u64 {
-        compose(KIND_HALO, epoch, level, chunk)
+    /// Tag of the halo message rank `src` sends for `level` during
+    /// stage-epoch `epoch`.
+    pub fn halo(epoch: u64, level: usize, src: usize) -> u64 {
+        compose(KIND_HALO, epoch, level, src)
     }
 
     /// Tag for phase `phase` (0 = reduce, 1 = broadcast) of the `seq`-th
@@ -218,11 +221,6 @@ pub struct RecvHandle {
 }
 
 impl RecvHandle {
-    /// `true` once the matching packet has been delivered.
-    pub fn is_ready(&self) -> bool {
-        self.slot.get().is_some()
-    }
-
     /// The delivered payload, if the receive has completed ([`Bytes`] clones
     /// are reference-counted slices, not copies).
     pub fn payload(&self) -> Option<Bytes> {
@@ -1232,7 +1230,7 @@ mod matched_tests {
                     std::thread::yield_now();
                 }
                 let h = ep.irecv(0, 99);
-                assert!(h.is_ready(), "unexpected-queue match must be immediate");
+                assert!(h.payload().is_some(), "unexpected-queue match must be immediate");
                 h.payload().unwrap().as_ref() == b"early"
             }
         });

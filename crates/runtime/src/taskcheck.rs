@@ -137,7 +137,7 @@ pub enum Violation {
     /// ranks: a receive with no (or several) sends is a lost wakeup — the
     /// receiving rank hangs; a send with no receive is silent data loss.
     ChannelMismatch {
-        /// The channel key (plan chunk index on the halo path).
+        /// The channel key (the `(src, dst)` rank pair on the halo path).
         chan: u64,
         /// How many tasks send on this channel, across all ranks.
         sends: usize,

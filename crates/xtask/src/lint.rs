@@ -109,10 +109,10 @@ const UNWRAP_AUDIT: &[(&str, usize)] = &[
     ("crates/runtime/src/cluster.rs", 21),
     ("crates/runtime/src/chaos.rs", 1),
     ("crates/fab/src/plan.rs", 0),
-    ("crates/core/src/cluster_step.rs", 8),
-    ("crates/fab/src/dist_overlap.rs", 7),
+    ("crates/core/src/cluster_step.rs", 7),
+    ("crates/fab/src/dist_overlap.rs", 4),
     ("crates/core/src/durable.rs", 6),
-    ("crates/fab/src/owned.rs", 2),
+    ("crates/fab/src/exchange.rs", 0),
     ("crates/amr/src/tagging.rs", 0),
     ("crates/amr/src/fillpatch.rs", 1),
     ("crates/amr/src/interp.rs", 0),

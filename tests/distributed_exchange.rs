@@ -1,30 +1,12 @@
 //! Integration test: the real threaded message-passing runtime carries a
 //! ghost exchange whose result matches the single-process `FillBoundary` —
-//! proving the pack → send → receive → unpack path end to end across the
-//! `runtime`, `fab`, and `geometry` crates.
+//! proving the exchange engine's pack → one message per peer → decode →
+//! unpack path end to end across the `runtime`, `fab`, and `geometry` crates.
 
-use bytes_of::to_bytes;
-use crocco::fab::{BoxArray, DistributionMapping, DistributionStrategy, FArrayBox, MultiFab};
-use crocco::geometry::{decompose::ChopParams, IndexBox, IntVect, ProblemDomain};
-use crocco::runtime::LocalCluster;
+use crocco::fab::{redistribute, BoxArray, DistributionMapping, DistributionStrategy, MultiFab};
+use crocco::geometry::{decompose::ChopParams, IndexBox, ProblemDomain};
+use crocco::runtime::{tags, GroupEndpoint, LocalCluster};
 use std::sync::Arc;
-
-/// Minimal f64-slice serialization helpers for the packet payloads.
-mod bytes_of {
-    pub fn to_bytes(v: &[f64]) -> bytes::Bytes {
-        let mut out = Vec::with_capacity(v.len() * 8);
-        for x in v {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        bytes::Bytes::from(out)
-    }
-
-    pub fn from_bytes(b: &[u8]) -> Vec<f64> {
-        b.chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    }
-}
 
 #[test]
 fn threaded_cluster_ghost_exchange_matches_fill_boundary() {
@@ -40,95 +22,42 @@ fn threaded_cluster_ghost_exchange_matches_fill_boundary() {
         DistributionStrategy::MortonSfc,
     ));
 
-    let fill_value = |p: IntVect, c: usize| {
-        (p[0] + 37 * p[1] + 1369 * p[2]) as f64 + 0.5 * c as f64
+    let fill_valid = |mf: &mut MultiFab| {
+        let owned: Vec<usize> = (0..mf.nfabs()).filter(|&i| mf.is_allocated(i)).collect();
+        for i in owned {
+            for p in mf.valid_box(i).cells() {
+                for c in 0..NCOMP {
+                    let v = (p[0] + 37 * p[1] + 1369 * p[2]) as f64 + 0.5 * c as f64;
+                    mf.fab_mut(i).set(p, c, v);
+                }
+            }
+        }
     };
 
     // Reference: single-process FillBoundary.
     let mut reference = MultiFab::new(ba.clone(), dm.clone(), NCOMP, NGHOST);
-    for i in 0..reference.nfabs() {
-        let valid = reference.valid_box(i);
-        for p in valid.cells() {
-            for c in 0..NCOMP {
-                reference.fab_mut(i).set(p, c, fill_value(p, c));
-            }
-        }
-    }
+    fill_valid(&mut reference);
     let plan = reference.fill_boundary(&domain);
 
-    // Distributed: each rank owns its patches, packs plan chunks, ships them
-    // through real channels, and unpacks.
-    let plan = Arc::new(plan);
-    let ba2 = ba.clone();
-    let dm2 = dm.clone();
-    let results = LocalCluster::run(NRANKS, move |ep| {
-        let rank = ep.rank();
-        // Local fabs for the patches this rank owns.
-        let mut fabs: Vec<Option<FArrayBox>> = (0..ba2.len())
-            .map(|i| {
-                (dm2.owner(i) == rank).then(|| {
-                    let mut f = FArrayBox::new(ba2.get(i).grow(NGHOST), NCOMP);
-                    for p in ba2.get(i).cells() {
-                        for c in 0..NCOMP {
-                            f.set(p, c, fill_value(p, c));
-                        }
-                    }
-                    f
-                })
-            })
-            .collect();
-        // Send every remote chunk whose source this rank owns. The tag
-        // encodes the chunk index so the receiver knows where to unpack.
-        let mut expected = 0;
-        for (ci, chunk) in plan.chunks.iter().enumerate() {
-            if chunk.src_rank == rank && chunk.dst_rank != rank {
-                let src = fabs[chunk.src_id].as_ref().unwrap();
-                let mut payload = Vec::new();
-                for c in 0..NCOMP {
-                    for p in chunk.region.cells() {
-                        payload.push(src.get(p - chunk.shift, c));
-                    }
-                }
-                ep.send(chunk.dst_rank, ci as u64, to_bytes(&payload));
-            }
-            if chunk.dst_rank == rank && chunk.src_rank != rank {
-                expected += 1;
-            }
-            // Local chunks: copy directly.
-            if chunk.src_rank == rank && chunk.dst_rank == rank {
-                let src = fabs[chunk.src_id].as_ref().unwrap().clone();
-                let dst = fabs[chunk.dst_id].as_mut().unwrap();
-                dst.copy_shifted_from(&src, chunk.region, chunk.shift, NCOMP);
-            }
-        }
-        // Receive and unpack.
-        for pkt in ep.recv_n(expected) {
-            let chunk = plan.chunks[pkt.tag as usize];
-            let vals = bytes_of::from_bytes(&pkt.payload);
-            let dst = fabs[chunk.dst_id].as_mut().unwrap();
-            let mut it = vals.into_iter();
-            for c in 0..NCOMP {
-                for p in chunk.region.cells() {
-                    dst.set(p, c, it.next().unwrap());
-                }
-            }
-        }
-        fabs
+    // Distributed: each rank allocates only its patches and executes the
+    // same plan over real channels, reading valid cells out of a copy.
+    let results = LocalCluster::run(NRANKS, |ep| {
+        let gep = GroupEndpoint::full(&ep);
+        let mut mf = MultiFab::new_owned(ba.clone(), dm.clone(), NCOMP, NGHOST, gep.rank());
+        fill_valid(&mut mf);
+        let tag = |src| tags::halo(0, 0, src);
+        redistribute(&mf.clone(), &mut mf, &plan, &gep, &tag).expect("fault-free exchange");
+        mf
     });
 
     // Compare every ghost cell against the single-process reference.
-    for (rank, fabs) in results.iter().enumerate() {
-        for (i, f) in fabs.iter().enumerate() {
-            let Some(f) = f else { continue };
+    for (rank, mf) in results.iter().enumerate() {
+        for i in (0..mf.nfabs()).filter(|&i| mf.is_allocated(i)) {
             assert_eq!(dm.owner(i), rank);
-            let valid = reference.valid_box(i);
-            for p in valid.grow(NGHOST).cells() {
+            for p in reference.valid_box(i).grow(NGHOST).cells() {
                 for c in 0..NCOMP {
-                    assert_eq!(
-                        f.get(p, c),
-                        reference.fab(i).get(p, c),
-                        "patch {i} cell {p:?} comp {c}"
-                    );
+                    let (got, want) = (mf.fab(i).get(p, c), reference.fab(i).get(p, c));
+                    assert_eq!(got, want, "patch {i} cell {p:?} comp {c}");
                 }
             }
         }
