@@ -15,7 +15,7 @@
 //! once per plan and an RK stage's fill is gather + blend.
 
 use crate::interp::{BlendKind, BlendStencil, BlendWeights, Interpolator};
-use crocco_fab::plan::{CopyChunk, CopyPlan};
+use crocco_fab::plan::{CopyChunk, CopyPlan, GhostFootprint};
 use crocco_fab::plan_cache::{CachedPlan, PlanCache, PlanKey, PlanOp};
 use crocco_fab::{
     boxarray::subtract_box, with_rw, BoxArray, DistributionMapping, FArrayBox, FabRw, MultiFab,
@@ -261,6 +261,7 @@ pub fn fill_patch_two_levels_with(
         coarse,
         fine_domain,
         coarse_domain,
+        GhostFootprint::Shell(fine.nghost()),
         ratio,
         interp,
         coarse_coords,
@@ -448,13 +449,16 @@ fn coords_for<'a>(
 
 /// Resolves the two-level plans for a `fine`/`coarse` level pair, through
 /// `cache` when supplied (the same keys [`fill_patch_two_levels_with`] uses,
-/// so barrier and task-graph paths share entries).
+/// so barrier and task-graph paths share entries). Only the ghost cells in
+/// `ghosts` are interpolated: the uncovered parts of each face slab, or of
+/// the whole shell.
 #[allow(clippy::too_many_arguments)]
 pub fn resolve_two_level_plans<'a>(
     fine: &MultiFab,
     coarse: &MultiFab,
     fine_domain: &ProblemDomain,
     coarse_domain: &ProblemDomain,
+    ghosts: GhostFootprint,
     ratio: IntVect,
     interp: &'a dyn Interpolator,
     coarse_coords: Option<&'a MultiFab>,
@@ -462,7 +466,7 @@ pub fn resolve_two_level_plans<'a>(
     cache: Option<&PlanCache>,
 ) -> TwoLevelPlans<'a> {
     let ncomp = fine.ncomp();
-    let nghost = fine.nghost();
+    let depth = ghosts.depth();
     let coarse_ghost = interp.coarse_ghost();
     let build_state = || {
         // The region of index space where ghost data is *defined*: the
@@ -471,18 +475,23 @@ pub fn resolve_two_level_plans<'a>(
         let mut defined = fine_domain.bx;
         for d in 0..3 {
             if fine_domain.periodic[d] {
-                defined = defined.grow_lo(d, nghost).grow_hi(d, nghost);
+                defined = defined.grow_lo(d, depth).grow_hi(d, depth);
             }
         }
-        // Per patch: the ghost regions no fine patch (or periodic image of
-        // one) covers, read through the coarsened ghosted box plus the
-        // interpolator's stencil.
+        // Per patch: the footprint's ghost regions no fine patch (or
+        // periodic image of one) covers, read through the coarsened ghosted
+        // box plus the interpolator's stencil.
         build_two_level_plan(fine, coarse, coarse_domain, |i| {
-            let grown = fine.valid_box(i).grow(nghost).intersection(&defined);
-            (
-                uncovered_regions(grown, fine.boxarray(), fine_domain),
-                grown.coarsen(ratio).grow(coarse_ghost),
-            )
+            let valid = fine.valid_box(i);
+            let grown = valid.grow(depth).intersection(&defined);
+            let need = ghosts
+                .regions(valid)
+                .into_iter()
+                .map(|r| r.intersection(&defined))
+                .filter(|r| !r.is_empty())
+                .flat_map(|r| uncovered_regions(r, fine.boxarray(), fine_domain))
+                .collect();
+            (need, grown.coarsen(ratio).grow(coarse_ghost))
         })
     };
 
@@ -501,13 +510,14 @@ pub fn resolve_two_level_plans<'a>(
             let key = PlanKey {
                 op: PlanOp::Aux(AUX_TWO_LEVEL_STATE),
                 aux: two_level_aux(interp, ratio, 0),
+                ghost: ghosts,
                 ..PlanKey::parallel_copy(
                     coarse.boxarray(),
                     coarse.distribution(),
                     fine.boxarray(),
                     fine.distribution(),
                     fine_domain,
-                    nghost,
+                    depth,
                     ncomp,
                 )
             };
@@ -518,7 +528,7 @@ pub fn resolve_two_level_plans<'a>(
 
     let coords = coords_for(interp, coarse_coords, fine_coords).map(|(ccmf, fcmf)| {
         assert!(
-            fcmf.nghost() >= nghost,
+            fcmf.nghost() >= depth,
             "fine coords need >= state ghost width"
         );
         let build = || build_coord_gather(ccmf, &tl, fine.distribution(), coarse_domain);
@@ -527,13 +537,14 @@ pub fn resolve_two_level_plans<'a>(
                 let key = PlanKey {
                     op: PlanOp::Aux(AUX_TWO_LEVEL_COORDS),
                     aux: two_level_aux(interp, ratio, ccmf.nghost()),
+                    ghost: ghosts,
                     ..PlanKey::parallel_copy(
                         ccmf.boxarray(),
                         ccmf.distribution(),
                         fine.boxarray(),
                         fine.distribution(),
                         fine_domain,
-                        nghost,
+                        depth,
                         3,
                     )
                 };
@@ -703,6 +714,11 @@ impl TwoLevelPlan {
     /// The state-gather plan (for communication accounting).
     pub fn state_plan(&self) -> &Arc<CachedPlan> {
         &self.state
+    }
+
+    /// The regions of fine patch `i` this gather interpolates.
+    pub fn needed(&self, i: usize) -> &[IndexBox] {
+        &self.needed[i]
     }
 }
 
@@ -1651,6 +1667,7 @@ mod tests {
                 &self.coarse,
                 &self.fdomain,
                 &self.cdomain,
+                GhostFootprint::Faces(self.fine.nghost()),
                 R2,
                 interp,
                 cc,
@@ -1756,7 +1773,8 @@ mod tests {
             (0..3)
                 .map(|epoch| {
                     let plans = resolve_two_level_plans(
-                        &fine, &coarse, &fdomain, &cdomain, R2, interp, Some(&ccoords),
+                        &fine, &coarse, &fdomain, &cdomain, GhostFootprint::Shell(fine.nghost()),
+                        R2, interp, Some(&ccoords),
                         Some(&fcoords), cache,
                     );
                     let remote = plans.exchange(&coarse, None, &gep, epoch, 1).expect("solo group");

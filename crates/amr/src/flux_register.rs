@@ -25,18 +25,27 @@
 //! which side, and a face whose fine fluxes exactly match the coarse flux
 //! produces a bitwise-zero correction.
 //!
+//! The register is flat, AMReX-`FluxRegister` style: the interface faces are
+//! numbered once per regrid in canonical order — by coarse patch, then cell
+//! (z-major, x fastest), direction and sign — and each side accumulates into
+//! one `nfaces × ncomp` array. Callers resolve a face to its index (its
+//! *slot*) once, when they build their recording geometry, and from then on
+//! fold, ship and reflux by index; `reflux` walks each coarse patch's
+//! contiguous slot range, which visits the interface faces in the order a
+//! per-cell scan of the patch would.
+//!
 //! The fluxes recorded are the *computational-space* contravariant fluxes
 //! `F̂ = Σ_j m_j F_j(U)` the WENO sweep differenced: the metric `m = J·∇ξ`
 //! already carries the face area, so `ratio²` fine-face fluxes sum directly
 //! to one coarse-face flux with no extra area weight (on a refined uniform
 //! grid `m_fine = m_coarse/4` exactly). Convective fluxes only — the viscous
 //! operator is not registered, so refluxed conservation is exact for
-//! inviscid runs. The register is not periodic-aware: faces whose coarse
-//! neighbor lies outside the domain are never recorded by either side.
+//! inviscid runs. The register is not periodic-aware: a face whose coarse
+//! cell lies in no coarse patch (outside the domain) is not part of it.
 
 use crocco_fab::{BoxArray, MultiFab};
 use crocco_geometry::{IndexBox, IntVect};
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// One face of the coarse–fine interface: the coarse cell it borders (on the
 /// *coarse, uncovered* side), the face direction, and the orientation sign
@@ -54,12 +63,12 @@ pub struct InterfaceFace {
     pub sign: i8,
 }
 
-/// Per-face accumulators, coarse and fine sides kept separate so the
-/// combination order (fine − coarse, once, at reflux) is canonical.
-#[derive(Clone, Debug)]
-struct FaceAcc {
-    coarse: Vec<f64>,
-    fine: Vec<f64>,
+impl InterfaceFace {
+    /// The canonical order within a patch: cell z-major (x fastest, the
+    /// order of `IndexBox::cells`), then direction, then sign.
+    fn order(&self) -> (i64, i64, i64, usize, i8) {
+        (self.cell[2], self.cell[1], self.cell[0], self.dir, self.sign)
+    }
 }
 
 /// Accumulates coarse/fine flux mismatches over the coarse–fine interface of
@@ -68,17 +77,27 @@ struct FaceAcc {
 pub struct FluxRegister {
     ncomp: usize,
     ratio: IntVect,
-    register: HashMap<InterfaceFace, FaceAcc>,
+    /// The interface faces, in canonical order (module docs).
+    faces: Vec<InterfaceFace>,
+    /// Per coarse patch, its range of `faces`.
+    patch_ranges: Vec<Range<usize>>,
+    /// Slots sorted by [`InterfaceFace::order`], for [`index_of`](Self::index_of).
+    by_face: Vec<usize>,
+    /// Coarse-side accumulators, `nfaces × ncomp`.
+    coarse: Vec<f64>,
+    /// Fine-side accumulators, `nfaces × ncomp`.
+    fine: Vec<f64>,
 }
 
 impl FluxRegister {
     /// Builds the register for the interface between `fine_ba` (fine index
-    /// space) and the coarse level that contains it. Every fine boundary
-    /// face whose coarse neighbor is *not* covered by the fine level becomes
-    /// a register entry.
-    pub fn new(fine_ba: &BoxArray, ratio: IntVect, ncomp: usize) -> Self {
-        let mut register = HashMap::new();
+    /// space) and the coarse level `coarse_ba`. Every fine boundary face
+    /// whose coarse neighbor is *not* covered by the fine level, and lies in
+    /// a coarse patch, becomes a register face.
+    pub fn new(coarse_ba: &BoxArray, fine_ba: &BoxArray, ratio: IntVect, ncomp: usize) -> Self {
         let coarsened = fine_ba.coarsen(ratio);
+        // (coarse patch, face) for every interface face.
+        let mut tagged: Vec<(usize, InterfaceFace)> = Vec::new();
         for fb in coarsened.boxes() {
             for dir in 0..3 {
                 for (outside, sign) in [
@@ -86,29 +105,41 @@ impl FluxRegister {
                     (fb.grow_hi(dir, 1).grow_lo(dir, -(fb.length(dir))), 1i8),
                 ] {
                     for cell in outside.cells() {
-                        if !coarsened.intersects_any(IndexBox::new(cell, cell)) {
-                            register.insert(
-                                InterfaceFace { cell, dir, sign },
-                                FaceAcc {
-                                    coarse: vec![0.0; ncomp],
-                                    fine: vec![0.0; ncomp],
-                                },
-                            );
+                        let probe = IndexBox::new(cell, cell);
+                        if coarsened.intersects_any(probe) {
+                            continue;
+                        }
+                        if let Some(&(p, _)) = coarse_ba.intersections(probe).first() {
+                            tagged.push((p, InterfaceFace { cell, dir, sign }));
                         }
                     }
                 }
             }
         }
+        tagged.sort_by_key(|(p, f)| (*p, f.order()));
+        tagged.dedup();
+        let faces: Vec<InterfaceFace> = tagged.iter().map(|(_, f)| *f).collect();
+        let patch_ranges = (0..coarse_ba.len())
+            .map(|p| {
+                tagged.partition_point(|(q, _)| *q < p)..tagged.partition_point(|(q, _)| *q <= p)
+            })
+            .collect();
+        let mut by_face: Vec<usize> = (0..faces.len()).collect();
+        by_face.sort_by_key(|&k| faces[k].order());
         FluxRegister {
             ncomp,
             ratio,
-            register,
+            coarse: vec![0.0; faces.len() * ncomp],
+            fine: vec![0.0; faces.len() * ncomp],
+            faces,
+            patch_ranges,
+            by_face,
         }
     }
 
     /// Number of interface faces being tracked.
     pub fn nfaces(&self) -> usize {
-        self.register.len()
+        self.faces.len()
     }
 
     /// Number of components per face.
@@ -116,17 +147,30 @@ impl FluxRegister {
         self.ncomp
     }
 
-    /// Whether `face` is part of the tracked interface.
-    pub fn contains(&self, face: &InterfaceFace) -> bool {
-        self.register.contains_key(face)
+    /// The interface faces, indexed by slot.
+    pub fn faces(&self) -> &[InterfaceFace] {
+        &self.faces
+    }
+
+    /// The slots of the faces whose coarse cell lies in coarse patch `p`, in
+    /// canonical order.
+    pub fn patch_faces(&self, p: usize) -> Range<usize> {
+        self.patch_ranges[p].clone()
+    }
+
+    /// The slot of `face`, if it is part of the interface.
+    pub fn index_of(&self, face: &InterfaceFace) -> Option<usize> {
+        let key = face.order();
+        self.by_face
+            .binary_search_by_key(&key, |&k| self.faces[k].order())
+            .ok()
+            .map(|i| self.by_face[i])
     }
 
     /// Clears the accumulators.
     pub fn reset(&mut self) {
-        for v in self.register.values_mut() {
-            v.coarse.iter_mut().for_each(|x| *x = 0.0);
-            v.fine.iter_mut().for_each(|x| *x = 0.0);
-        }
+        self.coarse.fill(0.0);
+        self.fine.fill(0.0);
     }
 
     /// The register face crossed by the *outward* boundary face of
@@ -134,7 +178,7 @@ impl FluxRegister {
     /// neighbor sits below, `sign = −1` from that neighbor's viewpoint), its
     /// high face when `high` is true (`sign = +1`). The caller is
     /// responsible for only passing faces on the fine-union boundary; use
-    /// [`contains`](Self::contains) to drop faces that border another fine
+    /// [`index_of`](Self::index_of) to drop faces that border another fine
     /// patch or the domain exterior.
     pub fn fine_face(&self, fine_cell: IntVect, dir: usize, high: bool) -> InterfaceFace {
         let outside = if high {
@@ -156,61 +200,47 @@ impl FluxRegister {
         }
     }
 
-    /// All register faces whose coarse cell lies in `bx`, in canonical order
-    /// (cell z-major, then direction, then sign) — the deterministic face
-    /// list per coarse patch that recording plans and the owned-mode reflux
-    /// exchange are built from.
-    pub fn faces_in(&self, bx: IndexBox) -> Vec<InterfaceFace> {
-        let mut faces: Vec<InterfaceFace> = self
-            .register
-            .keys()
-            .filter(|f| bx.contains(f.cell))
-            .copied()
-            .collect();
-        faces.sort_by_key(|f| (f.cell[2], f.cell[1], f.cell[0], f.dir, f.sign));
-        faces
+    fn span(&self, slot: usize) -> Range<usize> {
+        slot * self.ncomp..(slot + 1) * self.ncomp
     }
 
-    /// Records the *coarse* flux through the interface face bordering
-    /// `face.cell`: `coarse[c] += weight·flux[c]`. The subcycled driver
-    /// passes the net RK flux weight of the recording stage.
-    pub fn add_coarse_flux(&mut self, face: InterfaceFace, flux: &[f64], weight: f64) {
-        if let Some(acc) = self.register.get_mut(&face) {
-            for (a, f) in acc.coarse.iter_mut().zip(flux) {
-                *a += weight * f;
-            }
+    /// Records the *coarse* flux through face `slot`:
+    /// `coarse[c] += weight·flux[c]`. The subcycled driver folds the coarse
+    /// step's stage-weighted sum with weight 1.
+    pub fn add_coarse_flux(&mut self, slot: usize, flux: &[f64], weight: f64) {
+        let span = self.span(slot);
+        for (a, f) in self.coarse[span].iter_mut().zip(flux) {
+            *a += weight * f;
         }
     }
 
-    /// Records one *fine* face flux crossing the coarse face:
-    /// `fine[c] += weight·flux[c]`. The driver passes the net RK flux weight
-    /// times `dt_fine/dt_coarse`; the `ratio²` fine faces crossing one
-    /// coarse face all accumulate into the same entry (no area weight — the
-    /// contravariant flux already carries the fine face metric).
-    pub fn add_fine_flux(&mut self, face: InterfaceFace, flux: &[f64], weight: f64) {
-        if let Some(acc) = self.register.get_mut(&face) {
-            for (a, f) in acc.fine.iter_mut().zip(flux) {
-                *a += weight * f;
-            }
+    /// Records one *fine* face flux crossing coarse face `slot`:
+    /// `fine[c] += weight·flux[c]`. The driver passes `dt_fine/dt_coarse`;
+    /// the `ratio²` fine faces crossing one coarse face all accumulate into
+    /// the same slot (no area weight — the contravariant flux already
+    /// carries the fine face metric).
+    pub fn add_fine_flux(&mut self, slot: usize, flux: &[f64], weight: f64) {
+        let span = self.span(slot);
+        for (a, f) in self.fine[span].iter_mut().zip(flux) {
+            *a += weight * f;
         }
     }
 
-    /// The fine-side accumulation for `face`, if tracked — what the owned
+    /// The fine-side accumulation of face `slot` — what the owned
     /// distributed path ships from the fine patch's owner to the coarse
     /// cell's owner before refluxing.
-    pub fn fine_part(&self, face: &InterfaceFace) -> Option<&[f64]> {
-        self.register.get(face).map(|a| a.fine.as_slice())
+    pub fn fine_part(&self, slot: usize) -> &[f64] {
+        &self.fine[self.span(slot)]
     }
 
     /// Merges a fine-side contribution received from another rank:
     /// `fine[c] += part[c]`. Each face has exactly one fine contributor
     /// patch, so the merge lands on an all-zero accumulator and the result
     /// is bitwise what the sender held.
-    pub fn add_fine_part(&mut self, face: InterfaceFace, part: &[f64]) {
-        if let Some(acc) = self.register.get_mut(&face) {
-            for (a, p) in acc.fine.iter_mut().zip(part) {
-                *a += p;
-            }
+    pub fn add_fine_part(&mut self, slot: usize, part: &[f64]) {
+        let span = self.span(slot);
+        for (a, p) in self.fine[span].iter_mut().zip(part) {
+            *a += p;
         }
     }
 
@@ -218,30 +248,25 @@ impl FluxRegister {
     /// `U[cell] += sign · dt · (fine − coarse) / J(cell)` — the reflux pass,
     /// with the dt scaling the subcycled driver defers to here and the cell
     /// Jacobian (`metrics` component `jac_comp`) converting the
-    /// computational-space face flux into a cell tendency. Iterates patches,
-    /// cells, directions, and signs in a fixed order, so corrections to a
-    /// cell with several interface faces are applied in a
-    /// rank-count-independent sequence. Only allocated (owned) patches are
-    /// touched.
+    /// computational-space face flux into a cell tendency. Visits each
+    /// allocated (owned) patch's interface faces in canonical order — cell,
+    /// then direction, then sign — so corrections to a cell with several
+    /// interface faces are applied in a rank-count-independent sequence, and
+    /// touches no other cell. `coarse` is the level `new` was given.
     pub fn reflux(&self, coarse: &mut MultiFab, metrics: &MultiFab, jac_comp: usize, dt: f64) {
-        for i in 0..coarse.nfabs() {
-            if !coarse.is_allocated(i) {
+        for (i, range) in self.patch_ranges.iter().enumerate() {
+            if range.is_empty() || !coarse.is_allocated(i) {
                 continue;
             }
-            let vb = coarse.valid_box(i);
-            for cell in vb.cells() {
-                for dir in 0..3 {
-                    for sign in [-1i8, 1i8] {
-                        let face = InterfaceFace { cell, dir, sign };
-                        if let Some(acc) = self.register.get(&face) {
-                            let jac = metrics.fab(i).get(cell, jac_comp);
-                            let fab = coarse.fab_mut(i);
-                            for c in 0..self.ncomp {
-                                let delta = acc.fine[c] - acc.coarse[c];
-                                fab.add(cell, c, sign as f64 * dt * delta / jac);
-                            }
-                        }
-                    }
+            let met = metrics.fab(i);
+            let fab = coarse.fab_mut(i);
+            for slot in range.clone() {
+                let InterfaceFace { cell, sign, .. } = self.faces[slot];
+                let jac = met.get(cell, jac_comp);
+                let span = self.span(slot);
+                for (c, (f, k)) in self.fine[span.clone()].iter().zip(&self.coarse[span]).enumerate() {
+                    let delta = f - k;
+                    fab.add(cell, c, sign as f64 * dt * delta / jac);
                 }
             }
         }
@@ -251,9 +276,9 @@ impl FluxRegister {
     /// and components (diagnostics). Exactly `0.0` when every face's fine
     /// fluxes cancel its coarse flux bitwise.
     pub fn total_mismatch(&self) -> f64 {
-        self.register
-            .values()
-            .flat_map(|a| a.fine.iter().zip(&a.coarse))
+        self.fine
+            .iter()
+            .zip(&self.coarse)
             .map(|(f, c)| (f - c).abs())
             .sum()
     }
@@ -263,6 +288,7 @@ impl FluxRegister {
 mod tests {
     use super::*;
     use crocco_fab::DistributionMapping;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn fine_ba() -> BoxArray {
@@ -271,6 +297,27 @@ mod tests {
             IntVect::new(8, 8, 8),
             IntVect::new(23, 23, 23),
         )])
+    }
+
+    fn coarse_ba() -> BoxArray {
+        BoxArray::new(vec![IndexBox::from_extents(16, 16, 16)])
+    }
+
+    fn register(ncomp: usize) -> FluxRegister {
+        FluxRegister::new(&coarse_ba(), &fine_ba(), IntVect::splat(2), ncomp)
+    }
+
+    fn slot(r: &FluxRegister, cell: IntVect, dir: usize, sign: i8) -> usize {
+        r.index_of(&InterfaceFace { cell, dir, sign }).expect("interface face")
+    }
+
+    /// A single-patch coarse level over the 16³ domain, all cells `v`.
+    fn coarse_level(v: f64) -> MultiFab {
+        let ba = Arc::new(coarse_ba());
+        let dm = Arc::new(DistributionMapping::all_on_root(&ba));
+        let mut coarse = MultiFab::new(ba, dm, 1, 0);
+        coarse.set_val(v);
+        coarse
     }
 
     /// A unit-Jacobian "metrics" MultiFab matching `coarse`'s layout.
@@ -282,9 +329,10 @@ mod tests {
 
     #[test]
     fn register_tracks_the_whole_interface_shell() {
-        let r = FluxRegister::new(&fine_ba(), IntVect::splat(2), 5);
+        let r = register(5);
         // Coarsened patch is 8³: interface = 6 faces × 64 cells.
         assert_eq!(r.nfaces(), 6 * 64);
+        assert_eq!(r.patch_faces(0), 0..r.nfaces());
     }
 
     #[test]
@@ -294,12 +342,8 @@ mod tests {
         // contravariant flux carries the quarter-area fine metric), over 2
         // substeps at weight dt_f/dt_c = 0.5 — cancels *bitwise*, because
         // 4·(2·0.5·0.5) is exact in binary floating point.
-        let mut r = FluxRegister::new(&fine_ba(), IntVect::splat(2), 1);
-        let face = InterfaceFace {
-            cell: IntVect::new(3, 5, 5),
-            dir: 0,
-            sign: -1,
-        };
+        let mut r = register(1);
+        let face = slot(&r, IntVect::new(3, 5, 5), 0, -1);
         r.add_coarse_flux(face, &[2.0], 1.0);
         for _substep in 0..2 {
             for _fine_face in 0..4 {
@@ -309,11 +353,7 @@ mod tests {
         assert_eq!(r.total_mismatch(), 0.0);
 
         // And the reflux pass leaves the coarse state bitwise untouched.
-        let coarse_domain = IndexBox::from_extents(16, 16, 16);
-        let ba = Arc::new(BoxArray::new(vec![coarse_domain]));
-        let dm = Arc::new(DistributionMapping::all_on_root(&ba));
-        let mut coarse = MultiFab::new(ba, dm, 1, 0);
-        coarse.set_val(1.0);
+        let mut coarse = coarse_level(1.0);
         let jac = unit_jac(&coarse);
         r.reflux(&mut coarse, &jac, 0, 0.37);
         for p in coarse.valid_box(0).cells() {
@@ -325,19 +365,10 @@ mod tests {
     fn reflux_restores_conservation() {
         // Coarse level loses mass through an interface face because the
         // coarse flux overestimated; the register repairs it exactly.
-        let coarse_domain = IndexBox::from_extents(16, 16, 16);
-        let ba = Arc::new(BoxArray::new(vec![coarse_domain]));
-        let dm = Arc::new(DistributionMapping::all_on_root(&ba));
-        let mut coarse = MultiFab::new(ba, dm, 1, 0);
-        coarse.set_val(1.0);
+        let mut coarse = coarse_level(1.0);
         let before = coarse.sum(0);
-
-        let mut r = FluxRegister::new(&fine_ba(), IntVect::splat(2), 1);
-        let face = InterfaceFace {
-            cell: IntVect::new(3, 9, 9),
-            dir: 0,
-            sign: -1,
-        };
+        let mut r = register(1);
+        let face = slot(&r, IntVect::new(3, 9, 9), 0, -1);
         // Coarse flux 3.0; the 4 fine faces sum to 2.0: δF = −1.0.
         r.add_coarse_flux(face, &[3.0], 1.0);
         for _ in 0..4 {
@@ -352,68 +383,135 @@ mod tests {
 
     #[test]
     fn reflux_scales_with_dt() {
-        let coarse_domain = IndexBox::from_extents(16, 16, 16);
-        let ba = Arc::new(BoxArray::new(vec![coarse_domain]));
-        let dm = Arc::new(DistributionMapping::all_on_root(&ba));
-        let mut coarse = MultiFab::new(ba, dm, 1, 0);
-        coarse.set_val(0.0);
-        let mut r = FluxRegister::new(&fine_ba(), IntVect::splat(2), 1);
-        let face = InterfaceFace {
-            cell: IntVect::new(3, 9, 9),
-            dir: 0,
-            sign: -1,
-        };
+        let mut coarse = coarse_level(0.0);
+        let mut r = register(1);
+        let face = slot(&r, IntVect::new(3, 9, 9), 0, -1);
         r.add_fine_flux(face, &[1.0], 1.0); // δ = +1 on that face
         let jac = unit_jac(&coarse);
         r.reflux(&mut coarse, &jac, 0, 0.25);
         assert!((coarse.fab(0).get(IntVect::new(3, 9, 9), 0) - (-0.25)).abs() < 1e-15);
     }
 
+    /// The flat reflux applies, to every coarse cell, bitwise the per-cell
+    /// sequence the register's former scan applied — every cell of the
+    /// patch, three directions, both signs, one keyed lookup each — here on
+    /// an L-shaped fine level whose concave corner puts two and three
+    /// interface faces on one coarse cell.
+    #[test]
+    fn flat_reflux_equals_the_per_cell_scan_on_multi_face_cells() {
+        let fine = BoxArray::new(vec![
+            IndexBox::new(IntVect::new(8, 8, 8), IntVect::new(23, 15, 15)),
+            IndexBox::new(IntVect::new(8, 16, 8), IntVect::new(15, 23, 15)),
+        ]);
+        let ba = Arc::new(BoxArray::new(vec![
+            IndexBox::new(IntVect::ZERO, IntVect::new(7, 15, 15)),
+            IndexBox::new(IntVect::new(8, 0, 0), IntVect::new(15, 15, 15)),
+        ]));
+        let dm = Arc::new(DistributionMapping::all_on_root(&ba));
+        let mut r = FluxRegister::new(&ba, &fine, IntVect::splat(2), 2);
+        for (k, f) in r.faces().to_vec().into_iter().enumerate() {
+            let x = (k as f64 * 0.618034).fract();
+            let slot = r.index_of(&f).unwrap();
+            assert_eq!(slot, k, "slots are positions in canonical order");
+            r.add_coarse_flux(slot, &[x, 1.0 - x], 1.0);
+            r.add_fine_flux(slot, &[0.3 * x, x * x], 0.5);
+        }
+        let corner = IntVect::new(8, 8, 5);
+        let at_corner = r.faces().iter().filter(|f| f.cell == corner).count();
+        assert!(at_corner >= 2, "a coarse cell with several interface faces: {at_corner}");
+
+        let mut coarse = MultiFab::new(ba.clone(), dm.clone(), 2, 0);
+        for i in 0..coarse.nfabs() {
+            for (n, v) in coarse.fab_mut(i).data_mut().iter_mut().enumerate() {
+                *v = 1.0 + (n as f64 * 0.7548776662).fract();
+            }
+        }
+        let mut met = MultiFab::new(ba, dm, 1, 0);
+        for i in 0..met.nfabs() {
+            for (n, v) in met.fab_mut(i).data_mut().iter_mut().enumerate() {
+                *v = 0.5 + (n as f64 * 0.324718).fract();
+            }
+        }
+        // The scan: what `reflux` did when the faces were hash keys.
+        let keyed: HashMap<InterfaceFace, usize> =
+            r.faces().iter().enumerate().map(|(k, f)| (*f, k)).collect();
+        let mut want = coarse.clone();
+        let dt = 0.37;
+        for i in 0..want.nfabs() {
+            for cell in want.valid_box(i).cells() {
+                for dir in 0..3 {
+                    for sign in [-1i8, 1i8] {
+                        if let Some(&k) = keyed.get(&InterfaceFace { cell, dir, sign }) {
+                            let jac = met.fab(i).get(cell, 0);
+                            for c in 0..2 {
+                                let delta = r.fine_part(k)[c] - r.coarse[k * 2 + c];
+                                want.fab_mut(i).add(cell, c, sign as f64 * dt * delta / jac);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        r.reflux(&mut coarse, &met, 0, dt);
+        for i in 0..coarse.nfabs() {
+            let bits = |mf: &MultiFab| mf.fab(i).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&coarse), bits(&want), "patch {i}");
+        }
+    }
+
     #[test]
     fn fine_face_maps_boundary_faces_to_register_keys() {
-        let r = FluxRegister::new(&fine_ba(), IntVect::splat(2), 1);
+        let r = register(1);
         // Fine cell (8,10,10) sits on the fine patch's low-x boundary: its
         // low-x face crosses the coarse face at uncovered cell (3,5,5).
         let f = r.fine_face(IntVect::new(8, 10, 10), 0, false);
         assert_eq!(f.cell, IntVect::new(3, 5, 5));
         assert_eq!((f.dir, f.sign), (0, -1));
-        assert!(r.contains(&f));
+        assert!(r.index_of(&f).is_some());
         // Fine cell (23,10,10) on the high-x boundary: high-x face crosses
         // the coarse face at uncovered cell (12,5,5).
         let f = r.fine_face(IntVect::new(23, 10, 10), 0, true);
         assert_eq!(f.cell, IntVect::new(12, 5, 5));
         assert_eq!((f.dir, f.sign), (0, 1));
-        assert!(r.contains(&f));
+        assert!(r.index_of(&f).is_some());
         // An interior fine face maps to a covered cell: not in the register.
         let f = r.fine_face(IntVect::new(12, 10, 10), 0, false);
-        assert!(!r.contains(&f));
+        assert!(r.index_of(&f).is_none());
     }
 
     #[test]
-    fn faces_in_is_deterministically_ordered() {
-        let r = FluxRegister::new(&fine_ba(), IntVect::splat(2), 1);
-        let all = r.faces_in(IndexBox::from_extents(16, 16, 16));
-        assert_eq!(all.len(), r.nfaces());
-        let mut sorted = all.clone();
-        sorted.sort_by_key(|f| (f.cell[2], f.cell[1], f.cell[0], f.dir, f.sign));
-        assert_eq!(all, sorted);
-        // Restricting to a sub-box keeps only faces whose coarse cell is in.
-        let half = IndexBox::new(IntVect::new(0, 0, 0), IntVect::new(7, 15, 15));
-        for f in r.faces_in(half) {
-            assert!(half.contains(f.cell));
+    fn faces_are_numbered_in_canonical_order() {
+        let r = register(1);
+        let mut sorted = r.faces().to_vec();
+        sorted.sort_by_key(|f| f.order());
+        assert_eq!(r.faces(), &sorted[..]);
+        for (k, f) in r.faces().iter().enumerate() {
+            assert_eq!(r.index_of(f), Some(k));
         }
     }
 
     #[test]
     fn faces_not_on_the_interface_are_ignored() {
-        let mut r = FluxRegister::new(&fine_ba(), IntVect::splat(2), 1);
+        // A face of a covered coarse cell has no slot: nothing can be
+        // recorded against it, and the register stays clean.
+        let r = register(1);
         let inside = InterfaceFace {
             cell: IntVect::new(10, 10, 10), // covered by the fine patch
             dir: 0,
             sign: 1,
         };
-        r.add_coarse_flux(inside, &[5.0], 1.0);
+        assert!(r.index_of(&inside).is_none());
         assert_eq!(r.total_mismatch(), 0.0);
+    }
+
+    #[test]
+    fn faces_outside_every_coarse_patch_are_not_part_of_the_interface() {
+        // A fine patch against the low-x domain face: its low-x interface
+        // would sit at coarse x = −1, in no coarse patch.
+        let fine = BoxArray::new(vec![IndexBox::new(IntVect::new(0, 8, 8), IntVect::new(7, 15, 15))]);
+        let r = FluxRegister::new(&coarse_ba(), &fine, IntVect::splat(2), 1);
+        assert_eq!(r.nfaces(), 5 * 16);
+        assert!(r.faces().iter().all(|f| f.cell[0] >= 0));
     }
 
     #[test]
@@ -421,12 +519,8 @@ mod tests {
         // Simulate the owned-mode exchange: the fine owner accumulates, the
         // coarse owner merges the shipped part onto zeros — bitwise equal to
         // single-rank accumulation.
-        let face = InterfaceFace {
-            cell: IntVect::new(3, 5, 5),
-            dir: 0,
-            sign: -1,
-        };
-        let mut serial = FluxRegister::new(&fine_ba(), IntVect::splat(2), 1);
+        let mut serial = register(1);
+        let face = slot(&serial, IntVect::new(3, 5, 5), 0, -1);
         let mut fine_owner = serial.clone();
         let mut coarse_owner = serial.clone();
         for k in 0..8 {
@@ -436,7 +530,7 @@ mod tests {
         }
         serial.add_coarse_flux(face, &[1.7], 1.0);
         coarse_owner.add_coarse_flux(face, &[1.7], 1.0);
-        let part = fine_owner.fine_part(&face).unwrap().to_vec();
+        let part = fine_owner.fine_part(face).to_vec();
         coarse_owner.add_fine_part(face, &part);
         assert_eq!(
             serial.total_mismatch().to_bits(),

@@ -106,18 +106,22 @@ impl Interpolator for PiecewiseConstantInterp {
         _cc: Option<&FArrayBox>,
         _fc: Option<&FArrayBox>,
     ) {
-        let nx = region.size()[0] as usize;
-        for c in 0..fine.ncomp() {
-            for p in region.rows() {
-                // The parents of one fine row are one coarse row.
-                let cp = p.coarsen(ratio);
-                let mut last = p;
-                last[0] += nx as i64 - 1;
-                let parents = coarse.row(cp, c, (last.coarsen(ratio)[0] - cp[0] + 1) as usize);
-                let mut q = p;
-                for v in fine.row_mut(p, c, nx) {
-                    *v = parents[(q.coarsen(ratio)[0] - cp[0]) as usize];
-                    q[0] += 1;
+        let (x0, nx) = (region.lo()[0], region.size()[0]);
+        let r = ratio[0];
+        for p in region.rows() {
+            // The parents of one fine row are one coarse row: coarsened once,
+            // each parent written to the run of its (up to `r`) children
+            // inside the row.
+            let cp = p.coarsen(ratio);
+            let nparents = ((x0 + nx - 1).div_euclid(r) - cp[0] + 1) as usize;
+            for c in 0..fine.ncomp() {
+                let parents = coarse.row(cp, c, nparents);
+                let row = fine.row_mut(p, c, nx as usize);
+                for (j, &v) in parents.iter().enumerate() {
+                    let first = (cp[0] + j as i64) * r;
+                    let lo = (first.max(x0) - x0) as usize;
+                    let hi = ((first + r).min(x0 + nx) - x0) as usize;
+                    row[lo..hi].fill(v);
                 }
             }
         }
@@ -759,14 +763,18 @@ mod tests {
             *v = n as f64;
         }
         // Odd start, odd length, negative indices: rows that begin and end
-        // mid-parent.
+        // mid-parent — at ratio 2, and at an anisotropic ratio with three
+        // children per parent in x.
         let region = IndexBox::new(IntVect::new(-3, -1, 0), IntVect::new(5, 3, 3));
-        let mut fine = FArrayBox::filled(region.grow(1), 2, -1.0);
-        PiecewiseConstantInterp.interp(&coarse, &mut fine, region, R2, None, None);
-        for c in 0..2 {
-            for p in region.grow(1).cells() {
-                let want = if region.contains(p) { coarse.get(p.coarsen(R2), c) } else { -1.0 };
-                assert_eq!(fine.get(p, c), want, "{p:?} comp {c}");
+        for ratio in [R2, IntVect::new(3, 2, 2)] {
+            let mut fine = FArrayBox::filled(region.grow(1), 2, -1.0);
+            PiecewiseConstantInterp.interp(&coarse, &mut fine, region, ratio, None, None);
+            for c in 0..2 {
+                for p in region.grow(1).cells() {
+                    let want =
+                        if region.contains(p) { coarse.get(p.coarsen(ratio), c) } else { -1.0 };
+                    assert_eq!(fine.get(p, c).to_bits(), want.to_bits(), "{ratio:?} {p:?} comp {c}");
+                }
             }
         }
     }

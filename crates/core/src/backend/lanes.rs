@@ -68,9 +68,10 @@
 //!
 //! Rust does not contract `a*b + c` into FMA, so lane loops and scalar code
 //! round identically. Each face flux is a pure function of its six-cell
-//! window, so it also equals [`kernels::interface_face_flux`] — what the
-//! subcycling flux register records — and a region swept in blocks or tiles
-//! equals the region swept whole. The unit tests assert all of this with
+//! window, so it also equals [`kernels::interface_face_flux`] — which is
+//! why the sweep can hand its face rows to the subcycling flux register
+//! ([`FaceSink`]) — and a region swept in blocks or tiles equals the region
+//! swept whole. The unit tests assert all of this with
 //! `to_bits` over random region shapes.
 //!
 //! # Scalar fallbacks (documented limitation)
@@ -90,7 +91,7 @@
 
 use super::KernelBackend;
 use crate::eos::PerfectGas;
-use crate::kernels;
+use crate::kernels::{self, FaceSink};
 use crate::metrics::comp as mcomp;
 use crate::sgs::Smagorinsky;
 use crate::state::{cons, Conserved, NCONS};
@@ -110,7 +111,7 @@ pub struct LanesBackend;
 impl KernelBackend for LanesBackend {
     const NAME: &'static str = "lanes";
 
-    fn weno_flux_recon(
+    fn weno_flux_sink(
         u: &impl FabView,
         met: &FArrayBox,
         rhs: &mut FArrayBox,
@@ -119,13 +120,14 @@ impl KernelBackend for LanesBackend {
         gas: &PerfectGas,
         variant: WenoVariant,
         recon: Reconstruction,
+        sink: Option<&mut FaceSink<'_>>,
     ) {
         if recon == Reconstruction::Characteristic {
             // Per-face Roe eigensystems have no lane structure: scalar path.
-            kernels::weno_flux_recon(u, met, rhs, region, dir, gas, variant, recon);
+            kernels::weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, sink);
             return;
         }
-        weno_flux_lanes(u, met, rhs, region, dir, gas, variant);
+        weno_flux_lanes(u, met, rhs, region, dir, gas, variant, sink);
     }
 
     fn viscous_flux_les(
@@ -295,6 +297,7 @@ fn carve<const N: usize>(buf: &mut [f64], len: usize) -> ([&mut [f64]; N], &mut 
 /// region is cut into blocks of at most [`MAX_PENCIL`] cells along `dir` ×
 /// as many pencils as the scratch holds, each swept by [`sweep_block`] out
 /// of one scratch from [`IDLE_SCRATCH`].
+#[allow(clippy::too_many_arguments)]
 fn weno_flux_lanes(
     u: &impl FabView,
     met: &FArrayBox,
@@ -303,6 +306,7 @@ fn weno_flux_lanes(
     dir: usize,
     gas: &PerfectGas,
     variant: WenoVariant,
+    mut sink: Option<&mut FaceSink<'_>>,
 ) {
     // Unbounded across the plane, at most MAX_PENCIL along the sweep.
     let mut extent = IntVect::splat(i64::MAX / 2);
@@ -317,7 +321,8 @@ fn weno_flux_lanes(
             let step = plane.div_ceil(plane.div_ceil(fit)).next_multiple_of(LANES);
             for p0 in (0..plane).step_by(step) {
                 let pc = step.min(plane - p0);
-                sweep_block(u, met, rhs, block, dir, p0, pc, gas, variant, scratch);
+                let sink = sink.as_deref_mut();
+                sweep_block(u, met, rhs, block, dir, p0, pc, gas, variant, sink, scratch);
             }
         }
     });
@@ -407,6 +412,7 @@ fn sweep_block(
     pc: usize,
     gas: &PerfectGas,
     variant: WenoVariant,
+    sink: Option<&mut FaceSink<'_>>,
     scratch: &mut [f64],
 ) {
     let r = STENCIL_RADIUS;
@@ -559,6 +565,24 @@ fn sweep_block(
                 }
             }
         }
+    }
+
+    // Registered faces take their flux from the face rows before they are
+    // differenced: face `f` of plane cell `q` is `ff[c][f·ps + q]`.
+    if let Some(sink) = sink {
+        let nx = block.length(0);
+        sink.record(block, dir, |eval| {
+            // The plane index of `eval`'s pencil (see `pencil`, `row_pieces`).
+            let at = eval - lo;
+            let p = match dir {
+                0 => at[1] + at[2] * ny as i64,
+                1 => at[2] * nx + at[0],
+                _ => at[1] * nx + at[0],
+            } as usize;
+            let q = p.checked_sub(p0).filter(|&q| q < pc)?;
+            let f = at[dir] as usize;
+            Some(std::array::from_fn(|c| ff[c][f * ps + q]))
+        });
     }
 
     // 4. Flux difference, in place over the face rows (row `i` becomes the
@@ -1007,6 +1031,7 @@ fn eddy_viscosity_field_lanes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::FaceAt;
     use crate::metrics::{compute_metrics, generate_coords, NCOORDS, NMETRICS};
     use crate::state::Primitive;
     use crocco_fab::{BoxArray, DistributionMapping, MultiFab};
@@ -1273,6 +1298,122 @@ mod tests {
             Reconstruction::ComponentWise,
         );
         assert_eq!(bits(&r_s), bits(&r_l));
+    }
+
+    /// The flux-register oracle: recomputes each face's flux with
+    /// [`kernels::interface_face_flux`] and adds `w·F̂` — what the RK stage
+    /// did after its sweeps before the sweeps fed the register themselves.
+    #[allow(clippy::too_many_arguments)]
+    fn record_faces(
+        u: &impl FabView,
+        met: &FArrayBox,
+        faces: &[FaceAt],
+        w: f64,
+        buf: &mut [f64],
+        gas: &PerfectGas,
+        variant: WenoVariant,
+        recon: Reconstruction,
+    ) {
+        for (f, acc) in faces.iter().zip(buf.chunks_exact_mut(NCONS)) {
+            let ff = kernels::interface_face_flux(u, met, f.eval, f.dir, gas, variant, recon);
+            for (a, x) in acc.iter_mut().zip(ff) {
+                *a += w * x;
+            }
+        }
+    }
+
+    /// Faces at every position a sweep partition can cut: the patch's low
+    /// and outer high faces, the interior/boundary-band seams, the seam
+    /// between two lane blocks of a pencil longer than [`MAX_PENCIL`], and
+    /// one face inside each — in all three directions, at the low, middle
+    /// and high rows of the other two.
+    fn seam_faces(valid: IndexBox, interior: IndexBox) -> Vec<FaceAt> {
+        let mut faces = Vec::new();
+        for dir in 0..3 {
+            let (lo, hi) = (valid.lo()[dir], valid.hi()[dir]);
+            let along = [
+                lo,
+                lo + 1,
+                interior.lo()[dir],
+                interior.hi()[dir] + 1,
+                lo + MAX_PENCIL as i64,
+                hi,
+                hi + 1,
+            ];
+            let rows = |d: usize| [valid.lo()[d], (valid.lo()[d] + valid.hi()[d]) / 2, valid.hi()[d]];
+            let (d1, d2) = ((dir + 1) % 3, (dir + 2) % 3);
+            for x in along.into_iter().filter(|&x| (lo..=hi + 1).contains(&x)) {
+                for a in rows(d1) {
+                    for b in rows(d2) {
+                        let mut eval = IntVect::ZERO;
+                        eval[dir] = x;
+                        eval[d1] = a;
+                        eval[d2] = b;
+                        let f = FaceAt { eval, dir };
+                        if !faces.contains(&f) {
+                            faces.push(f);
+                        }
+                    }
+                }
+            }
+        }
+        faces
+    }
+
+    /// The sweep-fed register equals the recomputed oracle bitwise: under
+    /// both backends, swept whole and as interior + boundary-band slabs, on
+    /// a pencil longer than one lane block (whose y/z sweeps also split the
+    /// plane) and with characteristic reconstruction. A face recorded twice
+    /// (or never) by a partition would double (or drop) its `w·F̂`, so seam
+    /// faces are recorded exactly once.
+    #[test]
+    fn sweep_fed_register_faces_equal_the_recomputed_oracle_bitwise() {
+        use crate::backend::BackendKind;
+        let gas = PerfectGas::nondimensional();
+        let variant = WenoVariant::Symbo;
+        let w = 0.375;
+        let cases = [
+            (IntVect::splat(12), Reconstruction::ComponentWise),
+            (IntVect::splat(12), Reconstruction::Characteristic),
+            (IntVect::new(MAX_PENCIL as i64 + 6, 10, 9), Reconstruction::ComponentWise),
+        ];
+        for (extents, recon) in cases {
+            let (state, metrics) = patch(extents, &gas);
+            let (u, met) = (state.fab(0), metrics.fab(0));
+            let valid = state.valid_box(0);
+            let interior = valid.grow(-kernels::NGHOST);
+            assert!(!interior.is_empty());
+            // Two face lists, as a level that is the coarse side of one
+            // pair and the fine side of another records them.
+            let faces = seam_faces(valid, interior);
+            let (a, b) = faces.split_at(faces.len() / 2);
+            let mut want = vec![vec![0.0; a.len() * NCONS], vec![0.0; b.len() * NCONS]];
+            record_faces(u, met, a, w, &mut want[0], &gas, variant, recon);
+            record_faces(u, met, b, w, &mut want[1], &gas, variant, recon);
+            let split: Vec<IndexBox> =
+                std::iter::once(interior).chain(crocco_fab::band_slabs(valid, interior)).collect();
+            for backend in BackendKind::ALL {
+                for partition in [vec![valid], split.clone()] {
+                    let mut got = vec![vec![0.0; a.len() * NCONS], vec![0.0; b.len() * NCONS]];
+                    let mut rhs = FArrayBox::new(valid, NCONS);
+                    for &region in &partition {
+                        let [ga, gb] = &mut got[..] else { unreachable!() };
+                        let mut sink = FaceSink::new(valid, w).with(a, ga).with(b, gb);
+                        backend.accumulate_rhs_sink(
+                            u, met, &mut rhs, region, &gas, variant, recon, None, Some(&mut sink),
+                        );
+                    }
+                    let bits = |v: &[Vec<f64>]| -> Vec<u64> {
+                        v.iter().flatten().map(|x| x.to_bits()).collect()
+                    };
+                    assert!(
+                        bits(&got) == bits(&want),
+                        "{backend:?} {recon:?} {extents:?}: {} regions",
+                        partition.len()
+                    );
+                }
+            }
+        }
     }
 
     /// Every stored metric component is grid data some kernel reads: a NaN

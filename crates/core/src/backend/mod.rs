@@ -33,6 +33,7 @@ pub mod lanes;
 pub mod scalar;
 
 use crate::eos::PerfectGas;
+use crate::kernels::FaceSink;
 use crate::sgs::Smagorinsky;
 use crate::weno::{Reconstruction, WenoVariant};
 use crocco_fab::{FArrayBox, FabView};
@@ -70,6 +71,24 @@ pub trait KernelBackend {
         gas: &PerfectGas,
         variant: WenoVariant,
         recon: Reconstruction,
+    ) {
+        Self::weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, None)
+    }
+
+    /// [`weno_flux_recon`](Self::weno_flux_recon) that also hands `sink`
+    /// the fluxes of its faces, bitwise
+    /// [`crate::kernels::interface_face_flux`] of each.
+    #[allow(clippy::too_many_arguments)]
+    fn weno_flux_sink(
+        u: &impl FabView,
+        met: &FArrayBox,
+        rhs: &mut FArrayBox,
+        region: IndexBox,
+        dir: usize,
+        gas: &PerfectGas,
+        variant: WenoVariant,
+        recon: Reconstruction,
+        sink: Option<&mut FaceSink<'_>>,
     );
 
     /// 4th-order central viscous/LES fluxes accumulated into `rhs` over
@@ -142,12 +161,29 @@ impl BackendKind {
         variant: WenoVariant,
         recon: Reconstruction,
     ) {
+        self.weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, None)
+    }
+
+    /// Dispatches [`KernelBackend::weno_flux_sink`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn weno_flux_sink(
+        self,
+        u: &impl FabView,
+        met: &FArrayBox,
+        rhs: &mut FArrayBox,
+        region: IndexBox,
+        dir: usize,
+        gas: &PerfectGas,
+        variant: WenoVariant,
+        recon: Reconstruction,
+        sink: Option<&mut FaceSink<'_>>,
+    ) {
         match self {
             BackendKind::Scalar => {
-                ScalarBackend::weno_flux_recon(u, met, rhs, region, dir, gas, variant, recon)
+                ScalarBackend::weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, sink)
             }
             BackendKind::Lanes => {
-                LanesBackend::weno_flux_recon(u, met, rhs, region, dir, gas, variant, recon)
+                LanesBackend::weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, sink)
             }
         }
     }
@@ -217,8 +253,26 @@ impl BackendKind {
         recon: Reconstruction,
         sgs: Option<&Smagorinsky>,
     ) {
+        self.accumulate_rhs_sink(u, met, rhs, region, gas, variant, recon, sgs, None)
+    }
+
+    /// [`accumulate_rhs`](Self::accumulate_rhs) whose WENO sweeps also
+    /// feed `sink` ([`KernelBackend::weno_flux_sink`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn accumulate_rhs_sink(
+        self,
+        u: &impl FabView,
+        met: &FArrayBox,
+        rhs: &mut FArrayBox,
+        region: IndexBox,
+        gas: &PerfectGas,
+        variant: WenoVariant,
+        recon: Reconstruction,
+        sgs: Option<&Smagorinsky>,
+        mut sink: Option<&mut FaceSink<'_>>,
+    ) {
         for dir in 0..3 {
-            self.weno_flux_recon(u, met, rhs, region, dir, gas, variant, recon);
+            self.weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, sink.as_deref_mut());
         }
         self.viscous_flux_les(u, met, rhs, region, gas, sgs);
     }

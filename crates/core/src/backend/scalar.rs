@@ -8,7 +8,7 @@
 
 use super::KernelBackend;
 use crate::eos::PerfectGas;
-use crate::kernels;
+use crate::kernels::{self, FaceSink};
 use crate::sgs::Smagorinsky;
 use crate::weno::{Reconstruction, WenoVariant};
 use crocco_fab::{FArrayBox, FabView};
@@ -21,7 +21,7 @@ pub struct ScalarBackend;
 impl KernelBackend for ScalarBackend {
     const NAME: &'static str = "scalar";
 
-    fn weno_flux_recon(
+    fn weno_flux_sink(
         u: &impl FabView,
         met: &FArrayBox,
         rhs: &mut FArrayBox,
@@ -30,8 +30,9 @@ impl KernelBackend for ScalarBackend {
         gas: &PerfectGas,
         variant: WenoVariant,
         recon: Reconstruction,
+        sink: Option<&mut FaceSink<'_>>,
     ) {
-        kernels::weno_flux_recon(u, met, rhs, region, dir, gas, variant, recon);
+        kernels::weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, sink);
     }
 
     fn viscous_flux_les(

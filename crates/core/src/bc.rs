@@ -6,7 +6,7 @@ use crate::problems::{dmr, dmr_post_shock, dmr_pre_shock, ramp_inflow, ProblemKi
 use crate::state::{cons, Conserved, NCONS};
 use crocco_amr::BoundaryFiller;
 use crocco_fab::boxarray::subtract_box;
-use crocco_fab::FabRw;
+use crocco_fab::{FabRw, GhostFootprint};
 use crocco_geometry::{GridMapping, IndexBox, IntVect, ProblemDomain, RealVect};
 use std::sync::Arc;
 
@@ -200,32 +200,78 @@ impl PhysicalBc {
     }
 }
 
-impl BoundaryFiller for PhysicalBc {
-    fn fill_view(&self, fab: &mut FabRw<'_>, _valid: IndexBox, domain: &ProblemDomain, time: f64) {
-        let gbox = fab.bx();
-        // The cells FillBoundary / interpolation own: the domain, through its
-        // periodic faces as far as this fab reaches. Everything else of the
-        // fab is the physical boundary's — nothing at all for a patch that
-        // touches no physical face.
-        let (mut lo, mut hi) = (domain.bx.lo(), domain.bx.hi());
-        for d in 0..3 {
-            if domain.periodic[d] {
-                lo[d] = lo[d].min(gbox.lo()[d]);
-                hi[d] = hi[d].max(gbox.hi()[d]);
+/// The cells of `gbox` outside `domain` in a non-periodic direction — the
+/// physical boundary's, as disjoint slabs. FillBoundary and interpolation
+/// own the rest: the domain, through its periodic faces as far as `gbox`
+/// reaches. Empty for a box that touches no physical face.
+fn outside_slabs(gbox: IndexBox, domain: &ProblemDomain) -> Vec<IndexBox> {
+    let (mut lo, mut hi) = (domain.bx.lo(), domain.bx.hi());
+    for d in 0..3 {
+        if domain.periodic[d] {
+            lo[d] = lo[d].min(gbox.lo()[d]);
+            hi[d] = hi[d].max(gbox.hi()[d]);
+        }
+    }
+    let mut slabs = Vec::new();
+    subtract_box(gbox, IndexBox::new(lo, hi), &mut slabs);
+    slabs
+}
+
+/// The ghost cells of footprint `ghosts` around `valid` that the physical
+/// boundary owns, as disjoint boxes in the order
+/// [`PhysicalBc::fill_footprint`] visits them: each outside slab, cut to the
+/// footprint.
+pub fn boundary_regions(
+    valid: IndexBox,
+    ghosts: GhostFootprint,
+    domain: &ProblemDomain,
+) -> Vec<IndexBox> {
+    let gbox = valid.grow(ghosts.depth());
+    let within = match ghosts {
+        GhostFootprint::Shell(_) => vec![gbox],
+        GhostFootprint::Faces(_) => ghosts.regions(valid),
+    };
+    outside_slabs(gbox, domain)
+        .into_iter()
+        .flat_map(|slab| within.iter().map(move |w| slab.intersection(w)))
+        .filter(|r| !r.is_empty())
+        .collect()
+}
+
+// Almost every ghost a fill writes reads inside-domain cells only, so the
+// visit order is free — except at the ramp's wall: the wall ghosts at an
+// outflow corner mirror cells that are outflow ghosts of the same pass, and
+// take their values from *before* it (the mirror cell `m` of a wall ghost
+// `p` has the same x and z and a larger y). `subtract_box` keeps `p` ahead
+// of `m`: x-slabs come first and span the box in y and z, so both cells
+// share a slab and its x-fastest order; a wall ghost inside the domain in x
+// sits in a y-slab, ahead of the z-slab of its mirror. A face footprint has
+// no such pair: each of its ghosts lies outside the domain across one face
+// only, and its mirror or nearest interior cell is a valid cell.
+impl PhysicalBc {
+    /// [`fill_view`](BoundaryFiller::fill_view) restricted to the ghost
+    /// cells of `ghosts` around `valid` ([`boundary_regions`]): what an RK
+    /// stage's halo task writes. A footprint ghost gets bitwise the value
+    /// the full-fab fill gives it.
+    pub fn fill_footprint(
+        &self,
+        fab: &mut FabRw<'_>,
+        valid: IndexBox,
+        ghosts: GhostFootprint,
+        domain: &ProblemDomain,
+        time: f64,
+    ) {
+        for region in boundary_regions(valid, ghosts, domain) {
+            for p in region.cells() {
+                self.fill_cell(fab, p, domain, time);
             }
         }
-        let mut slabs = Vec::new();
-        subtract_box(gbox, IndexBox::new(lo, hi), &mut slabs);
-        // Almost every ghost written here reads inside-domain cells only, so
-        // the visit order is free — except at the ramp's wall: the wall
-        // ghosts at an outflow corner mirror cells that are outflow ghosts of
-        // this same pass, and take their values from *before* it (the mirror
-        // cell `m` of a wall ghost `p` has the same x and z and a larger y).
-        // `subtract_box` keeps `p` ahead of `m`: x-slabs come first and span
-        // the fab in y and z, so both cells share a slab and its x-fastest
-        // order; a wall ghost inside the domain in x sits in a y-slab, ahead
-        // of the z-slab of its mirror.
-        for slab in slabs {
+    }
+}
+
+impl BoundaryFiller for PhysicalBc {
+    fn fill_view(&self, fab: &mut FabRw<'_>, _valid: IndexBox, domain: &ProblemDomain, time: f64) {
+        for slab in outside_slabs(fab.bx(), domain) {
             for p in slab.cells() {
                 self.fill_cell(fab, p, domain, time);
             }
@@ -317,6 +363,56 @@ mod tests {
                     total += written;
                 }
                 assert_eq!(total > 0, periodic != [true; 3], "{problem:?} {periodic:?}");
+            }
+        }
+    }
+
+    /// A footprint fill writes exactly the footprint's outside-domain
+    /// ghosts, each bitwise what the full-fab fill writes there, and leaves
+    /// every other cell — edges and corners of a face footprint included —
+    /// untouched: for every problem, with and without its periodicity, on a
+    /// patch at every face, edge and corner of the domain.
+    #[test]
+    fn footprint_fill_is_the_full_fill_on_the_footprint_only() {
+        let gas = PerfectGas::nondimensional();
+        let extents = IntVect::new(12, 12, 12);
+        let dbx = IndexBox::from_extents(12, 12, 12);
+        let ng = crate::kernels::NGHOST;
+        for problem in [
+            ProblemKind::SodX,
+            ProblemKind::IsentropicVortex,
+            ProblemKind::DoubleMach,
+            ProblemKind::Ramp,
+        ] {
+            let bc = PhysicalBc::new(problem, gas, extents);
+            for periodic in [problem.periodicity(), [false; 3]] {
+                let domain = ProblemDomain::new(dbx, periodic);
+                for corner in IndexBox::from_extents(3, 3, 3).cells() {
+                    let lo = IntVect::new(4 * corner[0], 4 * corner[1], 4 * corner[2]);
+                    let valid = IndexBox::new(lo, lo + IntVect::splat(3));
+                    let mut before = FArrayBox::new(valid.grow(ng), NCONS);
+                    for (n, v) in before.data_mut().iter_mut().enumerate() {
+                        *v = 1.0 + (n as f64 * 0.7548776662).fract();
+                    }
+                    let mut full = before.clone();
+                    bc.fill(&mut full, valid, &domain, 0.03);
+                    for ghosts in [GhostFootprint::Faces(3), GhostFootprint::Shell(ng)] {
+                        let mut got = before.clone();
+                        crocco_fab::with_rw(&mut got, |rw| {
+                            bc.fill_footprint(rw, valid, ghosts, &domain, 0.03)
+                        });
+                        for p in before.bx().cells() {
+                            let want = if ghosts.contains(valid, p) { &full } else { &before };
+                            for c in 0..NCONS {
+                                assert_eq!(
+                                    got.get(p, c).to_bits(),
+                                    want.get(p, c).to_bits(),
+                                    "{problem:?} {periodic:?} {ghosts:?} {valid:?} {p:?}"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

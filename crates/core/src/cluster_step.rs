@@ -46,7 +46,7 @@ use crate::driver::{
     AUX_DIST_VERIFY,
 };
 use crate::io::{checkpoint_header, patch_body_bytes, seal_checkpoint};
-use crate::kernels::NGHOST;
+use crate::kernels::{FaceSink, NGHOST};
 use crate::state::NCONS;
 use crocco_amr::average_down::average_down_dist;
 use crocco_amr::fillpatch::{
@@ -54,7 +54,6 @@ use crocco_amr::fillpatch::{
     CoarseTimeInterp, RemoteGathers, TwoLevelPlans,
 };
 use crocco_amr::tagging::TagSet;
-use crocco_amr::BoundaryFiller;
 use crocco_fab::exchange::{exchange, redistribute, Layout};
 use crocco_fab::plan_cache::{PlanKey, PlanOp};
 use crocco_fab::{
@@ -726,8 +725,8 @@ impl Simulation {
         let fine_dm = self.levels[l + 1].state.distribution().clone();
         let coarse_dm = self.levels[l].state.distribution().clone();
         let reg = &mut self.subcycle[l];
-        let routes = reg.fine_ship.iter().enumerate().map(|(k, (j, p, faces))| {
-            (k, fine_dm.owner(*j), coarse_dm.owner(*p), faces.len() * NCONS * 8)
+        let routes = reg.fine_ship.iter().enumerate().map(|(k, (j, p, slots))| {
+            (k, fine_dm.owner(*j), coarse_dm.owner(*p), slots.len() * NCONS * 8)
         });
         let layout = Layout::new(gep.rank(), routes);
         let (ship, register) = (&reg.fine_ship, &mut reg.register);
@@ -736,22 +735,21 @@ impl Simulation {
             &layout,
             &|src| tags::owned(tags::OWNED_REFLUX, epoch, l, src),
             &mut |k, out| {
-                for f in &ship[k].2 {
-                    let part = register.fine_part(f).expect("manifest face is registered");
-                    for x in part.iter().take(NCONS) {
+                for &slot in &ship[k].2 {
+                    for x in register.fine_part(slot) {
                         out.extend_from_slice(&x.to_le_bytes());
                     }
                 }
             },
         )?;
-        for (k, (_, _, faces)) in ship.iter().enumerate() {
+        for (k, (_, _, slots)) in ship.iter().enumerate() {
             let Some(bytes) = landed.get(k) else {
                 continue;
             };
             let (words, _) = bytes.as_chunks::<8>();
-            for (f, part) in faces.iter().zip(words.chunks_exact(NCONS)) {
+            for (&slot, part) in slots.iter().zip(words.chunks_exact(NCONS)) {
                 let part: [f64; NCONS] = std::array::from_fn(|n| f64::from_le_bytes(part[n]));
-                register.add_fine_part(*f, &part);
+                register.add_fine_part(slot, &part);
             }
         }
         Ok(())
@@ -833,9 +831,12 @@ impl Simulation {
         let poison = self.cfg.nan_poison;
         let time = sub.map_or(self.time, |s| s.t);
         let ratio = IntVect::splat(2);
+        // The ghost cells this stage's kernels read: every producer below —
+        // same-level chunks, coarse→fine interpolation, physical BCs — fills
+        // these and nothing else.
+        let ghosts = self.cfg.ghost_footprint();
         // Interface-flux recording (subcycling): immutable field borrows of
-        // the registers, disjoint from the `levels` split below. One sweep
-        // task per patch per stage keeps the buffer mutexes uncontended.
+        // the registers, disjoint from the `levels` split below.
         let rec_coarse = (sub.is_some() && l < self.subcycle.len()).then(|| &self.subcycle[l]);
         let rec_fine =
             (sub.is_some() && l > 0 && !self.subcycle.is_empty()).then(|| &self.subcycle[l - 1]);
@@ -860,11 +861,11 @@ impl Simulation {
             ..
         } = &mut hi_levels[0];
         let (coords, metrics) = (&*coords, &*metrics);
-        let fb = cache.fill_boundary(
+        let fb = cache.fill_boundary_over(
             state.boxarray(),
             state.distribution(),
             &domain,
-            state.nghost(),
+            ghosts,
             state.ncomp(),
         );
         let two: Option<(TwoLevelPlans<'_>, &LevelData, ProblemDomain, PhysicalBc)> =
@@ -875,6 +876,7 @@ impl Simulation {
                     &coarse.state,
                     &domain,
                     &coarse_domain,
+                    ghosts,
                     ratio,
                     interp,
                     Some(&coarse.coords),
@@ -929,7 +931,7 @@ impl Simulation {
             state.boxarray(),
             state.distribution(),
             &domain,
-            state.nghost(),
+            ghosts,
             state.ncomp(),
         );
         let skel = cache.get_or_build_aux(
@@ -961,7 +963,7 @@ impl Simulation {
                         state.distribution().owners(),
                         ep.nranks(),
                         &valid,
-                        state.nghost(),
+                        ghosts,
                     )
                 },
             )
@@ -989,7 +991,7 @@ impl Simulation {
             }
         };
         let bc_fill = |i: usize, rw: &mut FabRw<'_>| {
-            bc.fill_view(rw, ba.get(i), &domain, time);
+            bc.fill_footprint(rw, ba.get(i), ghosts, &domain, time);
         };
         let sweep = |i: usize, u: FabRd<'_>, phase: SweepPhase, rhs: &mut FArrayBox| {
             let valid = ba.get(i);
@@ -998,9 +1000,30 @@ impl Simulation {
             if phase != SweepPhase::BoundaryBand {
                 rhs.fill(0.0);
             }
+            // Subcycled interface-flux recording: the WENO sweeps hand the
+            // fluxes of this patch's register faces to its stage buffers,
+            // each face from the one region that owns it
+            // (`kernels::FaceSink`). A patch's sweeps are ordered, so each
+            // lock is uncontended and the per-face accumulation order is
+            // schedule-independent.
+            let recorded = [
+                rec_coarse.map(|r| (&r.coarse_faces[i], &r.coarse_buf[i])),
+                rec_fine.map(|r| (&r.fine_faces[i], &r.fine_buf[i])),
+            ];
+            let mut bufs: Vec<_> = recorded
+                .into_iter()
+                .flatten()
+                .filter(|(faces, _)| !faces.is_empty())
+                .map(|(faces, buf)| (faces, crate::subcycle::lock(buf)))
+                .collect();
             let mut accumulate = |region| {
+                let mut sink = (!bufs.is_empty()).then(|| {
+                    bufs.iter_mut()
+                        .fold(FaceSink::new(valid, w), |sink, (faces, buf)| sink.with(faces, buf))
+                });
                 accumulate_rhs(
                     &u, met, rhs, region, &gas, weno, recon, les.as_ref(), reference, backend,
+                    sink.as_mut(),
                 );
             };
             match phase {
@@ -1009,27 +1032,6 @@ impl Simulation {
                 SweepPhase::Interior => accumulate(interior),
                 SweepPhase::BoundaryBand => {
                     band_slabs(valid, interior).into_iter().for_each(accumulate)
-                }
-            }
-            // Subcycled interface-flux recording: the sweep that reads the
-            // ghosts is the one point in the stage where this patch's ghosts
-            // are filled and its state is still at the stage's input time.
-            // One such call per patch per stage, so the lock is uncontended
-            // and the per-face accumulation order is schedule-independent.
-            if phase != SweepPhase::Interior {
-                for (faces, bufs) in [
-                    rec_coarse.map(|r| (&r.coarse_faces, &r.coarse_buf)),
-                    rec_fine.map(|r| (&r.fine_faces, &r.fine_buf)),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    if !faces[i].is_empty() {
-                        let mut buf = bufs[i].lock().expect("flux buffer poisoned");
-                        crate::subcycle::record_faces(
-                            &u, met, &faces[i], w, &mut buf, &gas, weno, recon,
-                        );
-                    }
                 }
             }
         };
@@ -1048,6 +1050,7 @@ impl Simulation {
             epoch,
             overlap: self.cfg.overlap,
             sched: self.cfg.schedule(),
+            ghosts,
         };
         run_dist_rk_stage(
             StageFabs { state, du, rhs },

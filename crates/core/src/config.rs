@@ -2,6 +2,7 @@
 
 use crate::backend::BackendKind;
 use crate::integrators::TimeScheme;
+use crate::kernels::StageKernel;
 use crate::problems::ProblemKind;
 use crate::sgs::Smagorinsky;
 use crate::weno::{Reconstruction, WenoVariant};
@@ -9,6 +10,7 @@ use crocco_amr::{
     ConservativeLinearInterp, CurvilinearInterp, Interpolator, PiecewiseConstantInterp,
     TrilinearInterp, WenoConservativeInterp,
 };
+use crocco_fab::GhostFootprint;
 use crocco_geometry::IntVect;
 use serde::{Deserialize, Serialize};
 
@@ -240,6 +242,20 @@ impl SolverConfig {
     /// test scale.
     pub fn builder() -> SolverConfigBuilder {
         SolverConfigBuilder::default()
+    }
+
+    /// The state ghost cells every RK stage fills: what the kernels the
+    /// stage runs read ([`crate::kernels::ghost_footprint`]) — the V1_0
+    /// reference kernels, or the WENO sweeps plus the viscous/LES operator
+    /// when the gas is viscous or LES is on.
+    pub fn ghost_footprint(&self) -> GhostFootprint {
+        let viscous = self.les.is_some() || self.problem.gas().mu_ref != 0.0;
+        let kernels: &[StageKernel] = match (self.version.reference_kernels(), viscous) {
+            (true, _) => &[StageKernel::Reference],
+            (false, true) => &[StageKernel::Weno, StageKernel::Viscous],
+            (false, false) => &[StageKernel::Weno],
+        };
+        crate::kernels::ghost_footprint(kernels)
     }
 
     /// Effective level count (1 unless the version enables AMR).

@@ -513,15 +513,21 @@ impl Simulation {
         (coords, metrics)
     }
 
-    /// Initializes one level's state (all cells, ghosts included) from the
-    /// problem's initial condition at the stored coordinates.
+    /// Initializes one level's state from the problem's initial condition at
+    /// the stored coordinates: the valid cells and the ghosts of the stage's
+    /// footprint ([`SolverConfig::ghost_footprint`]), which the tagging at
+    /// construction reads before any stage has filled them. Ghosts outside
+    /// the footprint are never read, and keep their allocation value — a
+    /// signaling NaN under `nan_poison`, so a read past the footprint traps.
     fn init_state_from_ic(&self, coords: &MultiFab, state: &mut MultiFab) {
+        let ghosts = self.cfg.ghost_footprint();
         for i in 0..state.nfabs() {
             if !state.is_allocated(i) {
                 continue;
             }
-            let bx = state.fab(i).bx();
-            for p in bx.cells() {
+            let valid = state.valid_box(i);
+            let cells = std::iter::once(valid).chain(ghosts.regions(valid));
+            for p in cells.flat_map(|b| b.cells()) {
                 let x = RealVect::new(
                     coords.fab(i).get(p, 0),
                     coords.fab(i).get(p, 1),
@@ -659,7 +665,6 @@ impl Simulation {
                     crate::subcycle::InterfaceReg::build(
                         self.levels[l].state.boxarray(),
                         self.levels[l + 1].state.boxarray(),
-                        self.hierarchy.domain(l).bx,
                         IntVect::splat(2),
                     )
                 })
@@ -749,6 +754,8 @@ impl Simulation {
 /// `backend` selects the kernel implementation (all bitwise-identical);
 /// `reference` (the V1.0 "Fortran" kernels) overrides it, since the
 /// reference kernels exist precisely to be the unrestructured baseline.
+/// `sink` takes the WENO sweeps' flux-register faces; V1.0 has no AMR, so
+/// the reference kernels never get one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn accumulate_rhs(
     u: &impl FabView,
@@ -761,14 +768,16 @@ pub(crate) fn accumulate_rhs(
     les: Option<&crate::sgs::Smagorinsky>,
     reference: bool,
     backend: BackendKind,
+    sink: Option<&mut crate::kernels::FaceSink<'_>>,
 ) {
     if reference {
+        debug_assert!(sink.is_none(), "the reference kernels record no register faces");
         for dir in 0..3 {
             weno_flux_reference(u, met, rhs, region, dir, gas, weno);
         }
         crate::kernels::viscous_flux_les(u, met, rhs, region, gas, les);
     } else {
-        backend.accumulate_rhs(u, met, rhs, region, gas, weno, recon, les);
+        backend.accumulate_rhs_sink(u, met, rhs, region, gas, weno, recon, les, sink);
     }
 }
 

@@ -16,12 +16,77 @@ use crate::eos::PerfectGas;
 use crate::metrics::comp as mcomp;
 use crate::state::{cons, Conserved, NCONS};
 use crate::weno::{reconstruct_face, Reconstruction, WenoVariant, STENCIL_RADIUS};
-use crocco_fab::{FArrayBox, FabView};
+use crocco_fab::{FArrayBox, FabView, GhostFootprint};
 use crocco_geometry::{IndexBox, IntVect};
 
 /// Ghost cells the kernels require on the state MultiFab: WENO faces read 3
 /// cells past the valid region and the two-pass viscous operator reads 4.
 pub const NGHOST: i64 = 4;
+
+/// How far one kernel reads past the region it updates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Reach {
+    /// Cells read past the region.
+    pub depth: i64,
+    /// `true` when a sweep reads only along its own direction — no edge or
+    /// corner ghost is ever read.
+    pub axial: bool,
+}
+
+impl Reach {
+    /// The cells a sweep over `region` in direction `dir` reads: the region
+    /// grown along `dir` for an axial kernel, in every direction otherwise.
+    pub fn read_box(self, region: IndexBox, dir: usize) -> IndexBox {
+        if self.axial {
+            region.grow_lo(dir, self.depth).grow_hi(dir, self.depth)
+        } else {
+            region.grow(self.depth)
+        }
+    }
+}
+
+/// The kernels of a stage's right-hand side — the one stencil table every
+/// ghost producer is sized from ([`ghost_footprint`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StageKernel {
+    /// The WENO sweeps, component-wise or characteristic: face `f` reads
+    /// cells `f − 3 … f + 2` along the sweep, for faces `lo … hi + 1`.
+    Weno,
+    /// The viscous/LES operator: primitives over `region.grow(2).grow(2)`,
+    /// cross derivatives included.
+    Viscous,
+    /// The V1_0 reference kernels, read through per-cell `get`s over the
+    /// whole shell.
+    Reference,
+}
+
+impl StageKernel {
+    /// This kernel's row of the stencil table.
+    pub const fn reach(self) -> Reach {
+        match self {
+            StageKernel::Weno => Reach {
+                depth: STENCIL_RADIUS as i64,
+                axial: true,
+            },
+            StageKernel::Viscous | StageKernel::Reference => Reach {
+                depth: NGHOST,
+                axial: false,
+            },
+        }
+    }
+}
+
+/// The ghost cells a stage running `kernels` reads: the face slabs when
+/// every kernel is axial (AMReX's `cross` fill), the full shell otherwise,
+/// as deep as the widest reach.
+pub fn ghost_footprint(kernels: &[StageKernel]) -> GhostFootprint {
+    let depth = kernels.iter().map(|k| k.reach().depth).max().unwrap_or(0);
+    if kernels.iter().all(|k| k.reach().axial) {
+        GhostFootprint::Faces(depth)
+    } else {
+        GhostFootprint::Shell(depth)
+    }
+}
 
 /// One-direction WENO convective flux: accumulates
 /// `−(1/J)·∂F̂_dir/∂ξ_dir` into `rhs` over `valid`.
@@ -180,9 +245,10 @@ fn reconstruct_window_flux(
 /// face of cell `p` — bitwise-identical to the value the pencil sweep used
 /// for that face, because both call the same `gather_cell` /
 /// `reconstruct_window_flux` arithmetic over the same 6-cell window
-/// (`p−3e_dir … p+2e_dir`). The subcycling flux register records these at
-/// coarse/fine interfaces (docs/ARCHITECTURE.md §Subcycling). `u` needs
-/// [`NGHOST`] filled ghosts around the window, exactly as the sweep does.
+/// (`p−3e_dir … p+2e_dir`). The subcycling flux register takes these
+/// values from the sweeps themselves ([`FaceSink`]); this per-face
+/// recomputation is the oracle its tests hold them to. `u` needs the
+/// window's ghosts filled, exactly as the sweep does.
 /// Convective flux only: the viscous operator is not registered (reflux is
 /// exact for inviscid runs; see `amr::flux_register`).
 pub fn interface_face_flux(
@@ -212,6 +278,87 @@ pub fn interface_face_flux(
     reconstruct_window_flux(&fhat, &v, &uraw, &mvecs, &speed, gas, variant, recon)
 }
 
+/// One face a sweep reports to a [`FaceSink`]: the low `dir`-face of cell
+/// `eval`, whose flux the sweep reconstructs from the window
+/// `eval − 3e_dir … eval + 2e_dir` ([`interface_face_flux`]'s face).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FaceAt {
+    /// The cell whose low face this is.
+    pub eval: IntVect,
+    /// Face direction.
+    pub dir: usize,
+}
+
+/// Where a sweep hands the fluxes of a patch's flux-register faces
+/// (docs/ARCHITECTURE.md §Subcycling): up to two lists of [`FaceAt`] — the
+/// patch's faces as the coarse side of one level pair and as the fine side
+/// of another — each with an accumulator of `NCONS` values per face that
+/// gets `w·F̂` added, read from the sweep's face fluxes before they are
+/// differenced.
+///
+/// Each face is recorded by exactly one swept span: the one holding its
+/// `eval` cell, or — for the patch's outer high face, whose `eval` lies
+/// past the valid box — the span holding the cell below it. Regions that
+/// partition the valid box (a whole sweep, an interior plus boundary slabs,
+/// lane blocks) therefore record every face once, whatever the partition.
+pub struct FaceSink<'a> {
+    valid: IndexBox,
+    w: f64,
+    sides: [Option<(&'a [FaceAt], &'a mut [f64])>; 2],
+}
+
+impl<'a> FaceSink<'a> {
+    /// An empty sink for the patch over `valid`, adding `w·F̂`.
+    pub fn new(valid: IndexBox, w: f64) -> Self {
+        FaceSink {
+            valid,
+            w,
+            sides: [None, None],
+        }
+    }
+
+    /// Adds a face list and its accumulator (`faces.len() × NCONS`).
+    ///
+    /// # Panics
+    /// On a third list, or an accumulator of the wrong length.
+    pub fn with(mut self, faces: &'a [FaceAt], buf: &'a mut [f64]) -> Self {
+        assert_eq!(buf.len(), faces.len() * NCONS, "one accumulator row per face");
+        let free = self.sides.iter_mut().find(|s| s.is_none()).expect("two face lists at most");
+        *free = Some((faces, buf));
+        self
+    }
+
+    /// Adds `w·flux(eval)` for every `dir` face `span` records; `flux`
+    /// returns `None` for a face whose pencil this call did not sweep.
+    pub(crate) fn record(
+        &mut self,
+        span: IndexBox,
+        dir: usize,
+        mut flux: impl FnMut(IntVect) -> Option<[f64; NCONS]>,
+    ) {
+        let (valid, w) = (self.valid, self.w);
+        // The span holding `eval`, or the one below the patch's outer high
+        // face.
+        let owns = |f: &FaceAt| {
+            let d = f.dir;
+            span.contains(f.eval)
+                || (f.eval[d] == valid.hi()[d] + 1 && span.contains(f.eval - IntVect::unit(d)))
+        };
+        for (faces, buf) in self.sides.iter_mut().flatten() {
+            for (k, f) in faces.iter().enumerate() {
+                if f.dir != dir || !owns(f) {
+                    continue;
+                }
+                if let Some(ff) = flux(f.eval) {
+                    for (a, x) in buf[k * NCONS..(k + 1) * NCONS].iter_mut().zip(ff) {
+                        *a += w * x;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// [`weno_flux`] with an explicit reconstruction basis (component-wise or
 /// Roe characteristic).
 #[allow(clippy::too_many_arguments)]
@@ -224,6 +371,23 @@ pub fn weno_flux_recon(
     gas: &PerfectGas,
     variant: WenoVariant,
     recon: Reconstruction,
+) {
+    weno_flux_sink(u, met, rhs, valid, dir, gas, variant, recon, None)
+}
+
+/// [`weno_flux_recon`] that also hands the face fluxes of `sink`'s faces
+/// to it, before differencing.
+#[allow(clippy::too_many_arguments)]
+pub fn weno_flux_sink(
+    u: &impl FabView,
+    met: &FArrayBox,
+    rhs: &mut FArrayBox,
+    valid: IndexBox,
+    dir: usize,
+    gas: &PerfectGas,
+    variant: WenoVariant,
+    recon: Reconstruction,
+    mut sink: Option<&mut FaceSink<'_>>,
 ) {
     let r = STENCIL_RADIUS as i64;
     let n = valid.length(dir) as usize;
@@ -274,6 +438,17 @@ pub fn weno_flux_recon(
                 variant,
                 recon,
             );
+        }
+        if let Some(sink) = sink.as_deref_mut() {
+            let mut lo = valid.lo();
+            lo[d1] = plane[d1];
+            lo[d2] = plane[d2];
+            let mut hi = valid.hi();
+            hi[d1] = plane[d1];
+            hi[d2] = plane[d2];
+            sink.record(IndexBox::new(lo, hi), dir, |eval| {
+                Some(face_flux[(eval[dir] - valid.lo()[dir]) as usize])
+            });
         }
         // Flux difference into rhs.
         for i in 0..n {

@@ -94,7 +94,7 @@
 use crate::exchange::{exchange, pack_chunk, unpack_chunk, Inbox, Layout, Msg};
 use crate::fab::FArrayBox;
 use crate::multifab::{copy_chunk_raw, MultiFab, RawFab};
-use crate::plan::{CopyChunk, CopyPlan};
+use crate::plan::{CopyChunk, CopyPlan, GhostFootprint};
 use crate::plan_cache::CachedPlan;
 use crate::taskcheck::{dist_rank_schedule, FabIds};
 use crate::view::{FabRd, FabRw};
@@ -275,6 +275,9 @@ pub struct DistStage<'a> {
     /// Schedule for the overlapped graph — thread pool or seeded
     /// adversarial linearization (the fenced path is always serial).
     pub sched: Schedule,
+    /// The ghost cells the stage's kernels read: the footprint `fb` was
+    /// built over, and what the halo tasks declare they write.
+    pub ghosts: GhostFootprint,
 }
 
 /// Executes one RK stage over a level for this rank, under the graph or the
@@ -523,7 +526,7 @@ fn run_overlapped(
             .map(|i| du_base.get().wrapping_add(i) as usize as u64)
             .collect(),
     };
-    let rs = dist_rank_schedule(plan, skel, &valid, fabs.state.nghost(), &ids);
+    let rs = dist_rank_schedule(plan, skel, &valid, st.ghosts, &ids);
 
     // Send tasks, one per peer: remote reads of this rank's patches happen
     // here, so sends are also update fences (`send_readers`).
@@ -834,7 +837,10 @@ mod tests {
             let dm = dm.clone();
             let results = LocalCluster::run(2, |ep| {
                 let cache = PlanCache::new();
-                let fb = cache.fill_boundary(&ba, &dm, &domain, nghost, ncomp);
+                // The stencil reaches along x only: the stage fills (and
+                // sends) face ghosts alone, against a full-shell reference.
+                let ghosts = GhostFootprint::Faces(nghost);
+                let fb = cache.fill_boundary_over(&ba, &dm, &domain, ghosts, ncomp);
                 let skel = DistSkeleton::build(&fb, dm.owners(), ep.rank());
                 let mut state = MultiFab::new(ba.clone(), dm.clone(), ncomp, nghost);
                 fill_linear(&mut state);
@@ -849,6 +855,7 @@ mod tests {
                     epoch: 7,
                     overlap,
                     sched: Schedule::pool(2),
+                    ghosts,
                 };
                 let sweep = |_i: usize, u: FabRd<'_>, phase: SweepPhase, rhs: &mut FArrayBox| {
                     let valid = u.bx().grow(-nghost);

@@ -60,7 +60,7 @@ pub use exchange::{exchange_chunks, pack_chunk, redistribute, unpack_chunk};
 pub use distribution::{DistributionMapping, DistributionStrategy};
 pub use fab::FArrayBox;
 pub use multifab::MultiFab;
-pub use plan::{CopyChunk, CopyPlan};
+pub use plan::{CopyChunk, CopyPlan, GhostFootprint};
 pub use plan_cache::{CachedPlan, PlanCache, PlanKey, PlanOp};
 pub use taskcheck::{dist_rank_schedule, verify_dist, FabIds, VerifyReport};
 pub use tiles::tile_boxes;

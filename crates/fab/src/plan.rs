@@ -137,6 +137,57 @@ impl CopyPlan {
     }
 }
 
+/// The ghost cells of a patch that a stage's kernels read — what every ghost
+/// producer (same-level exchange, coarse→fine interpolation, physical
+/// boundary conditions) fills and nothing more. State is still allocated
+/// with its full ghost width; a footprint only narrows what gets written.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum GhostFootprint {
+    /// The six face slabs, `depth` cells deep, without edges or corners —
+    /// AMReX's `FillBoundary(cross = true)`, for stencils that reach only
+    /// along their own sweep axis.
+    Faces(i64),
+    /// The full shell `valid.grow(depth) − valid`, edges and corners
+    /// included.
+    Shell(i64),
+}
+
+impl GhostFootprint {
+    /// How far the footprint reaches past the valid box.
+    pub fn depth(self) -> i64 {
+        match self {
+            GhostFootprint::Faces(d) | GhostFootprint::Shell(d) => d,
+        }
+    }
+
+    /// The footprint's ghost cells around `valid` as disjoint boxes: the six
+    /// face slabs (`Faces`, in `boundary_shells` order), or the shell cut
+    /// into slabs (`Shell`).
+    pub fn regions(self, valid: IndexBox) -> Vec<IndexBox> {
+        match self {
+            GhostFootprint::Faces(d) => {
+                valid.boundary_shells(d).into_iter().map(|(_, _, b)| b).collect()
+            }
+            GhostFootprint::Shell(d) => subtract(valid.grow(d), valid),
+        }
+    }
+
+    /// Whether ghost cell `p` of the patch over `valid` is in the footprint
+    /// (`false` for valid cells).
+    pub fn contains(self, valid: IndexBox, p: IntVect) -> bool {
+        let d = self.depth();
+        if valid.contains(p) || !valid.grow(d).contains(p) {
+            return false;
+        }
+        match self {
+            GhostFootprint::Shell(_) => true,
+            GhostFootprint::Faces(_) => {
+                (0..3).filter(|&k| p[k] < valid.lo()[k] || p[k] > valid.hi()[k]).count() == 1
+            }
+        }
+    }
+}
+
 /// Builds the `FillBoundary` plan: for every destination box, fill its ghost
 /// shell from the valid regions of every same-level neighbor, including
 /// periodic images. Point-to-point only — this is the cheap path in Fig. 7.
@@ -172,6 +223,43 @@ pub fn fill_boundary_plan(
                         src_rank: dm.owner(src_id),
                         dst_rank: dm.owner(dst_id),
                         region,
+                        shift,
+                    });
+                }
+            }
+        }
+    }
+    CopyPlan { chunks, ncomp }
+}
+
+/// [`fill_boundary_plan`] over a [`GhostFootprint`]: a `Shell` is that plan
+/// exactly; `Faces` fills each face slab from the (periodically shifted)
+/// neighbors it overlaps — per destination, slab by slab, shift by shift —
+/// so edge and corner ghosts are neither copied nor sent.
+pub fn fill_boundary_plan_over(
+    ba: &BoxArray,
+    dm: &DistributionMapping,
+    domain: &ProblemDomain,
+    footprint: GhostFootprint,
+    ncomp: usize,
+) -> CopyPlan {
+    let GhostFootprint::Faces(_) = footprint else {
+        return fill_boundary_plan(ba, dm, domain, footprint.depth(), ncomp);
+    };
+    let shifts = domain.periodic_shifts();
+    let mut chunks = Vec::new();
+    for dst_id in 0..ba.len() {
+        for slab in footprint.regions(ba.get(dst_id)) {
+            for &shift in &shifts {
+                // A slab lies outside its own patch, so every overlap is a
+                // ghost region (a periodic self-image included).
+                for (src_id, overlap_src) in ba.intersections(slab.shift(-shift)) {
+                    chunks.push(CopyChunk {
+                        src_id,
+                        dst_id,
+                        src_rank: dm.owner(src_id),
+                        dst_rank: dm.owner(dst_id),
+                        region: overlap_src.shift(shift),
                         shift,
                     });
                 }
@@ -295,6 +383,38 @@ mod tests {
             .sum();
         let shell = valid.grow(nghost).num_points() - valid.num_points();
         assert_eq!(covered, shell);
+    }
+
+    /// A face plan is the shell plan cut to the face slabs: every face
+    /// ghost comes from the same source patch through the same shift, and
+    /// no edge or corner ghost is copied.
+    #[test]
+    fn face_plan_is_the_shell_plan_on_the_face_slabs() {
+        for nranks in [1, 3] {
+            let (ba, dm, domain) = setup(nranks);
+            let depth = 3;
+            let shell = fill_boundary_plan(&ba, &dm, &domain, depth, 2);
+            let faces = fill_boundary_plan_over(&ba, &dm, &domain, GhostFootprint::Faces(depth), 2);
+            let source = |plan: &CopyPlan, dst: usize| {
+                let mut at = HashMap::new();
+                for c in plan.chunks.iter().filter(|c| c.dst_id == dst) {
+                    for p in c.region.cells() {
+                        assert!(at.insert(p, (c.src_id, c.shift, c.src_rank)).is_none(), "{p:?} twice");
+                    }
+                }
+                at
+            };
+            for dst in 0..ba.len() {
+                let valid = ba.get(dst);
+                let want: HashMap<_, _> = source(&shell, dst)
+                    .into_iter()
+                    .filter(|(p, _)| GhostFootprint::Faces(depth).contains(valid, *p))
+                    .collect();
+                assert_eq!(source(&faces, dst), want, "dst {dst}");
+            }
+            let bytes = |p: &CopyPlan| p.stats().local_bytes + p.stats().remote_bytes;
+            assert!(bytes(&faces) < bytes(&shell));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::boxarray::BoxArray;
 use crate::distribution::DistributionMapping;
-use crate::plan::{fill_boundary_plan, parallel_copy_plan, CopyPlan, PlanStats};
+use crate::plan::{fill_boundary_plan_over, parallel_copy_plan, CopyPlan, GhostFootprint, PlanStats};
 use crocco_geometry::ProblemDomain;
 use std::any::Any;
 use std::collections::HashMap;
@@ -77,8 +77,9 @@ pub struct PlanKey {
     pub dst_ba: u64,
     /// Destination DistributionMapping identity.
     pub dst_dm: u64,
-    /// Destination ghost width.
-    pub nghost: i64,
+    /// Destination ghost cells: the footprint a `FillBoundary` fills, the
+    /// full shell a `ParallelCopy` reaches.
+    pub ghost: GhostFootprint,
     /// Components moved.
     pub ncomp: usize,
     /// Domain low corner.
@@ -96,12 +97,12 @@ impl PlanKey {
         (domain.bx.lo().0, domain.bx.hi().0, domain.periodic)
     }
 
-    /// Key for a same-level `FillBoundary` plan.
+    /// Key for a same-level `FillBoundary` plan over `footprint`.
     pub fn fill_boundary(
         ba: &BoxArray,
         dm: &DistributionMapping,
         domain: &ProblemDomain,
-        nghost: i64,
+        footprint: GhostFootprint,
         ncomp: usize,
     ) -> Self {
         let (domain_lo, domain_hi, periodic) = Self::domain_fields(domain);
@@ -111,7 +112,7 @@ impl PlanKey {
             src_dm: dm.id(),
             dst_ba: ba.id(),
             dst_dm: dm.id(),
-            nghost,
+            ghost: footprint,
             ncomp,
             domain_lo,
             domain_hi,
@@ -138,7 +139,7 @@ impl PlanKey {
             src_dm: src_dm.id(),
             dst_ba: dst_ba.id(),
             dst_dm: dst_dm.id(),
-            nghost: dst_ghost,
+            ghost: GhostFootprint::Shell(dst_ghost),
             ncomp,
             domain_lo,
             domain_hi,
@@ -175,7 +176,8 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// The cached `FillBoundary` plan for these grids, building it on miss.
+    /// The cached full-shell `FillBoundary` plan for these grids, building
+    /// it on miss.
     pub fn fill_boundary(
         &self,
         ba: &BoxArray,
@@ -184,8 +186,21 @@ impl PlanCache {
         nghost: i64,
         ncomp: usize,
     ) -> Arc<CachedPlan> {
-        let key = PlanKey::fill_boundary(ba, dm, domain, nghost, ncomp);
-        self.get_or_build(key, || fill_boundary_plan(ba, dm, domain, nghost, ncomp))
+        self.fill_boundary_over(ba, dm, domain, GhostFootprint::Shell(nghost), ncomp)
+    }
+
+    /// The cached `FillBoundary` plan over `footprint`, building it on miss
+    /// ([`fill_boundary_plan_over`]).
+    pub fn fill_boundary_over(
+        &self,
+        ba: &BoxArray,
+        dm: &DistributionMapping,
+        domain: &ProblemDomain,
+        footprint: GhostFootprint,
+        ncomp: usize,
+    ) -> Arc<CachedPlan> {
+        let key = PlanKey::fill_boundary(ba, dm, domain, footprint, ncomp);
+        self.get_or_build(key, || fill_boundary_plan_over(ba, dm, domain, footprint, ncomp))
     }
 
     /// The cached `ParallelCopy` plan for these grids, building it on miss.
@@ -292,6 +307,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::distribution::DistributionStrategy;
+    use crate::plan::fill_boundary_plan;
     use crocco_geometry::decompose::ChopParams;
     use crocco_geometry::IndexBox;
 
@@ -321,9 +337,12 @@ mod tests {
         let a = cache.fill_boundary(&ba, &dm, &domain, 2, 5);
         let b = cache.fill_boundary(&ba, &dm, &domain, 3, 5); // nghost differs
         let c = cache.fill_boundary(&ba, &dm, &domain, 2, 1); // ncomp differs
+        // Same depth, face slabs only.
+        let d = cache.fill_boundary_over(&ba, &dm, &domain, GhostFootprint::Faces(2), 5);
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.misses(), 3);
+        assert!(!Arc::ptr_eq(&a, &d));
+        assert_eq!(cache.misses(), 4);
     }
 
     #[test]
@@ -359,7 +378,7 @@ mod tests {
         cache.fill_boundary(&ba, &dm, &domain, 2, 5);
         let key = PlanKey {
             op: PlanOp::Aux(7),
-            ..PlanKey::fill_boundary(&ba, &dm, &domain, 2, 5)
+            ..PlanKey::fill_boundary(&ba, &dm, &domain, GhostFootprint::Shell(2), 5)
         };
         cache.get_or_build_aux(key, || 42usize);
         assert_eq!(cache.len(), 2);
@@ -377,7 +396,7 @@ mod tests {
         let cache = PlanCache::new();
         let key = PlanKey {
             op: PlanOp::Aux(1),
-            ..PlanKey::fill_boundary(&ba, &dm, &domain, 2, 5)
+            ..PlanKey::fill_boundary(&ba, &dm, &domain, GhostFootprint::Shell(2), 5)
         };
         let v1: Arc<Vec<u64>> = cache.get_or_build_aux(key, || vec![1, 2, 3]);
         let v2: Arc<Vec<u64>> = cache.get_or_build_aux(key, || unreachable!());

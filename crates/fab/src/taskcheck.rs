@@ -22,14 +22,16 @@
 //! The executor also asserts (under the `taskcheck` feature) that the graph
 //! it built has exactly the spec's dependency lists.
 //!
-//! Footprint shapes, per patch `i` with valid box `V`, full box
-//! `B = V.grow(nghost)`:
+//! Footprint shapes, per patch `i` with valid box `V` and the stage's ghost
+//! footprint `G` ([`GhostFootprint`]: the face slabs or the full shell),
+//! `B = V.grow(G.depth())`:
 //!
 //! * `halo[i]` reads `B` of `i` (BC corner mirrors read ghosts and valid
-//!   cells), writes the ghost shell `B \ V` (pre-halo interpolation, chunk
-//!   copies, BC fills), and reads `region - shift` of every *locally copied*
-//!   source patch in its chunk range — valid cells, by the FillBoundary
-//!   plan invariant (remote chunks arrive as payloads).
+//!   cells), writes the footprint's ghost regions `G(V)` (pre-halo
+//!   interpolation, chunk copies, BC fills — and nothing outside them), and
+//!   reads `region - shift` of every *locally copied* source patch in its
+//!   chunk range — valid cells, by the FillBoundary plan invariant (remote
+//!   chunks arrive as payloads).
 //! * `sweep[i]` (a patch swept whole) and `boundary[i]` read `B` (their
 //!   stencils reach into ghosts) and write `rhs[i]`.
 //! * `interior[i]` reads `V` (the sweep region is shrunk by the ghost width,
@@ -45,10 +47,10 @@
 //! unmatched.
 
 use crate::dist_overlap::DistSkeleton;
-use crate::plan::CopyPlan;
+use crate::plan::{CopyPlan, GhostFootprint};
 use crate::plan_cache::CachedPlan;
 use crocco_geometry::IndexBox;
-use crocco_runtime::taskcheck::{subtract, Footprint, RankSchedule, ScheduleSpec};
+use crocco_runtime::taskcheck::{Footprint, RankSchedule, ScheduleSpec};
 use crocco_runtime::{verify_cross_rank, Violation};
 use std::fmt;
 
@@ -80,27 +82,27 @@ impl FabIds {
 
 /// The footprint of rank `rank`'s halo task for patch `i`: reads the patch's
 /// full box and its locally copied chunk-range sources, writes the ghost
-/// shell.
+/// footprint.
 fn halo_footprint(
     plan: &CopyPlan,
     chunk_range: (usize, usize),
     rank: usize,
     i: usize,
     valid: &[IndexBox],
-    nghost: i64,
+    ghosts: GhostFootprint,
     ids: &FabIds,
 ) -> Footprint {
     let comp = (0, plan.ncomp);
-    let bx = valid[i].grow(nghost);
+    let bx = valid[i].grow(ghosts.depth());
     let mut fp = Footprint::new(format!("halo[{i}]")).reads(ids.state[i], comp, bx);
-    for shell in subtract(bx, valid[i]) {
-        fp = fp.writes(ids.state[i], comp, shell);
+    for region in ghosts.regions(valid[i]) {
+        fp = fp.writes(ids.state[i], comp, region);
     }
     let (s, e) = chunk_range;
     for c in &plan.chunks[s..e] {
         // Only locally copied chunks read a source fab; remote chunks
         // arrive as payloads (their ghost writes are already covered by the
-        // shell above).
+        // footprint above).
         if c.src_rank == rank {
             fp = fp.reads(ids.state[c.src_id], comp, c.region.shift(-c.shift));
         }
@@ -119,7 +121,7 @@ fn sweeps_and_update(
     i: usize,
     split: bool,
     valid: &[IndexBox],
-    nghost: i64,
+    ghosts: GhostFootprint,
     ncomp: usize,
     halo_i: usize,
     reader_halos: &[usize],
@@ -127,7 +129,7 @@ fn sweeps_and_update(
     ids: &FabIds,
 ) {
     let comp = (0, ncomp);
-    let bx = valid[i].grow(nghost);
+    let bx = valid[i].grow(ghosts.depth());
     let ghost_reader = |label: String| {
         Footprint::new(label)
             .reads(ids.state[i], comp, bx)
@@ -171,7 +173,7 @@ pub fn dist_rank_schedule(
     plan: &CopyPlan,
     skel: &DistSkeleton,
     valid: &[IndexBox],
-    nghost: i64,
+    ghosts: GhostFootprint,
     ids: &FabIds,
 ) -> RankSchedule {
     let comp = (0, plan.ncomp);
@@ -197,7 +199,7 @@ pub fn dist_rank_schedule(
     let n = valid.len();
     let mut halo = vec![usize::MAX; n];
     for &i in &skel.owned {
-        let fp = halo_footprint(plan, skel.chunk_range[i], skel.rank, i, valid, nghost, ids);
+        let fp = halo_footprint(plan, skel.chunk_range[i], skel.rank, i, valid, ghosts, ids);
         let deps: Vec<usize> = skel.feeds[i].iter().map(|&m| recv_events[m]).collect();
         halo[i] = rs.spec.add(&deps, fp);
     }
@@ -209,7 +211,7 @@ pub fn dist_rank_schedule(
             i,
             skel.is_split(i),
             valid,
-            nghost,
+            ghosts,
             plan.ncomp,
             halo[i],
             &reader_halos,
@@ -279,13 +281,13 @@ pub fn verify_dist(
     owner: &[usize],
     nranks: usize,
     valid: &[IndexBox],
-    nghost: i64,
+    ghosts: GhostFootprint,
 ) -> VerifyReport {
     let t0 = std::time::Instant::now();
     let ids = FabIds::symbolic(valid.len());
     let ranks: Vec<RankSchedule> = (0..nranks)
         .map(|r| {
-            dist_rank_schedule(&fb.plan, &DistSkeleton::build(fb, owner, r), valid, nghost, &ids)
+            dist_rank_schedule(&fb.plan, &DistSkeleton::build(fb, owner, r), valid, ghosts, &ids)
         })
         .collect();
     let mut tasks = 0;
@@ -356,13 +358,15 @@ mod tests {
 
     #[test]
     fn real_skeletons_verify_clean_at_multiple_rank_counts() {
-        for nranks in [1usize, 2, 4] {
+        for (nranks, ghosts) in [1usize, 2, 4]
+            .into_iter()
+            .flat_map(|n| [(n, GhostFootprint::Shell(2)), (n, GhostFootprint::Faces(2))])
+        {
             let (ba, dm, domain) = setup(nranks);
             let cache = PlanCache::new();
-            let nghost = 2;
-            let fb = cache.fill_boundary(&ba, &dm, &domain, nghost, 2);
+            let fb = cache.fill_boundary_over(&ba, &dm, &domain, ghosts, 2);
             let valid = valid_boxes(&ba);
-            let report = verify_dist(&fb, dm.owners(), nranks, &valid, nghost);
+            let report = verify_dist(&fb, dm.owners(), nranks, &valid, ghosts);
             report.assert_clean("test skeleton");
             assert!(report.pairs_checked > 0, "stage must have conflict pairs");
             if nranks == 1 {
@@ -392,7 +396,7 @@ mod tests {
         skel.readers[i].retain(|&x| x != d);
         let valid = valid_boxes(&ba);
         let ids = FabIds::symbolic(valid.len());
-        let violations = dist_rank_schedule(&fb.plan, &skel, &valid, nghost, &ids)
+        let violations = dist_rank_schedule(&fb.plan, &skel, &valid, GhostFootprint::Shell(nghost), &ids)
             .spec
             .verify()
             .violations;
@@ -429,7 +433,7 @@ mod tests {
                     &fb.plan,
                     &DistSkeleton::build(&fb, dm.owners(), r),
                     &valid,
-                    nghost,
+                    GhostFootprint::Shell(nghost),
                     &ids,
                 )
             })

@@ -169,6 +169,7 @@ fn coordinate_bytes_are_counted_once_per_two_level_plan() {
                     &coarse.state,
                     &sim.hierarchy().domain(l),
                     &sim.hierarchy().domain(l - 1),
+                    cfg.ghost_footprint(),
                     IntVect::splat(2),
                     &*interp,
                     Some(&coarse.coords),

@@ -93,6 +93,24 @@ fn owned_composes_with_the_sanitizer() {
     }
 }
 
+#[test]
+fn owned_fenced_composes_with_the_sanitizer() {
+    // The inviscid ramp fills face ghosts only: every edge and corner ghost
+    // stays poisoned (with `fabcheck`), so a kernel, boundary or
+    // interpolation read outside the footprint traps — here under the
+    // fenced reference phases, whose halo loop is the graph's twin.
+    let reference = oracle(4);
+    for nranks in ranks_under_test() {
+        let cfg = ramp_builder()
+            .nranks(nranks)
+            .overlap(false)
+            .nan_poison(true)
+            .build();
+        let owned = run_owned(cfg, 4);
+        assert_partitions_oracle(&owned, &reference, &format!("sanitized fenced nranks={nranks}"));
+    }
+}
+
 /// Expected allocation of `mf` on `rank`: the grown boxes of exactly the
 /// owned patches (valid + ghosts, times components, times 8 bytes) — stepping
 /// is O(owned cells) per rank, not O(global). `None` = every patch.

@@ -150,6 +150,32 @@ fn owned_distributed_subcycling_matches_the_serial_path_bitwise() {
 }
 
 #[test]
+fn poisoned_subcycling_matches_the_serial_path_bitwise() {
+    // The subcycled vortex is inviscid: its stages fill face ghosts only,
+    // and its sweeps feed the flux registers from their face rows. Under
+    // `fabcheck` + `nan_poison` every ghost outside the footprint stays a
+    // signaling NaN, so a read past it — by a sweep, a register face, the
+    // time-interpolated fill or a regrid remap — traps instead of passing
+    // on a stale value.
+    let mut serial = Simulation::new(vortex(2).subcycling(true).overlap(false).build());
+    serial.advance_steps(4);
+    let reference = patch_bits(&serial);
+    for nranks in ranks_under_test() {
+        let cfg = vortex(2)
+            .subcycling(true)
+            .nranks(nranks)
+            .threads(2)
+            .nan_poison(true)
+            .build();
+        assert_partitions_oracle(
+            &run_owned(cfg, 4),
+            &reference,
+            &format!("poisoned subcycling nranks={nranks}"),
+        );
+    }
+}
+
+#[test]
 fn subcycling_advances_fewer_cell_updates_on_a_deep_hierarchy() {
     let mut sub = Simulation::new(vortex(3).subcycling(true).build());
     assert!(

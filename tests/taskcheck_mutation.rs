@@ -8,7 +8,7 @@
 
 use crocco::fab::{
     dist_rank_schedule, BoxArray, DistSkeleton, DistributionMapping, DistributionStrategy, FabIds,
-    PlanCache,
+    GhostFootprint, PlanCache,
 };
 #[cfg(feature = "taskcheck")]
 use crocco::fab::{FArrayBox, MultiFab};
@@ -51,7 +51,7 @@ fn static_verifier_flags_a_deleted_update_fence() {
     // The on-node graph: the one-rank skeleton's schedule.
     let ids = FabIds::symbolic(valid.len());
     let violations = |skel: &DistSkeleton| {
-        dist_rank_schedule(&fb.plan, skel, &valid, nghost, &ids)
+        dist_rank_schedule(&fb.plan, skel, &valid, GhostFootprint::Shell(nghost), &ids)
             .spec
             .verify()
             .violations
@@ -97,7 +97,7 @@ fn cross_rank_verifier_flags_a_deleted_send() {
                 &fb.plan,
                 &DistSkeleton::build(&fb, dm.owners(), r),
                 &valid,
-                nghost,
+                GhostFootprint::Shell(nghost),
                 &ids,
             )
         })
@@ -160,6 +160,7 @@ fn dynamic_detector_traps_the_same_mutation_at_runtime() {
             epoch: 0,
             overlap: true,
             sched: Schedule::adversarial(0),
+            ghosts: GhostFootprint::Shell(nghost),
         };
         run_dist_rk_stage(
             StageFabs {
