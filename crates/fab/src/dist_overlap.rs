@@ -14,7 +14,8 @@
 //! Two schedules share one [`DistSkeleton`]:
 //!
 //! * **graph** (`DistStage::overlap`, the default) — one [`TaskGraph`] per
-//!   stage built from the *cached* `FillBoundary` plan:
+//!   stage, built from the skeleton's task list ([`DistSkeleton::tasks`]),
+//!   which is derived once from the *cached* `FillBoundary` plan:
 //!
 //!   ```text
 //!     send[m]     = pack every chunk for peer m → one send  (no dependencies)
@@ -27,11 +28,13 @@
 //!
 //!   `halo[i]` waits on whole peer messages, not on its own chunks: the
 //!   transport delivers a message atomically, so no chunk of it is
-//!   readable before all of it is. A patch that waits on a receive
-//!   ([`DistSkeleton::is_split`]) replaces `sweep[i]` by `interior[i]` (no
-//!   dependencies) and `boundary[i]` (after `halo[i]` and `interior[i]`), so
-//!   its ghost-independent core overlaps with the wire. Only patch-boundary
-//!   tasks fence; there is no per-stage barrier.
+//!   readable before all of it is. A patch whose halo task waits on a
+//!   receive is swept as `interior[i]` (no dependencies) and `boundary[i]`
+//!   (after `halo[i]` and `interior[i]`) instead of `sweep[i]`, so its
+//!   ghost-independent core overlaps with the wire. Only patch-boundary
+//!   tasks fence; there is no per-stage barrier. The executor adds the
+//!   list's tasks in order with the list's edges and picks each closure by
+//!   the task's [`TaskKind`]; it derives no edge of its own.
 //! * **fenced** — the *reference* schedule every invariance suite compares
 //!   the graph against (as the scalar backend is for kernels): one fenced
 //!   [`exchange`] round over the same layout, then fill → whole sweep →
@@ -72,7 +75,7 @@
 //!   `boundary[i]`; `sweep[i]` is ordered after `halo[i]` outright;
 //! * `send[m]` *reads* valid cells of the source patches of its chunks;
 //!   `update[i]` (the only writer of valid cells of `i`) depends on every
-//!   send reading `i` (`send_readers`), so the read completes first;
+//!   send reading `i`, so the read completes first;
 //! * receive events touch no fab at all — the message parks in the
 //!   [`Inbox`] until each `halo[i]` it feeds (their dependents) unpacks its
 //!   chunks into ghost cells of `i`;
@@ -84,7 +87,7 @@
 //!
 //! Every dependency edge is a happens-before edge (the executor's ready
 //! queue hands tasks over under a mutex), so ordered accesses never race.
-//! [`crate::taskcheck`] derives the same graph as a checkable spec and
+//! [`crate::taskcheck`] maps the same task list to declared footprints and
 //! proves the argument per (grids, plan).
 
 // Allowlisted unsafe surface of the workspace (`cargo xtask lint`): raw
@@ -96,11 +99,12 @@ use crate::fab::FArrayBox;
 use crate::multifab::{copy_chunk_raw, MultiFab, RawFab};
 use crate::plan::{CopyChunk, CopyPlan, GhostFootprint};
 use crate::plan_cache::CachedPlan;
+#[cfg(feature = "taskcheck")]
 use crate::taskcheck::{dist_rank_schedule, FabIds};
 use crate::view::{FabRd, FabRw};
 use crocco_geometry::IndexBox;
 use crocco_runtime::taskcheck::record_access;
-use crocco_runtime::{tags, GroupEndpoint, Schedule, StageError, TaskGraph};
+use crocco_runtime::{tags, GroupEndpoint, Schedule, StageError, TaskGraph, TaskHandle};
 
 /// Which part of a patch a kernel sweep covers.
 ///
@@ -164,10 +168,39 @@ pub fn band_slabs(valid: IndexBox, interior: IndexBox) -> Vec<IndexBox> {
     slabs
 }
 
+/// What one task of a rank's stage graph does; the executor picks the
+/// task's closure by its kind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TaskKind {
+    /// Packs every chunk of message `layout.sends[m]` and sends it.
+    Send(usize),
+    /// An event: message `layout.recvs[m]` has landed and decoded. It
+    /// touches no fab.
+    Recv(usize),
+    /// The ghost shell of owned patch `i`: coarse-fine interpolation, its
+    /// plan chunks (local copies and landed payloads), physical BCs.
+    Halo(usize),
+    /// The RHS sweep of owned patch `i` over the phase's region.
+    Sweep(usize, SweepPhase),
+    /// The low-storage update of owned patch `i`: the last task to touch
+    /// its state, `du` and RHS fabs.
+    Update(usize),
+}
+
+/// One task of a rank's stage graph.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StageTask {
+    /// What the task does.
+    pub kind: TaskKind,
+    /// Positions in [`DistSkeleton::tasks`] of the tasks it waits for:
+    /// all earlier, ascending, deduplicated.
+    pub deps: Vec<usize>,
+}
+
 /// The rank-local, stage-invariant structure of a level's distributed RK
-/// stage: which patches this rank owns, which plan chunks it copies locally,
-/// the per-peer messages of its halo round, and the dependency edges among
-/// them. Derived once per (plan, rank) and memoized in the plan cache
+/// stage: which patches this rank owns, which plan chunks write each ghost
+/// shell, the per-peer messages of its halo round, and the stage's task
+/// list. Derived once per (plan, rank) and memoized in the plan cache
 /// (`PlanOp::Aux`), so per-stage construction re-binds only RK coefficients
 /// and message tags.
 #[derive(Clone, Debug, Default)]
@@ -176,29 +209,24 @@ pub struct DistSkeleton {
     pub rank: usize,
     /// Patch indices owned by `rank`, ascending.
     pub owned: Vec<usize>,
-    /// Owner rank of every patch (copy of the distribution's owner map).
-    pub owner: Vec<usize>,
     /// Per destination patch: the contiguous `[s, e)` chunk range of the
     /// plan that writes its ghost shell (`(0, 0)` when none).
     pub chunk_range: Vec<(usize, usize)>,
     /// The stage's halo round ([`Layout::of_plan`]): one message per peer
     /// this rank sends to, one per peer it receives from.
     pub layout: Layout,
-    /// Per owned destination patch: positions in `layout.recvs` of the
-    /// messages carrying chunks into it, ascending. Empty for non-owned
-    /// patches.
-    pub feeds: Vec<Vec<usize>>,
-    /// Per source patch `i`: owned destination patches whose halo task
-    /// copies out of `i` locally (deduplicated) — the local update fences.
-    pub readers: Vec<Vec<usize>>,
-    /// Per source patch `i`: positions in `layout.sends` of the messages
-    /// packing out of `i` — the rank-crossing update fences.
-    pub send_readers: Vec<Vec<usize>>,
+    /// The graph schedule's tasks in insertion order: a send per
+    /// `layout.sends` message, a receive event per `layout.recvs` message,
+    /// the halo task of every owned patch, then each owned patch's sweep(s)
+    /// and update. The executor adds exactly these tasks with these edges,
+    /// and the verifier ([`crate::taskcheck`]) proves exactly this list.
+    pub tasks: Vec<StageTask>,
 }
 
 impl DistSkeleton {
     /// Derives the rank-`rank` skeleton of `fb` for a level whose patches
-    /// are assigned by `owner` (one rank per patch).
+    /// are assigned by `owner` (one rank per patch); the task list's edges
+    /// are the module-level graph.
     pub fn build(fb: &CachedPlan, owner: &[usize], rank: usize) -> Self {
         let npatches = owner.len();
         let chunks = &fb.plan.chunks;
@@ -210,49 +238,81 @@ impl DistSkeleton {
             }
         }
         let layout = Layout::of_plan(rank, &fb.plan);
-        // Messages ascend, so a per-patch list is deduplicated by its tail.
-        let by_patch = |msgs: &[Msg], patch: fn(&CopyChunk) -> usize| {
-            let mut per: Vec<Vec<usize>> = vec![Vec::new(); npatches];
-            for (m, msg) in msgs.iter().enumerate() {
-                for &c in &msg.items {
-                    let list = &mut per[patch(&chunks[c])];
-                    if list.last() != Some(&m) {
-                        list.push(m);
-                    }
-                }
-            }
-            per
-        };
-        let feeds = by_patch(&layout.recvs, |c| c.dst_id);
-        let send_readers = by_patch(&layout.sends, |c| c.src_id);
-        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); npatches];
-        for c in chunks.iter().filter(|c| c.src_rank == rank && c.dst_rank == rank) {
-            readers[c.src_id].push(c.dst_id);
+        let mut tasks = Vec::new();
+        // Per source patch, the tasks reading its valid cells: the sends
+        // packing out of it, then the halos copying out of it locally.
+        let plan = (chunks.as_slice(), npatches);
+        let mut readers = message_tasks(&mut tasks, &layout.sends, plan, TaskKind::Send, |c| {
+            c.src_id
+        });
+        let feeds = message_tasks(&mut tasks, &layout.recvs, plan, TaskKind::Recv, |c| {
+            c.dst_id
+        });
+        let mut halo = vec![usize::MAX; npatches];
+        for &i in &owned {
+            halo[i] = push_task(&mut tasks, TaskKind::Halo(i), feeds[i].clone());
         }
-        for r in &mut readers {
-            r.sort_unstable();
-            r.dedup();
+        for c in chunks
+            .iter()
+            .filter(|c| c.src_rank == rank && c.dst_rank == rank)
+        {
+            readers[c.src_id].push(halo[c.dst_id]);
+        }
+        for &i in &owned {
+            let sweep = |phase| TaskKind::Sweep(i, phase);
+            let swept = if feeds[i].is_empty() {
+                push_task(&mut tasks, sweep(SweepPhase::Whole), vec![halo[i]])
+            } else {
+                let core = push_task(&mut tasks, sweep(SweepPhase::Interior), Vec::new());
+                push_task(
+                    &mut tasks,
+                    sweep(SweepPhase::BoundaryBand),
+                    vec![halo[i], core],
+                )
+            };
+            let mut deps = std::mem::take(&mut readers[i]);
+            deps.push(swept);
+            push_task(&mut tasks, TaskKind::Update(i), deps);
         }
         DistSkeleton {
             rank,
             owned,
-            owner: owner.to_vec(),
             chunk_range,
             layout,
-            feeds,
-            readers,
-            send_readers,
+            tasks,
         }
     }
+}
 
-    /// `true` when the graph schedule sweeps owned patch `i` as an interior +
-    /// boundary-band pair: its halo task waits on at least one receive, so
-    /// there is remote latency for the interior sweep to hide. Every other
-    /// patch — all of them on a group of one — is swept whole
-    /// ([`SweepPhase`]).
-    pub fn is_split(&self, i: usize) -> bool {
-        !self.feeds[i].is_empty()
+/// Appends a task of `kind` waiting on `deps` and returns its position.
+fn push_task(tasks: &mut Vec<StageTask>, kind: TaskKind, mut deps: Vec<usize>) -> usize {
+    deps.sort_unstable();
+    deps.dedup();
+    tasks.push(StageTask { kind, deps });
+    tasks.len() - 1
+}
+
+/// Appends one `kind(m)` task per message and returns, for each of the
+/// plan's `npatches` patches, the positions of the tasks whose message names
+/// a chunk with that `patch` (deduplicated by the tail, as messages ascend).
+fn message_tasks(
+    tasks: &mut Vec<StageTask>,
+    msgs: &[Msg],
+    (chunks, npatches): (&[CopyChunk], usize),
+    kind: fn(usize) -> TaskKind,
+    patch: fn(&CopyChunk) -> usize,
+) -> Vec<Vec<usize>> {
+    let mut per: Vec<Vec<usize>> = vec![Vec::new(); npatches];
+    for (m, msg) in msgs.iter().enumerate() {
+        let t = push_task(tasks, kind(m), Vec::new());
+        for &c in &msg.items {
+            let list = &mut per[patch(&chunks[c])];
+            if list.last() != Some(&t) {
+                list.push(t);
+            }
+        }
     }
+    per
 }
 
 /// Per-stage identity of one distributed execution: the endpoint to move
@@ -315,15 +375,15 @@ pub struct DistStage<'a> {
 /// pair is added to that patch's halo-task footprint and recorded for the
 /// dynamic detector, so the declared schedule stays honest about every fab
 /// the stage reads. Pass `&[]` when there is nothing extra; otherwise one
-/// entry per patch. Footprints only exist on the graph schedule; the fenced
-/// one ignores the declarations.
+/// entry per patch. Footprints exist only on the graph schedule of a
+/// `taskcheck` build; the fenced one ignores the declarations.
 #[allow(clippy::too_many_arguments)]
 pub fn run_dist_rk_stage(
     fabs: StageFabs<'_>,
     fb: &CachedPlan,
     skel: &DistSkeleton,
     st: &DistStage<'_>,
-    extra_halo: &[Vec<(u64, crocco_geometry::IndexBox)>],
+    extra_halo: &[Vec<(u64, IndexBox)>],
     pre_halo: &(dyn Fn(usize, &mut FabRw<'_>) + Sync),
     bc_fill: &(dyn Fn(usize, &mut FabRw<'_>) + Sync),
     sweep: &(dyn Fn(usize, FabRd<'_>, SweepPhase, &mut FArrayBox) + Sync),
@@ -467,17 +527,17 @@ impl BasePtr {
     }
 }
 
-/// The graph schedule: one task graph per stage, one send task and one
-/// receive event per peer; the progress pump ([`GroupEndpoint::pump`])
-/// delivers messages and [`Inbox::poll`] fails the stage on a malformed
-/// one.
+/// The graph schedule: the skeleton's task list added to one task graph in
+/// list order, with the list's edges and each task's closure picked by its
+/// kind. The progress pump ([`GroupEndpoint::pump`]) delivers messages and
+/// [`Inbox::poll`] fails the stage on a malformed one.
 #[allow(clippy::too_many_arguments)]
 fn run_overlapped(
     fabs: StageFabs<'_>,
     plan: &CopyPlan,
     skel: &DistSkeleton,
     st: &DistStage<'_>,
-    extra_halo: &[Vec<(u64, crocco_geometry::IndexBox)>],
+    extra_halo: &[Vec<(u64, IndexBox)>],
     pre_halo: &(dyn Fn(usize, &mut FabRw<'_>) + Sync),
     bc_fill: &(dyn Fn(usize, &mut FabRw<'_>) + Sync),
     sweep: &(dyn Fn(usize, FabRd<'_>, SweepPhase, &mut FArrayBox) + Sync),
@@ -508,119 +568,96 @@ fn run_overlapped(
     // Post every receive before building the graph: one per peer, decoded
     // when it lands, fired as an event, drained by the halo tasks it feeds.
     let inbox = &Inbox::post(st.ep, layout, &tag);
+
+    #[cfg(feature = "taskcheck")]
+    let mut declared = Declared::live(
+        plan,
+        skel,
+        &(0..n).map(|i| fabs.state.valid_box(i)).collect::<Vec<_>>(),
+        st.ghosts,
+        &FabIds {
+            state: state_raw.iter().map(|r| r.ptr as usize as u64).collect(),
+            rhs: (0..n)
+                .map(|i| rhs_base.get().wrapping_add(i) as usize as u64)
+                .collect(),
+            du: (0..n)
+                .map(|i| du_base.get().wrapping_add(i) as usize as u64)
+                .collect(),
+        },
+        extra_halo,
+    );
+    #[cfg(not(feature = "taskcheck"))]
+    let mut declared = Declared {};
+
     let mut graph = TaskGraph::new();
-
-    // Declared footprints: the same per-rank spec the static verifier checks
-    // (`taskcheck::verify_dist`), instantiated with live data addresses so
-    // the dynamic detector (feature `taskcheck`) can match executed accesses
-    // against the declarations. Pulling each footprint at `graph.len()`
-    // keeps the graph and the spec aligned by construction.
-    let valid: Vec<crocco_geometry::IndexBox> =
-        (0..n).map(|i| fabs.state.valid_box(i)).collect();
-    let ids = FabIds {
-        state: state_raw.iter().map(|r| r.ptr as usize as u64).collect(),
-        rhs: (0..n)
-            .map(|i| rhs_base.get().wrapping_add(i) as usize as u64)
-            .collect(),
-        du: (0..n)
-            .map(|i| du_base.get().wrapping_add(i) as usize as u64)
-            .collect(),
-    };
-    let rs = dist_rank_schedule(plan, skel, &valid, st.ghosts, &ids);
-
-    // Send tasks, one per peer: remote reads of this rank's patches happen
-    // here, so sends are also update fences (`send_readers`).
-    let mut send_tasks = Vec::with_capacity(layout.sends.len());
-    for m in 0..layout.sends.len() {
-        let ep = st.ep;
-        let fp = rs.spec.footprint(graph.len()).clone();
-        send_tasks.push(graph.add_task_with(&[], fp, move || {
-            let msg = &layout.sends[m];
-            let body = layout.pack(msg, &mut |c, out| {
-                let chunk = &chunks[c];
-                // SAFETY: reads valid cells of the (owned) source patch; its
-                // only writer, `update[src_id]`, depends on this task.
-                let src = unsafe { FabRd::from_raw(*state_list.get(chunk.src_id)) };
-                pack_chunk(&src, chunk.region, chunk.shift, ncomp, out);
-            });
-            ep.send(msg.peer, tag(rank), body);
-        }));
-    }
-
-    // Receive events, one per peer: ready once the message has landed and
-    // decoded. They touch no fab.
-    let recv_events: Vec<crocco_runtime::TaskHandle> = (0..layout.recvs.len())
-        .map(|m| graph.add_event(move || inbox.is_ready(m)))
-        .collect();
-
-    // Halo tasks: ghost-shell production for each owned patch, gated on its
-    // receive events — coarse-fine interpolation, then same-level chunks,
-    // then physical BCs (BC corner mirrors may read ghosts the chunks just
-    // wrote).
-    let mut halo = vec![None; n];
-    for &i in &skel.owned {
-        let (s, e) = skel.chunk_range[i];
-        let deps: Vec<_> = skel.feeds[i].iter().map(|&m| recv_events[m]).collect();
-        let mut fp = rs.spec.footprint(graph.len()).clone();
-        let extras = extra_halo.get(i).cloned().unwrap_or_default();
-        for &(id, bx) in &extras {
-            fp = fp.reads(id, (0, ncomp), bx);
-        }
-        let h_i = graph.add_task_with(&deps, fp, move || {
-            // The time-interpolated fill inside `pre_halo` reads its extra
-            // fabs below the instrumented views — record the declared reads
-            // explicitly so the dynamic detector sees them.
-            for &(id, bx) in &extras {
-                record_access(id, false, bx);
+    let mut handles: Vec<TaskHandle> = Vec::with_capacity(skel.tasks.len());
+    for (t, task) in skel.tasks.iter().enumerate() {
+        let deps: Vec<TaskHandle> = task.deps.iter().map(|&d| handles[d]).collect();
+        let handle = match task.kind {
+            TaskKind::Send(m) => {
+                let ep = st.ep;
+                declared.add(&mut graph, t, &deps, move || {
+                    let msg = &layout.sends[m];
+                    let body = layout.pack(msg, &mut |c, out| {
+                        let chunk = &chunks[c];
+                        // SAFETY: reads valid cells of the (owned) source
+                        // patch; its only writer, `update[src_id]`, depends
+                        // on this task.
+                        let src = unsafe { FabRd::from_raw(*state_list.get(chunk.src_id)) };
+                        pack_chunk(&src, chunk.region, chunk.shift, ncomp, out);
+                    });
+                    ep.send(msg.peer, tag(rank), body);
+                })
             }
-            // SAFETY: writes only ghost cells of patch `i` (plan invariant
-            // + pre_halo/bc_fill contracts); unordered tasks read only
-            // valid cells, and all later access depends on this task.
-            let mut rw = unsafe { FabRw::from_raw(*state_list.get(i)) };
-            pre_halo(i, &mut rw);
-            for (c, chunk) in chunks.iter().enumerate().take(e).skip(s) {
-                if chunk.src_rank == rank {
-                    // SAFETY: reads valid cells of the source patch, writes
-                    // ghost cells of patch `i` — disjoint from every
-                    // unordered access (module-level argument).
-                    unsafe {
-                        copy_chunk_raw(
-                            state_list.get(chunk.dst_id),
-                            state_list.get(chunk.src_id),
-                            chunk.region,
-                            chunk.shift,
-                            ncomp,
-                        )
-                    };
-                } else if let Some((m, bytes)) = layout.recv_slot(c) {
-                    let body = inbox.body(m).expect("receive event fired before its halo task");
-                    unpack_chunk(&mut rw, chunk.region, ncomp, &body[bytes]);
-                }
+            TaskKind::Recv(m) => {
+                debug_assert!(deps.is_empty(), "a receive event waits on nothing");
+                graph.add_event(move || inbox.is_ready(m))
             }
-            bc_fill(i, &mut rw);
-        });
-        halo[i] = Some(h_i);
-    }
-
-    for &i in &skel.owned {
-        let halo_i = halo[i].expect("owned patch has a halo task");
-        // One whole sweep behind the halo task, or — where the halo task
-        // waits on the wire — an interior sweep that starts at once and a
-        // boundary-band sweep behind both.
-        let phases: &[SweepPhase] = if skel.is_split(i) {
-            &[SweepPhase::Interior, SweepPhase::BoundaryBand]
-        } else {
-            &[SweepPhase::Whole]
-        };
-        let mut swept = None;
-        for &phase in phases {
-            let mut deps = Vec::with_capacity(2);
-            if phase != SweepPhase::Interior {
-                deps.push(halo_i);
+            TaskKind::Halo(i) => {
+                let (s, e) = skel.chunk_range[i];
+                let extras = extra_halo.get(i).map_or(&[][..], Vec::as_slice);
+                declared.add(&mut graph, t, &deps, move || {
+                    // The time-interpolated fill inside `pre_halo` reads its
+                    // extra fabs below the instrumented views — record the
+                    // declared reads explicitly so the dynamic detector sees
+                    // them.
+                    for &(id, bx) in extras {
+                        record_access(id, false, bx);
+                    }
+                    // SAFETY: writes only ghost cells of patch `i` (plan
+                    // invariant + pre_halo/bc_fill contracts); unordered
+                    // tasks read only valid cells, and all later access
+                    // depends on this task.
+                    let mut rw = unsafe { FabRw::from_raw(*state_list.get(i)) };
+                    // Coarse-fine interpolation, then same-level chunks,
+                    // then physical BCs (BC corner mirrors may read ghosts
+                    // the chunks just wrote).
+                    pre_halo(i, &mut rw);
+                    for (c, chunk) in chunks.iter().enumerate().take(e).skip(s) {
+                        if chunk.src_rank == rank {
+                            // SAFETY: reads valid cells of the source patch,
+                            // writes ghost cells of patch `i` — disjoint from
+                            // every unordered access (module-level argument).
+                            unsafe {
+                                copy_chunk_raw(
+                                    state_list.get(chunk.dst_id),
+                                    state_list.get(chunk.src_id),
+                                    chunk.region,
+                                    chunk.shift,
+                                    ncomp,
+                                )
+                            };
+                        } else if let Some((m, bytes)) = layout.recv_slot(c) {
+                            let body = inbox
+                                .body(m)
+                                .expect("receive event fired before its halo task");
+                            unpack_chunk(&mut rw, chunk.region, ncomp, &body[bytes]);
+                        }
+                    }
+                    bc_fill(i, &mut rw);
+                })
             }
-            deps.extend(swept);
-            let fp = rs.spec.footprint(graph.len()).clone();
-            swept = Some(graph.add_task_with(&deps, fp, move || {
+            TaskKind::Sweep(i, phase) => declared.add(&mut graph, t, &deps, move || {
                 // SAFETY: read-only view. `Interior` reads only valid cells,
                 // which unordered tasks never write; `Whole` and
                 // `BoundaryBand` also read ghosts, ordered after `halo[i]` by
@@ -630,46 +667,100 @@ fn run_overlapped(
                 // sweeps → update, ordered by dependency edges.
                 let rhs_i = unsafe { &mut *rhs_base.get().add(i) };
                 sweep(i, u, phase, rhs_i);
-            }));
-        }
-        let mut deps = vec![swept.expect("every patch is swept")];
-        deps.extend(
-            skel.readers[i]
-                .iter()
-                .map(|&d| halo[d].expect("local reader is owned")),
-        );
-        deps.extend(skel.send_readers[i].iter().map(|&k| send_tasks[k]));
-        let fp = rs.spec.footprint(graph.len()).clone();
-        let sid = ids.state[i];
-        let vb = valid[i];
-        graph.add_task_with(&deps, fp, move || {
-            // SAFETY: every reader of patch `i`'s state — its own sweeps,
-            // each local halo copy out of `i`, and each send packing out of
-            // `i` — is a dependency, so this is the unique last task
-            // touching these three fabs and may hold real references.
-            let st_fab = unsafe { &mut *state_base.get().add(i) };
-            // SAFETY: `du[i]` is touched by this task alone.
-            let du = unsafe { &mut *du_base.get().add(i) };
-            // SAFETY: the writers of `rhs[i]` are dependencies (see above).
-            let rhs_i = unsafe { &*rhs_base.get().add(i) };
-            // The update writes through `&mut FArrayBox`, below the
-            // instrumented views — record the state write explicitly so the
-            // dynamic detector sees it.
-            record_access(sid, true, vb);
-            update(i, du, st_fab, rhs_i);
-        });
+            }),
+            TaskKind::Update(i) => {
+                let sid = state_raw[i].ptr as usize as u64;
+                let vb = fabs.state.valid_box(i);
+                declared.add(&mut graph, t, &deps, move || {
+                    // SAFETY: every reader of patch `i`'s state — its own
+                    // sweeps, each local halo copy out of `i`, and each send
+                    // packing out of `i` — is a dependency, so this is the
+                    // unique last task touching these three fabs and may
+                    // hold real references.
+                    let st_fab = unsafe { &mut *state_base.get().add(i) };
+                    // SAFETY: `du[i]` is touched by this task alone.
+                    let du = unsafe { &mut *du_base.get().add(i) };
+                    // SAFETY: the writers of `rhs[i]` are dependencies (see
+                    // above).
+                    let rhs_i = unsafe { &*rhs_base.get().add(i) };
+                    // The update writes through `&mut FArrayBox`, below the
+                    // instrumented views — record the state write
+                    // explicitly so the dynamic detector sees it.
+                    record_access(sid, true, vb);
+                    update(i, du, st_fab, rhs_i);
+                })
+            }
+        };
+        handles.push(handle);
     }
-
-    // If graph construction and spec derivation ever disagree, the static
-    // proof would be about the wrong graph — fail here, not silently.
-    #[cfg(feature = "taskcheck")]
-    crate::taskcheck::assert_spec_matches(&graph.schedule_spec(), &rs.spec, "distributed RK stage");
 
     let ep = st.ep;
     graph.try_run(st.sched, &mut || {
         ep.pump()?;
         Ok(inbox.poll()?)
     })
+}
+
+/// The declared footprints of one stage's tasks, in skeleton order, with
+/// live fab ids: what the dynamic detector (feature `taskcheck`) audits
+/// every executed access against. Nothing else reads a footprint, so the
+/// default build derives none and adds each task bare.
+struct Declared {
+    #[cfg(feature = "taskcheck")]
+    footprints: Vec<crocco_runtime::taskcheck::Footprint>,
+}
+
+impl Declared {
+    /// The verifier's footprints ([`crate::taskcheck::dist_rank_schedule`])
+    /// over live ids, each halo task's `extra_halo` reads added.
+    #[cfg(feature = "taskcheck")]
+    fn live(
+        plan: &CopyPlan,
+        skel: &DistSkeleton,
+        valid: &[IndexBox],
+        ghosts: GhostFootprint,
+        ids: &FabIds,
+        extra_halo: &[Vec<(u64, IndexBox)>],
+    ) -> Self {
+        let spec = dist_rank_schedule(plan, skel, valid, ghosts, ids).spec;
+        let footprints = skel
+            .tasks
+            .iter()
+            .enumerate()
+            .map(|(t, task)| {
+                let mut fp = spec.footprint(t).clone();
+                if let TaskKind::Halo(i) = task.kind {
+                    for &(id, bx) in extra_halo.get(i).into_iter().flatten() {
+                        fp = fp.reads(id, (0, plan.ncomp), bx);
+                    }
+                }
+                fp
+            })
+            .collect();
+        Declared { footprints }
+    }
+
+    /// Adds skeleton task `t` to `graph`, with its footprint if declared.
+    fn add<'env, F>(
+        &mut self,
+        graph: &mut TaskGraph<'env>,
+        t: usize,
+        deps: &[TaskHandle],
+        f: F,
+    ) -> TaskHandle
+    where
+        F: FnOnce() + Send + 'env,
+    {
+        #[cfg(feature = "taskcheck")]
+        {
+            graph.add_task_with(deps, std::mem::take(&mut self.footprints[t]), f)
+        }
+        #[cfg(not(feature = "taskcheck"))]
+        {
+            let _ = t;
+            graph.add_task(deps, f)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -732,6 +823,7 @@ mod tests {
         let fb = cache.fill_boundary(&ba, &dm, &domain, 2, 1);
         let mut recv_total = 0;
         let mut send_total = 0;
+        let (mut recv_edges, mut send_edges) = (0, 0);
         for rank in 0..3 {
             let skel = DistSkeleton::build(&fb, dm.owners(), rank);
             assert_eq!(skel.rank, rank);
@@ -740,27 +832,34 @@ mod tests {
             for &i in &skel.owned {
                 assert_eq!(dm.owner(i), rank);
             }
-            // Receive events feed owned patches only, each a message that
-            // really carries a chunk into the patch.
-            for (i, feeds) in skel.feeds.iter().enumerate() {
-                if !feeds.is_empty() {
-                    assert_eq!(dm.owner(i), rank, "receive targets a non-owned patch");
-                }
-                for &m in feeds {
-                    let items = &skel.layout.recvs[m].items;
-                    assert!(items.iter().any(|&c| fb.plan.chunks[c].dst_id == i));
-                }
-            }
-            // Send fences point back at their source patches.
-            for (i, srs) in skel.send_readers.iter().enumerate() {
-                for &m in srs {
-                    let items = &skel.layout.sends[m].items;
-                    assert!(items.iter().any(|&c| fb.plan.chunks[c].src_id == i));
+            for task in &skel.tasks {
+                for &d in &task.deps {
+                    match (task.kind, skel.tasks[d].kind) {
+                        // Receive events feed owned patches only, each a
+                        // message that really carries a chunk into the patch.
+                        (TaskKind::Halo(i), TaskKind::Recv(m)) => {
+                            assert_eq!(dm.owner(i), rank, "receive targets a non-owned patch");
+                            let items = &skel.layout.recvs[m].items;
+                            assert!(items.iter().any(|&c| fb.plan.chunks[c].dst_id == i));
+                            recv_edges += 1;
+                        }
+                        // Send fences point back at their source patches.
+                        (TaskKind::Update(i), TaskKind::Send(m)) => {
+                            let items = &skel.layout.sends[m].items;
+                            assert!(items.iter().any(|&c| fb.plan.chunks[c].src_id == i));
+                            send_edges += 1;
+                        }
+                        _ => {}
+                    }
                 }
             }
         }
         let remote = fb.plan.chunks.iter().filter(|c| !c.is_local()).count();
         assert!(remote > 0, "setup must produce rank-crossing chunks");
+        assert!(
+            recv_edges > 0 && send_edges > 0,
+            "remote chunks must gate halos and fence updates"
+        );
         assert_eq!(recv_total, remote, "each remote chunk received once");
         assert_eq!(send_total, remote, "each remote chunk sent once");
     }

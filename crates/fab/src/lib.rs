@@ -54,7 +54,8 @@ pub mod view;
 
 pub use boxarray::BoxArray;
 pub use dist_overlap::{
-    band_slabs, run_dist_rk_stage, DistSkeleton, DistStage, StageFabs, SweepPhase,
+    band_slabs, run_dist_rk_stage, DistSkeleton, DistStage, StageFabs, StageTask, SweepPhase,
+    TaskKind,
 };
 pub use exchange::{exchange_chunks, pack_chunk, redistribute, unpack_chunk};
 pub use distribution::{DistributionMapping, DistributionStrategy};

@@ -1,26 +1,29 @@
 //! Schedule specs and static verification for the RK-stage task graphs
 //! (DESIGN.md §4i).
 //!
-//! [`crate::dist_overlap`] hand-wires one task graph per RK stage; its
-//! safety argument is prose. This module turns the prose into a checkable
-//! artifact: for each skeleton it derives a [`ScheduleSpec`] — the same
-//! tasks, in the same insertion order, with the same dependency edges, plus
-//! a declared [`Footprint`] per task built from the exact plan regions the
-//! executor copies — and [`ScheduleSpec::verify`] then proves every
-//! conflicting pair ordered. [`verify_dist`] replays the derivation for
-//! *all* ranks (skeletons are pure metadata, identically replicated) and
-//! additionally proves tag-completeness and cross-rank acyclicity via
-//! [`verify_cross_rank`]; on a group of one that is the on-node graph and
-//! the cross-rank part is vacuous.
+//! [`crate::dist_overlap`] runs one task graph per RK stage; its safety
+//! argument is prose. This module turns the prose into a checkable
+//! artifact: it maps a skeleton's task list ([`DistSkeleton::tasks`], the
+//! list the executor adds to its graph in order) to a
+//! [`ScheduleSpec`](crocco_runtime::taskcheck::ScheduleSpec) — the list's
+//! own dependency edges, plus a declared [`Footprint`] per task built from
+//! the exact plan regions the executor copies — whose
+//! [`verify`](crocco_runtime::taskcheck::ScheduleSpec::verify) then proves
+//! every conflicting pair ordered. No edge is derived here, so the proof is
+//! about the graph that runs.
+//! [`verify_dist`] replays the mapping for *all* ranks (skeletons are pure
+//! metadata, identically replicated) and additionally proves
+//! tag-completeness and cross-rank acyclicity via [`verify_cross_rank`]; on
+//! a group of one that is the on-node graph and the cross-rank part is
+//! vacuous.
 //!
-//! The spec builder is parameterized over fab identities ([`FabIds`]): the
+//! The mapping is parameterized over fab identities ([`FabIds`]): the
 //! memoized static pass uses symbolic ids (patch index + space tag), while
-//! the executor instantiates the same spec with live allocation base
-//! pointers and attaches its footprints to its
-//! [`TaskGraph`](crocco_runtime::TaskGraph) tasks — one derivation serves
-//! both, so the declared footprints cannot drift from the verified ones.
-//! The executor also asserts (under the `taskcheck` feature) that the graph
-//! it built has exactly the spec's dependency lists.
+//! a `taskcheck` build of the executor instantiates it with live
+//! allocation base pointers and attaches the footprints to its
+//! [`TaskGraph`](crocco_runtime::TaskGraph) tasks for the dynamic detector
+//! — one derivation serves both, so the declared footprints cannot drift
+//! from the verified ones.
 //!
 //! Footprint shapes, per patch `i` with valid box `V` and the stage's ghost
 //! footprint `G` ([`GhostFootprint`]: the face slabs or the full shell),
@@ -37,8 +40,9 @@
 //! * `interior[i]` reads `V` (the sweep region is shrunk by the ghost width,
 //!   so the widest stencil stays inside valid cells) and writes `rhs[i]`.
 //! * `update[i]` reads `rhs[i]` and writes `V` of `i` and `du[i]` — the
-//!   writes whose ordering against every reader of `i` is exactly what the
-//!   `readers`/`send_readers` fences exist to guarantee.
+//!   writes whose ordering against every reader of `i` is exactly what its
+//!   fences on the local halo copies and sends out of `i` exist to
+//!   guarantee.
 //! * `send[m]` reads `region - shift` of the source patch of every chunk in
 //!   its peer's message; receive events touch nothing.
 //!
@@ -46,11 +50,11 @@
 //! message per pair, so a dropped send leaves exactly one receive
 //! unmatched.
 
-use crate::dist_overlap::DistSkeleton;
+use crate::dist_overlap::{DistSkeleton, SweepPhase, TaskKind};
 use crate::plan::{CopyPlan, GhostFootprint};
 use crate::plan_cache::CachedPlan;
 use crocco_geometry::IndexBox;
-use crocco_runtime::taskcheck::{Footprint, RankSchedule, ScheduleSpec};
+use crocco_runtime::taskcheck::{Footprint, RankSchedule};
 use crocco_runtime::{verify_cross_rank, Violation};
 use std::fmt;
 
@@ -110,54 +114,6 @@ fn halo_footprint(
     fp
 }
 
-/// The sweep task(s) and the update task of patch `i`, appended in executor
-/// insertion order: one whole sweep behind the halo task, or — for a
-/// `split` patch — an interior sweep with no dependencies and a
-/// boundary-band sweep behind both. `halo_i`, `reader_halos` and
-/// `send_deps` are the spec indices of the patch's fences.
-#[allow(clippy::too_many_arguments)]
-fn sweeps_and_update(
-    spec: &mut ScheduleSpec,
-    i: usize,
-    split: bool,
-    valid: &[IndexBox],
-    ghosts: GhostFootprint,
-    ncomp: usize,
-    halo_i: usize,
-    reader_halos: &[usize],
-    send_deps: &[usize],
-    ids: &FabIds,
-) {
-    let comp = (0, ncomp);
-    let bx = valid[i].grow(ghosts.depth());
-    let ghost_reader = |label: String| {
-        Footprint::new(label)
-            .reads(ids.state[i], comp, bx)
-            .writes(ids.rhs[i], comp, valid[i])
-    };
-    let swept = if split {
-        let interior = spec.add(
-            &[],
-            Footprint::new(format!("interior[{i}]"))
-                .reads(ids.state[i], comp, valid[i])
-                .writes(ids.rhs[i], comp, valid[i]),
-        );
-        spec.add(&[halo_i, interior], ghost_reader(format!("boundary[{i}]")))
-    } else {
-        spec.add(&[halo_i], ghost_reader(format!("sweep[{i}]")))
-    };
-    let mut deps = vec![swept];
-    deps.extend_from_slice(reader_halos);
-    deps.extend_from_slice(send_deps);
-    spec.add(
-        &deps,
-        Footprint::new(format!("update[{i}]"))
-            .reads(ids.rhs[i], comp, valid[i])
-            .writes(ids.state[i], comp, valid[i])
-            .writes(ids.du[i], comp, valid[i]),
-    );
-}
-
 /// The channel key of the `(src, dst)` rank pair: one halo message per pair
 /// per stage, so the pair identifies it.
 pub fn channel(src: usize, dst: usize) -> u64 {
@@ -165,10 +121,10 @@ pub fn channel(src: usize, dst: usize) -> u64 {
 }
 
 /// One rank's slice of the stage graph
-/// ([`crate::dist_overlap::run_dist_rk_stage`] with `overlap = true`): one
-/// send task and one receive event per peer (with its [`channel`]), then
-/// the halo task of every owned patch, then its sweep(s) and update, in
-/// executor insertion order.
+/// ([`crate::dist_overlap::run_dist_rk_stage`] with `overlap = true`): the
+/// skeleton's task list ([`DistSkeleton::tasks`]) with its own edges, each
+/// task given its declared footprint, each send and receive its
+/// [`channel`].
 pub fn dist_rank_schedule(
     plan: &CopyPlan,
     skel: &DistSkeleton,
@@ -179,45 +135,49 @@ pub fn dist_rank_schedule(
     let comp = (0, plan.ncomp);
     let chunks = &plan.chunks;
     let mut rs = RankSchedule::default();
-    let mut send_tasks = Vec::with_capacity(skel.layout.sends.len());
-    for msg in &skel.layout.sends {
-        let mut fp = Footprint::new(format!("send[{}]", msg.peer));
-        for &c in &msg.items {
-            let chunk = &chunks[c];
-            fp = fp.reads(ids.state[chunk.src_id], comp, chunk.region.shift(-chunk.shift));
-        }
-        let t = rs.spec.add(&[], fp);
-        rs.sends.push((t, channel(skel.rank, msg.peer)));
-        send_tasks.push(t);
-    }
-    let mut recv_events = Vec::with_capacity(skel.layout.recvs.len());
-    for msg in &skel.layout.recvs {
-        let t = rs.spec.add(&[], Footprint::new(format!("recv[{}]", msg.peer)));
-        rs.recvs.push((t, channel(msg.peer, skel.rank)));
-        recv_events.push(t);
-    }
-    let n = valid.len();
-    let mut halo = vec![usize::MAX; n];
-    for &i in &skel.owned {
-        let fp = halo_footprint(plan, skel.chunk_range[i], skel.rank, i, valid, ghosts, ids);
-        let deps: Vec<usize> = skel.feeds[i].iter().map(|&m| recv_events[m]).collect();
-        halo[i] = rs.spec.add(&deps, fp);
-    }
-    for &i in &skel.owned {
-        let reader_halos: Vec<usize> = skel.readers[i].iter().map(|&d| halo[d]).collect();
-        let send_deps: Vec<usize> = skel.send_readers[i].iter().map(|&m| send_tasks[m]).collect();
-        sweeps_and_update(
-            &mut rs.spec,
-            i,
-            skel.is_split(i),
-            valid,
-            ghosts,
-            plan.ncomp,
-            halo[i],
-            &reader_halos,
-            &send_deps,
-            ids,
-        );
+    for (t, task) in skel.tasks.iter().enumerate() {
+        let fp = match task.kind {
+            TaskKind::Send(m) => {
+                let msg = &skel.layout.sends[m];
+                rs.sends.push((t, channel(skel.rank, msg.peer)));
+                let mut fp = Footprint::new(format!("send[{}]", msg.peer));
+                for &c in &msg.items {
+                    let chunk = &chunks[c];
+                    fp = fp.reads(
+                        ids.state[chunk.src_id],
+                        comp,
+                        chunk.region.shift(-chunk.shift),
+                    );
+                }
+                fp
+            }
+            TaskKind::Recv(m) => {
+                let peer = skel.layout.recvs[m].peer;
+                rs.recvs.push((t, channel(peer, skel.rank)));
+                Footprint::new(format!("recv[{peer}]"))
+            }
+            TaskKind::Halo(i) => {
+                halo_footprint(plan, skel.chunk_range[i], skel.rank, i, valid, ghosts, ids)
+            }
+            TaskKind::Sweep(i, SweepPhase::Interior) => Footprint::new(format!("interior[{i}]"))
+                .reads(ids.state[i], comp, valid[i])
+                .writes(ids.rhs[i], comp, valid[i]),
+            TaskKind::Sweep(i, phase) => {
+                let label = if phase == SweepPhase::Whole {
+                    "sweep"
+                } else {
+                    "boundary"
+                };
+                Footprint::new(format!("{label}[{i}]"))
+                    .reads(ids.state[i], comp, valid[i].grow(ghosts.depth()))
+                    .writes(ids.rhs[i], comp, valid[i])
+            }
+            TaskKind::Update(i) => Footprint::new(format!("update[{i}]"))
+                .reads(ids.rhs[i], comp, valid[i])
+                .writes(ids.state[i], comp, valid[i])
+                .writes(ids.du[i], comp, valid[i]),
+        };
+        rs.spec.add(&task.deps, fp);
     }
     rs
 }
@@ -308,29 +268,6 @@ pub fn verify_dist(
     }
 }
 
-/// Asserts the executor-built graph has exactly the spec's dependency
-/// structure (labels and footprints aside) — the anti-drift check run by
-/// the executor under the `taskcheck` feature: if graph construction and
-/// spec derivation ever disagree, the static proof would be about the wrong
-/// graph.
-pub fn assert_spec_matches(graph: &ScheduleSpec, spec: &ScheduleSpec, what: &str) {
-    assert_eq!(
-        graph.len(),
-        spec.len(),
-        "taskcheck drift: {what}: graph has {} tasks, spec {}",
-        graph.len(),
-        spec.len()
-    );
-    for i in 0..graph.len() {
-        assert_eq!(
-            graph.deps(i),
-            spec.deps(i),
-            "taskcheck drift: {what}: task {i} ('{}') dependency mismatch",
-            spec.label(i)
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,15 +322,21 @@ mod tests {
         let nghost = 2;
         let fb = cache.fill_boundary(&ba, &dm, &domain, nghost, 2);
         let mut skel = DistSkeleton::build(&fb, dm.owners(), 0);
-        // Drop one update fence: halo[d] reads patch i while update[i]
-        // rewrites it, now unordered.
-        let (i, d) = skel
-            .readers
+        // Drop one update fence from the task list: halo[d] reads patch i
+        // while update[i] rewrites it, now unordered.
+        let (t, halo_d, i, d) = skel
+            .tasks
             .iter()
             .enumerate()
-            .find_map(|(i, r)| r.iter().find(|&&d| d != i).map(|&d| (i, d)))
+            .find_map(|(t, task)| {
+                let TaskKind::Update(i) = task.kind else { return None };
+                task.deps.iter().find_map(|&h| match skel.tasks[h].kind {
+                    TaskKind::Halo(d) if d != i => Some((t, h, i, d)),
+                    _ => None,
+                })
+            })
             .expect("setup must produce a cross-patch reader");
-        skel.readers[i].retain(|&x| x != d);
+        skel.tasks[t].deps.retain(|&x| x != halo_d);
         let valid = valid_boxes(&ba);
         let ids = FabIds::symbolic(valid.len());
         let violations = dist_rank_schedule(&fb.plan, &skel, &valid, GhostFootprint::Shell(nghost), &ids)

@@ -401,22 +401,6 @@ impl RankEndpoint {
         }
     }
 
-    /// Blocks until the next packet arrives, in raw arrival order.
-    ///
-    /// This bypasses tag matching entirely: a packet consumed here is never
-    /// seen by [`RankEndpoint::irecv`]/[`RankEndpoint::recv_matched`]. Do not
-    /// mix raw and matched receives on one endpoint, and do not use this in
-    /// chaos mode (frames would arrive undecoded).
-    pub fn recv(&self) -> Packet {
-        assert!(self.chaos.is_none(), "raw recv() is not frame-aware");
-        self.receiver.recv().expect("cluster channel closed")
-    }
-
-    /// Receives exactly `n` packets (raw arrival order; see [`Self::recv`]).
-    pub fn recv_n(&self, n: usize) -> Vec<Packet> {
-        (0..n).map(|_| self.recv()).collect()
-    }
-
     /// Posts a nonblocking, tag-matched receive for the next packet from
     /// `src` carrying `tag`, returning its completion handle (the
     /// `MPI_Irecv` analog). If a matching packet already sits in the
@@ -526,13 +510,6 @@ impl RankEndpoint {
         Ok(drained)
     }
 
-    /// Infallible progress pump (panics on a detected comm fault — the
-    /// legacy entry point for non-chaos callers; chaos-aware callers use
-    /// [`Self::try_progress`] / [`GroupEndpoint::pump`]).
-    pub fn progress(&self) -> bool {
-        self.try_progress().expect("communication fault")
-    }
-
     /// Blocks until `h` completes, polling `fault` each iteration so a
     /// fail-stopped peer unblocks this wait with an error instead of a
     /// hang. Chaos mode spins with a deadline and receiver-driven
@@ -607,7 +584,7 @@ impl RankEndpoint {
     /// or queued as unexpected, never dropped. Only one thread of a rank may
     /// block here at a time (the solver's fenced path and collectives are
     /// single-threaded per rank; the overlapped path never blocks — it polls
-    /// through [`Self::progress`]).
+    /// through [`GroupEndpoint::pump`]).
     pub fn wait(&self, h: &RecvHandle) -> Bytes {
         self.wait_inner(h, &|| None).expect("communication fault")
     }
@@ -702,8 +679,7 @@ impl LocalCluster {
             rxs.push(rx);
         }
         let chaos = chaos_cfg.map(|cfg| Arc::new(ChaosRuntime::new(nranks, cfg, txs.clone())));
-        let mut results: Vec<Option<R>> = (0..nranks).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
+        let results = std::thread::scope(|s| {
             let handles: Vec<_> = rxs
                 .into_iter()
                 .enumerate()
@@ -711,7 +687,7 @@ impl LocalCluster {
                     let senders = txs.clone();
                     let f = &f;
                     let chaos = chaos.clone();
-                    s.spawn(move |_| f(RankEndpoint::new(rank, senders, receiver, chaos)))
+                    s.spawn(move || f(RankEndpoint::new(rank, senders, receiver, chaos)))
                 })
                 .collect();
             // Close the original senders so channels die with the ranks.
@@ -719,12 +695,13 @@ impl LocalCluster {
             // retransmits; chaos-mode receives never block on channel
             // closure — they spin with deadlines — so that is harmless.)
             drop(txs);
-            for (rank, h) in handles.into_iter().enumerate() {
-                results[rank] = Some(h.join().expect("rank thread panicked"));
-            }
-        })
-        .expect("cluster scope failed");
-        (results.into_iter().map(|r| r.unwrap()).collect(), chaos)
+            // A rank's panic reaches the caller with its own payload.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        (results, chaos)
     }
 }
 
@@ -1072,8 +1049,8 @@ mod tests {
             let mut token = ep.rank() as u64;
             for _ in 0..n - 1 {
                 ep.send((ep.rank() + 1) % n, 0, Bytes::copy_from_slice(&token.to_le_bytes()));
-                let p = ep.recv();
-                token = u64::from_le_bytes(p.payload.as_ref().try_into().unwrap());
+                let p = ep.recv_matched((ep.rank() + n - 1) % n, 0);
+                token = u64::from_le_bytes(p.as_ref().try_into().unwrap());
                 acc += token;
             }
             acc
@@ -1089,11 +1066,18 @@ mod tests {
                 ep.send(1, 42, Bytes::from_static(b"ghost"));
                 0u64
             } else {
-                let p = ep.recv();
-                assert_eq!(p.src, 0);
-                assert_eq!(p.tag, 42);
-                assert_eq!(p.payload.as_ref(), b"ghost");
-                p.tag
+                // Only the receive naming the sender's rank and tag matches.
+                let other_tag = ep.irecv(0, 41);
+                let h = ep.irecv(0, 42);
+                let payload = ep.wait(&h);
+                assert_eq!((h.src(), h.tag()), (0, 42));
+                assert_eq!(payload.as_ref(), b"ghost");
+                assert!(
+                    other_tag.payload().is_none(),
+                    "a packet matched the wrong tag"
+                );
+                ep.cancel_posted();
+                h.tag()
             }
         });
         assert_eq!(out, vec![0, 42]);
@@ -1108,12 +1092,30 @@ mod tests {
                     ep.send(dst, ep.rank() as u64, Bytes::new());
                 }
             }
-            let pkts = ep.recv_n(n - 1);
-            let mut srcs: Vec<usize> = pkts.iter().map(|p| p.src).collect();
-            srcs.sort_unstable();
+            let srcs: Vec<usize> = (0..n).filter(|&src| src != ep.rank()).collect();
+            for &src in &srcs {
+                assert!(ep.recv_matched(src, src as u64).is_empty());
+            }
             srcs.len()
         });
         assert!(counts.iter().all(|&c| c == n - 1));
+    }
+
+    #[test]
+    fn a_rank_panic_reaches_the_caller() {
+        let result = std::panic::catch_unwind(|| {
+            LocalCluster::run(2, |ep| {
+                if ep.rank() == 1 {
+                    panic!("rank 1 exploded");
+                }
+                ep.rank()
+            })
+        });
+        let payload = result.expect_err("a rank's panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("rank 1 exploded")
+        );
     }
 }
 
@@ -1226,7 +1228,7 @@ mod matched_tests {
                 true
             } else {
                 // Drain the channel into the unexpected queue first.
-                while !ep.progress() {
+                while !ep.try_progress().expect("fault-free transport") {
                     std::thread::yield_now();
                 }
                 let h = ep.irecv(0, 99);

@@ -2,7 +2,7 @@
 //!
 //! CRoCCo's intra-node parallelism sits below MPI (§IV-B). On the host we
 //! provide it with a scoped fork-join over patch indices, implemented on
-//! crossbeam scoped threads. The work unit is one patch (one MFIter
+//! `std::thread::scope` (a panicking body panics the caller). The work unit is one patch (one MFIter
 //! iteration), matching how AMReX launches one kernel per patch.
 
 /// Runs `f(i)` for every `i in 0..n`, splitting the index range across up to
@@ -23,9 +23,9 @@ where
     }
     let nworkers = threads.min(n);
     let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..nworkers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -33,8 +33,7 @@ where
                 f(i);
             });
         }
-    })
-    .expect("parallel_for scope failed");
+    });
 }
 
 /// Runs `f(i, &mut items[i])` for every element, splitting the slice into
@@ -54,17 +53,16 @@ where
     }
     let nworkers = threads.min(n);
     let chunk = n.div_ceil(nworkers);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (w, slice) in items.chunks_mut(chunk).enumerate() {
             let f = &f;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (j, item) in slice.iter_mut().enumerate() {
                     f(w * chunk + j, item);
                 }
             });
         }
-    })
-    .expect("parallel_for_each_mut scope failed");
+    });
 }
 
 /// The default worker count: physical parallelism available to this process.
@@ -110,6 +108,35 @@ mod tests {
     #[test]
     fn zero_work_is_a_noop() {
         parallel_for(0, 4, |_| panic!("must not run"));
+    }
+
+    #[test]
+    fn panic_in_a_body_reaches_the_caller() {
+        let hit = AtomicU64::new(0);
+        let result = std::panic::catch_unwind(|| {
+            parallel_for(8, 2, |i| {
+                hit.fetch_add(1, Ordering::Relaxed);
+                if i == 5 {
+                    panic!("body exploded");
+                }
+            });
+        });
+        assert!(result.is_err(), "parallel_for must panic its caller");
+        assert!(hit.load(Ordering::Relaxed) >= 1);
+
+        let mut items = vec![0u64; 8];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_for_each_mut(&mut items, 2, |i, item| {
+                *item = 1;
+                if i == 6 {
+                    panic!("body exploded");
+                }
+            });
+        }));
+        assert!(
+            result.is_err(),
+            "parallel_for_each_mut must panic its caller"
+        );
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! A small dependency-tracking task executor.
 //!
-//! [`crate::pool`] provides flat fork-join patch loops — every phase of an RK
-//! stage (halo execution, boundary fill, kernel sweep, update) runs as its
-//! own loop with a hard barrier between phases. This module removes the
-//! barrier: work is submitted as *tasks* with explicit predecessor handles,
-//! and a pool of workers drains whatever is ready. The fab layer builds one
-//! graph per RK stage from its cached communication plans, so a patch's
-//! boundary-band sweep waits only for *its own* halo tasks while interior
+//! Work is submitted as *tasks* with explicit predecessor handles, and a
+//! pool of workers drains whatever is ready — there is no barrier between
+//! phases. The fab layer runs every RK stage as one graph built from the
+//! skeleton its cached communication plans derive, so a patch's
+//! boundary-band sweep waits only for *its own* halo task while interior
 //! sweeps of every patch start immediately (the comm/compute overlap of
 //! task-based AMR runtimes, arXiv:2508.05020, and STREAmS-2,
-//! arXiv:2304.05494).
+//! arXiv:2304.05494). [`crate::pool`]'s flat fork-join loops serve the
+//! patch loops outside a stage.
 //!
 //! Design points:
 //!
@@ -23,14 +22,14 @@
 //!   accidentally-reused handles across stages).
 //! * **Panic propagation.** A panicking task aborts the drain; the first
 //!   payload is re-thrown from [`TaskGraph::run`] on the caller's thread,
-//!   matching the fork-join loops' behaviour under `std::thread::scope`.
+//!   as a panicking body of a fork-join loop also panics its caller.
 //! * **One single-threaded executor.** With `threads <= 1` the graph runs
 //!   on the calling thread, always taking the lowest-index ready job —
 //!   insertion order whenever no event is pending. The adversarial
 //!   schedules are the same loop with a different pick.
 
 use crate::cluster::CommError;
-use crate::taskcheck::{Footprint, ScheduleSpec};
+use crate::taskcheck::Footprint;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -185,7 +184,9 @@ pub struct TaskGraph<'env> {
     tasks: Vec<Task<'env>>,
     /// Indices of event tasks (subset of `tasks`).
     events: Vec<usize>,
-    /// Declared data footprints, aligned with `tasks` (default = undeclared).
+    /// Declared data footprints, aligned with `tasks` (default =
+    /// undeclared); only the dynamic detector reads them.
+    #[cfg(feature = "taskcheck")]
     footprints: Vec<Footprint>,
 }
 
@@ -196,6 +197,7 @@ impl<'env> TaskGraph<'env> {
             id: NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed),
             tasks: Vec::new(),
             events: Vec::new(),
+            #[cfg(feature = "taskcheck")]
             footprints: Vec::new(),
         }
     }
@@ -220,19 +222,42 @@ impl<'env> TaskGraph<'env> {
     where
         F: FnOnce() + Send + 'env,
     {
-        self.add_task_with(deps, Footprint::default(), f)
+        self.push(deps, Work::Job(Box::new(f)), None)
     }
 
     /// Like [`TaskGraph::add_task`], with a declared data [`Footprint`]: the
     /// `(fab, component range, box)` regions the closure reads and writes.
-    /// Footprints feed the static schedule verifier
-    /// ([`TaskGraph::schedule_spec`]) and, under the `taskcheck` feature,
-    /// the dynamic detector's under-declaration audit — they do not affect
-    /// execution.
+    /// Under the `taskcheck` feature the dynamic detector audits the
+    /// closure's executed accesses against it; otherwise it is dropped. It
+    /// never affects execution.
     pub fn add_task_with<F>(&mut self, deps: &[TaskHandle], fp: Footprint, f: F) -> TaskHandle
     where
         F: FnOnce() + Send + 'env,
     {
+        self.push(deps, Work::Job(Box::new(f)), Some(fp))
+    }
+
+    /// Adds an *event* task — a dependency stand-in for an external
+    /// completion (a posted nonblocking receive, an accelerator fence) —
+    /// and returns its handle for use as a predecessor of later tasks.
+    ///
+    /// The event finishes when `ready` first returns true; the runner polls
+    /// it between invocations of the progress pump passed to
+    /// [`TaskGraph::try_run`] (which is what makes the condition
+    /// advance — e.g. `GroupEndpoint::pump` matching arrived packets).
+    /// Events consume no worker: workers keep draining compute tasks while
+    /// the runner waits for the condition.
+    pub fn add_event<F>(&mut self, ready: F) -> TaskHandle
+    where
+        F: FnMut() -> bool + Send + 'env,
+    {
+        self.events.push(self.tasks.len());
+        self.push(&[], Work::Event(Box::new(ready)), None)
+    }
+
+    /// Appends a task with deduplicated predecessor indices; `fp` is kept
+    /// only for the dynamic detector.
+    fn push(&mut self, deps: &[TaskHandle], work: Work<'env>, fp: Option<Footprint>) -> TaskHandle {
         let mut dep_idx = Vec::with_capacity(deps.len());
         for d in deps {
             assert_eq!(
@@ -245,53 +270,17 @@ impl<'env> TaskGraph<'env> {
         dep_idx.dedup();
         let idx = self.tasks.len();
         self.tasks.push(Task {
-            work: Work::Job(Box::new(f)),
+            work,
             deps: dep_idx,
         });
-        self.footprints.push(fp);
+        #[cfg(feature = "taskcheck")]
+        self.footprints.push(fp.unwrap_or_default());
+        #[cfg(not(feature = "taskcheck"))]
+        drop(fp);
         TaskHandle {
             graph: self.id,
             idx,
         }
-    }
-
-    /// Adds an *event* task — a dependency stand-in for an external
-    /// completion (a posted nonblocking receive, an accelerator fence) —
-    /// and returns its handle for use as a predecessor of later tasks.
-    ///
-    /// The event finishes when `ready` first returns true; the runner polls
-    /// it between invocations of the progress pump passed to
-    /// [`TaskGraph::try_run`] (which is what makes the condition
-    /// advance — e.g. `RankEndpoint::progress` matching arrived packets).
-    /// Events consume no worker: workers keep draining compute tasks while
-    /// the runner waits for the condition.
-    pub fn add_event<F>(&mut self, ready: F) -> TaskHandle
-    where
-        F: FnMut() -> bool + Send + 'env,
-    {
-        let idx = self.tasks.len();
-        self.events.push(idx);
-        self.tasks.push(Task {
-            work: Work::Event(Box::new(ready)),
-            deps: Vec::new(),
-        });
-        self.footprints.push(Footprint::default());
-        TaskHandle {
-            graph: self.id,
-            idx,
-        }
-    }
-
-    /// The pure dependency + footprint structure of this graph, decoupled
-    /// from the closures — what [`ScheduleSpec::verify`] proves race-free,
-    /// and what the fab spec builders assert their mirrored specs against
-    /// (the anti-drift check of DESIGN.md §4i).
-    pub fn schedule_spec(&self) -> ScheduleSpec {
-        let mut spec = ScheduleSpec::new();
-        for (t, fp) in self.tasks.iter().zip(&self.footprints) {
-            spec.add(&t.deps, fp.clone());
-        }
-        spec
     }
 
     /// Executes every task, honouring dependencies, on up to `threads`
@@ -317,7 +306,7 @@ impl<'env> TaskGraph<'env> {
     /// Executes every task under the given [`Schedule`] with `progress`
     /// pumped between event polls — the runner for graphs whose
     /// [`TaskGraph::add_event`] gates depend on external state (e.g.
-    /// `RankEndpoint::progress` matching arrived halo packets). The pump may
+    /// `GroupEndpoint::pump` matching arrived halo packets). The pump may
     /// fail (a detected communication fault) and task panics are contained:
     /// both come back as a typed [`StageError`] instead of hanging peer
     /// ranks or unwinding through the stepping loop. On error, workers stop
@@ -380,8 +369,8 @@ impl<'env> TaskGraph<'env> {
         };
 
         // Successor lists and atomic in-degrees drive readiness; a mutexed
-        // deque + condvar is the ready queue (the vendored crossbeam stub has
-        // no lock-free deque, and patch-sized tasks amortize the lock).
+        // deque + condvar is the ready queue (`std` has no lock-free deque,
+        // and patch-sized tasks amortize the lock).
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indeg = Vec::with_capacity(n);
         for (i, t) in self.tasks.iter().enumerate() {
@@ -438,9 +427,9 @@ impl<'env> TaskGraph<'env> {
         };
 
         let nworkers = threads.min(n);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..nworkers {
-                s.spawn(|_| loop {
+                s.spawn(|| loop {
                     let i = {
                         let mut q = ready.lock().expect("task queue poisoned");
                         loop {
@@ -517,8 +506,7 @@ impl<'env> TaskGraph<'env> {
                     std::thread::sleep(std::time::Duration::from_micros(50));
                 }
             }
-        })
-        .expect("task graph scope failed");
+        });
 
         if let Some(p) = panic_slot.into_inner().expect("panic slot poisoned") {
             return Err(Failure::Panic(p));
@@ -1083,21 +1071,6 @@ mod tests {
                 message: "kernel blew up".into()
             }
         );
-    }
-
-    #[test]
-    fn schedule_spec_mirrors_the_graph() {
-        use crate::taskcheck::Footprint;
-        let mut g = TaskGraph::new();
-        let a = g.add_task_with(&[], Footprint::new("a"), || {});
-        let b = g.add_event(|| true);
-        g.add_task_with(&[a, b], Footprint::new("c"), || {});
-        let spec = g.schedule_spec();
-        assert_eq!(spec.len(), 3);
-        assert_eq!(spec.label(0), "a");
-        assert_eq!(spec.deps(2), &[0, 1]);
-        assert!(spec.verify().violations.is_empty());
-        g.try_run(Schedule::pool(1), &mut || Ok(())).unwrap();
     }
 
     /// Dynamic detector integration: unordered overlapping writes recorded

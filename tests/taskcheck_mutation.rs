@@ -1,6 +1,7 @@
 //! Mutation self-test for the taskcheck layer (DESIGN.md §4i): seed a
 //! concurrency bug by deleting one dependency edge from a *real* RK-stage
-//! skeleton and prove both detection layers catch it — the static schedule
+//! skeleton's task list — the list the executor runs and the verifier
+//! proves — and prove both detection layers catch it — the static schedule
 //! verifier names the exact unordered pair, and (under the `taskcheck`
 //! feature) the dynamic race detector traps the same mutation when the
 //! graph actually executes. A verifier that cannot see a seeded bug proves
@@ -8,7 +9,7 @@
 
 use crocco::fab::{
     dist_rank_schedule, BoxArray, DistSkeleton, DistributionMapping, DistributionStrategy, FabIds,
-    GhostFootprint, PlanCache,
+    GhostFootprint, PlanCache, TaskKind,
 };
 #[cfg(feature = "taskcheck")]
 use crocco::fab::{FArrayBox, MultiFab};
@@ -28,13 +29,23 @@ fn setup(nranks: usize) -> (Arc<BoxArray>, Arc<DistributionMapping>, ProblemDoma
     (ba, dm, domain)
 }
 
-/// A (source patch, reader patch) pair whose update-fence edge can be
-/// deleted: `halo[d]` reads `state[s]`, so dropping `d` from `readers[s]`
-/// leaves that read unordered against `update[s]`'s write.
-fn deletable_edge(skel: &DistSkeleton) -> (usize, usize) {
-    for (s, rs) in skel.readers.iter().enumerate() {
-        if let Some(&d) = rs.iter().find(|&&d| d != s) {
-            return (s, d);
+/// Deletes one update-fence edge from the task list: `halo[d] → update[s]`
+/// with `d != s`. `halo[d]` reads `state[s]`, so the read is left
+/// unordered against `update[s]`'s write. Returns the mutated skeleton and
+/// `(s, d)`.
+fn delete_update_fence(skel: &DistSkeleton) -> (DistSkeleton, usize, usize) {
+    for (t, task) in skel.tasks.iter().enumerate() {
+        let TaskKind::Update(s) = task.kind else {
+            continue;
+        };
+        for &h in &task.deps {
+            if let TaskKind::Halo(d) = skel.tasks[h].kind {
+                if d != s {
+                    let mut mutated = skel.clone();
+                    mutated.tasks[t].deps.retain(|&x| x != h);
+                    return (mutated, s, d);
+                }
+            }
         }
     }
     panic!("plan has no cross-patch reader edge to mutate");
@@ -59,9 +70,7 @@ fn static_verifier_flags_a_deleted_update_fence() {
     let skel = DistSkeleton::build(&fb, dm.owners(), 0);
     assert!(violations(&skel).is_empty(), "unmutated stage skeleton");
 
-    let (s, d) = deletable_edge(&skel);
-    let mut mutated = skel.clone();
-    mutated.readers[s].retain(|&r| r != d);
+    let (mutated, s, d) = delete_update_fence(&skel);
     let found = violations(&mutated);
     assert!(
         !found.is_empty(),
@@ -126,7 +135,7 @@ fn cross_rank_verifier_flags_a_deleted_send() {
 }
 
 /// The dynamic backstop catches the same seeded bug at runtime: the mutated
-/// skeleton drives a real executor run, and the race tracker flags the
+/// task list drives a real executor run, and the race tracker flags the
 /// executed-but-unordered halo read vs. state update. Feature-gated — with
 /// `taskcheck` off the recorder compiles to nothing.
 #[cfg(feature = "taskcheck")]
@@ -142,9 +151,7 @@ fn dynamic_detector_traps_the_same_mutation_at_runtime() {
     let ncomp = 2;
     let fb = cache.fill_boundary(&ba, &dm, &domain, nghost, ncomp);
     let skel = DistSkeleton::build(&fb, dm.owners(), 0);
-    let (s, d) = deletable_edge(&skel);
-    let mut mutated = skel.clone();
-    mutated.readers[s].retain(|&r| r != d);
+    let (mutated, ..) = delete_update_fence(&skel);
 
     let run = |skel: &DistSkeleton| {
         let mut state = MultiFab::new(ba.clone(), dm.clone(), ncomp, nghost);
