@@ -68,17 +68,18 @@
 //!
 //! Rust does not contract `a*b + c` into FMA, so lane loops and scalar code
 //! round identically. Each face flux is a pure function of its six-cell
-//! window, so it also equals [`kernels::interface_face_flux`] — which is
-//! why the sweep can hand its face rows to the subcycling flux register
-//! ([`FaceSink`]) — and a region swept in blocks or tiles equals the region
-//! swept whole. The unit tests assert all of this with
+//! window, so it also equals [`crate::kernels::interface_face_flux`] —
+//! which is why the sweep can hand its face rows to the subcycling flux
+//! register ([`FaceSink`]) — and a region swept in blocks or tiles equals
+//! the region swept whole. The unit tests assert all of this with
 //! `to_bits` over random region shapes.
 //!
 //! # Scalar fallbacks (documented limitation)
 //!
-//! [`Reconstruction::Characteristic`] builds a Roe eigensystem *per face*
-//! and projects through dense 5×5 maps — per-face data-dependent work with
-//! no contiguous lane structure — so this backend delegates characteristic
+//! [`crate::weno::Reconstruction::Characteristic`] builds a Roe eigensystem
+//! *per face* and projects through dense 5×5 maps — per-face data-dependent
+//! work with no contiguous lane structure — so
+//! [`BackendKind::Lanes`](super::BackendKind::Lanes) hands characteristic
 //! sweeps to the scalar kernel wholesale. The ragged last lane group of a
 //! viscous or SGS row computes its pad lanes from staging pad cells and
 //! stores only the real ones.
@@ -89,13 +90,12 @@
 // without changing the generated code.
 #![allow(clippy::needless_range_loop)]
 
-use super::KernelBackend;
 use crate::eos::PerfectGas;
-use crate::kernels::{self, FaceSink};
+use crate::kernels::FaceSink;
 use crate::metrics::comp as mcomp;
 use crate::sgs::Smagorinsky;
 use crate::state::{cons, Conserved, NCONS};
-use crate::weno::{linear_weights, Reconstruction, WenoVariant, EPS, STENCIL_RADIUS};
+use crate::weno::{linear_weights, WenoVariant, EPS, STENCIL_RADIUS};
 use crocco_fab::{tile_boxes, FArrayBox, FabView};
 use crocco_geometry::{IndexBox, IntVect};
 use std::sync::Mutex;
@@ -103,67 +103,6 @@ use std::sync::Mutex;
 /// Lane width: 8 × f64 = one ZMM register, two YMM ops, or four NEON ops —
 /// wide enough to amortize loop overhead on any of them.
 pub const LANES: usize = 8;
-
-/// Fixed-width SIMD lane kernels (see module docs).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LanesBackend;
-
-impl KernelBackend for LanesBackend {
-    const NAME: &'static str = "lanes";
-
-    fn weno_flux_sink(
-        u: &impl FabView,
-        met: &FArrayBox,
-        rhs: &mut FArrayBox,
-        region: IndexBox,
-        dir: usize,
-        gas: &PerfectGas,
-        variant: WenoVariant,
-        recon: Reconstruction,
-        sink: Option<&mut FaceSink<'_>>,
-    ) {
-        if recon == Reconstruction::Characteristic {
-            // Per-face Roe eigensystems have no lane structure: scalar path.
-            kernels::weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, sink);
-            return;
-        }
-        weno_flux_lanes(u, met, rhs, region, dir, gas, variant, sink);
-    }
-
-    fn viscous_flux_les(
-        u: &impl FabView,
-        met: &FArrayBox,
-        rhs: &mut FArrayBox,
-        region: IndexBox,
-        gas: &PerfectGas,
-        sgs: Option<&Smagorinsky>,
-    ) {
-        viscous_flux_lanes(u, met, rhs, region, gas, sgs);
-    }
-
-    fn compute_dt_patch(
-        u: &impl FabView,
-        met: &FArrayBox,
-        valid: IndexBox,
-        gas: &PerfectGas,
-        cfl: f64,
-    ) -> f64 {
-        // A min-reduction over row slices: laning it measured slower than
-        // the per-point kernel (BENCH_backend.json), so there is none.
-        kernels::compute_dt_patch(u, met, valid, gas, cfl)
-    }
-
-    fn eddy_viscosity_field(
-        model: &Smagorinsky,
-        u: &impl FabView,
-        met: &FArrayBox,
-        out: &mut FArrayBox,
-        valid: IndexBox,
-        gas: &PerfectGas,
-    ) {
-        eddy_viscosity_field_lanes(model, u, met, out, valid, gas);
-    }
-}
 
 /// Unnormalised WENO candidates `q̃_r = 6·q_r` for [`LANES`] faces at once:
 /// `w[k][lane]` is window position `k` of face `lane`. Per-lane operation
@@ -298,7 +237,7 @@ fn carve<const N: usize>(buf: &mut [f64], len: usize) -> ([&mut [f64]; N], &mut 
 /// as many pencils as the scratch holds, each swept by [`sweep_block`] out
 /// of one scratch from [`IDLE_SCRATCH`].
 #[allow(clippy::too_many_arguments)]
-fn weno_flux_lanes(
+pub(crate) fn weno_flux_lanes(
     u: &impl FabView,
     met: &FArrayBox,
     rhs: &mut FArrayBox,
@@ -839,7 +778,7 @@ fn eddy_viscosity_lanes(
 /// The density row of the viscous flux is identically zero and is not
 /// staged: its divergence is `+0.0`, added as `0.0 / J` exactly as the
 /// scalar kernel adds it.
-fn viscous_flux_lanes(
+pub(crate) fn viscous_flux_lanes(
     u: &impl FabView,
     met: &FArrayBox,
     rhs: &mut FArrayBox,
@@ -996,7 +935,7 @@ fn viscous_flux_lanes(
 /// `valid.grow(1)` by [`stage_primitives`], then per lane group of a `valid`
 /// row the one closure [`eddy_viscosity_lanes`] — per cell the operation
 /// sequence of [`Smagorinsky::eddy_viscosity`].
-fn eddy_viscosity_field_lanes(
+pub(crate) fn eddy_viscosity_field_lanes(
     model: &Smagorinsky,
     u: &impl FabView,
     met: &FArrayBox,
@@ -1031,7 +970,9 @@ fn eddy_viscosity_field_lanes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::FaceAt;
+    use crate::backend::BackendKind;
+    use crate::kernels::{self, FaceAt};
+    use crate::weno::Reconstruction;
     use crate::metrics::{compute_metrics, generate_coords, NCOORDS, NMETRICS};
     use crate::state::Primitive;
     use crocco_fab::{BoxArray, DistributionMapping, MultiFab};
@@ -1084,7 +1025,7 @@ mod tests {
             state.fab(0), metrics.fab(0), &mut r_s, valid, 0, &gas, WenoVariant::Js5,
             Reconstruction::Characteristic,
         );
-        LanesBackend::weno_flux_recon(
+        BackendKind::Lanes.weno_flux_recon(
             state.fab(0), metrics.fab(0), &mut r_l, valid, 0, &gas, WenoVariant::Js5,
             Reconstruction::Characteristic,
         );
@@ -1111,7 +1052,7 @@ mod tests {
             let mut r_s = seeded_rhs(valid);
             let mut r_l = seeded_rhs(valid);
             kernels::viscous_flux_les(u, met, &mut r_s, region, &gas, sgs.as_ref());
-            LanesBackend::viscous_flux_les(u, met, &mut r_l, region, &gas, sgs.as_ref());
+            BackendKind::Lanes.viscous_flux_les(u, met, &mut r_l, region, &gas, sgs.as_ref());
             assert!(
                 bits(&r_s) == bits(&r_l),
                 "mu_ref {} sgs {:?} diverged on {:?}",
@@ -1190,7 +1131,7 @@ mod tests {
                     let mut r_s = seeded_rhs(valid);
                     let mut r_l = seeded_rhs(valid);
                     kernels::weno_flux_recon(u, met, &mut r_s, region, dir, &gas, variant, recon);
-                    LanesBackend::weno_flux_recon(u, met, &mut r_l, region, dir, &gas, variant, recon);
+                    BackendKind::Lanes.weno_flux_recon(u, met, &mut r_l, region, dir, &gas, variant, recon);
                     prop_assert!(
                         bits(&r_s) == bits(&r_l),
                         "{:?} dir {} diverged on {:?}", variant, dir, region
@@ -1202,13 +1143,13 @@ mod tests {
             let mut whole = seeded_rhs(valid);
             let mut tiled = seeded_rhs(valid);
             for dir in 0..3 {
-                LanesBackend::weno_flux_recon(
+                BackendKind::Lanes.weno_flux_recon(
                     u, met, &mut whole, region, dir, &gas, WenoVariant::Symbo, recon,
                 );
             }
             for t in tile_boxes(region, IntVect::new(tile.0, tile.1, tile.2)) {
                 for dir in 0..3 {
-                    LanesBackend::weno_flux_recon(
+                    BackendKind::Lanes.weno_flux_recon(
                         u, met, &mut tiled, t, dir, &gas, WenoVariant::Symbo, recon,
                     );
                 }
@@ -1275,7 +1216,7 @@ mod tests {
             let mut o_s = FArrayBox::filled(region, 1, -1.0);
             let mut o_l = FArrayBox::filled(region, 1, -1.0);
             model.eddy_viscosity_field(u, met, &mut o_s, region, &gas);
-            LanesBackend::eddy_viscosity_field(&model, u, met, &mut o_l, region, &gas);
+            BackendKind::Lanes.eddy_viscosity_field(&model, u, met, &mut o_l, region, &gas);
             prop_assert!(bits(&o_s) == bits(&o_l), "diverged on {:?}", region);
         }
     }
@@ -1293,7 +1234,7 @@ mod tests {
             state.fab(0), metrics.fab(0), &mut r_s, valid, 0, &gas, WenoVariant::Symbo,
             Reconstruction::ComponentWise,
         );
-        LanesBackend::weno_flux_recon(
+        BackendKind::Lanes.weno_flux_recon(
             state.fab(0), metrics.fab(0), &mut r_l, valid, 0, &gas, WenoVariant::Symbo,
             Reconstruction::ComponentWise,
         );
@@ -1368,7 +1309,6 @@ mod tests {
     /// faces are recorded exactly once.
     #[test]
     fn sweep_fed_register_faces_equal_the_recomputed_oracle_bitwise() {
-        use crate::backend::BackendKind;
         let gas = PerfectGas::nondimensional();
         let variant = WenoVariant::Symbo;
         let w = 0.375;
@@ -1422,7 +1362,6 @@ mod tests {
     /// and read by nothing fails here.
     #[test]
     fn every_stored_metric_component_is_read_by_a_kernel() {
-        use crate::backend::BackendKind;
         let gas = PerfectGas::nondimensional();
         let sgs = Smagorinsky { cs: 0.16 };
         let (state, clean) = patch(IntVect::new(12, 8, 8), &gas);

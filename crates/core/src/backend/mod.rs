@@ -1,26 +1,32 @@
-//! Pluggable tiled kernel backends (DESIGN.md §4h).
+//! Tiled kernel backends (DESIGN.md §4h).
 //!
 //! The paper's GPU port restructured CRoCCo's hot loops — WENO, viscous,
 //! `ComputeDt`, update — onto an explicit tile/thread abstraction so the same
 //! numerics could run on very different execution substrates (§IV-B). This
-//! module is that seam in the reproduction: the [`KernelBackend`] trait
-//! names the per-patch kernels the RK driver consumes, and two
-//! implementations provide them, both dispatched over
-//! [`crocco_fab::tiles::tile_boxes`] tiles through the [`FabView`] raw-view
-//! machinery:
+//! module is that seam in the reproduction: [`BackendKind`] names the
+//! per-patch kernels the RK driver consumes, and each of its methods
+//! dispatches, per call, to one of two kernel sets, both generic over
+//! [`FabView`] (so the task-graph path can pass raw read views) and
+//! dispatched over [`crocco_fab::tiles::tile_boxes`] tiles:
 //!
-//! * [`LanesBackend`] — the default. Stable-Rust SIMD via fixed-width
-//!   `[f64; LANES]` lane arrays: the WENO sweep runs its [`lanes::LANES`]
-//!   lanes across the plane *orthogonal* to the sweep, out of
-//!   direction-major SoA scratch filled by row copies, so every direction
-//!   sees unit-stride window loads and no scalar face tail on the 8- and
-//!   12-wide patches AMR produces; the viscous and SGS loops lane across
-//!   contiguous x-cells. Bitwise-identical to Scalar by
+//! * [`BackendKind::Lanes`] — the default: the [`lanes`] kernels.
+//!   Stable-Rust SIMD via fixed-width `[f64; LANES]` lane arrays: the WENO
+//!   sweep runs its [`lanes::LANES`] lanes across the plane *orthogonal* to
+//!   the sweep, out of direction-major SoA scratch filled by row copies, so
+//!   every direction sees unit-stride window loads and no scalar face tail
+//!   on the 8- and 12-wide patches AMR produces; the viscous and SGS loops
+//!   lane across contiguous x-cells. Bitwise-identical to Scalar by
 //!   construction (every per-cell and per-face operation sequence is
 //!   preserved; lanes only evaluate independent cells side by side).
-//! * [`ScalarBackend`] — the original per-point kernels from
-//!   [`crate::kernels`], unchanged: the bitwise oracle of the invariance
-//!   suites, and the path characteristic reconstruction falls back to.
+//! * [`BackendKind::Scalar`] — the original per-point kernels of
+//!   [`crate::kernels`] and [`crate::sgs`], unchanged: the bitwise oracle of
+//!   the invariance suites, and the path characteristic reconstruction
+//!   falls back to.
+//!
+//! `ComputeDt` is the per-point [`kernels::compute_dt_patch`] under both
+//! (laned, it measured slower). Dispatch is a `match` on the value, never a
+//! `dyn` call — mirroring how the paper's port selects a compiled kernel
+//! flavour, not a virtual call, per platform.
 //!
 //! Selection goes through [`SolverConfig::kernel_backend`] and composes
 //! with `overlap` and `fabcheck`; the invariance suite
@@ -30,99 +36,14 @@
 //! [`SolverConfig::kernel_backend`]: crate::config::SolverConfig::kernel_backend
 
 pub mod lanes;
-pub mod scalar;
 
 use crate::eos::PerfectGas;
-use crate::kernels::FaceSink;
+use crate::kernels::{self, FaceSink};
 use crate::sgs::Smagorinsky;
 use crate::weno::{Reconstruction, WenoVariant};
 use crocco_fab::{FArrayBox, FabView};
 use crocco_geometry::IndexBox;
 use serde::{Deserialize, Serialize};
-
-pub use lanes::LanesBackend;
-pub use scalar::ScalarBackend;
-
-/// The per-patch kernel set a backend must provide.
-///
-/// Methods are associated functions generic over [`FabView`] (so the
-/// task-graph path can pass raw read views), which makes the trait
-/// non-object-safe by design: dispatch goes through the [`BackendKind`]
-/// enum, never through `dyn` — mirroring how the paper's port selects a
-/// compiled kernel flavour, not a virtual call, per platform.
-///
-/// Every implementation must be bitwise-identical to [`ScalarBackend`]
-/// (or ULP-bounded with the tolerance documented on the implementation);
-/// [`LanesBackend`] is exactly bitwise.
-pub trait KernelBackend {
-    /// Short label for reports and benchmark tables.
-    const NAME: &'static str;
-
-    /// One-direction WENO convective flux: accumulates
-    /// `−(1/J)·∂F̂_dir/∂ξ_dir` into `rhs` over `region`. See
-    /// [`crate::kernels::weno_flux_recon`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    fn weno_flux_recon(
-        u: &impl FabView,
-        met: &FArrayBox,
-        rhs: &mut FArrayBox,
-        region: IndexBox,
-        dir: usize,
-        gas: &PerfectGas,
-        variant: WenoVariant,
-        recon: Reconstruction,
-    ) {
-        Self::weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, None)
-    }
-
-    /// [`weno_flux_recon`](Self::weno_flux_recon) that also hands `sink`
-    /// the fluxes of its faces, bitwise
-    /// [`crate::kernels::interface_face_flux`] of each.
-    #[allow(clippy::too_many_arguments)]
-    fn weno_flux_sink(
-        u: &impl FabView,
-        met: &FArrayBox,
-        rhs: &mut FArrayBox,
-        region: IndexBox,
-        dir: usize,
-        gas: &PerfectGas,
-        variant: WenoVariant,
-        recon: Reconstruction,
-        sink: Option<&mut FaceSink<'_>>,
-    );
-
-    /// 4th-order central viscous/LES fluxes accumulated into `rhs` over
-    /// `region`. See [`crate::kernels::viscous_flux_les`].
-    fn viscous_flux_les(
-        u: &impl FabView,
-        met: &FArrayBox,
-        rhs: &mut FArrayBox,
-        region: IndexBox,
-        gas: &PerfectGas,
-        sgs: Option<&Smagorinsky>,
-    );
-
-    /// CFL-constrained time step over one patch. See
-    /// [`crate::kernels::compute_dt_patch`].
-    fn compute_dt_patch(
-        u: &impl FabView,
-        met: &FArrayBox,
-        valid: IndexBox,
-        gas: &PerfectGas,
-        cfl: f64,
-    ) -> f64;
-
-    /// Smagorinsky eddy-viscosity field over `valid` into component 0 of
-    /// `out`. See [`Smagorinsky::eddy_viscosity_field`].
-    fn eddy_viscosity_field(
-        model: &Smagorinsky,
-        u: &impl FabView,
-        met: &FArrayBox,
-        out: &mut FArrayBox,
-        valid: IndexBox,
-        gas: &PerfectGas,
-    );
-}
 
 /// Value-level backend selection ([`SolverConfig::kernel_backend`]).
 ///
@@ -143,12 +64,14 @@ impl BackendKind {
     /// Display label.
     pub fn label(&self) -> &'static str {
         match self {
-            BackendKind::Scalar => ScalarBackend::NAME,
-            BackendKind::Lanes => LanesBackend::NAME,
+            BackendKind::Scalar => "scalar",
+            BackendKind::Lanes => "lanes",
         }
     }
 
-    /// Dispatches [`KernelBackend::weno_flux_recon`].
+    /// One-direction WENO convective flux: accumulates
+    /// `−(1/J)·∂F̂_dir/∂ξ_dir` into `rhs` over `region`. See
+    /// [`kernels::weno_flux_recon`] for the contract.
     #[allow(clippy::too_many_arguments)]
     pub fn weno_flux_recon(
         self,
@@ -164,7 +87,9 @@ impl BackendKind {
         self.weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, None)
     }
 
-    /// Dispatches [`KernelBackend::weno_flux_sink`].
+    /// [`weno_flux_recon`](Self::weno_flux_recon) that also hands `sink`
+    /// the fluxes of its faces, bitwise [`kernels::interface_face_flux`] of
+    /// each.
     #[allow(clippy::too_many_arguments)]
     pub fn weno_flux_sink(
         self,
@@ -179,16 +104,17 @@ impl BackendKind {
         sink: Option<&mut FaceSink<'_>>,
     ) {
         match self {
-            BackendKind::Scalar => {
-                ScalarBackend::weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, sink)
+            BackendKind::Lanes if recon != Reconstruction::Characteristic => {
+                lanes::weno_flux_lanes(u, met, rhs, region, dir, gas, variant, sink)
             }
-            BackendKind::Lanes => {
-                LanesBackend::weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, sink)
-            }
+            // Per-face Roe eigensystems have no lane structure: characteristic
+            // sweeps take the scalar kernel under both backends.
+            _ => kernels::weno_flux_sink(u, met, rhs, region, dir, gas, variant, recon, sink),
         }
     }
 
-    /// Dispatches [`KernelBackend::viscous_flux_les`].
+    /// 4th-order central viscous/LES fluxes accumulated into `rhs` over
+    /// `region`. See [`kernels::viscous_flux_les`].
     pub fn viscous_flux_les(
         self,
         u: &impl FabView,
@@ -199,12 +125,13 @@ impl BackendKind {
         sgs: Option<&Smagorinsky>,
     ) {
         match self {
-            BackendKind::Scalar => ScalarBackend::viscous_flux_les(u, met, rhs, region, gas, sgs),
-            BackendKind::Lanes => LanesBackend::viscous_flux_les(u, met, rhs, region, gas, sgs),
+            BackendKind::Scalar => kernels::viscous_flux_les(u, met, rhs, region, gas, sgs),
+            BackendKind::Lanes => lanes::viscous_flux_lanes(u, met, rhs, region, gas, sgs),
         }
     }
 
-    /// Dispatches [`KernelBackend::compute_dt_patch`].
+    /// CFL-constrained time step over one patch: the per-point
+    /// [`kernels::compute_dt_patch`] under both backends.
     pub fn compute_dt_patch(
         self,
         u: &impl FabView,
@@ -213,13 +140,11 @@ impl BackendKind {
         gas: &PerfectGas,
         cfl: f64,
     ) -> f64 {
-        match self {
-            BackendKind::Scalar => ScalarBackend::compute_dt_patch(u, met, valid, gas, cfl),
-            BackendKind::Lanes => LanesBackend::compute_dt_patch(u, met, valid, gas, cfl),
-        }
+        kernels::compute_dt_patch(u, met, valid, gas, cfl)
     }
 
-    /// Dispatches [`KernelBackend::eddy_viscosity_field`].
+    /// Smagorinsky eddy-viscosity field over `valid` into component 0 of
+    /// `out`. See [`Smagorinsky::eddy_viscosity_field`].
     pub fn eddy_viscosity_field(
         self,
         model: &Smagorinsky,
@@ -230,10 +155,8 @@ impl BackendKind {
         gas: &PerfectGas,
     ) {
         match self {
-            BackendKind::Scalar => {
-                ScalarBackend::eddy_viscosity_field(model, u, met, out, valid, gas)
-            }
-            BackendKind::Lanes => LanesBackend::eddy_viscosity_field(model, u, met, out, valid, gas),
+            BackendKind::Scalar => model.eddy_viscosity_field(u, met, out, valid, gas),
+            BackendKind::Lanes => lanes::eddy_viscosity_field_lanes(model, u, met, out, valid, gas),
         }
     }
 
@@ -257,7 +180,7 @@ impl BackendKind {
     }
 
     /// [`accumulate_rhs`](Self::accumulate_rhs) whose WENO sweeps also
-    /// feed `sink` ([`KernelBackend::weno_flux_sink`]).
+    /// feed `sink` ([`weno_flux_sink`](Self::weno_flux_sink)).
     #[allow(clippy::too_many_arguments)]
     pub fn accumulate_rhs_sink(
         self,

@@ -100,7 +100,7 @@ use crate::multifab::{copy_chunk_raw, MultiFab, RawFab};
 use crate::plan::{CopyChunk, CopyPlan, GhostFootprint};
 use crate::plan_cache::CachedPlan;
 #[cfg(feature = "taskcheck")]
-use crate::taskcheck::{dist_rank_schedule, FabIds};
+use crate::taskcheck::{dist_rank_schedule, inbox_ids, FabIds};
 use crate::view::{FabRd, FabRw};
 use crocco_geometry::IndexBox;
 use crocco_runtime::taskcheck::record_access;
@@ -583,6 +583,7 @@ fn run_overlapped(
             du: (0..n)
                 .map(|i| du_base.get().wrapping_add(i) as usize as u64)
                 .collect(),
+            inbox: inbox_ids(layout.recvs.len()),
         },
         extra_halo,
     );

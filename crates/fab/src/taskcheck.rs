@@ -44,7 +44,12 @@
 //!   fences on the local halo copies and sends out of `i` exist to
 //!   guarantee.
 //! * `send[m]` reads `region - shift` of the source patch of every chunk in
-//!   its peer's message; receive events touch nothing.
+//!   its peer's message.
+//! * `recv[m]` writes `inbox[m]` — the landed message, addressed by the
+//!   destination regions of the chunks it carries — and `halo[i]` reads
+//!   `inbox[m]` over each remote chunk of its range that message `m`
+//!   carries: the unpack is a declared access, so a halo task that lost its
+//!   receive edge is an unordered pair like any other.
 //!
 //! Channels are `(src, dst)` rank pairs ([`channel`]): a stage sends one
 //! message per pair, so a dropped send leaves exactly one receive
@@ -59,9 +64,9 @@ use crocco_runtime::{verify_cross_rank, Violation};
 use std::fmt;
 
 /// Fab identities for one spec instantiation: one id per patch for the
-/// state, RHS-scratch, and `du` spaces. Ids are opaque — the verifier only
-/// compares them for equality — but must be distinct across every
-/// `(space, patch)` pair.
+/// state, RHS-scratch, and `du` spaces, and one per received message for
+/// the `inbox` space. Ids are opaque — the verifier only compares them for
+/// equality — but must be distinct across every `(space, index)` pair.
 #[derive(Clone, Debug)]
 pub struct FabIds {
     /// Per-patch state fab ids.
@@ -70,6 +75,9 @@ pub struct FabIds {
     pub rhs: Vec<u64>,
     /// Per-patch `du` fab ids.
     pub du: Vec<u64>,
+    /// Per received message (position in the layout's `recvs`), the id of
+    /// its landed payload.
+    pub inbox: Vec<u64>,
 }
 
 impl FabIds {
@@ -80,17 +88,25 @@ impl FabIds {
             state: (0..npatches).map(|i| i as u64).collect(),
             rhs: (0..npatches).map(|i| (1 << 32) | i as u64).collect(),
             du: (0..npatches).map(|i| (2 << 32) | i as u64).collect(),
+            inbox: inbox_ids(npatches),
         }
     }
 }
 
-/// The footprint of rank `rank`'s halo task for patch `i`: reads the patch's
-/// full box and its locally copied chunk-range sources, writes the ghost
-/// footprint.
+/// Symbolic ids of `n` landed messages — payloads live in no fab, so live
+/// instantiations name them symbolically too. A rank receives at most one
+/// message per peer and every peer owns a patch, so `npatches` ids cover
+/// any rank's receives.
+pub(crate) fn inbox_ids(n: usize) -> Vec<u64> {
+    (0..n).map(|m| (3 << 32) | m as u64).collect()
+}
+
+/// The footprint of `skel`'s halo task for patch `i`: reads the patch's
+/// full box, its locally copied chunk-range sources and the landed messages
+/// carrying its remote chunks, writes the ghost footprint.
 fn halo_footprint(
     plan: &CopyPlan,
-    chunk_range: (usize, usize),
-    rank: usize,
+    skel: &DistSkeleton,
     i: usize,
     valid: &[IndexBox],
     ghosts: GhostFootprint,
@@ -102,13 +118,15 @@ fn halo_footprint(
     for region in ghosts.regions(valid[i]) {
         fp = fp.writes(ids.state[i], comp, region);
     }
-    let (s, e) = chunk_range;
-    for c in &plan.chunks[s..e] {
-        // Only locally copied chunks read a source fab; remote chunks
-        // arrive as payloads (their ghost writes are already covered by the
+    let (s, e) = skel.chunk_range[i];
+    for (k, c) in plan.chunks.iter().enumerate().take(e).skip(s) {
+        // Locally copied chunks read a source fab; remote chunks read their
+        // message's payload (their ghost writes are already covered by the
         // footprint above).
-        if c.src_rank == rank {
+        if c.src_rank == skel.rank {
             fp = fp.reads(ids.state[c.src_id], comp, c.region.shift(-c.shift));
+        } else if let Some((m, _)) = skel.layout.recv_slot(k) {
+            fp = fp.reads(ids.inbox[m], comp, c.region);
         }
     }
     fp
@@ -152,13 +170,15 @@ pub fn dist_rank_schedule(
                 fp
             }
             TaskKind::Recv(m) => {
-                let peer = skel.layout.recvs[m].peer;
-                rs.recvs.push((t, channel(peer, skel.rank)));
-                Footprint::new(format!("recv[{peer}]"))
+                let msg = &skel.layout.recvs[m];
+                rs.recvs.push((t, channel(msg.peer, skel.rank)));
+                let mut fp = Footprint::new(format!("recv[{}]", msg.peer));
+                for &c in &msg.items {
+                    fp = fp.writes(ids.inbox[m], comp, chunks[c].region);
+                }
+                fp
             }
-            TaskKind::Halo(i) => {
-                halo_footprint(plan, skel.chunk_range[i], skel.rank, i, valid, ghosts, ids)
-            }
+            TaskKind::Halo(i) => halo_footprint(plan, skel, i, valid, ghosts, ids),
             TaskKind::Sweep(i, SweepPhase::Interior) => Footprint::new(format!("interior[{i}]"))
                 .reads(ids.state[i], comp, valid[i])
                 .writes(ids.rhs[i], comp, valid[i]),

@@ -11,12 +11,13 @@
 //!   laptop scale.
 //! * [`chaos`] — the framed, fault-injecting transport under [`cluster`]
 //!   (CRC, ack, retransmit; DESIGN.md §4g).
-//! * [`pool`] — a scoped thread pool for on-node parallel patch loops (the
-//!   OpenMP/GPU-thread analog below MPI, §IV-B).
-//! * [`taskgraph`] — a dependency-tracking task executor built on the same
-//!   scoped threads; the fab layer uses it to overlap halo exchange with
-//!   interior kernel sweeps (DESIGN.md §4e); [`taskcheck`] verifies its
-//!   schedules (DESIGN.md §4i).
+//! * [`taskgraph`] — the on-node executor (the OpenMP/GPU-thread analog
+//!   below MPI, §IV-B): a dependency-tracking task runner on the calling
+//!   thread plus `threads − 1` helpers; the fab layer uses it to overlap
+//!   halo exchange with interior kernel sweeps (DESIGN.md §4e), and
+//!   [`taskcheck`] verifies its schedules (DESIGN.md §4i).
+//! * [`pool`] — fork-join loops over patch indices, run as task graphs
+//!   without edges.
 //!
 //! Where this crate sits in the paper-subsystem map (the S1–S5 table; the
 //! same table appears in the `fab` and `amr` roots):

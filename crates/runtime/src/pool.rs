@@ -1,12 +1,17 @@
 //! On-node parallel patch loops.
 //!
 //! CRoCCo's intra-node parallelism sits below MPI (§IV-B). On the host we
-//! provide it with a scoped fork-join over patch indices, implemented on
-//! `std::thread::scope` (a panicking body panics the caller). The work unit is one patch (one MFIter
-//! iteration), matching how AMReX launches one kernel per patch.
+//! provide it as a fork-join over patch indices: a loop at `threads > 1` is a
+//! [`TaskGraph`] with one task per index and no edges, run by the same runner
+//! as the RK-stage graphs (the calling thread plus `threads − 1` helpers), so
+//! a panicking body panics the caller with its own payload. The work unit is
+//! one patch (one MFIter iteration), matching how AMReX launches one kernel
+//! per patch.
 
-/// Runs `f(i)` for every `i in 0..n`, splitting the index range across up to
-/// `threads` worker threads. `f` must be safe to call concurrently for
+use crate::taskgraph::TaskGraph;
+
+/// Runs `f(i)` for every `i in 0..n` on the calling thread plus up to
+/// `threads − 1` helper threads. `f` must be safe to call concurrently for
 /// distinct indices (each patch touches disjoint data).
 ///
 /// With `threads <= 1` or `n <= 1` the loop runs inline, which keeps small
@@ -21,48 +26,34 @@ where
         }
         return;
     }
-    let nworkers = threads.min(n);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..nworkers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                f(i);
-            });
-        }
-    });
+    let f = &f;
+    let mut graph = TaskGraph::new();
+    for i in 0..n {
+        graph.add_task(&[], move || f(i));
+    }
+    graph.run(threads);
 }
 
-/// Runs `f(i, &mut items[i])` for every element, splitting the slice into
-/// contiguous per-worker chunks. Used for patch loops that mutate one fab
+/// Runs `f(i, &mut items[i])` for every element, like [`parallel_for`]; each
+/// task owns its element's `&mut T`. Used for patch loops that mutate one fab
 /// per index (e.g. accumulating each patch's RHS).
 pub fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
+    if threads <= 1 || items.len() <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
         return;
     }
-    let nworkers = threads.min(n);
-    let chunk = n.div_ceil(nworkers);
-    std::thread::scope(|s| {
-        for (w, slice) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (j, item) in slice.iter_mut().enumerate() {
-                    f(w * chunk + j, item);
-                }
-            });
-        }
-    });
+    let f = &f;
+    let mut graph = TaskGraph::new();
+    for (i, item) in items.iter_mut().enumerate() {
+        graph.add_task(&[], move || f(i, item));
+    }
+    graph.run(threads);
 }
 
 /// The default worker count: physical parallelism available to this process.
@@ -110,6 +101,13 @@ mod tests {
         parallel_for(0, 4, |_| panic!("must not run"));
     }
 
+    /// The body's own payload reaches the caller, not a generic "a thread
+    /// panicked".
+    fn payload(result: std::thread::Result<()>) -> String {
+        let payload = result.expect_err("the loop must panic its caller");
+        payload.downcast_ref::<&str>().copied().unwrap_or_default().to_string()
+    }
+
     #[test]
     fn panic_in_a_body_reaches_the_caller() {
         let hit = AtomicU64::new(0);
@@ -121,7 +119,7 @@ mod tests {
                 }
             });
         });
-        assert!(result.is_err(), "parallel_for must panic its caller");
+        assert_eq!(payload(result), "body exploded", "parallel_for");
         assert!(hit.load(Ordering::Relaxed) >= 1);
 
         let mut items = vec![0u64; 8];
@@ -133,10 +131,7 @@ mod tests {
                 }
             });
         }));
-        assert!(
-            result.is_err(),
-            "parallel_for_each_mut must panic its caller"
-        );
+        assert_eq!(payload(result), "body exploded", "parallel_for_each_mut");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A small dependency-tracking task executor.
+//! A small dependency-tracking task executor — the one on-node executor.
 //!
 //! Work is submitted as *tasks* with explicit predecessor handles, and a
 //! pool of workers drains whatever is ready — there is no barrier between
@@ -7,8 +7,8 @@
 //! boundary-band sweep waits only for *its own* halo task while interior
 //! sweeps of every patch start immediately (the comm/compute overlap of
 //! task-based AMR runtimes, arXiv:2508.05020, and STREAmS-2,
-//! arXiv:2304.05494). [`crate::pool`]'s flat fork-join loops serve the
-//! patch loops outside a stage.
+//! arXiv:2304.05494). [`crate::pool`]'s fork-join loops are graphs without
+//! edges on the same runner.
 //!
 //! Design points:
 //!
@@ -22,26 +22,32 @@
 //!   accidentally-reused handles across stages).
 //! * **Panic propagation.** A panicking task aborts the drain; the first
 //!   payload is re-thrown from [`TaskGraph::run`] on the caller's thread,
-//!   as a panicking body of a fork-join loop also panics its caller.
-//! * **One single-threaded executor.** With `threads <= 1` the graph runs
-//!   on the calling thread, always taking the lowest-index ready job —
-//!   insertion order whenever no event is pending. The adversarial
-//!   schedules are the same loop with a different pick.
+//!   unchanged — so a panicking body of a fork-join loop panics its caller
+//!   with its own message.
+//! * **One runner.** Every schedule drains one ready set under one mutex,
+//!   whose `pop` is the schedule. The calling thread is a worker and the
+//!   only thread that pumps progress and polls events — between jobs,
+//!   events first — and a pool of `threads` adds `threads − 1` helpers that
+//!   only pop and run jobs. One-thread pools and the adversarial schedules
+//!   spawn nothing: the caller alone takes the lowest-index ready job
+//!   (insertion order whenever no event is pending), or the adversarial
+//!   pick.
 
 use crate::cluster::CommError;
 use crate::taskcheck::Footprint;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// How a built [`TaskGraph`] is executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Schedule {
-    /// The production executor: up to `threads` workers drain ready tasks
-    /// in queue order (on the calling thread, lowest ready index first, when
-    /// `threads <= 1`).
+    /// The production executor: the calling thread plus `threads − 1`
+    /// helper threads (none when `threads <= 1`) drain ready tasks, lowest
+    /// ready index first.
     Pool {
         /// Worker count.
         threads: usize,
@@ -157,7 +163,7 @@ pub struct TaskHandle {
 type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 /// An event task's readiness predicate (e.g. "has this posted receive
-/// completed?"). Polled by the runner, never by workers.
+/// completed?"). Polled by the calling thread, never by helpers.
 type EventPred<'env> = Box<dyn FnMut() -> bool + Send + 'env>;
 
 /// What a task does when it becomes ready.
@@ -182,8 +188,6 @@ struct Task<'env> {
 pub struct TaskGraph<'env> {
     id: u64,
     tasks: Vec<Task<'env>>,
-    /// Indices of event tasks (subset of `tasks`).
-    events: Vec<usize>,
     /// Declared data footprints, aligned with `tasks` (default =
     /// undeclared); only the dynamic detector reads them.
     #[cfg(feature = "taskcheck")]
@@ -196,7 +200,6 @@ impl<'env> TaskGraph<'env> {
         TaskGraph {
             id: NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed),
             tasks: Vec::new(),
-            events: Vec::new(),
             #[cfg(feature = "taskcheck")]
             footprints: Vec::new(),
         }
@@ -245,13 +248,12 @@ impl<'env> TaskGraph<'env> {
     /// it between invocations of the progress pump passed to
     /// [`TaskGraph::try_run`] (which is what makes the condition
     /// advance — e.g. `GroupEndpoint::pump` matching arrived packets).
-    /// Events consume no worker: workers keep draining compute tasks while
-    /// the runner waits for the condition.
+    /// Events consume no worker: the caller polls them between jobs and
+    /// helpers keep draining compute tasks while the condition is pending.
     pub fn add_event<F>(&mut self, ready: F) -> TaskHandle
     where
         F: FnMut() -> bool + Send + 'env,
     {
-        self.events.push(self.tasks.len());
         self.push(&[], Work::Event(Box::new(ready)), None)
     }
 
@@ -283,9 +285,10 @@ impl<'env> TaskGraph<'env> {
         }
     }
 
-    /// Executes every task, honouring dependencies, on up to `threads`
-    /// workers. Returns when all tasks have finished; re-throws the first
-    /// task panic after the workers have stopped.
+    /// Executes every task, honouring dependencies, on the calling thread
+    /// plus up to `threads − 1` helpers. Returns when all tasks have
+    /// finished; re-throws the first task panic, with its original payload,
+    /// after the helpers have stopped.
     ///
     /// # Panics
     ///
@@ -293,7 +296,7 @@ impl<'env> TaskGraph<'env> {
     /// with a progress pump, so use [`TaskGraph::try_run`].
     pub fn run(self, threads: usize) {
         assert!(
-            self.events.is_empty(),
+            !self.tasks.iter().any(|t| matches!(t.work, Work::Event(_))),
             "graphs with event tasks need try_run (a progress pump)"
         );
         match self.run_inner(Schedule::pool(threads), &mut || Ok(())) {
@@ -309,17 +312,14 @@ impl<'env> TaskGraph<'env> {
     /// `GroupEndpoint::pump` matching arrived halo packets). The pump may
     /// fail (a detected communication fault) and task panics are contained:
     /// both come back as a typed [`StageError`] instead of hanging peer
-    /// ranks or unwinding through the stepping loop. On error, workers stop
+    /// ranks or unwinding through the stepping loop. On error, helpers stop
     /// after their current task and unstarted tasks are dropped.
     ///
-    /// On a pool of `threads <= 1` (and under the adversarial schedules)
-    /// the calling thread runs ready jobs itself and pumps `progress` only
-    /// when none is ready, so a pending event never holds back a job that
-    /// does not depend on it. On the threaded path the calling thread
-    /// becomes the coordinator: it pumps `progress`, polls event predicates,
-    /// and releases dependents the moment an event fires, while workers keep
-    /// draining ready compute tasks — no worker ever blocks on
-    /// communication.
+    /// The calling thread runs ready jobs itself, polls the event
+    /// predicates between them, and pumps `progress` only when no job is
+    /// ready, so a pending event never holds back a job that does not depend
+    /// on it; helper threads (a pool of `threads > 1`) only run jobs, so no
+    /// worker ever blocks on communication.
     pub fn try_run(
         self,
         sched: Schedule,
@@ -346,9 +346,13 @@ impl<'env> TaskGraph<'env> {
         Tracker
     }
 
-    /// Shared executor behind both runners. Panics are always caught and
+    /// The one runner behind [`TaskGraph::run`] and [`TaskGraph::try_run`]:
+    /// Kahn's algorithm over one shared ready set. The calling thread drains
+    /// it and owns the events and the pump ([`Runner::lead`]); a pool's
+    /// helpers drain it too ([`Runner::help`]). Panics are always caught and
     /// returned with their original payload, so [`TaskGraph::run`] can
-    /// rethrow them unchanged.
+    /// rethrow them unchanged; a failure drops the remaining tasks — the
+    /// fault-tolerant caller rolls the whole stage back anyway.
     fn run_inner(
         self,
         sched: Schedule,
@@ -359,258 +363,250 @@ impl<'env> TaskGraph<'env> {
             return Ok(());
         }
         let tracker = self.make_tracker();
-        let threads = match sched {
-            Schedule::Pool { threads } if threads > 1 && n > 1 => threads,
-            _ => {
-                self.run_serial(ReadyJobs::new(sched), progress, &tracker)?;
-                check_tracker(&tracker);
-                return Ok(());
-            }
-        };
-
-        // Successor lists and atomic in-degrees drive readiness; a mutexed
-        // deque + condvar is the ready queue (`std` has no lock-free deque,
-        // and patch-sized tasks amortize the lock).
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indeg = Vec::with_capacity(n);
-        for (i, t) in self.tasks.iter().enumerate() {
-            indeg.push(AtomicUsize::new(t.deps.len()));
+        let mut ready = ReadyJobs::new(sched);
+        let mut jobs = Vec::with_capacity(n);
+        // Events have no dependencies (add_event invariant), so all of them
+        // are pollable from the start and never enter the ready set.
+        let mut events = Vec::new();
+        for (i, t) in self.tasks.into_iter().enumerate() {
+            indeg.push(t.deps.len());
             for &d in &t.deps {
                 succs[d].push(i);
             }
-        }
-        // Split the tasks: compute jobs go to the worker pool, event
-        // predicates stay with the coordinator (this thread).
-        let mut jobs: Vec<Mutex<Option<Job<'env>>>> = Vec::with_capacity(n);
-        let mut pending_events: Vec<(usize, EventPred<'env>)> = Vec::new();
-        for (i, t) in self.tasks.into_iter().enumerate() {
             match t.work {
-                Work::Job(run) => jobs.push(Mutex::new(Some(run))),
-                Work::Event(ready) => {
-                    jobs.push(Mutex::new(None));
-                    pending_events.push((i, ready));
+                Work::Job(job) => {
+                    if t.deps.is_empty() {
+                        ready.push(i);
+                    }
+                    jobs.push(Some(job));
+                }
+                Work::Event(pred) => {
+                    jobs.push(None);
+                    events.push((i, pred));
                 }
             }
         }
-        let is_event: Vec<bool> = {
-            let mut v = vec![false; n];
-            for &(i, _) in &pending_events {
-                v[i] = true;
-            }
-            v
+        let helpers = match sched {
+            Schedule::Pool { threads } => threads.min(n).saturating_sub(1),
+            Schedule::Adversarial { .. } => 0,
         };
-        let ready: Mutex<VecDeque<usize>> = Mutex::new(
-            (0..n)
-                .filter(|&i| !is_event[i] && indeg[i].load(Ordering::Relaxed) == 0)
-                .collect(),
-        );
-        let cv = Condvar::new();
-        let finished = AtomicUsize::new(0);
-        let aborted = AtomicBool::new(false);
-        let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let mut pump_err: Option<StageError> = None;
-
-        // Releases task `i`'s dependents and counts it finished (shared by
-        // worker job completion and coordinator event completion).
-        let finish = |i: usize| {
-            for &sx in &succs[i] {
-                if indeg[sx].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    ready.lock().expect("task queue poisoned").push_back(sx);
-                    cv.notify_one();
-                }
-            }
-            if finished.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                // Wake idle workers so they observe completion.
-                let _q = ready.lock().expect("task queue poisoned");
-                cv.notify_all();
-            }
+        let runner = Runner {
+            queue: Mutex::new(Queue {
+                ready,
+                jobs,
+                indeg,
+                left: n,
+                failure: None,
+                closed: false,
+            }),
+            wake: Condvar::new(),
+            succs,
+            helpers,
+            tracker,
         };
-
-        let nworkers = threads.min(n);
         std::thread::scope(|s| {
-            for _ in 0..nworkers {
-                s.spawn(|| loop {
-                    let i = {
-                        let mut q = ready.lock().expect("task queue poisoned");
-                        loop {
-                            if aborted.load(Ordering::Acquire)
-                                || finished.load(Ordering::Acquire) == n
-                            {
-                                return;
-                            }
-                            if let Some(i) = q.pop_front() {
-                                break i;
-                            }
-                            q = cv.wait(q).expect("task queue poisoned");
-                        }
-                    };
-                    let job = jobs[i]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("task scheduled twice");
-                    let scope = enter_scope(&tracker, i);
-                    let result = catch_unwind(AssertUnwindSafe(job));
-                    drop(scope);
-                    match result {
-                        Ok(()) => finish(i),
-                        Err(payload) => {
-                            let mut slot = panic_slot.lock().expect("panic slot poisoned");
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                            drop(slot);
-                            aborted.store(true, Ordering::Release);
-                            let _q = ready.lock().expect("task queue poisoned");
-                            cv.notify_all();
-                            return;
-                        }
-                    }
-                });
+            for _ in 0..helpers {
+                s.spawn(|| runner.help());
             }
-
-            // Coordinator loop: pump progress, fire completed events, nap
-            // briefly when nothing moved (events wake only through the pump,
-            // so a condvar wait would deadlock against external arrivals).
-            while !aborted.load(Ordering::Acquire) && finished.load(Ordering::Acquire) < n {
-                if pending_events.is_empty() {
-                    // Nothing left to poll; park until the workers finish.
-                    let q = ready.lock().expect("task queue poisoned");
-                    if finished.load(Ordering::Acquire) < n && !aborted.load(Ordering::Acquire) {
-                        let _ = cv
-                            .wait_timeout(q, std::time::Duration::from_millis(1))
-                            .expect("task queue poisoned");
-                    }
-                    continue;
-                }
-                if let Err(e) = progress() {
-                    // A detected comm fault: abort the drain and release the
-                    // workers (they finish their current task and stop).
-                    pump_err = Some(e);
-                    aborted.store(true, Ordering::Release);
-                    let _q = ready.lock().expect("task queue poisoned");
-                    cv.notify_all();
-                    break;
-                }
-                let mut fired = false;
-                pending_events.retain_mut(|(i, ready_pred)| {
-                    if ready_pred() {
-                        finish(*i);
-                        fired = true;
-                        false
-                    } else {
-                        true
-                    }
-                });
-                if !fired {
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                }
+            // However the caller leaves its loop — unwinding out of a
+            // panicking pump included — the helpers are released first, so
+            // the scope's join cannot wait on them forever.
+            let led = catch_unwind(AssertUnwindSafe(|| runner.lead(events, progress)));
+            let mut q = runner.lock();
+            q.closed = true;
+            runner.wake.notify_all();
+            drop(q);
+            if let Err(p) = led {
+                resume_unwind(p);
             }
         });
-
-        if let Some(p) = panic_slot.into_inner().expect("panic slot poisoned") {
-            return Err(Failure::Panic(p));
+        let q = runner.queue.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some(f) = q.failure {
+            return Err(f);
         }
-        if let Some(e) = pump_err {
-            return Err(Failure::Pump(e));
-        }
-        check_tracker(&tracker);
-        Ok(())
-    }
-
-    /// The single-threaded executor behind [`Schedule::Adversarial`] and
-    /// one-thread pools: Kahn's algorithm where `ready_jobs` decides which
-    /// ready job runs next. Events are polled between picks; because a ready
-    /// job always runs in preference to pumping, every pack/send job a
-    /// pending receive transitively needs drains before this rank waits on
-    /// it, wherever in the graph it was inserted. A failure drops the
-    /// remaining tasks — the fault-tolerant caller rolls the whole stage
-    /// back anyway.
-    fn run_serial(
-        self,
-        mut ready_jobs: ReadyJobs,
-        progress: &mut (dyn FnMut() -> Result<(), StageError> + '_),
-        tracker: &Tracker,
-    ) -> Result<(), Failure> {
-        let n = self.tasks.len();
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut indeg = vec![0usize; n];
-        for (i, t) in self.tasks.iter().enumerate() {
-            indeg[i] = t.deps.len();
-            for &d in &t.deps {
-                succs[d].push(i);
-            }
-        }
-        let mut works: Vec<Option<Work<'env>>> = Vec::with_capacity(n);
-        for t in self.tasks {
-            works.push(Some(t.work));
-        }
-        // Events have no dependencies (add_event invariant), so all of them
-        // are pollable from the start and never enter the ready-job set.
-        let mut pending_events: Vec<usize> = self.events;
-        for i in 0..n {
-            if indeg[i] == 0 && matches!(works[i], Some(Work::Job(_))) {
-                ready_jobs.push(i);
-            }
-        }
-        let mut done = 0usize;
-        while done < n {
-            // Poll events first: firing one may release new ready jobs.
-            let mut fired = false;
-            let mut k = 0;
-            while k < pending_events.len() {
-                let i = pending_events[k];
-                let is_ready = match works[i].as_mut() {
-                    Some(Work::Event(p)) => p(),
-                    _ => unreachable!("event slot holds a non-event"),
-                };
-                if is_ready {
-                    works[i] = None;
-                    pending_events.swap_remove(k);
-                    fired = true;
-                    done += 1;
-                    for &s in &succs[i] {
-                        indeg[s] -= 1;
-                        if indeg[s] == 0 {
-                            ready_jobs.push(s);
-                        }
-                    }
-                } else {
-                    k += 1;
-                }
-            }
-            let Some(i) = ready_jobs.pop() else {
-                if fired {
-                    continue;
-                }
-                debug_assert!(
-                    !pending_events.is_empty(),
-                    "no ready task on an incomplete DAG"
-                );
-                progress().map_err(Failure::Pump)?;
-                std::thread::yield_now();
-                continue;
-            };
-            let Some(Work::Job(job)) = works[i].take() else {
-                unreachable!("ready set holds a non-job")
-            };
-            let scope = enter_scope(tracker, i);
-            let result = catch_unwind(AssertUnwindSafe(job));
-            drop(scope);
-            result.map_err(Failure::Panic)?;
-            done += 1;
-            for &s in &succs[i] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    ready_jobs.push(s);
-                }
-            }
-        }
+        check_tracker(&runner.tracker);
         Ok(())
     }
 }
 
-/// The ready set of [`TaskGraph::run_serial`]; its `pop` is the schedule.
+/// The run state every worker shares, under the one mutex.
+struct Queue<'env> {
+    /// Ready jobs; their `pop` is the schedule.
+    ready: ReadyJobs,
+    /// Unstarted jobs by task index (`None` for events and started jobs).
+    jobs: Vec<Option<Job<'env>>>,
+    /// Unfinished predecessors per task.
+    indeg: Vec<usize>,
+    /// Tasks not yet finished.
+    left: usize,
+    /// The first failure; once set, every worker stops.
+    failure: Option<Failure>,
+    /// The caller has left its loop: helpers stop too.
+    closed: bool,
+}
+
+impl Queue<'_> {
+    /// `true` once no worker should take another job.
+    fn over(&self) -> bool {
+        self.left == 0 || self.failure.is_some() || self.closed
+    }
+}
+
+/// One graph execution: the shared queue, the condvar idle helpers (and the
+/// caller, while only helpers can move the run on) sleep on, and the
+/// immutable successor lists.
+struct Runner<'env> {
+    queue: Mutex<Queue<'env>>,
+    wake: Condvar,
+    succs: Vec<Vec<usize>>,
+    /// Helper threads running beside the caller (0: nobody waits on `wake`).
+    helpers: usize,
+    tracker: Tracker,
+}
+
+impl<'env> Runner<'env> {
+    /// Locks the queue. No lock is held across a task closure (they run
+    /// under `catch_unwind`), so a poisoned lock still guards a consistent
+    /// queue and is taken as is.
+    fn lock(&self) -> MutexGuard<'_, Queue<'env>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sleeps on the queue until a release, completion or failure.
+    fn wait<'a>(&'a self, q: MutexGuard<'a, Queue<'env>>) -> MutexGuard<'a, Queue<'env>> {
+        self.wake.wait(q).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wakes sleepers, if anyone can be sleeping.
+    fn notify(&self, all: bool) {
+        if self.helpers > 0 {
+            if all {
+                self.wake.notify_all();
+            } else {
+                self.wake.notify_one();
+            }
+        }
+    }
+
+    /// Counts task `i` finished and readies the dependents it released.
+    fn finish(&self, q: &mut Queue<'env>, i: usize) {
+        for &s in &self.succs[i] {
+            q.indeg[s] -= 1;
+            if q.indeg[s] == 0 {
+                q.ready.push(s);
+                self.notify(false);
+            }
+        }
+        q.left -= 1;
+        if q.left == 0 {
+            self.notify(true);
+        }
+    }
+
+    /// Records a failure (the first one wins) and stops every worker.
+    fn fail(&self, q: &mut Queue<'env>, failure: Failure) {
+        if q.failure.is_none() {
+            q.failure = Some(failure);
+        }
+        self.notify(true);
+    }
+
+    /// Runs ready job `i` with the queue unlocked and records its outcome;
+    /// returns the queue locked again.
+    fn run_job<'a>(
+        &'a self,
+        mut q: MutexGuard<'a, Queue<'env>>,
+        i: usize,
+    ) -> MutexGuard<'a, Queue<'env>> {
+        let Some(job) = q.jobs[i].take() else {
+            unreachable!("ready set holds a non-job or a started job")
+        };
+        drop(q);
+        let scope = enter_scope(&self.tracker, i);
+        let result = catch_unwind(AssertUnwindSafe(job));
+        drop(scope);
+        let mut q = self.lock();
+        match result {
+            Ok(()) => self.finish(&mut q, i),
+            Err(payload) => self.fail(&mut q, Failure::Panic(payload)),
+        }
+        q
+    }
+
+    /// A helper's loop: pop and run ready jobs until the run is over.
+    fn help(&self) {
+        let mut q = self.lock();
+        while !q.over() {
+            q = match q.ready.pop() {
+                Some(i) => self.run_job(q, i),
+                None => self.wait(q),
+            };
+        }
+    }
+
+    /// The caller's loop: a helper's loop that also owns the events and the
+    /// pump. Events are polled first, because firing one may release new
+    /// ready jobs; because a ready job always runs in preference to pumping,
+    /// every pack/send job a pending receive transitively needs drains
+    /// before this rank waits on it, wherever in the graph it was inserted.
+    fn lead(
+        &self,
+        mut events: Vec<(usize, EventPred<'env>)>,
+        progress: &mut (dyn FnMut() -> Result<(), StageError> + '_),
+    ) {
+        loop {
+            let mut fired = false;
+            let mut k = 0;
+            while k < events.len() {
+                if (events[k].1)() {
+                    let (i, _) = events.swap_remove(k);
+                    self.finish(&mut self.lock(), i);
+                    fired = true;
+                } else {
+                    k += 1;
+                }
+            }
+            let mut q = self.lock();
+            if q.over() {
+                return;
+            }
+            match q.ready.pop() {
+                Some(i) => drop(self.run_job(q, i)),
+                None if fired => {}
+                None if events.is_empty() => {
+                    // Only the helpers' running jobs can move the run on.
+                    debug_assert!(self.helpers > 0, "no ready task on an incomplete DAG");
+                    drop(self.wait(q));
+                }
+                None => {
+                    drop(q);
+                    if let Err(e) = progress() {
+                        self.fail(&mut self.lock(), Failure::Pump(e));
+                        return;
+                    }
+                    self.nap();
+                }
+            }
+        }
+    }
+
+    /// The caller's pause after a pump that moved nothing: it gives the
+    /// CPU to the peers whose messages are awaited, or sleeps until a
+    /// helper releases a job (events wake only through the pump, so the
+    /// sleep is short).
+    fn nap(&self) {
+        if self.helpers == 0 {
+            std::thread::yield_now();
+        } else {
+            let q = self.lock();
+            drop(self.wake.wait_timeout(q, Duration::from_micros(50)));
+        }
+    }
+}
+
+/// The ready set of the runner; its `pop` is the schedule.
 enum ReadyJobs {
     /// Lowest index first: insertion order wherever the edges allow it.
     InOrder(BinaryHeap<Reverse<usize>>),
@@ -621,7 +617,7 @@ enum ReadyJobs {
 }
 
 impl ReadyJobs {
-    /// The empty ready set whose `pop` order is `sched` on one thread.
+    /// The empty ready set whose `pop` order is `sched`.
     fn new(sched: Schedule) -> Self {
         match sched {
             Schedule::Pool { .. } => ReadyJobs::InOrder(BinaryHeap::new()),
@@ -710,7 +706,7 @@ impl Default for TaskGraph<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::atomic::AtomicU64 as TestAtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64 as TestAtomicU64};
 
     /// Runs `deps[i] -> i` graphs and records the order tasks executed in.
     fn record_order(deps: &[Vec<usize>], threads: usize) -> Vec<usize> {
@@ -820,6 +816,60 @@ mod tests {
                 0,
                 "dependents of a panicked task must not run"
             );
+        }
+    }
+
+    #[test]
+    fn the_caller_is_a_worker_beside_threads_minus_one_helpers() {
+        for threads in [2usize, 4] {
+            // `threads` tasks that each hold their worker until the caller
+            // has run one: at most `threads − 1` helpers can hold a task, so
+            // the caller must take one or the run stalls (a wait capped at
+            // 10 s turns a stall into a failure).
+            let caller = std::thread::current().id();
+            let caller_ran = AtomicBool::new(false);
+            let seen = Mutex::new(Vec::new());
+            let mut g = TaskGraph::new();
+            for _ in 0..threads * 4 {
+                let (caller_ran, seen) = (&caller_ran, &seen);
+                g.add_task(&[], move || {
+                    let me = std::thread::current().id();
+                    seen.lock().unwrap().push(me);
+                    if me == caller {
+                        caller_ran.store(true, Ordering::Release);
+                    }
+                    let t0 = std::time::Instant::now();
+                    while !caller_ran.load(Ordering::Acquire) {
+                        assert!(t0.elapsed().as_secs() < 10, "the caller never ran a job");
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                    }
+                });
+            }
+            g.run(threads);
+            let mut ids = seen.into_inner().unwrap();
+            assert_eq!(ids.len(), threads * 4);
+            assert!(ids.contains(&caller), "threads={threads}: caller ran no job");
+            ids.sort_by_key(|id| format!("{id:?}"));
+            ids.dedup();
+            assert!(
+                ids.len() <= threads,
+                "threads={threads}: jobs ran on {} OS threads",
+                ids.len()
+            );
+        }
+    }
+
+    #[test]
+    fn for_each_mut_hands_every_element_with_its_index_to_one_call() {
+        for threads in [2usize, 4] {
+            let mut items: Vec<(usize, u32)> = vec![(usize::MAX, 0); 37];
+            crate::pool::parallel_for_each_mut(&mut items, threads, |i, item| {
+                item.0 = i;
+                item.1 += 1;
+            });
+            for (i, &(idx, calls)) in items.iter().enumerate() {
+                assert_eq!((idx, calls), (i, 1), "threads={threads}, element {i}");
+            }
         }
     }
 

@@ -108,6 +108,8 @@ const RAW_VIEW_TOKENS: &[&str] = &[
 const UNWRAP_AUDIT: &[(&str, usize)] = &[
     ("crates/runtime/src/cluster.rs", 16),
     ("crates/runtime/src/chaos.rs", 1),
+    ("crates/runtime/src/taskgraph.rs", 0),
+    ("crates/runtime/src/pool.rs", 0),
     ("crates/fab/src/plan.rs", 0),
     ("crates/core/src/cluster_step.rs", 5),
     ("crates/fab/src/dist_overlap.rs", 1),

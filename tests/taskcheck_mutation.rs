@@ -93,6 +93,59 @@ fn static_verifier_flags_a_deleted_update_fence() {
 }
 
 #[test]
+fn static_verifier_flags_a_halo_that_lost_its_receive() {
+    let (ba, dm, domain) = setup(2);
+    let cache = PlanCache::new();
+    let nghost = 2;
+    let fb = cache.fill_boundary(&ba, &dm, &domain, nghost, 2);
+    let valid: Vec<IndexBox> = (0..ba.len()).map(|i| ba.get(i)).collect();
+    let ids = FabIds::symbolic(valid.len());
+    let violations = |skel: &DistSkeleton| {
+        dist_rank_schedule(&fb.plan, skel, &valid, GhostFootprint::Shell(nghost), &ids)
+            .spec
+            .verify()
+            .violations
+    };
+    let skel = DistSkeleton::build(&fb, dm.owners(), 0);
+    assert!(violations(&skel).is_empty(), "unmutated stage skeleton");
+
+    // A split patch: its halo waits on the receives that carry its remote
+    // chunks. Strip those edges — the unpack now reads a message that may
+    // not have landed.
+    let (t, i) = skel
+        .tasks
+        .iter()
+        .enumerate()
+        .find_map(|(t, task)| match task.kind {
+            TaskKind::Halo(i) if !task.deps.is_empty() => Some((t, i)),
+            _ => None,
+        })
+        .expect("a two-rank plan must split a patch across ranks");
+    let mut mutated = skel.clone();
+    let recvs = std::mem::take(&mut mutated.tasks[t].deps);
+    let found = violations(&mutated);
+    let halo = format!("halo[{i}]");
+    for r in recvs {
+        let TaskKind::Recv(m) = skel.tasks[r].kind else {
+            panic!("a halo task waits on receive events only");
+        };
+        let recv = format!("recv[{}]", skel.layout.recvs[m].peer);
+        assert!(
+            found.iter().any(|v| matches!(
+                v,
+                Violation::UnorderedConflict {
+                    first_label,
+                    second_label,
+                    fab,
+                    ..
+                } if first_label == &recv && second_label == &halo && *fab == ids.inbox[m]
+            )),
+            "verifier must name the pair ({recv}, {halo}) on inbox message {m}: {found:?}"
+        );
+    }
+}
+
+#[test]
 fn cross_rank_verifier_flags_a_deleted_send() {
     let (ba, dm, domain) = setup(2);
     let cache = PlanCache::new();
