@@ -424,7 +424,7 @@ impl Simulation {
     /// 1. bump the communicator generation (stamped into halo/gather tag
     ///    epochs, so replayed pre-fault traffic can never match post-fault
     ///    receives),
-    /// 2. shrink the group by the chaos runtime's dead ranks and run a
+    /// 2. shrink the group by the cluster's dead ranks and run a
     ///    barrier allreduce over the survivors; if the barrier itself faults
     ///    or another member died meanwhile, re-scan and retry — every
     ///    survivor retries the same number of times, keeping the collective
@@ -523,9 +523,7 @@ impl Simulation {
                     // rollback can repair, or a local kernel panic (poisoned
                     // NaN under fabcheck) treated as one. Mark it dead so
                     // blocked peers' waits fault.
-                    if let Some(ch) = ep.chaos() {
-                        ch.mark_dead(ep.rank());
-                    }
+                    ep.mark_dead();
                     report.crashed = true;
                     return report;
                 }
@@ -535,15 +533,7 @@ impl Simulation {
                     report.recoveries += 1;
                     generation += 1;
                     loop {
-                        let chaos = ep.chaos().expect("faults require the chaos runtime");
-                        let survivors = group.without(
-                            &group
-                                .members()
-                                .iter()
-                                .copied()
-                                .filter(|&r| !chaos.is_alive(r))
-                                .collect::<Vec<_>>(),
-                        );
+                        let survivors = ep.survivors(&group);
                         ep.cancel_posted();
                         let barrier = GroupEndpoint::new(ep, survivors.clone(), generation);
                         let ok = barrier.allreduce_f64(1.0, f64::min).is_ok();
@@ -551,7 +541,7 @@ impl Simulation {
                         // survivors completed and others faulted; both
                         // re-scan and retry so everyone consumes the same
                         // collective sequence numbers.
-                        if ok && chaos.first_dead_in(survivors.members()).is_none() {
+                        if ok && barrier.fault().is_none() {
                             group = survivors;
                             break;
                         }

@@ -131,11 +131,6 @@ impl ProblemKind {
         }
     }
 
-    /// `true` if the problem exercises the viscous terms.
-    pub fn is_viscous(&self) -> bool {
-        false // All four canonical cases are inviscid; viscous runs swap the gas.
-    }
-
     /// Default |∇ρ| tagging threshold (per level-0 index spacing).
     pub fn tag_threshold(&self) -> f64 {
         match self {

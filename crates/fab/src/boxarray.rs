@@ -95,17 +95,6 @@ impl BoxArray {
         }
     }
 
-    /// Rebuilds the spatial index (needed after deserialization, which skips
-    /// the index field) and assigns a fresh identity token if none is set.
-    pub fn ensure_index(&mut self) {
-        if self.index.is_empty() && !self.boxes.is_empty() {
-            self.rebuild_index();
-        }
-        if self.id == 0 {
-            self.id = next_identity();
-        }
-    }
-
     /// The identity token: process-unique, assigned at construction, shared
     /// by clones. Used to key cached communication plans.
     #[inline]

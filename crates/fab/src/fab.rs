@@ -161,15 +161,6 @@ impl FArrayBox {
         self.data.fill(value);
     }
 
-    /// Fills `comp` with `value` over `region ∩ self.bx()`.
-    pub fn fill_region(&mut self, region: IndexBox, comp: usize, value: f64) {
-        let r = self.bx.intersection(&region);
-        let nx = r.size()[0] as usize;
-        for p in r.rows() {
-            self.row_mut(p, comp, nx).fill(value);
-        }
-    }
-
     /// Copies `ncomp` components starting at (`src_comp` → `dst_comp`) from
     /// `src` over `region`, which must be contained in both fabs' boxes.
     pub fn copy_from(

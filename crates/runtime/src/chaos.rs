@@ -15,10 +15,11 @@
 //!   format: a `magic | length | sequence | CRC32` header in front of every
 //!   payload, so truncation, bit flips, and replays are *detected* at the
 //!   receiver instead of silently corrupting ghost cells.
-//! * [`ChaosRuntime`] — the cluster-wide shared state: per-rank alive flags
-//!   (fail-stop crash detection), the pristine-frame retransmit store that
-//!   receiver-driven retries pull from, the delayed-frame queue, and fault
-//!   counters for the ablation study.
+//! * [`ChaosRuntime`] — the cluster-wide shared state: the pristine-frame
+//!   retransmit store that receiver-driven retries pull from, the
+//!   delayed-frame queue, and fault counters for the ablation study. The
+//!   fail-stop detector is not here: it is the cluster's, the same on both
+//!   transports (`runtime::cluster`).
 //!
 //! The injection/repair contract: drop, duplication, corruption, and delay
 //! are repaired entirely inside the transport (retransmit + CRC +
@@ -28,11 +29,11 @@
 //! loop answers with checkpoint rollback.
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::cluster::{take_field, Packet};
@@ -558,12 +559,11 @@ const INFLIGHT_CAP: usize = 4096;
 
 /// The cluster-wide chaos runtime: one instance shared by every rank thread
 /// of a [`LocalCluster`](crate::cluster::LocalCluster) run in chaos mode.
-/// Holds the fault plan, fail-stop alive flags, the retransmit store, the
-/// delayed-frame queue, and the fault counters.
+/// Holds the fault plan, the retransmit store, the delayed-frame queue, and
+/// the fault counters.
 pub struct ChaosRuntime {
     cfg: ChaosConfig,
     plan: FaultPlan,
-    alive: Vec<AtomicBool>,
     senders: Vec<Sender<Packet>>,
     state: Mutex<ChaosState>,
     /// Fault/repair counters (see [`ChaosStats`]).
@@ -580,7 +580,6 @@ impl ChaosRuntime {
         ChaosRuntime {
             cfg,
             plan,
-            alive: (0..nranks).map(|_| AtomicBool::new(true)).collect(),
             senders,
             state: Mutex::new(ChaosState::default()),
             stats: ChaosStats::default(),
@@ -593,25 +592,15 @@ impl ChaosRuntime {
     }
 
     fn lock_state(&self) -> MutexGuard<'_, ChaosState> {
-        self.state.lock().expect("chaos state poisoned")
+        // The store and the queue are valid between any two of their
+        // operations; a rank that panicked holding the lock is fail-stopped
+        // by the cluster, not by its peers' next retry.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// `true` while `rank` has not fail-stopped.
-    pub fn is_alive(&self, rank: usize) -> bool {
-        self.alive[rank].load(Ordering::Acquire)
-    }
-
-    /// The first dead rank among `members`, if any (the fail-stop detector
-    /// every chaos-mode wait loop polls).
-    pub fn first_dead_in(&self, members: &[usize]) -> Option<usize> {
-        members.iter().copied().find(|&r| !self.is_alive(r))
-    }
-
-    /// Fail-stops `rank`: flips its alive flag (perfect failure detection —
-    /// every survivor's next wait-loop poll observes it) and clears the
-    /// retransmit store of links touching it.
-    pub fn mark_dead(&self, rank: usize) {
-        self.alive[rank].store(false, Ordering::Release);
+    /// Drops the retransmit store's and the delay queue's frames on links
+    /// touching `rank`, which has fail-stopped: nobody will pull them.
+    pub fn forget_rank(&self, rank: usize) {
         let mut st = self.lock_state();
         st.inflight.retain(|&(s, d), _| s != rank && d != rank);
         st.delayed.retain(|f| f.dst != rank && f.pkt.src != rank);
@@ -906,7 +895,7 @@ mod tests {
     /// re-sent, on the narrow and the broad retry alike.
     #[test]
     fn retransmit_skips_frames_younger_than_the_retry_interval() {
-        let (tx, rx) = crossbeam::channel::unbounded::<Packet>();
+        let (tx, rx) = std::sync::mpsc::channel::<Packet>();
         let rt = ChaosRuntime::new(2, ChaosConfig::default(), vec![tx.clone(), tx]);
         rt.route(0, 1, 7, 0, encode_frame(0, b"halo"));
         assert!(rx.try_recv().is_ok(), "fault-free route delivers once");

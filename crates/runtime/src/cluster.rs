@@ -1,26 +1,34 @@
 //! A real threaded message-passing cluster.
 //!
 //! `LocalCluster` spawns one OS thread per rank, wired all-to-all with
-//! crossbeam channels carrying [`Bytes`] payloads. It exists to prove the
-//! distributed code path — pack ghost region, send, receive, unpack — with
-//! real concurrency at laptop scale; what the same plans cost at Summit
+//! `std::sync::mpsc` channels carrying [`Bytes`] payloads. It exists to prove
+//! the distributed code path — pack ghost region, send, receive, unpack —
+//! with real concurrency at laptop scale; what the same plans cost at Summit
 //! scale is priced in closed form by `crocco-bench` (DESIGN.md §3).
+//!
+//! Every receive completes through one engine: [`GroupEndpoint::pump`] is
+//! one turn of it, [`GroupEndpoint::wait`] turns until its handle completes.
+//! The fail-stop detector is the cluster's, on either transport, so a dead
+//! peer ends every blocked wait with [`CommError::RankDead`], never a hang.
 //!
 //! In *chaos mode* ([`LocalCluster::run_with_chaos`]) the same endpoints run
 //! over an adversarial transport (see [`crate::chaos`] and DESIGN.md §4g):
 //! every payload is framed with a length + CRC32 header and a per-(src,dst)
-//! sequence number, receives grow deadlines with receiver-driven retransmit
-//! and exponential backoff, and detected-but-unrepairable faults surface as
-//! typed [`CommError`]s instead of hangs. [`CommGroup`]/[`GroupEndpoint`]
-//! layer *logical* ranks over the physical endpoints so the solver can
-//! re-form a smaller communicator after a rank dies.
+//! sequence number, a stalled receive retries with receiver-driven
+//! retransmit and exponential backoff until its deadline, and
+//! detected-but-unrepairable faults surface as typed [`CommError`]s.
+//! [`CommGroup`]/[`GroupEndpoint`] layer *logical* ranks over the physical
+//! endpoints so the solver can re-form a smaller communicator after a rank
+//! dies.
 
 use crate::chaos::{decode_frame, encode_frame, ChaosConfig, ChaosRuntime};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::any::Any;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A tagged message between ranks.
@@ -302,13 +310,38 @@ impl MatchState {
     }
 }
 
+/// How long an idle wait blocks on its channel between turns of the receive
+/// engine (an arriving packet ends the block at once).
+const IDLE_POLL: Duration = Duration::from_millis(1);
+
+/// Locks `m` through poisoning: the guarded queues are valid between any
+/// two of their operations, and a panicked rank is fail-stopped anyway.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Fail-stops physical rank `rank`: flips its alive flag — every peer's
+/// next turn of the receive engine observes it — and, on the chaos
+/// transport, drops the retransmit store's links touching it.
+fn fail_stop(alive: &[AtomicBool], chaos: Option<&ChaosRuntime>, rank: usize) {
+    alive[rank].store(false, Ordering::Release);
+    if let Some(ch) = chaos {
+        ch.forget_rank(rank);
+    }
+}
+
 /// One rank's communication endpoint.
 pub struct RankEndpoint {
     rank: usize,
     nranks: usize,
     senders: Vec<Sender<Packet>>,
-    receiver: Receiver<Packet>,
+    /// The rank's inbound channel (behind a lock: std receivers are not
+    /// `Sync`, and the graph's helper threads share the endpoint).
+    receiver: Mutex<Receiver<Packet>>,
     matcher: Mutex<MatchState>,
+    /// The cluster's fail-stop detector: one flag per physical rank, shared
+    /// by every endpoint of the run, on either transport.
+    alive: Arc<[AtomicBool]>,
     /// Collective sequence counter: all ranks call collectives in the same
     /// order (they are collective), so counters advance in lockstep and the
     /// derived tags agree across ranks. Never rolled back by recovery — at
@@ -329,6 +362,7 @@ impl RankEndpoint {
         rank: usize,
         senders: Vec<Sender<Packet>>,
         receiver: Receiver<Packet>,
+        alive: Arc<[AtomicBool]>,
         chaos: Option<Arc<ChaosRuntime>>,
     ) -> Self {
         let nranks = senders.len();
@@ -336,8 +370,9 @@ impl RankEndpoint {
             rank,
             nranks,
             senders,
-            receiver,
+            receiver: Mutex::new(receiver),
             matcher: Mutex::new(MatchState::new(nranks)),
+            alive,
             coll_seq: AtomicU64::new(0),
             chaos,
             send_seq: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
@@ -351,8 +386,8 @@ impl RankEndpoint {
     /// every collective degenerates to the identity and no plan chunk
     /// crosses a rank, so nothing is ever sent.
     pub fn solo() -> Self {
-        let (tx, rx) = unbounded::<Packet>();
-        Self::new(0, vec![tx], rx, None)
+        let (tx, rx) = channel();
+        Self::new(0, vec![tx], rx, Arc::new([AtomicBool::new(true)]), None)
     }
 
     /// This endpoint's rank.
@@ -365,33 +400,42 @@ impl RankEndpoint {
         self.nranks
     }
 
-    /// The chaos runtime this endpoint is wired to, if any.
-    pub fn chaos(&self) -> Option<&Arc<ChaosRuntime>> {
-        self.chaos.as_ref()
+    /// Fail-stops this rank: every peer blocked on it, or on a group
+    /// containing it, faults with [`CommError::RankDead`] at its next turn.
+    /// The stepping loop calls this on a scheduled crash or a caught panic;
+    /// an uncaught panic is marked by [`LocalCluster`] itself.
+    pub fn mark_dead(&self) {
+        fail_stop(&self.alive, self.chaos.as_deref(), self.rank);
+    }
+
+    /// `group` without its fail-stopped members: what recovery shrinks to.
+    pub fn survivors(&self, group: &CommGroup) -> CommGroup {
+        let alive = |r: &usize| self.alive[*r].load(Ordering::Acquire);
+        CommGroup::new(group.members().iter().copied().filter(alive).collect())
     }
 
     /// Rebinds the bound on the unexpected-message queue (see
     /// [`CommError::QueueOverflow`]).
     pub fn set_unexpected_cap(&self, cap: usize) {
         assert!(cap > 0);
-        self.matcher.lock().expect("matcher poisoned").cap = cap;
+        lock(&self.matcher).cap = cap;
     }
 
     /// Sends `payload` to `dst` with `tag`. Sending to self is allowed (the
     /// packet is delivered through the same queue). In chaos mode the
     /// payload is framed (length + CRC32 + sequence number) and routed
-    /// through the fault plan; a closed channel (fail-stopped destination)
-    /// is not an error — the send vanishes, as on a real fabric.
+    /// through the fault plan. On either transport a send to a rank that is
+    /// gone (its channel closed) is not an error — the send vanishes, as on
+    /// a real fabric; a peer waiting on that rank learns of its death from
+    /// the fail-stop detector.
     pub fn send(&self, dst: usize, tag: u64, payload: Bytes) {
         match &self.chaos {
             None => {
-                self.senders[dst]
-                    .send(Packet {
-                        src: self.rank,
-                        tag,
-                        payload,
-                    })
-                    .expect("cluster channel closed");
+                let _ = self.senders[dst].send(Packet {
+                    src: self.rank,
+                    tag,
+                    payload,
+                });
             }
             Some(ch) => {
                 let seq = self.send_seq[dst].fetch_add(1, Ordering::Relaxed);
@@ -407,20 +451,21 @@ impl RankEndpoint {
     /// unexpected-message queue the handle completes immediately.
     pub fn irecv(&self, src: usize, tag: u64) -> RecvHandle {
         let slot = Arc::new(OnceLock::new());
-        let mut m = self.matcher.lock().expect("matcher poisoned");
-        if let Some(pos) = m
+        let mut m = lock(&self.matcher);
+        let queued = m
             .unexpected
             .iter()
             .position(|p| p.src == src && p.tag == tag)
-        {
-            let pkt = m.unexpected.remove(pos).unwrap();
-            slot.set(pkt.payload).ok();
-        } else {
-            m.posted.push_back(PostedRecv {
+            .and_then(|pos| m.unexpected.remove(pos));
+        match queued {
+            Some(pkt) => {
+                slot.set(pkt.payload).ok();
+            }
+            None => m.posted.push_back(PostedRecv {
                 src,
                 tag,
                 slot: slot.clone(),
-            });
+            }),
         }
         RecvHandle { slot, src, tag }
     }
@@ -429,21 +474,20 @@ impl RankEndpoint {
     /// as unexpected (bounded). Returns `true` when a posted receive
     /// completed.
     fn deliver(m: &mut MatchState, pkt: Packet) -> Result<bool, CommError> {
-        if let Some(pos) = m
+        let posted = m
             .posted
             .iter()
             .position(|r| r.src == pkt.src && r.tag == pkt.tag)
-        {
-            let r = m.posted.remove(pos).unwrap();
+            .and_then(|pos| m.posted.remove(pos));
+        if let Some(r) = posted {
             r.slot.set(pkt.payload).ok();
-            Ok(true)
-        } else {
-            if m.unexpected.len() >= m.cap {
-                return Err(CommError::QueueOverflow { cap: m.cap });
-            }
-            m.unexpected.push_back(pkt);
-            Ok(false)
+            return Ok(true);
         }
+        if m.unexpected.len() >= m.cap {
+            return Err(CommError::QueueOverflow { cap: m.cap });
+        }
+        m.unexpected.push_back(pkt);
+        Ok(false)
     }
 
     /// Validates and absorbs one raw packet from the channel. Non-chaos
@@ -491,121 +535,47 @@ impl RankEndpoint {
         }
     }
 
-    /// Drains every packet currently buffered in the channel, matching each
-    /// against the posted receives (the `MPI_Test`-loop analog the task
-    /// graph's progress pump calls). Returns `Ok(true)` when at least one
-    /// packet was drained — completing a posted receive or landing in the
-    /// unexpected-message queue. In chaos mode, due delayed frames are
-    /// released first.
-    pub fn try_progress(&self) -> Result<bool, CommError> {
+    /// Absorbs every packet buffered in the channel, matching each against
+    /// the posted receives; when the channel holds none, first blocks up to
+    /// `idle` for one (zero never blocks). In chaos mode, due delayed frames
+    /// are released first. Returns `Ok(true)` when at least one packet was
+    /// absorbed — completing a posted receive or landing in the
+    /// unexpected-message queue.
+    fn drain(&self, idle: Duration) -> Result<bool, CommError> {
         if let Some(ch) = &self.chaos {
             ch.pump_delayed();
         }
-        let mut drained = false;
-        let mut m = self.matcher.lock().expect("matcher poisoned");
-        while let Ok(pkt) = self.receiver.try_recv() {
-            self.absorb(&mut m, pkt)?;
-            drained = true;
-        }
-        Ok(drained)
-    }
-
-    /// Blocks until `h` completes, polling `fault` each iteration so a
-    /// fail-stopped peer unblocks this wait with an error instead of a
-    /// hang. Chaos mode spins with a deadline and receiver-driven
-    /// retransmit + exponential backoff; without chaos this is a plain
-    /// blocking receive loop.
-    fn wait_inner(
-        &self,
-        h: &RecvHandle,
-        fault: &dyn Fn() -> Option<CommError>,
-    ) -> Result<Bytes, CommError> {
-        let Some(ch) = &self.chaos else {
-            loop {
-                if let Some(b) = h.payload() {
-                    return Ok(b);
-                }
-                if let Some(e) = fault() {
-                    return Err(e);
-                }
-                let pkt = self.receiver.recv().expect("cluster channel closed");
-                let mut m = self.matcher.lock().expect("matcher poisoned");
-                self.absorb(&mut m, pkt)?;
-            }
+        let rx = lock(&self.receiver);
+        let first = match rx.try_recv() {
+            Ok(pkt) => Some(pkt),
+            Err(_) if idle > Duration::ZERO => rx.recv_timeout(idle).ok(),
+            Err(_) => None,
         };
-        let cfg = ch.config();
-        let start = Instant::now();
-        let mut retries = 0u32;
-        let mut backoff_ms = cfg.retry_backoff_ms.max(1);
-        let mut next_retry_ms = backoff_ms;
-        let mut idle_spins = 0u32;
-        loop {
-            let polled = Instant::now();
-            if self.try_progress()? {
-                idle_spins = 0;
-            }
-            if let Some(b) = h.payload() {
-                return Ok(b);
-            }
-            if let Some(e) = fault() {
-                return Err(e);
-            }
-            let waited_ms = polled.duration_since(start).as_millis() as u64;
-            if waited_ms >= cfg.wait_timeout_ms {
-                return Err(CommError::Timeout {
-                    src: h.src,
-                    tag: h.tag,
-                    waited_ms,
-                    retries,
-                });
-            }
-            if waited_ms >= next_retry_ms {
-                ch.retransmit(Some(h.src), self.rank, polled, Duration::from_millis(backoff_ms));
-                retries += 1;
-                backoff_ms = backoff_ms.saturating_mul(2);
-                next_retry_ms = waited_ms + backoff_ms;
-            }
-            // Spin briefly for latency, then park in short naps: on
-            // oversubscribed hosts (CI runs this cluster on a single core)
-            // a pure yield loop starves the very compute threads whose
-            // messages it is waiting for.
-            idle_spins += 1;
-            if idle_spins > 256 {
-                std::thread::sleep(Duration::from_micros(200));
-            } else {
-                std::thread::yield_now();
-            }
+        let Some(first) = first else {
+            return Ok(false);
+        };
+        let mut m = lock(&self.matcher);
+        self.absorb(&mut m, first)?;
+        while let Ok(pkt) = rx.try_recv() {
+            self.absorb(&mut m, pkt)?;
         }
+        Ok(true)
     }
 
-    /// Blocks until `h` completes and returns its payload.
-    ///
-    /// Packets for *other* posted receives arriving meanwhile are delivered
-    /// or queued as unexpected, never dropped. Only one thread of a rank may
-    /// block here at a time (the solver's fenced path and collectives are
-    /// single-threaded per rank; the overlapped path never blocks — it polls
-    /// through [`GroupEndpoint::pump`]).
-    pub fn wait(&self, h: &RecvHandle) -> Bytes {
-        self.wait_inner(h, &|| None).expect("communication fault")
-    }
-
-    /// Blocking tag-matched receive: [`Self::irecv`] + [`Self::wait`].
+    /// Blocking tag-matched receive over the full group
+    /// ([`GroupEndpoint::recv_matched`]); a fault — a dead rank anywhere in
+    /// the cluster — is a `communication fault` panic.
     pub fn recv_matched(&self, src: usize, tag: u64) -> Bytes {
-        let h = self.irecv(src, tag);
-        self.wait(&h)
-    }
-
-    /// `(src, tag)` of the earliest posted, still-incomplete receive.
-    fn first_posted(&self) -> Option<(usize, u64)> {
-        let m = self.matcher.lock().expect("matcher poisoned");
-        m.posted.front().map(|r| (r.src, r.tag))
+        GroupEndpoint::full(self)
+            .recv_matched(src, tag)
+            .expect("communication fault")
     }
 
     /// Cancels every posted receive, returning how many were abandoned.
     /// Recovery calls this before rollback: posts belonging to the aborted
     /// step must not linger to swallow post-recovery packets.
     pub fn cancel_posted(&self) -> usize {
-        let mut m = self.matcher.lock().expect("matcher poisoned");
+        let mut m = lock(&self.matcher);
         let n = m.posted.len();
         m.posted.clear();
         n
@@ -618,7 +588,7 @@ impl RankEndpoint {
     /// queued collective packet is either still wanted or rots harmlessly
     /// under a never-reused tag. Returns how many packets were purged.
     pub fn purge_stale_unexpected(&self, generation: u64) -> usize {
-        let mut m = self.matcher.lock().expect("matcher poisoned");
+        let mut m = lock(&self.matcher);
         let before = m.unexpected.len();
         m.unexpected.retain(|p| {
             let kind = tags::kind_of(p.tag);
@@ -639,69 +609,89 @@ pub struct LocalCluster;
 
 impl LocalCluster {
     /// Runs `f` on `nranks` rank threads and returns each rank's result in
-    /// rank order. Panics in any rank propagate.
+    /// rank order. A rank's panic reaches the caller with its own payload;
+    /// see [`Self::run_with_chaos`] for which rank's.
     pub fn run<R, F>(nranks: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(RankEndpoint) -> R + Sync,
     {
-        Self::run_inner(nranks, None, f).0
+        let (txs, rxs) = Self::wire(nranks);
+        Self::run_inner(txs, rxs, None, f)
     }
 
     /// Runs `f` on `nranks` rank threads over the chaos transport configured
     /// by `cfg`: framed payloads, fault injection per the seeded plan, and
-    /// deadline-growing receives. Also returns the shared [`ChaosRuntime`]
+    /// deadline-bounded receives. Also returns the shared [`ChaosRuntime`]
     /// so callers can inspect fault counters after the run.
+    ///
+    /// On either transport a rank whose closure panics is marked dead before
+    /// its panic propagates, and the caller receives the payload of the rank
+    /// that panicked *first*: the root cause, not a peer that faulted on it.
     pub fn run_with_chaos<R, F>(nranks: usize, cfg: ChaosConfig, f: F) -> (Vec<R>, Arc<ChaosRuntime>)
     where
         R: Send,
         F: Fn(RankEndpoint) -> R + Sync,
     {
-        let (results, ch) = Self::run_inner(nranks, Some(cfg), f);
-        (results, ch.expect("chaos runtime was built"))
+        let (txs, rxs) = Self::wire(nranks);
+        let ch = Arc::new(ChaosRuntime::new(nranks, cfg, txs.clone()));
+        (Self::run_inner(txs, rxs, Some(ch.clone()), f), ch)
+    }
+
+    /// One channel per rank: the senders every rank holds, and each rank's
+    /// receiver.
+    fn wire(nranks: usize) -> (Vec<Sender<Packet>>, Vec<Receiver<Packet>>) {
+        assert!(nranks > 0);
+        (0..nranks).map(|_| channel()).unzip()
     }
 
     fn run_inner<R, F>(
-        nranks: usize,
-        chaos_cfg: Option<ChaosConfig>,
+        txs: Vec<Sender<Packet>>,
+        rxs: Vec<Receiver<Packet>>,
+        chaos: Option<Arc<ChaosRuntime>>,
         f: F,
-    ) -> (Vec<R>, Option<Arc<ChaosRuntime>>)
+    ) -> Vec<R>
     where
         R: Send,
         F: Fn(RankEndpoint) -> R + Sync,
     {
-        assert!(nranks > 0);
-        let mut txs = Vec::with_capacity(nranks);
-        let mut rxs = Vec::with_capacity(nranks);
-        for _ in 0..nranks {
-            let (tx, rx) = unbounded::<Packet>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let chaos = chaos_cfg.map(|cfg| Arc::new(ChaosRuntime::new(nranks, cfg, txs.clone())));
-        let results = std::thread::scope(|s| {
+        let alive: Arc<[AtomicBool]> = txs.iter().map(|_| AtomicBool::new(true)).collect();
+        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let results: Vec<Option<R>> = std::thread::scope(|s| {
             let handles: Vec<_> = rxs
                 .into_iter()
                 .enumerate()
                 .map(|(rank, receiver)| {
-                    let senders = txs.clone();
-                    let f = &f;
-                    let chaos = chaos.clone();
-                    s.spawn(move || f(RankEndpoint::new(rank, senders, receiver, chaos)))
+                    let ep = RankEndpoint::new(
+                        rank,
+                        txs.clone(),
+                        receiver,
+                        alive.clone(),
+                        chaos.clone(),
+                    );
+                    let (f, alive, chaos, first_panic) = (&f, &alive, &chaos, &first_panic);
+                    s.spawn(move || match catch_unwind(AssertUnwindSafe(|| f(ep))) {
+                        Ok(r) => Some(r),
+                        Err(payload) => {
+                            // Recorded before the rank is marked dead: a
+                            // peer faults on this death only once it is
+                            // visible, so the root cause is recorded first.
+                            lock(first_panic).get_or_insert(payload);
+                            fail_stop(alive, chaos.as_deref(), rank);
+                            None
+                        }
+                    })
                 })
                 .collect();
-            // Close the original senders so channels die with the ranks.
-            // (In chaos mode the runtime keeps sender clones alive for
-            // retransmits; chaos-mode receives never block on channel
-            // closure — they spin with deadlines — so that is harmless.)
-            drop(txs);
-            // A rank's panic reaches the caller with its own payload.
             handles
                 .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
                 .collect()
         });
-        (results, chaos)
+        if let Some(payload) = lock(&first_panic).take() {
+            resume_unwind(payload);
+        }
+        results.into_iter().flatten().collect()
     }
 }
 
@@ -741,11 +731,6 @@ impl CommGroup {
         self.members.is_empty()
     }
 
-    /// `true` when physical rank `r` belongs to the group.
-    pub fn contains(&self, r: usize) -> bool {
-        self.members.binary_search(&r).is_ok()
-    }
-
     /// Physical rank of logical rank `logical`.
     pub fn physical(&self, logical: usize) -> usize {
         self.members[logical]
@@ -760,26 +745,14 @@ impl CommGroup {
     pub fn members(&self) -> &[usize] {
         &self.members
     }
-
-    /// The group minus any ranks in `dead`.
-    pub fn without(&self, dead: &[usize]) -> CommGroup {
-        CommGroup::new(
-            self.members
-                .iter()
-                .copied()
-                .filter(|r| !dead.contains(r))
-                .collect(),
-        )
-    }
 }
 
-/// Stall tracking for [`GroupEndpoint::pump`]: the overlapped executor's
-/// progress pump cannot attribute a stall to one link, so it retries all
-/// inbound links with exponential backoff and times out like a wait would.
-struct PumpState {
-    stall_start: Instant,
-    next_retry_ms: u64,
-    backoff_ms: u64,
+/// The receive a receive loop — a blocking [`GroupEndpoint::wait`], or the
+/// graph's [`GroupEndpoint::pump`] across a whole stage — has left starved:
+/// its `(src, tag)`, since when, and the retries it has had.
+struct Starved {
+    on: (usize, u64),
+    since: Instant,
     retries: u32,
 }
 
@@ -787,14 +760,17 @@ struct PumpState {
 /// collective calls take *logical* ranks and translate to physical ones.
 /// Carries the communicator generation that recovery bumps after each
 /// rollback (stamped into halo/gather tag epochs via
-/// [`tags::epoch_with_generation`]), and polls the chaos runtime's alive
-/// flags so a dead group member turns every blocked wait into
+/// [`tags::epoch_with_generation`]), and polls the cluster's alive flags so
+/// a dead group member turns every blocked wait into
 /// [`CommError::RankDead`].
 pub struct GroupEndpoint<'a> {
     ep: &'a RankEndpoint,
     group: CommGroup,
+    /// This endpoint's logical rank within `group`.
+    rank: usize,
     generation: u64,
-    pump: Mutex<PumpState>,
+    /// The graph pump's starved receive, carried across its calls.
+    pump: Mutex<Option<Starved>>,
 }
 
 impl<'a> GroupEndpoint<'a> {
@@ -802,23 +778,16 @@ impl<'a> GroupEndpoint<'a> {
     /// `ep`'s physical rank must be a member. The endpoint's stale-packet
     /// filter is re-armed to this generation.
     pub fn new(ep: &'a RankEndpoint, group: CommGroup, generation: u64) -> Self {
-        assert!(
-            group.contains(ep.rank()),
-            "rank {} is not a member of {:?}",
-            ep.rank(),
-            group
-        );
+        let Some(rank) = group.logical(ep.rank()) else {
+            panic!("rank {} is not a member of {:?}", ep.rank(), group);
+        };
         ep.generation.store(generation, Ordering::Relaxed);
         GroupEndpoint {
             ep,
             group,
+            rank,
             generation,
-            pump: Mutex::new(PumpState {
-                stall_start: Instant::now(),
-                next_retry_ms: 1,
-                backoff_ms: 1,
-                retries: 0,
-            }),
+            pump: Mutex::new(None),
         }
     }
 
@@ -831,9 +800,7 @@ impl<'a> GroupEndpoint<'a> {
 
     /// Logical rank of this endpoint within the group.
     pub fn rank(&self) -> usize {
-        self.group
-            .logical(self.ep.rank())
-            .expect("endpoint is a member")
+        self.rank
     }
 
     /// Number of logical ranks in the group.
@@ -844,11 +811,6 @@ impl<'a> GroupEndpoint<'a> {
     /// The underlying physical rank.
     pub fn physical_rank(&self) -> usize {
         self.ep.rank()
-    }
-
-    /// The underlying physical endpoint.
-    pub fn endpoint(&self) -> &RankEndpoint {
-        self.ep
     }
 
     /// The group this view translates through.
@@ -862,11 +824,14 @@ impl<'a> GroupEndpoint<'a> {
     }
 
     /// The first detected fault affecting this group (a dead member), if
-    /// any. Polled by every wait loop so failures unblock peers.
+    /// any. Polled by every turn of the receive engine so failures unblock
+    /// peers.
     pub fn fault(&self) -> Option<CommError> {
-        let ch = self.ep.chaos.as_ref()?;
-        ch.first_dead_in(self.group.members())
-            .map(|rank| CommError::RankDead { rank })
+        self.group
+            .members()
+            .iter()
+            .find(|&&r| !self.ep.alive[r].load(Ordering::Acquire))
+            .map(|&rank| CommError::RankDead { rank })
     }
 
     /// Sends to *logical* rank `dst`.
@@ -879,10 +844,22 @@ impl<'a> GroupEndpoint<'a> {
         self.ep.irecv(self.group.physical(src), tag)
     }
 
-    /// Blocks until `h` completes, surfacing dead-member and timeout faults
-    /// as typed errors instead of hanging.
+    /// Blocks until `h` completes — turns of the receive engine until it
+    /// does, each blocking on the channel for at most `IDLE_POLL` (1 ms) —
+    /// surfacing dead-member and timeout faults as typed errors instead of
+    /// hanging. Packets for *other* posted receives arriving meanwhile are
+    /// delivered or queued as unexpected, never dropped. Only one thread of
+    /// a rank may block here at a time (the solver's fenced path and
+    /// collectives are single-threaded per rank; the overlapped path never
+    /// blocks — it polls through [`Self::pump`]).
     pub fn wait(&self, h: &RecvHandle) -> Result<Bytes, CommError> {
-        self.ep.wait_inner(h, &|| self.fault())
+        let mut starved = None;
+        loop {
+            if let Some(b) = h.payload() {
+                return Ok(b);
+            }
+            self.turn(&mut starved, IDLE_POLL, Some(h))?;
+        }
     }
 
     /// Blocking tag-matched receive from *logical* rank `src`.
@@ -891,44 +868,75 @@ impl<'a> GroupEndpoint<'a> {
         self.wait(&h)
     }
 
-    /// Fault-aware progress pump for the overlapped executor: drains the
-    /// channel, checks for dead members, and — when receives are posted but
-    /// nothing arrives — retries all inbound links with exponential backoff,
-    /// timing out after the configured deadline.
+    /// One nonblocking turn of the receive engine, for the overlapped
+    /// executor's progress hook: its stall clock runs across calls and
+    /// watches the earliest posted receive.
     pub fn pump(&self) -> Result<bool, CommError> {
-        let polled = Instant::now();
-        let drained = self.ep.try_progress()?;
+        self.turn(&mut lock(&self.pump), Duration::ZERO, None)
+    }
+
+    /// One turn of the receive engine, the one place its stall policy
+    /// lives: drain the channel (blocking up to `idle` while it is empty);
+    /// unless `awaited` completed, poll the fail-stop detector; on the chaos
+    /// transport, time the receive left starved (`awaited`, or the pump's
+    /// earliest posted one) — retransmit with exponential backoff, of its
+    /// link or of every link for the pump, then [`CommError::Timeout`].
+    /// The plain transport loses nothing and has no deadline.
+    fn turn(
+        &self,
+        stall: &mut Option<Starved>,
+        idle: Duration,
+        awaited: Option<&RecvHandle>,
+    ) -> Result<bool, CommError> {
+        let drained = self.ep.drain(idle)?;
+        if awaited.is_some_and(|h| h.slot.get().is_some()) {
+            return Ok(drained);
+        }
         if let Some(e) = self.fault() {
             return Err(e);
         }
         let Some(ch) = &self.ep.chaos else {
             return Ok(drained);
         };
-        let cfg = ch.config();
-        let mut ps = self.pump.lock().expect("pump state poisoned");
-        if drained || self.ep.first_posted().is_none() {
-            ps.stall_start = polled;
-            ps.backoff_ms = cfg.retry_backoff_ms.max(1);
-            ps.next_retry_ms = ps.backoff_ms;
-            ps.retries = 0;
+        let now = Instant::now();
+        let starved = match awaited {
+            _ if drained => None,
+            Some(h) => Some((h.src, h.tag)),
+            None => lock(&self.ep.matcher)
+                .posted
+                .front()
+                .map(|r| (r.src, r.tag)),
+        };
+        let Some(on) = starved else {
+            *stall = None;
             return Ok(drained);
-        }
-        let stalled_ms = polled.saturating_duration_since(ps.stall_start).as_millis() as u64;
-        if stalled_ms >= cfg.wait_timeout_ms {
-            let (src, tag) = self.ep.first_posted().unwrap_or((usize::MAX, 0));
+        };
+        // The clock runs while the same receive stays starved.
+        let mut st = stall.take().filter(|st| st.on == on).unwrap_or(Starved {
+            on,
+            since: now,
+            retries: 0,
+        });
+        let waited_ms = now.saturating_duration_since(st.since).as_millis() as u64;
+        if waited_ms >= ch.config().wait_timeout_ms {
+            let (src, tag) = on;
             return Err(CommError::Timeout {
                 src,
                 tag,
-                waited_ms: stalled_ms,
-                retries: ps.retries,
+                waited_ms,
+                retries: st.retries,
             });
         }
-        if stalled_ms >= ps.next_retry_ms {
-            ch.retransmit(None, self.ep.rank(), polled, Duration::from_millis(ps.backoff_ms));
-            ps.retries += 1;
-            ps.backoff_ms = ps.backoff_ms.saturating_mul(2);
-            ps.next_retry_ms = stalled_ms + ps.backoff_ms;
+        // Retry k goes out once the stall is (2^(k+1) − 1) first intervals
+        // old, re-sending frames at least its own interval 2^k old.
+        let first = ch.config().retry_backoff_ms.max(1);
+        let interval = first.saturating_mul(2u64.saturating_pow(st.retries));
+        if waited_ms >= interval.saturating_mul(2) - first {
+            let link = awaited.map(|h| h.src);
+            ch.retransmit(link, self.ep.rank(), now, Duration::from_millis(interval));
+            st.retries += 1;
         }
+        *stall = Some(st);
         Ok(drained)
     }
 
@@ -1069,7 +1077,7 @@ mod tests {
                 // Only the receive naming the sender's rank and tag matches.
                 let other_tag = ep.irecv(0, 41);
                 let h = ep.irecv(0, 42);
-                let payload = ep.wait(&h);
+                let payload = GroupEndpoint::full(&ep).wait(&h).expect("fault-free");
                 assert_eq!((h.src(), h.tag()), (0, 42));
                 assert_eq!(payload.as_ref(), b"ghost");
                 assert!(
@@ -1101,21 +1109,64 @@ mod tests {
         assert!(counts.iter().all(|&c| c == n - 1));
     }
 
+    /// The payload the caller of a 2-rank cluster receives, the cluster
+    /// running on a watchdog thread so a hang fails the test instead of
+    /// stalling it.
+    fn panic_payload_within(
+        limit: Duration,
+        chaos: bool,
+        body: fn(RankEndpoint) -> usize,
+    ) -> Option<&'static str> {
+        let (tx, rx) = channel();
+        let watched = std::thread::spawn(move || {
+            let result = catch_unwind(|| match chaos {
+                false => LocalCluster::run(2, body),
+                true => LocalCluster::run_with_chaos(2, ChaosConfig::default(), body).0,
+            });
+            let payload = result.expect_err("a rank's panic must reach the caller");
+            let _ = tx.send(payload.downcast_ref::<&str>().copied());
+        });
+        match rx.recv_timeout(limit) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("the cluster hung (chaos: {chaos})")
+            }
+            got => {
+                watched.join().unwrap_or_else(|p| resume_unwind(p));
+                got.ok().flatten()
+            }
+        }
+    }
+
     #[test]
     fn a_rank_panic_reaches_the_caller() {
-        let result = std::panic::catch_unwind(|| {
-            LocalCluster::run(2, |ep| {
-                if ep.rank() == 1 {
-                    panic!("rank 1 exploded");
-                }
-                ep.rank()
-            })
-        });
-        let payload = result.expect_err("a rank's panic must reach the caller");
-        assert_eq!(
-            payload.downcast_ref::<&str>().copied(),
-            Some("rank 1 exploded")
-        );
+        let explode = |ep: RankEndpoint| {
+            if ep.rank() == 1 {
+                panic!("rank 1 exploded");
+            }
+            ep.rank()
+        };
+        // Rank 0 blocks on the rank that dies (rank 1 panics once rank 0's
+        // message says it is about to): the fail-stop detector must unblock
+        // it on both transports, and the caller must get the root cause,
+        // not rank 0's `communication fault`.
+        let blocked = |ep: RankEndpoint| {
+            if ep.rank() == 1 {
+                ep.recv_matched(0, 6);
+                panic!("rank 1 exploded");
+            }
+            ep.send(1, 6, Bytes::new());
+            ep.recv_matched(1, 7);
+            ep.rank()
+        };
+        for chaos in [false, true] {
+            for body in [explode as fn(RankEndpoint) -> usize, blocked] {
+                assert_eq!(
+                    panic_payload_within(Duration::from_secs(2), chaos, body),
+                    Some("rank 1 exploded"),
+                    "chaos: {chaos}"
+                );
+            }
+        }
     }
 }
 
@@ -1213,7 +1264,11 @@ mod matched_tests {
             } else {
                 let h10 = ep.irecv(0, 10);
                 let h20 = ep.irecv(0, 20);
-                vec![ep.wait(&h10), ep.wait(&h20)]
+                let gep = GroupEndpoint::full(&ep);
+                vec![
+                    gep.wait(&h10).expect("fault-free"),
+                    gep.wait(&h20).expect("fault-free"),
+                ]
             }
         });
         assert_eq!(out[1][0].as_ref(), b"first");
@@ -1228,7 +1283,7 @@ mod matched_tests {
                 true
             } else {
                 // Drain the channel into the unexpected queue first.
-                while !ep.try_progress().expect("fault-free transport") {
+                while !ep.drain(Duration::ZERO).expect("fault-free transport") {
                     std::thread::yield_now();
                 }
                 let h = ep.irecv(0, 99);
@@ -1249,7 +1304,11 @@ mod matched_tests {
             } else {
                 let h1 = ep.irecv(0, 5);
                 let h2 = ep.irecv(0, 5);
-                vec![ep.wait(&h1), ep.wait(&h2)]
+                let gep = GroupEndpoint::full(&ep);
+                vec![
+                    gep.wait(&h1).expect("fault-free"),
+                    gep.wait(&h2).expect("fault-free"),
+                ]
             }
         });
         // Posted order matches arrival order (per-sender FIFO).
@@ -1315,8 +1374,7 @@ mod matched_tests {
     fn unmatched_flood_overflows_with_typed_error() {
         // The victim overflows after 17 packets, long before the flooder's
         // 64th send: both ranks meet at this barrier before either returns,
-        // so the victim's receiver outlives the flood (a plain-transport
-        // send to a dropped endpoint panics, by design).
+        // so the victim's verdict is read before either endpoint drops.
         let done = std::sync::Barrier::new(2);
         let out = LocalCluster::run(2, |ep| {
             if ep.rank() == 0 {
@@ -1330,7 +1388,7 @@ mod matched_tests {
             } else {
                 ep.set_unexpected_cap(16);
                 let err = loop {
-                    match ep.try_progress() {
+                    match ep.drain(Duration::ZERO) {
                         Ok(_) => std::thread::yield_now(),
                         Err(e) => break e,
                     }
@@ -1433,16 +1491,15 @@ mod chaos_tests {
     }
 
     /// A dead group member turns a blocked wait into `RankDead` instead of
-    /// a hang, and group collectives route around the hole (including a
-    /// dead physical rank 0: logical rank 0 becomes the tree root).
+    /// a hang on either transport, and group collectives route around the
+    /// hole (including a dead physical rank 0: logical rank 0 becomes the
+    /// tree root).
     #[test]
     fn dead_member_unblocks_waits_and_group_collectives_work() {
-        let cfg = ChaosConfig::default();
-        let (out, _ch) = LocalCluster::run_with_chaos(4, cfg, |ep| {
-            let rank = ep.rank();
-            if rank == 0 {
+        let body = |ep: RankEndpoint| {
+            if ep.rank() == 0 {
                 // "Crash" immediately: mark dead and return.
-                ep.chaos().unwrap().mark_dead(0);
+                ep.mark_dead();
                 return (None, 0.0);
             }
             // Survivors: first observe the death via a wait on rank 0.
@@ -1452,16 +1509,21 @@ mod chaos_tests {
                 .expect_err("wait on a dead rank must fail");
             assert_eq!(err, CommError::RankDead { rank: 0 });
             // Re-form the group without the dead rank and reduce over it.
-            let survivors = CommGroup::full(4).without(&[0]);
+            let survivors = ep.survivors(full.group());
+            assert_eq!(survivors.members(), &[1, 2, 3]);
             let gep = GroupEndpoint::new(&ep, survivors, 1);
             let sum = gep
                 .allreduce_f64(ep.rank() as f64, |a, b| a + b)
                 .expect("surviving collective");
             (Some(err), sum)
-        });
-        for (r, (err, sum)) in out.iter().enumerate().skip(1) {
-            assert_eq!(*err, Some(CommError::RankDead { rank: 0 }), "rank {r}");
-            assert_eq!(*sum, 6.0, "rank {r}: survivor sum over {{1,2,3}}");
+        };
+        let plain = LocalCluster::run(4, body);
+        let (framed, _ch) = LocalCluster::run_with_chaos(4, ChaosConfig::default(), body);
+        for out in [plain, framed] {
+            for (r, (err, sum)) in out.iter().enumerate().skip(1) {
+                assert_eq!(*err, Some(CommError::RankDead { rank: 0 }), "rank {r}");
+                assert_eq!(*sum, 6.0, "rank {r}: survivor sum over {{1,2,3}}");
+            }
         }
     }
 
@@ -1487,6 +1549,53 @@ mod chaos_tests {
             ch.stats.stale_discards.load(std::sync::atomic::Ordering::Relaxed) >= 1,
             "the old-generation packet must be discarded"
         );
+    }
+
+    /// A receive nobody answers, from a live and silent peer, ends in a
+    /// typed `Timeout` naming the awaited `(src, tag)` after the stall
+    /// policy retried — through a blocking wait and through the graph pump
+    /// alike.
+    #[test]
+    fn starved_receives_time_out_after_retrying() {
+        let cfg = ChaosConfig {
+            wait_timeout_ms: 40,
+            ..ChaosConfig::default()
+        };
+        let (waited, pumped) = (tags::halo(1, 0, 1), tags::halo(2, 0, 1));
+        let done = std::sync::Barrier::new(2);
+        let (out, _ch) = LocalCluster::run_with_chaos(2, cfg, |ep| {
+            if ep.rank() == 1 {
+                done.wait();
+                return Vec::new();
+            }
+            let gep = GroupEndpoint::full(&ep);
+            let by_wait = gep.wait(&gep.irecv(1, waited)).expect_err("nobody sends");
+            ep.cancel_posted();
+            let gep = GroupEndpoint::full(&ep);
+            gep.irecv(1, pumped);
+            let by_pump = loop {
+                match gep.pump() {
+                    Ok(_) => std::thread::yield_now(),
+                    Err(e) => break e,
+                }
+            };
+            done.wait();
+            vec![by_wait, by_pump]
+        });
+        for (err, want) in out[0].iter().zip([waited, pumped]) {
+            let CommError::Timeout {
+                src,
+                tag,
+                waited_ms,
+                retries,
+            } = *err
+            else {
+                panic!("expected a timeout, got {err:?}");
+            };
+            assert_eq!((src, tag), (1, want));
+            assert!(waited_ms >= 40, "gave up after {waited_ms} ms");
+            assert!(retries > 0, "the stall policy must retry before giving up");
+        }
     }
 
     #[test]

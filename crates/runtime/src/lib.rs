@@ -6,11 +6,12 @@
 //! `DESIGN.md` §3):
 //!
 //! * [`cluster`] — a threaded message-passing cluster: N rank threads
-//!   connected by crossbeam channels moving [`bytes::Bytes`] payloads. The
-//!   distributed code path (pack → send → receive → unpack) runs on it, at
-//!   laptop scale.
+//!   connected by `std::sync::mpsc` channels moving [`bytes::Bytes`]
+//!   payloads, with one receive engine and one fail-stop detector for
+//!   both transports (DESIGN.md §4f). The distributed code path (pack →
+//!   send → receive → unpack) runs on it, at laptop scale.
 //! * [`chaos`] — the framed, fault-injecting transport under [`cluster`]
-//!   (CRC, ack, retransmit; DESIGN.md §4g).
+//!   (CRC, ack, retransmit store, fault plan; DESIGN.md §4g).
 //! * [`taskgraph`] — the on-node executor (the OpenMP/GPU-thread analog
 //!   below MPI, §IV-B): a dependency-tracking task runner on the calling
 //!   thread plus `threads − 1` helpers; the fab layer uses it to overlap

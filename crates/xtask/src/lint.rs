@@ -106,12 +106,12 @@ const RAW_VIEW_TOKENS: &[&str] = &[
 /// fails the lint; a change that removes calls lowers the number here in
 /// the same commit. Counting stops at the first `#[cfg(test)]` line.
 const UNWRAP_AUDIT: &[(&str, usize)] = &[
-    ("crates/runtime/src/cluster.rs", 16),
-    ("crates/runtime/src/chaos.rs", 1),
+    ("crates/runtime/src/cluster.rs", 2),
+    ("crates/runtime/src/chaos.rs", 0),
     ("crates/runtime/src/taskgraph.rs", 0),
     ("crates/runtime/src/pool.rs", 0),
     ("crates/fab/src/plan.rs", 0),
-    ("crates/core/src/cluster_step.rs", 5),
+    ("crates/core/src/cluster_step.rs", 4),
     ("crates/fab/src/dist_overlap.rs", 1),
     ("crates/core/src/durable.rs", 6),
     ("crates/fab/src/exchange.rs", 0),
@@ -981,24 +981,22 @@ mod tests {
         let fx = Fixture::new();
         fx.write("Cargo.toml", "[package]\nname = \"fx\"\n");
         fx.write("src/lib.rs", "#![forbid(unsafe_code)]\n");
-        fx.write("crates/runtime/Cargo.toml", "[package]\nname = \"rt\"\n");
-        fx.write("crates/runtime/src/lib.rs", "#![forbid(unsafe_code)]\n");
+        fx.write("crates/amr/Cargo.toml", "[package]\nname = \"amr\"\n");
+        fx.write("crates/amr/src/lib.rs", "#![forbid(unsafe_code)]\n");
         let at_ceiling = "pub fn f(m: &M) { m.lock().expect(\"poisoned\"); }\n";
-        fx.write("crates/runtime/src/chaos.rs", at_ceiling);
+        fx.write("crates/amr/src/fillpatch.rs", at_ceiling);
         assert!(lint_root(&fx.root).diagnostics.is_empty());
 
         let over = "pub fn g(v: &[u8]) -> u8 { v.first().copied().unwrap() }\n";
-        fx.write("crates/runtime/src/chaos.rs", &format!("{at_ceiling}{over}"));
+        fx.write("crates/amr/src/fillpatch.rs", &format!("{at_ceiling}{over}"));
         let report = lint_root(&fx.root);
         let msgs = messages(&report);
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("over this file's ratchet of 1"), "{msgs:?}");
-        assert!(report.diagnostics[0].path.ends_with("chaos.rs"));
+        assert!(report.diagnostics[0].path.ends_with("fillpatch.rs"));
 
         // A file ratcheted at zero fails on its first call.
-        fx.write("crates/runtime/src/chaos.rs", at_ceiling);
-        fx.write("crates/amr/Cargo.toml", "[package]\nname = \"amr\"\n");
-        fx.write("crates/amr/src/lib.rs", "#![forbid(unsafe_code)]\n");
+        fx.write("crates/amr/src/fillpatch.rs", at_ceiling);
         fx.write("crates/amr/src/tagging.rs", over);
         let report = lint_root(&fx.root);
         let msgs = messages(&report);
