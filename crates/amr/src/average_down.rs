@@ -61,15 +61,14 @@ fn restrict_into(
 /// is bitwise-identical to the replicated restriction. Chunks whose fine
 /// and coarse owner coincide never touch the wire.
 ///
-/// `tag` maps the sending rank to a message tag (callers compose
-/// [`crocco_runtime::tags::owned`] with the `OWNED_REDIST` sub-space and the
-/// stage epoch). A detected fault surfaces as a typed [`CommError`].
+/// `tag` is the round's tag ([`crocco_runtime::tags::round`]). A detected
+/// fault surfaces as a typed [`CommError`].
 pub fn average_down_dist(
     fine: &MultiFab,
     coarse: &mut MultiFab,
     ratio: IntVect,
     ep: &GroupEndpoint<'_>,
-    tag: &dyn Fn(usize) -> u64,
+    tag: u64,
 ) -> Result<(), CommError> {
     assert_eq!(fine.ncomp(), coarse.ncomp());
     let ncomp = fine.ncomp();
@@ -244,10 +243,8 @@ mod tests {
                     coarse.fab_mut(i).fill(-1.0);
                 }
             }
-            average_down_dist(&fine, &mut coarse, IntVect::splat(2), &gep, &|k| {
-                tags::owned(tags::OWNED_REDIST, 5, 1, k)
-            })
-            .expect("fault-free restriction");
+            average_down_dist(&fine, &mut coarse, IntVect::splat(2), &gep, tags::round(0, 5))
+                .expect("fault-free restriction");
             coarse
         });
         for (rank, coarse) in results.iter().enumerate() {

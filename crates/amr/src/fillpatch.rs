@@ -23,7 +23,7 @@ use crocco_fab::{
 use crocco_fab::exchange::{exchange_chunks, unpack_chunk, Landed};
 use crocco_geometry::{IndexBox, IntVect, ProblemDomain};
 use crocco_runtime::cluster::CommError;
-use crocco_runtime::{parallel_for_each_mut, tags, GroupEndpoint};
+use crocco_runtime::{parallel_for_each_mut, GroupEndpoint};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -350,40 +350,39 @@ impl CoordGather<'_> {
 impl TwoLevelPlans<'_> {
     /// Moves the gather chunks whose coarse donor patch lives on another
     /// rank: the state chunks out of `coarse`, and — when a time-interpolated
-    /// fill will blend it in — the state chunks again out of `old`, each
-    /// round in its own `tags::owned` space under `epoch` and `level`. The
-    /// first exchange through a plan also moves its coordinate chunks (the
-    /// `OWNED_COORDS` round); the stencils built from them in the fills that
-    /// follow make every later round unnecessary. Whether a round runs is
-    /// read off the plan, which every rank built at the same point of the
-    /// step loop, so the group always agrees. Collective: every group member
-    /// calls it with the same plans. On a group of one nothing is sent.
+    /// fill will blend it in — the state chunks again out of `old`. The
+    /// first exchange through a plan also moves its coordinate chunks; the
+    /// stencils built from them in the fills that follow make every later
+    /// coordinate round unnecessary. Each round that runs draws its tag from
+    /// `next_tag`, in the order state, coordinates, old state. Whether a
+    /// round runs is read off the plan, which every rank built at the same
+    /// point of the step loop, so the group always agrees. Collective: every
+    /// group member calls it with the same plans. On a group of one nothing
+    /// is sent.
     pub fn exchange(
         &self,
         coarse: &MultiFab,
         old: Option<&MultiFab>,
         gep: &GroupEndpoint<'_>,
-        epoch: u64,
-        level: usize,
+        next_tag: &mut dyn FnMut() -> u64,
     ) -> Result<RemoteGathers, CommError> {
-        let round = |src: &MultiFab, plan: &CopyPlan, kind: u64| {
-            exchange_chunks(src, plan, gep, &|sender| tags::owned(kind, epoch, level, sender))
-        };
+        let mut round =
+            |src: &MultiFab, plan: &CopyPlan| exchange_chunks(src, plan, gep, next_tag());
         let state_plan = &self.state.state.plan;
         Ok(RemoteGathers {
-            state: round(coarse, state_plan, tags::OWNED_GATHER)?,
+            state: round(coarse, state_plan)?,
             coords: match &self.coords {
                 // Relaxed: the flag orders nothing — the plan replica is this
                 // rank's own and only its step loop calls `exchange`.
                 Some(cg) if !cg.plan.gathered.load(Ordering::Relaxed) => {
-                    let landed = round(cg.coarse, &cg.plan.coords.plan, tags::OWNED_COORDS)?;
+                    let landed = round(cg.coarse, &cg.plan.coords.plan)?;
                     cg.plan.gathered.store(true, Ordering::Relaxed);
                     Some(landed)
                 }
                 _ => None,
             },
             old: match old {
-                Some(old) => round(old, state_plan, tags::OWNED_GATHER_OLD)?,
+                Some(old) => round(old, state_plan)?,
                 None => Landed::default(),
             },
         })
@@ -924,7 +923,7 @@ fn execute_gather_with_remote(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crocco_runtime::LocalCluster;
+    use crocco_runtime::{tags, LocalCluster};
     use crate::interp::{
         reference_blend, CurvilinearInterp, PiecewiseConstantInterp, TrilinearInterp,
     };
@@ -1091,8 +1090,8 @@ mod tests {
         let mut remote = plan.clone();
         remote.chunks.iter_mut().for_each(|c| (c.src_rank, c.dst_rank) = (0, 1));
         let mut landed = LocalCluster::run(2, |ep| {
-            let tag = |sender| tags::owned(tags::OWNED_GATHER, 0, 0, sender);
-            exchange_chunks(src, &remote, &GroupEndpoint::full(&ep), &tag).expect("fault-free round")
+            exchange_chunks(src, &remote, &GroupEndpoint::full(&ep), tags::round(0, 0))
+                .expect("fault-free round")
         });
         landed.pop().expect("rank 1's landing")
     }
@@ -1771,13 +1770,15 @@ mod tests {
         let cache = PlanCache::new();
         let rounds = |interp: &dyn Interpolator, cache: Option<&PlanCache>| -> Vec<bool> {
             (0..3)
-                .map(|epoch| {
+                .map(|n| {
                     let plans = resolve_two_level_plans(
                         &fine, &coarse, &fdomain, &cdomain, GhostFootprint::Shell(fine.nghost()),
                         R2, interp, Some(&ccoords),
                         Some(&fcoords), cache,
                     );
-                    let remote = plans.exchange(&coarse, None, &gep, epoch, 1).expect("solo group");
+                    let remote = plans
+                        .exchange(&coarse, None, &gep, &mut || tags::round(0, n))
+                        .expect("solo group");
                     remote.gathered_coords()
                 })
                 .collect()

@@ -3,7 +3,6 @@
 
 use crocco_perfmodel::kernelspec::{viscous_spec, weno_spec, KernelSpec};
 use crocco_perfmodel::{CpuBackend, SummitPlatform};
-use serde::{Deserialize, Serialize};
 
 /// The problem sizes of the Fig. 3 sweep (total coarse grid points).
 pub const SIZES: [u64; 8] = [
@@ -11,7 +10,7 @@ pub const SIZES: [u64; 8] = [
 ];
 
 /// One point on a Fig. 3 curve.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct KernelPoint {
     /// Total grid points in the domain.
     pub points: u64,

@@ -11,7 +11,6 @@
 //! choose y grid spacing to target grid size scaling").
 
 use crocco_geometry::IntVect;
-use serde::{Deserialize, Serialize};
 
 /// The paper's target of equivalent grid points per GPU
 /// (1.64e8 / 24 GPUs ≈ 6.83e6; constant across Table I).
@@ -21,7 +20,7 @@ pub const POINTS_PER_GPU: f64 = 1.64e8 / 24.0;
 pub const GPUS_PER_NODE: u32 = 6;
 
 /// One weak-scaling configuration row.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WeakConfig {
     /// Summit nodes.
     pub nodes: u32,

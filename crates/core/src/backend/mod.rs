@@ -43,12 +43,11 @@ use crate::sgs::Smagorinsky;
 use crate::weno::{Reconstruction, WenoVariant};
 use crocco_fab::{FArrayBox, FabView};
 use crocco_geometry::IndexBox;
-use serde::{Deserialize, Serialize};
 
 /// Value-level backend selection ([`SolverConfig::kernel_backend`]).
 ///
 /// [`SolverConfig::kernel_backend`]: crate::config::SolverConfig::kernel_backend
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendKind {
     /// Per-point reference kernels: the bitwise oracle.
     Scalar,

@@ -10,10 +10,9 @@
 
 use crate::integrators::TimeScheme;
 use crate::species::{GasMixture, MixtureState};
-use serde::{Deserialize, Serialize};
 
 /// Arrhenius rate coefficient `k(T) = A · T^β · exp(−T_a / T)`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Arrhenius {
     /// Pre-exponential factor (mol, m³, s units as implied by the order).
     pub a: f64,
@@ -31,7 +30,7 @@ impl Arrhenius {
 }
 
 /// One elementary reaction with integer stoichiometry.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Reaction {
     /// Reactant stoichiometric coefficients ν′ per species.
     pub nu_reactants: Vec<u32>,

@@ -25,17 +25,16 @@
 //! patches, then [`GroupEndpoint::allreduce_f64`] combines the exact `min`
 //! (order-free, so bitwise-reproducible at any rank count).
 //!
-//! # Tag-epoch partition
+//! # Rounds
 //!
-//! Every collective phase derives its message tags from [`tags::owned`] with
-//! a 12-bit epoch base all ranks compute identically: RK stages use
-//! `step·nstages + stage`; the regrid tag union, regrid
-//! remap/redistribution, checkpoint gather, and construction rounds use the
-//! reserved bases below. Phases fully drain their traffic (every send is
-//! matched by a blocking receive in the same phase), so the occasional
-//! wrap-around collision between a large stage epoch and a reserved base is
-//! harmless — the namespaces only need to keep *concurrently in-flight*
-//! messages apart.
+//! Every rank-crossing round — construction and regrid tag unions, remap
+//! gathers and redistribution, the per-stage two-level gathers and halo
+//! round, reflux shipping, average-down, the checkpoint gather — is named by
+//! the next value of one counter, `Rounds`, which every rank of the group
+//! advances in the same order because it runs the same rounds in the same
+//! order. The tag is [`tags::round`] of the group's generation and that
+//! value; a receive matches on `(sender, tag)`, so a tag need not name the
+//! sender, the level or what the round carries.
 //!
 //! [`SolverConfig::overlap`]: crate::config::SolverConfig::overlap
 //! [`average_down_dist`]: crocco_amr::average_down::average_down_dist
@@ -66,19 +65,20 @@ use crocco_runtime::cluster::CommError;
 use crocco_runtime::{tags, CommGroup, GroupEndpoint, RankEndpoint, StageError};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// 12-bit tag-epoch bases reserved for the collective phases that run
-/// *between* RK stages (see the module doc's tag-epoch partition).
-/// The low bits carry the step (or construction round) so back-to-back
-/// occurrences of the same phase cannot cross-match.
-const EPOCH_REGRID_TAGS: u64 = 0xD00;
-/// Regrid remap: coarse→fine interpolation gathers plus the old→new
-/// surviving-data redistribution.
-const EPOCH_REGRID_REMAP: u64 = 0xD80;
-/// Checkpoint gather: every rank streams its owned patch bodies to peers so
-/// all ranks seal identical replicated snapshots.
-const EPOCH_CHECKPOINT: u64 = 0xE00;
-/// Initial-regrid construction rounds in [`Simulation::new_owned`].
-const EPOCH_CONSTRUCT: u64 = 0xF00;
+/// The counter that names a `Simulation`'s rank-crossing rounds (module
+/// doc, "Rounds"). It starts at 0 with every `Simulation`, so a rebuilt one
+/// restarts it, in a new communicator generation.
+#[derive(Debug, Default)]
+pub(crate) struct Rounds(u64);
+
+impl Rounds {
+    /// The tag of the next round in `gep`'s generation.
+    pub(crate) fn next(&mut self, gep: &GroupEndpoint<'_>) -> u64 {
+        let n = self.0;
+        self.0 += 1;
+        tags::round(gep.generation(), n)
+    }
+}
 
 /// What [`Simulation::advance_steps_chaos`] did to survive the run: how
 /// often it checkpointed, whether this rank was the one that crashed, and
@@ -126,9 +126,9 @@ impl Simulation {
         // Iteratively grow the initial hierarchy: tag on the initial flow,
         // regrid, re-initialize — until the ladder stops changing.
         if sim.cfg.version.amr_enabled() {
-            for round in 0..sim.cfg.max_levels {
+            for _ in 0..sim.cfg.max_levels {
                 let mut tag_sets = sim.compute_tags();
-                sim.exchange_tag_union(gep, EPOCH_CONSTRUCT | round as u64, &mut tag_sets)?;
+                sim.exchange_tag_union(gep, &mut tag_sets)?;
                 if !sim.hierarchy.regrid(&tag_sets) {
                     break;
                 }
@@ -145,18 +145,16 @@ impl Simulation {
     /// lockstep. Tag-set sizes are known only to their sender, so the round
     /// is a counted layout.
     fn exchange_tag_union(
-        &self,
+        &mut self,
         gep: &GroupEndpoint<'_>,
-        epoch_base: u64,
         tag_sets: &mut [TagSet],
     ) -> Result<(), StageError> {
         let (me, n, nl) = (gep.rank(), gep.nranks(), tag_sets.len());
-        let epoch = tags::epoch_with_generation(gep.generation(), epoch_base);
-        let tag = |src| tags::owned(tags::OWNED_REDIST, epoch, 0, src);
+        let tag = self.rounds.next(gep);
         // Item `src·nl + l` is rank `src`'s level-`l` set, broadcast to all.
         let routes = (0..n * nl).flat_map(|item| (0..n).map(move |dst| (item, item / nl, dst)));
         let layout = Layout::counted(me, routes);
-        let landed = exchange(gep, &layout, &tag, &mut |item, out| {
+        let landed = exchange(gep, &layout, tag, &mut |item, out| {
             out.extend_from_slice(&tag_sets[item % nl].to_sorted_bytes());
         })?;
         for (l, t) in tag_sets.iter_mut().enumerate() {
@@ -166,7 +164,7 @@ impl Simulation {
                 };
                 t.absorb_bytes(bytes).map_err(|e| CommError::MalformedPayload {
                     src,
-                    tag: tag(src),
+                    tag,
                     expected: e.len.next_multiple_of(24),
                     got: e.len,
                 })?;
@@ -187,18 +185,10 @@ impl Simulation {
     /// stage's FillPatch.
     fn regrid(&mut self, gep: &GroupEndpoint<'_>) -> Result<(), StageError> {
         let mut tag_sets = self.compute_tags();
-        self.exchange_tag_union(
-            gep,
-            EPOCH_REGRID_TAGS | (u64::from(self.step) & 0x7F),
-            &mut tag_sets,
-        )?;
+        self.exchange_tag_union(gep, &mut tag_sets)?;
         if !self.hierarchy.regrid(&tag_sets) {
             return Ok(());
         }
-        let epoch = tags::epoch_with_generation(
-            gep.generation(),
-            EPOCH_REGRID_REMAP | (u64::from(self.step) & 0x7F),
-        );
         let ratio = IntVect::splat(2);
         let cache = self.hierarchy.plan_cache().clone();
         let mut old_levels: Vec<Option<LevelData>> =
@@ -227,7 +217,7 @@ impl Simulation {
                 Some(&coarse.coords),
                 Some(&coords),
             );
-            let remote = plans.exchange(&coarse.state, None, gep, epoch, l)?;
+            let remote = plans.exchange(&coarse.state, None, gep, &mut || self.rounds.next(gep))?;
             for i in 0..state.nfabs() {
                 if !state.is_allocated(i) {
                     continue;
@@ -261,9 +251,7 @@ impl Simulation {
                     NCONS,
                 );
                 self.comm.absorb_plan(&plan.stats, PlanKind::ParallelCopy);
-                redistribute(&old.state, &mut state, &plan.plan, gep, &|src| {
-                    tags::owned(tags::OWNED_REDIST, epoch, l, src)
-                })?;
+                redistribute(&old.state, &mut state, &plan.plan, gep, self.rounds.next(gep))?;
             }
             let du = self.alloc_mf(ba, dm, NCONS, 0);
             self.levels.push(LevelData::new(state, du, coords, metrics));
@@ -275,12 +263,9 @@ impl Simulation {
     /// broadcasts its owned patch bodies — one message per peer — and
     /// assembles all patches in hierarchy order, so all ranks seal
     /// byte-identical snapshots (the invariant chaos recovery relies on).
-    fn checkpoint_bytes_cluster(&self, gep: &GroupEndpoint<'_>) -> Result<Vec<u8>, StageError> {
+    fn checkpoint_bytes_cluster(&mut self, gep: &GroupEndpoint<'_>) -> Result<Vec<u8>, StageError> {
         let rank = self.owned_rank;
-        let epoch = tags::epoch_with_generation(
-            gep.generation(),
-            EPOCH_CHECKPOINT | (u64::from(self.step) & 0xFF),
-        );
+        let tag = self.rounds.next(gep);
         // Every patch body gets its slot in (level, patch) order: owned
         // bodies are serialised in place, a peer's when its message lands.
         let mut w = checkpoint_header(self);
@@ -303,12 +288,9 @@ impl Simulation {
             (0..n).map(move |dst| (k, *owner, dst, slot.len()))
         });
         let layout = Layout::new(rank, routes);
-        let landed = exchange(
-            gep,
-            &layout,
-            &|src| tags::owned(tags::OWNED_CKPT, epoch, 0, src),
-            &mut |k, out| out.extend_from_slice(&w[slots[k].0.clone()]),
-        )?;
+        let landed = exchange(gep, &layout, tag, &mut |k, out| {
+            out.extend_from_slice(&w[slots[k].0.clone()])
+        })?;
         for (k, (slot, _)) in slots.into_iter().enumerate() {
             if let Some(body) = landed.get(k) {
                 w[slot].copy_from_slice(body);
@@ -421,9 +403,8 @@ impl Simulation {
     /// survivor (all agreement is derived from shared deterministic state,
     /// never negotiated):
     ///
-    /// 1. bump the communicator generation (stamped into halo/gather tag
-    ///    epochs, so replayed pre-fault traffic can never match post-fault
-    ///    receives),
+    /// 1. bump the communicator generation (stamped into every round tag, so
+    ///    replayed pre-fault traffic can never match post-fault receives),
     /// 2. shrink the group by the cluster's dead ranks and run a
     ///    barrier allreduce over the survivors; if the barrier itself faults
     ///    or another member died meanwhile, re-scan and retry — every
@@ -598,17 +579,6 @@ impl Simulation {
         Ok(())
     }
 
-    /// Draws the next subcycled-phase tag epoch. The recursion visits its
-    /// fill/exchange phases in the same order on every rank, so the monotone
-    /// `sub_slot` counter is rank-identical; the 12-bit base wraps below the
-    /// reserved regrid/checkpoint bases (`% EPOCH_REGRID_TAGS`) so no live
-    /// phase ever aliases them.
-    fn next_sub_epoch(&mut self, gep: &GroupEndpoint<'_>) -> u64 {
-        let base = self.sub_slot % EPOCH_REGRID_TAGS;
-        self.sub_slot += 1;
-        tags::epoch_with_generation(gep.generation(), base)
-    }
-
     /// Traps a non-finite value in level `l`'s owned state or dU after an RK
     /// stage (the `nan_poison` post-stage sweep; non-owned patches hold no
     /// data).
@@ -633,8 +603,8 @@ impl Simulation {
     /// fine register parts to coarse owners, refluxes the accumulated
     /// coarse/fine flux mismatch, and averages down across ranks. `parent`
     /// carries the coarser level's `(t_old, dt)` for the ghost
-    /// interpolation. The phase order (and hence `sub_slot`) is identical on
-    /// every rank.
+    /// interpolation. The phase order (and hence every round's tag) is
+    /// identical on every rank.
     fn advance_level_recursive(
         &mut self,
         l: usize,
@@ -657,8 +627,7 @@ impl Simulation {
             let t_fill = t + self.cfg.time_scheme.stage_time_fraction(stage) * dt;
             let alpha = parent.map(|(pt, pdt)| (t_fill - pt) / pdt);
             let sub = crate::subcycle::SubCtx { t, alpha };
-            let epoch = self.next_sub_epoch(gep);
-            self.fill_and_advance(l, stage, dt, gep, epoch, Some(&sub))?;
+            self.fill_and_advance(l, stage, dt, gep, Some(&sub))?;
             if self.cfg.nan_poison {
                 self.assert_level_finite(l, &format!("sub RK stage {stage}"));
             }
@@ -680,8 +649,7 @@ impl Simulation {
                 self.advance_level_recursive(l + 1, t + i as f64 * fdt, fdt, Some((t, dt)), gep)?;
             }
             let t0 = std::time::Instant::now();
-            let epoch = self.next_sub_epoch(gep);
-            self.ship_fine_parts(l, gep, epoch)?;
+            self.ship_fine_parts(l, gep)?;
             {
                 let reg = &self.subcycle[l].register;
                 let LevelData { state, metrics, .. } = &mut self.levels[l];
@@ -689,29 +657,22 @@ impl Simulation {
             }
             self.profiler.add(Region::Reflux, t0.elapsed().as_secs_f64());
             let t0 = std::time::Instant::now();
-            let epoch = self.next_sub_epoch(gep);
+            let tag = self.rounds.next(gep);
             let (lo, hi) = self.levels.split_at_mut(l + 1);
-            average_down_dist(&hi[0].state, &mut lo[l].state, IntVect::splat(2), gep, &|k| {
-                tags::owned(tags::OWNED_REDIST, epoch, l + 1, k)
-            })?;
+            average_down_dist(&hi[0].state, &mut lo[l].state, IntVect::splat(2), gep, tag)?;
             self.profiler.add(Region::AverageDown, t0.elapsed().as_secs_f64());
         }
         Ok(())
     }
 
     /// Ships the fine-side register sums of level pair `l` from fine-patch
-    /// owners to coarse-patch owners (`tags::OWNED_REFLUX`, one message per
-    /// peer), merging each landed part onto the receiver's all-zero fine
-    /// accumulators — bitwise the single-rank fold, since every register
-    /// face has exactly one fine contributor patch (asserted in
-    /// `subcycle::tests`). Pairs owned by one rank are already folded
-    /// locally and move nothing.
-    fn ship_fine_parts(
-        &mut self,
-        l: usize,
-        gep: &GroupEndpoint<'_>,
-        epoch: u64,
-    ) -> Result<(), StageError> {
+    /// owners to coarse-patch owners (one message per peer), merging each
+    /// landed part onto the receiver's all-zero fine accumulators — bitwise
+    /// the single-rank fold, since every register face has exactly one fine
+    /// contributor patch (asserted in `subcycle::tests`). Pairs owned by one
+    /// rank are already folded locally and move nothing.
+    fn ship_fine_parts(&mut self, l: usize, gep: &GroupEndpoint<'_>) -> Result<(), StageError> {
+        let tag = self.rounds.next(gep);
         let fine_dm = self.levels[l + 1].state.distribution().clone();
         let coarse_dm = self.levels[l].state.distribution().clone();
         let reg = &mut self.subcycle[l];
@@ -720,18 +681,13 @@ impl Simulation {
         });
         let layout = Layout::new(gep.rank(), routes);
         let (ship, register) = (&reg.fine_ship, &mut reg.register);
-        let landed = exchange(
-            gep,
-            &layout,
-            &|src| tags::owned(tags::OWNED_REFLUX, epoch, l, src),
-            &mut |k, out| {
-                for &slot in &ship[k].2 {
-                    for x in register.fine_part(slot) {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
+        let landed = exchange(gep, &layout, tag, &mut |k, out| {
+            for &slot in &ship[k].2 {
+                for x in register.fine_part(slot) {
+                    out.extend_from_slice(&x.to_le_bytes());
                 }
-            },
-        )?;
+            }
+        })?;
         for (k, (_, _, slots)) in ship.iter().enumerate() {
             let Some(bytes) = landed.get(k) else {
                 continue;
@@ -754,27 +710,16 @@ impl Simulation {
         let dt = self.dt;
         let nstages = self.cfg.time_scheme.stages();
         for stage in 0..nstages {
-            // The per-stage tag epoch every rank derives identically; halo
-            // and gather tags of different stages can never cross-match,
-            // and the communicator generation in the top bits keeps
-            // replayed pre-recovery traffic from matching post-rollback
-            // re-executions of the same step.
-            let base = u64::from(self.step) * nstages as u64 + stage as u64;
-            let epoch = tags::epoch_with_generation(gep.generation(), base);
             for l in 0..self.hierarchy.nlevels() {
-                self.fill_and_advance(l, stage, dt, gep, epoch, None)?;
+                self.fill_and_advance(l, stage, dt, gep, None)?;
             }
             if stage == nstages - 1 {
                 let t0 = std::time::Instant::now();
                 for l in (1..self.hierarchy.nlevels()).rev() {
+                    let tag = self.rounds.next(gep);
                     let (lo, hi) = self.levels.split_at_mut(l);
-                    average_down_dist(
-                        &hi[0].state,
-                        &mut lo[l - 1].state,
-                        IntVect::splat(2),
-                        gep,
-                        &|k| tags::owned(tags::OWNED_REDIST, epoch, l, k),
-                    )?;
+                    let (fine, coarse) = (&hi[0].state, &mut lo[l - 1].state);
+                    average_down_dist(fine, coarse, IntVect::splat(2), gep, tag)?;
                 }
                 self.profiler.add(Region::AverageDown, t0.elapsed().as_secs_f64());
             }
@@ -805,7 +750,6 @@ impl Simulation {
         stage: usize,
         dt: f64,
         ep: &GroupEndpoint<'_>,
-        epoch: u64,
         sub: Option<&crate::subcycle::SubCtx>,
     ) -> Result<(), StageError> {
         let t0 = std::time::Instant::now();
@@ -897,7 +841,9 @@ impl Simulation {
         // plans' cross-rank chunks up front — the payloads feed
         // `fill_two_level_patch_with_remote` inside the stage tasks.
         let remote = match &two {
-            Some((plans, coarse, ..)) => plans.exchange(&coarse.state, blended_old, ep, epoch, l)?,
+            Some((plans, coarse, ..)) => {
+                plans.exchange(&coarse.state, blended_old, ep, &mut || self.rounds.next(ep))?
+            }
             None => RemoteGathers::default(),
         };
         // Coordinates cross ranks in the first exchange after a regrid and
@@ -1036,8 +982,7 @@ impl Simulation {
         };
         let st = DistStage {
             ep,
-            level: l,
-            epoch,
+            tag: self.rounds.next(ep),
             overlap: self.cfg.overlap,
             sched: self.cfg.schedule(),
             ghosts,

@@ -12,13 +12,12 @@ use crocco_amr::{
 };
 use crocco_fab::GhostFootprint;
 use crocco_geometry::IntVect;
-use serde::{Deserialize, Serialize};
 
 /// Where regridding gets coordinates for newly created patches (§III-C,
 /// "Regridding"): the paper's first implementation serially read them from a
 /// binary file at every regrid (noticeable overhead on CPU, worse on GPU);
 /// the current one keeps the grid in memory and calls `getCoords()`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoordSource {
     /// Evaluate/retrieve stored coordinates in memory (`getCoords()`).
     Memory,
@@ -29,7 +28,7 @@ pub enum CoordSource {
 
 /// Explicit interpolator selection, overriding the version default — the
 /// §III-C design axis plus the future-work conservative schemes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InterpKind {
     /// AMReX's trilinear (CRoCCo 2.1).
     Trilinear,
@@ -61,7 +60,7 @@ impl InterpKind {
 /// implementation runs, whether AMR is enabled, which coarse→fine
 /// interpolator `FillPatchTwoLevels` uses, and (for performance accounting)
 /// which execution backend is modeled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodeVersion {
     /// C++ AMReX framework + Fortran numerics kernels; AMR disabled, no GPU.
     V1_0,
@@ -225,7 +224,6 @@ pub struct SolverConfig {
     /// single level the subcycled step is bitwise-identical to lockstep
     /// (`tests/subcycle_invariance.rs`). Off by default — lockstep (all
     /// levels share the globally minimal `dt`) remains the reference mode.
-    /// Incompatible with chaos injection.
     pub subcycling: bool,
     /// Adversarial-schedule seed for the stage task graphs: `Some(seed)`
     /// replaces the worker pool with a single-threaded executor running a
@@ -495,10 +493,6 @@ impl SolverConfigBuilder {
         }
         assert!(c.max_grid_size % c.blocking_factor == 0);
         assert!(c.nranks >= 1 && c.threads >= 1);
-        assert!(
-            !c.subcycling || c.chaos.is_none(),
-            "subcycling does not compose with chaos injection yet"
-        );
         self.cfg
     }
 }

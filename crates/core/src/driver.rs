@@ -34,7 +34,6 @@ use crocco_fab::{
 };
 use crocco_geometry::{GridMapping, IndexBox, IntVect, ProblemDomain, RealVect};
 use crocco_runtime::{parallel_for_each_mut, GroupEndpoint, RankEndpoint};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// `PlanOp::Aux` namespace tag for memoized stage skeletons (`DistSkeleton`,
@@ -106,7 +105,7 @@ impl LevelData {
 
 /// Aggregated communication accounting for one run — the inputs to the
 /// Summit network model in the scaling studies.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CommTotals {
     /// FillBoundary message-pair count (off-rank).
     pub fb_messages: u64,
@@ -226,7 +225,7 @@ impl RegionTimes {
 }
 
 /// Summary of an [`Simulation::advance_steps`] run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RunReport {
     /// Steps taken.
     pub steps: u32,
@@ -246,7 +245,6 @@ pub struct RunReport {
     /// Lockstep advances every level each step; subcycling advances level
     /// `ℓ` `2^ℓ` times per coarse step — this counter is what the
     /// `fig_subcycle` ablation compares (docs/results/subcycle.md).
-    #[serde(default)]
     pub cell_updates: u64,
 }
 
@@ -279,11 +277,9 @@ pub struct Simulation {
     pub(crate) subcycle: Vec<crate::subcycle::InterfaceReg>,
     /// Running cell-update total (see [`RunReport::cell_updates`]).
     pub(crate) cell_updates: u64,
-    /// Monotone subcycled-exchange slot counter: every fill/exchange round
-    /// inside a subcycled step draws a fresh tag epoch from this counter so
-    /// substeps never alias each other's messages. Identical across ranks
-    /// by construction.
-    pub(crate) sub_slot: u64,
+    /// The round counter: every rank-crossing round this rank takes part
+    /// in draws its tag from it, in the order every rank shares.
+    pub(crate) rounds: crate::cluster_step::Rounds,
 }
 
 impl Simulation {
@@ -353,7 +349,7 @@ impl Simulation {
             step: chk.map_or(0, |c| c.step),
             subcycle: Vec::new(),
             cell_updates: 0,
-            sub_slot: 0,
+            rounds: Default::default(),
             cfg,
         };
         sim.prepare_coord_files();

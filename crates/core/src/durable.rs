@@ -311,14 +311,11 @@ pub struct Manifest {
 impl Manifest {
     /// Serializes the manifest, CRC-sealed.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Vec::new();
-        // Writing to a Vec cannot fail.
-        writeln!(w, "CROCCO-MAN 1").unwrap();
-        writeln!(w, "slot {}", self.slot).unwrap();
-        writeln!(w, "step {}", self.step).unwrap();
-        writeln!(w, "len {}", self.len).unwrap();
-        writeln!(w, "crc {:08x}", self.crc).unwrap();
-        crate::io::seal_checkpoint(w)
+        let text = format!(
+            "CROCCO-MAN 1\nslot {}\nstep {}\nlen {}\ncrc {:08x}\n",
+            self.slot, self.step, self.len, self.crc
+        );
+        crate::io::seal_checkpoint(text.into_bytes())
     }
 
     /// Parses and validates sealed manifest bytes.
@@ -434,22 +431,18 @@ impl DurableCheckpointer {
     }
 
     fn write_with_retry(&mut self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
-        let mut backoff = self.backoff_ms;
-        let mut last: Option<CkptError> = None;
-        for attempt in 0..=self.max_retries {
+        let (mut attempt, mut backoff) = (0, self.backoff_ms);
+        loop {
             match self.store.write_atomic(name, bytes) {
-                Ok(()) => return Ok(()),
                 Err(e) if e.is_transient() && attempt < self.max_retries => {
+                    attempt += 1;
                     self.retries_used += 1;
-                    last = Some(e);
                     std::thread::sleep(std::time::Duration::from_millis(backoff));
                     backoff = backoff.saturating_mul(2);
                 }
-                Err(e) => return Err(e),
+                done => return done,
             }
         }
-        // Unreachable: the loop always returns. Kept for the type checker.
-        Err(last.expect("retry loop exits via return"))
     }
 }
 

@@ -1,14 +1,12 @@
 //! Equation of state and transport properties.
 
-use serde::{Deserialize, Serialize};
-
 /// A calorically perfect gas.
 ///
 /// CRoCCo's full chemistry tracks per-species heats (Eq. 2); the DMR
 /// evaluation case is a single perfect-gas species, which is what we model.
 /// All benchmark problems use nondimensional units where `r_gas = 1/γ` gives
 /// a unit sound speed at ρ = p = 1 unless stated otherwise.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PerfectGas {
     /// Ratio of specific heats γ.
     pub gamma: f64,

@@ -11,10 +11,8 @@
 //! which needs only the solution and one accumulator regardless of stage
 //! count — the memory property that matters on 16 GB GPUs (§V-C).
 
-use serde::{Deserialize, Serialize};
-
 /// Which 2N scheme to march with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimeScheme {
     /// Forward Euler (1 stage, 1st order) — debugging/dissipation baseline.
     Euler,

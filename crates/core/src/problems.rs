@@ -12,11 +12,10 @@
 use crate::eos::PerfectGas;
 use crate::state::{Conserved, Primitive};
 use crocco_geometry::{GridMapping, RampMapping, RealVect, UniformMapping};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which benchmark problem to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProblemKind {
     /// Sod shock tube along x (exact solution available in
     /// [`crate::riemann`]); outflow in x, periodic in y and z.

@@ -17,10 +17,9 @@ use crate::metrics::comp as mcomp;
 use crate::state::{cons, Conserved};
 use crocco_fab::{FArrayBox, FabView};
 use crocco_geometry::{IndexBox, IntVect};
-use serde::{Deserialize, Serialize};
 
 /// Smagorinsky model configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Smagorinsky {
     /// The Smagorinsky constant (0.1–0.2 for shear flows; 0.17 classic).
     pub cs: f64,

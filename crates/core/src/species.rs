@@ -15,13 +15,11 @@
 //! source terms in [`crate::chemistry`], exercised by the reactor tests and
 //! ready for a multi-species driver.
 
-use serde::{Deserialize, Serialize};
-
 /// Universal gas constant (J / mol / K).
 pub const R_UNIVERSAL: f64 = 8.314_462_618;
 
 /// One chemical species.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Species {
     /// Display name.
     pub name: String,
@@ -47,7 +45,7 @@ impl Species {
 }
 
 /// A mixture of calorically perfect species.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GasMixture {
     /// The species, in state-vector order.
     pub species: Vec<Species>,

@@ -44,10 +44,8 @@
 //! [`nonlinear_weights`] still returns the normalised `ω_r` — diagnostics
 //! and property tests want them, the face loop does not.
 
-use serde::{Deserialize, Serialize};
-
 /// How the split fluxes are reconstructed at faces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reconstruction {
     /// Reconstruct each conserved component independently (cheap; the
     /// default).
@@ -58,7 +56,7 @@ pub enum Reconstruction {
 }
 
 /// WENO scheme selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WenoVariant {
     /// Classic 5th-order upwind WENO of Jiang & Shu.
     Js5,

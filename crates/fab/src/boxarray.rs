@@ -1,7 +1,6 @@
 //! `BoxArray`: the patch list of one AMR level.
 
 use crocco_geometry::{decompose::ChopParams, IndexBox, IntVect};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -20,19 +19,17 @@ pub(crate) fn next_identity() -> u64 {
 /// spatial index so the `O(patches²)` intersection queries behind
 /// `FillBoundary`, `ParallelCopy`, and two-level interpolation stay fast at
 /// Summit scale (tens of thousands of patches at 1024 nodes).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BoxArray {
     boxes: Vec<IndexBox>,
     /// Edge length of the bucket grid used by the spatial index.
     bucket: i64,
     /// Bucket coordinate → indices of boxes that touch the bucket.
-    #[serde(skip)]
     index: HashMap<IntVect, Vec<u32>>,
     /// Process-unique identity token assigned at construction and shared by
     /// clones. Two arrays with the same id hold the same boxes, so the id is
     /// a cheap communication-plan cache key (AMReX caches FillBoundary
     /// metadata the same way, keyed on `BoxArray` identity).
-    #[serde(skip)]
     id: u64,
 }
 

@@ -5,9 +5,9 @@
 //! [`DistributionMapping`](crate::distribution::DistributionMapping)
 //! assigns to it; halo chunks whose source and destination live on different
 //! ranks travel through the exchange engine ([`crate::exchange`]): one
-//! message per peer per stage, tagged [`crocco_runtime::tags::halo`] with
-//! the sender's rank. On-node stepping is the same executor over a group of
-//! one ([`crocco_runtime::RankEndpoint::solo`]): every chunk is local,
+//! message per peer per stage, all under the stage's round tag
+//! ([`DistStage::tag`]). On-node stepping is the same executor over a group
+//! of one ([`crocco_runtime::RankEndpoint::solo`]): every chunk is local,
 //! nothing is sent (DESIGN.md §4e–§4f; the paper's §IV-B GPU-aware-MPI
 //! overlap).
 //!
@@ -104,7 +104,7 @@ use crate::taskcheck::{dist_rank_schedule, inbox_ids, FabIds};
 use crate::view::{FabRd, FabRw};
 use crocco_geometry::IndexBox;
 use crocco_runtime::taskcheck::record_access;
-use crocco_runtime::{tags, GroupEndpoint, Schedule, StageError, TaskGraph, TaskHandle};
+use crocco_runtime::{GroupEndpoint, Schedule, StageError, TaskGraph, TaskHandle};
 
 /// Which part of a patch a kernel sweep covers.
 ///
@@ -202,7 +202,7 @@ pub struct StageTask {
 /// shell, the per-peer messages of its halo round, and the stage's task
 /// list. Derived once per (plan, rank) and memoized in the plan cache
 /// (`PlanOp::Aux`), so per-stage construction re-binds only RK coefficients
-/// and message tags.
+/// and the round tag.
 #[derive(Clone, Debug, Default)]
 pub struct DistSkeleton {
     /// The rank this skeleton was built for.
@@ -316,8 +316,8 @@ fn message_tasks(
 }
 
 /// Per-stage identity of one distributed execution: the endpoint to move
-/// bytes through, the tag coordinates every rank derives identically, and
-/// the schedule flavor.
+/// bytes through, the round tag every rank draws identically, and the
+/// schedule flavor.
 ///
 /// The endpoint is a [`GroupEndpoint`]: all ranks here are *logical* ranks
 /// within the current communicator group, so after a chaos recovery shrinks
@@ -325,11 +325,9 @@ fn message_tasks(
 pub struct DistStage<'a> {
     /// This rank's group-scoped cluster endpoint.
     pub ep: &'a GroupEndpoint<'a>,
-    /// AMR level (a tag coordinate).
-    pub level: usize,
-    /// Monotone per-stage counter agreed across ranks (e.g.
-    /// `step * nstages + stage`); a tag coordinate separating stages.
-    pub epoch: u64,
+    /// The halo round's tag ([`crocco_runtime::tags::round`]), the same on
+    /// every rank.
+    pub tag: u64,
     /// `true` → task-graph overlap; `false` → sequential fenced phases.
     pub overlap: bool,
     /// Schedule for the overlapped graph — thread pool or seeded
@@ -437,7 +435,7 @@ fn run_fenced(
         .map(|i| unsafe { RawFab::capture(&mut *state_base.add(i)) })
         .collect();
 
-    let landed = exchange(st.ep, &skel.layout, &|src| tags::halo(st.epoch, st.level, src), &mut |c, out| {
+    let landed = exchange(st.ep, &skel.layout, st.tag, &mut |c, out| {
         let chunk = &plan.chunks[c];
         // SAFETY: sequential read of the source patch's valid cells.
         let src = unsafe { FabRd::from_raw(state_raw[chunk.src_id]) };
@@ -564,10 +562,9 @@ fn run_overlapped(
 
     let chunks = &plan.chunks;
     let layout = &skel.layout;
-    let tag = |src| tags::halo(st.epoch, st.level, src);
     // Post every receive before building the graph: one per peer, decoded
     // when it lands, fired as an event, drained by the halo tasks it feeds.
-    let inbox = &Inbox::post(st.ep, layout, &tag);
+    let inbox = &Inbox::post(st.ep, layout, st.tag);
 
     #[cfg(feature = "taskcheck")]
     let mut declared = Declared::live(
@@ -607,7 +604,7 @@ fn run_overlapped(
                         let src = unsafe { FabRd::from_raw(*state_list.get(chunk.src_id)) };
                         pack_chunk(&src, chunk.region, chunk.shift, ncomp, out);
                     });
-                    ep.send(msg.peer, tag(rank), body);
+                    ep.send(msg.peer, st.tag, body);
                 })
             }
             TaskKind::Recv(m) => {
@@ -774,7 +771,7 @@ mod tests {
     use crate::view::FabView;
     use crocco_geometry::decompose::ChopParams;
     use crocco_geometry::{IndexBox, IntVect, ProblemDomain};
-    use crocco_runtime::LocalCluster;
+    use crocco_runtime::{tags, LocalCluster};
     use std::sync::Arc;
 
     /// A 16×8×8 domain chopped into 8³ patches, distributed round-robin.
@@ -951,8 +948,7 @@ mod tests {
                 let gep = GroupEndpoint::full(&ep);
                 let st = DistStage {
                     ep: &gep,
-                    level: 0,
-                    epoch: 7,
+                    tag: tags::round(0, 7),
                     overlap,
                     sched: Schedule::pool(2),
                     ghosts,

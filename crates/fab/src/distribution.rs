@@ -2,10 +2,9 @@
 
 use crate::boxarray::BoxArray;
 use crocco_geometry::morton;
-use serde::{Deserialize, Serialize};
 
 /// How boxes are assigned to ranks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DistributionStrategy {
     /// Boxes are dealt to ranks in listed order, one at a time.
     RoundRobin,
@@ -22,13 +21,12 @@ pub enum DistributionStrategy {
 /// The ownership map of one level: which rank owns each box (AMReX
 /// `DistributionMapping`). Load balancing is carried out per level,
 /// independently and in sequence, exactly as described in §III-B.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DistributionMapping {
     owners: Vec<usize>,
     nranks: usize,
     /// Identity token (see [`BoxArray::id`]): shared by clones, fresh per
     /// construction, part of the communication-plan cache key.
-    #[serde(skip)]
     id: u64,
 }
 

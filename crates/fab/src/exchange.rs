@@ -7,8 +7,10 @@
 //! derives the same [`Layout`]: per peer, which items travel, in item order,
 //! at which byte offset. A round sends exactly one message per `(src, dst)`
 //! pair — the unit the cost model prices (`CopyPlan::stats().num_messages`,
-//! the paper's §VI-B/§VI-C message counts) — tagged by the sender's logical
-//! rank ([`crocco_runtime::tags`]). [`exchange`] runs a fenced round (a
+//! the paper's §VI-B/§VI-C message counts). A round has one tag, which its
+//! caller draws from the round counter every rank advances in step
+//! ([`crocco_runtime::tags::round`]); receives match on `(sender, tag)`.
+//! [`exchange`] runs a fenced round (a
 //! broadcast round is packed once, its [`Bytes`] cloned per peer); the
 //! RK-stage task graph (`crate::dist_overlap`) packs each peer's message in
 //! a task of its own ([`Layout::pack`]) and receives through an [`Inbox`].
@@ -191,12 +193,11 @@ pub struct Inbox<'a> {
 }
 
 impl<'a> Inbox<'a> {
-    /// Posts one receive per incoming message of `layout`; `tag(src)` is
-    /// sender `src`'s tag.
-    pub fn post(gep: &GroupEndpoint<'_>, layout: &'a Layout, tag: &dyn Fn(usize) -> u64) -> Self {
+    /// Posts one receive per incoming message of `layout`, round `tag`.
+    pub fn post(gep: &GroupEndpoint<'_>, layout: &'a Layout, tag: u64) -> Self {
         Inbox {
             layout,
-            handles: layout.recvs.iter().map(|m| gep.irecv(m.peer, tag(m.peer))).collect(),
+            handles: layout.recvs.iter().map(|m| gep.irecv(m.peer, tag)).collect(),
             verdicts: layout.recvs.iter().map(|_| OnceLock::new()).collect(),
         }
     }
@@ -245,16 +246,16 @@ impl<'a> Inbox<'a> {
     }
 }
 
-/// Runs one fenced round: posts this rank's receives, packs and sends one
-/// message per destination peer (`pack(item, out)` appends an item;
-/// `tag(src)` is sender `src`'s tag), then blocks on every receive. Every
+/// Runs one fenced round tagged `tag`: posts this rank's receives, packs and
+/// sends one message per destination peer (`pack(item, out)` appends an
+/// item), then blocks on every receive. Every
 /// group member calls it with the layout of the same routes. A fault —
 /// dead member, starved receive, malformed message — is a typed
 /// [`CommError`]; the caller rolls back to a checkpoint.
 pub fn exchange(
     gep: &GroupEndpoint<'_>,
     layout: &Layout,
-    tag: &dyn Fn(usize) -> u64,
+    tag: u64,
     pack: &mut dyn FnMut(usize, &mut Vec<u8>),
 ) -> Result<Landed, CommError> {
     let inbox = Inbox::post(gep, layout, tag);
@@ -264,7 +265,7 @@ pub fn exchange(
             Some((items, body)) if items == msg.items.as_slice() => body,
             _ => layout.pack(msg, pack),
         };
-        gep.send(msg.peer, tag(gep.rank()), body.clone());
+        gep.send(msg.peer, tag, body.clone());
         last = Some((&msg.items, body));
     }
     inbox.wait(gep)
@@ -305,13 +306,13 @@ pub fn unpack_chunk(dst: &mut FabRw<'_>, region: IndexBox, ncomp: usize, bytes: 
 }
 
 /// Moves the rank-crossing chunks of `plan` out of `src` in one fenced
-/// round and returns those this rank receives, by chunk index. `src` needs
-/// storage only for the patches this rank sends from.
+/// round tagged `tag` and returns those this rank receives, by chunk index.
+/// `src` needs storage only for the patches this rank sends from.
 pub fn exchange_chunks(
     src: &MultiFab,
     plan: &CopyPlan,
     gep: &GroupEndpoint<'_>,
-    tag: &dyn Fn(usize) -> u64,
+    tag: u64,
 ) -> Result<Landed, CommError> {
     exchange(gep, &Layout::of_plan(gep.rank(), plan), tag, &mut |k, out| {
         let c = &plan.chunks[k];
@@ -328,7 +329,7 @@ pub fn redistribute(
     dst: &mut MultiFab,
     plan: &CopyPlan,
     gep: &GroupEndpoint<'_>,
-    tag: &dyn Fn(usize) -> u64,
+    tag: u64,
 ) -> Result<(), CommError> {
     assert_eq!(src.ncomp(), dst.ncomp(), "redistribute component mismatch");
     let (ncomp, rank) = (plan.ncomp, gep.rank());
@@ -390,8 +391,7 @@ pub(crate) mod tests {
                 own
             };
             let (s, mut d) = (owned(src, true), owned(dst, fill_dst));
-            let tag = |src| tags::owned(tags::OWNED_REDIST, 11, 0, src);
-            redistribute(&s, &mut d, plan, &gep, &tag).expect("fault-free round");
+            redistribute(&s, &mut d, plan, &gep, tags::round(0, 11)).expect("fault-free round");
             d
         })
     }
@@ -504,7 +504,7 @@ pub(crate) mod tests {
     /// exact and counted layouts, and end to end through [`exchange`].
     #[test]
     fn malformed_messages_are_typed_errors() {
-        let tag = tags::halo(9, 1, 0);
+        let tag = tags::round(0, 9);
         let bad = |src, expected, got| Err(CommError::MalformedPayload { src, tag, expected, got });
         let exact = Layout::new(1, [(0, 0, 1, 16), (1, 0, 1, 8)]);
         let good = [7u8; 24];
@@ -534,7 +534,7 @@ pub(crate) mod tests {
                 gep.send(1, tag, Bytes::from(vec![0u8; 23]));
                 return Ok(Landed::default());
             }
-            exchange(&gep, &exact, &|_| tag, &mut |_, _| {})
+            exchange(&gep, &exact, tag, &mut |_, _| {})
         });
         assert_eq!(results[1].as_ref().err(), bad(0, 24, 23).err().as_ref());
     }

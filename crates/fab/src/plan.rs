@@ -12,11 +12,10 @@
 use crate::boxarray::BoxArray;
 use crate::distribution::DistributionMapping;
 use crocco_geometry::{IndexBox, IntVect, ProblemDomain};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One contiguous region copied from a source box to a destination box.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CopyChunk {
     /// Index of the source box in its BoxArray.
     pub src_id: usize,
@@ -47,7 +46,7 @@ impl CopyChunk {
 
 /// A full communication plan: every chunk needed by one collective data-motion
 /// operation, plus the component count it will move.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CopyPlan {
     /// All copy chunks (local and remote).
     pub chunks: Vec<CopyChunk>,
@@ -56,7 +55,7 @@ pub struct CopyPlan {
 }
 
 /// Aggregate statistics of a plan, used by the network cost model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PlanStats {
     /// Number of distinct (src_rank, dst_rank) message pairs, excluding local.
     pub num_messages: u64,

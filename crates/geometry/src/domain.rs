@@ -2,7 +2,6 @@
 
 use crate::ibox::IndexBox;
 use crate::intvect::IntVect;
-use serde::{Deserialize, Serialize};
 
 /// The computational domain at one AMR level: the covering index box and the
 /// periodicity of each direction.
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// The DMR problem of the paper is periodic along the span (z) and
 /// non-periodic in x and y, where physical boundary conditions are applied by
 /// `BC_Fill`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProblemDomain {
     /// Index box covering the whole domain at this level.
     pub bx: IndexBox,

@@ -1,7 +1,6 @@
 //! Logically rectangular index-space regions (AMReX `Box`).
 
 use crate::intvect::IntVect;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A cell-centered, logically rectangular region of index space, described by
@@ -11,7 +10,7 @@ use std::fmt;
 /// ghost region, and every communication intersection in CRoCCo is an
 /// `IndexBox`. An `IndexBox` with any `hi` component strictly below the
 /// matching `lo` component is *empty*.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IndexBox {
     lo: IntVect,
     hi: IntVect,
@@ -254,7 +253,7 @@ impl IndexBox {
 }
 
 /// Which side of a box face.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum Side {
     /// The low-index side.
     Lo,

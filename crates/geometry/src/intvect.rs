@@ -1,6 +1,5 @@
 //! Integer index-space vectors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
@@ -9,7 +8,7 @@ use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// Components are `i64` so that coarse-domain extents for the largest Summit
 /// weak-scaling case (4.19e10 equivalent grid points) and any shifted ghost
 /// indices are representable without overflow anywhere in box arithmetic.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IntVect(pub [i64; 3]);
 
 impl IntVect {

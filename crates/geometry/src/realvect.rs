@@ -1,11 +1,10 @@
 //! Physical-space vectors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Index, IndexMut, Mul, Neg, Sub};
 
 /// A point (or displacement) in physical `(x, y, z)` space.
-#[derive(Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Default)]
 pub struct RealVect(pub [f64; 3]);
 
 impl RealVect {

@@ -1,14 +1,13 @@
 //! IBM POWER9 CPU kernel-time model.
 
 use crate::kernelspec::KernelSpec;
-use serde::{Deserialize, Serialize};
 
 /// Which CPU implementation of the numerics is running.
 ///
 /// §IV-A of the paper measures a consistent ~1.2× slowdown of the translated
 /// C++ kernels relative to the original Fortran on the POWER9; both are
 /// modeled so Fig. 3 can show the pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CpuBackend {
     /// The original, heavily compiler-optimized Fortran kernels.
     Fortran,
@@ -22,7 +21,7 @@ pub enum CpuBackend {
 /// (§VI-B), so the model is compute-rate based: the CPU-resident kernels keep
 /// their stencil scratch in cache (unlike the GPU port, which stages scratch
 /// in DRAM), and per-cell time is `flops_per_cell / rate`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CpuModel {
     /// Sustained double-precision flop rate of one core running the C++
     /// kernels (flop/s). Calibrated so one 22-core socket is ~15.8× slower

@@ -1,7 +1,6 @@
 //! NVIDIA V100 device model: hierarchical roofline with an occupancy cap.
 
 use crate::kernelspec::KernelSpec;
-use serde::{Deserialize, Serialize};
 
 /// Analytic model of one NVIDIA V100 (SXM2, 16 GB), the Summit GPU.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// at small problem sizes (only 2.5× over CPU) and bandwidth-bound at large
 /// sizes (15.8× over CPU), and the Fig. 4 roofline placement (~300 DP
 /// Gflop/s ≈ 4 % of peak at 12.5 % occupancy).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GpuModel {
     /// Peak double-precision throughput (flop/s). V100: 7.8 Tflop/s (§VI-A).
     pub peak_flops: f64,

@@ -6,10 +6,8 @@
 //! Unit tests pin the counts to hand-derived values so a kernel change that
 //! alters the work per cell breaks loudly.
 
-use serde::{Deserialize, Serialize};
-
 /// Work and traffic of one computational kernel, per grid cell.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KernelSpec {
     /// Kernel name as it appears in the paper's figures.
     pub name: &'static str,

@@ -11,10 +11,8 @@
 //!   curvilinear interpolator's global communication the scaling bottleneck
 //!   of CRoCCo 2.0 (§VI-B, Fig. 7 `ParallelCopy_finish`).
 
-use serde::{Deserialize, Serialize};
-
 /// Interconnect cost model (per-rank critical-path times, in seconds).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetworkModel {
     /// Per-message latency (s): MPI + adapter injection overhead.
     pub alpha: f64,

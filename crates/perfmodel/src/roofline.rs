@@ -3,10 +3,9 @@
 
 use crate::gpu::GpuModel;
 use crate::kernelspec::KernelSpec;
-use serde::{Deserialize, Serialize};
 
 /// One memory level of the hierarchical roofline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RooflineLevel {
     /// L1 cache traffic.
     L1,
@@ -31,7 +30,7 @@ impl RooflineLevel {
 }
 
 /// One kernel's placement on the roofline at one memory level.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RooflinePoint {
     /// Kernel name.
     pub kernel: &'static str,
@@ -56,7 +55,7 @@ pub struct RooflinePoint {
 /// spec implies — the falsifiable half of the model: `evaluate` prices a
 /// kernel analytically, [`score_measured`] grades what a backend actually
 /// achieved.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MeasuredPoint {
     /// Kernel name.
     pub kernel: &'static str,

@@ -3,11 +3,10 @@
 use crate::cpu::CpuModel;
 use crate::gpu::GpuModel;
 use crate::network::NetworkModel;
-use serde::{Deserialize, Serialize};
 
 /// One Summit node: "six NVIDIA V100 GPUs and two 22-core IBM POWER9 CPUs"
 /// (§V-A), on a fat-tree interconnect.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SummitPlatform {
     /// POWER9 kernel-rate model.
     pub cpu: CpuModel,

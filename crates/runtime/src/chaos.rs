@@ -29,7 +29,6 @@
 //! loop answers with checkpoint rollback.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
@@ -41,7 +40,7 @@ use crate::cluster::{take_field, Packet};
 /// Where in a time step an injected whole-rank crash fires (the recovery
 /// edge cases each need a distinct phase: before any collective, after the
 /// rank-local regrid, and mid-RK after the dt collective).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashPhase {
     /// At step entry, before regrid and before the dt collective.
     StepStart,
@@ -53,7 +52,7 @@ pub enum CrashPhase {
 
 /// One scheduled whole-rank crash: `rank` fail-stops when its stepping loop
 /// reaches `step` at `phase`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashSpec {
     /// The physical (endpoint) rank that dies.
     pub rank: usize,
@@ -69,7 +68,7 @@ pub struct CrashSpec {
 /// number) and receives grow deadlines with retransmit + exponential
 /// backoff; the probabilities select which transmissions the fault plan
 /// sabotages.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Seed of the deterministic fault plan.
     pub seed: u64,
@@ -222,7 +221,7 @@ impl FaultPlan {
 /// (the durable-spill analogue of [`FaultAction`]). Silent faults corrupt
 /// what lands and *claim success* — only the CRC seal catches them at
 /// recovery time; loud faults surface as errors the spill loop must handle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageFault {
     /// Only a prefix of the bytes lands at the destination (crash mid-write
     /// on a stack without atomic rename, or a rename against an unsynced
@@ -255,7 +254,7 @@ pub enum StorageFault {
 /// tests use this to tear precisely the write they mean to), and
 /// [`Self::nospace_after`] makes every attempt from an index onward fail
 /// with [`StorageFault::NoSpace`] (a full disk does not un-fill itself).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct StorageFaultPlan {
     /// Seed of the per-attempt draws.
     pub seed: u64,

@@ -44,74 +44,43 @@ pub struct Packet {
 
 /// The tag namespace the distributed solver uses over [`RankEndpoint`]s.
 ///
-/// A `u64` tag packs `kind | epoch | level | index`, so concurrent traffic
-/// classes (halo rounds, owned-data exchanges, collective phases) can never
-/// match each other, and the per-stage epoch disambiguates packets of
-/// successive RK stages even when a fast rank runs one stage ahead
-/// (per-sender channel FIFO already makes earliest-arrival matching correct;
-/// the epoch is cheap insurance and a debugging aid). Every halo and
-/// owned-data round sends one message per `(src, dst)` pair (the exchange
-/// engine, `crocco_fab::exchange`), so the index names the *sending* rank.
+/// Three kinds of traffic share the `u64`, told apart by the top two bits.
+/// *Rounds* ([`tags::round`]) carry every rank-crossing exchange of the
+/// solver: halo rounds, coarse→fine gathers, redistributions, reflux parts,
+/// restrictions, tag unions and checkpoint bodies. Every rank numbers its
+/// rounds with one counter it advances in the same order as its peers, so
+/// round `n` names the same exchange everywhere; a receiver matches on
+/// `(src, tag)`, so the tag names neither sender nor level nor purpose.
+/// *Collectives* ([`tags::collective`]) number their phases by the
+/// endpoint's own sequence. *Halo* tags ([`tags::halo`]) name a message by
+/// `(epoch, level, src)`; only hand-written point-to-point traffic uses
+/// them (the benchmark's wire probe).
 ///
-/// Under chaos recovery the top 4 bits of the 16-bit epoch field carry the
-/// communicator *generation* ([`tags::epoch_with_generation`]): after a
-/// rollback the survivors bump the generation, so halo/gather packets
-/// replayed from before the crash can never tag-match post-recovery
-/// receives — stragglers are filtered at decode time by
-/// [`tags::generation_of`].
+/// Under chaos recovery bits 52–55 of a round or halo tag carry the
+/// communicator *generation*: after a rollback the survivors bump the
+/// generation, so packets replayed from before the crash can never
+/// tag-match post-recovery receives — stragglers are filtered at decode
+/// time by [`tags::generation_of`].
 pub mod tags {
-    /// Traffic-class discriminant: an owned-data exchange message (chunked
-    /// gathers, redistributions, checkpoint payloads — sub-classified by the
-    /// `OWNED_*` space carried in the level field's top bits).
-    pub const KIND_OWNED: u64 = 0;
-    /// Traffic-class discriminant: a same-level halo message.
+    /// Traffic-class discriminant: a halo message ([`halo`]).
     pub const KIND_HALO: u64 = 1;
     /// Traffic-class discriminant: a collective phase message.
     pub const KIND_COLL: u64 = 3;
 
-    /// Owned-data sub-space: a coarse→fine state gather chunk (FillPatch or
-    /// regrid interpolation source data).
-    pub const OWNED_GATHER: u64 = 0;
-    /// Owned-data sub-space: a coarse coordinate gather chunk (the
-    /// curvilinear interpolator's coordinate `ParallelCopy`).
-    pub const OWNED_COORDS: u64 = 1;
-    /// Owned-data sub-space: a redistribution payload (average-down values,
-    /// old→new mapping `ParallelCopy` chunks, tag-set unions).
-    pub const OWNED_REDIST: u64 = 2;
-    /// Owned-data sub-space: a checkpoint patch payload replicated to
-    /// survivors.
-    pub const OWNED_CKPT: u64 = 3;
-    /// Owned-data sub-space: a coarse *old-time-level* state gather chunk —
-    /// the second gather a subcycled two-level fill performs so fine ranks
-    /// can time-interpolate coarse ghosts (docs/ARCHITECTURE.md
-    /// §Subcycling). Same chunk enumeration as `OWNED_GATHER`, distinct
-    /// space so the two never cross-match within one fill.
-    pub const OWNED_GATHER_OLD: u64 = 4;
-    /// Owned-data sub-space: a refluxing payload — the fine-side flux-sum
-    /// parts a fine-patch owner ships to the coarse-patch owner after its
-    /// substeps.
-    pub const OWNED_REFLUX: u64 = 5;
-
-    fn compose(kind: u64, epoch: u64, level: usize, index: usize) -> u64 {
-        debug_assert!(index < (1 << 32), "tag index overflows 32 bits");
-        (kind << 62) | ((epoch & 0xFFFF) << 40) | (((level as u64) & 0xFF) << 32) | index as u64
+    /// Tag of round `n` in communicator generation `generation`: the
+    /// generation in bits 52–55, `n` (mod 2⁵²) below it, the kind bits
+    /// clear. Both wrap — safe at test scale, where a handful of recoveries
+    /// happen and no round is in flight 2⁵² rounds later.
+    pub fn round(generation: u64, n: u64) -> u64 {
+        ((generation & 0xF) << 52) | (n & ((1 << 52) - 1))
     }
 
-    /// Tag of the owned-data message rank `src` sends in a round of
-    /// `level` in sub-space `space` (`OWNED_GATHER`/`OWNED_COORDS`/
-    /// `OWNED_REDIST`/`OWNED_CKPT`/`OWNED_GATHER_OLD`/`OWNED_REFLUX`) during
-    /// stage-epoch `epoch`. The space rides in bits 5–7 of the level field,
-    /// so levels up to 31 and eight spaces never collide.
-    pub fn owned(space: u64, epoch: u64, level: usize, src: usize) -> u64 {
-        debug_assert!(space < 8, "owned tag space overflows 3 bits");
-        debug_assert!(level < 32, "owned tag level overflows 5 bits");
-        compose(KIND_OWNED, epoch, level | ((space as usize) << 5), src)
-    }
-
-    /// Tag of the halo message rank `src` sends for `level` during
-    /// stage-epoch `epoch`.
+    /// Tag of the halo message rank `src` sends for `level` during epoch
+    /// `epoch` (16 bits; its top 4 are the generation). The solver's own
+    /// halo rounds are [`round`]s.
     pub fn halo(epoch: u64, level: usize, src: usize) -> u64 {
-        compose(KIND_HALO, epoch, level, src)
+        debug_assert!(src < (1 << 32), "tag index overflows 32 bits");
+        (KIND_HALO << 62) | ((epoch & 0xFFFF) << 40) | (((level as u64) & 0xFF) << 32) | src as u64
     }
 
     /// Tag for phase `phase` (0 = reduce, 1 = broadcast) of the `seq`-th
@@ -120,26 +89,16 @@ pub mod tags {
         (KIND_COLL << 62) | ((seq & 0x1FFF_FFFF_FFFF_FFFF) << 1) | (phase & 1)
     }
 
-    /// The traffic-class discriminant of `tag` (`KIND_OWNED`, `KIND_HALO`,
+    /// The traffic-class discriminant of `tag` (0 for a round, `KIND_HALO`
     /// or `KIND_COLL`).
     pub fn kind_of(tag: u64) -> u64 {
         tag >> 62
     }
 
-    /// The communicator generation carried in a halo/gather tag's epoch
-    /// field (meaningless for collective tags, whose bit layout differs).
+    /// The communicator generation carried in a round or halo tag
+    /// (meaningless for collective tags, whose bit layout differs).
     pub fn generation_of(tag: u64) -> u64 {
         (tag >> 52) & 0xF
-    }
-
-    /// Packs communicator generation `gen` into the top 4 bits of the
-    /// 16-bit epoch field, above the 12-bit stage epoch `base`.
-    ///
-    /// Both wrap (`gen` mod 16, `base` mod 4096) — safe at test scale, where
-    /// at most a handful of recoveries happen and in-flight traffic never
-    /// spans anywhere near 4096 stage epochs.
-    pub fn epoch_with_generation(gen: u64, base: u64) -> u64 {
-        ((gen & 0xF) << 12) | (base & 0xFFF)
     }
 }
 
@@ -759,10 +718,9 @@ struct Starved {
 /// A [`RankEndpoint`] viewed through a [`CommGroup`]: all send/recv/
 /// collective calls take *logical* ranks and translate to physical ones.
 /// Carries the communicator generation that recovery bumps after each
-/// rollback (stamped into halo/gather tag epochs via
-/// [`tags::epoch_with_generation`]), and polls the cluster's alive flags so
-/// a dead group member turns every blocked wait into
-/// [`CommError::RankDead`].
+/// rollback (stamped into every round tag, [`tags::round`]), and polls the
+/// cluster's alive flags so a dead group member turns every blocked wait
+/// into [`CommError::RankDead`].
 pub struct GroupEndpoint<'a> {
     ep: &'a RankEndpoint,
     group: CommGroup,
@@ -818,7 +776,7 @@ impl<'a> GroupEndpoint<'a> {
         &self.group
     }
 
-    /// The communicator generation this view stamps into tag epochs.
+    /// The communicator generation this view stamps into round tags.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -1320,50 +1278,55 @@ mod matched_tests {
     fn tag_namespace_kinds_never_collide() {
         let h = tags::halo(1, 2, 3);
         let c = tags::collective(1, 0);
-        let o = tags::owned(tags::OWNED_GATHER, 1, 2, 3);
+        let r = tags::round(0, 1);
         assert_ne!(h, c);
-        assert_ne!(o, h);
-        assert_ne!(o, c);
+        assert_ne!(r, h);
+        assert_ne!(r, c);
         assert_ne!(tags::halo(1, 2, 3), tags::halo(2, 2, 3));
         assert_ne!(tags::collective(1, 0), tags::collective(1, 1));
         assert_ne!(tags::collective(1, 0), tags::collective(2, 0));
-    }
-
-    /// The six owned sub-spaces are disjoint tag namespaces at identical
-    /// (epoch, level, index) coordinates, carry the generation where the
-    /// stale filter expects it, and report `KIND_OWNED`.
-    #[test]
-    fn owned_tag_spaces_are_disjoint_and_generation_stamped() {
-        let spaces = [
-            tags::OWNED_GATHER,
-            tags::OWNED_COORDS,
-            tags::OWNED_REDIST,
-            tags::OWNED_CKPT,
-            tags::OWNED_GATHER_OLD,
-            tags::OWNED_REFLUX,
-        ];
-        for (a, &sa) in spaces.iter().enumerate() {
-            for &sb in &spaces[a + 1..] {
-                assert_ne!(tags::owned(sa, 5, 1, 9), tags::owned(sb, 5, 1, 9));
+        for (epoch, seq) in [(0, 0), (3, 1), (0xFFFF, 1 << 60)] {
+            for generation in 0..16 {
+                for n in (0..64).chain([0xFFF, 0x1000, (1 << 52) - 1]) {
+                    let t = tags::round(generation, n);
+                    assert_ne!(t, tags::halo(epoch, 0, 0));
+                    assert_ne!(t, tags::collective(seq, 0));
+                    assert_ne!(t, tags::collective(seq, 1));
+                }
             }
         }
-        let e = tags::epoch_with_generation(3, 0x123);
-        let t = tags::owned(tags::OWNED_REDIST, e, 2, 7);
-        assert_eq!(tags::kind_of(t), tags::KIND_OWNED);
-        assert_eq!(tags::generation_of(t), 3);
-        assert_ne!(
-            tags::owned(tags::OWNED_GATHER, e, 2, 7),
-            tags::owned(tags::OWNED_GATHER, e, 3, 7)
-        );
     }
 
+    /// Every rank-crossing round (gather, redistribution, checkpoint,
+    /// reflux, the solver's halos) draws its tag from one round counter:
+    /// tags are distinct across `(generation, n)`, carry their generation
+    /// where the stale filter reads it, and never take the halo or
+    /// collective kind.
+    #[test]
+    fn owned_tag_spaces_are_disjoint_and_generation_stamped() {
+        let mut seen = std::collections::HashSet::new();
+        for generation in 0..16 {
+            for n in (0..64).chain([0xFFF, 0x1000, (1 << 52) - 1]) {
+                let t = tags::round(generation, n);
+                assert!(seen.insert(t), "round ({generation}, {n}) collides");
+                assert_eq!(tags::generation_of(t), generation);
+                assert_ne!(tags::kind_of(t), tags::KIND_HALO);
+                assert_ne!(tags::kind_of(t), tags::KIND_COLL);
+            }
+        }
+    }
+
+    /// A halo epoch's top 4 bits are the generation: the same epoch in two
+    /// generations gives two tags, and `generation_of` reads it back.
     #[test]
     fn generation_epochs_separate_tags_and_roundtrip() {
-        let e0 = tags::epoch_with_generation(0, 7);
-        let e1 = tags::epoch_with_generation(1, 7);
+        let e0 = 7;
+        let e1 = (1 << 12) | 7;
         assert_ne!(tags::halo(e0, 1, 3), tags::halo(e1, 1, 3));
         assert_eq!(tags::generation_of(tags::halo(e1, 1, 3)), 1);
         assert_eq!(tags::generation_of(tags::halo(e0, 1, 3)), 0);
+        assert_ne!(tags::round(0, 7), tags::round(1, 7));
+        assert_eq!(tags::generation_of(tags::round(1, 7)), 1);
         assert_eq!(tags::kind_of(tags::halo(e1, 1, 3)), tags::KIND_HALO);
         assert_eq!(tags::kind_of(tags::collective(9, 1)), tags::KIND_COLL);
     }
@@ -1527,20 +1490,20 @@ mod chaos_tests {
         }
     }
 
-    /// Stale-generation halo packets (pre-rollback stragglers) are filtered
-    /// at decode time; same-tag traffic at the new generation still flows.
+    /// Stale-generation round packets (pre-rollback stragglers) are filtered
+    /// at decode time; the same round at the new generation still flows.
     #[test]
     fn stale_generation_packets_are_discarded() {
         let cfg = ChaosConfig::default();
         let (out, ch) = LocalCluster::run_with_chaos(2, cfg, |ep| {
             if ep.rank() == 0 {
                 // Old-generation packet, then the new-generation one.
-                ep.send(1, tags::halo(tags::epoch_with_generation(0, 3), 0, 9), Bytes::from_static(b"old"));
-                ep.send(1, tags::halo(tags::epoch_with_generation(1, 3), 0, 9), Bytes::from_static(b"new"));
+                ep.send(1, tags::round(0, 3), Bytes::from_static(b"old"));
+                ep.send(1, tags::round(1, 3), Bytes::from_static(b"new"));
                 Bytes::new()
             } else {
                 let gep = GroupEndpoint::new(&ep, CommGroup::full(2), 1);
-                gep.recv_matched(0, tags::halo(tags::epoch_with_generation(1, 3), 0, 9))
+                gep.recv_matched(0, tags::round(1, 3))
                     .expect("new-generation packet must arrive")
             }
         });

@@ -34,12 +34,13 @@
 //!    corrupt checkpoint files on purpose; non-test code flagged here
 //!    should be routed through `DiskStore::write_atomic`;
 //! 9. the non-test `unwrap()`/`expect()` count of each network-facing
-//!    runtime module in [`UNWRAP_AUDIT`] stays at or under that file's
-//!    committed ceiling. A panic on a network-reachable path fail-stops a
+//!    runtime module in [`UNWRAP_AUDIT`] equals that file's committed
+//!    ceiling. A panic on a network-reachable path fail-stops a
 //!    whole simulated rank, so wire-reachable decoding returns typed
 //!    `CommError`/`FrameError`/`StageError` values, and the residue
 //!    (lock poisoning, local invariants) is a ratchet: lowered by the
-//!    change that removes a call, never raised;
+//!    change that removes a call (a count under its ceiling fails too, so
+//!    no ceiling sits above the real count), never raised;
 //! 10. the token `crocco_perfmodel` never appears in code under the `src/`
 //!     of an *executed* crate ([`EXECUTED_CRATE_SRC`]) — what runs and what
 //!     is modeled for Summit stay apart (DESIGN.md §3). The crates'
@@ -102,9 +103,10 @@ const RAW_VIEW_TOKENS: &[&str] = &[
 
 /// Files whose non-test `unwrap()`/`expect()` count is ratcheted, each with
 /// its committed ceiling: a panic here fail-stops a simulated rank, so
-/// wire-reachable decoding must use typed errors. A file over its ceiling
-/// fails the lint; a change that removes calls lowers the number here in
-/// the same commit. Counting stops at the first `#[cfg(test)]` line.
+/// wire-reachable decoding must use typed errors. The ratchet is exact: a
+/// file over its ceiling fails the lint, and so does one under it, so a
+/// change that removes calls lowers the number here in the same commit.
+/// Counting stops at the first `#[cfg(test)]` line.
 const UNWRAP_AUDIT: &[(&str, usize)] = &[
     ("crates/runtime/src/cluster.rs", 2),
     ("crates/runtime/src/chaos.rs", 0),
@@ -113,7 +115,7 @@ const UNWRAP_AUDIT: &[(&str, usize)] = &[
     ("crates/fab/src/plan.rs", 0),
     ("crates/core/src/cluster_step.rs", 4),
     ("crates/fab/src/dist_overlap.rs", 1),
-    ("crates/core/src/durable.rs", 6),
+    ("crates/core/src/durable.rs", 0),
     ("crates/fab/src/exchange.rs", 0),
     ("crates/amr/src/tagging.rs", 0),
     ("crates/amr/src/fillpatch.rs", 1),
@@ -364,14 +366,18 @@ fn lint_file(rel: &Path, rel_str: &str, src: &str, is_crate_root: bool, report: 
     if let Some(&(_, ceiling)) = UNWRAP_AUDIT.iter().find(|(path, _)| *path == rel_str) {
         let n = count_unwraps(&stripped);
         report.unwrap_audit.push((rel.to_path_buf(), n));
-        if n > ceiling {
+        let fix = match n.cmp(&ceiling) {
+            std::cmp::Ordering::Greater => Some(("over", "return a typed error instead".into())),
+            std::cmp::Ordering::Less => Some(("under", format!("lower the ceiling to {n}"))),
+            std::cmp::Ordering::Equal => None,
+        };
+        if let Some((side, fix)) = fix {
             report.diagnostics.push(Diagnostic {
                 path: rel.to_path_buf(),
                 line: 0,
                 message: format!(
-                    "{n} unwrap()/expect() call(s) in non-test code, over this file's \
-                     ratchet of {ceiling} (UNWRAP_AUDIT in crates/xtask/src/lint.rs): \
-                     return a typed error instead"
+                    "{n} unwrap()/expect() call(s) in non-test code, {side} this file's \
+                     ratchet of {ceiling} (UNWRAP_AUDIT in crates/xtask/src/lint.rs): {fix}"
                 ),
             });
         }
@@ -932,8 +938,8 @@ mod tests {
         );
         fx.write(
             "crates/core/src/durable.rs",
-            "pub fn write_atomic(p: &std::path::Path, b: &[u8]) {\n    \
-                 std::fs::write(p.join(\"chk_B.tmp\"), b).unwrap();\n}\n",
+            "pub fn write_atomic(p: &std::path::Path, b: &[u8]) -> std::io::Result<()> {\n    \
+                 std::fs::write(p.join(\"chk_B.tmp\"), b)\n}\n",
         );
         let report = lint_root(&fx.root);
         assert!(report.diagnostics.is_empty(), "{:?}", messages(&report));
@@ -1003,6 +1009,29 @@ mod tests {
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("over this file's ratchet of 0"), "{msgs:?}");
         assert!(report.diagnostics[0].path.ends_with("tagging.rs"));
+    }
+
+    #[test]
+    fn fixture_unwrap_audit_fails_a_file_under_its_ratchet() {
+        let fx = Fixture::new();
+        fx.write("Cargo.toml", "[package]\nname = \"fx\"\n");
+        fx.write("src/lib.rs", "#![forbid(unsafe_code)]\n");
+        fx.write("crates/amr/Cargo.toml", "[package]\nname = \"amr\"\n");
+        fx.write("crates/amr/src/lib.rs", "#![forbid(unsafe_code)]\n");
+        fx.write(
+            "crates/amr/src/fillpatch.rs",
+            "pub fn f(v: Option<u8>) -> u8 { v.unwrap_or(0) }\n",
+        );
+        let report = lint_root(&fx.root);
+        let msgs = messages(&report);
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("0 unwrap()/expect() call(s)"), "{msgs:?}");
+        assert!(
+            msgs[0].contains("under this file's ratchet of 1"),
+            "{msgs:?}"
+        );
+        assert!(msgs[0].contains("lower the ceiling to 0"), "{msgs:?}");
+        assert!(report.diagnostics[0].path.ends_with("fillpatch.rs"));
     }
 
     #[test]

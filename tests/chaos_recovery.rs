@@ -8,7 +8,8 @@
 //!
 //! The configuration is the compression ramp of `tests/common`: sheared
 //! curvilinear grid, two AMR levels, `regrid_freq(3)` so multi-step runs
-//! cross regrids (including inside rollback windows).
+//! cross regrids (including inside rollback windows). Two scenarios run it
+//! subcycled, against the single-rank subcycled answer.
 //!
 //! `CROCCO_DIST_RANKS` (comma-separated) restricts the rank counts of the
 //! injection matrix — the CI chaos job uses it to split 2- and 4-rank legs
@@ -20,6 +21,7 @@ use common::{assert_partitions_oracle, new_owned, patch_bits, ramp_builder, Patc
 use crocco::runtime::chaos::{ChaosConfig, CrashPhase, CrashSpec};
 use crocco::runtime::LocalCluster;
 use crocco::solver::cluster_step::ChaosRunReport;
+use crocco::solver::config::SolverConfigBuilder;
 use crocco::solver::driver::Simulation;
 use std::sync::OnceLock;
 
@@ -36,11 +38,28 @@ fn ranks_under_test() -> Vec<usize> {
 /// patch bits and the conserved mass integral.
 fn baseline4() -> &'static (PatchBits, f64) {
     static B: OnceLock<(PatchBits, f64)> = OnceLock::new();
-    B.get_or_init(|| {
-        let mut sim = Simulation::new(ramp_builder().overlap(false).build());
-        sim.advance_steps(4);
-        (patch_bits(&sim), sim.conserved_integral(0))
-    })
+    B.get_or_init(|| oracle(ramp_builder(), 4))
+}
+
+/// Steps of the subcycled scenarios: the ramp refines at the step-3
+/// regrid, so steps 3–5 run two levels — old-state gathers, reflux
+/// shipping and per-substep average-down — and a step-4 checkpoint holds
+/// both levels.
+const SUB_STEPS: u32 = 6;
+
+/// The subcycled ramp's single-rank baseline after [`SUB_STEPS`] steps.
+fn subcycled_baseline() -> &'static (PatchBits, f64) {
+    static B: OnceLock<(PatchBits, f64)> = OnceLock::new();
+    B.get_or_init(|| oracle(ramp_builder().subcycling(true), SUB_STEPS))
+}
+
+/// Patch bits and conserved mass of `steps` single-rank steps under the
+/// reference schedule.
+fn oracle(builder: SolverConfigBuilder, steps: u32) -> (PatchBits, f64) {
+    let mut sim = Simulation::new(builder.overlap(false).build());
+    sim.advance_steps(steps);
+    assert!(sim.nlevels() > 1, "the ramp must refine");
+    (patch_bits(&sim), sim.conserved_integral(0))
 }
 
 /// Generous receive deadline: these tests run on oversubscribed CI hosts
@@ -68,11 +87,17 @@ fn run_chaos(
     overlap: bool,
     steps: u32,
 ) -> (Vec<RankOutcome>, [u64; 8]) {
-    let cfg = ramp_builder()
-        .nranks(nranks)
-        .overlap(overlap)
-        .chaos(chaos.clone())
-        .build();
+    run_chaos_with(ramp_builder().overlap(overlap), nranks, chaos, steps)
+}
+
+/// [`run_chaos`] of the configuration `builder` describes.
+fn run_chaos_with(
+    builder: SolverConfigBuilder,
+    nranks: usize,
+    chaos: ChaosConfig,
+    steps: u32,
+) -> (Vec<RankOutcome>, [u64; 8]) {
+    let cfg = builder.nranks(nranks).chaos(chaos.clone()).build();
     let (outcomes, runtime) = LocalCluster::run_with_chaos(nranks, chaos, move |ep| {
         let mut sim = new_owned(&cfg, &ep);
         let report = sim.advance_steps_chaos(steps, &ep);
@@ -170,8 +195,25 @@ fn assert_recovered(
     steps: u32,
     expect_rollbacks: &[u32],
 ) {
-    let (reference, ref_integral) = baseline4();
     assert_eq!(steps, 4, "baseline is 4 steps");
+    assert_recovered_to(
+        baseline4(),
+        outcomes,
+        crashed_ranks,
+        steps,
+        expect_rollbacks,
+    );
+}
+
+/// [`assert_recovered`] against `oracle`, the baseline of `steps` steps.
+fn assert_recovered_to(
+    oracle: &(PatchBits, f64),
+    outcomes: &[RankOutcome],
+    crashed_ranks: &[usize],
+    steps: u32,
+    expect_rollbacks: &[u32],
+) {
+    let (reference, ref_integral) = oracle;
     for (r, o) in outcomes.iter().enumerate() {
         if crashed_ranks.contains(&r) {
             assert!(o.report.crashed, "rank {r} was scheduled to crash");
@@ -299,6 +341,62 @@ fn crash_recovery_survives_concurrent_injection() {
     let (outcomes, stats) = run_chaos(4, chaos, false, 4);
     assert!(stats[0] + stats[2] + stats[3] > 0, "faults must fire");
     assert_recovered(&outcomes, &[2], 4, &[2]);
+}
+
+/// The rounds only a subcycled step draws — the coarse old-state gather of
+/// the time-interpolated fill, reflux shipping and the per-substep
+/// average-down — cross a faulty transport and are repaired bitwise, under
+/// the reference phases and the task graph.
+#[test]
+fn subcycled_injected_faults_are_repaired_bitwise() {
+    let (reference, _) = subcycled_baseline();
+    // The plan hashes round tags. Under this seed it injures an old-state
+    // gather (drop, corrupt, delay), a reflux shipment (delay) and an
+    // average-down (drop); renumbered rounds move which frames it hits.
+    let chaos = ChaosConfig {
+        seed: 13,
+        drop_p: 0.03,
+        duplicate_p: 0.02,
+        corrupt_p: 0.02,
+        delay_p: 0.03,
+        wait_timeout_ms: WAIT_TIMEOUT_MS,
+        ..ChaosConfig::default()
+    };
+    for overlap in [false, true] {
+        let builder = ramp_builder().subcycling(true).overlap(overlap);
+        let (outcomes, stats) = run_chaos_with(builder, 2, chaos.clone(), SUB_STEPS);
+        assert!(
+            stats[0] + stats[1] + stats[2] + stats[3] > 0,
+            "the plan must actually injure this run"
+        );
+        for o in &outcomes {
+            assert!(!o.report.crashed);
+            assert_eq!(o.report.recoveries, 0, "no rank died, no recovery");
+        }
+        assert_partitions_oracle(
+            &survivor_bits(&outcomes),
+            reference,
+            &format!("subcycled injected faults, overlap={overlap}"),
+        );
+    }
+}
+
+/// A subcycled mid-step crash on two levels: the survivor rolls back to
+/// the step-4 checkpoint and finishes alone, its rebuilt `Simulation`
+/// counting rounds from zero again in the next communicator generation.
+#[test]
+fn subcycled_rank_crash_after_dt_recovers() {
+    let chaos = ChaosConfig {
+        crashes: vec![CrashSpec {
+            rank: 1,
+            step: 5,
+            phase: CrashPhase::AfterDt,
+        }],
+        ..crash_base()
+    };
+    let builder = ramp_builder().subcycling(true).overlap(false);
+    let (outcomes, _) = run_chaos_with(builder, 2, chaos, SUB_STEPS);
+    assert_recovered_to(subcycled_baseline(), &outcomes, &[1], SUB_STEPS, &[4]);
 }
 
 /// Under the fabcheck sanitizer, a poisoned-NaN kernel (here: one rank's

@@ -195,7 +195,7 @@ fn cross_rank_verifier_flags_a_deleted_send() {
 #[test]
 fn dynamic_detector_traps_the_same_mutation_at_runtime() {
     use crocco::fab::{run_dist_rk_stage, DistStage, StageFabs};
-    use crocco::runtime::{GroupEndpoint, RankEndpoint, Schedule};
+    use crocco::runtime::{tags, GroupEndpoint, RankEndpoint, Schedule};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let (ba, dm, domain) = setup(1);
@@ -216,8 +216,7 @@ fn dynamic_detector_traps_the_same_mutation_at_runtime() {
         let gep = GroupEndpoint::full(&solo);
         let st = DistStage {
             ep: &gep,
-            level: 0,
-            epoch: 0,
+            tag: tags::round(0, 0),
             overlap: true,
             sched: Schedule::adversarial(0),
             ghosts: GhostFootprint::Shell(nghost),
