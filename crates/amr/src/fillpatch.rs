@@ -17,9 +17,7 @@
 use crate::interp::{BlendKind, BlendStencil, BlendWeights, Interpolator};
 use crocco_fab::plan::{CopyChunk, CopyPlan, GhostFootprint};
 use crocco_fab::plan_cache::{CachedPlan, PlanCache, PlanKey, PlanOp};
-use crocco_fab::{
-    boxarray::subtract_box, with_rw, BoxArray, DistributionMapping, FArrayBox, FabRw, MultiFab,
-};
+use crocco_fab::{with_rw, BoxArray, DistributionMapping, FArrayBox, FabRw, MultiFab};
 use crocco_fab::exchange::{exchange_chunks, unpack_chunk, Landed};
 use crocco_geometry::{IndexBox, IntVect, ProblemDomain};
 use crocco_runtime::cluster::CommError;
@@ -838,7 +836,7 @@ fn uncovered_regions(probe: IndexBox, ba: &BoxArray, domain: &ProblemDomain) -> 
                 let cut = overlap.shift(shift);
                 let mut nn = Vec::with_capacity(pieces.len());
                 for piece in pieces {
-                    subtract_box(piece, cut, &mut nn);
+                    piece.subtract(cut, &mut nn);
                 }
                 pieces = nn;
             }
@@ -1481,7 +1479,7 @@ mod tests {
     /// The epoch model across a full FillPatch: fresh after the fill (even
     /// though BC application mutates through `fabs_mut`), stale again as soon
     /// as the state changes.
-    #[cfg(feature = "fabcheck")]
+    #[cfg(feature = "check")]
     #[test]
     fn fillpatch_leaves_ghosts_fresh_until_next_mutation() {
         let domain_box = IndexBox::from_extents(16, 8, 8);
@@ -1506,7 +1504,7 @@ mod tests {
 
     /// Tentpole acceptance: a kernel running after the fill was *skipped*
     /// (the classic AMR ordering bug) traps instead of consuming stale data.
-    #[cfg(feature = "fabcheck")]
+    #[cfg(feature = "check")]
     #[test]
     #[should_panic(expected = "stale ghost read")]
     fn skipped_fillpatch_traps_the_consuming_kernel() {

@@ -29,7 +29,7 @@
 //! flavour, not a virtual call, per platform.
 //!
 //! Selection goes through [`SolverConfig::kernel_backend`] and composes
-//! with `overlap` and `fabcheck`; the invariance suite
+//! with `overlap` and the `check` build; the invariance suite
 //! (`tests/backend_invariance.rs`) proves the default matches Scalar
 //! bitwise on the compression ramp across those combinations.
 //!

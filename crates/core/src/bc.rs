@@ -5,7 +5,6 @@ use crate::eos::PerfectGas;
 use crate::problems::{dmr, dmr_post_shock, dmr_pre_shock, ramp_inflow, ProblemKind};
 use crate::state::{cons, Conserved, NCONS};
 use crocco_amr::BoundaryFiller;
-use crocco_fab::boxarray::subtract_box;
 use crocco_fab::{FabRw, GhostFootprint};
 use crocco_geometry::{GridMapping, IndexBox, IntVect, ProblemDomain, RealVect};
 use std::sync::Arc;
@@ -213,7 +212,7 @@ fn outside_slabs(gbox: IndexBox, domain: &ProblemDomain) -> Vec<IndexBox> {
         }
     }
     let mut slabs = Vec::new();
-    subtract_box(gbox, IndexBox::new(lo, hi), &mut slabs);
+    gbox.subtract(IndexBox::new(lo, hi), &mut slabs);
     slabs
 }
 
@@ -242,12 +241,13 @@ pub fn boundary_regions(
 // visit order is free — except at the ramp's wall: the wall ghosts at an
 // outflow corner mirror cells that are outflow ghosts of the same pass, and
 // take their values from *before* it (the mirror cell `m` of a wall ghost
-// `p` has the same x and z and a larger y). `subtract_box` keeps `p` ahead
-// of `m`: x-slabs come first and span the box in y and z, so both cells
-// share a slab and its x-fastest order; a wall ghost inside the domain in x
-// sits in a y-slab, ahead of the z-slab of its mirror. A face footprint has
-// no such pair: each of its ghosts lies outside the domain across one face
-// only, and its mirror or nearest interior cell is a valid cell.
+// `p` has the same x and z and a larger y). `IndexBox::subtract` keeps `p`
+// ahead of `m`: x-slabs come first and span the box in y and z, so both
+// cells share a slab and its x-fastest order; a wall ghost inside the domain
+// in x sits in a y-slab, ahead of the z-slab of its mirror. A face
+// footprint has no such pair: each of its ghosts lies outside the domain
+// across one face only, and its mirror or nearest interior cell is a valid
+// cell.
 impl PhysicalBc {
     /// [`fill_view`](BoundaryFiller::fill_view) restricted to the ghost
     /// cells of `ghosts` around `valid` ([`boundary_regions`]): what an RK

@@ -355,13 +355,13 @@ impl Simulation {
         Ok(())
     }
 
-    /// Test hook for the fabcheck chaos scenario: silently corrupts the
-    /// metrics of the first level-0 patch owned by `rank` (the NaN a
+    /// Test hook for the `check` build's chaos scenario: silently corrupts
+    /// the metrics of the first level-0 patch owned by `rank` (the NaN a
     /// flipped bit in device memory would plant). The next RK stage folds
-    /// it into the right-hand side, and the `nan_poison` post-stage sweep
-    /// traps — exercising the panic-to-fail-stop conversion in
+    /// it into the right-hand side, and the post-stage finite sweep traps —
+    /// exercising the panic-to-fail-stop conversion in
     /// [`Simulation::advance_steps_chaos`].
-    #[cfg(feature = "fabcheck")]
+    #[cfg(feature = "check")]
     pub fn poison_metrics_for_test(&mut self, rank: usize) {
         let lev = &mut self.levels[0];
         let owners = lev.metrics.distribution().clone();
@@ -396,8 +396,8 @@ impl Simulation {
 
     /// Advances to `self.step + n` under the chaos runtime: periodic
     /// in-memory checkpoints, fail-stop on scheduled crashes (and on local
-    /// kernel panics, e.g. a `fabcheck` NaN trap), and checkpoint-rollback
-    /// recovery on detected peer faults (DESIGN.md §4g).
+    /// kernel panics, e.g. the `check` build's NaN trap), and
+    /// checkpoint-rollback recovery on detected peer faults (DESIGN.md §4g).
     ///
     /// Recovery protocol, executed independently but identically by every
     /// survivor (all agreement is derived from shared deterministic state,
@@ -502,8 +502,8 @@ impl Simulation {
                 Ok(Err(StageError::CrashInjected | StageError::NonFiniteDt { .. })) | Err(_) => {
                     // This rank fail-stops: scheduled crash, a time step no
                     // rollback can repair, or a local kernel panic (poisoned
-                    // NaN under fabcheck) treated as one. Mark it dead so
-                    // blocked peers' waits fault.
+                    // NaN in the `check` build) treated as one. Mark it dead
+                    // so blocked peers' waits fault.
                     ep.mark_dead();
                     report.crashed = true;
                     return report;
@@ -580,15 +580,15 @@ impl Simulation {
     }
 
     /// Traps a non-finite value in level `l`'s owned state or dU after an RK
-    /// stage (the `nan_poison` post-stage sweep; non-owned patches hold no
-    /// data).
+    /// stage (the `check` build's post-stage sweep; non-owned patches hold
+    /// no data).
     fn assert_level_finite(&self, l: usize, what: &str) {
         let lev = &self.levels[l];
         for (name, mf) in [("state", &lev.state), ("dU", &lev.du)] {
             for i in (0..mf.nfabs()).filter(|&i| mf.is_allocated(i)) {
                 assert!(
                     !mf.fab(i).has_nonfinite(mf.valid_box(i)),
-                    "fabcheck: non-finite in {what} {name} L{l} patch {i}"
+                    "check: non-finite in {what} {name} L{l} patch {i}"
                 );
             }
         }
@@ -628,7 +628,7 @@ impl Simulation {
             let alpha = parent.map(|(pt, pdt)| (t_fill - pt) / pdt);
             let sub = crate::subcycle::SubCtx { t, alpha };
             self.fill_and_advance(l, stage, dt, gep, Some(&sub))?;
-            if self.cfg.nan_poison {
+            if cfg!(feature = "check") {
                 self.assert_level_finite(l, &format!("sub RK stage {stage}"));
             }
         }
@@ -723,7 +723,7 @@ impl Simulation {
                 }
                 self.profiler.add(Region::AverageDown, t0.elapsed().as_secs_f64());
             }
-            if self.cfg.nan_poison {
+            if cfg!(feature = "check") {
                 for l in 0..self.levels.len() {
                     self.assert_level_finite(l, &format!("RK stage {stage}"));
                 }
@@ -762,7 +762,6 @@ impl Simulation {
         let a = self.cfg.time_scheme.a(stage);
         let b = self.cfg.time_scheme.b(stage);
         let w = self.cfg.time_scheme.net_flux_weight(stage);
-        let poison = self.cfg.nan_poison;
         let time = sub.map_or(self.time, |s| s.t);
         let ratio = IntVect::splat(2);
         // The ghost cells this stage's kernels read: every producer below —
@@ -972,7 +971,7 @@ impl Simulation {
             }
         };
         let update = |_i: usize, dufab: &mut FArrayBox, stfab: &mut FArrayBox, rhs: &FArrayBox| {
-            if poison && a == 0.0 {
+            if cfg!(feature = "check") && a == 0.0 {
                 // 0·SNAN is still NaN: a poisoned dU must be dropped
                 // explicitly at the first stage, not multiplied away.
                 dufab.fill(0.0);

@@ -175,22 +175,11 @@ pub struct SolverConfig {
     /// [`BackendKind::Scalar`] is for kernels). Results are
     /// bitwise-identical; only the inter-patch schedule changes.
     pub overlap: bool,
-    /// Poison freshly allocated state/scratch fabs with signaling NaNs and
-    /// sweep valid regions for non-finite values after every RK stage
-    /// (AMReX's `fab.initval` + `check_for_nan` discipline). The poisoning
-    /// needs the `fabcheck` cargo feature; off by default — it changes what
-    /// a bug *does* (trap vs silent zero), never correct results. The
-    /// feature's other check, the plan-alias proof before every stage's halo
-    /// exchange, has no switch: a `--features fabcheck` build always runs it.
-    /// (The level-wide ghost epoch, `MultiFab::assert_ghosts_fresh`, guards
-    /// only the `amr::fillpatch::fill_patch_*_with` entry points — the RK
-    /// loop fills and sweeps per patch inside one stage executor.)
-    pub nan_poison: bool,
     /// Kernel backend for the hot loops (DESIGN.md §4h): the plane-laned
     /// SIMD kernels or the scalar per-point reference. Both are
     /// bitwise-identical on the solution (`tests/backend_invariance.rs`);
     /// they differ only in throughput. Composes with
-    /// [`overlap`](Self::overlap) and the `fabcheck` feature. Defaults to
+    /// [`overlap`](Self::overlap) and the `check` build. Defaults to
     /// [`BackendKind::Lanes`]; [`BackendKind::Scalar`] is the test oracle.
     pub kernel_backend: BackendKind,
     /// Chaos-runtime configuration for cluster stepping (DESIGN.md §4g):
@@ -306,7 +295,6 @@ impl Default for SolverConfigBuilder {
                 nranks: 1,
                 threads: 1,
                 overlap: true,
-                nan_poison: false,
                 kernel_backend: BackendKind::default(),
                 chaos: None,
                 spill_dir: None,
@@ -424,14 +412,6 @@ impl SolverConfigBuilder {
     /// `false`, the sequential reference phases.
     pub fn overlap(mut self, on: bool) -> Self {
         self.cfg.overlap = on;
-        self
-    }
-
-    /// Enables/disables signaling-NaN poisoning of fresh allocations plus
-    /// per-stage `check_for_nan` sweeps (inert without the `fabcheck` cargo
-    /// feature).
-    pub fn nan_poison(mut self, on: bool) -> Self {
-        self.cfg.nan_poison = on;
         self
     }
 

@@ -399,9 +399,9 @@ impl Simulation {
         sim
     }
 
-    /// Allocates a solver `MultiFab`: signaling NaNs in every cell when
-    /// `nan_poison` is on (so an unwritten cell traps in the next post-stage
-    /// sweep instead of smuggling a zero). Only the patches
+    /// Allocates a solver `MultiFab`: signaling NaNs in every cell in the
+    /// `check` build (so an unwritten cell traps in the next post-stage
+    /// sweep instead of smuggling a zero), zeros otherwise. Only the patches
     /// [`owned_rank`](Self::owned_rank) owns get storage.
     pub(crate) fn alloc_mf(
         &self,
@@ -410,12 +410,7 @@ impl Simulation {
         ncomp: usize,
         nghost: i64,
     ) -> MultiFab {
-        let r = self.owned_rank;
-        if self.cfg.nan_poison {
-            MultiFab::new_owned_poisoned(ba, dm, ncomp, nghost, r)
-        } else {
-            MultiFab::new_owned(ba, dm, ncomp, nghost, r)
-        }
+        MultiFab::new_owned_poisoned(ba, dm, ncomp, nghost, self.owned_rank)
     }
 
     /// Level extents at level `l`.
@@ -514,7 +509,8 @@ impl Simulation {
     /// footprint ([`SolverConfig::ghost_footprint`]), which the tagging at
     /// construction reads before any stage has filled them. Ghosts outside
     /// the footprint are never read, and keep their allocation value — a
-    /// signaling NaN under `nan_poison`, so a read past the footprint traps.
+    /// signaling NaN in the `check` build, so a read past the footprint
+    /// traps.
     fn init_state_from_ic(&self, coords: &MultiFab, state: &mut MultiFab) {
         let ghosts = self.cfg.ghost_footprint();
         for i in 0..state.nfabs() {

@@ -202,7 +202,7 @@ impl BoxArray {
             let cut = self.boxes[id as usize];
             let mut next = Vec::with_capacity(remaining.len());
             for r in remaining {
-                subtract_box(r, cut, &mut next);
+                r.subtract(cut, &mut next);
             }
             remaining = next;
             if remaining.is_empty() {
@@ -211,30 +211,6 @@ impl BoxArray {
         }
         remaining
     }
-}
-
-/// Subtracts `cut` from `from`, pushing the (disjoint) remainder onto `out`.
-pub fn subtract_box(from: IndexBox, cut: IndexBox, out: &mut Vec<IndexBox>) {
-    let isect = from.intersection(&cut);
-    if isect.is_empty() {
-        out.push(from);
-        return;
-    }
-    // Slice `from` along each direction around the intersection.
-    let mut core = from;
-    for dir in 0..3 {
-        if core.lo()[dir] < isect.lo()[dir] {
-            let (low, rest) = core.chop(dir, isect.lo()[dir]);
-            out.push(low);
-            core = rest;
-        }
-        if core.hi()[dir] > isect.hi()[dir] {
-            let (rest, high) = core.chop(dir, isect.hi()[dir] + 1);
-            out.push(high);
-            core = rest;
-        }
-    }
-    debug_assert_eq!(core, isect);
 }
 
 #[cfg(test)]
@@ -330,12 +306,5 @@ mod tests {
         let d = BoxArray::new(vec![b([0, 0, 0], [7, 7, 7])]);
         assert_eq!(a, d);
         assert_ne!(a.id(), d.id());
-    }
-
-    #[test]
-    fn subtract_box_disjoint_cut_keeps_original() {
-        let mut out = Vec::new();
-        subtract_box(b([0, 0, 0], [3, 3, 3]), b([10, 10, 10], [12, 12, 12]), &mut out);
-        assert_eq!(out, vec![b([0, 0, 0], [3, 3, 3])]);
     }
 }

@@ -67,7 +67,7 @@
 //!
 //! * two halo tasks write different patches' ghost shells and read only
 //!   valid cells of source patches (a `FillBoundary` plan invariant, proven
-//!   per-execution under `fabcheck`); coarse-fine interpolation in
+//!   per-execution in the `check` build); coarse-fine interpolation in
 //!   `pre_halo` writes only regions of patch `i` uncovered by fine data;
 //! * `interior[i]` reads only patch `i`'s valid cells (the sweep region is
 //!   shrunk by the ghost width so the widest stencil stays inside valid
@@ -99,7 +99,7 @@ use crate::fab::FArrayBox;
 use crate::multifab::{copy_chunk_raw, MultiFab, RawFab};
 use crate::plan::{CopyChunk, CopyPlan, GhostFootprint};
 use crate::plan_cache::CachedPlan;
-#[cfg(feature = "taskcheck")]
+#[cfg(feature = "check")]
 use crate::taskcheck::{dist_rank_schedule, inbox_ids, FabIds};
 use crate::view::{FabRd, FabRw};
 use crocco_geometry::IndexBox;
@@ -374,7 +374,7 @@ pub struct DistStage<'a> {
 /// dynamic detector, so the declared schedule stays honest about every fab
 /// the stage reads. Pass `&[]` when there is nothing extra; otherwise one
 /// entry per patch. Footprints exist only on the graph schedule of a
-/// `taskcheck` build; the fenced one ignores the declarations.
+/// `check` build; the fenced one ignores the declarations.
 #[allow(clippy::too_many_arguments)]
 pub fn run_dist_rk_stage(
     fabs: StageFabs<'_>,
@@ -396,7 +396,7 @@ pub fn run_dist_rk_stage(
         extra_halo.is_empty() || extra_halo.len() == n,
         "extra halo reads must cover every patch or none"
     );
-    // Under `fabcheck`, prove the halo plan alias-free before running it.
+    // The `check` build proves the halo plan alias-free before running it.
     fabs.state.check_plan_gated(&fb.plan, true);
     if st.overlap {
         run_overlapped(
@@ -548,8 +548,8 @@ fn run_overlapped(
     // Raw captures. Going through the slice base pointer keeps every later
     // `&mut FArrayBox` an independent derivation from the same provenance
     // root, so expired per-capture borrows are never revived. `fabs_mut()`
-    // also bumps the fabcheck data epoch: after the stage the ghosts are
-    // (correctly) considered stale, exactly as on the fenced path.
+    // also bumps the `check` build's data epoch: after the stage the ghosts
+    // are (correctly) considered stale, exactly as on the fenced path.
     let state_base = BasePtr(fabs.state.fabs_mut().as_mut_ptr());
     let state_raw: Vec<RawFab> = (0..n)
         // SAFETY: `i < n` indexes the live slice; the `&mut` is temporary
@@ -566,7 +566,7 @@ fn run_overlapped(
     // when it lands, fired as an event, drained by the halo tasks it feeds.
     let inbox = &Inbox::post(st.ep, layout, st.tag);
 
-    #[cfg(feature = "taskcheck")]
+    #[cfg(feature = "check")]
     let mut declared = Declared::live(
         plan,
         skel,
@@ -584,7 +584,7 @@ fn run_overlapped(
         },
         extra_halo,
     );
-    #[cfg(not(feature = "taskcheck"))]
+    #[cfg(not(feature = "check"))]
     let mut declared = Declared {};
 
     let mut graph = TaskGraph::new();
@@ -700,18 +700,18 @@ fn run_overlapped(
 }
 
 /// The declared footprints of one stage's tasks, in skeleton order, with
-/// live fab ids: what the dynamic detector (feature `taskcheck`) audits
+/// live fab ids: what the dynamic detector (the `check` build) audits
 /// every executed access against. Nothing else reads a footprint, so the
 /// default build derives none and adds each task bare.
 struct Declared {
-    #[cfg(feature = "taskcheck")]
+    #[cfg(feature = "check")]
     footprints: Vec<crocco_runtime::taskcheck::Footprint>,
 }
 
 impl Declared {
     /// The verifier's footprints ([`crate::taskcheck::dist_rank_schedule`])
     /// over live ids, each halo task's `extra_halo` reads added.
-    #[cfg(feature = "taskcheck")]
+    #[cfg(feature = "check")]
     fn live(
         plan: &CopyPlan,
         skel: &DistSkeleton,
@@ -749,11 +749,11 @@ impl Declared {
     where
         F: FnOnce() + Send + 'env,
     {
-        #[cfg(feature = "taskcheck")]
+        #[cfg(feature = "check")]
         {
             graph.add_task_with(deps, std::mem::take(&mut self.footprints[t]), f)
         }
-        #[cfg(not(feature = "taskcheck"))]
+        #[cfg(not(feature = "check"))]
         {
             let _ = t;
             graph.add_task(deps, f)

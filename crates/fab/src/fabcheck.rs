@@ -1,37 +1,38 @@
-//! `fabcheck`: the dynamic sanitizer for plan execution and ghost validity.
+//! The fab layer's share of the `check` build: the dynamic sanitizer for
+//! plan execution and ghost validity.
 //!
 //! The paper's port spent much of its debugging effort on exactly two hazard
 //! classes in the AMR data paths: copies landing on top of each other
 //! (aliasing in the `FillBoundary`/`ParallelCopy` message lists) and kernels
 //! consuming ghost cells that were never refreshed after the state changed.
-//! AMReX ships built-in defenses for these — signaling-NaN initialization of
-//! `FArrayBox`es and `check_for_nan` sweeps — and this module reproduces
-//! them, plus a dynamic proof of the aliasing invariant our `unsafe` plan
-//! executor relies on ([`crate::multifab`]).
+//! AMReX ties its defenses for these — signaling-NaN initialization of
+//! `FArrayBox`es and sweeps for NaNs after each stage — to one debug build,
+//! and so does this reproduction, adding a dynamic proof of the aliasing
+//! invariant our `unsafe` plan executor relies on ([`crate::multifab`]).
 //!
 //! Three layers, all debug tooling (never required for correctness of a
-//! correct program):
+//! correct program), all live together in the `check` build and absent
+//! from the plain one:
 //!
 //! 1. **Plan aliasing** — [`check_plan`] proves every destination fab's chunk
 //!    regions pairwise disjoint, and (for in-place plans like `FillBoundary`)
 //!    that no chunk reads a region another chunk writes. This turns the
 //!    safety *argument* documented on `execute_grouped` into a checked
 //!    invariant at every execution.
-//! 2. **Ghost staleness** — each `MultiFab` carries a [`CheckState`] under
-//!    the `fabcheck` feature: a `data_epoch` bumped on every mutable access
-//!    to fab data and a `ghost_epoch` recording the data epoch at the last
-//!    ghost fill. `assert_ghosts_fresh` traps a kernel about to read ghosts
-//!    that are stale (`ghost_epoch != data_epoch`) or were never filled.
-//! 3. **NaN poisoning** — `MultiFab::new_poisoned` fills fresh allocations
-//!    with a signaling NaN ([`SNAN`]) so uninitialized reads propagate, and
-//!    [`check_for_nan`] sweeps valid regions after each RK stage to localize
-//!    the first poisoned cell (AMReX `FArrayBox::initval` + `check_for_nan`).
+//! 2. **Ghost staleness** — each `MultiFab` carries a [`CheckState`]: a
+//!    `data_epoch` bumped on every mutable access to fab data and a
+//!    `ghost_epoch` recording the data epoch at the last ghost fill.
+//!    `assert_ghosts_fresh` traps a kernel about to read ghosts that are
+//!    stale (`ghost_epoch != data_epoch`) or were never filled.
+//! 3. **NaN poisoning** — `MultiFab::new_owned_poisoned` fills fresh
+//!    allocations with a signaling NaN ([`SNAN`]) so uninitialized reads
+//!    propagate; the solver's post-stage finite sweep localizes the first
+//!    poisoned patch.
 //!
 //! Everything here is plain safe code and compiles unconditionally; only the
-//! per-`MultiFab` bookkeeping hooks are gated behind the `fabcheck` cargo
-//! feature so the default build carries zero overhead. See DESIGN.md §4d.
+//! per-`MultiFab` bookkeeping hooks are gated behind the `check` cargo
+//! feature so the plain build carries zero overhead. See DESIGN.md §4d.
 
-use crate::multifab::MultiFab;
 use crate::plan::CopyPlan;
 
 /// Signaling NaN used to poison freshly allocated fab data (AMReX uses the
@@ -92,26 +93,8 @@ pub fn check_plan(plan: &CopyPlan, in_place: bool) {
     }
 }
 
-/// Sweeps every valid cell of `mf` and panics on the first NaN, reporting
-/// patch, cell, and component — the AMReX `check_for_nan` diagnostic. With
-/// NaN poisoning on, a hit means some kernel consumed a never-written value.
-pub fn check_for_nan(mf: &MultiFab, label: &str) {
-    for (i, b) in mf.iter_valid() {
-        let fab = mf.fab(i);
-        for c in 0..mf.ncomp() {
-            for p in b.cells() {
-                let v = fab.get(p, c);
-                assert!(
-                    !v.is_nan(),
-                    "fabcheck: NaN in {label}: patch {i} cell {p:?} component {c}"
-                );
-            }
-        }
-    }
-}
-
-/// Per-`MultiFab` sanitizer state (embedded in every `MultiFab` under the
-/// `fabcheck` feature; the feature alone decides whether the checks run).
+/// Per-`MultiFab` sanitizer state (embedded in every `MultiFab` in the
+/// `check` build; the build alone decides whether the checks run).
 ///
 /// The freshness model: `data_epoch` counts potential mutations of fab data
 /// (any `fab_mut`/`fabs_mut` handout, `set_val`, plan execution into this

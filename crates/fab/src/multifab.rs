@@ -3,14 +3,15 @@
 //! This is the workspace's only module allowed to contain `unsafe` code (the
 //! raw per-fab views behind parallel plan execution); the allowlist is
 //! enforced by `cargo xtask lint`, and the aliasing assumptions the unsafe
-//! blocks rely on are dynamically provable with the `fabcheck` feature
-//! ([`crate::fabcheck`]).
+//! blocks rely on are proven at every execution in the `check` build
+//! ([`crate::fabcheck`]), which also allocates solver fabs as signaling
+//! NaNs ([`MultiFab::new_owned_poisoned`]).
 #![allow(unsafe_code)]
 
 use crate::boxarray::BoxArray;
 use crate::distribution::DistributionMapping;
 use crate::fab::FArrayBox;
-#[cfg(feature = "fabcheck")]
+#[cfg(feature = "check")]
 use crate::fabcheck;
 use crate::plan::{fill_boundary_plan, parallel_copy_plan, CopyPlan};
 use crate::plan_cache::{CachedPlan, PlanCache};
@@ -38,7 +39,7 @@ pub struct MultiFab {
     fabs: Vec<FArrayBox>,
     /// Sanitizer bookkeeping (ghost-freshness epochs, master switch); see
     /// [`crate::fabcheck::CheckState`] for the freshness model.
-    #[cfg(feature = "fabcheck")]
+    #[cfg(feature = "check")]
     check: fabcheck::CheckState,
 }
 
@@ -58,7 +59,7 @@ impl MultiFab {
             ncomp,
             nghost,
             fabs,
-            #[cfg(feature = "fabcheck")]
+            #[cfg(feature = "check")]
             check: fabcheck::CheckState::default(),
         }
     }
@@ -116,14 +117,17 @@ impl MultiFab {
             ncomp,
             nghost,
             fabs,
-            #[cfg(feature = "fabcheck")]
+            #[cfg(feature = "check")]
             check: fabcheck::CheckState::default(),
         }
     }
 
-    /// [`MultiFab::new_owned`] with the `fabcheck` signaling-NaN allocation
-    /// poison applied to the owned patches (see [`MultiFab::new_poisoned`]).
-    /// Without the feature this is exactly `new_owned`.
+    /// [`MultiFab::new_owned`], but in the `check` build every owned cell
+    /// is a signaling NaN ([`crate::fabcheck::SNAN`]) instead of zero, so a
+    /// kernel consuming a never-written value propagates NaN into the
+    /// solver's post-stage finite sweep (the AMReX `fab.initval`
+    /// discipline). Outside the `check` build this is exactly `new_owned`,
+    /// so callers use it unconditionally.
     pub fn new_owned_poisoned(
         ba: Arc<BoxArray>,
         dm: Arc<DistributionMapping>,
@@ -133,7 +137,7 @@ impl MultiFab {
     ) -> Self {
         #[allow(unused_mut)]
         let mut mf = Self::new_owned(ba, dm, ncomp, nghost, rank);
-        #[cfg(feature = "fabcheck")]
+        #[cfg(feature = "check")]
         for f in &mut mf.fabs {
             if f.is_allocated() {
                 f.fill(fabcheck::SNAN);
@@ -158,27 +162,6 @@ impl MultiFab {
             .iter()
             .map(|f| std::mem::size_of_val(f.data()))
             .sum()
-    }
-
-    /// Like [`MultiFab::new`], but with the `fabcheck` feature every cell is
-    /// poisoned with a signaling NaN ([`crate::fabcheck::SNAN`]) instead of
-    /// zero, so any kernel consuming a never-written value propagates NaN and
-    /// is caught by the next [`crate::fabcheck::check_for_nan`] sweep (the
-    /// AMReX `fab.initval` discipline). Without the feature this is exactly
-    /// `new` — callers may use it unconditionally.
-    pub fn new_poisoned(
-        ba: Arc<BoxArray>,
-        dm: Arc<DistributionMapping>,
-        ncomp: usize,
-        nghost: i64,
-    ) -> Self {
-        #[allow(unused_mut)]
-        let mut mf = Self::new(ba, dm, ncomp, nghost);
-        #[cfg(feature = "fabcheck")]
-        for f in &mut mf.fabs {
-            f.fill(fabcheck::SNAN);
-        }
-        mf
     }
 
     /// The box array.
@@ -241,20 +224,20 @@ impl MultiFab {
     /// Declares the ghost regions coherent with the current valid data.
     /// `fill_boundary` calls this itself; fill-patch sequences that apply
     /// physical BCs through `fabs_mut` afterwards must call it once the whole
-    /// ghost shell is in its final state. No-op without `fabcheck`.
+    /// ghost shell is in its final state. No-op outside the `check` build.
     pub fn mark_ghosts_filled(&mut self) {
-        #[cfg(feature = "fabcheck")]
+        #[cfg(feature = "check")]
         {
             self.check.ghost_epoch = Some(self.check.data_epoch);
         }
     }
 
-    /// Traps a stale-ghost read: panics (under the `fabcheck` feature) if
+    /// Traps a stale-ghost read: panics (in the `check` build) if
     /// valid data changed since the last ghost fill, or if ghosts
     /// were never filled at all. Kernels that consume ghost cells call this
     /// on entry; `_label` names the call site in the panic message.
     pub fn assert_ghosts_fresh(&self, _label: &str) {
-        #[cfg(feature = "fabcheck")]
+        #[cfg(feature = "check")]
         {
             assert!(
                 self.check.ghosts_fresh(),
@@ -267,13 +250,13 @@ impl MultiFab {
     }
 
     /// `true` when ghosts are coherent with the valid data. Always `true`
-    /// without the `fabcheck` feature (no bookkeeping to consult).
+    /// outside the `check` build (no bookkeeping to consult).
     pub fn ghosts_fresh(&self) -> bool {
-        #[cfg(feature = "fabcheck")]
+        #[cfg(feature = "check")]
         {
             self.check.ghosts_fresh()
         }
-        #[cfg(not(feature = "fabcheck"))]
+        #[cfg(not(feature = "check"))]
         {
             true
         }
@@ -281,7 +264,7 @@ impl MultiFab {
 
     #[inline]
     fn note_data_mutation(&mut self) {
-        #[cfg(feature = "fabcheck")]
+        #[cfg(feature = "check")]
         {
             self.check.data_epoch += 1;
         }
@@ -289,7 +272,7 @@ impl MultiFab {
 
     #[inline]
     pub(crate) fn check_plan_gated(&self, _plan: &CopyPlan, _in_place: bool) {
-        #[cfg(feature = "fabcheck")]
+        #[cfg(feature = "check")]
         fabcheck::check_plan(_plan, _in_place);
     }
 
@@ -817,7 +800,7 @@ mod tests {
 
     /// Tentpole acceptance: a deliberately-overlapping hand-built plan must
     /// be rejected before the unsafe executor ever runs it.
-    #[cfg(feature = "fabcheck")]
+    #[cfg(feature = "check")]
     #[test]
     #[should_panic(expected = "plan aliasing")]
     fn seeded_overlapping_plan_is_caught() {
@@ -845,7 +828,7 @@ mod tests {
 
     /// Tentpole acceptance: reading ghosts after the valid data changed
     /// (i.e. a skipped `fill_boundary`) must trap.
-    #[cfg(feature = "fabcheck")]
+    #[cfg(feature = "check")]
     #[test]
     #[should_panic(expected = "stale ghost read")]
     fn stale_ghosts_after_mutation_trap() {
@@ -858,7 +841,7 @@ mod tests {
         mf.assert_ghosts_fresh("second kernel"); // …ghosts now stale: traps
     }
 
-    #[cfg(feature = "fabcheck")]
+    #[cfg(feature = "check")]
     #[test]
     #[should_panic(expected = "never")]
     fn never_filled_ghosts_trap() {
@@ -866,34 +849,28 @@ mod tests {
         mf.assert_ghosts_fresh("kernel before any fill");
     }
 
-    #[cfg(feature = "fabcheck")]
     #[test]
-    fn poisoned_allocation_is_nan_until_written() {
+    fn new_poisoned_without_feature_is_plain_new() {
+        // Outside the `check` build a poisoned allocation must be the plain
+        // zeroed one (bitwise-invisible); in it, poisoning is the point, and
+        // a write clears it.
         let (mf, _domain) = setup(1);
-        let mut p = MultiFab::new_poisoned(
+        let mut p = MultiFab::new_owned_poisoned(
             mf.boxarray().clone(),
             mf.distribution().clone(),
             2,
             1,
+            0,
         );
-        let lo = p.valid_box(0).lo();
-        assert!(p.fab(0).get(lo, 0).is_nan());
-        p.set_val(0.0);
-        crate::fabcheck::check_for_nan(&p, "after set_val"); // clean now
-    }
-
-    #[test]
-    fn new_poisoned_without_feature_is_plain_new() {
-        // With `fabcheck` off this must be all zeros (bitwise-invisible);
-        // with it on, allocation-poisoning is the point.
-        let (mf, _domain) = setup(1);
-        let p = MultiFab::new_poisoned(mf.boxarray().clone(), mf.distribution().clone(), 2, 1);
-        let lo = p.valid_box(0).lo();
-        if cfg!(feature = "fabcheck") {
-            assert!(p.fab(0).get(lo, 0).is_nan());
+        let i = (0..p.nfabs()).find(|&i| p.is_allocated(i)).unwrap();
+        let lo = p.valid_box(i).lo();
+        if cfg!(feature = "check") {
+            assert!(p.fab(i).get(lo, 0).is_nan());
         } else {
-            assert_eq!(p.fab(0).get(lo, 0), 0.0);
+            assert_eq!(p.fab(i).get(lo, 0), 0.0);
         }
+        p.fab_mut(i).fill(0.0);
+        assert!(!p.fab(i).has_nonfinite(p.valid_box(i)));
     }
 
     #[test]
@@ -920,7 +897,7 @@ mod tests {
         assert_eq!(total_owned, full);
     }
 
-    #[cfg(feature = "fabcheck")]
+    #[cfg(feature = "check")]
     #[test]
     fn owned_poisoned_poisons_only_owned_patches() {
         let (mf, _domain) = setup(1);

@@ -167,7 +167,11 @@ impl GhostFootprint {
             GhostFootprint::Faces(d) => {
                 valid.boundary_shells(d).into_iter().map(|(_, _, b)| b).collect()
             }
-            GhostFootprint::Shell(d) => subtract(valid.grow(d), valid),
+            GhostFootprint::Shell(d) => {
+                let mut shell = Vec::with_capacity(6);
+                valid.grow(d).subtract(valid, &mut shell);
+                shell
+            }
         }
     }
 
@@ -215,7 +219,9 @@ pub fn fill_boundary_plan(
                 }
                 // Split off any part that lies inside the destination's valid
                 // region (it is already correct there).
-                for region in subtract(overlap_dst, valid) {
+                let mut regions = Vec::new();
+                overlap_dst.subtract(valid, &mut regions);
+                for region in regions {
                     chunks.push(CopyChunk {
                         src_id,
                         dst_id,
@@ -300,13 +306,6 @@ pub fn parallel_copy_plan(
         }
     }
     CopyPlan { chunks, ncomp }
-}
-
-/// Subtracts `cut` from `from`, returning disjoint remainder boxes.
-fn subtract(from: IndexBox, cut: IndexBox) -> Vec<IndexBox> {
-    let mut out = Vec::new();
-    crate::boxarray::subtract_box(from, cut, &mut out);
-    out
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //!
 //! The mapping is parameterized over fab identities ([`FabIds`]): the
 //! memoized static pass uses symbolic ids (patch index + space tag), while
-//! a `taskcheck` build of the executor instantiates it with live
+//! a `check` build of the executor instantiates it with live
 //! allocation base pointers and attaches the footprints to its
 //! [`TaskGraph`](crocco_runtime::TaskGraph) tasks for the dynamic detector
 //! — one derivation serves both, so the declared footprints cannot drift

@@ -58,7 +58,7 @@ pub trait FabView {
     /// call instead of per-cell `get`s — for the SIMD-lane backend that one
     /// slice copy replaces the per-cell index arithmetic that otherwise
     /// dominates the gather. The default falls back to `get` so wrapper
-    /// views (e.g. `fabcheck` instrumentation) still observe every access;
+    /// views (e.g. sanitizer instrumentation) still observe every access;
     /// the dense views below override it with a single slice copy.
     fn read_row(&self, p: IntVect, c: usize, out: &mut [f64]) {
         let mut q = p;

@@ -211,6 +211,33 @@ impl IndexBox {
         )
     }
 
+    /// Pushes `self` minus `cut` onto `out` as up to six disjoint boxes
+    /// (none when `cut` covers `self`; `self` unchanged when they do not
+    /// meet). The pieces come in a fixed order: for x, then y, then z, the
+    /// slab below the intersection, then the slab above it, each slab
+    /// spanning what is left of the box in the directions not yet cut.
+    pub fn subtract(&self, cut: IndexBox, out: &mut Vec<IndexBox>) {
+        let isect = self.intersection(&cut);
+        if isect.is_empty() {
+            out.push(*self);
+            return;
+        }
+        let mut core = *self;
+        for dir in 0..3 {
+            if core.lo[dir] < isect.lo[dir] {
+                let (low, rest) = core.chop(dir, isect.lo[dir]);
+                out.push(low);
+                core = rest;
+            }
+            if core.hi[dir] > isect.hi[dir] {
+                let (rest, high) = core.chop(dir, isect.hi[dir] + 1);
+                out.push(high);
+                core = rest;
+            }
+        }
+        debug_assert_eq!(core, isect);
+    }
+
     /// Iterates over every cell of the box in Fortran order (x fastest), which
     /// matches the memory layout of the field containers in `crocco-fab`.
     pub fn cells(&self) -> CellIter {
@@ -313,9 +340,68 @@ impl Iterator for CellIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn b(lo: [i64; 3], hi: [i64; 3]) -> IndexBox {
         IndexBox::new(IntVect(lo), IntVect(hi))
+    }
+
+    #[test]
+    fn subtract_partitions_the_ghost_shell() {
+        let outer = b([-2, -2, -2], [9, 9, 9]);
+        let inner = b([0, 0, 0], [7, 7, 7]);
+        let mut shell = Vec::new();
+        outer.subtract(inner, &mut shell);
+        let total: u64 = shell.iter().map(|b| b.num_points()).sum();
+        assert_eq!(total, outer.num_points() - inner.num_points());
+        for (i, a) in shell.iter().enumerate() {
+            assert!(!a.intersects(&inner));
+            for b in &shell[i + 1..] {
+                assert!(!a.intersects(b), "{a:?} overlaps {b:?}");
+            }
+        }
+        // The x slabs come first and span the whole box in y and z.
+        assert_eq!(shell[0], b([-2, -2, -2], [-1, 9, 9]));
+        assert_eq!(shell[1], b([8, -2, -2], [9, 9, 9]));
+        // Disjoint cut returns the original box; covering cut returns none.
+        let mut out = Vec::new();
+        inner.subtract(b([20, 0, 0], [21, 1, 1]), &mut out);
+        assert_eq!(out, vec![inner]);
+        out.clear();
+        inner.subtract(outer, &mut out);
+        assert!(out.is_empty());
+    }
+
+    proptest! {
+        /// `subtract` always yields disjoint boxes covering exactly
+        /// `from \ cut`.
+        #[test]
+        fn subtract_is_exact(
+            flo in prop::collection::vec(-3i64..3, 3),
+            fsz in prop::collection::vec(1i64..5, 3),
+            clo in prop::collection::vec(-4i64..4, 3),
+            csz in prop::collection::vec(1i64..6, 3),
+        ) {
+            let from = b(
+                [flo[0], flo[1], flo[2]],
+                [flo[0] + fsz[0] - 1, flo[1] + fsz[1] - 1, flo[2] + fsz[2] - 1],
+            );
+            let cut = b(
+                [clo[0], clo[1], clo[2]],
+                [clo[0] + csz[0] - 1, clo[1] + csz[1] - 1, clo[2] + csz[2] - 1],
+            );
+            let mut parts = Vec::new();
+            from.subtract(cut, &mut parts);
+            let total: u64 = parts.iter().map(|b| b.num_points()).sum();
+            prop_assert_eq!(total, from.num_points() - from.intersection(&cut).num_points());
+            for (i, a) in parts.iter().enumerate() {
+                prop_assert!(from.contains_box(a));
+                prop_assert!(!a.intersects(&cut));
+                for b in &parts[i + 1..] {
+                    prop_assert!(!a.intersects(b));
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The RK-stage graphs built by the fab layer ([`crate::taskgraph`]) are
 //! hand-wired: every happens-before edge exists because the author reasoned
 //! about which task touches which cells. A single missing edge is a silent
-//! data race that `fabcheck` (which guards *data*, not *schedules*) cannot
-//! see. This module makes the reasoning checkable:
+//! data race that the fab sanitizer (which guards *data*, not *schedules*)
+//! cannot see. This module makes the reasoning checkable:
 //!
 //! * **Footprints** — each task may declare the `(fab id, component range,
 //!   box)` regions it reads and writes ([`Footprint`]). The fab executors
@@ -17,8 +17,8 @@
 //!   distributed skeletons: every receive event has exactly one matching
 //!   send across ranks (tag-completeness — a lost wakeup is a hang), and the
 //!   cross-rank union of the per-rank DAGs plus send→recv edges is acyclic.
-//! * **Dynamic backstop** — behind the `taskcheck` cargo feature, the
-//!   executor timestamps every task with its reachability set (a vector
+//! * **Dynamic backstop** — in the `check` build (the `check` cargo
+//!   feature), the executor timestamps every task with its reachability set (a vector
 //!   clock over the graph) and the fab views record the regions they
 //!   *actually* touch; at graph completion, unordered overlapping accesses
 //!   and under-declared footprints panic with both task labels and the
@@ -442,59 +442,32 @@ fn ordered(anc: &[Vec<u64>], a: usize, b: usize) -> bool {
     anc[a][b / 64] & (1u64 << (b % 64)) != 0 || anc[b][a / 64] & (1u64 << (a % 64)) != 0
 }
 
-/// `from` minus `cut` as up to six disjoint axis-aligned boxes (empty when
-/// `cut` covers `from`). The taskcheck analog of the plan builder's ghost
-/// decomposition: the fab layer uses it to declare a patch's ghost shell
-/// (full box minus valid box) as a halo task's write set.
-pub fn subtract(from: IndexBox, cut: IndexBox) -> Vec<IndexBox> {
-    if from.is_empty() {
-        return Vec::new();
-    }
-    if !from.intersects(&cut) {
-        return vec![from];
-    }
-    let mut out = Vec::new();
-    let mut rest = from;
-    for dir in 0..3 {
-        let lo_gap = cut.lo()[dir] - rest.lo()[dir];
-        if lo_gap > 0 {
-            out.push(rest.grow_hi(dir, lo_gap - rest.size()[dir]));
-        }
-        let hi_gap = rest.hi()[dir] - cut.hi()[dir];
-        if hi_gap > 0 {
-            out.push(rest.grow_lo(dir, hi_gap - rest.size()[dir]));
-        }
-        rest = rest.grow_lo(dir, -lo_gap.max(0)).grow_hi(dir, -hi_gap.max(0));
-    }
-    out
-}
-
 /// Records that the currently-executing graph task touched `bx` of the fab
 /// identified by `fab` (the fab layer passes the allocation base pointer).
 ///
-/// With the `taskcheck` feature off this is a no-op that the compiler
+/// Outside the `check` build this is a no-op that the compiler
 /// removes entirely; with it on, the access lands in the running graph's
 /// race tracker (no-op outside a graph task, e.g. on the barrier path).
 /// Only fabs declared by at least one of the graph's footprints are kept:
 /// accesses to anything else — task-local temporaries, another AMR level's
 /// fabs quiescent for the whole stage — are out of the schedule's scope and
 /// are discarded rather than reported as under-declarations.
-#[cfg(not(feature = "taskcheck"))]
+#[cfg(not(feature = "check"))]
 #[inline(always)]
 pub fn record_access(_fab: u64, _write: bool, _bx: IndexBox) {}
 
-#[cfg(feature = "taskcheck")]
+#[cfg(feature = "check")]
 pub use dynamic::record_access;
 
-#[cfg(feature = "taskcheck")]
+#[cfg(feature = "check")]
 pub(crate) use dynamic::{RunTracker, TaskScope};
 
 /// The dynamic backstop: reachability "vector clocks" per task plus a
-/// thread-local recorder the fab views feed. Compiled only with the
-/// `taskcheck` feature.
-#[cfg(feature = "taskcheck")]
+/// thread-local recorder the fab views feed. Compiled only in the `check`
+/// build.
+#[cfg(feature = "check")]
 mod dynamic {
-    use super::{ancestor_closure, ordered, subtract, Access, Footprint};
+    use super::{ancestor_closure, ordered, Access, Footprint};
     use crocco_geometry::IndexBox;
     use std::cell::RefCell;
     use std::sync::{Arc, Mutex};
@@ -715,10 +688,11 @@ mod dynamic {
                         if reg.fab != r.fab || (r.write && acc == Access::Read) {
                             continue;
                         }
-                        rest = rest
-                            .into_iter()
-                            .flat_map(|b| subtract(b, reg.bx))
-                            .collect();
+                        let mut next = Vec::with_capacity(rest.len());
+                        for b in rest {
+                            b.subtract(reg.bx, &mut next);
+                        }
+                        rest = next;
                         if rest.is_empty() {
                             break;
                         }
@@ -830,24 +804,6 @@ mod tests {
             Footprint::new("c").writes(0, (0, 1), bx([0, 0, 0], [3, 3, 3])),
         );
         assert!(s.verify().violations.is_empty());
-    }
-
-    #[test]
-    fn subtract_partitions_the_ghost_shell() {
-        let outer = bx([-2, -2, -2], [9, 9, 9]);
-        let inner = bx([0, 0, 0], [7, 7, 7]);
-        let shell = subtract(outer, inner);
-        let total: u64 = shell.iter().map(|b| b.num_points()).sum();
-        assert_eq!(total, outer.num_points() - inner.num_points());
-        for (i, a) in shell.iter().enumerate() {
-            assert!(!a.intersects(&inner));
-            for b in &shell[i + 1..] {
-                assert!(!a.intersects(b), "{a:?} overlaps {b:?}");
-            }
-        }
-        // Disjoint cut returns the original box; covering cut returns none.
-        assert_eq!(subtract(inner, bx([20, 0, 0], [21, 1, 1])), vec![inner]);
-        assert!(subtract(inner, outer).is_empty());
     }
 
     #[test]
@@ -983,35 +939,6 @@ mod tests {
                 .collect();
             let want = oracle_unordered_conflicts(&s);
             prop_assert_eq!(got, want);
-        }
-
-        /// `subtract` always yields disjoint boxes covering exactly
-        /// `from \ cut`.
-        #[test]
-        fn subtract_is_exact(
-            flo in prop::collection::vec(-3i64..3, 3),
-            fsz in prop::collection::vec(1i64..5, 3),
-            clo in prop::collection::vec(-4i64..4, 3),
-            csz in prop::collection::vec(1i64..6, 3),
-        ) {
-            let from = bx(
-                [flo[0], flo[1], flo[2]],
-                [flo[0] + fsz[0] - 1, flo[1] + fsz[1] - 1, flo[2] + fsz[2] - 1],
-            );
-            let cut = bx(
-                [clo[0], clo[1], clo[2]],
-                [clo[0] + csz[0] - 1, clo[1] + csz[1] - 1, clo[2] + csz[2] - 1],
-            );
-            let parts = subtract(from, cut);
-            let total: u64 = parts.iter().map(|b| b.num_points()).sum();
-            prop_assert_eq!(total, from.num_points() - from.intersection(&cut).num_points());
-            for (i, a) in parts.iter().enumerate() {
-                prop_assert!(from.contains_box(a));
-                prop_assert!(!a.intersects(&cut));
-                for b in &parts[i + 1..] {
-                    prop_assert!(!a.intersects(b));
-                }
-            }
         }
     }
 }

@@ -18,7 +18,7 @@
 //!   insertion order is a valid topological order.
 //! * **Epoch-checked handles.** Every graph draws a process-unique id;
 //!   handles remember it and `add_task` panics on a handle minted by a
-//!   different graph (the `fabcheck`-style cheap assertion that catches
+//!   different graph (a cheap sanitizer-style assertion that catches
 //!   accidentally-reused handles across stages).
 //! * **Panic propagation.** A panicking task aborts the drain; the first
 //!   payload is re-thrown from [`TaskGraph::run`] on the caller's thread,
@@ -86,8 +86,8 @@ pub enum StageError {
     /// The progress pump detected a communication fault (dead rank,
     /// starved receive, queue overflow).
     Comm(CommError),
-    /// A kernel task panicked (e.g. a `fabcheck` NaN trap); the panic was
-    /// contained and converted instead of unwinding past blocked peers.
+    /// A kernel task panicked (e.g. the `check` build's NaN trap); the panic
+    /// was contained and converted instead of unwinding past blocked peers.
     TaskPanic {
         /// The panic payload, rendered to a string.
         message: String,
@@ -190,7 +190,7 @@ pub struct TaskGraph<'env> {
     tasks: Vec<Task<'env>>,
     /// Declared data footprints, aligned with `tasks` (default =
     /// undeclared); only the dynamic detector reads them.
-    #[cfg(feature = "taskcheck")]
+    #[cfg(feature = "check")]
     footprints: Vec<Footprint>,
 }
 
@@ -200,7 +200,7 @@ impl<'env> TaskGraph<'env> {
         TaskGraph {
             id: NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed),
             tasks: Vec::new(),
-            #[cfg(feature = "taskcheck")]
+            #[cfg(feature = "check")]
             footprints: Vec::new(),
         }
     }
@@ -230,7 +230,7 @@ impl<'env> TaskGraph<'env> {
 
     /// Like [`TaskGraph::add_task`], with a declared data [`Footprint`]: the
     /// `(fab, component range, box)` regions the closure reads and writes.
-    /// Under the `taskcheck` feature the dynamic detector audits the
+    /// In the `check` build the dynamic detector audits the
     /// closure's executed accesses against it; otherwise it is dropped. It
     /// never affects execution.
     pub fn add_task_with<F>(&mut self, deps: &[TaskHandle], fp: Footprint, f: F) -> TaskHandle
@@ -275,9 +275,9 @@ impl<'env> TaskGraph<'env> {
             work,
             deps: dep_idx,
         });
-        #[cfg(feature = "taskcheck")]
+        #[cfg(feature = "check")]
         self.footprints.push(fp.unwrap_or_default());
-        #[cfg(not(feature = "taskcheck"))]
+        #[cfg(not(feature = "check"))]
         drop(fp);
         TaskHandle {
             graph: self.id,
@@ -335,14 +335,14 @@ impl<'env> TaskGraph<'env> {
     }
 
     /// Builds the dynamic race tracker for this graph (a no-op token when
-    /// the `taskcheck` feature is off).
+    /// outside the `check` build).
     fn make_tracker(&self) -> Tracker {
-        #[cfg(feature = "taskcheck")]
+        #[cfg(feature = "check")]
         {
             let deps: Vec<Vec<usize>> = self.tasks.iter().map(|t| t.deps.clone()).collect();
             crate::taskcheck::RunTracker::new(deps, self.footprints.clone())
         }
-        #[cfg(not(feature = "taskcheck"))]
+        #[cfg(not(feature = "check"))]
         Tracker
     }
 
@@ -657,43 +657,43 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Dynamic-tracker plumbing: a real reachability/footprint tracker with the
-/// `taskcheck` feature, a zero-sized token without it — so the executor
+/// Dynamic-tracker plumbing: a real reachability/footprint tracker in the
+/// `check` build, a zero-sized token outside it — so the executor
 /// paths stay free of `cfg` noise.
-#[cfg(feature = "taskcheck")]
+#[cfg(feature = "check")]
 type Tracker = std::sync::Arc<crate::taskcheck::RunTracker>;
-#[cfg(not(feature = "taskcheck"))]
+#[cfg(not(feature = "check"))]
 #[derive(Clone, Copy)]
 struct Tracker;
 
-#[cfg(feature = "taskcheck")]
+#[cfg(feature = "check")]
 use crate::taskcheck::TaskScope;
-#[cfg(not(feature = "taskcheck"))]
+#[cfg(not(feature = "check"))]
 struct TaskScope;
 
 // A (no-op) Drop keeps the executors' explicit `drop(scope)` flush points
 // meaningful in both builds (clippy::drop_non_drop).
-#[cfg(not(feature = "taskcheck"))]
+#[cfg(not(feature = "check"))]
 impl Drop for TaskScope {
     fn drop(&mut self) {}
 }
 
-#[cfg(feature = "taskcheck")]
+#[cfg(feature = "check")]
 fn enter_scope(tracker: &Tracker, task: usize) -> TaskScope {
     TaskScope::enter(tracker, task)
 }
 
-#[cfg(not(feature = "taskcheck"))]
+#[cfg(not(feature = "check"))]
 fn enter_scope(_tracker: &Tracker, _task: usize) -> TaskScope {
     TaskScope
 }
 
-#[cfg(feature = "taskcheck")]
+#[cfg(feature = "check")]
 fn check_tracker(tracker: &Tracker) {
     tracker.check();
 }
 
-#[cfg(not(feature = "taskcheck"))]
+#[cfg(not(feature = "check"))]
 fn check_tracker(_tracker: &Tracker) {}
 
 impl Default for TaskGraph<'_> {
@@ -1128,7 +1128,7 @@ mod tests {
     /// ordered graphs pass it; and accesses to fabs no footprint declares
     /// are out of the schedule's scope and never trap (task-local scratch,
     /// other-level data).
-    #[cfg(feature = "taskcheck")]
+    #[cfg(feature = "check")]
     #[test]
     fn dynamic_detector_traps_executed_races() {
         use crate::taskcheck::{record_access, Footprint};
@@ -1168,7 +1168,7 @@ mod tests {
     /// Dynamic detector integration: a task with a declared footprint that
     /// touches cells outside it is an under-declaration the static pass
     /// would have trusted — the audit traps it.
-    #[cfg(feature = "taskcheck")]
+    #[cfg(feature = "check")]
     #[test]
     fn dynamic_detector_traps_underdeclared_footprints() {
         use crate::taskcheck::{record_access, Footprint};
@@ -1226,7 +1226,7 @@ mod tests {
     /// the static verifier declares clean must execute without tripping the
     /// dynamic race detector, on any legal linearization, when every task
     /// touches exactly what it declared.
-    #[cfg(feature = "taskcheck")]
+    #[cfg(feature = "check")]
     mod clean_graphs {
         use super::*;
         use crate::taskcheck::{record_access, Footprint};

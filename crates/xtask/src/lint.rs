@@ -21,10 +21,11 @@
 //!    the fab view layer itself — everywhere else goes through the safe
 //!    `crocco_fab::with_rw` adapter, so the taskcheck access recorder
 //!    (DESIGN.md §4i) observes every view that touches fab memory;
-//! 7. every `docs/results/*.md` file referenced from the narrative
-//!    documents ([`DOC_LINK_SOURCES`]) exists — the design docs cite
-//!    results notes as evidence, and a citation to a note nobody wrote
-//!    (or that a rename orphaned) silently breaks the audit trail;
+//! 7. every `docs/results/*.md` file and every `tests/*.rs` suite
+//!    referenced from the narrative documents ([`DOC_LINK_SOURCES`]) exists
+//!    — the docs cite results notes and test suites as evidence, and a
+//!    citation to a note nobody wrote or a suite that was deleted (or that
+//!    a rename orphaned) silently breaks the audit trail;
 //! 8. *(advisory)* checkpoint/manifest files are never written with bare
 //!    `fs::write`/`File::create` outside the sanctioned writer modules
 //!    ([`DURABLE_WRITER_ALLOWLIST`]) — durability requires the
@@ -151,14 +152,33 @@ const BARE_WRITE_TOKENS: &[&str] = &["fs::write", "File::create"];
 /// a string literal, which the code channel blanks).
 const CKPT_NAME_HINTS: &[&str] = &["chk", "checkpoint", "manifest", "spill", ".ckpt"];
 
-/// Narrative documents whose `docs/results/*.md` references must resolve
-/// (rule 7). References are workspace-root-relative wherever they appear, so
-/// one spelling stays greppable across all the documents.
+/// Narrative documents whose `docs/results/*.md` and `tests/*.rs`
+/// references must resolve (rule 7). References are workspace-root-relative
+/// wherever they appear, so one spelling stays greppable across all the
+/// documents.
 const DOC_LINK_SOURCES: &[&str] = &[
     "DESIGN.md",
     "README.md",
+    "EXPERIMENTS.md",
     "docs/ARCHITECTURE.md",
+    "docs/CONTRIBUTING.md",
     "docs/DISTRIBUTED.md",
+];
+
+/// What rule 7 resolves: a path that starts with the prefix (at a path
+/// boundary, so `crates/x/tests/y.rs` is not read as `tests/y.rs`) and ends
+/// with the extension, and what the diagnostic tells the author to do.
+const DOC_LINK_KINDS: &[(&str, &str, &str)] = &[
+    (
+        "docs/results/",
+        ".md",
+        "write the results note or fix the reference",
+    ),
+    (
+        "tests/",
+        ".rs",
+        "name a suite that exists or drop the reference",
+    ),
 ];
 
 /// One `file:line: message` finding.
@@ -216,43 +236,40 @@ pub fn lint_root(root: &Path) -> Report {
     report
 }
 
-/// Rule 7: every `docs/results/*.md` path mentioned in a
+/// Rule 7: every path of a [`DOC_LINK_KINDS`] kind mentioned in a
 /// [`DOC_LINK_SOURCES`] document names a file that exists. Matching is
 /// textual (these are Markdown files, not Rust) and tolerant of sentence
 /// punctuation after the path. A source document that is absent is skipped —
 /// the rule guards against dangling references, and fixture trees in the
 /// tests have no narrative documents at all.
 fn lint_doc_links(root: &Path, report: &mut Report) {
+    let is_path_char = |c: char| c.is_ascii_alphanumeric() || matches!(c, '/' | '_' | '-' | '.');
     for rel in DOC_LINK_SOURCES {
         let Ok(text) = fs::read_to_string(root.join(rel)) else {
             continue;
         };
         report.files_scanned += 1;
         for (idx, line) in text.lines().enumerate() {
-            let mut rest = line;
-            while let Some(at) = rest.find("docs/results/") {
-                let tail = &rest[at..];
-                let end = tail
-                    .find(|c: char| {
-                        !(c.is_ascii_alphanumeric() || matches!(c, '/' | '_' | '-' | '.'))
-                    })
-                    .unwrap_or(tail.len());
-                let mut target = &tail[..end];
-                // Trailing sentence punctuation is prose, not path.
-                while !target.ends_with(".md") && target.ends_with(['.', ',']) {
-                    target = &target[..target.len() - 1];
+            for &(prefix, ext, fix) in DOC_LINK_KINDS {
+                for (at, _) in line.match_indices(prefix) {
+                    if line[..at].ends_with(is_path_char) {
+                        continue;
+                    }
+                    let tail = &line[at..];
+                    let end = tail.find(|c: char| !is_path_char(c)).unwrap_or(tail.len());
+                    let mut target = &tail[..end];
+                    // Trailing sentence punctuation is prose, not path.
+                    while !target.ends_with(ext) && target.ends_with(['.', ',']) {
+                        target = &target[..target.len() - 1];
+                    }
+                    if target.ends_with(ext) && !root.join(target).exists() {
+                        report.diagnostics.push(Diagnostic {
+                            path: PathBuf::from(rel),
+                            line: idx + 1,
+                            message: format!("`{target}` is referenced but does not exist; {fix}"),
+                        });
+                    }
                 }
-                if target.ends_with(".md") && !root.join(target).exists() {
-                    report.diagnostics.push(Diagnostic {
-                        path: PathBuf::from(rel),
-                        line: idx + 1,
-                        message: format!(
-                            "`{target}` is referenced but does not exist; \
-                             write the results note or fix the reference"
-                        ),
-                    });
-                }
-                rest = &rest[at + "docs/results/".len()..];
             }
         }
     }
@@ -1092,6 +1109,37 @@ mod tests {
         assert_eq!(report.diagnostics.len(), 2, "{msgs:?}");
         assert!(
             !msgs.iter().any(|m| m.contains("subcycle.md")),
+            "{msgs:?}"
+        );
+    }
+
+    #[test]
+    fn fixture_dangling_test_references_are_caught() {
+        let fx = Fixture::new();
+        fx.write("Cargo.toml", "[package]\nname = \"fx\"\n");
+        fx.write("src/lib.rs", "#![forbid(unsafe_code)]\n");
+        fx.write("tests/kept.rs", "");
+        fx.write("crates/geo/tests/props.rs", "");
+        fx.write(
+            "docs/CONTRIBUTING.md",
+            "Run `tests/kept.rs` and `tests/deleted.rs`.\n\
+             A crate suite, crates/geo/tests/props.rs, is not a root suite.\n",
+        );
+        fx.write(
+            "EXPERIMENTS.md",
+            "Every suite: tests/*.rs, e.g. tests/gone.rs.\n",
+        );
+        let report = lint_root(&fx.root);
+        let msgs = messages(&report);
+        assert_eq!(report.diagnostics.len(), 2, "{msgs:?}");
+        assert!(
+            msgs.iter().any(|m| m.contains("CONTRIBUTING.md:1")
+                && m.contains("`tests/deleted.rs` is referenced but does not exist")),
+            "{msgs:?}"
+        );
+        assert!(
+            msgs.iter()
+                .any(|m| m.contains("EXPERIMENTS.md:1") && m.contains("tests/gone.rs")),
             "{msgs:?}"
         );
     }

@@ -8,16 +8,16 @@
 //! the identical scalar code.)
 //!
 //! These tests run the compression-ramp configuration (sheared curvilinear
-//! grid, two AMR levels, a regrid mid-run at `regrid_freq = 3`) under the
-//! default backend against an explicitly named `BackendKind::Scalar` oracle
-//! across the `overlap` × `nan_poison` matrix (under `--features fabcheck`
-//! the sanitizer's checks run in every leg), plus an LES leg exercising the
-//! laned viscous/SGS kernels. DESIGN.md §4h spells out why bitwise identity
+//! grid; a 4-step run refines to two AMR levels at the step-3 regrid) under
+//! the default backend against an explicitly named `BackendKind::Scalar`
+//! oracle under both schedules (in the `check` build both sides are
+//! poisoned, swept and race-checked in every leg), plus an LES leg
+//! exercising the laned viscous/SGS kernels. DESIGN.md §4h spells out why bitwise identity
 //! holds; this suite is the end-to-end proof.
 
 mod common;
 
-use common::{ramp_builder, run_single as run_bits};
+use common::{nlevels, ramp_builder, run_single as run_bits};
 use crocco::solver::backend::BackendKind;
 use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
 use crocco::solver::problems::ProblemKind;
@@ -41,6 +41,7 @@ fn backends_match_scalar_bitwise_on_the_ramp() {
     // 4 steps crosses the regrid at step 3, so the kernels also run over
     // freshly regridded patches.
     let reference = run_bits(scalar(ramp_builder().threads(4)), 4);
+    assert_eq!(nlevels(&reference), 2, "the ramp must refine");
     let got = run_bits(default_backend(ramp_builder().threads(4)), 4);
     assert_eq!(reference.len(), got.len());
     assert!(reference == got, "default backend diverged from scalar bitwise");
@@ -72,26 +73,22 @@ proptest! {
     #[test]
     fn backends_compose_with_overlap_fabcheck_poison(
         overlap in any::<bool>(),
-        nan_poison in any::<bool>(),
         steps in 3u32..5,
     ) {
-        // The full composition matrix: the task-graph executor consumes the
-        // backend through the same `accumulate_rhs` seam, the sanitizer's
-        // aliasing proofs and ghost-epoch discipline must hold for the
-        // restructured kernels, and poisoning must stay semantics-free.
-        let composed = || {
-            ramp_builder()
-                .threads(4)
-                .overlap(overlap)
-                .nan_poison(nan_poison)
-        };
+        // The composition matrix: the task-graph executor consumes the
+        // backend through the same `accumulate_rhs` seam, and in the `check`
+        // build the aliasing proofs, ghost-epoch discipline and NaN poison
+        // must hold for the restructured kernels.
+        let composed = || ramp_builder().threads(4).overlap(overlap);
         let reference = run_bits(scalar(composed()), steps);
+        // Level 1 first appears at the step-3 regrid, at the start of step 4.
+        prop_assert_eq!(nlevels(&reference), if steps > 3 { 2 } else { 1 });
         let got = run_bits(default_backend(composed()), steps);
         prop_assert_eq!(reference.len(), got.len());
         prop_assert!(
             reference == got,
-            "default backend diverged (overlap={}, poison={})",
-            overlap, nan_poison
+            "default backend diverged (overlap={})",
+            overlap
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Helpers shared by the invariance, recovery and restart suites: the
-//! compression-ramp configuration they all march, the rank-count matrix, and
-//! the bitwise per-patch comparison against a single-rank reference run.
+//! compression-ramp configuration they all march and the bitwise per-patch
+//! comparison against a single-rank reference run.
 
 // Each suite is its own crate and uses its own subset.
 #![allow(dead_code)]
@@ -15,11 +15,12 @@ use std::collections::BTreeMap;
 pub type PatchBits = BTreeMap<(usize, usize), Vec<u64>>;
 
 /// The shrunk compression ramp of `examples/compression_ramp.rs`: sheared
-/// curvilinear grid, two AMR levels, `regrid_freq(3)` so a 4-step run
-/// crosses a regrid — tagging, clustering, remap and redistribution all
-/// execute mid-run and the plan/skeleton caches are rebuilt. (The sheared
-/// mapping needs the example's 2:1 aspect ratio: coarser grids invert in the
-/// ghost corners.)
+/// curvilinear grid, at most two AMR levels, `regrid_freq(3)`. Construction
+/// holds one level; level 1 first appears at the step-3 regrid, so a 4-step
+/// run crosses it — tagging, clustering, remap and redistribution all
+/// execute mid-run and the plan/skeleton caches are rebuilt — and takes its
+/// last step on two levels. (The sheared mapping needs the example's 2:1
+/// aspect ratio: coarser grids invert in the ghost corners.)
 pub fn ramp_builder() -> SolverConfigBuilder {
     SolverConfig::builder()
         .problem(ProblemKind::Ramp)
@@ -30,21 +31,6 @@ pub fn ramp_builder() -> SolverConfigBuilder {
         .max_grid_size(16)
         .regrid_freq(3)
         .cfl(0.5)
-}
-
-/// Rank counts under test: 1, 2 and 4 unless `CROCCO_DIST_RANKS`
-/// (comma-separated, e.g. `CROCCO_DIST_RANKS=2`) narrows them — the CI
-/// matrix uses it to split rank counts into separate jobs.
-pub fn ranks_under_test() -> Vec<usize> {
-    std::env::var("CROCCO_DIST_RANKS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse::<usize>().ok())
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
 }
 
 /// The bits of every patch `sim` holds data for: all of them on a one-rank
@@ -65,6 +51,11 @@ pub fn patch_bits(sim: &Simulation) -> PatchBits {
         }
     }
     out
+}
+
+/// Number of levels `bits` holds patches on.
+pub fn nlevels(bits: &PatchBits) -> usize {
+    bits.keys().map(|&(l, _)| l + 1).max().unwrap_or(0)
 }
 
 /// Runs `steps` on the calling thread (`cfg.nranks == 1`).

@@ -9,11 +9,10 @@
 //! 16³ patches (interior 8³, so every slab exists) at 2 and 4 ranks and
 //! demands the bits of the single-rank reference run. The inviscid ramp,
 //! AMR and regrid legs of the same comparison live in
-//! `tests/owned_dist_invariance.rs`.
-//!
-//! `CROCCO_DIST_RANKS` (comma-separated, e.g. `CROCCO_DIST_RANKS=2`)
-//! restricts the rank counts under test (2 and 4 by default; on one rank no
-//! patch is split and there is nothing for this suite to compare).
+//! `tests/owned_dist_invariance.rs`. In the `check` build every run here is
+//! poisoned, swept and race-checked, so a slab seam reading a ghost nobody
+//! filled traps on the poison instead of passing on a lucky zero. (On one
+//! rank no patch is split, so the suite runs 2 and 4 ranks only.)
 
 mod common;
 
@@ -22,12 +21,8 @@ use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
 use crocco::solver::problems::ProblemKind;
 use std::sync::OnceLock;
 
-fn ranks_under_test() -> Vec<usize> {
-    common::ranks_under_test()
-        .into_iter()
-        .filter(|&n| n >= 2)
-        .collect()
-}
+/// Rank counts under test: on one rank nothing is split.
+const RANKS: [usize; 2] = [2, 4];
 
 /// Fully periodic single-level LES vortex on four 16³ patches: every patch
 /// neighbours every other (corners included), so at 2 or 4 ranks each one
@@ -53,7 +48,7 @@ fn reference() -> &'static PatchBits {
 #[test]
 fn fenced_cluster_matches_single_rank_bitwise() {
     let reference = reference();
-    for nranks in ranks_under_test() {
+    for nranks in RANKS {
         let cfg = les_vortex().nranks(nranks).overlap(false).build();
         assert_partitions_oracle(
             &run_owned(cfg, STEPS),
@@ -69,7 +64,7 @@ fn overlapped_cluster_matches_single_rank_bitwise() {
     // per rank, so interior and band sweeps of different patches really
     // interleave with the receives.
     let reference = reference();
-    for nranks in ranks_under_test() {
+    for nranks in RANKS {
         let cfg = les_vortex().nranks(nranks).threads(2).build();
         assert_partitions_oracle(
             &run_owned(cfg, STEPS),
@@ -83,7 +78,7 @@ fn overlapped_cluster_matches_single_rank_bitwise() {
 fn overlapped_cluster_matches_fenced_serial() {
     // threads == 1 exercises the graph executor's deterministic serial path,
     // where sends must have been inserted before the recv events they feed.
-    for nranks in ranks_under_test() {
+    for nranks in RANKS {
         let fenced = run_owned(les_vortex().nranks(nranks).overlap(false).build(), STEPS);
         let graph = run_owned(les_vortex().nranks(nranks).build(), STEPS);
         assert!(
@@ -98,7 +93,7 @@ fn dist_overlap_is_invariant_under_adversarial_schedules() {
     // Hostile but legal linearizations of each rank's stage graph (seed 0 =
     // reverse-priority: band sweeps before interiors wherever legal).
     let reference = reference();
-    for nranks in ranks_under_test() {
+    for nranks in RANKS {
         for seed in [0u64, 0x9e3779b97f4a7c15] {
             let cfg = les_vortex().nranks(nranks).sched_seed(seed).build();
             assert_partitions_oracle(
@@ -107,24 +102,5 @@ fn dist_overlap_is_invariant_under_adversarial_schedules() {
                 &format!("adversarial seed {seed:#x} nranks={nranks}"),
             );
         }
-    }
-}
-
-#[test]
-fn dist_overlap_composes_with_the_sanitizer() {
-    // fabcheck + nan_poison: a slab seam reading a ghost nobody filled would
-    // trap on the poison instead of passing on a lucky zero.
-    let reference = reference();
-    for nranks in ranks_under_test() {
-        let cfg = les_vortex()
-            .nranks(nranks)
-            .threads(2)
-            .nan_poison(true)
-            .build();
-        assert_partitions_oracle(
-            &run_owned(cfg, STEPS),
-            reference,
-            &format!("sanitized nranks={nranks}"),
-        );
     }
 }

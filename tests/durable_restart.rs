@@ -11,15 +11,11 @@
 //! disk damage: a torn slot write falls back to the surviving buffer, a
 //! lost manifest falls back to the slot scan, and a full disk degrades to
 //! in-memory-only checkpoints with a warning instead of killing the run.
-//!
-//! `CROCCO_DIST_RANKS` (comma-separated) restricts the writer rank counts —
-//! the CI durable job uses it to split the 1/2/4-rank legs.
 
 mod common;
 
 use common::{
-    assert_partitions_oracle, new_owned, patch_bits, ramp_builder, ranks_under_test, run_single,
-    PatchBits,
+    assert_partitions_oracle, new_owned, patch_bits, ramp_builder, run_single, PatchBits,
 };
 use crocco::runtime::chaos::{ChaosConfig, CrashPhase, CrashSpec, StorageFault, StorageFaultPlan};
 use crocco::runtime::LocalCluster;
@@ -126,7 +122,7 @@ fn cold_restart(
 /// 4-step oracle bitwise.
 #[test]
 fn whole_cluster_death_cold_restarts_bitwise() {
-    for writer in ranks_under_test() {
+    for writer in [1, 2, 4] {
         let dir = SpillDir::new("death");
         let reports = run_and_die(writer, 3, &dir.path, None);
         assert_eq!(

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{new_owned, ramp_builder, ranks_under_test};
+use common::{new_owned, ramp_builder};
 use crocco::amr::fillpatch::{resolve_two_level_plans, TwoLevelPlan};
 use crocco::fab::MultiFab;
 use crocco::geometry::{IndexBox, IntVect};
@@ -76,7 +76,7 @@ fn grid_storage(sim: &Simulation) -> Vec<HashMap<IndexBox, (usize, usize)>> {
 /// (same storage as before the regrid), the others really computed.
 #[test]
 fn grid_data_moved_through_a_regrid_equals_grid_data_recomputed() {
-    for nranks in ranks_under_test() {
+    for nranks in [1, 2, 4] {
         let cfg = dmr3().nranks(nranks).build();
         assert_eq!(cfg.regrid_freq, 5);
         let per_rank = LocalCluster::run(nranks, move |ep| {

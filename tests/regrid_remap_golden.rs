@@ -1,14 +1,19 @@
-//! Golden pins across a regrid: the state after 6 steps (the step-5 regrid
-//! tags, clusters, remaps every finer level by coarse→fine interpolation and
-//! redistributes the survivors) hashed to one FNV-1a word per configuration.
-//! The words were recorded at commit `1caa2d3`, before the remap became a
-//! caller of the two-level FillPatch gather, so they hold the remap to the
-//! bits of the code it replaced — at one rank and, through the cross-rank
-//! chunk exchange, at every rank count under test.
+//! Golden pins across a regrid: the state after a run that crosses a regrid
+//! (tagging, clustering, a remap of every finer level by coarse→fine
+//! interpolation and the redistribution of the survivors) hashed to one
+//! FNV-1a word per configuration, at one rank and, through the cross-rank
+//! chunk exchange, at 2 and 4 ranks.
+//!
+//! The two 3-level words were recorded at commit `1caa2d3`, before the remap
+//! became a caller of the two-level FillPatch gather, so they hold the remap
+//! to the bits of the code it replaced. The ramp word was recorded in the
+//! plain build, before NaN poisoning and the post-stage sweep became part of
+//! the `check` build; both builds must reproduce every word, which is what
+//! proves that the checks never move a bit of a correct run.
 
 mod common;
 
-use common::{patch_bits, ranks_under_test, run_owned, PatchBits};
+use common::{patch_bits, ramp_builder, run_owned, PatchBits};
 use crocco::solver::config::{CodeVersion, InterpKind, SolverConfig, SolverConfigBuilder};
 use crocco::solver::driver::Simulation;
 use crocco::solver::problems::ProblemKind;
@@ -71,9 +76,20 @@ fn assert_pinned(what: &str, base: fn() -> SolverConfigBuilder, golden: u64) {
     assert_ne!(before, grids(&sim), "{what}: the step-5 regrid must move the grids");
     let got = fnv(&patch_bits(&sim));
     assert_eq!(got, golden, "{what}: 1 rank hashed {got:#018x}");
-    for nranks in ranks_under_test().into_iter().filter(|&n| n > 1) {
+    assert_pinned_across_ranks(what, base, STEPS, golden);
+}
+
+/// `steps` of `base` at 2 and 4 ranks: the union of the owned patches
+/// hashes to `golden`.
+fn assert_pinned_across_ranks(
+    what: &str,
+    base: fn() -> SolverConfigBuilder,
+    steps: u32,
+    golden: u64,
+) {
+    for nranks in [2, 4] {
         let mut merged = PatchBits::new();
-        for owned in run_owned(base().nranks(nranks).build(), STEPS) {
+        for owned in run_owned(base().nranks(nranks).build(), steps) {
             merged.extend(owned);
         }
         let got = fnv(&merged);
@@ -89,4 +105,17 @@ fn dmr3_curvilinear_remap_is_pinned() {
 #[test]
 fn periodic_vortex3_piecewise_constant_remap_is_pinned() {
     assert_pinned("vortex3 pc", vortex3, 0xc66b_9342_2c04_8dcd);
+}
+
+#[test]
+fn ramp_is_pinned_in_every_build() {
+    // The 2-level curvilinear ramp of the invariance suites, 4 steps: level
+    // 1 appears at the step-3 regrid and takes the last step.
+    const GOLDEN: u64 = 0xb35a_4c7a_164e_9be9;
+    let mut sim = Simulation::new(ramp_builder().build());
+    sim.advance_steps(4);
+    assert_eq!(sim.nlevels(), 2, "ramp: the step-3 regrid must refine");
+    let got = fnv(&patch_bits(&sim));
+    assert_eq!(got, GOLDEN, "ramp: 1 rank hashed {got:#018x}");
+    assert_pinned_across_ranks("ramp", ramp_builder, 4, GOLDEN);
 }

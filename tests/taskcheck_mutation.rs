@@ -2,16 +2,16 @@
 //! concurrency bug by deleting one dependency edge from a *real* RK-stage
 //! skeleton's task list — the list the executor runs and the verifier
 //! proves — and prove both detection layers catch it — the static schedule
-//! verifier names the exact unordered pair, and (under the `taskcheck`
-//! feature) the dynamic race detector traps the same mutation when the
-//! graph actually executes. A verifier that cannot see a seeded bug proves
+//! verifier names the exact unordered pair, and (in the `check` build) the
+//! dynamic race detector traps the same mutation when the graph actually
+//! executes. A verifier that cannot see a seeded bug proves
 //! nothing about the graphs it declares clean.
 
 use crocco::fab::{
     dist_rank_schedule, BoxArray, DistSkeleton, DistributionMapping, DistributionStrategy, FabIds,
     GhostFootprint, PlanCache, TaskKind,
 };
-#[cfg(feature = "taskcheck")]
+#[cfg(feature = "check")]
 use crocco::fab::{FArrayBox, MultiFab};
 use crocco::geometry::decompose::ChopParams;
 use crocco::geometry::{IndexBox, ProblemDomain};
@@ -189,9 +189,9 @@ fn cross_rank_verifier_flags_a_deleted_send() {
 
 /// The dynamic backstop catches the same seeded bug at runtime: the mutated
 /// task list drives a real executor run, and the race tracker flags the
-/// executed-but-unordered halo read vs. state update. Feature-gated — with
-/// `taskcheck` off the recorder compiles to nothing.
-#[cfg(feature = "taskcheck")]
+/// executed-but-unordered halo read vs. state update. Only in the `check`
+/// build — outside it the recorder compiles to nothing.
+#[cfg(feature = "check")]
 #[test]
 fn dynamic_detector_traps_the_same_mutation_at_runtime() {
     use crocco::fab::{run_dist_rk_stage, DistStage, StageFabs};
