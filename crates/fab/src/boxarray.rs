@@ -307,4 +307,15 @@ mod tests {
         assert_eq!(a, d);
         assert_ne!(a.id(), d.id());
     }
+
+    #[test]
+    fn subtract_box_disjoint_cut_keeps_original() {
+        let probe = b([0, 0, 0], [3, 3, 3]);
+        let far = b([10, 10, 10], [12, 12, 12]);
+        let mut out = Vec::new();
+        probe.subtract(far, &mut out);
+        assert_eq!(out, vec![probe]);
+        // The complement against an array that misses the probe is the probe.
+        assert_eq!(BoxArray::new(vec![far]).complement_in(probe), vec![probe]);
+    }
 }

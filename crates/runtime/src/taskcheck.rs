@@ -806,6 +806,32 @@ mod tests {
         assert!(s.verify().violations.is_empty());
     }
 
+    /// The dynamic backstop's coverage check subtracts declared boxes from
+    /// touched ones; a halo task's ghost shell (full box minus valid box)
+    /// must come out as disjoint pieces covering exactly the shell.
+    #[test]
+    fn subtract_partitions_the_ghost_shell() {
+        let outer = bx([-2, -2, -2], [9, 9, 9]);
+        let inner = bx([0, 0, 0], [7, 7, 7]);
+        let mut shell = Vec::new();
+        outer.subtract(inner, &mut shell);
+        let total: u64 = shell.iter().map(|b| b.num_points()).sum();
+        assert_eq!(total, outer.num_points() - inner.num_points());
+        for (i, a) in shell.iter().enumerate() {
+            assert!(!a.intersects(&inner));
+            for b in &shell[i + 1..] {
+                assert!(!a.intersects(b), "{a:?} overlaps {b:?}");
+            }
+        }
+        // Disjoint cut returns the original box; covering cut returns none.
+        let mut out = Vec::new();
+        inner.subtract(bx([20, 0, 0], [21, 1, 1]), &mut out);
+        assert_eq!(out, vec![inner]);
+        out.clear();
+        inner.subtract(outer, &mut out);
+        assert!(out.is_empty());
+    }
+
     #[test]
     fn channel_mismatches_are_flagged() {
         let mut a = RankSchedule::default();
