@@ -18,7 +18,8 @@ use std::time::Instant;
 const SUB_STEPS: u32 = 3;
 const LEVELS: usize = 3;
 
-/// The deep-hierarchy vortex of `tests/subcycle_invariance.rs`: fully
+/// The deep-hierarchy vortex of `tests/subcycle_invariance.rs`
+/// (`tests/common`'s `vortex(3)`): fully
 /// periodic, inviscid, interior refined region — the workload where
 /// per-level dt pays and conservation is measurable.
 fn vortex() -> SolverConfigBuilder {

@@ -20,7 +20,7 @@
 //!   preserved; lanes only evaluate independent cells side by side).
 //! * [`BackendKind::Scalar`] — the original per-point kernels of
 //!   [`crate::kernels`] and [`crate::sgs`], unchanged: the bitwise oracle of
-//!   the invariance suites, and the path characteristic reconstruction
+//!   the differential matrix, and the path characteristic reconstruction
 //!   falls back to.
 //!
 //! `ComputeDt` is the per-point [`kernels::compute_dt_patch`] under both
@@ -29,9 +29,10 @@
 //! flavour, not a virtual call, per platform.
 //!
 //! Selection goes through [`SolverConfig::kernel_backend`] and composes
-//! with `overlap` and the `check` build; the invariance suite
-//! (`tests/backend_invariance.rs`) proves the default matches Scalar
-//! bitwise on the compression ramp across those combinations.
+//! with `overlap` and the `check` build; the differential matrix
+//! (`tests/invariance_matrix.rs`) proves the default matches Scalar
+//! bitwise on every scenario (ramp, LES, DMR and vortex, one to three
+//! levels) across those combinations.
 //!
 //! [`SolverConfig::kernel_backend`]: crate::config::SolverConfig::kernel_backend
 

@@ -150,10 +150,6 @@ pub struct SolverConfig {
     pub blocking_factor: i64,
     /// AMReX max grid size.
     pub max_grid_size: i64,
-    /// Berger–Rigoutsos efficiency target.
-    pub grid_eff: f64,
-    /// Tag buffer cells.
-    pub n_error_buf: i64,
     /// Steps between regrids.
     pub regrid_freq: u32,
     /// |∇ρ| threshold for refinement tagging.
@@ -171,13 +167,13 @@ pub struct SolverConfig {
     /// halo copies, sends and tag-matched receives overlap with kernel
     /// sweeps, and only patch-boundary tasks fence. On by default. `false`
     /// selects the sequential fill → sweep → update phases — the *reference*
-    /// schedule the invariance suites compare the graph against (as
+    /// schedule the differential matrix's oracle runs (as
     /// [`BackendKind::Scalar`] is for kernels). Results are
     /// bitwise-identical; only the inter-patch schedule changes.
     pub overlap: bool,
     /// Kernel backend for the hot loops (DESIGN.md §4h): the plane-laned
     /// SIMD kernels or the scalar per-point reference. Both are
-    /// bitwise-identical on the solution (`tests/backend_invariance.rs`);
+    /// bitwise-identical on the solution (`tests/invariance_matrix.rs`);
     /// they differ only in throughput. Composes with
     /// [`overlap`](Self::overlap) and the `check` build. Defaults to
     /// [`BackendKind::Lanes`]; [`BackendKind::Scalar`] is the test oracle.
@@ -211,7 +207,7 @@ pub struct SolverConfig {
     /// [`crocco_amr::FluxRegister`] reflux after the substeps. Cuts total
     /// cell-updates on deep hierarchies (docs/results/subcycle.md). With a
     /// single level the subcycled step is bitwise-identical to lockstep
-    /// (`tests/subcycle_invariance.rs`). Off by default — lockstep (all
+    /// (`tests/invariance_matrix.rs`). Off by default — lockstep (all
     /// levels share the globally minimal `dt`) remains the reference mode.
     pub subcycling: bool,
     /// Adversarial-schedule seed for the stage task graphs: `Some(seed)`
@@ -219,7 +215,7 @@ pub struct SolverConfig {
     /// seeded arbitrary legal topological linearization (seed 0 =
     /// reverse-priority, the worst case for every "it happens to run in
     /// insertion order" assumption). Results must be — and are, by the
-    /// invariance suites — bitwise-identical under any legal schedule.
+    /// differential matrix — bitwise-identical under any legal schedule.
     /// `None` (the default) uses the normal thread pool.
     pub sched_seed: Option<u64>,
 }
@@ -288,8 +284,6 @@ impl Default for SolverConfigBuilder {
                 cfl: 0.6,
                 blocking_factor: 4,
                 max_grid_size: 32,
-                grid_eff: 0.7,
-                n_error_buf: 2,
                 regrid_freq: 5,
                 tag_threshold: f64::NAN, // resolved from the problem default
                 nranks: 1,

@@ -312,8 +312,9 @@ impl Simulation {
             ref_ratio: IntVect::splat(2),
             blocking_factor: cfg.blocking_factor,
             max_grid_size: cfg.max_grid_size,
-            grid_eff: cfg.grid_eff,
-            n_error_buf: cfg.n_error_buf,
+            // AMReX's Berger–Rigoutsos efficiency target and tag buffer.
+            grid_eff: 0.7,
+            n_error_buf: 2,
             regrid_freq: cfg.regrid_freq,
             nesting_buffer: cfg.blocking_factor,
         };

@@ -23,7 +23,7 @@
 //! `dt_fine/dt_coarse` — by slot, in canonical patch order. Keeping the two
 //! sides separate per face makes the accumulation order independent of
 //! execution mode and rank count, so serial, overlapped, and owned-data
-//! subcycling agree bitwise (`tests/subcycle_invariance.rs`).
+//! subcycling agree bitwise (`tests/invariance_matrix.rs`).
 //!
 //! Faces outside the coarse domain are no register faces: there is no
 //! coarse flux to repair against. This also excludes periodically-wrapped

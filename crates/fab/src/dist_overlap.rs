@@ -35,16 +35,15 @@
 //!   tasks fence; there is no per-stage barrier. The executor adds the
 //!   list's tasks in order with the list's edges and picks each closure by
 //!   the task's [`TaskKind`]; it derives no edge of its own.
-//! * **fenced** — the *reference* schedule every invariance suite compares
-//!   the graph against (as the scalar backend is for kernels): one fenced
+//! * **fenced** — the *reference* schedule the differential matrix's
+//!   oracle runs (as the scalar backend is for kernels): one fenced
 //!   [`exchange`] round over the same layout, then fill → whole sweep →
 //!   update as sequential loops.
 //!
 //! Both produce bitwise-identical state at any rank count: every cell is
 //! written by the same arithmetic in the same per-cell order, and
-//! `f64 → le-bytes → f64` round-trips exactly (`tests/overlap_invariance.rs`
-//! on one rank, `tests/owned_dist_invariance.rs` and
-//! `tests/dist_overlap_invariance.rs` across a regrid at 1/2/4 ranks).
+//! `f64 → le-bytes → f64` round-trips exactly (`tests/invariance_matrix.rs`,
+//! across regrids at 1/2/4 ranks on one to three levels).
 //!
 //! # Ownership contract
 //!

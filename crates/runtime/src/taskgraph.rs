@@ -56,9 +56,9 @@ pub enum Schedule {
     /// legal topological linearization. Seed 0 is the deterministic
     /// worst-case reverse-priority order (always the highest-index ready
     /// task — the mirror image of insertion order); any other seed drives a
-    /// splitmix64 stream of arbitrary legal choices. The invariance suites
-    /// use this to prove results are bitwise-identical under any schedule
-    /// the dependency edges permit (DESIGN.md §4i).
+    /// splitmix64 stream of arbitrary legal choices. The differential
+    /// matrix uses this to prove results are bitwise-identical under any
+    /// schedule the dependency edges permit (DESIGN.md §4i).
     Adversarial {
         /// Choice seed (`0` = reverse-priority).
         seed: u64,

@@ -65,9 +65,8 @@ fn main() -> ExitCode {
             eprintln!("          documents exists, no bare fs::write/File::create on");
             eprintln!("          checkpoint/manifest paths outside the durable writer");
             eprintln!("          (advisory, DESIGN.md §4j), a per-file ratchet on");
-            eprintln!("          unwrap()/expect() calls in the network-facing");
-            eprintln!("          runtime modules, and no `crocco_perfmodel` in the");
-            eprintln!("          source of an executed crate");
+            eprintln!("          unwrap()/expect() calls in every source file of an");
+            eprintln!("          executed crate, and no `crocco_perfmodel` in them");
             ExitCode::FAILURE
         }
     }

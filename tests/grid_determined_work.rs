@@ -6,27 +6,15 @@
 
 mod common;
 
-use common::{new_owned, ramp_builder};
+use common::{dmr3, new_owned, ramp_builder};
 use crocco::amr::fillpatch::{resolve_two_level_plans, TwoLevelPlan};
 use crocco::fab::MultiFab;
 use crocco::geometry::{IndexBox, IntVect};
 use crocco::runtime::LocalCluster;
-use crocco::solver::config::{CodeVersion, SolverConfig, SolverConfigBuilder};
 use crocco::solver::driver::Simulation;
 use crocco::solver::io::Checkpoint;
-use crocco::solver::problems::ProblemKind;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-
-/// The 3-level double Mach reflection of `regrid_remap_golden`: its step-5
-/// regrid moves the grids of both refined levels.
-fn dmr3() -> SolverConfigBuilder {
-    SolverConfig::builder()
-        .problem(ProblemKind::DoubleMach)
-        .extents(32, 8, 4)
-        .version(CodeVersion::V2_0)
-        .max_levels(3)
-}
 
 /// Bits of every allocated fab (ghosts included) per `(level, patch)`.
 fn fab_bits(

@@ -13,10 +13,9 @@
 
 mod common;
 
-use common::{patch_bits, ramp_builder, run_owned, PatchBits};
-use crocco::solver::config::{CodeVersion, InterpKind, SolverConfig, SolverConfigBuilder};
+use common::{dmr3, patch_bits, ramp_builder, run_owned, vortex3, PatchBits};
+use crocco::solver::config::SolverConfigBuilder;
 use crocco::solver::driver::Simulation;
-use crocco::solver::problems::ProblemKind;
 
 const STEPS: u32 = 6;
 
@@ -34,33 +33,6 @@ fn fnv(bits: &PatchBits) -> u64 {
         words.iter().copied().for_each(&mut eat);
     }
     h
-}
-
-/// 3-level double Mach reflection, curvilinear interpolator: the remap
-/// gathers coarse coordinates (ghosts included) beside the state.
-fn dmr3() -> SolverConfigBuilder {
-    SolverConfig::builder()
-        .problem(ProblemKind::DoubleMach)
-        .extents(32, 8, 4)
-        .version(CodeVersion::V2_0)
-        .max_levels(3)
-}
-
-/// Subcycled 3-level fully periodic vortex, piecewise-constant injection:
-/// the remap's donor chunks wrap through the periodic faces, and the fills
-/// around it also gather the coarse old state (the benchmark's
-/// `vortex3_sub_t2`, shrunk).
-fn vortex3() -> SolverConfigBuilder {
-    SolverConfig::builder()
-        .problem(ProblemKind::IsentropicVortex)
-        .extents(16, 16, 4)
-        .version(CodeVersion::V2_0)
-        .max_levels(3)
-        .blocking_factor(4)
-        .max_grid_size(16)
-        .interpolator(InterpKind::PiecewiseConstant)
-        .cfl(0.4)
-        .subcycling(true)
 }
 
 fn assert_pinned(what: &str, base: fn() -> SolverConfigBuilder, golden: u64) {
@@ -109,7 +81,7 @@ fn periodic_vortex3_piecewise_constant_remap_is_pinned() {
 
 #[test]
 fn ramp_is_pinned_in_every_build() {
-    // The 2-level curvilinear ramp of the invariance suites, 4 steps: level
+    // The 2-level curvilinear ramp of the differential matrix, 4 steps: level
     // 1 appears at the step-3 regrid and takes the last step.
     const GOLDEN: u64 = 0xb35a_4c7a_164e_9be9;
     let mut sim = Simulation::new(ramp_builder().build());
